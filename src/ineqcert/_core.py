@@ -87,12 +87,6 @@ class Ctx:
     def hi_of(self, f):
         return _ceil_div(f.numerator << self.prec, f.denominator)
 
-    def ival(self, lo_f, hi_f):
-        return (self.lo_of(lo_f), self.hi_of(hi_f))
-
-    def to_fractions(self, iv):
-        return (Fraction(iv[0], self.one), Fraction(iv[1], self.one))
-
 
 # ---------------------------------------------------------------------------
 # interval primitives on (lo, hi) integer pairs
@@ -187,12 +181,24 @@ _HYP_MAX = 32          # |x| <= 32 for sinh/cosh
 
 def _sincos_pt(ctx, m):
     """(sin bracket, cos bracket) at the dyadic point m/2**prec, |x| <= 4."""
-    key = ("sc", m)
+    return _point_series(ctx, m, "sc")
+
+
+def _sinhcosh_pt(ctx, m):
+    """(sinh bracket, cosh bracket) at m/2**prec, |x| <= 32."""
+    return _point_series(ctx, m, "hc")
+
+
+def _point_series(ctx, m, tag):
+    """Cached (odd, even) series brackets at m/2**prec: sin and cos for tag
+    "sc", whose terms alternate in sign, sinh and cosh for tag "hc"."""
+    key = (tag, m)
     hit = ctx.cache.get(key)
     if hit is not None:
         return hit
     if m == 0:
         return ((0, 0), (ctx.one, ctx.one))
+    alternating = tag == "sc"
     neg = m < 0
     x = -m if neg else m
     prec = ctx.prec
@@ -210,7 +216,7 @@ def _sincos_pt(ctx, m):
         t_hi = _ceil_div(_ceil_shift(t_hi * mm_hi, prec), (2 * k) * (2 * k + 1))
         u_lo = (u_lo * mm_lo >> prec) // ((2 * k - 1) * (2 * k))
         u_hi = _ceil_div(_ceil_shift(u_hi * mm_hi, prec), (2 * k - 1) * (2 * k))
-        if k % 2:
+        if alternating and k % 2:
             s_lo -= t_hi
             s_hi -= t_lo
             c_lo -= u_hi
@@ -220,59 +226,23 @@ def _sincos_pt(ctx, m):
             s_hi += t_hi
             c_lo += u_lo
             c_hi += u_hi
-        # terms decrease strictly once (2k+1)(2k+2) > x^2 (x <= 4 => k >= 2);
-        # then the omitted alternating tail is bounded by the next term.
-        if k >= 2 and t_hi <= 2 and u_hi <= 2:
+        # alternating: terms decrease strictly once (2k+1)(2k+2) > x^2
+        # (x <= 4 => k >= 2), then the omitted tail is bounded by the next
+        # term.  Positive: once the term ratio x^2/((2k+2)(2k+3)) <= 1/2,
+        # the tail is at most twice the next term.
+        if t_hi <= 2 and u_hi <= 2 and (
+                k >= 2 if alternating
+                else 2 * mm_hi <= ((2 * k + 2) * (2 * k + 3)) << prec):
             rt = _ceil_div(_ceil_shift(t_hi * mm_hi, prec),
                            (2 * k + 2) * (2 * k + 3)) + 1
             ru = _ceil_div(_ceil_shift(u_hi * mm_hi, prec),
                            (2 * k + 1) * (2 * k + 2)) + 1
-            s = (s_lo - rt, s_hi + rt)
-            c = (c_lo - ru, c_hi + ru)
-            break
-    if neg:
-        s = (-s[1], -s[0])
-    out = (s, c)
-    ctx.cache[key] = out
-    return out
-
-
-def _sinhcosh_pt(ctx, m):
-    """(sinh bracket, cosh bracket) at m/2**prec, |x| <= 32."""
-    key = ("hc", m)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
-    if m == 0:
-        return ((0, 0), (ctx.one, ctx.one))
-    neg = m < 0
-    x = -m if neg else m
-    prec = ctx.prec
-    mm_lo = (x * x) >> prec
-    mm_hi = _ceil_shift(x * x, prec)
-    t_lo, t_hi = x, x
-    u_lo, u_hi = ctx.one, ctx.one
-    s_lo, s_hi = x, x
-    c_lo, c_hi = ctx.one, ctx.one
-    k = 0
-    while True:
-        k += 1
-        t_lo = (t_lo * mm_lo >> prec) // ((2 * k) * (2 * k + 1))
-        t_hi = _ceil_div(_ceil_shift(t_hi * mm_hi, prec), (2 * k) * (2 * k + 1))
-        u_lo = (u_lo * mm_lo >> prec) // ((2 * k - 1) * (2 * k))
-        u_hi = _ceil_div(_ceil_shift(u_hi * mm_hi, prec), (2 * k - 1) * (2 * k))
-        s_lo += t_lo
-        s_hi += t_hi
-        c_lo += u_lo
-        c_hi += u_hi
-        # once the term ratio x^2/((2k+2)(2k+3)) <= 1/2, tail <= 2 * next term
-        if 2 * mm_hi <= ((2 * k + 2) * (2 * k + 3)) << prec and t_hi <= 2 and u_hi <= 2:
-            rt = 2 * (_ceil_div(_ceil_shift(t_hi * mm_hi, prec),
-                                (2 * k + 2) * (2 * k + 3)) + 1)
-            ru = 2 * (_ceil_div(_ceil_shift(u_hi * mm_hi, prec),
-                                (2 * k + 1) * (2 * k + 2)) + 1)
-            s = (s_lo, s_hi + rt)
-            c = (c_lo, c_hi + ru)
+            if alternating:
+                s = (s_lo - rt, s_hi + rt)
+                c = (c_lo - ru, c_hi + ru)
+            else:
+                s = (s_lo, s_hi + 2 * rt)
+                c = (c_lo, c_hi + 2 * ru)
             break
     if neg:
         s = (-s[1], -s[0])
@@ -570,48 +540,41 @@ def _form_term(ctx, c, r, j):
     return (lo >> sh, _ceil_shift(hi, sh))
 
 
-def enclose(ctx, node, a, b, max_order=8, memo=None, start_order=2):
-    """Certified enclosure of node over [a, b]/2**prec; escalates Taylor-form
-    order until the sign of the result is decided or max_order is reached.
-    Returns (interval, order_used)."""
+def enclose(ctx, node, a, b, max_order=8, memo=None):
+    """Certified enclosure of node over [a, b]/2**prec: the plain range,
+    narrowed by monotonicity and by an order-max_order Taylor form when
+    the plain range does not decide the sign."""
     enc = eval_plain(ctx, node, (a, b), memo)
     if enc[0] > 0 or enc[1] < 0 or a == b or max_order < 2:
-        return enc, 0
-    k = min(max(2, start_order), max_order)
+        return enc
+    k = max_order
     one_iv = (ctx.one, ctx.one)
-    while True:
-        try:
-            xv = _tzero(ctx, k)
-            xv[0] = (a, b)
-            xv[1] = one_iv
-            tx = eval_taylor(ctx, node, xv, k)
-        except (DomainError, PoleError):
-            break
-        d1 = tx[1]
-        if d1[0] >= 0 or d1[1] <= 0:
-            fa = eval_plain(ctx, node, (a, a), memo)
-            fb = eval_plain(ctx, node, (b, b), memo)
-            cand = (fa[0], fb[1]) if d1[0] >= 0 else (fb[0], fa[1])
-            enc = iisect(enc, cand)
-            if enc[0] > 0 or enc[1] < 0:
-                return enc, k
-        m = (a + b) // 2
-        mv = _tzero(ctx, k)
-        mv[0] = (m, m)
-        mv[1] = one_iv
-        try:
-            tm = eval_taylor(ctx, node, mv, k)
-        except (DomainError, PoleError):
-            break
-        r = max(b - m, m - a)
-        form = tm[0]
-        for j in range(1, k):
-            form = iadd(form, _form_term(ctx, tm[j], r, j))
-        form = iadd(form, _form_term(ctx, tx[k], r, k))
-        enc = iisect(enc, form)
+    try:
+        xv = _tzero(ctx, k)
+        xv[0] = (a, b)
+        xv[1] = one_iv
+        tx = eval_taylor(ctx, node, xv, k)
+    except (DomainError, PoleError):
+        return enc
+    d1 = tx[1]
+    if d1[0] >= 0 or d1[1] <= 0:
+        fa = eval_plain(ctx, node, (a, a), memo)
+        fb = eval_plain(ctx, node, (b, b), memo)
+        cand = (fa[0], fb[1]) if d1[0] >= 0 else (fb[0], fa[1])
+        enc = iisect(enc, cand)
         if enc[0] > 0 or enc[1] < 0:
-            return enc, k
-        if k >= max_order:
-            break
-        k = min(2 * k, max_order)
-    return enc, max_order
+            return enc
+    m = (a + b) // 2
+    mv = _tzero(ctx, k)
+    mv[0] = (m, m)
+    mv[1] = one_iv
+    try:
+        tm = eval_taylor(ctx, node, mv, k)
+    except (DomainError, PoleError):
+        return enc
+    r = max(b - m, m - a)
+    form = tm[0]
+    for j in range(1, k):
+        form = iadd(form, _form_term(ctx, tm[j], r, j))
+    form = iadd(form, _form_term(ctx, tx[k], r, k))
+    return iisect(enc, form)

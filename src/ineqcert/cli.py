@@ -27,7 +27,8 @@ from .lang import parse_corpus, parse_expression, eval_endpoint
 from .prove import (IDENTITY_IDS, SEQUENCE_IDS, THEOREM_CLAIMS, ProveOptions,
                     identity_check, limit_report, near_zero_certificate,
                     scan_extremum, sequence_check, verify_inequality)
-from .series import get_series, lemma_coeff, series_ids, theorem_coeff
+from .series import (THEOREMS, get_series, lemma_coeff, series_ids,
+                     theorem_coeff)
 from .exact import bernoulli
 
 __all__ = ["main", "run_command"]
@@ -57,6 +58,18 @@ def _rational(text: str) -> Fraction:
     return Fraction(s)  # Fraction parses decimal/exponent strings exactly
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a bad value is a usage error (exit 3)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _endpoint_value(text: str, upper: bool) -> Fraction:
     """Rational endpoint from an expression over rationals and pi.
 
@@ -67,22 +80,10 @@ def _endpoint_value(text: str, upper: bool) -> Fraction:
     return iv.lo if upper else iv.hi
 
 
-def _frac_str(f) -> str:
-    return str(f)
-
-
 def _iv_json(iv: Interval | None):
     if iv is None:
         return None
-    return {"lo": _frac_str(iv.lo), "hi": _frac_str(iv.hi)}
-
-
-_SHARP_ENDPOINT = {
-    "THM31_LO": ("T3.1", "zero"), "THM31_HI": ("T3.1", "right"),
-    "THM32_LO": ("T3.2", "zero"), "THM32_HI": ("T3.2", "right"),
-    "THM33": ("T3.3", "zero"), "THM34": ("T3.4", "zero"),
-    "THM35_LO": ("T3.5", "zero"), "THM35_HI": ("T3.5", "right"),
-}
+    return {"lo": str(iv.lo), "hi": str(iv.hi)}
 
 
 def default_corpus_path() -> str:
@@ -105,15 +106,14 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _json_report(config: dict, claims: list, timing: bool) -> str:
-    for c in claims:
-        if not timing:
-            c["ms"] = 0
-        else:
-            c["ms"] = round(c["ms"], 3)
-    report = {"version": __version__, "config": config,
-              "claims": sorted(claims, key=lambda c: c["name"])}
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _emit_report(args, config: dict, claims: list, lines: list) -> None:
+    """The JSON envelope with --format json, else the text lines."""
+    if args.format == "json":
+        report = {"version": __version__, "config": config, "claims": claims}
+        text = json.dumps(report, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(lines)
+    _emit(text + "\n", args.out)
 
 
 def _stanza_opts(spec, args) -> ProveOptions:
@@ -147,11 +147,12 @@ def _claim_entry(spec, result) -> dict:
         witness = _iv_json(result.witness)
         witness["midpoint_value"] = _iv_json(result.witness_value)
     sharp = None
-    if spec.name in _SHARP_ENDPOINT:
-        thm, endpoint = _SHARP_ENDPOINT[spec.name]
-        lr = limit_report(thm, endpoint)
+    claim = THEOREM_CLAIMS.get(spec.name)
+    if claim is not None:
+        endpoint = "right" if claim.mode == "upper" else "zero"
+        lr = limit_report(claim.thm, endpoint)
         enc = (_iv_json(lr.value_enclosure) if lr.value_enclosure is not None
-               else {"lo": _frac_str(lr.value_exact), "hi": _frac_str(lr.value_exact)})
+               else {"lo": str(lr.value_exact), "hi": str(lr.value_exact)})
         sharp = {"paper_value": lr.paper_value, "computed_enclosure": enc,
                  "match": lr.matches_paper}
     findings = list(result.findings)
@@ -192,7 +193,10 @@ def _cmd_prove(args) -> int:
     else:
         results = [run(s) for s in corpus]
 
-    claims = [_claim_entry(spec, res) for spec, res in results]
+    claims = sorted((_claim_entry(spec, res) for spec, res in results),
+                    key=lambda c: c["name"])
+    for c in claims:
+        c["ms"] = round(c["ms"], 3) if args.timing else 0
     # deliberately excludes volatile details (jobs, output path) so reports
     # are byte-identical regardless of scheduling
     config = {
@@ -203,17 +207,14 @@ def _cmd_prove(args) -> int:
         "x_max": args.xmax or "20", "precision": args.precision,
         "grid": args.grid,
     }
-    if args.format == "json":
-        _emit(_json_report(config, claims, args.timing), args.out)
-    else:
-        lines = []
-        for c in sorted(claims, key=lambda c: c["name"]):
-            lines.append(f"{c['name']:<14} {c['status']}")
-            for u in c["uncovered"]:
-                lines.append(f"    uncovered: {u}")
-            if c["witness"]:
-                lines.append(f"    witness: [{c['witness']['lo']}, {c['witness']['hi']}]")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = []
+    for c in claims:
+        lines.append(f"{c['name']:<14} {c['status']}")
+        for u in c["uncovered"]:
+            lines.append(f"    uncovered: {u}")
+        if c["witness"]:
+            lines.append(f"    witness: [{c['witness']['lo']}, {c['witness']['hi']}]")
+    _emit_report(args, config, claims, lines)
 
     mismatch = unknown = False
     for spec, res in results:
@@ -240,13 +241,11 @@ def _cmd_series(args) -> int:
     if kind is not None:
         seq = get_series(kind)
         for n in range(seq.start_index, args.nmax + 1):
-            rows.append(f"{n},{seq.exponent_of(n)},{_frac_str(seq.coeff(n))}")
+            rows.append(f"{n},{seq.exponent_of(n)},{seq.coeff(n)}")
     else:
-        from .series import THEOREM_START
-        start = THEOREM_START[args.thm]
-        for n in range(start, args.nmax + 1):
+        for n in range(THEOREMS[args.thm].start, args.nmax + 1):
             v = theorem_coeff(args.thm, args.role, n)
-            rows.append(f"{n},{2 * n},{_frac_str(v)}")
+            rows.append(f"{n},{2 * n},{v}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -254,7 +253,7 @@ def _cmd_series(args) -> int:
 def _cmd_bernoulli(args) -> int:
     rows = ["n,value"]
     for n in range(args.upto + 1):
-        rows.append(f"{n},{_frac_str(bernoulli(n))}")
+        rows.append(f"{n},{bernoulli(n)}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -276,22 +275,17 @@ def _cmd_sequences(args) -> int:
         "n_min": rep.n_min, "n_max": rep.n_max,
         "first_violation": None if rep.first_violation is None else {
             "n": rep.first_violation[0],
-            "value": _frac_str(rep.first_violation[1]),
+            "value": str(rep.first_violation[1]),
         },
     }
     config = {"subcommand": "sequences", "id": args.id, "mode": args.mode,
               "n_max": args.nmax, "n_min": nmin}
-    if args.format == "json":
-        out = {"version": __version__, "config": config, "claims": [entry]}
-        _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
+    if rep.all_pass:
+        line = f"{args.id} {args.mode}: all pass on [{rep.n_min}, {rep.n_max}]"
     else:
-        if rep.all_pass:
-            _emit(f"{args.id} {args.mode}: all pass on [{rep.n_min}, {rep.n_max}]\n",
-                  args.out)
-        else:
-            n, v = rep.first_violation
-            _emit(f"{args.id} {args.mode}: first violation at n={n}, value {v}\n",
-                  args.out)
+        n, v = rep.first_violation
+        line = f"{args.id} {args.mode}: first violation at n={n}, value {v}"
+    _emit_report(args, config, [entry], [line])
     corpus = _load_corpus(args.corpus)
     expect = _find_tag(corpus, f"expect_seq.{args.id}.{args.mode}")
     if expect is None:
@@ -313,27 +307,23 @@ def _cmd_identities(args) -> int:
         "n_min": rep.n_min, "n_max": rep.n_max,
         "first_failure": None if rep.first_failure is None else {
             "n": rep.first_failure[0],
-            "lhs": _frac_str(rep.first_failure[1]),
-            "rhs": _frac_str(rep.first_failure[2]),
+            "lhs": str(rep.first_failure[1]),
+            "rhs": str(rep.first_failure[2]),
         },
         "sign_violations": {
-            k: (None if v is None else {"n": v[0], "value": _frac_str(v[1])})
+            k: (None if v is None else {"n": v[0], "value": str(v[1])})
             for k, v in rep.positivity.items()
         },
     }
     config = {"subcommand": "identities", "id": args.id, "n_max": args.nmax}
-    if args.format == "json":
-        out = {"version": __version__, "config": config, "claims": [entry]}
-        _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [f"{args.id}: {'holds' if rep.holds else 'FAILS'} "
-                 f"on [{rep.n_min}, {rep.n_max}]"]
-        for k, v in rep.positivity.items():
-            if v is None:
-                lines.append(f"    sign {k}: positive throughout")
-            else:
-                lines.append(f"    sign {k}: first violation at n={v[0]} value {v[1]}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [f"{args.id}: {'holds' if rep.holds else 'FAILS'} "
+             f"on [{rep.n_min}, {rep.n_max}]"]
+    for k, v in rep.positivity.items():
+        if v is None:
+            lines.append(f"    sign {k}: positive throughout")
+        else:
+            lines.append(f"    sign {k}: first violation at n={v[0]} value {v[1]}")
+    _emit_report(args, config, [entry], lines)
     return 0 if rep.holds else 1
 
 
@@ -342,23 +332,20 @@ def _cmd_limits(args) -> int:
     entry = {
         "name": f"{args.thm}.{args.endpoint}",
         "paper_value": rep.paper_value,
-        "value_exact": None if rep.value_exact is None else _frac_str(rep.value_exact),
+        "value_exact": None if rep.value_exact is None else str(rep.value_exact),
         "value_enclosure": _iv_json(rep.value_enclosure),
         "match": rep.matches_paper,
     }
     config = {"subcommand": "limits", "thm": args.thm, "endpoint": args.endpoint}
-    if args.format == "json":
-        out = {"version": __version__, "config": config, "claims": [entry]}
-        _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
+    if rep.value_exact is not None:
+        line = (f"{args.thm} at {args.endpoint}: {rep.value_exact} "
+                f"(paper {rep.paper_value}; match={rep.matches_paper})")
     else:
-        if rep.value_exact is not None:
-            _emit(f"{args.thm} at {args.endpoint}: {rep.value_exact} "
-                  f"(paper {rep.paper_value}; match={rep.matches_paper})\n", args.out)
-        else:
-            enc = rep.value_enclosure
-            _emit(f"{args.thm} at {args.endpoint}: [{float(enc.lo):.12g}, "
-                  f"{float(enc.hi):.12g}] (paper {rep.paper_value}; "
-                  f"match={rep.matches_paper})\n", args.out)
+        enc = rep.value_enclosure
+        line = (f"{args.thm} at {args.endpoint}: [{float(enc.lo):.12g}, "
+                f"{float(enc.hi):.12g}] (paper {rep.paper_value}; "
+                f"match={rep.matches_paper})")
+    _emit_report(args, config, [entry], [line])
     return 0 if rep.matches_paper else 1
 
 
@@ -368,7 +355,7 @@ def _cmd_scan(args) -> int:
     rep = scan_extremum(args.thm, Interval(lo, hi), _rational(args.tol))
     entry = {
         "name": f"scan.{args.thm}",
-        "location": _frac_str(rep.location),
+        "location": str(rep.location),
         "location_float": float(rep.location),
         "value_enclosure": _iv_json(rep.value_enclosure),
         "sampled_monotone": rep.sampled_monotone,
@@ -376,14 +363,11 @@ def _cmd_scan(args) -> int:
     }
     config = {"subcommand": "scan", "thm": args.thm,
               "lo": args.lo, "hi": args.hi, "tol": args.tol}
-    if args.format == "json":
-        out = {"version": __version__, "config": config, "claims": [entry]}
-        _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(f"{args.thm}: min near x={float(rep.location):.8g}, value in "
-              f"[{float(rep.value_enclosure.lo):.8g}, "
-              f"{float(rep.value_enclosure.hi):.8g}], "
-              f"sampled_monotone={rep.sampled_monotone}\n", args.out)
+    line = (f"{args.thm}: min near x={float(rep.location):.8g}, value in "
+            f"[{float(rep.value_enclosure.lo):.8g}, "
+            f"{float(rep.value_enclosure.hi):.8g}], "
+            f"sampled_monotone={rep.sampled_monotone}")
+    _emit_report(args, config, [entry], [line])
     return 0
 
 
@@ -404,12 +388,13 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--eps-lo", dest="eps_lo", default=None)
     sp.add_argument("--eps-hi", dest="eps_hi", default=None)
     sp.add_argument("--xmax", default=None, help="cutoff for unbounded domains")
-    sp.add_argument("--max-depth", dest="max_depth", default=None)
+    sp.add_argument("--max-depth", dest="max_depth", type=_positive_int,
+                    default=None)
     sp.add_argument("--min-width", dest="min_width", default=None)
     sp.add_argument("--precision", type=int, default=192, help="dyadic bits")
-    sp.add_argument("--grid", type=int, default=256,
+    sp.add_argument("--grid", type=_positive_int, default=256,
                     help="refutation pre-scan points")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.add_argument("--timing", action="store_true",
                     help="report real wall times (non-canonical output)")
     common(sp)
@@ -417,7 +402,7 @@ def _build_parser() -> _ArgumentParser:
 
     sp = sub.add_parser("series", help="emit exact series coefficients as CSV")
     sp.add_argument("--kind", default=None, choices=(None, *series_ids()))
-    sp.add_argument("--thm", default=None)
+    sp.add_argument("--thm", default=None, choices=(None, *sorted(THEOREMS)))
     sp.add_argument("--role", default=None)
     sp.add_argument("--nmax", type=int, default=20)
     common(sp, fmt="csv")
@@ -444,15 +429,13 @@ def _build_parser() -> _ArgumentParser:
     sp.set_defaults(fn=_cmd_identities)
 
     sp = sub.add_parser("limits", help="sharp-constant endpoint reports")
-    sp.add_argument("--thm", required=True,
-                    choices=("T3.1", "T3.2", "T3.3", "T3.4", "T3.5"))
+    sp.add_argument("--thm", required=True, choices=sorted(THEOREMS))
     sp.add_argument("--endpoint", required=True, choices=("zero", "right"))
     common(sp)
     sp.set_defaults(fn=_cmd_limits)
 
     sp = sub.add_parser("scan", help="extremum scan of a theorem ratio")
-    sp.add_argument("--thm", required=True,
-                    choices=("T3.1", "T3.2", "T3.3", "T3.4", "T3.5"))
+    sp.add_argument("--thm", required=True, choices=sorted(THEOREMS))
     sp.add_argument("--lo", required=True, help="rational or pi-expression")
     sp.add_argument("--hi", required=True, help="rational or pi-expression")
     sp.add_argument("--tol", default="1e-6")
@@ -480,3 +463,7 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

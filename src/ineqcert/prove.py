@@ -2,11 +2,11 @@
 
 * `prove_positive`: adaptive-bisection interval proof that an expression is
   positive on a compact interval.  Leaf enclosures combine plain interval
-  evaluation, monotonicity shortcuts, and midpoint Taylor forms of
-  escalating order, so differences that vanish to high order at an endpoint
-  still certify with modest leaf counts.
+  evaluation, monotonicity shortcuts, and order-12 midpoint Taylor forms,
+  so differences that vanish to high order at an endpoint still certify
+  with modest leaf counts.
 * `verify_inequality`: runs a corpus stanza on its compact core.  For the
-  five theorem stanzas a registered exact difference series (validated
+  eight theorem stanzas a registered exact difference series (validated
   against the expression at sample points) provides the enclosures; a
   series certificate closes the (0, eps] gap.  Uncovered margins are always
   reported, never silently assumed.
@@ -30,7 +30,7 @@ from .interval import Interval, get_ctx, pi_enclose
 from .lang import (Expr, InequalitySpec, compile_expr, eval_endpoint,
                    eval_expr, parse_expression)
 from .series import (get_series, tail_bound, eval_series, theorem_coeff,
-                     THEOREM_START, TRIG_X_MAX)
+                     THEOREMS, THEOREM_START, TRIG_X_MAX)
 
 __all__ = [
     "ProveOptions", "Leaf", "ProofResult", "SequenceReport", "IdentityReport",
@@ -123,37 +123,32 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 
 def _make_expr_eval(expr: Expr, opts: ProveOptions):
-    """Returns eval_fn(x, order_hint) -> (Interval, order_used)."""
+    """Returns eval_fn(x) -> Interval."""
     node = compile_expr(expr)
     ctx = get_ctx(opts.precision)
     memo = {}
 
-    def ev(x: Interval, hint: int = 2):
+    def ev(x: Interval):
         a = ctx.lo_of(x.lo)
         b = ctx.hi_of(x.hi)
-        (lo, hi), used = _core.enclose(ctx, node, a, b, opts.max_order, memo, hint)
-        return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one)), used
+        lo, hi = _core.enclose(ctx, node, a, b, opts.max_order, memo)
+        return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
 
     return ev
 
 
-def _point_value(ev, x: Fraction) -> Interval:
-    return ev(Interval(x, x))[0]
-
-
 def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> ProofResult:
     t0 = time.perf_counter()
-    stack = [(lo, hi, 0, 2)]
+    stack = [(lo, hi, 0)]
     leaves = []
     maxd = 0
     while stack:
-        a, b, d, hint = stack.pop()
+        a, b, d = stack.pop()
         maxd = max(maxd, d)
         enc = None
         err = None
-        used = hint
         try:
-            enc, used = ev(Interval(a, b), hint)
+            enc = ev(Interval(a, b))
         except (DomainError, PoleError, EvalError) as exc:
             err = str(exc)
         if enc is not None:
@@ -169,7 +164,7 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
                 leaves.sort(key=lambda l: l.lo)
                 mid = (a + b) / 2
                 try:
-                    wv = _point_value(ev, mid)
+                    wv = ev(Interval.point(mid))
                 except (DomainError, PoleError, EvalError):
                     wv = enc
                 return ProofResult(
@@ -184,8 +179,8 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
                 leaves=len(leaves), max_depth=maxd,
                 ms=1000 * (time.perf_counter() - t0))
         m = (a + b) / 2
-        stack.append((m, b, d + 1, used))
-        stack.append((a, m, d + 1, used))
+        stack.append((m, b, d + 1))
+        stack.append((a, m, d + 1))
     leaves.sort(key=lambda l: l.lo)
     return ProofResult("Proved", certificate=leaves, leaves=len(leaves),
                        max_depth=maxd, ms=1000 * (time.perf_counter() - t0))
@@ -201,7 +196,7 @@ def reverify_certificate(expr: Expr, result: ProofResult, precision: int) -> boo
     """Re-evaluate every Proved leaf at another precision; all must stay positive."""
     opts = ProveOptions(precision=precision)
     ev = _make_expr_eval(expr, opts)
-    return all(ev(Interval(leaf.lo, leaf.hi))[0].lo > 0
+    return all(ev(Interval(leaf.lo, leaf.hi)).lo > 0
                for leaf in result.certificate)
 
 
@@ -215,67 +210,30 @@ class TheoremClaim:
     thm: str
     series_id: str
     mode: str                  # lower | upper | positive
-    const: Optional[Fraction]  # subtracted constant for lower mode
-    const_expr: Optional[str]  # pi-expression upper constant
     prefactor: str             # positive factor linking series form to the stanza
-    diff_text: str             # canonical stanza difference (for spot checks)
-    nz_kind: str               # residual-positive | sup-below | refute-negative
-    residual_from: int
-    derivative_series: bool = False   # series is d/dx of the difference
-    core_series: bool = True          # series usable for the compact-core proof
 
+    @property
+    def diff_text(self) -> str:
+        """The stanza difference, rebuilt from the theorem's ratio."""
+        t = THEOREMS[self.thm]
+        if self.mode == "upper":
+            return f"({t.right_value})*{t.den} - ({t.num})"
+        return f"{t.num} - ({t.zero_value})*{t.den}"
 
-_T31_DIFF = "2*x/sin(x) + x/tan(x) - (3 + (1/60)*x^3*sin(x))"
-_T31_DIFF_HI = "3 + ((8*pi-24)/pi^3)*x^3*sin(x) - (2*x/sin(x) + x/tan(x))"
-_T32_DIFF = "x/sin(x) + ((x/2)/tan(x/2))^2 - (2 + (17/720)*x^3*sin(x))"
-_T32_DIFF_HI = ("2 + ((pi^2+8*pi-32)/(2*pi^3))*x^3*sin(x) "
-                "- (x/sin(x) + ((x/2)/tan(x/2))^2)")
-_T33_DIFF = "2*sinh(x)/x + tanh(x)/x - (3 + (3/20)*x^3*tanh(x))"
-_T34_DIFF = "sinh(x)/x + (tanh(x/2)/(x/2))^2 - (2 + (23/720)*x^3*tanh(x))"
-_T35_DIFF = "3*x/sin(x) + cos(x) - (4 + (1/10)*x^3*sin(x))"
-_T35_DIFF_HI = "4 + ((12*pi-32)/pi^3)*x^3*sin(x) - (3*x/sin(x) + cos(x))"
 
 THEOREM_CLAIMS = {
-    "THM31_LO": TheoremClaim(
-        "THM31_LO", "T3.1", "T3.1_F", "lower", Fraction(1, 60), None,
-        "x^3*sin(x)", _T31_DIFF, "residual-positive", 3),
-    "THM31_HI": TheoremClaim(
-        "THM31_HI", "T3.1", "T3.1_F", "upper", None, "(8*pi-24)/pi^3",
-        "x^3*sin(x)", _T31_DIFF_HI, "sup-below", 3),
-    "THM32_LO": TheoremClaim(
-        "THM32_LO", "T3.2", "T3.2_G", "lower", Fraction(17, 720), None,
-        "x^3*sin(x)", _T32_DIFF, "residual-positive", 3),
-    "THM32_HI": TheoremClaim(
-        "THM32_HI", "T3.2", "T3.2_G", "upper", None, "(pi^2+8*pi-32)/(2*pi^3)",
-        "x^3*sin(x)", _T32_DIFF_HI, "sup-below", 3),
-    "THM33": TheoremClaim(
-        "THM33", "T3.3", "T3.3_DIFF", "positive", None, None,
-        "x*cosh(x)", _T33_DIFF, "refute-negative", 3,
-        derivative_series=True, core_series=False),
-    "THM34": TheoremClaim(
-        "THM34", "T3.4", "T3.4_DIFF", "positive", None, None,
-        "x^2*cosh(x)*(1+cosh(x))", _T34_DIFF, "residual-positive", 4),
-    "THM35_LO": TheoremClaim(
-        "THM35_LO", "T3.5", "T3.5_F", "lower", Fraction(1, 10), None,
-        "x^3*sin(x)", _T35_DIFF, "residual-positive", 3),
-    "THM35_HI": TheoremClaim(
-        "THM35_HI", "T3.5", "T3.5_F", "upper", None, "(12*pi-32)/pi^3",
-        "x^3*sin(x)", _T35_DIFF_HI, "sup-below", 3),
-}
-
-_NZ_BY_THEOREM = {
-    "T3.1": ("THM31_LO", "THM31_HI"),
-    "T3.2": ("THM32_LO", "THM32_HI"),
-    "T3.3": ("THM33", None),
-    "T3.4": ("THM34", None),
-    "T3.5": ("THM35_LO", "THM35_HI"),
+    stanza: TheoremClaim(stanza, t.id, t.series, mode, t.prefactor or t.den)
+    for t in THEOREMS.values()
+    for stanza, mode in zip(t.stanzas, ("lower", "upper")
+                            if len(t.stanzas) == 2 else ("positive",))
 }
 
 
 def _const_interval(claim: TheoremClaim) -> Interval:
-    if claim.const is not None:
-        return Interval.point(claim.const)
-    return eval_endpoint(parse_expression(claim.const_expr))
+    t = THEOREMS[claim.thm]
+    if claim.mode == "lower":
+        return Interval.point(t.zero_value)
+    return eval_endpoint(parse_expression(t.right_value))
 
 
 def _pick_N(series_id: str, x_hi: Fraction) -> int:
@@ -292,14 +250,14 @@ def _pick_N(series_id: str, x_hi: Fraction) -> int:
 def _series_claim_eval(claim: TheoremClaim, N: int):
     cval = None if claim.mode == "positive" else _const_interval(claim)
 
-    def ev(x: Interval, hint: int = 0):
+    def ev(x: Interval):
         # 64-bit outward endpoints keep the exact powers x^(2n) small
         s = eval_series(claim.series_id, x.round_out(64), N)
         if claim.mode == "lower":
-            return s - cval, 0
+            return s - cval
         if claim.mode == "upper":
-            return cval - s, 0
-        return s, 0
+            return cval - s
+        return s
 
     return ev
 
@@ -338,16 +296,19 @@ def _left_sup_bound(series_id: str, eps: Fraction, N: int) -> Fraction:
 def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
     """Settle a theorem claim on (0, epsilon] from its exact difference series.
 
-    Proved when the leading coefficients minus the tail bound pin the sign;
-    Refuted (with a certified witness) when the leading nonzero coefficient
-    of the difference has the wrong sign.
+    An upper claim is Proved when the series supremum clears the constant.
+    Otherwise the exact leading residual coefficient decides the branch:
+    positive, Proved when the leading coefficients minus the tail bound pin
+    the sign; negative, Refuted with a certified witness; zero, Unknown.
     """
     eps = Fraction(epsilon)
-    if thm_id not in _NZ_BY_THEOREM:
+    t = THEOREMS.get(thm_id)
+    if t is None:
         raise DomainError(f"no registered series for theorem {thm_id!r}")
-    stanza = _NZ_BY_THEOREM[thm_id][0 if side == "lower" else 1]
-    if stanza is None:
+    i = 0 if side == "lower" else 1
+    if i >= len(t.stanzas):
         raise DomainError(f"{thm_id} has no {side}-side claim")
+    stanza = t.stanzas[i]
     claim = THEOREM_CLAIMS[stanza]
     seq = get_series(claim.series_id)
     if eps <= 0 or eps >= 1:
@@ -357,7 +318,7 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
     t0 = time.perf_counter()
     res = ProofResult("Unknown")
 
-    if claim.nz_kind == "sup-below":
+    if claim.mode == "upper":
         cval = _const_interval(claim)
         N = seq.start_index + 24
         sup = _left_sup_bound(claim.series_id, eps, N)
@@ -375,23 +336,20 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
         res.ms = 1000 * (time.perf_counter() - t0)
         return res
 
-    # residual-positive / refute-negative share the cancellation preamble
     n_const = seq.start_index
-    lead_idx = claim.residual_from
+    lead_idx = t.start + 1
+    cancelled = seq.coeff(n_const)
     if claim.mode == "lower":
-        cancelled = seq.coeff(n_const) - claim.const
-    else:
-        cancelled = seq.coeff(n_const)
+        cancelled -= t.zero_value
     if cancelled != 0:
         raise AssertionError(
             f"{stanza}: expected exact cancellation at n={n_const}")
     leading = seq.coeff(lead_idx)
+    if leading == 0:
+        res.reason = "leading residual coefficient is zero"
+        return res
 
-    if claim.nz_kind == "residual-positive":
-        if leading <= 0:
-            res.status = "Unknown"
-            res.reason = "leading residual coefficient is not positive"
-            return res
+    if leading > 0:
         N = lead_idx + 22
         lb = _left_lower_bound(claim.series_id, lead_idx, eps, N)
         while lb <= 0 and N < lead_idx + 80:
@@ -413,11 +371,7 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
         res.ms = 1000 * (time.perf_counter() - t0)
         return res
 
-    # refute-negative: leading coefficient of the wrong sign
-    if leading >= 0:
-        res.status = "Unknown"
-        res.reason = "expected a negative leading coefficient"
-        return res
+    # leading coefficient of the wrong sign
     eff = eps
     proved_neg = None
     for _ in range(10):
@@ -445,12 +399,12 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
         f"{stanza}: leading coefficient {leading} at x^"
         f"{seq.exponent_of(lead_idx)} is negative; difference certified "
         f"negative on (0, {eff}]")
-    if claim.derivative_series:
+    if t.derivative_series:
         a3 = theorem_coeff(claim.thm, "a", lead_idx)
         b3 = theorem_coeff(claim.thm, "b", lead_idx)
         res.findings.append(
             f"{stanza}: derivative-series leading term a_{lead_idx} - c*b_{lead_idx}"
-            f" = {a3} - (3/20)*{b3} = {leading}; integrated x^"
+            f" = {a3} - ({t.zero_value})*{b3} = {leading}; integrated x^"
             f"{seq.exponent_of(lead_idx) + 1} coefficient {leading / (seq.exponent_of(lead_idx) + 1)}")
     res.ms = 1000 * (time.perf_counter() - t0)
     return res
@@ -477,7 +431,7 @@ def _grid_refute(ev, lo: Fraction, hi: Fraction, grid: int):
         if x < lo:
             x = lo
         try:
-            v = _point_value(ev, x)
+            v = ev(Interval.point(x))
         except (DomainError, PoleError, EvalError):
             continue
         if v.hi < 0 and (best is None or v.hi < best[1].hi):
@@ -494,9 +448,9 @@ def _registration_ok(claim: TheoremClaim, ev_expr, lo: Fraction, hi: Fraction,
         x = _dyadic_down(lo + (hi - lo) * t, 64)
         xi = Interval.point(x)
         try:
-            direct = _point_value(ev_expr, x)
-            p = _point_value(pre, x)
-            s = ev_series(xi)[0]
+            direct = ev_expr(xi)
+            p = pre(xi)
+            s = ev_series(xi)
         except (DomainError, PoleError, EvalError):
             return False
         via = p * s if claim.mode in ("lower", "upper") else s / p
@@ -542,7 +496,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     left_gap_note = None
     if not spec.lo_closed:
         if claim is not None and lo_iv.lo == 0:
-            side = "lower" if claim.nz_kind != "sup-below" else "upper"
+            side = "upper" if claim.mode == "upper" else "lower"
             try:
                 nz_result = near_zero_certificate(claim.thm, lo_core, side=side)
             except DomainError as exc:
@@ -566,7 +520,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         res.uncovered = uncovered
         return res
 
-    if claim is not None and claim.core_series:
+    if claim is not None and not THEOREMS[claim.thm].derivative_series:
         N = _pick_N(claim.series_id, hi_core)
         if _registration_ok(claim, ev, lo_core, hi_core, N, opts):
             core = _bisect_positive(_series_claim_eval(claim, N),
@@ -611,14 +565,8 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
 # exact sequence / identity checks
 # ---------------------------------------------------------------------------
 
-SEQUENCE_IDS = {
-    "S_T31": ("T3.1", "f"),
-    "S_T32_B": ("T3.2", "b"),
-    "S_T32_G": ("T3.2", "g"),
-    "S_T33_C": ("T3.3", "c"),
-    "S_T34_C": ("T3.4", "c"),
-    "S_T35": ("T3.5", "f"),
-}
+SEQUENCE_IDS = {seq_id: (t.id, role) for t in THEOREMS.values()
+                for seq_id, role in t.sequences.items()}
 
 
 def sequence_check(seq_id: str, mode: str, n_max: int,
@@ -763,8 +711,8 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
             sign_names.add("difference")
             _sign_record(signs, "difference", n, rhs)
         elif identity_id == "ID_T33_CDIFF":
-            lhs = (theorem_coeff("T3.3", "c", n + 1)
-                   - theorem_coeff("T3.3", "c", n))
+            lhs = (theorem_coeff(*SEQUENCE_IDS["S_T33_C"], n + 1)
+                   - theorem_coeff(*SEQUENCE_IDS["S_T33_C"], n))
             num = Fraction((6 * n * n - 17 * n + 1) * 4 ** n
                            + 18 * n * n + 23 * n - 1)
             den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
@@ -772,8 +720,8 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
             sign_names.add("numerator")
             _sign_record(signs, "numerator", n, num)
         elif identity_id == "ID_T34_FDECOMP":
-            lhs = (theorem_coeff("T3.4", "c", n + 1)
-                   - theorem_coeff("T3.4", "c", n))
+            lhs = (theorem_coeff(*SEQUENCE_IDS["S_T34_C"], n + 1)
+                   - theorem_coeff(*SEQUENCE_IDS["S_T34_C"], n))
             num = (_fdecomp_f1(n) + _fdecomp_f2(n)
                    + _fdecomp_f3(n) + _fdecomp_f4(n))
             rhs = Fraction(num, _fdecomp_denom(n))
@@ -811,58 +759,37 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
 # sharp-constant limits
 # ---------------------------------------------------------------------------
 
-_LIMITS = {
-    "T3.1": (Fraction(1, 60), "(8*pi-24)/pi^3",
-             (Fraction("0.0365326"), Fraction("0.0365327"))),
-    "T3.2": (Fraction(17, 720), "(pi^2+8*pi-32)/(2*pi^3)",
-             (Fraction("0.0484151"), Fraction("0.0484152"))),
-    "T3.3": (Fraction(3, 20), None, None),
-    "T3.4": (Fraction(23, 720), None, None),
-    "T3.5": (Fraction(1, 10), "(12*pi-32)/pi^3",
-             (Fraction("0.1838051"), Fraction("0.1838052"))),
-}
-
-_RATIO_EXPR = {
-    "T3.1": "(2*x/sin(x) + x/tan(x) - 3)/(x^3*sin(x))",
-    "T3.2": "(x/sin(x) + ((x/2)/tan(x/2))^2 - 2)/(x^3*sin(x))",
-    "T3.3": "(2*sinh(x)/x + tanh(x)/x - 3)/(x^3*tanh(x))",
-    "T3.4": "(sinh(x)/x + (tanh(x/2)/(x/2))^2 - 2)/(x^3*tanh(x))",
-    "T3.5": "(3*x/sin(x) + cos(x) - 4)/(x^3*sin(x))",
-}
-
-
 def limit_report(thm_id: str, endpoint: str) -> LimitReport:
     """Sharp-constant report: exact leading coefficient at 0, or a certified
     enclosure of the closed-form value at the right endpoint (pi/2)."""
-    if thm_id not in _LIMITS:
+    t = THEOREMS.get(thm_id)
+    if t is None:
         raise DomainError(f"unknown theorem id {thm_id!r}")
-    paper_zero, right_form, right_bracket = _LIMITS[thm_id]
     if endpoint == "zero":
-        role = "c" if thm_id in ("T3.3", "T3.4") else ("g" if thm_id == "T3.2" else "f")
-        value = theorem_coeff(thm_id, role, THEOREM_START[thm_id])
+        value = theorem_coeff(thm_id, t.zero_role, t.start)
         return LimitReport(thm_id, "zero", value, None,
-                           matches_paper=(value == paper_zero),
-                           paper_value=str(paper_zero))
+                           matches_paper=(value == t.zero_value),
+                           paper_value=str(t.zero_value))
     if endpoint != "right":
         raise DomainError("endpoint must be 'zero' or 'right'")
-    if right_form is None:
+    if t.right_value is None:
         raise DomainError(
             f"{thm_id} is a hyperbolic theorem; no right-endpoint constant")
-    enc = eval_endpoint(parse_expression(right_form))
-    lo, hi = right_bracket
+    enc = eval_endpoint(parse_expression(t.right_value))
+    lo, hi = t.right_bracket
     matches = lo <= enc.lo and enc.hi <= hi
     return LimitReport(thm_id, "right", None, enc, matches_paper=matches,
-                       paper_value=right_form)
+                       paper_value=t.right_value)
 
 
 # ---------------------------------------------------------------------------
 # extremum scanning (non-rigorous search, rigorous value at the candidate)
 # ---------------------------------------------------------------------------
 
-def _ratio_float_fn(thm_id: str):
-    if thm_id in ("T3.1", "T3.2", "T3.5"):
-        sid = {"T3.1": "T3.1_F", "T3.2": "T3.2_G", "T3.5": "T3.5_F"}[thm_id]
-        seq = get_series(sid)
+def _ratio_float_fn(t):
+    if "a" not in t.roles:
+        # the registered series is the ratio F itself
+        seq = get_series(t.series)
         coeffs = [(float(seq.coeff(n)), seq.exponent_of(n))
                   for n in range(seq.start_index, 30)]
 
@@ -870,11 +797,10 @@ def _ratio_float_fn(thm_id: str):
             return sum(c * x ** e for c, e in coeffs)
 
         return f
-    aid, bid = ("T3.3_A", "T3.3_B") if thm_id == "T3.3" else ("T3.4_A", "T3.4_B")
-    sa, sb = get_series(aid), get_series(bid)
+    sa, sb = get_series(t.roles["a"]), get_series(t.roles["b"])
     ca = [(float(sa.coeff(n)), 2 * n) for n in range(sa.start_index, 60)]
     cb = [(float(sb.coeff(n)), 2 * n) for n in range(sb.start_index, 60)]
-    if thm_id == "T3.3":
+    if t.derivative_series:
         # ratio of the integrated series f/g equals the theorem's F
         ca = [(c / (e + 1), e) for c, e in ca]
         cb = [(c / (e + 1), e) for c, e in cb]
@@ -891,10 +817,11 @@ def scan_extremum(thm_id: str, domain: Interval, tol) -> ScanReport:
     confirmed by a rigorous interval evaluation at the candidate point.
     `sampled_monotone` reports whether a 1024-point grid is nondecreasing
     (corroboration, not proof)."""
-    if thm_id not in _RATIO_EXPR:
+    t = THEOREMS.get(thm_id)
+    if t is None:
         raise DomainError(f"unknown theorem id {thm_id!r}")
     tol_f = max(float(Fraction(tol)), 1e-12)
-    f = _ratio_float_fn(thm_id)
+    f = _ratio_float_fn(t)
     lo_f, hi_f = float(domain.lo), float(domain.hi)
     n = 1024
     xs = [lo_f + (hi_f - lo_f) * i / n for i in range(n + 1)]
@@ -920,7 +847,7 @@ def scan_extremum(thm_id: str, domain: Interval, tol) -> ScanReport:
         xstar = xs[k]
     loc = Fraction(xstar).limit_denominator(10 ** 12)
     loc = min(max(loc, domain.lo), domain.hi)
-    expr = parse_expression(_RATIO_EXPR[thm_id])
+    expr = parse_expression(f"({t.num})/({t.den})")
     enc = eval_expr(expr, Interval.point(loc))
     return ScanReport(thm_id, domain.lo, domain.hi, loc, f(float(loc)), enc,
                       sampled_monotone=monotone, at_boundary=at_boundary)

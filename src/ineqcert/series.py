@@ -44,7 +44,7 @@ from .interval import Interval
 __all__ = [
     "CoeffSeq", "TailBound", "get_series", "series_ids",
     "lemma_coeff", "theorem_coeff", "tail_bound", "eval_series",
-    "LEMMA_KINDS", "THEOREM_START",
+    "LEMMA_KINDS", "THEOREM_START", "Theorem", "THEOREMS",
 ]
 
 # Certified rational bound pi > PI_LO; tails only need a lower bound.
@@ -280,20 +280,63 @@ _register(CoeffSeq(
 LEMMA_KINDS = ("X_OVER_SIN", "COT", "CSC2", "COS_OVER_SIN2", "CSC3",
                "COS_OVER_SIN3", "SINH", "COSH")
 
-THEOREM_START = {"T3.1": 2, "T3.2": 2, "T3.3": 2, "T3.4": 3, "T3.5": 2}
 
-_THEOREM_ROLES = {
-    ("T3.1", "f"): "T3.1_F",
-    ("T3.2", "g"): "T3.2_G",
-    ("T3.2", "b"): None,
-    ("T3.3", "a"): "T3.3_A",
-    ("T3.3", "b"): "T3.3_B",
-    ("T3.3", "c"): None,
-    ("T3.4", "a"): "T3.4_A",
-    ("T3.4", "b"): "T3.4_B",
-    ("T3.4", "c"): None,
-    ("T3.5", "f"): "T3.5_F",
-}
+@dataclass(frozen=True)
+class Theorem:
+    """One sharp bound zero_value < F(x) < right_value, F = num/den (the
+    hyperbolic theorems have no right-hand constant).
+
+    `series` settles the corpus `stanzas` (lower side, then upper side).
+    With two stanzas it is F's own series and each stanza difference is
+    den times its distance from the constant; with one, it is `prefactor`
+    times the stanza difference, or the derivative of that product when
+    `derivative_series` is set.
+    """
+
+    id: str
+    start: int                       # first index of every theorem sequence
+    roles: dict                      # role -> series id or exact function;
+                                     # None marks c = a/b
+    zero_role: str                   # its value at `start` is the limit at 0
+    zero_value: Fraction
+    right_value: Optional[str]       # pi/2 closed form
+    right_bracket: Optional[tuple]   # the paper's decimals around it
+    num: str
+    den: str
+    series: str
+    stanzas: tuple
+    sequences: dict                  # sequence id -> role
+    prefactor: Optional[str] = None
+    derivative_series: bool = False  # series is d/dx of the difference
+
+
+THEOREMS = {t.id: t for t in (
+    Theorem("T3.1", 2, {"f": "T3.1_F"}, "f", Fraction(1, 60),
+            "(8*pi-24)/pi^3", (Fraction("0.0365326"), Fraction("0.0365327")),
+            "2*x/sin(x) + x/tan(x) - 3", "x^3*sin(x)", "T3.1_F",
+            ("THM31_LO", "THM31_HI"), {"S_T31": "f"}),
+    Theorem("T3.2", 2, {"g": "T3.2_G", "b": _b_t32}, "g", Fraction(17, 720),
+            "(pi^2+8*pi-32)/(2*pi^3)",
+            (Fraction("0.0484151"), Fraction("0.0484152")),
+            "x/sin(x) + ((x/2)/tan(x/2))^2 - 2", "x^3*sin(x)", "T3.2_G",
+            ("THM32_LO", "THM32_HI"), {"S_T32_B": "b", "S_T32_G": "g"}),
+    Theorem("T3.3", 2, {"a": "T3.3_A", "b": "T3.3_B", "c": None}, "c",
+            Fraction(3, 20), None, None,
+            "2*sinh(x)/x + tanh(x)/x - 3", "x^3*tanh(x)", "T3.3_DIFF",
+            ("THM33",), {"S_T33_C": "c"},
+            prefactor="x*cosh(x)", derivative_series=True),
+    Theorem("T3.4", 3, {"a": "T3.4_A", "b": "T3.4_B", "c": None}, "c",
+            Fraction(23, 720), None, None,
+            "sinh(x)/x + (tanh(x/2)/(x/2))^2 - 2", "x^3*tanh(x)", "T3.4_DIFF",
+            ("THM34",), {"S_T34_C": "c"},
+            prefactor="x^2*cosh(x)*(1+cosh(x))"),
+    Theorem("T3.5", 2, {"f": "T3.5_F"}, "f", Fraction(1, 10),
+            "(12*pi-32)/pi^3", (Fraction("0.1838051"), Fraction("0.1838052")),
+            "3*x/sin(x) + cos(x) - 4", "x^3*sin(x)", "T3.5_F",
+            ("THM35_LO", "THM35_HI"), {"S_T35": "f"}),
+)}
+
+THEOREM_START = {t.id: t.start for t in THEOREMS.values()}
 
 
 def series_ids():
@@ -324,16 +367,17 @@ def theorem_coeff(thm: str, role: str, n: int) -> Fraction:
     denominator series coefficients, b of T3.2 is the integer sequence b_n,
     and c is the ratio a_n/b_n.
     """
-    if (thm, role) not in _THEOREM_ROLES:
+    t = THEOREMS.get(thm)
+    if t is None or role not in t.roles:
         raise DomainError(f"no sequence for theorem {thm!r} role {role!r}")
-    if n < THEOREM_START[thm]:
-        raise DomainError(
-            f"{thm} sequences start at n={THEOREM_START[thm]}, got {n}")
-    if role == "c":
+    if n < t.start:
+        raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
+    source = t.roles[role]
+    if source is None:
         return (theorem_coeff(thm, "a", n) / theorem_coeff(thm, "b", n))
-    if (thm, role) == ("T3.2", "b"):
-        return _b_t32(n)
-    return get_series(_THEOREM_ROLES[(thm, role)]).coeff(n)
+    if callable(source):
+        return source(n)
+    return get_series(source).coeff(n)
 
 
 def tail_bound(kind: str, N: int, x_upper) -> TailBound:

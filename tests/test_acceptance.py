@@ -209,7 +209,7 @@ def test_acceptance_9_soundness(corpus_specs, corpus_report, corpus_report_jobs4
     n2 = _pick_N(claim.series_id, F(157, 100)) + 24
     ev2 = _series_claim_eval(claim, n2)
     for leaf in r.certificate:
-        assert ev2(Interval(leaf.lo, leaf.hi))[0].lo > 0
+        assert ev2(Interval(leaf.lo, leaf.hi)).lo > 0
 
     # byte-identical reports with 1 and 4 worker threads
     code1, raw1, _ = corpus_report

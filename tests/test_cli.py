@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ineqcert
 from ineqcert.cli import run_command
 
 
@@ -45,6 +50,26 @@ def test_unknown_flag_rejected(capsys):
 
 def test_bad_precision_rejected(capsys):
     assert run_command(["prove", "--precision", "32"]) == 3
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--grid", "0"), ("--grid", "-5"), ("--jobs", "0"), ("--max-depth", "abc"),
+])
+def test_bad_count_flag_is_usage_error(capsys, flag, value):
+    # exit 1 means "refuted against expectation"; a bad count must not
+    # crash into it or run with a meaningless value
+    assert run_command(["prove", "--name", "HUY_TRIG", flag, value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(ineqcert.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ineqcert", "bernoulli", "--upto", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == "n,value\n0,1\n1,-1/2\n2,1/6\n"
 
 
 def test_sequences_expectation_from_corpus(tmp_path, capsys):

@@ -4,11 +4,11 @@ import pytest
 
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval
-from ineqcert.lang import parse_expression
-from ineqcert.prove import (ProveOptions, identity_check, limit_report,
-                            near_zero_certificate, prove_positive,
-                            reverify_certificate, scan_extremum,
-                            sequence_check, verify_inequality)
+from ineqcert.lang import eval_expr, parse_expression
+from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, identity_check,
+                            limit_report, near_zero_certificate,
+                            prove_positive, reverify_certificate,
+                            scan_extremum, sequence_check, verify_inequality)
 from ineqcert.series import theorem_coeff
 
 F = Fraction
@@ -87,8 +87,9 @@ def test_verify_thm33_refuted(corpus_specs):
     assert r.witness_value.hi < 0
     # the two-sided claim at x=2: F(2) enclosure sits below 3/20
     from ineqcert.lang import eval_expr
-    from ineqcert.prove import _RATIO_EXPR
-    enc = eval_expr(parse_expression(_RATIO_EXPR["T3.3"]), Interval.point(2))
+    from ineqcert.series import THEOREMS
+    t = THEOREMS["T3.3"]
+    enc = eval_expr(parse_expression(f"({t.num})/({t.den})"), Interval.point(2))
     assert enc.hi < F(3, 20)
     assert enc.lo <= F("0.143781441112624")
     assert F("0.143781441112623") <= enc.hi
@@ -104,6 +105,16 @@ def test_verify_unbounded_reports_cutoff(corpus_specs):
     r = verify_inequality(_spec(corpus_specs, "HUY_HYP"))
     assert r.status == "Proved"
     assert any("inf) unverified" in u for u in r.uncovered)
+
+
+@pytest.mark.parametrize("stanza", sorted(THEOREM_CLAIMS))
+def test_theorem_claim_matches_corpus_stanza(corpus_specs, stanza):
+    # the difference rebuilt from the theorem registry is the stanza's own
+    diff = parse_expression(THEOREM_CLAIMS[stanza].diff_text)
+    spec_diff = _spec(corpus_specs, stanza).difference()
+    for x in (F(1, 4), F(1, 2), F(1)):
+        xi = Interval.point(x)
+        assert eval_expr(diff, xi).intersects(eval_expr(spec_diff, xi)), x
 
 
 # --- near-zero certificates --------------------------------------------------
