@@ -10,6 +10,11 @@ Supported elementary functions: sin, cos on [-4, 4], tan where cos is
 certified positive, sinh/cosh/tanh on [-32, 32].  Ranges over an interval
 come from endpoint Taylor evaluations plus the interior extrema (+-pi/2 for
 sin, 0 and +-pi for cos); the corpus never needs argument reduction.
+
+One tree walk evaluates a compiled expression, either on ranges or on
+truncated Taylor vectors, depending on the op table it is given.  `enclose`
+intersects the plain range with an order-12 Taylor form about the midpoint;
+there is no other narrowing step.
 """
 
 from fractions import Fraction
@@ -322,62 +327,6 @@ def fn_range(ctx, fn, a, b):
 
 
 # ---------------------------------------------------------------------------
-# plain recursive evaluation of a compiled expression
-#
-# compiled node layout (tuples):
-#   ("x", pos) ("pi", pos) ("lit", pos, Fraction)
-#   ("neg", pos, a) ("add", pos, a, b) ("sub", pos, a, b)
-#   ("mul", pos, a, b) ("div", pos, a, b) ("pow", pos, a, int)
-#   ("call", pos, name, a)
-# ---------------------------------------------------------------------------
-
-def eval_plain(ctx, node, x, memo=None):
-    kind = node[0]
-    if kind == "x":
-        return x
-    if kind == "lit":
-        f = node[2]
-        return (ctx.lo_of(f), ctx.hi_of(f))
-    if kind == "pi":
-        return ctx.pi
-    if memo is not None and x[0] == x[1]:
-        key = (id(node), x[0])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    else:
-        key = None
-    try:
-        if kind == "neg":
-            out = ineg(eval_plain(ctx, node[2], x, memo))
-        elif kind == "add":
-            out = iadd(eval_plain(ctx, node[2], x, memo),
-                       eval_plain(ctx, node[3], x, memo))
-        elif kind == "sub":
-            out = isub(eval_plain(ctx, node[2], x, memo),
-                       eval_plain(ctx, node[3], x, memo))
-        elif kind == "mul":
-            out = imul(ctx, eval_plain(ctx, node[2], x, memo),
-                       eval_plain(ctx, node[3], x, memo))
-        elif kind == "div":
-            out = idiv(ctx, eval_plain(ctx, node[2], x, memo),
-                       eval_plain(ctx, node[3], x, memo))
-        elif kind == "pow":
-            out = ipow(ctx, eval_plain(ctx, node[2], x, memo), node[3])
-        elif kind == "call":
-            arg = eval_plain(ctx, node[3], x, memo)
-            out = fn_range(ctx, node[2], arg[0], arg[1])
-        else:
-            raise AssertionError(f"bad node {kind}")
-    except (DomainError, PoleError) as exc:
-        exc.position = getattr(exc, "position", None) or node[1]
-        raise
-    if key is not None:
-        memo[key] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # truncated Taylor-coefficient vectors (interval coefficients)
 #
 # A vector t of length k+1 at base interval X satisfies, for every xi in X:
@@ -385,14 +334,16 @@ def eval_plain(ctx, node, x, memo=None):
 # Evaluating with a point base gives the midpoint coefficients.
 # ---------------------------------------------------------------------------
 
-def _tzero(ctx, k):
-    return [(0, 0)] * (k + 1)
+TAYLOR_ORDER = 12      # order of every Taylor form built by enclose
 
 
-def _tconst(ctx, iv, k):
-    v = _tzero(ctx, k)
-    v[0] = iv
-    return v
+def _tconst(iv, k):
+    return [iv] + [(0, 0)] * k
+
+
+def _tvar(ctx, a, b):
+    """The variable x over [a, b]/2**prec as an order-TAYLOR_ORDER vector."""
+    return [(a, b), (ctx.one, ctx.one)] + [(0, 0)] * (TAYLOR_ORDER - 1)
 
 
 def _tadd(a, b):
@@ -419,14 +370,9 @@ def _tmul(ctx, a, b):
 
 
 def _tdiv(ctx, a, b):
-    k = len(a) - 1
-    if b[0][0] <= 0 <= b[0][1]:
-        raise PoleError(
-            f"division by an interval containing 0: "
-            f"[{Fraction(b[0][0], ctx.one)}, {Fraction(b[0][1], ctx.one)}]"
-        )
+    # idiv raises PoleError at j = 0 when b[0] contains 0
     out = []
-    for j in range(k + 1):
+    for j in range(len(a)):
         acc = a[j]
         for i in range(j):
             acc = isub(acc, imul(ctx, out[i], b[j - i]))
@@ -437,9 +383,9 @@ def _tdiv(ctx, a, b):
 def _tpow(ctx, a, e):
     k = len(a) - 1
     if e == 0:
-        return _tconst(ctx, (ctx.one, ctx.one), k)
+        return _tconst((ctx.one, ctx.one), k)
     if e < 0:
-        return _tdiv(ctx, _tconst(ctx, (ctx.one, ctx.one), k), _tpow(ctx, a, -e))
+        return _tdiv(ctx, _tconst((ctx.one, ctx.one), k), _tpow(ctx, a, -e))
     out = a
     for _ in range(e - 1):
         out = _tmul(ctx, out, a)
@@ -449,15 +395,9 @@ def _tpow(ctx, a, e):
 def _tsincos(ctx, u, hyper):
     """Taylor vectors of sin(u), cos(u) (or sinh/cosh when hyper)."""
     k = len(u) - 1
-    if hyper:
-        s_range = fn_range(ctx, "sinh", u[0][0], u[0][1])
-        c_range = fn_range(ctx, "cosh", u[0][0], u[0][1])
-    else:
-        s_range = fn_range(ctx, "sin", u[0][0], u[0][1])
-        c_range = fn_range(ctx, "cos", u[0][0], u[0][1])
-    s = [s_range]
-    c = [c_range]
-    sign = 1 if hyper else -1
+    names = ("sinh", "cosh") if hyper else ("sin", "cos")
+    s = [fn_range(ctx, names[0], u[0][0], u[0][1])]
+    c = [fn_range(ctx, names[1], u[0][0], u[0][1])]
     for j in range(1, k + 1):
         acc_s = (0, 0)
         acc_c = (0, 0)
@@ -467,59 +407,102 @@ def _tsincos(ctx, u, hyper):
             acc_c = iadd(acc_c, imul(ctx, iu, s[j - i]))
         s.append(idiv_int(acc_s, j))
         acc_c = idiv_int(acc_c, j)
-        c.append(acc_c if sign == 1 else ineg(acc_c))
+        c.append(acc_c if hyper else ineg(acc_c))
     return s, c
 
 
-def eval_taylor(ctx, node, xvec, k):
-    kind = node[0]
-    if kind == "x":
-        return list(xvec)
-    if kind == "lit":
-        f = node[2]
-        return _tconst(ctx, (ctx.lo_of(f), ctx.hi_of(f)), k)
-    if kind == "pi":
-        return _tconst(ctx, ctx.pi, k)
-    try:
-        if kind == "neg":
-            return _tneg(eval_taylor(ctx, node[2], xvec, k))
-        if kind == "add":
-            return _tadd(eval_taylor(ctx, node[2], xvec, k),
-                         eval_taylor(ctx, node[3], xvec, k))
-        if kind == "sub":
-            return _tsub(eval_taylor(ctx, node[2], xvec, k),
-                         eval_taylor(ctx, node[3], xvec, k))
-        if kind == "mul":
-            return _tmul(ctx, eval_taylor(ctx, node[2], xvec, k),
-                         eval_taylor(ctx, node[3], xvec, k))
-        if kind == "div":
-            return _tdiv(ctx, eval_taylor(ctx, node[2], xvec, k),
-                         eval_taylor(ctx, node[3], xvec, k))
-        if kind == "pow":
-            return _tpow(ctx, eval_taylor(ctx, node[2], xvec, k), node[3])
-        if kind == "call":
-            u = eval_taylor(ctx, node[3], xvec, k)
-            name = node[2]
-            if name in ("sin", "cos"):
-                s, c = _tsincos(ctx, u, hyper=False)
-                return s if name == "sin" else c
-            if name in ("sinh", "cosh"):
-                s, c = _tsincos(ctx, u, hyper=True)
-                return s if name == "sinh" else c
-            if name == "tan":
-                s, c = _tsincos(ctx, u, hyper=False)
-                return _tdiv(ctx, s, c)
-            if name == "tanh":
-                s, c = _tsincos(ctx, u, hyper=True)
-                return _tdiv(ctx, s, c)
-    except (DomainError, PoleError) as exc:
-        exc.position = getattr(exc, "position", None) or node[1]
-        raise
-    raise AssertionError(f"bad node {kind}")
+def _tcall(ctx, name, u):
+    """Taylor vector of name(u); tan and tanh are quotients of the pair."""
+    if name not in ("sin", "cos", "tan", "sinh", "cosh", "tanh"):
+        raise DomainError(f"unknown function {name}")
+    s, c = _tsincos(ctx, u, hyper=name.endswith("h"))
+    if name.startswith("tan"):
+        return _tdiv(ctx, s, c)
+    return s if name.startswith("sin") else c
 
 
 # ---------------------------------------------------------------------------
-# adaptive enclosure: plain range + monotonicity + interval Taylor forms
+# one recursive walk over a compiled expression, with one of two op tables
+#
+# compiled node layout (tuples):
+#   ("x", pos) ("pi", pos) ("lit", pos, Fraction)
+#   ("neg", pos, a) ("add", pos, a, b) ("sub", pos, a, b)
+#   ("mul", pos, a, b) ("div", pos, a, b) ("pow", pos, a, int)
+#   ("call", pos, name, a)
+#
+# Op signatures: const(iv, x), neg(a), add(a, b), sub(a, b), mul(ctx, a, b),
+# div(ctx, a, b), pow(ctx, a, int), call(ctx, name, a).  The range table's
+# mul and call look imul and fn_range up at call time, so a rebinding of
+# either module attribute (as the traced benchmark does) sees every call.
+# ---------------------------------------------------------------------------
+
+_RANGE_OPS = {
+    "const": lambda iv, x: iv,
+    "neg": ineg, "add": iadd, "sub": isub,
+    "mul": lambda ctx, a, b: imul(ctx, a, b),
+    "div": idiv, "pow": ipow,
+    "call": lambda ctx, name, a: fn_range(ctx, name, a[0], a[1]),
+}
+
+_TAYLOR_OPS = {
+    "const": lambda iv, x: _tconst(iv, len(x) - 1),
+    "neg": _tneg, "add": _tadd, "sub": _tsub,
+    "mul": _tmul, "div": _tdiv, "pow": _tpow, "call": _tcall,
+}
+
+
+def _walk(ctx, node, x, ops, memo):
+    """Value of node at x under the op table; point values of x are memoised
+    in memo (keyed by node identity and point) when memo is not None."""
+    kind = node[0]
+    if kind == "x":
+        return x
+    if kind == "lit":
+        f = node[2]
+        return ops["const"]((ctx.lo_of(f), ctx.hi_of(f)), x)
+    if kind == "pi":
+        return ops["const"](ctx.pi, x)
+    if memo is not None and x[0] == x[1]:
+        key = (id(node), x[0])
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    else:
+        key = None
+    try:
+        if kind == "call":
+            out = ops["call"](ctx, node[2], _walk(ctx, node[3], x, ops, memo))
+        elif kind == "pow":
+            out = ops["pow"](ctx, _walk(ctx, node[2], x, ops, memo), node[3])
+        elif kind == "neg":
+            out = ops["neg"](_walk(ctx, node[2], x, ops, memo))
+        elif kind == "mul" or kind == "div":
+            out = ops[kind](ctx, _walk(ctx, node[2], x, ops, memo),
+                            _walk(ctx, node[3], x, ops, memo))
+        else:
+            out = ops[kind](_walk(ctx, node[2], x, ops, memo),
+                            _walk(ctx, node[3], x, ops, memo))
+    except (DomainError, PoleError) as exc:
+        exc.position = getattr(exc, "position", None) or node[1]
+        raise
+    if key is not None:
+        memo[key] = out
+    return out
+
+
+def eval_plain(ctx, node, x, memo=None):
+    """Certified range of node over the integer range x = (lo, hi)."""
+    return _walk(ctx, node, x, _RANGE_OPS, memo)
+
+
+def eval_taylor(ctx, node, xvec, k):
+    """Order-k Taylor vector of node, given the vector xvec (k + 1 entries)
+    of the variable."""
+    return _walk(ctx, node, xvec, _TAYLOR_OPS, None)
+
+
+# ---------------------------------------------------------------------------
+# adaptive enclosure: plain range + interval Taylor form
 # ---------------------------------------------------------------------------
 
 def _form_term(ctx, c, r, j):
@@ -540,36 +523,19 @@ def _form_term(ctx, c, r, j):
     return (lo >> sh, _ceil_shift(hi, sh))
 
 
-def enclose(ctx, node, a, b, max_order=8, memo=None):
+def enclose(ctx, node, a, b, memo=None):
     """Certified enclosure of node over [a, b]/2**prec: the plain range,
-    narrowed by monotonicity and by an order-max_order Taylor form when
-    the plain range does not decide the sign."""
+    intersected with the order-TAYLOR_ORDER Taylor form about the midpoint
+    (box coefficients for the remainder term) when the plain range does not
+    decide the sign."""
     enc = eval_plain(ctx, node, (a, b), memo)
-    if enc[0] > 0 or enc[1] < 0 or a == b or max_order < 2:
+    if enc[0] > 0 or enc[1] < 0 or a == b:
         return enc
-    k = max_order
-    one_iv = (ctx.one, ctx.one)
-    try:
-        xv = _tzero(ctx, k)
-        xv[0] = (a, b)
-        xv[1] = one_iv
-        tx = eval_taylor(ctx, node, xv, k)
-    except (DomainError, PoleError):
-        return enc
-    d1 = tx[1]
-    if d1[0] >= 0 or d1[1] <= 0:
-        fa = eval_plain(ctx, node, (a, a), memo)
-        fb = eval_plain(ctx, node, (b, b), memo)
-        cand = (fa[0], fb[1]) if d1[0] >= 0 else (fb[0], fa[1])
-        enc = iisect(enc, cand)
-        if enc[0] > 0 or enc[1] < 0:
-            return enc
+    k = TAYLOR_ORDER
     m = (a + b) // 2
-    mv = _tzero(ctx, k)
-    mv[0] = (m, m)
-    mv[1] = one_iv
     try:
-        tm = eval_taylor(ctx, node, mv, k)
+        tx = eval_taylor(ctx, node, _tvar(ctx, a, b), k)
+        tm = eval_taylor(ctx, node, _tvar(ctx, m, m), k)
     except (DomainError, PoleError):
         return enc
     r = max(b - m, m - a)

@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
@@ -58,16 +57,18 @@ def _rational(text: str) -> Fraction:
     return Fraction(s)  # Fraction parses decimal/exponent strings exactly
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int):
     """argparse type for counts: a bad value is a usage error (exit 3)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _endpoint_value(text: str, upper: bool) -> Fraction:
@@ -130,13 +131,14 @@ def _stanza_opts(spec, args) -> ProveOptions:
 
     eps_default = _rational(args.eps) if args.eps is not None else None
     return ProveOptions(
-        eps_lo=pick(args.eps_lo, "eps_lo", eps_default or defaults.eps_lo),
-        eps_hi=pick(args.eps_hi, "eps_hi", eps_default or defaults.eps_hi),
+        eps_lo=pick(args.eps_lo, "eps_lo",
+                    defaults.eps_lo if eps_default is None else eps_default),
+        eps_hi=pick(args.eps_hi, "eps_hi",
+                    defaults.eps_hi if eps_default is None else eps_default),
         x_max=pick(args.xmax, "x_max", defaults.x_max),
         max_depth=pick(args.max_depth, "max_depth", defaults.max_depth, int),
         min_width=pick(args.min_width, "min_width", defaults.min_width),
         precision=args.precision,
-        max_order=defaults.max_order,
         grid=args.grid,
     )
 
@@ -184,14 +186,8 @@ def _cmd_prove(args) -> int:
     if args.precision < 64:
         raise _UsageError("precision must be >= 64")
 
-    def run(spec):
-        return spec, verify_inequality(spec, _stanza_opts(spec, args))
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, corpus))
-    else:
-        results = [run(s) for s in corpus]
+    # stanzas run in order in this thread; --jobs is accepted and ignored
+    results = [(s, verify_inequality(s, _stanza_opts(s, args))) for s in corpus]
 
     claims = sorted((_claim_entry(spec, res) for spec, res in results),
                     key=lambda c: c["name"])
@@ -267,8 +263,7 @@ def _find_tag(corpus, key: str):
 
 
 def _cmd_sequences(args) -> int:
-    nmin = int(args.nmin) if args.nmin is not None else None
-    rep = sequence_check(args.id, args.mode, args.nmax, n_min=nmin)
+    rep = sequence_check(args.id, args.mode, args.nmax, n_min=args.nmin)
     entry = {
         "name": f"{args.id}.{args.mode}",
         "status": "pass" if rep.all_pass else "violation",
@@ -279,7 +274,7 @@ def _cmd_sequences(args) -> int:
         },
     }
     config = {"subcommand": "sequences", "id": args.id, "mode": args.mode,
-              "n_max": args.nmax, "n_min": nmin}
+              "n_max": args.nmax, "n_min": args.nmin}
     if rep.all_pass:
         line = f"{args.id} {args.mode}: all pass on [{rep.n_min}, {rep.n_max}]"
     else:
@@ -352,6 +347,8 @@ def _cmd_limits(args) -> int:
 def _cmd_scan(args) -> int:
     lo = _endpoint_value(args.lo, upper=False)
     hi = _endpoint_value(args.hi, upper=True)
+    if lo >= hi:
+        raise _UsageError(f"scan needs lo < hi, got --lo {args.lo} --hi {args.hi}")
     rep = scan_extremum(args.thm, Interval(lo, hi), _rational(args.tol))
     entry = {
         "name": f"scan.{args.thm}",
@@ -388,13 +385,14 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--eps-lo", dest="eps_lo", default=None)
     sp.add_argument("--eps-hi", dest="eps_hi", default=None)
     sp.add_argument("--xmax", default=None, help="cutoff for unbounded domains")
-    sp.add_argument("--max-depth", dest="max_depth", type=_positive_int,
+    sp.add_argument("--max-depth", dest="max_depth", type=_int_at_least(1),
                     default=None)
     sp.add_argument("--min-width", dest="min_width", default=None)
     sp.add_argument("--precision", type=int, default=192, help="dyadic bits")
-    sp.add_argument("--grid", type=_positive_int, default=256,
+    sp.add_argument("--grid", type=_int_at_least(1), default=256,
                     help="refutation pre-scan points")
-    sp.add_argument("--jobs", type=_positive_int, default=1)
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1,
+                    help="accepted for compatibility; stanzas run serially")
     sp.add_argument("--timing", action="store_true",
                     help="report real wall times (non-canonical output)")
     common(sp)
@@ -404,12 +402,12 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--kind", default=None, choices=(None, *series_ids()))
     sp.add_argument("--thm", default=None, choices=(None, *sorted(THEOREMS)))
     sp.add_argument("--role", default=None)
-    sp.add_argument("--nmax", type=int, default=20)
+    sp.add_argument("--nmax", type=_int_at_least(0), default=20)
     common(sp, fmt="csv")
     sp.set_defaults(fn=_cmd_series)
 
     sp = sub.add_parser("bernoulli", help="emit Bernoulli numbers as CSV")
-    sp.add_argument("--upto", type=int, required=True)
+    sp.add_argument("--upto", type=_int_at_least(0), required=True)
     common(sp, fmt="csv")
     sp.set_defaults(fn=_cmd_bernoulli)
 
@@ -417,7 +415,7 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--id", required=True, choices=sorted(SEQUENCE_IDS))
     sp.add_argument("--mode", required=True, choices=("positive", "increasing"))
     sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--nmin", default=None)
+    sp.add_argument("--nmin", type=int, default=None)
     sp.add_argument("--corpus", default=default_corpus_path())
     common(sp)
     sp.set_defaults(fn=_cmd_sequences)

@@ -2,9 +2,9 @@
 
 * `prove_positive`: adaptive-bisection interval proof that an expression is
   positive on a compact interval.  Leaf enclosures combine plain interval
-  evaluation, monotonicity shortcuts, and order-12 midpoint Taylor forms,
-  so differences that vanish to high order at an endpoint still certify
-  with modest leaf counts.
+  evaluation and order-12 midpoint Taylor forms, so differences that
+  vanish to high order at an endpoint still certify with modest leaf
+  counts.
 * `verify_inequality`: runs a corpus stanza on its compact core.  For the
   eight theorem stanzas a registered exact difference series (validated
   against the expression at sample points) provides the enclosures; a
@@ -49,7 +49,6 @@ class ProveOptions:
     max_depth: int = 48
     min_width: Fraction = Fraction(1, 10 ** 12)
     precision: int = 192
-    max_order: int = 12
     max_leaves: int = 200_000
     grid: int = 256
 
@@ -131,7 +130,7 @@ def _make_expr_eval(expr: Expr, opts: ProveOptions):
     def ev(x: Interval):
         a = ctx.lo_of(x.lo)
         b = ctx.hi_of(x.hi)
-        lo, hi = _core.enclose(ctx, node, a, b, opts.max_order, memo)
+        lo, hi = _core.enclose(ctx, node, a, b, memo)
         return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
 
     return ev
@@ -466,9 +465,13 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     x_max).  Refutations are searched on a deterministic grid first; proofs
     use the registered series rewrite when one exists, otherwise adaptive
     bisection of the raw difference.  Margins left unverified are reported
-    in `uncovered`.
+    in `uncovered`.  A negative margin would put the core outside the stated
+    domain, so it raises DomainError.
     """
     opts = opts or ProveOptions()
+    if opts.eps_lo < 0 or opts.eps_hi < 0:
+        raise DomainError(f"margins must be non-negative: eps_lo={opts.eps_lo}, "
+                          f"eps_hi={opts.eps_hi}")
     t0 = time.perf_counter()
     bits = opts.precision
 

@@ -63,6 +63,41 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "5",
+     "--nmin", "abc"],
+    ["scan", "--thm", "T3.1", "--lo", "1", "--hi", "1/2"],
+    ["bernoulli", "--upto", "-3"],
+    ["series", "--kind", "COT", "--nmax", "-5"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "-1"],
+], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
+        "eps-negative"])
+def test_hostile_argv_is_usage_error(capsys, argv):
+    # none of these may crash with a traceback (exit 1), print an empty
+    # table, or refute a claim outside its stated domain
+    assert run_command(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+
+
+def test_negative_margin_tag_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "neg.ineq"
+    p.write_text(_FIXTURE_MISMATCH.replace("expected:proved",
+                                           "expected:proved, eps_hi:-1/10"))
+    assert run_command(["prove", "--corpus", str(p)]) == 3
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_zero_margin_is_used_as_given(tmp_path):
+    out = tmp_path / "o.json"
+    run_command(["prove", "--name", "HUY_TRIG", "--eps", "0", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert rep["config"]["eps_lo"] == "0"
+    uncovered = rep["claims"][0]["uncovered"]
+    assert any("eps_lo=0;" in u for u in uncovered)
+    assert any("eps_hi=0)" in u for u in uncovered)
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(ineqcert.__file__).parents[1]))
     proc = subprocess.run(

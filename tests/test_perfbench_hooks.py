@@ -1,0 +1,29 @@
+"""The traced benchmark rebinds `ineqcert` module attributes by name
+(`perfbench/spans.py`, `perfbench/child.py`); a renamed function there would
+silently lose its span or counter, so the names are checked here."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
+def test_traced_attributes_exist():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    sites = [site for group in spans.TRACED.values() for site in group]
+    sites += [("_core", "imul"), ("cli", "verify_inequality"),
+              ("cli", "_load_corpus")]
+    missing = [f"{mod}.{attr}" for mod, attr in sites
+               if not callable(getattr(importlib.import_module(f"ineqcert.{mod}"),
+                                       attr, None))]
+    assert missing == []
+    # the order counters read k as eval_taylor's fourth positional argument
+    core = importlib.import_module("ineqcert._core")
+    assert list(inspect.signature(core.eval_taylor).parameters)[3] == "k"

@@ -101,6 +101,14 @@ def test_verify_huy_trig(corpus_specs):
     assert any("uncovered" in u for u in r.uncovered)
 
 
+def test_verify_rejects_negative_margins(corpus_specs):
+    spec = _spec(corpus_specs, "HUY_TRIG")
+    for opts in (ProveOptions(eps_lo=Fraction(-1)),
+                 ProveOptions(eps_hi=Fraction(-1, 10))):
+        with pytest.raises(DomainError, match="non-negative"):
+            verify_inequality(spec, opts)
+
+
 def test_verify_unbounded_reports_cutoff(corpus_specs):
     r = verify_inequality(_spec(corpus_specs, "HUY_HYP"))
     assert r.status == "Proved"
