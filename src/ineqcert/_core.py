@@ -11,8 +11,9 @@ certified positive, sinh/cosh/tanh on [-32, 32].  Ranges over an interval
 come from endpoint Taylor evaluations plus the interior extrema (+-pi/2 for
 sin, 0 and +-pi for cos); the corpus never needs argument reduction.
 
-One tree walk evaluates a compiled expression, either on ranges or on
-truncated Taylor vectors, depending on the op table it is given.  `enclose`
+One tree walk evaluates the parsed `lang.Expr` nodes with one of three op
+tables: ranges, truncated Taylor vectors, or exact rational intervals for
+`lang.eval_endpoint`.  Only point series are cached (in `Ctx`).  `enclose`
 intersects the plain range with an order-12 Taylor form about the midpoint;
 there is no other narrowing step.
 """
@@ -129,7 +130,7 @@ def idiv_int(a, k):
     return (a[0] // k, _ceil_div(a[1], k))
 
 
-def idiv(ctx, a, b, pos=None):
+def idiv(ctx, a, b):
     if b[0] <= 0 <= b[1]:
         raise PoleError(
             f"division by an interval containing 0: "
@@ -422,22 +423,22 @@ def _tcall(ctx, name, u):
 
 
 # ---------------------------------------------------------------------------
-# one recursive walk over a compiled expression, with one of two op tables
+# one recursive walk over a parsed expression tree, with one of three op tables
 #
-# compiled node layout (tuples):
-#   ("x", pos) ("pi", pos) ("lit", pos, Fraction)
-#   ("neg", pos, a) ("add", pos, a, b) ("sub", pos, a, b)
-#   ("mul", pos, a, b) ("div", pos, a, b) ("pow", pos, a, int)
-#   ("call", pos, name, a)
+# The walk dispatches on each `lang.Expr` node's class attribute `kind` and
+# reads its fields: a/b, base/exponent, fn/arg, value, and pos for errors.
 #
-# Op signatures: const(iv, x), neg(a), add(a, b), sub(a, b), mul(ctx, a, b),
-# div(ctx, a, b), pow(ctx, a, int), call(ctx, name, a).  The range table's
-# mul and call look imul and fn_range up at call time, so a rebinding of
-# either module attribute (as the traced benchmark does) sees every call.
+# Op signatures: lit(ctx, value, x), pi(ctx, x), neg(a), add(a, b),
+# sub(a, b), mul(ctx, a, b), div(ctx, a, b), pow(ctx, a, int),
+# call(ctx, name, a).  `lang` holds the third table, on exact endpoint
+# intervals.  The range table's mul and call look imul and fn_range up at
+# call time, so a rebinding of either module attribute (as the traced
+# benchmark does) sees every call.
 # ---------------------------------------------------------------------------
 
 _RANGE_OPS = {
-    "const": lambda iv, x: iv,
+    "lit": lambda ctx, v, x: (ctx.lo_of(v), ctx.hi_of(v)),
+    "pi": lambda ctx, x: ctx.pi,
     "neg": ineg, "add": iadd, "sub": isub,
     "mul": lambda ctx, a, b: imul(ctx, a, b),
     "div": idiv, "pow": ipow,
@@ -445,60 +446,49 @@ _RANGE_OPS = {
 }
 
 _TAYLOR_OPS = {
-    "const": lambda iv, x: _tconst(iv, len(x) - 1),
+    "lit": lambda ctx, v, x: _tconst((ctx.lo_of(v), ctx.hi_of(v)), len(x) - 1),
+    "pi": lambda ctx, x: _tconst(ctx.pi, len(x) - 1),
     "neg": _tneg, "add": _tadd, "sub": _tsub,
     "mul": _tmul, "div": _tdiv, "pow": _tpow, "call": _tcall,
 }
 
 
-def _walk(ctx, node, x, ops, memo):
-    """Value of node at x under the op table; point values of x are memoised
-    in memo (keyed by node identity and point) when memo is not None."""
-    kind = node[0]
+def _walk(ctx, node, x, ops):
+    """Value of the expression node at x under the op table."""
+    kind = node.kind
     if kind == "x":
         return x
     if kind == "lit":
-        f = node[2]
-        return ops["const"]((ctx.lo_of(f), ctx.hi_of(f)), x)
+        return ops["lit"](ctx, node.value, x)
     if kind == "pi":
-        return ops["const"](ctx.pi, x)
-    if memo is not None and x[0] == x[1]:
-        key = (id(node), x[0])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    else:
-        key = None
+        return ops["pi"](ctx, x)
     try:
         if kind == "call":
-            out = ops["call"](ctx, node[2], _walk(ctx, node[3], x, ops, memo))
-        elif kind == "pow":
-            out = ops["pow"](ctx, _walk(ctx, node[2], x, ops, memo), node[3])
-        elif kind == "neg":
-            out = ops["neg"](_walk(ctx, node[2], x, ops, memo))
-        elif kind == "mul" or kind == "div":
-            out = ops[kind](ctx, _walk(ctx, node[2], x, ops, memo),
-                            _walk(ctx, node[3], x, ops, memo))
-        else:
-            out = ops[kind](_walk(ctx, node[2], x, ops, memo),
-                            _walk(ctx, node[3], x, ops, memo))
+            return ops["call"](ctx, node.fn, _walk(ctx, node.arg, x, ops))
+        if kind == "pow":
+            return ops["pow"](ctx, _walk(ctx, node.base, x, ops), node.exponent)
+        if kind == "neg":
+            return ops["neg"](_walk(ctx, node.a, x, ops))
+        if kind == "mul" or kind == "div":
+            return ops[kind](ctx, _walk(ctx, node.a, x, ops),
+                             _walk(ctx, node.b, x, ops))
+        return ops[kind](_walk(ctx, node.a, x, ops), _walk(ctx, node.b, x, ops))
     except (DomainError, PoleError) as exc:
-        exc.position = getattr(exc, "position", None) or node[1]
+        # the innermost node that failed names the offset; 0 is a valid one
+        if getattr(exc, "position", None) is None:
+            exc.position = node.pos
         raise
-    if key is not None:
-        memo[key] = out
-    return out
 
 
-def eval_plain(ctx, node, x, memo=None):
+def eval_plain(ctx, node, x):
     """Certified range of node over the integer range x = (lo, hi)."""
-    return _walk(ctx, node, x, _RANGE_OPS, memo)
+    return _walk(ctx, node, x, _RANGE_OPS)
 
 
 def eval_taylor(ctx, node, xvec, k):
     """Order-k Taylor vector of node, given the vector xvec (k + 1 entries)
     of the variable."""
-    return _walk(ctx, node, xvec, _TAYLOR_OPS, None)
+    return _walk(ctx, node, xvec, _TAYLOR_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +513,12 @@ def _form_term(ctx, c, r, j):
     return (lo >> sh, _ceil_shift(hi, sh))
 
 
-def enclose(ctx, node, a, b, memo=None):
+def enclose(ctx, node, a, b):
     """Certified enclosure of node over [a, b]/2**prec: the plain range,
     intersected with the order-TAYLOR_ORDER Taylor form about the midpoint
     (box coefficients for the remainder term) when the plain range does not
     decide the sign."""
-    enc = eval_plain(ctx, node, (a, b), memo)
+    enc = eval_plain(ctx, node, (a, b))
     if enc[0] > 0 or enc[1] < 0 or a == b:
         return enc
     k = TAYLOR_ORDER

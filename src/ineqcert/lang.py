@@ -23,10 +23,10 @@ upper endpoint.  `#` starts a comment.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 from . import _core
@@ -79,35 +79,41 @@ def tokenize(text: str):
 # --- AST --------------------------------------------------------------------
 
 class Expr:
-    """Base class for expression nodes (immutable, structurally comparable)."""
+    """Base class for expression nodes (immutable, structurally comparable).
+    Each class names its operator in `kind`, which `_core` dispatches on."""
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Lit(Expr):
+    kind = "lit"
     value: Fraction
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class PiConst(Expr):
+    kind = "pi"
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class VarX(Expr):
+    kind = "x"
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
+    kind = "neg"
     a: Expr
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class Add(Expr):
+    kind = "add"
     a: Expr
     b: Expr
     pos: int = field(default=-1, compare=False)
@@ -115,6 +121,7 @@ class Add(Expr):
 
 @dataclass(frozen=True)
 class Sub(Expr):
+    kind = "sub"
     a: Expr
     b: Expr
     pos: int = field(default=-1, compare=False)
@@ -122,6 +129,7 @@ class Sub(Expr):
 
 @dataclass(frozen=True)
 class Mul(Expr):
+    kind = "mul"
     a: Expr
     b: Expr
     pos: int = field(default=-1, compare=False)
@@ -129,6 +137,7 @@ class Mul(Expr):
 
 @dataclass(frozen=True)
 class Div(Expr):
+    kind = "div"
     a: Expr
     b: Expr
     pos: int = field(default=-1, compare=False)
@@ -136,6 +145,7 @@ class Div(Expr):
 
 @dataclass(frozen=True)
 class PowInt(Expr):
+    kind = "pow"
     base: Expr
     exponent: int
     pos: int = field(default=-1, compare=False)
@@ -143,6 +153,7 @@ class PowInt(Expr):
 
 @dataclass(frozen=True)
 class Call(Expr):
+    kind = "call"
     fn: str
     arg: Expr
     pos: int = field(default=-1, compare=False)
@@ -320,40 +331,13 @@ def format_expr(e: Expr) -> str:
 
 # --- evaluation -------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def compile_expr(e: Expr):
-    """Lower an AST to the tuple form used by the fixed-point engine."""
-    if isinstance(e, Lit):
-        return ("lit", e.pos, e.value)
-    if isinstance(e, PiConst):
-        return ("pi", e.pos)
-    if isinstance(e, VarX):
-        return ("x", e.pos)
-    if isinstance(e, Neg):
-        return ("neg", e.pos, compile_expr(e.a))
-    if isinstance(e, Add):
-        return ("add", e.pos, compile_expr(e.a), compile_expr(e.b))
-    if isinstance(e, Sub):
-        return ("sub", e.pos, compile_expr(e.a), compile_expr(e.b))
-    if isinstance(e, Mul):
-        return ("mul", e.pos, compile_expr(e.a), compile_expr(e.b))
-    if isinstance(e, Div):
-        return ("div", e.pos, compile_expr(e.a), compile_expr(e.b))
-    if isinstance(e, PowInt):
-        return ("pow", e.pos, compile_expr(e.base), e.exponent)
-    if isinstance(e, Call):
-        return ("call", e.pos, e.fn, compile_expr(e.arg))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def eval_expr(e: Expr, x: Interval, precision: int = 192) -> Interval:
     """Certified enclosure of {e(t) : t in x} at the given dyadic precision."""
     ctx = get_ctx(precision)
-    node = compile_expr(e)
     a = ctx.lo_of(x.lo)
     b = ctx.hi_of(x.hi)
     try:
-        lo, hi = _core.eval_plain(ctx, node, (a, b))
+        lo, hi = _core.eval_plain(ctx, e, (a, b))
     except (DomainError, PoleError) as exc:
         raise EvalError(str(exc), getattr(exc, "position", None)) from exc
     return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
@@ -373,26 +357,21 @@ def _check_endpoint_expr(e: Expr):
             _check_endpoint_expr(child)
 
 
+# exact Fraction intervals for the walk in _core; endpoints hold no x or calls
+_ENDPOINT_OPS = {
+    "lit": lambda ctx, v, x: Interval.point(v),
+    "pi": lambda ctx, x: pi_enclose(Fraction(1, 10 ** 36)).interval,
+    "neg": operator.neg, "add": operator.add, "sub": operator.sub,
+    "mul": lambda ctx, a, b: a * b,
+    "div": lambda ctx, a, b: a / b,
+    "pow": lambda ctx, a, e: a ** e,
+}
+
+
 def eval_endpoint(e: Expr) -> Interval:
     """Tight enclosure of a constant endpoint expression (exact when pi-free)."""
     _check_endpoint_expr(e)
-    if isinstance(e, Lit):
-        return Interval.point(e.value)
-    if isinstance(e, PiConst):
-        return pi_enclose(Fraction(1, 10 ** 36)).interval
-    if isinstance(e, Neg):
-        return -eval_endpoint(e.a)
-    if isinstance(e, Add):
-        return eval_endpoint(e.a) + eval_endpoint(e.b)
-    if isinstance(e, Sub):
-        return eval_endpoint(e.a) - eval_endpoint(e.b)
-    if isinstance(e, Mul):
-        return eval_endpoint(e.a) * eval_endpoint(e.b)
-    if isinstance(e, Div):
-        return eval_endpoint(e.a) / eval_endpoint(e.b)
-    if isinstance(e, PowInt):
-        return eval_endpoint(e.base) ** e.exponent
-    raise TypeError(f"bad endpoint node {e!r}")
+    return _core._walk(None, e, None, _ENDPOINT_OPS)
 
 
 # --- corpus -----------------------------------------------------------------

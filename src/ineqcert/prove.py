@@ -21,14 +21,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 from . import _core
-from .errors import DomainError, EvalError, ParseError, PoleError
-from .exact import bernoulli
-from .interval import Interval, get_ctx, pi_enclose
-from .lang import (Expr, InequalitySpec, compile_expr, eval_endpoint,
-                   eval_expr, parse_expression)
+from .errors import DomainError, EvalError, PoleError
+from .exact import bernoulli  # noqa: F401 (patched by perfbench)
+from .interval import Interval, get_ctx
+from .lang import (Expr, InequalitySpec, eval_endpoint, eval_expr,
+                   parse_expression)
 from .series import (get_series, tail_bound, eval_series, theorem_coeff,
                      THEOREMS, THEOREM_START, TRIG_X_MAX)
 
@@ -123,14 +123,12 @@ class ScanReport:
 
 def _make_expr_eval(expr: Expr, opts: ProveOptions):
     """Returns eval_fn(x) -> Interval."""
-    node = compile_expr(expr)
     ctx = get_ctx(opts.precision)
-    memo = {}
 
     def ev(x: Interval):
         a = ctx.lo_of(x.lo)
         b = ctx.hi_of(x.hi)
-        lo, hi = _core.enclose(ctx, node, a, b, memo)
+        lo, hi = _core.enclose(ctx, expr, a, b)
         return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
 
     return ev
@@ -466,12 +464,15 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     use the registered series rewrite when one exists, otherwise adaptive
     bisection of the raw difference.  Margins left unverified are reported
     in `uncovered`.  A negative margin would put the core outside the stated
-    domain, so it raises DomainError.
+    domain, and a non-positive x_max leaves no core to check, so either
+    raises DomainError.
     """
     opts = opts or ProveOptions()
     if opts.eps_lo < 0 or opts.eps_hi < 0:
         raise DomainError(f"margins must be non-negative: eps_lo={opts.eps_lo}, "
                           f"eps_hi={opts.eps_hi}")
+    if opts.x_max <= 0:
+        raise DomainError(f"x_max must be positive, got {opts.x_max}")
     t0 = time.perf_counter()
     bits = opts.precision
 
@@ -609,10 +610,6 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
                           all_pass=violation is None, first_violation=violation)
 
 
-def _t32_b(n):
-    return 4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n
-
-
 def _f1_plain(n):
     return 144 * n ** 3 - 24 * n ** 2 - 648 * n + 240
 
@@ -709,7 +706,8 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
     sign_names = set()
     for n in range(start, n_max + 1):
         if identity_id == "ID_T32_BDIFF":
-            lhs = Fraction(_t32_b(n + 1) - _t32_b(n))
+            lhs = (theorem_coeff(*SEQUENCE_IDS["S_T32_B"], n + 1)
+                   - theorem_coeff(*SEQUENCE_IDS["S_T32_B"], n))
             rhs = Fraction(4 ** n * (6 * n - 1) - 4 * n + 1)
             sign_names.add("difference")
             _sign_record(signs, "difference", n, rhs)
@@ -819,10 +817,12 @@ def scan_extremum(thm_id: str, domain: Interval, tol) -> ScanReport:
     """Grid + golden-section estimate of the ratio function's minimum,
     confirmed by a rigorous interval evaluation at the candidate point.
     `sampled_monotone` reports whether a 1024-point grid is nondecreasing
-    (corroboration, not proof)."""
+    (corroboration, not proof).  The tolerance must be positive."""
     t = THEOREMS.get(thm_id)
     if t is None:
         raise DomainError(f"unknown theorem id {thm_id!r}")
+    if Fraction(tol) <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
     tol_f = max(float(Fraction(tol)), 1e-12)
     f = _ratio_float_fn(t)
     lo_f, hi_f = float(domain.lo), float(domain.hi)

@@ -70,14 +70,31 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["bernoulli", "--upto", "-3"],
     ["series", "--kind", "COT", "--nmax", "-5"],
     ["prove", "--name", "HUY_TRIG", "--eps", "-1"],
+    ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "1", "--tol", "0"],
+    ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "1", "--tol", "-1"],
+    ["prove", "--name", "HUY_HYP", "--xmax", "-1"],
+    ["prove", "--name", "HUY_TRIG", "--xmax", "0"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
-        "eps-negative"])
+        "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
+        "xmax-zero"])
 def test_hostile_argv_is_usage_error(capsys, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, or refute a claim outside its stated domain
     assert run_command(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    # exit 1 means "refuted against expectation", so a crash gets its own code
+    def broken(spec, opts=None):
+        raise AssertionError("intersection of two certified enclosures is empty")
+
+    monkeypatch.setattr("ineqcert.cli.verify_inequality", broken)
+    assert run_command(["prove", "--name", "HUY_TRIG"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ineqcert: internal error: AssertionError:")
+    assert err.count("\n") == 1
 
 
 def test_negative_margin_tag_is_usage_error(tmp_path, capsys):

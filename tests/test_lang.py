@@ -123,6 +123,18 @@ def test_eval_expr_error_carries_position():
     assert exc.value.position is not None
 
 
+def test_eval_error_position_is_the_failing_node():
+    # an equal subtree evaluated earlier in another expression must not lend
+    # its offset, and offset 0 is an offset, not a missing one
+    iv = Interval(F(1, 2), F(3, 2))
+    cases = [("1 + 1/(x-1)", iv, 5), ("1/(x-1)", iv, 1),
+             ("tan(x) + 1", Interval(F(3, 2), F(8, 5)), 0)]
+    for text, x, pos in cases:
+        with pytest.raises(EvalError) as exc:
+            eval_expr(parse_expression(text), x)
+        assert exc.value.position == pos, text
+
+
 _CORPUS = """
 # a comment line
 inequality THM31_LO {

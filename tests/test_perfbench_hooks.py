@@ -27,3 +27,9 @@ def test_traced_attributes_exist():
     # the order counters read k as eval_taylor's fourth positional argument
     core = importlib.import_module("ineqcert._core")
     assert list(inspect.signature(core.eval_taylor).parameters)[3] == "k"
+    # the traced run sums the point caches of the per-precision contexts
+    interval = importlib.import_module("ineqcert.interval")
+    interval.get_ctx(64)
+    assert interval._ctx_cache and all(
+        isinstance(ctx, core.Ctx) and ctx.prec == prec and isinstance(ctx.cache, dict)
+        for prec, ctx in interval._ctx_cache.items())
