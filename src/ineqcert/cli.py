@@ -188,7 +188,13 @@ def _cmd_prove(args) -> int:
         raise _UsageError("precision must be >= 64")
 
     # stanzas run in order in this thread; --jobs is accepted and ignored
-    results = [(s, verify_inequality(s, _stanza_opts(s, args))) for s in corpus]
+    results = []
+    for s in corpus:
+        try:
+            results.append((s, verify_inequality(s, _stanza_opts(s, args))))
+        except Exception as exc:
+            exc.stanza = s.name  # named in run_command's internal-error line
+            raise
 
     claims = sorted((_claim_entry(spec, res) for spec, res in results),
                     key=lambda c: c["name"])
@@ -456,7 +462,8 @@ def run_command(argv) -> int:
     except Exception as exc:
         # exit 1 means "refuted against expectation"; a crash must not read so
         msg = " ".join(str(exc).splitlines())
-        print(f"ineqcert: internal error: {type(exc).__name__}: {msg}",
+        where = f" in stanza {exc.stanza}" if hasattr(exc, "stanza") else ""
+        print(f"ineqcert: internal error{where}: {type(exc).__name__}: {msg}",
               file=sys.stderr)
         return 4
 

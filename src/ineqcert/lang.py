@@ -5,7 +5,8 @@ integer-literal exponent.  Identifiers are `x`, `pi`, and the six functions
 sin, cos, tan, sinh, cosh, tanh.  Decimal literals convert exactly to
 rationals (0.15 is 3/20, never a float).  A quotient of two integer
 literals folds to a single rational literal, so printed expressions
-round-trip to equal syntax trees.
+round-trip to equal syntax trees.  Parsing caps |exponent| at MAX_EXPONENT
+and the syntax-tree depth at MAX_DEPTH.
 
 Corpus files hold one stanza per inequality:
 
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
+MAX_EXPONENT = 64      # largest |n| in x^n; the corpus needs at most 8
+MAX_DEPTH = 200        # syntax-tree levels; the parser takes at most 3 frames a
+                       # level, so it and the tree walks fit Python's default stack
 
 
 # --- tokens -----------------------------------------------------------------
@@ -170,10 +174,14 @@ def _number_value(text: str) -> Fraction:
 # --- parser -----------------------------------------------------------------
 
 class _Parser:
+    # operator token: (precedence, node class)
+    _BINARY = {"PLUS": (1, Add), "MINUS": (1, Sub), "STAR": (2, Mul), "SLASH": (2, Div)}
+
     def __init__(self, text: str):
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -199,51 +207,49 @@ class _Parser:
             raise ParseError(f"unexpected token {t.text!r}", t.position)
         return e
 
-    def expression(self) -> Expr:
-        e = self.term()
-        while True:
-            t = self.peek()
-            if t is None or t.kind not in ("PLUS", "MINUS"):
-                return e
-            self.next()
-            rhs = self.term()
-            e = Add(e, rhs, t.position) if t.kind == "PLUS" else Sub(e, rhs, t.position)
-
-    def term(self) -> Expr:
+    def expression(self, min_prec: int = 1) -> Expr:
+        """Left-associative binary operators of precedence >= min_prec."""
+        top = self.depth
         e = self.unary()
-        while True:
-            t = self.peek()
-            if t is None or t.kind not in ("STAR", "SLASH"):
-                return e
+        while ((t := self.peek()) is not None
+               and (op := self._BINARY.get(t.kind)) and op[0] >= min_prec):
+            prec, node = op
+            self.depth += 1                 # checked by the operand's unary
             self.next()
-            rhs = self.unary()
-            if t.kind == "STAR":
-                e = Mul(e, rhs, t.position)
-            elif isinstance(e, Lit) and isinstance(rhs, Lit) and rhs.value != 0:
+            rhs = self.expression(prec + 1)
+            if (t.kind == "SLASH" and isinstance(e, Lit) and isinstance(rhs, Lit)
+                    and rhs.value != 0):
                 e = Lit(e.value / rhs.value, e.pos)
             else:
-                e = Div(e, rhs, t.position)
+                e = node(e, rhs, t.position)
+        self.depth = top
+        return e
 
     def unary(self) -> Expr:
+        """`-` unary, or an atom with an optional integer-literal exponent.
+        Each binary operator, unary minus and atom is one tree level."""
         t = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             len(self.text) if t is None else t.position)
         if t is not None and t.kind == "MINUS":
             self.next()
-            return Neg(self.unary(), t.position)
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        t = self.peek()
-        if t is None or t.kind != "CARET":
-            return base
-        self.next()
-        exp = self.unary()
-        if isinstance(exp, Lit) and exp.value.denominator == 1:
-            return PowInt(base, int(exp.value), t.position)
-        if (isinstance(exp, Neg) and isinstance(exp.a, Lit)
-                and exp.a.value.denominator == 1):
-            return PowInt(base, -int(exp.a.value), t.position)
-        raise ParseError("exponent must be an integer literal", t.position)
+            e = Neg(self.unary(), t.position)
+        else:
+            e = self.atom()
+            t = self.peek()
+            if t is not None and t.kind == "CARET":
+                self.next()
+                exp = self.unary()
+                lit, sign = (exp.a, -1) if isinstance(exp, Neg) else (exp, 1)
+                if not (isinstance(lit, Lit) and lit.value.denominator == 1):
+                    raise ParseError("exponent must be an integer literal", t.position)
+                if lit.value > MAX_EXPONENT:
+                    raise ParseError(f"|exponent| exceeds {MAX_EXPONENT}", t.position)
+                e = PowInt(e, sign * int(lit.value), t.position)
+        self.depth -= 1
+        return e
 
     def atom(self) -> Expr:
         t = self.next()

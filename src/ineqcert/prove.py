@@ -817,13 +817,13 @@ def scan_extremum(thm_id: str, domain: Interval, tol) -> ScanReport:
     """Grid + golden-section estimate of the ratio function's minimum,
     confirmed by a rigorous interval evaluation at the candidate point.
     `sampled_monotone` reports whether a 1024-point grid is nondecreasing
-    (corroboration, not proof).  The tolerance must be positive."""
+    (corroboration, not proof).  The tolerance must be at least 1e-12."""
     t = THEOREMS.get(thm_id)
     if t is None:
         raise DomainError(f"unknown theorem id {thm_id!r}")
-    if Fraction(tol) <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    tol_f = max(float(Fraction(tol)), 1e-12)
+    if Fraction(tol) < Fraction("1e-12"):
+        raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
+    tol_f = float(Fraction(tol))
     f = _ratio_float_fn(t)
     lo_f, hi_f = float(domain.lo), float(domain.hi)
     n = 1024

@@ -4,11 +4,16 @@ Everything here is deliberately separate from the package internals: exact
 truncated Maclaurin algebra over Fractions (series product/quotient,
 differentiation, argument scaling), plus two self-contained Bernoulli
 routes.  Coefficient assertions against these oracles are equality checks,
-never tolerance checks.
+never tolerance checks.  The one exception is the dense interval Taylor
+arithmetic at the end: the plain loops `_core` replaced with sparse ones,
+kept over `_core`'s own sums, quotients and point ranges.
 """
 
 from fractions import Fraction
 from math import comb, factorial
+
+from ineqcert._core import (fn_range, iadd, idiv, idiv_int, imul_int, ineg,
+                            isub)
 
 
 # --- Bernoulli oracles -------------------------------------------------------
@@ -187,3 +192,53 @@ class LemmaSeriesOracle:
         s2 = ser_scale_arg(self.sinh, 2)
         return [Fraction(1, 2) * ser_shift(s2, 5, n)[k]
                 + ser_shift(self.sinh, 5, n)[k] for k in range(n + 1)]
+
+
+# --- dense interval Taylor arithmetic ---------------------------------------
+#
+# Every product of every coefficient pair, and the interval product as the
+# min and max of all four endpoint products.  `_core`'s sparse, sign-aware
+# versions must return exactly these tuples.
+
+def imul_dense(ctx, a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(p) >> ctx.prec, -(-max(p) >> ctx.prec))
+
+
+def tmul_dense(ctx, a, b):
+    k = len(a) - 1
+    out = []
+    for j in range(k + 1):
+        acc = (0, 0)
+        for i in range(j + 1):
+            acc = iadd(acc, imul_dense(ctx, a[i], b[j - i]))
+        out.append(acc)
+    return out
+
+
+def tdiv_dense(ctx, a, b):
+    out = []
+    for j in range(len(a)):
+        acc = a[j]
+        for i in range(j):
+            acc = isub(acc, imul_dense(ctx, out[i], b[j - i]))
+        out.append(idiv(ctx, acc, b[0]))
+    return out
+
+
+def tsincos_dense(ctx, u, hyper):
+    k = len(u) - 1
+    names = ("sinh", "cosh") if hyper else ("sin", "cos")
+    s = [fn_range(ctx, names[0], u[0][0], u[0][1])]
+    c = [fn_range(ctx, names[1], u[0][0], u[0][1])]
+    for j in range(1, k + 1):
+        acc_s = (0, 0)
+        acc_c = (0, 0)
+        for i in range(1, j + 1):
+            iu = imul_int(u[i], i)
+            acc_s = iadd(acc_s, imul_dense(ctx, iu, c[j - i]))
+            acc_c = iadd(acc_c, imul_dense(ctx, iu, s[j - i]))
+        s.append(idiv_int(acc_s, j))
+        acc_c = idiv_int(acc_c, j)
+        c.append(acc_c if hyper else ineg(acc_c))
+    return s, c

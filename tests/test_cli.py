@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,13 +75,24 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "1", "--tol", "-1"],
     ["prove", "--name", "HUY_HYP", "--xmax", "-1"],
     ["prove", "--name", "HUY_TRIG", "--xmax", "0"],
+    ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "2", "--tol", "1e-300"],
+    ["prove", "--corpus", "<lhs=x^1000000>"],
+    ["prove", "--corpus", "<lhs=3000 nested parentheses>"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
-        "xmax-zero"])
-def test_hostile_argv_is_usage_error(capsys, argv):
+        "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep"])
+def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
-    # table, or refute a claim outside its stated domain
+    # table, refute a claim outside its stated domain, or run unbounded
+    hostile_lhs = {"<lhs=x^1000000>": "x^1000000",
+                   "<lhs=3000 nested parentheses>": "(" * 3000 + "x" + ")" * 3000}
+    if argv[-1] in hostile_lhs:
+        corpus = tmp_path / "hostile.ineq"
+        corpus.write_text(_FIXTURE_MISMATCH.replace("cos(x)", hostile_lhs[argv[-1]]))
+        argv = argv[:-1] + [str(corpus)]
+    start = time.monotonic()
     assert run_command(argv) == 3
+    assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
 
@@ -93,7 +105,8 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr("ineqcert.cli.verify_inequality", broken)
     assert run_command(["prove", "--name", "HUY_TRIG"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("ineqcert: internal error: AssertionError:")
+    assert err.startswith("ineqcert: internal error in stanza HUY_TRIG: "
+                          "AssertionError: intersection of two certified")
     assert err.count("\n") == 1
 
 

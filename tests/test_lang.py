@@ -5,9 +5,10 @@ import pytest
 
 from ineqcert.errors import EvalError, ParseError
 from ineqcert.interval import Interval
-from ineqcert.lang import (Add, Call, Div, Lit, Mul, Neg, PiConst, PowInt,
-                           Sub, VarX, eval_expr, format_expr, parse_corpus,
-                           parse_expression, tokenize)
+from ineqcert.lang import (MAX_DEPTH, MAX_EXPONENT, Add, Call, Div, Lit, Mul,
+                           Neg, PiConst, PowInt, Sub, VarX, eval_expr,
+                           format_expr, parse_corpus, parse_expression,
+                           tokenize)
 
 F = Fraction
 
@@ -65,6 +66,26 @@ def test_parse_errors():
         parse_expression("2*(x")
     with pytest.raises(ParseError, match="unknown identifier"):
         parse_expression("y + 1")
+
+
+def test_parse_caps():
+    # exponent and tree depth are bounded when parsing, before any evaluation
+    assert (MAX_EXPONENT, MAX_DEPTH) == (64, 200)
+    assert parse_expression("x^64") == PowInt(VarX(), 64)
+    assert parse_expression("x^-64") == PowInt(VarX(), -64)
+    for src in ("x^65", "x^(-65)", "x^1000000"):
+        with pytest.raises(ParseError, match=r"\|exponent\| exceeds 64"):
+            parse_expression(src)
+    # a tree 200 levels deep parses, prints, re-parses and evaluates
+    for src, value in [("-" * 199 + "x", -1), ("+".join(["x"] * 200), 200),
+                       ("(" * 199 + "x" + ")" * 199, 1)]:
+        e = parse_expression(src)
+        assert parse_expression(format_expr(e)) == e
+        assert eval_expr(e, Interval.point(1)) == Interval(value, value)
+    for src in ("-" * 200 + "x", "+".join(["x"] * 201), "2*" * 200 + "x",
+                "(" * 200 + "x" + ")" * 200, "sin(" * 3000 + "x" + ")" * 3000):
+        with pytest.raises(ParseError, match="nested deeper than 200 levels"):
+            parse_expression(src)
 
 
 def test_precedence_value_fixture():

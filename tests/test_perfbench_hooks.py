@@ -5,6 +5,7 @@ silently lose its span or counter, so the names are checked here."""
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,29 @@ def test_traced_attributes_exist():
     assert interval._ctx_cache and all(
         isinstance(ctx, core.Ctx) and ctx.prec == prec and isinstance(ctx.cache, dict)
         for prec, ctx in interval._ctx_cache.items())
+
+
+def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
+    # `core.imul.calls` counts the products by rebinding `_core.imul`; a copy
+    # of the product inlined into the Taylor ops would hide its work there
+    core = importlib.import_module("ineqcert._core")
+    ctx = core.Ctx(192)
+    node = next(s for s in corpus_specs if s.name == "WILKER").difference()
+    xvec = core._tvar(ctx, ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2)))
+    vec = core.eval_taylor(ctx, node, xvec, core.TAYLOR_ORDER)
+    calls = []
+    imul = core.imul
+
+    def counting(*args):
+        calls.append(args)
+        return imul(*args)
+
+    monkeypatch.setattr(core, "imul", counting)
+    assert core.eval_taylor(ctx, node, xvec, core.TAYLOR_ORDER) == vec
+    assert len(calls) > 0
+    # and each Taylor op on its own
+    for op, args in [(core._tmul, (xvec, xvec)), (core._tdiv, (xvec, xvec)),
+                     (core._tsincos, (xvec, False))]:
+        calls.clear()
+        op(ctx, *args)
+        assert len(calls) > 0, op.__name__
