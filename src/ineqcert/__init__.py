@@ -5,7 +5,7 @@ arithmetic, and adaptive bisection certificates."""
 __version__ = "0.1.0"
 
 from .errors import DomainError, EvalError, ParseError, PoleError
-from .exact import BernoulliTable, bernoulli, binomial, zeta_even_ratio
+from .exact import bernoulli, binomial, zeta_even_ratio
 from .interval import Interval, PiEnclosure, elem_enclose, interval_arith, pi_enclose
 from .series import (CoeffSeq, TailBound, eval_series, get_series,
                      lemma_coeff, tail_bound, theorem_coeff)
@@ -19,7 +19,7 @@ from .prove import (IdentityReport, Leaf, LimitReport, ProofResult,
 __all__ = [
     "__version__",
     "DomainError", "EvalError", "ParseError", "PoleError",
-    "BernoulliTable", "bernoulli", "binomial", "zeta_even_ratio",
+    "bernoulli", "binomial", "zeta_even_ratio",
     "Interval", "PiEnclosure", "elem_enclose", "interval_arith", "pi_enclose",
     "CoeffSeq", "TailBound", "eval_series", "get_series", "lemma_coeff",
     "tail_bound", "theorem_coeff",

@@ -5,8 +5,9 @@ integer-literal exponent.  Identifiers are `x`, `pi`, and the six functions
 sin, cos, tan, sinh, cosh, tanh.  Decimal literals convert exactly to
 rationals (0.15 is 3/20, never a float).  A quotient of two integer
 literals folds to a single rational literal, so printed expressions
-round-trip to equal syntax trees.  Parsing caps |exponent| at MAX_EXPONENT
-and the syntax-tree depth at MAX_DEPTH.
+round-trip to equal syntax trees.  Parsing caps |exponent|, and the product
+of the |exponents| along nested `^`, at MAX_EXPONENT, and the syntax-tree
+depth at MAX_DEPTH.
 
 Corpus files hold one stanza per inequality:
 
@@ -42,7 +43,8 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
-MAX_EXPONENT = 64      # largest |n| in x^n; the corpus needs at most 8
+MAX_EXPONENT = 64      # largest |n| in x^n, nested powers' |n| multiplied;
+                       # the corpus needs at most 8
 MAX_DEPTH = 200        # syntax-tree levels; the parser takes at most 3 frames a
                        # level, so it and the tree walks fit Python's default stack
 
@@ -205,6 +207,7 @@ class _Parser:
         t = self.peek()
         if t is not None:
             raise ParseError(f"unexpected token {t.text!r}", t.position)
+        _power_product(e)
         return e
 
     def expression(self, min_prec: int = 1) -> Expr:
@@ -245,8 +248,6 @@ class _Parser:
                 lit, sign = (exp.a, -1) if isinstance(exp, Neg) else (exp, 1)
                 if not (isinstance(lit, Lit) and lit.value.denominator == 1):
                     raise ParseError("exponent must be an integer literal", t.position)
-                if lit.value > MAX_EXPONENT:
-                    raise ParseError(f"|exponent| exceeds {MAX_EXPONENT}", t.position)
                 e = PowInt(e, sign * int(lit.value), t.position)
         self.depth -= 1
         return e
@@ -277,6 +278,26 @@ class _Parser:
                 return PiConst(t.position)
             raise ParseError(f"unknown identifier {name}", t.position)
         raise ParseError(f"unexpected token {t.text!r}", t.position)
+
+
+def _power_product(e: Expr) -> int:
+    """Largest product of max(|exponent|, 1) along a chain of nested `^` in e,
+    which bounds the polynomial degree that evaluation builds; a ParseError
+    at the innermost `^` that takes it past MAX_EXPONENT."""
+    kind = e.kind
+    if kind == "pow":
+        n = max(abs(e.exponent), 1) * _power_product(e.base)
+        if n > MAX_EXPONENT:
+            raise ParseError(f"|exponent| exceeds {MAX_EXPONENT} (the exponents "
+                             f"of nested powers multiply)", e.pos)
+        return n
+    if kind == "call":
+        return _power_product(e.arg)
+    if kind == "neg":
+        return _power_product(e.a)
+    if kind in ("add", "sub", "mul", "div"):
+        return max(_power_product(e.a), _power_product(e.b))
+    return 1
 
 
 def parse_expression(text: str) -> Expr:

@@ -134,12 +134,21 @@ def _make_expr_eval(expr: Expr, opts: ProveOptions):
     return ev
 
 
+# boxes left inconclusive before bisection gives up; bounds the work on an
+# identically zero difference, where every box straddles 0
+MAX_INCONCLUSIVE = 16
+
+
 def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> ProofResult:
+    """Proved when every box certifies positive; Refuted at the first box
+    certified negative, even past inconclusive ones; otherwise Unknown,
+    naming the first box that stayed inconclusive at the depth limit."""
     t0 = time.perf_counter()
     stack = [(lo, hi, 0)]
     leaves = []
     maxd = 0
-    while stack:
+    first_reason, inconclusive = None, 0
+    while stack and inconclusive < MAX_INCONCLUSIVE:
         a, b, d = stack.pop()
         maxd = max(maxd, d)
         enc = None
@@ -170,14 +179,17 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
                     ms=1000 * (time.perf_counter() - t0))
         if d >= opts.max_depth or (b - a) <= opts.min_width:
             why = err or f"enclosure [{enc.lo}, {enc.hi}] straddles 0"
-            return ProofResult(
-                "Unknown",
-                reason=f"inconclusive on [{a}, {b}] at depth {d}: {why}",
-                leaves=len(leaves), max_depth=maxd,
-                ms=1000 * (time.perf_counter() - t0))
+            if first_reason is None:
+                first_reason = f"inconclusive on [{a}, {b}] at depth {d}: {why}"
+            inconclusive += 1
+            continue
         m = (a + b) / 2
         stack.append((m, b, d + 1))
         stack.append((a, m, d + 1))
+    if inconclusive:
+        return ProofResult("Unknown", reason=first_reason,
+                           leaves=len(leaves), max_depth=maxd,
+                           ms=1000 * (time.perf_counter() - t0))
     leaves.sort(key=lambda l: l.lo)
     return ProofResult("Proved", certificate=leaves, leaves=len(leaves),
                        max_depth=maxd, ms=1000 * (time.perf_counter() - t0))

@@ -32,6 +32,13 @@ def test_series_csv(capsys):
     assert lines[4] == "3,6,31/15120"
 
 
+def test_largest_series_count_prints(capsys):
+    # the coefficients at the --nmax cap still fit Python's limit on printing
+    # an integer (4,300 digits); past n = 777 they would exit 4 instead
+    assert run_command(["series", "--kind", "SINH", "--nmax", "750"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("750,1501,1/")
+
+
 def test_series_theorem_role(capsys):
     code = run_command(["series", "--thm", "T3.3", "--role", "c", "--nmax", "3"])
     assert code == 0
@@ -78,14 +85,23 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "2", "--tol", "1e-300"],
     ["prove", "--corpus", "<lhs=x^1000000>"],
     ["prove", "--corpus", "<lhs=3000 nested parentheses>"],
+    ["prove", "--corpus", "<lhs=((x^64)^64)^64>"],
+    ["bernoulli", "--upto", "2001"],
+    ["bernoulli", "--upto", "10" * 50],
+    ["series", "--kind", "COT", "--nmax", "751"],
+    ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "10" * 50],
+    ["identities", "--id", "ID_T33_CDIFF", "--nmax", "751"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
-        "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep"])
+        "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
+        "powers-nested", "upto-above-cap", "upto-huge", "series-nmax-above-cap",
+        "sequences-nmax-huge", "identities-nmax-above-cap"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, refute a claim outside its stated domain, or run unbounded
     hostile_lhs = {"<lhs=x^1000000>": "x^1000000",
-                   "<lhs=3000 nested parentheses>": "(" * 3000 + "x" + ")" * 3000}
+                   "<lhs=3000 nested parentheses>": "(" * 3000 + "x" + ")" * 3000,
+                   "<lhs=((x^64)^64)^64>": "((x^64)^64)^64"}
     if argv[-1] in hostile_lhs:
         corpus = tmp_path / "hostile.ineq"
         corpus.write_text(_FIXTURE_MISMATCH.replace("cos(x)", hostile_lhs[argv[-1]]))

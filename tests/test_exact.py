@@ -1,10 +1,12 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from ineqcert.exact import BernoulliTable, bernoulli, binomial, zeta_even_ratio
+from ineqcert import exact
+from ineqcert.exact import bernoulli, binomial, zeta_even_ratio
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval, pi_enclose
 
@@ -25,8 +27,8 @@ def test_bernoulli_odd_indices_vanish():
 
 
 def test_bernoulli_against_recurrence_oracle():
-    oracle = bernoulli_recurrence(40)
-    for n in range(41):
+    oracle = bernoulli_recurrence(300)
+    for n in range(301):
         assert bernoulli(n) == oracle[n], n
 
 
@@ -47,12 +49,52 @@ def test_bernoulli_negative_index_rejected():
         bernoulli(-1)
 
 
-def test_bernoulli_thread_purity():
-    table = BernoulliTable()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: table.bernoulli(300), range(16)))
-    assert len(set(results)) == 1
-    assert results[0] == bernoulli(300)
+def _von_staudt_clausen_holds(m):
+    # the denominator of B_2m is the product of the primes p with (p-1) | 2m,
+    # and B_2m + sum of 1/p over those primes is an integer
+    primes = [d + 1 for d in range(1, 2 * m + 1)
+              if (2 * m) % d == 0 and all((d + 1) % q for q in range(2, d))]
+    b = bernoulli(2 * m)
+    den = 1
+    for p in primes:
+        den *= p
+    rest = b + sum(Fraction(1, p) for p in primes)
+    return b.denominator == den and rest.denominator == 1
+
+
+def test_bernoulli_von_staudt_clausen():
+    for m in range(1, 501):
+        assert _von_staudt_clausen_holds(m), m
+
+
+def test_bernoulli_resumes_from_a_row_left_behind(monkeypatch):
+    # an interrupted extension stores its row last, so the cached row can lag
+    # the table; the next extension must catch up without appending
+    bernoulli(8)
+    monkeypatch.setattr(exact, "_EVEN", exact._EVEN[:5])
+    monkeypatch.setattr(exact, "_ROW", [1])
+    assert len(exact._EVEN) == 5
+    oracle = bernoulli_recurrence(60)
+    assert [bernoulli(n) for n in range(61)] == oracle
+
+
+def test_bernoulli_thread_purity(monkeypatch):
+    # threads race on extending a fresh table to B_1200; a lost update would
+    # shift the entries, which von Staudt-Clausen catches
+    monkeypatch.setattr(exact, "_EVEN", exact._EVEN[:1])
+    monkeypatch.setattr(exact, "_ROW", [1])
+    indices = [1200 - 2 * (i % 4) for i in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(bernoulli, n) for n in indices]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [bernoulli(n) for n in indices]
+    for m in range(1, 601):
+        assert _von_staudt_clausen_holds(m), m
 
 
 def test_zeta_even_ratio_examples():

@@ -73,7 +73,11 @@ def test_parse_caps():
     assert (MAX_EXPONENT, MAX_DEPTH) == (64, 200)
     assert parse_expression("x^64") == PowInt(VarX(), 64)
     assert parse_expression("x^-64") == PowInt(VarX(), -64)
-    for src in ("x^65", "x^(-65)", "x^1000000"):
+    # nested powers multiply their exponents (the big cases are never evaluated)
+    assert parse_expression("(x^8)^8") == PowInt(PowInt(VarX(), 8), 8)
+    for src in ("x^65", "x^(-65)", "x^1000000", "(x^8)^9", "(x^2*sin(x))^64",
+                "((x^64)^64)^64", "(x^0)^65", "sin(x^0)^1000000",
+                "(x^0)^-100000000000"):
         with pytest.raises(ParseError, match=r"\|exponent\| exceeds 64"):
             parse_expression(src)
     # a tree 200 levels deep parses, prints, re-parses and evaluates

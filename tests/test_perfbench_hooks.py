@@ -28,6 +28,9 @@ def test_traced_attributes_exist():
     # the order counters read k as eval_taylor's fourth positional argument
     core = importlib.import_module("ineqcert._core")
     assert list(inspect.signature(core.eval_taylor).parameters)[3] == "k"
+    # and the Bernoulli counter reads the index as bernoulli's first argument
+    exact = importlib.import_module("ineqcert.exact")
+    assert list(inspect.signature(exact.bernoulli).parameters)[0] == "n"
     # the traced run sums the point caches of the per-precision contexts
     interval = importlib.import_module("ineqcert.interval")
     interval.get_ctx(64)

@@ -38,6 +38,25 @@ def test_prove_cos_minus_half_refuted():
     assert r.witness_value.hi < 0
 
 
+@pytest.mark.parametrize("src,hi", [("cos(x) - 1/2", F(3, 2)), ("1 - x", 2)])
+def test_bisection_refutes_past_an_inconclusive_box(src, hi):
+    # the difference crosses 0 inside the domain: the box at the crossing
+    # stays inconclusive, and a later box is certified negative
+    r = prove_positive(parse_expression(src), Interval(0, hi))
+    assert r.status == "Refuted"
+    assert r.witness_value.hi < 0
+
+
+@pytest.mark.parametrize("src,lo,hi", [("sin(x)^2 + cos(x)^2 - 1", F(1, 4), 1),
+                                       ("(x-1)^2", 0, 2)])
+def test_bisection_unknown_without_a_negative_box(src, lo, hi):
+    # an identically zero difference stops after a bounded number of
+    # inconclusive boxes; a touching zero leaves nothing to refute
+    r = prove_positive(parse_expression(src), Interval(lo, hi))
+    assert r.status == "Unknown"
+    assert r.reason.startswith("inconclusive on [")
+
+
 def test_prove_x_minus_sin():
     r = prove_positive(parse_expression("x - sin(x)"),
                        Interval(F(1, 10), F(3, 2)))
