@@ -17,11 +17,14 @@ tables: ranges, truncated Taylor vectors, or exact rational intervals for
 intersects the plain range with an order-12 Taylor form about the midpoint;
 there is no other narrowing step.  The Taylor ops skip every term with an exact
 (0, 0) factor, so sparse vectors cost less and come out equal to dense ones.
+sin/cos and sinh/cosh vectors come from their coupled recurrence, tan and
+tanh from their own ODE t' = u' (1 +- t^2); interval vectors are divided only
+for an expression's `/` and negative powers.
 """
 
 from fractions import Fraction
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, InconsistencyError, PoleError
 
 __all__ = ["Ctx", "DomainError", "PoleError"]
 
@@ -147,11 +150,14 @@ def idiv(ctx, a, b):
             f"division by an interval containing 0: "
             f"[{Fraction(b[0], ctx.one)}, {Fraction(b[1], ctx.one)}]"
         )
-    sh = a[0] << ctx.prec, a[1] << ctx.prec
-    q = (sh[0] // b[0], sh[0] // b[1], sh[1] // b[0], sh[1] // b[1])
-    qc = (_ceil_div(sh[0], b[0]), _ceil_div(sh[0], b[1]),
-          _ceil_div(sh[1], b[0]), _ceil_div(sh[1], b[1]))
-    return (min(q), max(qc))
+    # b does not straddle 0, so x/y is monotone in each argument and the
+    # signs of b and of each numerator endpoint name the divisor of each bound
+    lo, hi = a[0] << ctx.prec, a[1] << ctx.prec
+    if b[0] > 0:
+        return (lo // (b[1] if lo >= 0 else b[0]),
+                _ceil_div(hi, b[0] if hi >= 0 else b[1]))
+    return (hi // (b[1] if hi >= 0 else b[0]),
+            _ceil_div(lo, b[0] if lo >= 0 else b[1]))
 
 
 def ipow(ctx, a, e):
@@ -184,7 +190,7 @@ def iisect(a, b):
     lo = max(a[0], b[0])
     hi = min(a[1], b[1])
     if lo > hi:
-        raise AssertionError("intersection of two certified enclosures is empty")
+        raise InconsistencyError("two certified enclosures do not meet")
     return (lo, hi)
 
 
@@ -435,13 +441,44 @@ def _tsincos(ctx, u, hyper):
     return s, c
 
 
+def _ttan(ctx, u, hyper):
+    """Taylor vector of tan(u) (tanh(u) when hyper) from t' = u' w with
+    w = 1 + t^2 (1 - t^2): t[j] = (1/j) sum_{i>=1} i u[i] w[j-i]."""
+    k = len(u) - 1
+    t = [fn_range(ctx, "tanh" if hyper else "tan", u[0][0], u[0][1])]
+    w = []
+    nu = [(i, imul_int(y, i)) for i, y in enumerate(u) if i and y != (0, 0)]
+    for j in range(1, k + 1):
+        # (t^2)[m], m = j - 1: twice the half convolution plus the middle
+        # square, so each cross product t[p] t[q] is formed once
+        m = j - 1
+        tt = (0, 0)
+        for p in range((m + 1) // 2):
+            tt = iadd(tt, imul(ctx, t[p], t[m - p]))
+        tt = imul_int(tt, 2)
+        if m % 2 == 0:
+            tt = iadd(tt, ipow(ctx, t[m // 2], 2))
+        if hyper:
+            tt = ineg(tt)
+        w.append(iadd((ctx.one, ctx.one), tt) if m == 0 else tt)
+        acc = (0, 0)
+        for i, iu in nu:
+            if i > j:
+                break
+            acc = iadd(acc, imul(ctx, iu, w[j - i]))
+        t.append(idiv_int(acc, j))
+    return t
+
+
 def _tcall(ctx, name, u):
-    """Taylor vector of name(u); tan and tanh are quotients of the pair."""
+    """Taylor vector of name(u): sin/cos and sinh/cosh as one pair, tan and
+    tanh by their own recurrence."""
     if name not in ("sin", "cos", "tan", "sinh", "cosh", "tanh"):
         raise DomainError(f"unknown function {name}")
-    s, c = _tsincos(ctx, u, hyper=name.endswith("h"))
+    hyper = name.endswith("h")
     if name.startswith("tan"):
-        return _tdiv(ctx, s, c)
+        return _ttan(ctx, u, hyper)
+    s, c = _tsincos(ctx, u, hyper)
     return s if name.startswith("sin") else c
 
 

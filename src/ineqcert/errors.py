@@ -9,6 +9,10 @@ class PoleError(ArithmeticError):
     """Division by an interval that contains zero (possible pole)."""
 
 
+class InconsistencyError(ArithmeticError):
+    """Two certified enclosures of one value do not meet: a soundness fault."""
+
+
 class ParseError(ValueError):
     """Lexical or syntactic error; carries a byte offset when known."""
 

@@ -24,7 +24,7 @@ from math import comb
 from typing import Optional
 
 from . import _core
-from .errors import DomainError, EvalError, PoleError
+from .errors import DomainError, EvalError, InconsistencyError, PoleError
 from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, eval_endpoint, eval_expr,
@@ -142,7 +142,8 @@ MAX_INCONCLUSIVE = 16
 def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> ProofResult:
     """Proved when every box certifies positive; Refuted at the first box
     certified negative, even past inconclusive ones; otherwise Unknown,
-    naming the first box that stayed inconclusive at the depth limit."""
+    naming the first box that stayed inconclusive at the depth limit, or
+    the box whose enclosures contradict each other."""
     t0 = time.perf_counter()
     stack = [(lo, hi, 0)]
     leaves = []
@@ -157,6 +158,12 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
             enc = ev(Interval(a, b))
         except (DomainError, PoleError, EvalError) as exc:
             err = str(exc)
+        except InconsistencyError as exc:
+            # a soundness fault: no verdict on this stanza can be trusted
+            return ProofResult(
+                "Unknown", reason=f"internal inconsistency: {exc} on [{a}, {b}]",
+                leaves=len(leaves), max_depth=maxd,
+                ms=1000 * (time.perf_counter() - t0))
         if enc is not None:
             if enc.lo > 0:
                 leaves.append(Leaf(a, b, enc.lo))

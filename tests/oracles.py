@@ -6,14 +6,16 @@ differentiation, argument scaling), plus two self-contained Bernoulli
 routes.  Coefficient assertions against these oracles are equality checks,
 never tolerance checks.  The one exception is the dense interval Taylor
 arithmetic at the end: the plain loops `_core` replaced with sparse ones,
-kept over `_core`'s own sums, quotients and point ranges.
+the eight-quotient interval division it replaced with sign cases, and the
+tan/tanh route as the quotient sin/cos it replaced with a recurrence, kept
+over `_core`'s own sums and point ranges.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
-from ineqcert._core import (fn_range, iadd, idiv, idiv_int, imul_int, ineg,
-                            isub)
+from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
+from ineqcert.errors import PoleError
 
 
 # --- Bernoulli oracles -------------------------------------------------------
@@ -196,13 +198,24 @@ class LemmaSeriesOracle:
 
 # --- dense interval Taylor arithmetic ---------------------------------------
 #
-# Every product of every coefficient pair, and the interval product as the
-# min and max of all four endpoint products.  `_core`'s sparse, sign-aware
-# versions must return exactly these tuples.
+# Every product of every coefficient pair, the interval product as the min
+# and max of all four endpoint products, and the interval quotient as the min
+# and max of all eight rounded endpoint quotients.  `_core`'s sparse,
+# sign-aware versions must return exactly these tuples.
 
 def imul_dense(ctx, a, b):
     p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(p) >> ctx.prec, -(-max(p) >> ctx.prec))
+
+
+def idiv_eight(ctx, a, b):
+    if b[0] <= 0 <= b[1]:
+        raise PoleError("division by an interval containing 0")
+    sh = a[0] << ctx.prec, a[1] << ctx.prec
+    q = (sh[0] // b[0], sh[0] // b[1], sh[1] // b[0], sh[1] // b[1])
+    qc = (-(-sh[0] // b[0]), -(-sh[0] // b[1]),
+          -(-sh[1] // b[0]), -(-sh[1] // b[1]))
+    return (min(q), max(qc))
 
 
 def tmul_dense(ctx, a, b):
@@ -222,7 +235,7 @@ def tdiv_dense(ctx, a, b):
         acc = a[j]
         for i in range(j):
             acc = isub(acc, imul_dense(ctx, out[i], b[j - i]))
-        out.append(idiv(ctx, acc, b[0]))
+        out.append(idiv_eight(ctx, acc, b[0]))
     return out
 
 
@@ -242,3 +255,9 @@ def tsincos_dense(ctx, u, hyper):
         acc_c = idiv_int(acc_c, j)
         c.append(acc_c if hyper else ineg(acc_c))
     return s, c
+
+
+def ttan_quotient(ctx, u, hyper):
+    """tan(u) (tanh(u) when hyper) as the Taylor quotient sin(u)/cos(u)."""
+    s, c = tsincos_dense(ctx, u, hyper)
+    return tdiv_dense(ctx, s, c)

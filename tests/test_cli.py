@@ -91,11 +91,12 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["series", "--kind", "COT", "--nmax", "751"],
     ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "10" * 50],
     ["identities", "--id", "ID_T33_CDIFF", "--nmax", "751"],
+    ["prove", "--name", "HUY_TRIG", "--precision", "20000"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
         "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
         "powers-nested", "upto-above-cap", "upto-huge", "series-nmax-above-cap",
-        "sequences-nmax-huge", "identities-nmax-above-cap"])
+        "sequences-nmax-huge", "identities-nmax-above-cap", "precision-huge"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, refute a claim outside its stated domain, or run unbounded
@@ -124,6 +125,44 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert err.startswith("ineqcert: internal error in stanza HUY_TRIG: "
                           "AssertionError: intersection of two certified")
     assert err.count("\n") == 1
+
+
+_FIXTURE_TWO = """
+inequality HUY_TRIG {
+  domain   = (0, pi/2)
+  lhs      = 2*sin(x) + tan(x)
+  relation = >
+  rhs      = 3*x
+  tags     = expected:proved
+}
+
+inequality COSH_ABOVE_ONE {
+  domain   = [1/10, 1]
+  lhs      = cosh(x)
+  relation = >
+  rhs      = 1
+  tags     = expected:proved
+}
+"""
+
+
+def test_empty_intersection_is_a_stanza_unknown(monkeypatch, tmp_path):
+    # a Taylor form far above the plain range contradicts it: the stanza
+    # that needs the form is Unknown, naming the box, and the run goes on
+    from ineqcert import _core
+    monkeypatch.setattr(_core, "_form_term",
+                        lambda ctx, c, r, j: (ctx.one << 20, ctx.one << 20))
+    corpus, out = tmp_path / "two.ineq", tmp_path / "o.json"
+    corpus.write_text(_FIXTURE_TWO)
+    assert run_command(["prove", "--corpus", str(corpus), "--out", str(out)]) == 2
+    claims = {c["name"]: c for c in json.loads(out.read_text())["claims"]}
+    assert claims["COSH_ABOVE_ONE"]["status"] == "Proved"
+    huy = claims["HUY_TRIG"]
+    assert huy["status"] == "Unknown"
+    reasons = [f for f in huy["findings"] if f.startswith("reason: ")]
+    assert len(reasons) == 1
+    assert reasons[0].startswith("reason: internal inconsistency: ")
+    assert " on [" in reasons[0]
 
 
 def test_negative_margin_tag_is_usage_error(tmp_path, capsys):

@@ -4,11 +4,14 @@ and against the dense reference loops in `oracles`."""
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ineqcert import _core
 from ineqcert.interval import get_ctx
-from oracles import imul_dense, tdiv_dense, tmul_dense, tsincos_dense
+from ineqcert.lang import parse_expression
+from oracles import (idiv_eight, imul_dense, tdiv_dense, tmul_dense,
+                     tsincos_dense, ttan_quotient)
 
 _SIGNS = ("nonneg", "nonpos", "straddle", "thin", "zero")
 
@@ -94,6 +97,67 @@ def test_imul_sign_cases_equal_four_products():
                 a = _interval(rng, 4 * ctx.one, sa)
                 b = _interval(rng, 4 * ctx.one, sb)
                 assert _core.imul(ctx, a, b) == imul_dense(ctx, a, b), (a, b)
+
+
+def test_sign_case_idiv_equals_eight_quotients():
+    ctx = get_ctx(192)
+    rng = random.Random(3)
+    for sa in _SIGNS:
+        for divisor in ("positive", "negative", "thin"):
+            for _ in range(40):
+                a = _interval(rng, 4 * ctx.one, sa)
+                lo, hi = _interval(rng, 4 * ctx.one, "nonneg")
+                b = (lo + 1, hi + 1) if divisor != "thin" else (hi + 1, hi + 1)
+                if divisor == "negative" or rng.random() < 0.5:
+                    b = _core.ineg(b)
+                assert _core.idiv(ctx, a, b) == idiv_eight(ctx, a, b), (a, b)
+    for b in [(0, 0), (0, ctx.one), (-ctx.one, 0), (-1, 1)]:
+        with pytest.raises(_core.PoleError):
+            _core.idiv(ctx, (ctx.one, ctx.one), b)
+
+
+_TAN_ARGS = {
+    "tan(x)": mpmath.tan,
+    "tan(x^2/2)": lambda x: mpmath.tan(x ** 2 / 2),
+    "tanh(x)": mpmath.tanh,
+    "tanh(sin(x))": lambda x: mpmath.tanh(mpmath.sin(x)),
+}
+
+
+@pytest.mark.parametrize("text", list(_TAN_ARGS))
+def test_tan_tanh_recurrence_contains_true_coefficients(text):
+    # mpmath's coefficients v at 60 digits are good to far below tol, so an
+    # enclosure that misses [v - tol, v + tol] misses the true value; tol is
+    # under a millionth of one unit at 128 bits (2^-128, about 3e-39).  The
+    # sin/cos quotient the recurrence replaced must contain it too.
+    ctx = get_ctx(128)
+    k = _core.TAYLOR_ORDER
+    node = parse_expression(text)
+    hyper = node.fn == "tanh"
+    rng = random.Random(text)
+    tol = mpmath.mpf(10) ** -45
+
+    def contains(vec, true, where):
+        for j, ((lo, hi), v) in enumerate(zip(vec, true)):
+            assert (mpmath.mpf(lo) / ctx.one - tol <= v
+                    <= mpmath.mpf(hi) / ctx.one + tol), (text, where, j)
+
+    with mpmath.workdps(60):
+        for _ in range(4):
+            i = rng.randrange(-88, 81)
+            j = i + rng.randrange(1, 9)              # [i/64, j/64] in [-1.375, 1.375]
+            a, b = ctx.lo_of(Fraction(i, 64)), ctx.lo_of(Fraction(j, 64))
+            box = _core.eval_taylor(ctx, node, _core._tvar(ctx, a, b), k)
+            u = _core.eval_taylor(ctx, node.arg, _core._tvar(ctx, a, b), k)
+            quotient = ttan_quotient(ctx, u, hyper)
+            for x in (Fraction(i, 64), Fraction(i + j, 128), Fraction(j, 64)):
+                true = mpmath.taylor(_TAN_ARGS[text],
+                                     mpmath.mpf(x.numerator) / x.denominator, k)
+                contains(box, true, ("box", i, j, x))
+                contains(quotient, true, ("quotient", i, j, x))
+                m = ctx.lo_of(x)
+                point = _core.eval_taylor(ctx, node, _core._tvar(ctx, m, m), k)
+                contains(point, true, ("point", x))
 
 
 def test_sparse_tmul_and_tdiv_equal_dense():

@@ -59,7 +59,8 @@ def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
     assert len(calls) > 0
     # and each Taylor op on its own
     for op, args in [(core._tmul, (xvec, xvec)), (core._tdiv, (xvec, xvec)),
-                     (core._tsincos, (xvec, False))]:
+                     (core._tsincos, (xvec, False)),
+                     (core._ttan, (xvec, False))]:
         calls.clear()
         op(ctx, *args)
         assert len(calls) > 0, op.__name__
