@@ -44,8 +44,12 @@ __all__ = ["main", "run_command"]
 MAX_UPTO = 2000
 MAX_NMAX = 750
 # `prove` reports dyadic endpoints m / 2**precision; at 4,096 bits their
-# denominators have about 1,234 digits, well under the same printing limit.
+# denominators have about 1,234 digits, under the default printing limit.
+# A lower live limit lowers the cap (see `_precision`).
 MAX_PRECISION = 4096
+# Each fallback grid point is one point evaluation of the difference (about
+# 0.2 ms), so 4,096 points keep a stanza that ends Unknown to about 1 s more.
+MAX_GRID = 4096
 
 
 class _UsageError(Exception):
@@ -86,6 +90,19 @@ def _int_in(minimum: int, maximum: int | None = None):
                 f"expected an integer {bound}, got {text!r}")
         return value
     return parse
+
+
+def _precision(text: str) -> int:
+    """--precision in bits.  The report's dyadic integers, of about
+    precision + 128 bits (bisection depth, magnitudes), must still print."""
+    bits = _int_in(64, MAX_PRECISION)(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = (bits + 128) * 30103 // 100000 + 1   # log10(2) < 0.30103
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"precision {bits} needs integers of about {digits} digits, past "
+            f"the interpreter's limit of {limit} digits on printing an integer")
+    return bits
 
 
 def _endpoint_value(text: str, upper: bool) -> Fraction:
@@ -409,10 +426,11 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--max-depth", dest="max_depth", type=_int_in(1),
                     default=None)
     sp.add_argument("--min-width", dest="min_width", default=None)
-    sp.add_argument("--precision", type=_int_in(64, MAX_PRECISION), default=192,
+    sp.add_argument("--precision", type=_precision, default=192,
                     help="dyadic bits")
-    sp.add_argument("--grid", type=_int_in(1), default=256,
-                    help="refutation pre-scan points")
+    sp.add_argument("--grid", type=_int_in(1, MAX_GRID), default=256,
+                    help="points of the fallback scan run when bisection "
+                         "ends Unknown")
     sp.add_argument("--jobs", type=_int_in(1), default=1,
                     help="accepted for compatibility; stanzas run serially")
     sp.add_argument("--timing", action="store_true",

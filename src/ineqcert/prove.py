@@ -8,8 +8,9 @@
 * `verify_inequality`: runs a corpus stanza on its compact core.  For the
   eight theorem stanzas a registered exact difference series (validated
   against the expression at sample points) provides the enclosures; a
-  series certificate closes the (0, eps] gap.  Uncovered margins are always
-  reported, never silently assumed.
+  series certificate closes the (0, eps] gap.  On the core only bisection
+  of the raw difference refutes, backed by a point grid when it ends Unknown.
+  Uncovered margins are always reported, never silently assumed.
 * `near_zero_certificate`, `sequence_check`, `identity_check`,
   `limit_report`, `scan_extremum`: the finite exact checks mirroring each
   proof step, reported as found (violations included).
@@ -479,12 +480,12 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     """Check a corpus stanza on its compact core.
 
     The core is [lo + eps_lo, hi - eps_hi] (an unbounded domain is cut at
-    x_max).  Refutations are searched on a deterministic grid first; proofs
-    use the registered series rewrite when one exists, otherwise adaptive
-    bisection of the raw difference.  Margins left unverified are reported
-    in `uncovered`.  A negative margin would put the core outside the stated
-    domain, and a non-positive x_max leaves no core to check, so either
-    raises DomainError.
+    x_max).  Proofs use the registered series rewrite when one exists,
+    otherwise bisection of the raw difference, which alone refutes on the
+    core; a grid of `opts.grid` + 1 points is scanned only when the core
+    ends Unknown.  Margins left unverified are reported in `uncovered`.  A
+    negative margin would put the core outside the stated domain, and a
+    non-positive x_max leaves no core to check, so either raises DomainError.
     """
     opts = opts or ProveOptions()
     if opts.eps_lo < 0 or opts.eps_hi < 0:
@@ -528,37 +529,29 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
             left_gap_note = (f"(lo, {lo_core}] uncovered "
                              f"(margin eps_lo={opts.eps_lo}; no registered series)")
 
-    # refutation scan on a deterministic grid
-    ref = _grid_refute(ev, lo_core, hi_core, opts.grid)
-    if ref is not None:
-        x0, v = ref
-        res = ProofResult("Refuted", witness=Interval.point(x0), witness_value=v,
-                          ms=1000 * (time.perf_counter() - t0))
-        res.findings.append(
-            f"difference at x={float(x0):.6g} certified within "
-            f"[{float(v.lo):.6g}, {float(v.hi):.6g}] < 0")
-        if nz_result is not None:
-            res.findings.extend(nz_result.findings)
-            res.findings.append(f"near-zero certificate: {nz_result.status}")
-        res.uncovered = uncovered
-        return res
-
     if claim is not None and not THEOREMS[claim.thm].derivative_series:
         N = _pick_N(claim.series_id, hi_core)
         if _registration_ok(claim, ev, lo_core, hi_core, N, opts):
-            core = _bisect_positive(_series_claim_eval(claim, N),
-                                    lo_core, hi_core, opts)
-            pre_res = _bisect_positive(
-                _make_expr_eval(parse_expression(claim.prefactor), opts),
-                lo_core, hi_core, opts)
-            res = core
-            res.findings.append(
-                f"series form {claim.series_id} (N={N}) proved "
-                f"{claim.mode}-claim on core; prefactor {claim.prefactor} "
-                f"{pre_res.status.lower()} positive ({pre_res.leaves} leaves)")
-            if pre_res.status != "Proved":
-                res.status = "Unknown"
-                res.reason = f"prefactor positivity not established: {pre_res.reason}"
+            res = _bisect_positive(_series_claim_eval(claim, N),
+                                   lo_core, hi_core, opts)
+            if res.status == "Refuted":
+                # three spot checks do not make the series form the stanza's
+                # difference: only the raw difference may refute
+                res = _bisect_positive(ev, lo_core, hi_core, opts)
+                res.findings.append(
+                    f"series form {claim.series_id} (N={N}) certified negative "
+                    f"on a box; the raw difference was bisected instead")
+            else:
+                pre_res = _bisect_positive(
+                    _make_expr_eval(parse_expression(claim.prefactor), opts),
+                    lo_core, hi_core, opts)
+                res.findings.append(
+                    f"series form {claim.series_id} (N={N}) proved "
+                    f"{claim.mode}-claim on core; prefactor {claim.prefactor} "
+                    f"{pre_res.status.lower()} positive ({pre_res.leaves} leaves)")
+                if pre_res.status != "Proved":
+                    res.status = "Unknown"
+                    res.reason = f"prefactor positivity not established: {pre_res.reason}"
         else:
             res = _bisect_positive(ev, lo_core, hi_core, opts)
             res.findings.append(
@@ -567,10 +560,24 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     else:
         res = _bisect_positive(ev, lo_core, hi_core, opts)
 
+    # a dip narrower than the bisection can resolve may still show at a point
+    if res.status == "Unknown" and not res.reason.startswith("internal inconsistency"):
+        ref = _grid_refute(ev, lo_core, hi_core, opts.grid)
+        if ref is not None:
+            x0, v = ref
+            res.status, res.reason = "Refuted", None
+            res.witness, res.witness_value = Interval.point(x0), v
+    if res.status == "Refuted":
+        w, v = res.witness, res.witness_value
+        res.findings.append(
+            f"difference on [{float(w.lo):.6g}, {float(w.hi):.6g}] certified "
+            f"< 0; at x={float(w.mid):.6g} within [{float(v.lo):.6g}, "
+            f"{float(v.hi):.6g}]")
+
     if nz_result is not None:
         res.findings.extend(nz_result.findings)
         res.series_certificate = nz_result.series_certificate
-        if nz_result.status == "Refuted":
+        if nz_result.status == "Refuted" and res.status != "Refuted":
             res.status = "Refuted"
             res.witness = nz_result.witness
             res.witness_value = nz_result.witness_value

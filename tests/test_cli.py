@@ -92,11 +92,13 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "10" * 50],
     ["identities", "--id", "ID_T33_CDIFF", "--nmax", "751"],
     ["prove", "--name", "HUY_TRIG", "--precision", "20000"],
+    ["prove", "--name", "HUY_TRIG", "--grid", "100000000"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
         "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
         "powers-nested", "upto-above-cap", "upto-huge", "series-nmax-above-cap",
-        "sequences-nmax-huge", "identities-nmax-above-cap", "precision-huge"])
+        "sequences-nmax-huge", "identities-nmax-above-cap", "precision-huge",
+        "grid-huge"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, refute a claim outside its stated domain, or run unbounded
@@ -112,6 +114,25 @@ def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer printing limit in this Python")
+def test_precision_bounded_by_live_int_max_str_digits(capsys):
+    # under a lower printing limit a precision whose report integers would
+    # not print is a usage error, not an internal error after the run
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_command(["prove", "--name", "HUY_TRIG",
+                            "--precision", "4096"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+        assert "limit of 640 digits" in err
+        assert run_command(["prove", "--name", "HUY_TRIG",
+                            "--precision", "192"]) == 0
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):

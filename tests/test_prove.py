@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval
-from ineqcert.lang import eval_expr, parse_expression
+from ineqcert.lang import eval_expr, parse_corpus, parse_expression
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, identity_check,
                             limit_report, near_zero_certificate,
                             prove_positive, reverify_certificate,
@@ -100,10 +101,19 @@ def test_verify_thm31_lo(corpus_specs):
 
 
 def test_verify_thm33_refuted(corpus_specs):
+    # the witness is the core's first box certified negative, not the
+    # near-zero certificate's point, whose findings are kept
     r = verify_inequality(_spec(corpus_specs, "THM33"))
     assert r.status == "Refuted"
-    assert F(1) <= r.witness.mid <= F(4)
+    assert F(1, 1000) <= r.witness.lo and r.witness.hi <= F(1, 500)
     assert r.witness_value.hi < 0
+    with mpmath.workdps(60):
+        x = mpmath.mpf(r.witness.mid.numerator) / r.witness.mid.denominator
+        assert (2 * mpmath.sinh(x) / x + mpmath.tanh(x) / x - 3
+                - 3 * x ** 3 * mpmath.tanh(x) / 20) < 0
+    assert any("leading coefficient -1/40" in f for f in r.findings)
+    assert len([f for f in r.findings
+                if f.startswith("difference on [") and "certified < 0" in f]) == 1
     # the two-sided claim at x=2: F(2) enclosure sits below 3/20
     from ineqcert.lang import eval_expr
     from ineqcert.series import THEOREMS
@@ -112,6 +122,44 @@ def test_verify_thm33_refuted(corpus_specs):
     assert enc.hi < F(3, 20)
     assert enc.lo <= F("0.143781441112624")
     assert F("0.143781441112623") <= enc.hi
+
+
+# negative only on |x - 1/2| < 1e-15, a dip narrower than min_width
+_DIP = parse_corpus("inequality DIP {\n  domain   = [0, 1]\n"
+                    "  lhs      = (x - 1/2)^2\n  relation = >\n"
+                    "  rhs      = (1/10)^30\n}\n")[0]
+
+
+def test_grid_fallback_refutes_a_dip_below_min_width():
+    # every box at 1/2 stays inconclusive; the fallback grid hits the point
+    r = verify_inequality(_DIP)
+    assert r.status == "Refuted" and r.reason is None
+    assert r.witness == Interval.point(F(1, 2))
+    assert r.witness_value.hi < 0
+
+
+def test_no_grid_fallback_after_an_inconsistency(monkeypatch):
+    # contradicting enclosures mean no verdict on the stanza can be trusted
+    from ineqcert import _core
+    monkeypatch.setattr(_core, "_form_term",
+                        lambda ctx, c, r, j: (ctx.one << 20, ctx.one << 20))
+    r = verify_inequality(_DIP)
+    assert r.status == "Unknown" and r.witness is None
+    assert r.reason.startswith("internal inconsistency: ")
+
+
+def test_negative_series_form_is_confirmed_on_the_raw_difference(
+        corpus_specs, monkeypatch):
+    # a series form that passed its spot checks but is negative must not
+    # refute a true claim: the raw difference decides
+    monkeypatch.setattr("ineqcert.prove._registration_ok", lambda *a: True)
+    monkeypatch.setattr("ineqcert.prove._series_claim_eval",
+                        lambda claim, N: lambda x: Interval(-1, F(-1, 2)))
+    r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
+    assert r.status == "Proved" and r.witness is None
+    assert r.leaves > 1
+    assert any("the raw difference was bisected instead" in f
+               for f in r.findings)
 
 
 def test_verify_huy_trig(corpus_specs):
