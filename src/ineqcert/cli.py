@@ -43,13 +43,6 @@ __all__ = ["main", "run_command"]
 # `PYTHONINTMAXSTRDIGITS` or `-X int_max_str_digits` still fails below them.
 MAX_UPTO = 2000
 MAX_NMAX = 750
-# `prove` reports dyadic endpoints m / 2**precision; at 4,096 bits their
-# denominators have about 1,234 digits, under the default printing limit.
-# A lower live limit lowers the cap (see `_precision`).
-MAX_PRECISION = 4096
-# Each fallback grid point is one point evaluation of the difference (about
-# 0.2 ms), so 4,096 points keep a stanza that ends Unknown to about 1 s more.
-MAX_GRID = 4096
 
 
 class _UsageError(Exception):
@@ -76,6 +69,13 @@ def _rational(text: str) -> Fraction:
     return Fraction(s)  # Fraction parses decimal/exponent strings exactly
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"expected an integer, got {text!r}") from None
+
+
 def _int_in(minimum: int, maximum: int | None = None):
     """argparse type for counts: a bad value is a usage error (exit 3)."""
     def parse(text: str) -> int:
@@ -90,19 +90,6 @@ def _int_in(minimum: int, maximum: int | None = None):
                 f"expected an integer {bound}, got {text!r}")
         return value
     return parse
-
-
-def _precision(text: str) -> int:
-    """--precision in bits.  The report's dyadic integers, of about
-    precision + 128 bits (bisection depth, magnitudes), must still print."""
-    bits = _int_in(64, MAX_PRECISION)(text)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    digits = (bits + 128) * 30103 // 100000 + 1   # log10(2) < 0.30103
-    if limit and digits > limit:
-        raise argparse.ArgumentTypeError(
-            f"precision {bits} needs integers of about {digits} digits, past "
-            f"the interpreter's limit of {limit} digits on printing an integer")
-    return bits
 
 
 def _endpoint_value(text: str, upper: bool) -> Fraction:
@@ -151,30 +138,26 @@ def _emit_report(args, config: dict, claims: list, lines: list) -> None:
     _emit(text + "\n", args.out)
 
 
+# engine options: the `prove` flag's dest, and whether a tag `name:value` sets it
+_ENGINE_OPTIONS = (("eps_lo", _rational, True), ("eps_hi", _rational, True),
+                   ("x_max", _rational, True), ("max_depth", _integer, True),
+                   ("min_width", _rational, True), ("precision", _integer, False))
+
+
 def _stanza_opts(spec, args) -> ProveOptions:
-    """CLI flags override stanza tags; stanza tags override defaults."""
-    defaults = ProveOptions()
-
-    def pick(flag_value, tag_key, default, conv=_rational):
-        if flag_value is not None:
-            return conv(flag_value)
-        tv = spec.tag_value(tag_key)
-        if tv is not None:
-            return conv(tv)
-        return default
-
-    eps_default = _rational(args.eps) if args.eps is not None else None
-    return ProveOptions(
-        eps_lo=pick(args.eps_lo, "eps_lo",
-                    defaults.eps_lo if eps_default is None else eps_default),
-        eps_hi=pick(args.eps_hi, "eps_hi",
-                    defaults.eps_hi if eps_default is None else eps_default),
-        x_max=pick(args.xmax, "x_max", defaults.x_max),
-        max_depth=pick(args.max_depth, "max_depth", defaults.max_depth, int),
-        min_width=pick(args.min_width, "min_width", defaults.min_width),
-        precision=args.precision,
-        grid=args.grid,
-    )
+    """Options for one stanza, or for the flags alone when spec is None.
+    A flag beats the stanza's tag, which beats --eps (margins only); an option
+    set nowhere keeps its ProveOptions default, and ProveOptions checks ranges."""
+    chosen = {}
+    for name, parse, tagged in _ENGINE_OPTIONS:
+        text = getattr(args, name)
+        if text is None and tagged and spec is not None:
+            text = spec.tag_value(name)
+        if text is None and name.startswith("eps_"):
+            text = args.eps
+        if text is not None:
+            chosen[name] = parse(text)
+    return ProveOptions(**chosen)
 
 
 def _claim_entry(spec, result) -> dict:
@@ -212,17 +195,19 @@ def _expected_of(spec) -> str:
 
 
 def _cmd_prove(args) -> int:
+    opts = _stanza_opts(None, args)  # the flags, checked before any stanza runs
     corpus = _load_corpus(args.corpus)
     if args.name:
         corpus = [s for s in corpus if s.name == args.name]
         if not corpus:
             raise _UsageError(f"no stanza named {args.name!r}")
+    stanza_opts = [_stanza_opts(s, args) for s in corpus]  # and every tag
 
     # stanzas run in order in this thread; --jobs is accepted and ignored
     results = []
-    for s in corpus:
+    for s, s_opts in zip(corpus, stanza_opts):
         try:
-            results.append((s, verify_inequality(s, _stanza_opts(s, args))))
+            results.append((s, verify_inequality(s, s_opts)))
         except Exception as exc:
             exc.stanza = s.name  # named in run_command's internal-error line
             raise
@@ -236,10 +221,8 @@ def _cmd_prove(args) -> int:
     config = {
         "subcommand": "prove", "corpus": args.corpus,
         "name_filter": args.name or "",
-        "eps_lo": args.eps_lo or args.eps or "1/1000",
-        "eps_hi": args.eps_hi or args.eps or "1/1000",
-        "x_max": args.xmax or "20", "precision": args.precision,
-        "grid": args.grid,
+        "eps_lo": str(opts.eps_lo), "eps_hi": str(opts.eps_hi),
+        "x_max": str(opts.x_max), "precision": opts.precision,
     }
     lines = []
     for c in claims:
@@ -412,9 +395,9 @@ def _build_parser() -> _ArgumentParser:
                                     "trigonometric/hyperbolic inequalities")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt="json"):
+    def common(sp):
         sp.add_argument("--out", default=None, help="write the report here")
-        sp.add_argument("--format", default=fmt, choices=("json", "csv", "text"))
+        sp.add_argument("--format", default="json", choices=("json", "text"))
 
     sp = sub.add_parser("prove", help="verify corpus inequalities")
     sp.add_argument("--corpus", default=default_corpus_path())
@@ -422,15 +405,11 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--eps", default=None, help="endpoint margin (both sides)")
     sp.add_argument("--eps-lo", dest="eps_lo", default=None)
     sp.add_argument("--eps-hi", dest="eps_hi", default=None)
-    sp.add_argument("--xmax", default=None, help="cutoff for unbounded domains")
-    sp.add_argument("--max-depth", dest="max_depth", type=_int_in(1),
-                    default=None)
+    sp.add_argument("--xmax", dest="x_max", default=None,
+                    help="cutoff for unbounded domains")
+    sp.add_argument("--max-depth", dest="max_depth", default=None)
     sp.add_argument("--min-width", dest="min_width", default=None)
-    sp.add_argument("--precision", type=_precision, default=192,
-                    help="dyadic bits")
-    sp.add_argument("--grid", type=_int_in(1, MAX_GRID), default=256,
-                    help="points of the fallback scan run when bisection "
-                         "ends Unknown")
+    sp.add_argument("--precision", default=None, help="dyadic bits")
     sp.add_argument("--jobs", type=_int_in(1), default=1,
                     help="accepted for compatibility; stanzas run serially")
     sp.add_argument("--timing", action="store_true",
@@ -443,12 +422,12 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--thm", default=None, choices=(None, *sorted(THEOREMS)))
     sp.add_argument("--role", default=None)
     sp.add_argument("--nmax", type=_int_in(0, MAX_NMAX), default=20)
-    common(sp, fmt="csv")
+    sp.add_argument("--out", default=None, help="write the CSV here")
     sp.set_defaults(fn=_cmd_series)
 
     sp = sub.add_parser("bernoulli", help="emit Bernoulli numbers as CSV")
     sp.add_argument("--upto", type=_int_in(0, MAX_UPTO), required=True)
-    common(sp, fmt="csv")
+    sp.add_argument("--out", default=None, help="write the CSV here")
     sp.set_defaults(fn=_cmd_bernoulli)
 
     sp = sub.add_parser("sequences", help="exact sequence checks")

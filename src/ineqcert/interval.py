@@ -71,9 +71,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # --- arithmetic (exact, inclusion-isotonic) ---------------------------
     def __add__(self, other):
         o = _as_interval(other)

@@ -11,6 +11,8 @@
   series certificate closes the (0, eps] gap.  On the core only bisection
   of the raw difference refutes, backed by a point grid when it ends Unknown.
   Uncovered margins are always reported, never silently assumed.
+* `ProveOptions`: the engine options, each with its one default and its
+  valid range, checked when the options are built.
 * `near_zero_certificate`, `sequence_check`, `identity_check`,
   `limit_report`, `scan_extremum`: the finite exact checks mirroring each
   proof step, reported as found (violations included).
@@ -18,6 +20,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,16 +45,48 @@ __all__ = [
 ]
 
 
+# Deepest bisection: a box left undecided costs up to this many enclosures
+# down its path, so with MAX_INCONCLUSIVE it bounds an Unknown stanza's work.
+MAX_BISECT_DEPTH = 256
+# Reports print dyadic endpoints m / 2**precision; at 4,096 bits their denominators
+# have about 1,234 digits, under the default printing limit (a lower one lowers it).
+MAX_PRECISION = 4096
+
+
 @dataclass(frozen=True)
 class ProveOptions:
+    """Engine options.  Each default lives here, and a value outside its
+    range raises DomainError naming the field."""
     eps_lo: Fraction = Fraction(1, 1000)
     eps_hi: Fraction = Fraction(1, 1000)
     x_max: Fraction = Fraction(20)
     max_depth: int = 48
     min_width: Fraction = Fraction(1, 10 ** 12)
     precision: int = 192
-    max_leaves: int = 200_000
-    grid: int = 256
+
+    def __post_init__(self):
+        # a negative margin leaves the stated domain; x_max <= 0 leaves no core
+        if self.eps_lo < 0 or self.eps_hi < 0:
+            raise DomainError(f"margins must be non-negative: eps_lo={self.eps_lo}, "
+                              f"eps_hi={self.eps_hi}")
+        if self.x_max <= 0:
+            raise DomainError(f"x_max must be positive, got {self.x_max}")
+        if not 1 <= self.max_depth <= MAX_BISECT_DEPTH:
+            raise DomainError(f"max_depth must be in [1, {MAX_BISECT_DEPTH}], "
+                              f"got {self.max_depth}")
+        if self.min_width <= 0:
+            raise DomainError(f"min_width must be positive, got {self.min_width}")
+        if not 64 <= self.precision <= MAX_PRECISION:
+            raise DomainError(f"precision must be in [64, {MAX_PRECISION}], "
+                              f"got {self.precision}")
+        # the report's dyadic integers, of about precision + 128 bits, must print
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+        digits = (self.precision + 128) * 30103 // 100000 + 1  # log10(2) < 0.30103
+        if limit and digits > limit:
+            raise DomainError(
+                f"precision {self.precision} needs integers of about {digits} "
+                f"digits, past the interpreter's limit of {limit} digits on "
+                f"printing an integer")
 
 
 @dataclass(frozen=True)
@@ -138,6 +173,11 @@ def _make_expr_eval(expr: Expr, opts: ProveOptions):
 # boxes left inconclusive before bisection gives up; bounds the work on an
 # identically zero difference, where every box straddles 0
 MAX_INCONCLUSIVE = 16
+# proved leaves before a stanza ends Unknown
+MAX_LEAVES = 200_000
+# intervals of the fallback scan run when bisection ends Unknown (GRID + 1
+# points, each one point evaluation of the difference)
+GRID = 256
 
 
 def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> ProofResult:
@@ -168,9 +208,9 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
         if enc is not None:
             if enc.lo > 0:
                 leaves.append(Leaf(a, b, enc.lo))
-                if len(leaves) > opts.max_leaves:
+                if len(leaves) > MAX_LEAVES:
                     return ProofResult(
-                        "Unknown", reason=f"leaf budget {opts.max_leaves} exceeded",
+                        "Unknown", reason=f"leaf budget {MAX_LEAVES} exceeded",
                         leaves=len(leaves), max_depth=maxd,
                         ms=1000 * (time.perf_counter() - t0))
                 continue
@@ -482,17 +522,10 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     The core is [lo + eps_lo, hi - eps_hi] (an unbounded domain is cut at
     x_max).  Proofs use the registered series rewrite when one exists,
     otherwise bisection of the raw difference, which alone refutes on the
-    core; a grid of `opts.grid` + 1 points is scanned only when the core
-    ends Unknown.  Margins left unverified are reported in `uncovered`.  A
-    negative margin would put the core outside the stated domain, and a
-    non-positive x_max leaves no core to check, so either raises DomainError.
+    core; a grid of GRID + 1 points is scanned only when the core ends
+    Unknown.  Margins left unverified are reported in `uncovered`.
     """
     opts = opts or ProveOptions()
-    if opts.eps_lo < 0 or opts.eps_hi < 0:
-        raise DomainError(f"margins must be non-negative: eps_lo={opts.eps_lo}, "
-                          f"eps_hi={opts.eps_hi}")
-    if opts.x_max <= 0:
-        raise DomainError(f"x_max must be positive, got {opts.x_max}")
     t0 = time.perf_counter()
     bits = opts.precision
 
@@ -562,7 +595,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
 
     # a dip narrower than the bisection can resolve may still show at a point
     if res.status == "Unknown" and not res.reason.startswith("internal inconsistency"):
-        ref = _grid_refute(ev, lo_core, hi_core, opts.grid)
+        ref = _grid_refute(ev, lo_core, hi_core, GRID)
         if ref is not None:
             x0, v = ref
             res.status, res.reason = "Refuted", None

@@ -60,9 +60,7 @@ def test_bad_precision_rejected(capsys):
     assert run_command(["prove", "--precision", "32"]) == 3
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--grid", "0"), ("--grid", "-5"), ("--jobs", "0"), ("--max-depth", "abc"),
-])
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--max-depth", "abc")])
 def test_bad_count_flag_is_usage_error(capsys, flag, value):
     # exit 1 means "refuted against expectation"; a bad count must not
     # crash into it or run with a meaningless value
@@ -92,13 +90,14 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "10" * 50],
     ["identities", "--id", "ID_T33_CDIFF", "--nmax", "751"],
     ["prove", "--name", "HUY_TRIG", "--precision", "20000"],
-    ["prove", "--name", "HUY_TRIG", "--grid", "100000000"],
+    ["series", "--kind", "COT", "--format", "json"],
+    ["prove", "--name", "HUY_TRIG", "--format", "csv"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
         "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
         "powers-nested", "upto-above-cap", "upto-huge", "series-nmax-above-cap",
         "sequences-nmax-huge", "identities-nmax-above-cap", "precision-huge",
-        "grid-huge"])
+        "series-format", "prove-format-csv"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, refute a claim outside its stated domain, or run unbounded
@@ -111,6 +110,35 @@ def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
         argv = argv[:-1] + [str(corpus)]
     start = time.monotonic()
     assert run_command(argv) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+
+
+_FIXTURE_TOUCH = """
+inequality TOUCH {
+  domain   = [0, 2]
+  lhs      = (x - 1)^2
+  relation = >
+  rhs      = 0
+  tags     = expected:proved
+}
+"""
+
+
+@pytest.mark.parametrize("tags,flags", [
+    (", max_depth:abc", []), (", max_depth:-3", []), (", min_width:-1", []),
+    (", min_width:0", []), ("", ["--max-depth", "100000"]),
+    ("", ["--min-width", "0"]),
+], ids=["tag-depth-abc", "tag-depth-negative", "tag-width-negative",
+        "tag-width-zero", "flag-depth-huge", "flag-width-zero"])
+def test_hostile_engine_option_is_usage_error(capsys, tmp_path, tags, flags):
+    # tags are checked like the flags, and a depth or width that would let
+    # bisection of a touching claim run without bound is refused up front
+    corpus = tmp_path / "touch.ineq"
+    corpus.write_text(_FIXTURE_TOUCH.replace("proved", "proved" + tags))
+    start = time.monotonic()
+    assert run_command(["prove", "--corpus", str(corpus), *flags]) == 3
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
@@ -202,6 +230,37 @@ def test_zero_margin_is_used_as_given(tmp_path):
     uncovered = rep["claims"][0]["uncovered"]
     assert any("eps_lo=0;" in u for u in uncovered)
     assert any("eps_hi=0)" in u for u in uncovered)
+
+
+def test_flag_beats_tag_beats_eps(tmp_path):
+    corpus = tmp_path / "tagged.ineq"
+    corpus.write_text(_FIXTURE_TWO.replace(
+        "= 3*x\n  tags     = expected:proved",
+        "= 3*x\n  tags     = expected:proved, eps_hi:1/100"))
+
+    def uncovered(*flags):
+        # a zero margin reaches the touching point 0 or the pole at pi/2,
+        # so the verdict may be Unknown; only the margins are checked here
+        out = tmp_path / "o.json"
+        run_command(["prove", "--corpus", str(corpus), "--name", "HUY_TRIG",
+                     *flags, "--out", str(out)])
+        return json.loads(out.read_text())["claims"][0]["uncovered"]
+
+    assert any("eps_lo=0;" in u for u in uncovered("--eps", "0"))
+    assert any("eps_hi=1/100)" in u for u in uncovered("--eps", "0"))
+    assert any("eps_hi=0)" in u for u in uncovered("--eps-hi", "0"))
+
+
+def test_config_margins_are_canonical(tmp_path):
+    # the report prints the margin's value, not the spelling of the flag
+    reports = []
+    for flags in (["--eps", "1e-3"], ["--eps", "1/1000"], []):
+        out = tmp_path / "o.json"
+        assert run_command(["prove", "--name", "HUY_TRIG", *flags,
+                            "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["config"]["eps_lo"] == "1/1000"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -170,10 +170,18 @@ def test_verify_huy_trig(corpus_specs):
 
 def test_verify_rejects_negative_margins(corpus_specs):
     spec = _spec(corpus_specs, "HUY_TRIG")
-    for opts in (ProveOptions(eps_lo=Fraction(-1)),
-                 ProveOptions(eps_hi=Fraction(-1, 10))):
+    for margins in ({"eps_lo": Fraction(-1)}, {"eps_hi": Fraction(-1, 10)}):
         with pytest.raises(DomainError, match="non-negative"):
-            verify_inequality(spec, opts)
+            verify_inequality(spec, ProveOptions(**margins))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("x_max", 0), ("max_depth", 0), ("max_depth", 257), ("min_width", 0),
+    ("min_width", Fraction(-1)), ("precision", 32), ("precision", 4097),
+])
+def test_prove_options_reject_out_of_range(field, value):
+    with pytest.raises(DomainError, match=field):
+        ProveOptions(**{field: value})
 
 
 def test_verify_unbounded_reports_cutoff(corpus_specs):
