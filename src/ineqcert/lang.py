@@ -20,7 +20,9 @@ Corpus files hold one stanza per inequality:
     }
 
 `(`/`)` mark open endpoints, `[`/`]` closed ones; `inf` is allowed as the
-upper endpoint.  `#` starts a comment.
+upper endpoint.  `#` starts a comment.  Each tag is `key:value` with a key
+from TAG_KEYS; any other key, a value outside the key's pattern or a key
+given twice is a ParseError.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "Token", "tokenize", "Expr", "Lit", "PiConst", "VarX", "Neg", "Add",
     "Sub", "Mul", "Div", "PowInt", "Call", "parse_expression", "format_expr",
     "InequalitySpec", "parse_corpus", "eval_expr", "eval_endpoint",
-    "FUNCTIONS",
+    "FUNCTIONS", "TAG_KEYS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
@@ -407,6 +409,17 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.]*$")
 
 INF = "inf"
 
+# stanza tag keys -> the pattern a value must match (None: any value; the
+# engine options' values are converted and range-checked by the CLI).  The
+# key "expect_seq." is a prefix: expect_seq.<sequence id>.<mode>.
+TAG_KEYS = {
+    "expected": r"proved|refuted",
+    "theorem": None,
+    "expect_seq.": r"pass|violation@\d+",
+    "eps_lo": None, "eps_hi": None, "x_max": None, "max_depth": None,
+    "min_width": None,
+}
+
 
 @dataclass(frozen=True)
 class InequalitySpec:
@@ -438,6 +451,23 @@ class InequalitySpec:
             if t.startswith(prefix):
                 return t[len(prefix):]
         return None
+
+
+def _parse_tags(text: str, stanza: str) -> tuple:
+    tags = tuple(t.strip() for t in text.split(",") if t.strip())
+    keys = set()
+    for tag in tags:
+        key, colon, value = tag.partition(":")
+        entry = "expect_seq." if key.startswith("expect_seq.") else key
+        if not colon or entry not in TAG_KEYS:
+            raise ParseError(f"stanza {stanza}: unknown tag {tag!r}")
+        pattern = TAG_KEYS[entry]
+        if pattern is not None and not re.fullmatch(pattern, value):
+            raise ParseError(f"stanza {stanza}: bad value in tag {tag!r}")
+        if key in keys:
+            raise ParseError(f"stanza {stanza}: tag key {key!r} given twice")
+        keys.add(key)
+    return tags
 
 
 def _strip_comment(line: str) -> str:
@@ -529,7 +559,7 @@ def parse_corpus(text: str):
             raise ParseError(
                 f"stanza {name}: relation must be < or >, got {fields['relation']!r}")
         lo_expr, hi_expr, lo_c, hi_c = _parse_domain(fields["domain"], name)
-        tags = tuple(t.strip() for t in fields.get("tags", "").split(",") if t.strip())
+        tags = _parse_tags(fields.get("tags", ""), name)
         specs.append(InequalitySpec(
             name=name,
             lo_expr=lo_expr, hi_expr=hi_expr, lo_closed=lo_c, hi_closed=hi_c,

@@ -33,8 +33,9 @@ from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, eval_endpoint, eval_expr,
                    parse_expression)
-from .series import (get_series, tail_bound, eval_series, theorem_coeff,
-                     THEOREMS, THEOREM_START, TRIG_X_MAX)
+from .series import (coeff_row, eval_series, exact_sum, get_series,
+                     tail_bound, theorem_coeff, THEOREMS, THEOREM_START,
+                     TRIG_X_MAX)
 
 __all__ = [
     "ProveOptions", "Leaf", "ProofResult", "SequenceReport", "IdentityReport",
@@ -326,28 +327,20 @@ def _series_claim_eval(claim: TheoremClaim, N: int):
 def _left_lower_bound(series_id: str, n0: int, eps: Fraction, N: int,
                       negate: bool = False) -> Fraction:
     """Certified lower bound of R(x)/x^e(n0) on (0, eps], where R is the
-    series from index n0 on (negated when `negate`)."""
+    series from index n0 on (negated when `negate`): the leading term plus
+    every later term of the wrong sign at eps, minus the tail."""
     seq = get_series(series_id)
-    sgn = -1 if negate else 1
     e0 = seq.exponent_of(n0)
-    lb = sgn * seq.coeff(n0)
-    for n in range(n0 + 1, N + 1):
-        c = sgn * seq.coeff(n)
-        if c < 0:
-            lb += c * eps ** (seq.exponent_of(n) - e0)
-    lb -= tail_bound(series_id, N, eps).bound / eps ** e0
-    return lb
+    pos, neg = coeff_row(series_id, n0 + 1, N)
+    lead = -seq.coeff(n0) if negate else seq.coeff(n0)
+    wrong = -exact_sum((pos, eps)) if negate else exact_sum((neg, eps))
+    return lead + (wrong - tail_bound(series_id, N, eps).bound) / eps ** e0
 
 
 def _left_sup_bound(series_id: str, eps: Fraction, N: int) -> Fraction:
     """Certified upper bound for the series on (0, eps] (exponents >= 0)."""
-    seq = get_series(series_id)
-    ub = Fraction(0)
-    for n in range(seq.start_index, N + 1):
-        c = seq.coeff(n)
-        if c > 0:
-            ub += c * eps ** seq.exponent_of(n)
-    return ub + tail_bound(series_id, N, eps).bound
+    pos, _ = coeff_row(series_id, get_series(series_id).start_index, N)
+    return exact_sum((pos, eps)) + tail_bound(series_id, N, eps).bound
 
 
 def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:

@@ -27,6 +27,13 @@ Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
 the remaining sum geometrically, so truncated evaluation is a certified
 enclosure.
+
+Partial sums are exact.  Every registered exponent is >= 0 (checked at
+registration) and sums are taken over x >= 0, so each term c*x^e is monotone
+in x: the least value of the partial sum on [a, b] is the positive terms at
+a plus the negative terms at b, and the greatest the mirror image.
+`exact_sum` forms such a sum in integers over one common denominator and
+normalises it once, giving the same rational as a term-by-term sum.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Optional
 
 from .errors import DomainError
@@ -44,6 +51,7 @@ from .interval import Interval
 __all__ = [
     "CoeffSeq", "TailBound", "get_series", "series_ids",
     "lemma_coeff", "theorem_coeff", "tail_bound", "eval_series",
+    "coeff_row", "exact_sum",
     "LEMMA_KINDS", "THEOREM_START", "Theorem", "THEOREMS",
 ]
 
@@ -224,6 +232,11 @@ _REGISTRY = {}
 
 
 def _register(seq: CoeffSeq):
+    # exact_sum's monotone endpoints need x^e nondecreasing on x >= 0
+    if seq.exponent_of(seq.start_index) < 0:
+        raise DomainError(
+            f"{seq.id}: negative exponent {seq.exponent_of(seq.start_index)} "
+            f"at start index {seq.start_index}")
     _REGISTRY[seq.id] = seq
     return seq
 
@@ -407,13 +420,56 @@ def tail_bound(kind: str, N: int, x_upper) -> TailBound:
     return TailBound(kind, N, x, total)
 
 
+@lru_cache(maxsize=64)
+def coeff_row(kind: str, n_from: int, N: int) -> tuple:
+    """The nonzero coefficients of `kind` for n_from <= n <= N, split by sign.
+
+    Returns (positive, negative); each half is (den, ((num, e), ...)) with
+    the terms num/den * x^e in increasing e over one common denominator.
+    """
+    seq = get_series(kind)
+    halves = ([], [])
+    for n in range(n_from, N + 1):
+        c = seq.coeff(n)
+        if c:
+            halves[c < 0].append((c, seq.exponent_of(n)))
+    rows = []
+    for half in halves:
+        den = lcm(*(c.denominator for c, _ in half))
+        rows.append((den, tuple((c.numerator * (den // c.denominator), e)
+                                for c, e in half)))
+    return tuple(rows)
+
+
+def exact_sum(*parts) -> Fraction:
+    """Exact sum over (half, x) parts of the half's terms num/den * x^e.
+
+    Each half is formed in integers, in increasing e with the powers of x's
+    numerator built incrementally; the parts meet over the product of their
+    denominators and only the result is normalised.
+    """
+    top, bottom = 0, 1
+    for (den, terms), x in parts:
+        p, q = x.numerator, x.denominator
+        num, e_prev, p_pow = 0, 0, 1
+        for a, e in terms:
+            p_pow *= p ** (e - e_prev)
+            num = num * q ** (e - e_prev) + a * p_pow
+            e_prev = e
+        den *= q ** e_prev
+        top, bottom = top * den + num * bottom, bottom * den
+    return Fraction(top, bottom)
+
+
 def eval_series(kind: str, x: Interval, N: int, full_value: bool = False) -> Interval:
     """Certified enclosure of the series over the interval x.
 
-    The partial sum through index N is evaluated in exact interval
-    arithmetic and widened by the tail bound at x.hi.  With `full_value`,
-    singular parts (e.g. 1/x^3) are added so the result encloses the
-    closed-form function.
+    The partial sum through index N is exact: since x >= 0 and every
+    exponent is >= 0, its lower end is the positive terms at x.lo plus the
+    negative terms at x.hi (the upper end the mirror image), each end formed
+    by `exact_sum` with one normalisation.  It is widened by the tail bound
+    at x.hi.  With `full_value`, singular parts (e.g. 1/x^3) are added so the
+    result encloses the closed-form function.
     """
     seq = get_series(kind)
     if N < seq.start_index:
@@ -424,11 +480,9 @@ def eval_series(kind: str, x: Interval, N: int, full_value: bool = False) -> Int
         raise DomainError(f"{kind}: interval must lie in x > 0")
     if seq.radius == "pi" and x.hi > TRIG_X_MAX:
         raise DomainError(f"{kind}: interval exceeds the radius margin")
-    acc = Interval.point(0)
-    for n in range(seq.start_index, N + 1):
-        c = seq.coeff(n)
-        if c:
-            acc = acc + (x ** seq.exponent_of(n)) * c
+    pos, neg = coeff_row(kind, seq.start_index, N)
+    acc = Interval(exact_sum((pos, x.lo), (neg, x.hi)),
+                   exact_sum((pos, x.hi), (neg, x.lo)))
     tb = tail_bound(kind, N, x.hi).bound
     acc = acc + Interval(-tb, tb)
     if full_value and seq.singular_part is not None:

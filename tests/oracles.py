@@ -4,11 +4,14 @@ Everything here is deliberately separate from the package internals: exact
 truncated Maclaurin algebra over Fractions (series product/quotient,
 differentiation, argument scaling), plus two self-contained Bernoulli
 routes.  Coefficient assertions against these oracles are equality checks,
-never tolerance checks.  The one exception is the dense interval Taylor
-arithmetic at the end: the plain loops `_core` replaced with sparse ones,
-the eight-quotient interval division it replaced with sign cases, and the
-tan/tanh route as the quotient sin/cos it replaced with a recurrence, kept
-over `_core`'s own sums and point ranges.
+never tolerance checks.  Two sections are exceptions, kept over the
+package's own primitives: the term-by-term series sums that `series` and
+`prove` replaced with one exact integer sum, over `series`' coefficients and
+tail bounds; and the dense interval Taylor arithmetic at the end (the plain
+loops `_core` replaced with sparse ones, the eight-quotient interval
+division it replaced with sign cases, and the tan/tanh route as the
+quotient sin/cos it replaced with a recurrence), over `_core`'s own sums and
+point ranges.
 """
 
 from fractions import Fraction
@@ -16,6 +19,8 @@ from math import comb, factorial
 
 from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
 from ineqcert.errors import PoleError
+from ineqcert.interval import Interval
+from ineqcert.series import get_series, tail_bound
 
 
 # --- Bernoulli oracles -------------------------------------------------------
@@ -194,6 +199,60 @@ class LemmaSeriesOracle:
         s2 = ser_scale_arg(self.sinh, 2)
         return [Fraction(1, 2) * ser_shift(s2, 5, n)[k]
                 + ser_shift(self.sinh, 5, n)[k] for k in range(n + 1)]
+
+
+# --- term-by-term series sums ------------------------------------------------
+#
+# Each term added in normalised Fraction (interval) arithmetic, one term at a
+# time.  `series.eval_series` and `prove`'s near-zero bounds must return
+# exactly these rationals.
+
+def eval_series_termwise(kind, x, N, full_value=False):
+    """`series.eval_series` as the interval sum of c * x^e, term by term."""
+    seq = get_series(kind)
+    acc = Interval.point(0)
+    for n in range(seq.start_index, N + 1):
+        c = seq.coeff(n)
+        if c:
+            acc = acc + (x ** seq.exponent_of(n)) * c
+    tb = tail_bound(kind, N, x.hi).bound
+    acc = acc + Interval(-tb, tb)
+    if full_value and seq.singular_part is not None:
+        inv = Interval.point(1) / x
+        if seq.id == "COT":
+            acc = acc + inv
+        elif seq.id in ("CSC2", "COS_OVER_SIN2"):
+            acc = acc + inv ** 2
+        elif seq.id == "CSC3":
+            acc = acc + inv ** 3 + inv * Fraction(1, 2)
+        elif seq.id == "COS_OVER_SIN3":
+            acc = acc + inv ** 3
+    return acc
+
+
+def left_lower_bound_termwise(kind, n0, eps, N, negate=False):
+    """`prove._left_lower_bound` as a per-term Fraction loop."""
+    seq = get_series(kind)
+    sgn = -1 if negate else 1
+    e0 = seq.exponent_of(n0)
+    lb = sgn * seq.coeff(n0)
+    for n in range(n0 + 1, N + 1):
+        c = sgn * seq.coeff(n)
+        if c < 0:
+            lb += c * eps ** (seq.exponent_of(n) - e0)
+    lb -= tail_bound(kind, N, eps).bound / eps ** e0
+    return lb
+
+
+def left_sup_bound_termwise(kind, eps, N):
+    """`prove._left_sup_bound` as a per-term Fraction loop."""
+    seq = get_series(kind)
+    ub = Fraction(0)
+    for n in range(seq.start_index, N + 1):
+        c = seq.coeff(n)
+        if c > 0:
+            ub += c * eps ** seq.exponent_of(n)
+    return ub + tail_bound(kind, N, eps).bound
 
 
 # --- dense interval Taylor arithmetic ---------------------------------------

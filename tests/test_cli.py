@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import ineqcert
-from ineqcert.cli import run_command
+from ineqcert.cli import _ENGINE_OPTIONS, run_command
+from ineqcert.lang import TAG_KEYS
 
 
 def test_bernoulli_csv(tmp_path, capsys):
@@ -142,6 +143,28 @@ def test_hostile_engine_option_is_usage_error(capsys, tmp_path, tags, flags):
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tags", [
+    ", max_dpeth:5", ", precision:32", "",
+], ids=["misspelt-key", "flag-only-option", "misspelt-value"])
+def test_unknown_tag_is_usage_error(capsys, tmp_path, tags):
+    # a misspelt or unsupported tag used to be ignored: the run went on at the
+    # defaults, and a misspelt expectation turned a proof into exit 1
+    text = _FIXTURE_TOUCH.replace("proved", "proved" + tags)
+    if not tags:
+        text = text.replace("expected:proved", "expected:proveed")
+    corpus = tmp_path / "tags.ineq"
+    corpus.write_text(text)
+    assert run_command(["prove", "--corpus", str(corpus)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ineqcert: error: stanza TOUCH:") and err.count("\n") == 1
+
+
+def test_tagged_engine_options_are_known_tag_keys():
+    tagged = {name for name, _, is_tagged in _ENGINE_OPTIONS if is_tagged}
+    assert tagged and tagged <= set(TAG_KEYS)
+    assert "precision" not in TAG_KEYS
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -233,6 +233,27 @@ inequality A {
                      " relation = <\n rhs = 2*x\n}")
 
 
+@pytest.mark.parametrize("tags,match", [
+    ("expected:proveed", "bad value"), ("expected", "unknown tag"),
+    ("max_dpeth:5", "unknown tag"), ("precision:32", "unknown tag"),
+    ("expect_seq.S_T31.positive:passes", "bad value"),
+    ("expected:proved, expected:refuted", "tag key .expected. given twice"),
+])
+def test_parse_corpus_rejects_bad_tags(tags, match):
+    text = ("inequality T {\n domain = (0, 1)\n lhs = x\n relation = <\n"
+            f" rhs = 2*x\n tags = {tags}\n}}")
+    with pytest.raises(ParseError, match=f"stanza T: {match}"):
+        parse_corpus(text)
+
+
+def test_parse_corpus_accepts_every_tag_key():
+    text = ("inequality T {\n domain = (0, 1)\n lhs = x\n relation = <\n"
+            " rhs = 2*x\n tags = expected:refuted, theorem:3.1, "
+            "expect_seq.S_T33_C.increasing:violation@2, eps_lo:1/100, "
+            "eps_hi:0.01, x_max:10, max_depth:20, min_width:1/1000\n}")
+    assert len(parse_corpus(text)[0].tags) == 8
+
+
 def test_eval_soundness_on_corpus_expressions(corpus_specs):
     rng = random.Random(2024)
     for spec in corpus_specs:

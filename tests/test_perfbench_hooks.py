@@ -64,3 +64,16 @@ def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
         calls.clear()
         op(ctx, *args)
         assert len(calls) > 0, op.__name__
+
+
+@pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
+def test_refute_workload_input_parses(tmp_path):
+    # the benchmark writes its own stanzas; their tags must pass parse_corpus
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SPANS.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    plan = workloads.build("refute", 1, SPANS.parents[1], tmp_path, 2, 1)
+    lang = importlib.import_module("ineqcert.lang")
+    (path,) = tmp_path.glob("input-b*.ineq")
+    assert len(lang.parse_corpus(path.read_text())) == len(plan["expected"])

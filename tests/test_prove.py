@@ -6,11 +6,14 @@ import pytest
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval
 from ineqcert.lang import eval_expr, parse_corpus, parse_expression
-from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, identity_check,
-                            limit_report, near_zero_certificate,
-                            prove_positive, reverify_certificate,
-                            scan_extremum, sequence_check, verify_inequality)
-from ineqcert.series import theorem_coeff
+from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
+                            _left_sup_bound, identity_check, limit_report,
+                            near_zero_certificate, prove_positive,
+                            reverify_certificate, scan_extremum,
+                            sequence_check, verify_inequality)
+from ineqcert.series import get_series, series_ids, theorem_coeff
+
+from oracles import left_lower_bound_termwise, left_sup_bound_termwise
 
 F = Fraction
 
@@ -228,6 +231,22 @@ def test_near_zero_upper_side():
     r = near_zero_certificate("T3.1", F(1, 1000), side="upper")
     assert r.status == "Proved"
     assert r.series_certificate["claim"] == "upper"
+
+
+@pytest.mark.parametrize("kind", series_ids())
+def test_near_zero_bounds_equal_termwise_loops(kind):
+    # one exact sum per bound gives exactly the per-term Fraction loop's value
+    start = get_series(kind).start_index
+    for eps in (F(1, 1000), F(1, 3), F(3 * 2 ** 61 + 1, 2 ** 64)):
+        for N in (start + 7, start + 24):
+            assert (_left_sup_bound(kind, eps, N)
+                    == left_sup_bound_termwise(kind, eps, N)), (kind, eps, N)
+        for n0 in (start, start + 1):
+            for N in (n0 + 7, n0 + 22):
+                for negate in (False, True):
+                    assert (_left_lower_bound(kind, n0, eps, N, negate)
+                            == left_lower_bound_termwise(kind, n0, eps, N,
+                                                         negate)), (kind, eps, n0, N)
 
 
 def test_near_zero_unregistered():

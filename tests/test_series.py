@@ -4,10 +4,11 @@ import pytest
 
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval, elem_enclose
-from ineqcert.series import (LEMMA_KINDS, eval_series, get_series, lemma_coeff,
-                             tail_bound, theorem_coeff)
+from ineqcert.series import (LEMMA_KINDS, CoeffSeq, _register, eval_series,
+                             get_series, lemma_coeff, series_ids, tail_bound,
+                             theorem_coeff)
 
-from oracles import LemmaSeriesOracle
+from oracles import LemmaSeriesOracle, eval_series_termwise
 
 F = Fraction
 ORACLE = LemmaSeriesOracle(46)
@@ -234,3 +235,35 @@ def test_eval_series_domain_errors():
         eval_series("COT", Interval(0, 1), 10)          # needs x > 0
     with pytest.raises(DomainError):
         eval_series("X_OVER_SIN", Interval(F(1, 2), F(32, 10)), 10)
+
+
+# a point, a wide interval, x.lo = 0, and 64-bit outward endpoints (as the
+# series claims in `prove` use them)
+_SUM_XS = (Interval.point(F(1, 3)), Interval(F(1, 8), F(3, 2)), Interval(0, 1),
+           Interval.point(F(7, 10)).round_out(64),
+           Interval(F(1, 7), F(2, 3)).round_out(64))
+
+
+@pytest.mark.parametrize("kind", series_ids())
+def test_eval_series_equals_termwise_sum(kind):
+    # the one-normalisation sum gives exactly the term-by-term rationals
+    seq = get_series(kind)
+    s = seq.start_index
+    for N in (s, s + 7, s + 40):
+        for x in _SUM_XS:
+            for full in (False, True):
+                if x.lo == 0 and (full or seq.expo_offset < 0
+                                  or seq.singular_part is not None):
+                    with pytest.raises(DomainError):
+                        eval_series(kind, x, N, full_value=full)
+                    continue
+                got = eval_series(kind, x, N, full_value=full)
+                want = eval_series_termwise(kind, x, N, full_value=full)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (kind, x, N, full)
+
+
+def test_register_rejects_a_negative_start_exponent():
+    seq = CoeffSeq("NEG_EXPONENT", 0, -1, lambda n: F(1), "inf", None, ())
+    with pytest.raises(DomainError, match="NEG_EXPONENT"):
+        _register(seq)
+    assert "NEG_EXPONENT" not in series_ids()
