@@ -11,15 +11,18 @@ certified positive, sinh/cosh/tanh on [-32, 32].  Ranges over an interval
 come from endpoint Taylor evaluations plus the interior extrema (+-pi/2 for
 sin, 0 and +-pi for cos); the corpus never needs argument reduction.
 
-One tree walk evaluates the parsed `lang.Expr` nodes with one of three op
-tables: ranges, truncated Taylor vectors, or exact rational intervals for
-`lang.eval_endpoint`.  Only point series are cached (in `Ctx`).  `enclose`
-intersects the plain range with an order-12 Taylor form about the midpoint;
-there is no other narrowing step.  The Taylor ops skip every term with an exact
-(0, 0) factor, so sparse vectors cost less and come out equal to dense ones.
-sin/cos and sinh/cosh vectors come from their coupled recurrence, tan and
-tanh from their own ODE t' = u' (1 +- t^2); interval vectors are divided only
-for an expression's `/` and negative powers.
+One evaluator runs a parsed `lang.Expr` as a straight-line plan, each
+distinct subtree once, with one of three op tables: ranges, truncated
+Taylor vectors, or exact rational intervals for `lang.eval_endpoint`.  The
+plan is kept on the expression's root node; point series are cached in
+`Ctx`.  `enclose` intersects the plain range with an order-12 Taylor form
+about the midpoint, whose midpoint vector stops at order 11; there is no
+other narrowing step.  The Taylor ops skip every term with an exact (0, 0)
+factor, so sparse vectors cost less and come out equal to dense ones, and
+squares form each cross product once.  sin/cos and sinh/cosh vectors come
+from their coupled recurrence, tan and tanh from their own ODE
+t' = u' (1 +- t^2); interval vectors are divided only for an expression's
+`/` and negative powers.
 """
 
 from fractions import Fraction
@@ -359,9 +362,9 @@ def _tconst(iv, k):
     return [iv] + [(0, 0)] * k
 
 
-def _tvar(ctx, a, b):
-    """The variable x over [a, b]/2**prec as an order-TAYLOR_ORDER vector."""
-    return [(a, b), (ctx.one, ctx.one)] + [(0, 0)] * (TAYLOR_ORDER - 1)
+def _tvar(ctx, a, b, k=TAYLOR_ORDER):
+    """The variable x over [a, b]/2**prec as an order-k vector."""
+    return [(a, b), (ctx.one, ctx.one)] + [(0, 0)] * (k - 1)
 
 
 def _tadd(a, b):
@@ -380,6 +383,8 @@ def _tneg(a):
 # the identity, so the sparse loops below skip only terms that add nothing.
 # They call imul by its module name: the traced benchmark rebinds it to count.
 def _tmul(ctx, a, b):
+    if a is b:                  # a power's first product, or u*u of one step
+        return _tsqr(ctx, a)
     k = len(a) - 1
     out = [(0, 0)] * (k + 1)
     nb = [(j, y) for j, y in enumerate(b) if y != (0, 0)]
@@ -420,6 +425,31 @@ def _tpow(ctx, a, e):
     return out
 
 
+def _half_conv(ctx, a, m):
+    """(a^2)[m] less its middle square: twice the sum of the cross products
+    a[p] a[m - p], p < m - p, so each is formed once."""
+    acc = (0, 0)
+    for p in range((m + 1) // 2):
+        x, y = a[p], a[m - p]
+        if x != (0, 0) and y != (0, 0):
+            acc = iadd(acc, imul(ctx, x, y))
+    return imul_int(acc, 2)
+
+
+def _tsqr(ctx, a):
+    """a * a by half convolution.  imul is symmetric and the sums are exact,
+    so this equals _tmul(ctx, a, a); the middle square goes through imul
+    too, not the tighter ipow, to keep it so."""
+    out = []
+    for m in range(len(a)):
+        acc = _half_conv(ctx, a, m)
+        mid = a[m // 2]
+        if m % 2 == 0 and mid != (0, 0):
+            acc = iadd(acc, imul(ctx, mid, mid))
+        out.append(acc)
+    return out
+
+
 def _tsincos(ctx, u, hyper):
     """Taylor vectors of sin(u), cos(u) (or sinh/cosh when hyper)."""
     k = len(u) - 1
@@ -449,13 +479,9 @@ def _ttan(ctx, u, hyper):
     w = []
     nu = [(i, imul_int(y, i)) for i, y in enumerate(u) if i and y != (0, 0)]
     for j in range(1, k + 1):
-        # (t^2)[m], m = j - 1: twice the half convolution plus the middle
-        # square, so each cross product t[p] t[q] is formed once
+        # (t^2)[m], m = j - 1: the half convolution plus the middle square
         m = j - 1
-        tt = (0, 0)
-        for p in range((m + 1) // 2):
-            tt = iadd(tt, imul(ctx, t[p], t[m - p]))
-        tt = imul_int(tt, 2)
+        tt = _half_conv(ctx, t, m)
         if m % 2 == 0:
             tt = iadd(tt, ipow(ctx, t[m // 2], 2))
         if hyper:
@@ -483,10 +509,14 @@ def _tcall(ctx, name, u):
 
 
 # ---------------------------------------------------------------------------
-# one recursive walk over a parsed expression tree, with one of three op tables
+# one straight-line plan per expression, run with one of three op tables
 #
-# The walk dispatches on each `lang.Expr` node's class attribute `kind` and
-# reads its fields: a/b, base/exponent, fn/arg, value, and pos for errors.
+# A plan lists the distinct subtrees of a parsed `lang.Expr` in post-order,
+# each as a step (kind, p, q) whose operands are the indices of earlier
+# steps: structurally equal subtrees share the step of their first
+# occurrence, and its pos names the offset of any error there.  The plan is
+# built once and kept on the root node itself, so it is found by identity
+# (never by Expr equality, which ignores pos) and goes when the node goes.
 #
 # Op signatures: lit(ctx, value, x), pi(ctx, x), neg(a), add(a, b),
 # sub(a, b), mul(ctx, a, b), div(ctx, a, b), pow(ctx, a, int),
@@ -513,42 +543,85 @@ _TAYLOR_OPS = {
 }
 
 
-def _walk(ctx, node, x, ops):
-    """Value of the expression node at x under the op table."""
-    kind = node.kind
-    if kind == "x":
-        return x
-    if kind == "lit":
-        return ops["lit"](ctx, node.value, x)
-    if kind == "pi":
-        return ops["pi"](ctx, x)
+def _plan(node):
+    """(steps, positions) of node's straight-line plan."""
     try:
-        if kind == "call":
-            return ops["call"](ctx, node.fn, _walk(ctx, node.arg, x, ops))
-        if kind == "pow":
-            return ops["pow"](ctx, _walk(ctx, node.base, x, ops), node.exponent)
-        if kind == "neg":
-            return ops["neg"](_walk(ctx, node.a, x, ops))
-        if kind == "mul" or kind == "div":
-            return ops[kind](ctx, _walk(ctx, node.a, x, ops),
-                             _walk(ctx, node.b, x, ops))
-        return ops[kind](_walk(ctx, node.a, x, ops), _walk(ctx, node.b, x, ops))
+        return node._plan
+    except AttributeError:
+        pass
+    steps, positions, index = [], [], {}
+
+    def visit(n):
+        kind = n.kind
+        if kind == "lit":
+            step = (kind, n.value, None)
+        elif kind == "x" or kind == "pi":
+            step = (kind, None, None)
+        elif kind == "call":
+            step = (kind, n.fn, visit(n.arg))
+        elif kind == "pow":
+            step = (kind, visit(n.base), n.exponent)
+        elif kind == "neg":
+            step = (kind, visit(n.a), None)
+        else:
+            step = (kind, visit(n.a), visit(n.b))
+        i = index.get(step)
+        if i is None:
+            i = index[step] = len(steps)
+            steps.append(step)
+            positions.append(n.pos)
+        return i
+
+    visit(node)
+    plan = (tuple(steps), tuple(positions))
+    object.__setattr__(node, "_plan", plan)     # the nodes are frozen
+    return plan
+
+
+def _run(ctx, node, x, ops):
+    """Value of the expression node at x under the op table: each step of
+    its plan once, in order."""
+    steps, positions = _plan(node)
+    vals = []
+    push = vals.append
+    try:
+        for kind, p, q in steps:
+            if kind == "x":
+                push(x)
+            elif kind == "lit":
+                push(ops["lit"](ctx, p, x))
+            elif kind == "pi":
+                push(ops["pi"](ctx, x))
+            elif kind == "call":
+                push(ops["call"](ctx, p, vals[q]))
+            elif kind == "pow":
+                push(ops["pow"](ctx, vals[p], q))
+            elif kind == "neg":
+                push(ops["neg"](vals[p]))
+            elif kind == "mul" or kind == "div":
+                push(ops[kind](ctx, vals[p], vals[q]))
+            else:
+                push(ops[kind](vals[p], vals[q]))
     except (DomainError, PoleError) as exc:
-        # the innermost node that failed names the offset; 0 is a valid one
+        # the first step that fails names the offset; 0 is a valid one
         if getattr(exc, "position", None) is None:
-            exc.position = node.pos
+            exc.position = positions[len(vals)]
         raise
+    return vals[-1]
 
 
 def eval_plain(ctx, node, x):
     """Certified range of node over the integer range x = (lo, hi)."""
-    return _walk(ctx, node, x, _RANGE_OPS)
+    return _run(ctx, node, x, _RANGE_OPS)
 
 
 def eval_taylor(ctx, node, xvec, k):
     """Order-k Taylor vector of node, given the vector xvec (k + 1 entries)
     of the variable."""
-    return _walk(ctx, node, xvec, _TAYLOR_OPS)
+    if len(xvec) != k + 1:
+        raise ValueError(f"an order-{k} vector has {k + 1} entries, "
+                         f"not {len(xvec)}")
+    return _run(ctx, node, xvec, _TAYLOR_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +657,9 @@ def enclose(ctx, node, a, b):
     k = TAYLOR_ORDER
     m = (a + b) // 2
     try:
-        tx = eval_taylor(ctx, node, _tvar(ctx, a, b), k)
-        tm = eval_taylor(ctx, node, _tvar(ctx, m, m), k)
+        tx = eval_taylor(ctx, node, _tvar(ctx, a, b, k), k)
+        # the form reads tm[j] for j < k only: tx[k] bounds the remainder
+        tm = eval_taylor(ctx, node, _tvar(ctx, m, m, k - 1), k - 1)
     except (DomainError, PoleError):
         return enc
     r = max(b - m, m - a)

@@ -386,7 +386,7 @@ def _check_endpoint_expr(e: Expr):
             _check_endpoint_expr(child)
 
 
-# exact Fraction intervals for the walk in _core; endpoints hold no x or calls
+# exact Fraction intervals for _core's plan runner; endpoints hold no x or calls
 _ENDPOINT_OPS = {
     "lit": lambda ctx, v, x: Interval.point(v),
     "pi": lambda ctx, x: pi_enclose(Fraction(1, 10 ** 36)).interval,
@@ -400,7 +400,7 @@ _ENDPOINT_OPS = {
 def eval_endpoint(e: Expr) -> Interval:
     """Tight enclosure of a constant endpoint expression (exact when pi-free)."""
     _check_endpoint_expr(e)
-    return _core._walk(None, e, None, _ENDPOINT_OPS)
+    return _core._run(None, e, None, _ENDPOINT_OPS)
 
 
 # --- corpus -----------------------------------------------------------------

@@ -26,7 +26,8 @@ settle each claim near 0):
 Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
 the remaining sum geometrically, so truncated evaluation is a certified
-enclosure.
+enclosure.  The trig kinds' dominating terms share the powers of one
+u = (x/PI_LO)^2, so their tail is summed in integers and normalised once.
 
 Partial sums are exact.  Every registered exponent is >= 0 (checked at
 registration) and sums are taken over x >= 0, so each term c*x^e is monotone
@@ -91,6 +92,22 @@ class _Geo:
         deg = len(self.poly) - 1
         return u * Fraction(n + 1, n) ** deg
 
+    def tail(self, n0: int, m: int, x: Fraction, rho: Fraction) -> Fraction:
+        """sum_{n0 <= n < m} term(n) + term(m)/(1 - rho).  The sum is formed
+        in integers over one running denominator q^n (u = p/q) and
+        normalised once."""
+        u = (x / PI_LO) ** 2
+        p, q = u.numerator, u.denominator
+        den = lcm(*(Fraction(c).denominator for c in self.poly))
+        ipoly = tuple(int(Fraction(c) * den) for c in self.poly)
+        num, p_pow = 0, p ** n0
+        for n in range(n0, m):
+            # num / q^n is now den * sum_{n0 <= j <= n} poly(j) u^j
+            num = num * q + sum(c * n ** i for i, c in enumerate(ipoly)) * p_pow
+            p_pow *= p
+        return (Fraction(num, den * q ** (m - 1)) * x ** self.shift
+                + self.term(m, x) / (1 - rho))
+
 
 @dataclass(frozen=True)
 class _Fact:
@@ -108,6 +125,11 @@ class _Fact:
         deg = len(self.poly) - 1
         return ((self.base * x) ** 2 / ((2 * n + 1) * (2 * n + 2))
                 * Fraction(n + 1, n) ** deg)
+
+    def tail(self, n0: int, m: int, x: Fraction, rho: Fraction) -> Fraction:
+        """sum_{n0 <= n < m} term(n) + term(m)/(1 - rho)."""
+        return (sum((self.term(n, x) for n in range(n0, m)), Fraction(0))
+                + self.term(m, x) / (1 - rho))
 
 
 @dataclass(frozen=True)
@@ -407,16 +429,15 @@ def tail_bound(kind: str, N: int, x_upper) -> TailBound:
             f"(limit {TRIG_X_MAX})")
     total = Fraction(0)
     for comp in seq.components:
-        m = N + 1
-        for _ in range(600):
+        # sum term-wise up to the first index m whose term ratio contracts,
+        # then close the rest geometrically at that ratio
+        for m in range(N + 1, N + 601):
             rho = comp.ratio(m, x)
             if rho < Fraction(1, 2) or (m - N > 200 and rho < _RHO_MAX):
-                total += comp.term(m, x) / (1 - rho)
                 break
-            total += comp.term(m, x)
-            m += 1
         else:
             raise DomainError(f"{kind}: tail does not contract at x={x}")
+        total += comp.tail(N + 1, m, x, rho)
     return TailBound(kind, N, x, total)
 
 

@@ -4,23 +4,25 @@ Everything here is deliberately separate from the package internals: exact
 truncated Maclaurin algebra over Fractions (series product/quotient,
 differentiation, argument scaling), plus two self-contained Bernoulli
 routes.  Coefficient assertions against these oracles are equality checks,
-never tolerance checks.  Two sections are exceptions, kept over the
-package's own primitives: the term-by-term series sums that `series` and
-`prove` replaced with one exact integer sum, over `series`' coefficients and
-tail bounds; and the dense interval Taylor arithmetic at the end (the plain
-loops `_core` replaced with sparse ones, the eight-quotient interval
+never tolerance checks.  Three sections are exceptions, kept over the
+package's own primitives: the term-by-term series sums and tail bounds that
+`series` and `prove` replaced with exact integer sums, over `series`'
+coefficients and term ratios; the dense interval Taylor arithmetic (the
+plain loops `_core` replaced with sparse ones, the eight-quotient interval
 division it replaced with sign cases, and the tan/tanh route as the
 quotient sin/cos it replaced with a recurrence), over `_core`'s own sums and
-point ranges.
+point ranges; and the recursive tree walk `_core` replaced with a
+straight-line plan, over `_core`'s own op tables.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
+from ineqcert import _core
 from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
-from ineqcert.errors import PoleError
+from ineqcert.errors import DomainError, PoleError
 from ineqcert.interval import Interval
-from ineqcert.series import get_series, tail_bound
+from ineqcert.series import _RHO_MAX, get_series, tail_bound
 
 
 # --- Bernoulli oracles -------------------------------------------------------
@@ -204,8 +206,8 @@ class LemmaSeriesOracle:
 # --- term-by-term series sums ------------------------------------------------
 #
 # Each term added in normalised Fraction (interval) arithmetic, one term at a
-# time.  `series.eval_series` and `prove`'s near-zero bounds must return
-# exactly these rationals.
+# time.  `series.eval_series`, `series.tail_bound` and `prove`'s near-zero
+# bounds must return exactly these rationals.
 
 def eval_series_termwise(kind, x, N, full_value=False):
     """`series.eval_series` as the interval sum of c * x^e, term by term."""
@@ -253,6 +255,27 @@ def left_sup_bound_termwise(kind, eps, N):
         if c > 0:
             ub += c * eps ** seq.exponent_of(n)
     return ub + tail_bound(kind, N, eps).bound
+
+
+def tail_bound_termwise(kind, N, x_upper):
+    """`series.tail_bound`'s bound as a Fraction loop: each dominating term
+    added on its own, in normalised Fractions, until the term ratio
+    contracts, then the rest closed geometrically at that ratio."""
+    seq = get_series(kind)
+    x = Fraction(x_upper)
+    total = Fraction(0)
+    for comp in seq.components:
+        m = N + 1
+        for _ in range(600):
+            rho = comp.ratio(m, x)
+            if rho < Fraction(1, 2) or (m - N > 200 and rho < _RHO_MAX):
+                total += comp.term(m, x) / (1 - rho)
+                break
+            total += comp.term(m, x)
+            m += 1
+        else:
+            raise DomainError(f"{kind}: tail does not contract at x={x}")
+    return total
 
 
 # --- dense interval Taylor arithmetic ---------------------------------------
@@ -320,3 +343,57 @@ def ttan_quotient(ctx, u, hyper):
     """tan(u) (tanh(u) when hyper) as the Taylor quotient sin(u)/cos(u)."""
     s, c = tsincos_dense(ctx, u, hyper)
     return tdiv_dense(ctx, s, c)
+
+
+# --- the recursive tree walk -------------------------------------------------
+#
+# Every node evaluated where it stands, a repeated subtree once per copy.
+# `_core`'s straight-line plan must return exactly these values under each op
+# table and name the same error offset.  `enclose_full_order` is
+# `_core.enclose` over this walk, its midpoint vector built to the full
+# order TAYLOR_ORDER.
+
+def walk(ctx, node, x, ops):
+    """Value of the expression node at x under the op table."""
+    kind = node.kind
+    if kind == "x":
+        return x
+    if kind == "lit":
+        return ops["lit"](ctx, node.value, x)
+    if kind == "pi":
+        return ops["pi"](ctx, x)
+    try:
+        if kind == "call":
+            return ops["call"](ctx, node.fn, walk(ctx, node.arg, x, ops))
+        if kind == "pow":
+            return ops["pow"](ctx, walk(ctx, node.base, x, ops), node.exponent)
+        if kind == "neg":
+            return ops["neg"](walk(ctx, node.a, x, ops))
+        if kind == "mul" or kind == "div":
+            return ops[kind](ctx, walk(ctx, node.a, x, ops),
+                             walk(ctx, node.b, x, ops))
+        return ops[kind](walk(ctx, node.a, x, ops), walk(ctx, node.b, x, ops))
+    except (DomainError, PoleError) as exc:
+        # the innermost node that failed names the offset; 0 is a valid one
+        if getattr(exc, "position", None) is None:
+            exc.position = node.pos
+        raise
+
+
+def enclose_full_order(ctx, node, a, b):
+    enc = walk(ctx, node, (a, b), _core._RANGE_OPS)
+    if enc[0] > 0 or enc[1] < 0 or a == b:
+        return enc
+    k = _core.TAYLOR_ORDER
+    m = (a + b) // 2
+    try:
+        tx = walk(ctx, node, _core._tvar(ctx, a, b, k), _core._TAYLOR_OPS)
+        tm = walk(ctx, node, _core._tvar(ctx, m, m, k), _core._TAYLOR_OPS)
+    except (DomainError, PoleError):
+        return enc
+    r = max(b - m, m - a)
+    form = tm[0]
+    for j in range(1, k):
+        form = iadd(form, _core._form_term(ctx, tm[j], r, j))
+    form = iadd(form, _core._form_term(ctx, tx[k], r, k))
+    return _core.iisect(enc, form)

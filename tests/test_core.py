@@ -7,11 +7,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ineqcert import _core
+from ineqcert import _core, lang
 from ineqcert.interval import get_ctx
-from ineqcert.lang import parse_expression
-from oracles import (idiv_eight, imul_dense, tdiv_dense, tmul_dense,
-                     tsincos_dense, ttan_quotient)
+from ineqcert.lang import INF, eval_endpoint, parse_expression
+from oracles import (enclose_full_order, idiv_eight, imul_dense, tdiv_dense,
+                     tmul_dense, tsincos_dense, ttan_quotient, walk)
 
 _SIGNS = ("nonneg", "nonpos", "straddle", "thin", "zero")
 
@@ -185,3 +185,92 @@ def test_sparse_tsincos_equals_dense(hyper):
             u[2:] = [(0, 0)] * (k - 1)      # an affine argument, as in the corpus
         u[0] = _interval(rng, 3 * ctx.one, rng.choice(_SIGNS))   # |u0| < 3
         assert _core._tsincos(ctx, u, hyper) == tsincos_dense(ctx, u, hyper)
+
+
+@pytest.mark.parametrize("shape", ["sparse", "straddle", "point"])
+def test_tsqr_equals_dense_square(shape):
+    ctx = get_ctx(192)
+    rng = random.Random(shape)
+    k = _core.TAYLOR_ORDER
+    for _ in range(40):
+        if shape == "sparse":
+            a = _vector(rng, 4 * ctx.one)
+        else:
+            sign = "thin" if shape == "point" else "straddle"
+            a = [_interval(rng, 4 * ctx.one, sign) for _ in range(k + 1)]
+        sq = _core._tsqr(ctx, a)
+        assert sq == tmul_dense(ctx, a, a)
+        # _tmul squares a vector it gets twice; an equal copy takes the
+        # general product, with the same result
+        assert _core._tmul(ctx, a, a) == sq == _core._tmul(ctx, a, list(a))
+
+
+def test_plan_holds_each_distinct_subtree_once():
+    node = parse_expression("(sin(x)/x)^2 + sin(x)/x")
+    steps, positions = _core._plan(node)
+    assert [step[0] for step in steps] == ["x", "call", "div", "pow", "add"]
+    assert positions == (5, 1, 7, 10, 13)          # the first occurrences
+    assert _core._plan(node) is _core._plan(node)
+    # found by identity: an equal tree parsed from other text has its own
+    other = parse_expression("(sin(x) / x)^2 + sin(x)/x")
+    assert other == node and _core._plan(other)[1] == (5, 1, 8, 12, 15)
+
+
+def test_plan_equals_recursive_walk(corpus_specs):
+    # on seeded boxes inside every corpus domain, under the range and the
+    # Taylor tables, for the box and the midpoint vectors; and enclose, whose
+    # midpoint vector stops at order k - 1, equals the full-order oracle
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    rng = random.Random(1968)
+    for spec in corpus_specs:
+        node = spec.difference()
+        top = 512 if spec.unbounded else 96
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(1, top + 1), 2))
+            a, b = ctx.lo_of(Fraction(i, 64)), ctx.lo_of(Fraction(j, 64))
+            assert (_core.eval_plain(ctx, node, (a, b))
+                    == walk(ctx, node, (a, b), _core._RANGE_OPS)), (spec.name, i, j)
+            m = (a + b) // 2
+            for xvec in (_core._tvar(ctx, a, b), _core._tvar(ctx, m, m)):
+                assert (_core.eval_taylor(ctx, node, xvec, k)
+                        == walk(ctx, node, xvec, _core._TAYLOR_OPS)), (spec.name, i, j)
+            assert (_core.enclose(ctx, node, a, b)
+                    == enclose_full_order(ctx, node, a, b)), (spec.name, i, j)
+
+
+def test_plan_equals_recursive_walk_on_corpus_endpoints(corpus_specs):
+    for spec in corpus_specs:
+        for e in (spec.lo_expr, spec.hi_expr):
+            if e != INF:
+                assert eval_endpoint(e) == walk(None, e, None, lang._ENDPOINT_OPS)
+
+
+def test_eval_taylor_checks_the_order():
+    ctx = get_ctx(192)
+    node = parse_expression("sin(x)/x")
+    xvec = _core._tvar(ctx, ctx.one, ctx.one, 11)
+    assert len(_core.eval_taylor(ctx, node, xvec, 11)) == 12
+    with pytest.raises(ValueError):
+        _core.eval_taylor(ctx, node, xvec, _core.TAYLOR_ORDER)
+
+
+def test_enclose_product_count_does_not_grow(monkeypatch, corpus_specs):
+    # one enclose of CHAIN_1_8_A on [1/2, 5/8], where the plain range does not
+    # decide the sign, took 1012 interval products with each copy of a block
+    # evaluated and both vectors to order 12; it takes 651 with the plan
+    ctx = get_ctx(192)
+    node = next(s for s in corpus_specs if s.name == "CHAIN_1_8_A").difference()
+    a, b = ctx.lo_of(Fraction(1, 2)), ctx.lo_of(Fraction(5, 8))
+    plain = _core.eval_plain(ctx, node, (a, b))
+    assert plain[0] < 0 < plain[1]
+    calls = []
+    imul = _core.imul
+
+    def counting(*args):
+        calls.append(args)
+        return imul(*args)
+
+    monkeypatch.setattr(_core, "imul", counting)
+    assert _core.enclose(ctx, node, a, b)[0] > 0
+    assert len(calls) <= 651

@@ -150,9 +150,11 @@ def test_eval_expr_error_carries_position():
 
 def test_eval_error_position_is_the_failing_node():
     # an equal subtree evaluated earlier in another expression must not lend
-    # its offset, and offset 0 is an offset, not a missing one
+    # its offset, a subtree that appears twice fails at its first copy, and
+    # offset 0 is an offset, not a missing one
     iv = Interval(F(1, 2), F(3, 2))
     cases = [("1 + 1/(x-1)", iv, 5), ("1/(x-1)", iv, 1),
+             ("1/(x-1) + 1/(x-1)", iv, 1), ("2*x - 1/(x-1) + 1/(x-1)", iv, 7),
              ("tan(x) + 1", Interval(F(3, 2), F(8, 5)), 0)]
     for text, x, pos in cases:
         with pytest.raises(EvalError) as exc:

@@ -58,7 +58,8 @@ def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
     assert core.eval_taylor(ctx, node, xvec, core.TAYLOR_ORDER) == vec
     assert len(calls) > 0
     # and each Taylor op on its own
-    for op, args in [(core._tmul, (xvec, xvec)), (core._tdiv, (xvec, xvec)),
+    for op, args in [(core._tmul, (xvec, xvec)), (core._tsqr, (xvec,)),
+                     (core._tdiv, (xvec, xvec)),
                      (core._tsincos, (xvec, False)),
                      (core._ttan, (xvec, False))]:
         calls.clear()

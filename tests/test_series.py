@@ -8,7 +8,7 @@ from ineqcert.series import (LEMMA_KINDS, CoeffSeq, _register, eval_series,
                              get_series, lemma_coeff, series_ids, tail_bound,
                              theorem_coeff)
 
-from oracles import LemmaSeriesOracle, eval_series_termwise
+from oracles import LemmaSeriesOracle, eval_series_termwise, tail_bound_termwise
 
 F = Fraction
 ORACLE = LemmaSeriesOracle(46)
@@ -267,3 +267,15 @@ def test_register_rejects_a_negative_start_exponent():
     with pytest.raises(DomainError, match="NEG_EXPONENT"):
         _register(seq)
     assert "NEG_EXPONENT" not in series_ids()
+
+
+@pytest.mark.parametrize("kind", series_ids())
+def test_tail_bound_equals_termwise_loop(kind):
+    # the integer tail sums give exactly the Fraction loop's bound, on both
+    # sides of the ratio-1/2 switch and, at x = 3, near the trig radius
+    seq = get_series(kind)
+    s = seq.start_index
+    for x in (F(3, 2), F(3)):
+        for N in (s, s + 40):
+            assert tail_bound(kind, N, x).bound == tail_bound_termwise(kind, N, x), \
+                (kind, N, x)
