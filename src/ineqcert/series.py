@@ -26,8 +26,9 @@ settle each claim near 0):
 Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
 the remaining sum geometrically, so truncated evaluation is a certified
-enclosure.  The trig kinds' dominating terms share the powers of one
-u = (x/PI_LO)^2, so their tail is summed in integers and normalised once.
+enclosure.  The terms before the geometric close are a polynomial in
+u = (x/PI_LO)^2 (trig kinds) or (base*x)^2 (entire kinds), summed by
+`exact_sum` in integers with one normalisation.
 
 Partial sums are exact.  Every registered exponent is >= 0 (checked at
 registration) and sums are taken over x >= 0, so each term c*x^e is monotone
@@ -76,6 +77,16 @@ def _poly(coeffs: tuple, n: int) -> Fraction:
     return acc
 
 
+def _row(poly: tuple, n0: int, top: int, weights: list) -> tuple:
+    """sum_{n >= n0} poly(n) * weights[n - n0]/top * y^n as `exact_sum`'s
+    half (den, ((num, n), ...))."""
+    den = lcm(*(Fraction(c).denominator for c in poly))
+    ipoly = [int(Fraction(c) * den) for c in poly]
+    return den * top, tuple(
+        (sum(c * n ** i for i, c in enumerate(ipoly)) * w, n)
+        for n, w in enumerate(weights, n0))
+
+
 @dataclass(frozen=True)
 class _Geo:
     """Dominating term poly(n) * (x/PI_LO)^(2n) * x^shift (trig kinds)."""
@@ -92,21 +103,10 @@ class _Geo:
         deg = len(self.poly) - 1
         return u * Fraction(n + 1, n) ** deg
 
-    def tail(self, n0: int, m: int, x: Fraction, rho: Fraction) -> Fraction:
-        """sum_{n0 <= n < m} term(n) + term(m)/(1 - rho).  The sum is formed
-        in integers over one running denominator q^n (u = p/q) and
-        normalised once."""
-        u = (x / PI_LO) ** 2
-        p, q = u.numerator, u.denominator
-        den = lcm(*(Fraction(c).denominator for c in self.poly))
-        ipoly = tuple(int(Fraction(c) * den) for c in self.poly)
-        num, p_pow = 0, p ** n0
-        for n in range(n0, m):
-            # num / q^n is now den * sum_{n0 <= j <= n} poly(j) u^j
-            num = num * q + sum(c * n ** i for i, c in enumerate(ipoly)) * p_pow
-            p_pow *= p
-        return (Fraction(num, den * q ** (m - 1)) * x ** self.shift
-                + self.term(m, x) / (1 - rho))
+    def row(self, n0: int, m: int, x: Fraction) -> tuple:
+        """The terms n0 <= n < m without x^shift, as an `exact_sum` part
+        in the variable u."""
+        return _row(self.poly, n0, 1, [1] * (m - n0)), (x / PI_LO) ** 2
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,13 @@ class _Fact:
         return ((self.base * x) ** 2 / ((2 * n + 1) * (2 * n + 2))
                 * Fraction(n + 1, n) ** deg)
 
-    def tail(self, n0: int, m: int, x: Fraction, rho: Fraction) -> Fraction:
-        """sum_{n0 <= n < m} term(n) + term(m)/(1 - rho)."""
-        return (sum((self.term(n, x) for n in range(n0, m)), Fraction(0))
-                + self.term(m, x) / (1 - rho))
+    def row(self, n0: int, m: int, x: Fraction) -> tuple:
+        """The terms n0 <= n < m without x^shift, as an `exact_sum` part
+        in the variable (base*x)^2 over the denominator (2(m-1))!."""
+        top = factorial(2 * (m - 1))
+        return (_row(self.poly, n0, top,
+                     [top // factorial(2 * n) for n in range(n0, m)]),
+                (self.base * x) ** 2)
 
 
 @dataclass(frozen=True)
@@ -437,7 +440,9 @@ def tail_bound(kind: str, N: int, x_upper) -> TailBound:
                 break
         else:
             raise DomainError(f"{kind}: tail does not contract at x={x}")
-        total += comp.tail(N + 1, m, x, rho)
+        total += comp.term(m, x) / (1 - rho)
+        if m > N + 1:
+            total += exact_sum(comp.row(N + 1, m, x)) * x ** comp.shift
     return TailBound(kind, N, x, total)
 
 

@@ -57,8 +57,9 @@ def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
     monkeypatch.setattr(core, "imul", counting)
     assert core.eval_taylor(ctx, node, xvec, core.TAYLOR_ORDER) == vec
     assert len(calls) > 0
-    # and each Taylor op on its own
-    for op, args in [(core._tmul, (xvec, xvec)), (core._tsqr, (xvec,)),
+    # and each Taylor op on its own; `_tmul` of one object squares through
+    # `_tsqr`, so its general loop needs two distinct operands
+    for op, args in [(core._tmul, (xvec, list(xvec))), (core._tsqr, (xvec,)),
                      (core._tdiv, (xvec, xvec)),
                      (core._tsincos, (xvec, False)),
                      (core._ttan, (xvec, False))]:
