@@ -18,15 +18,15 @@ import json
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import __version__
 from .errors import DomainError, EvalError, ParseError, PoleError
 from .interval import Interval
-from .lang import parse_corpus, parse_expression, eval_endpoint
-from .prove import (IDENTITY_IDS, SEQUENCE_IDS, THEOREM_CLAIMS, ProveOptions,
-                    identity_check, limit_report, scan_extremum,
-                    sequence_check, verify_inequality)
+from .lang import (default_corpus_path, eval_endpoint, parse_corpus,
+                   parse_expression)
+from .prove import (IDENTITY_IDS, SEQUENCE_IDS, ProveOptions, identity_check,
+                    limit_report, scan_extremum, sequence_check,
+                    verify_inequality)
 from .prove import near_zero_certificate  # noqa: F401 (patched by perfbench)
 from .series import THEOREMS, get_series, series_ids, theorem_coeff
 from .exact import bernoulli
@@ -108,10 +108,6 @@ def _iv_json(iv: Interval | None):
     return {"lo": str(iv.lo), "hi": str(iv.hi)}
 
 
-def default_corpus_path() -> str:
-    return str(resources.files("ineqcert").joinpath("data/paper.ineq"))
-
-
 def _load_corpus(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -166,7 +162,7 @@ def _claim_entry(spec, result) -> dict:
         witness = _iv_json(result.witness)
         witness["midpoint_value"] = _iv_json(result.witness_value)
     sharp = None
-    claim = THEOREM_CLAIMS.get(spec.name)
+    claim = result.theorem  # set only on a stanza registered as its theorem
     if claim is not None:
         endpoint = "right" if claim.mode == "upper" else "zero"
         lr = limit_report(claim.thm, endpoint)
@@ -284,6 +280,9 @@ def _find_tag(corpus, key: str):
 
 
 def _cmd_sequences(args) -> int:
+    # the corpus is read first: an unreadable one leaves no report behind
+    expect = _find_tag(_load_corpus(args.corpus),
+                       f"expect_seq.{args.id}.{args.mode}")
     rep = sequence_check(args.id, args.mode, args.nmax, n_min=args.nmin)
     entry = {
         "name": f"{args.id}.{args.mode}",
@@ -302,8 +301,6 @@ def _cmd_sequences(args) -> int:
         n, v = rep.first_violation
         line = f"{args.id} {args.mode}: first violation at n={n}, value {v}"
     _emit_report(args, config, [entry], [line])
-    corpus = _load_corpus(args.corpus)
-    expect = _find_tag(corpus, f"expect_seq.{args.id}.{args.mode}")
     if expect is None or expect == "pass":
         return 0 if rep.all_pass else 1
     # parse_corpus admits only pass and violation@<n>

@@ -31,17 +31,18 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import resources
 from typing import Optional, Union
 
 from . import _core
 from .errors import DomainError, EvalError, ParseError, PoleError
-from .interval import Interval, get_ctx, pi_enclose
+from .interval import Interval, get_ctx
 
 __all__ = [
     "Token", "tokenize", "Expr", "Lit", "PiConst", "VarX", "Neg", "Add",
     "Sub", "Mul", "Div", "PowInt", "Call", "parse_expression", "format_expr",
-    "InequalitySpec", "parse_corpus", "eval_expr", "eval_endpoint",
-    "FUNCTIONS", "TAG_KEYS",
+    "InequalitySpec", "parse_corpus", "default_corpus_path", "eval_expr",
+    "eval_endpoint", "FUNCTIONS", "TAG_KEYS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
@@ -386,10 +387,14 @@ def _check_endpoint_expr(e: Expr):
             _check_endpoint_expr(child)
 
 
+# pi to a fixed 152 bits (width under 1e-36), so an endpoint's value never
+# depends on how far earlier `pi_enclose` calls have tightened its bracket
+_PI = Interval(*(Fraction(v, 1 << 152) for v in _core._pi_bracket(152)))
+
 # exact Fraction intervals for _core's plan runner; endpoints hold no x or calls
 _ENDPOINT_OPS = {
     "lit": lambda ctx, v, x: Interval.point(v),
-    "pi": lambda ctx, x: pi_enclose(Fraction(1, 10 ** 36)).interval,
+    "pi": lambda ctx, x: _PI,
     "neg": operator.neg, "add": operator.add, "sub": operator.sub,
     "mul": lambda ctx, a, b: a * b,
     "div": lambda ctx, a, b: a / b,
@@ -404,6 +409,11 @@ def eval_endpoint(e: Expr) -> Interval:
 
 
 # --- corpus -----------------------------------------------------------------
+
+def default_corpus_path() -> str:
+    """The shipped corpus, `data/paper.ineq` inside the package."""
+    return str(resources.files("ineqcert").joinpath("data/paper.ineq"))
+
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.]*$")
 

@@ -5,12 +5,14 @@
   evaluation and order-12 midpoint Taylor forms, so differences that
   vanish to high order at an endpoint still certify with modest leaf
   counts.
-* `verify_inequality`: runs a corpus stanza on its compact core.  For the
-  eight theorem stanzas a registered exact difference series (validated
-  against the expression at sample points) provides the enclosures; a
-  series certificate closes the (0, eps] gap.  On the core only bisection
-  of the raw difference refutes, backed by a point grid when it ends Unknown.
-  Uncovered margins are always reported, never silently assumed.
+* `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
+  is registered as its theorem only when its domain and difference equal
+  those of the same-named stanza in the shipped corpus.  Then a series
+  certificate closes the (0, eps] gap (all eight theorem stanzas), and for
+  seven of them a registered exact difference series provides the core's
+  enclosures.  On the core only bisection of the raw difference refutes,
+  backed by a point grid when it ends Unknown.  Uncovered margins are
+  always reported, never silently assumed.
 * `ProveOptions`: the engine options, each with its one default and its
   valid range, checked when the options are built.
 * `near_zero_certificate`, `sequence_check`, `identity_check`,
@@ -24,6 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -31,8 +34,8 @@ from . import _core
 from .errors import DomainError, EvalError, InconsistencyError, PoleError
 from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
-from .lang import (Expr, InequalitySpec, eval_endpoint, eval_expr,
-                   parse_expression)
+from .lang import (Expr, InequalitySpec, default_corpus_path, eval_endpoint,
+                   eval_expr, parse_corpus, parse_expression)
 from .series import (coeff_row, eval_series, exact_sum, get_series,
                      tail_bound, theorem_coeff, THEOREMS, THEOREM_START,
                      TRIG_X_MAX)
@@ -110,6 +113,7 @@ class ProofResult:
     findings: list = field(default_factory=list)
     uncovered: list = field(default_factory=list)
     series_certificate: Optional[dict] = None
+    theorem: Optional[TheoremClaim] = None  # the registered claim the stanza is
 
 
 @dataclass(frozen=True)
@@ -270,14 +274,6 @@ class TheoremClaim:
     mode: str                  # lower | upper | positive
     prefactor: str             # positive factor linking series form to the stanza
 
-    @property
-    def diff_text(self) -> str:
-        """The stanza difference, rebuilt from the theorem's ratio."""
-        t = THEOREMS[self.thm]
-        if self.mode == "upper":
-            return f"({t.right_value})*{t.den} - ({t.num})"
-        return f"{t.num} - ({t.zero_value})*{t.den}"
-
 
 THEOREM_CLAIMS = {
     stanza: TheoremClaim(stanza, t.id, t.series, mode, t.prefactor or t.den)
@@ -296,7 +292,7 @@ def _const_interval(claim: TheoremClaim) -> Interval:
 
 def _pick_N(series_id: str, x_hi: Fraction) -> int:
     seq = get_series(series_id)
-    x = _dyadic_up(x_hi, 64)
+    x = Interval.point(x_hi).round_out(64).hi
     n = seq.start_index + 22
     while n < 140:
         if tail_bound(series_id, n, x).bound < Fraction(1, 10 ** 30):
@@ -318,6 +314,27 @@ def _series_claim_eval(claim: TheoremClaim, N: int):
         return s
 
     return ev
+
+
+@lru_cache(maxsize=None)
+def _shipped_stanzas() -> dict:
+    """The shipped corpus's stanzas by name, parsed once per process."""
+    with open(default_corpus_path(), "r", encoding="utf-8") as fh:
+        return {s.name: s for s in parse_corpus(fh.read())}
+
+
+def _statement(spec: InequalitySpec) -> tuple:
+    # what a stanza claims: its domain and its difference (offsets aside)
+    return (spec.lo_expr, spec.lo_closed, spec.hi_expr, spec.hi_closed,
+            spec.difference())
+
+
+def _registration_ok(spec: InequalitySpec) -> bool:
+    """Whether the stanza states exactly what the shipped stanza of its name
+    does.  The registered series were derived for those statements, so only
+    then may it take its theorem's routes."""
+    shipped = _shipped_stanzas().get(spec.name)
+    return shipped is not None and _statement(spec) == _statement(shipped)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +453,7 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
         return res
     eff, N, lb = proved_neg
     x0 = eff / 2
-    wv = eval_expr(parse_expression(claim.diff_text), Interval.point(x0))
+    wv = eval_expr(_shipped_stanzas()[stanza].difference(), Interval.point(x0))
     res.status = "Refuted"
     res.witness = Interval.point(x0)
     res.witness_value = wv if wv.hi < 0 else None
@@ -464,20 +481,10 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
 # verify_inequality
 # ---------------------------------------------------------------------------
 
-def _dyadic_up(x: Fraction, bits: int) -> Fraction:
-    s = 1 << bits
-    return Fraction(-((-x.numerator * s) // x.denominator), s)
-
-
-def _dyadic_down(x: Fraction, bits: int) -> Fraction:
-    s = 1 << bits
-    return Fraction((x.numerator * s) // x.denominator, s)
-
-
 def _grid_refute(ev, lo: Fraction, hi: Fraction, grid: int):
     best = None
     for i in range(grid + 1):
-        x = _dyadic_down(lo + (hi - lo) * Fraction(i, grid), 64)
+        x = Interval.point(lo + (hi - lo) * Fraction(i, grid)).round_out(64).lo
         if x < lo:
             x = lo
         try:
@@ -489,102 +496,80 @@ def _grid_refute(ev, lo: Fraction, hi: Fraction, grid: int):
     return best
 
 
-def _registration_ok(claim: TheoremClaim, ev_expr, lo: Fraction, hi: Fraction,
-                     N: int, opts: ProveOptions) -> bool:
-    """Spot-check the registered factorization against the raw expression."""
-    pre = _make_expr_eval(parse_expression(claim.prefactor), opts)
-    ev_series = _series_claim_eval(claim, N)
-    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        x = _dyadic_down(lo + (hi - lo) * t, 64)
-        xi = Interval.point(x)
-        try:
-            direct = ev_expr(xi)
-            p = pre(xi)
-            s = ev_series(xi)
-        except (DomainError, PoleError, EvalError):
-            return False
-        via = p * s if claim.mode in ("lower", "upper") else s / p
-        if not direct.intersects(via):
-            return False
-    return True
-
-
 def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofResult:
     """Check a corpus stanza on its compact core.
 
     The core is [lo + eps_lo, hi - eps_hi] (an unbounded domain is cut at
-    x_max).  Proofs use the registered series rewrite when one exists,
-    otherwise bisection of the raw difference, which alone refutes on the
-    core; a grid of GRID + 1 points is scanned only when the core ends
-    Unknown.  Margins left unverified are reported in `uncovered`.
+    x_max).  A stanza that `_registration_ok` finds to be its theorem's
+    shipped stanza gets the near-zero certificate on (0, eps] and, where
+    one is registered, the series rewrite on the core; every other stanza
+    is bisected as it stands.  Only bisection of the raw difference refutes
+    on the core; a grid of GRID + 1 points is scanned only when the core
+    ends Unknown.  Margins left unverified are reported in `uncovered`.
     """
     opts = opts or ProveOptions()
     t0 = time.perf_counter()
     bits = opts.precision
+    claim = THEOREM_CLAIMS.get(spec.name)
+    if claim is not None and not _registration_ok(spec):
+        claim = None
 
     lo_iv = eval_endpoint(spec.lo_expr)
     lo_core = lo_iv.hi if spec.lo_closed else lo_iv.hi + opts.eps_lo
-    lo_core = _dyadic_up(lo_core, bits)
+    lo_core = Interval.point(lo_core).round_out(bits).hi
     uncovered = []
     if spec.unbounded:
-        hi_core = _dyadic_down(Fraction(opts.x_max), bits)
+        hi_core = Interval.point(Fraction(opts.x_max)).round_out(bits).lo
         uncovered.append(f"({hi_core}, inf) unverified (x_max cutoff)")
     else:
         hi_iv = eval_endpoint(spec.hi_expr)
         hi_core = hi_iv.lo if spec.hi_closed else hi_iv.lo - opts.eps_hi
-        hi_core = _dyadic_down(hi_core, bits)
+        hi_core = Interval.point(hi_core).round_out(bits).lo
         if not spec.hi_closed:
             uncovered.append(f"[{hi_core}, hi) uncovered (margin eps_hi={opts.eps_hi})")
     if lo_core >= hi_core:
-        return ProofResult("Unknown", reason="empty core after margins")
+        return ProofResult("Unknown", reason="empty core after margins",
+                           theorem=claim)
 
     diff = spec.difference()
     ev = _make_expr_eval(diff, opts)
 
-    claim = THEOREM_CLAIMS.get(spec.name)
     nz_result = None
     left_gap_note = None
-    if not spec.lo_closed:
-        if claim is not None and lo_iv.lo == 0:
-            side = "upper" if claim.mode == "upper" else "lower"
-            try:
-                nz_result = near_zero_certificate(claim.thm, lo_core, side=side)
-            except DomainError as exc:
-                nz_result = ProofResult("Unknown", reason=str(exc))
-        else:
-            left_gap_note = (f"(lo, {lo_core}] uncovered "
-                             f"(margin eps_lo={opts.eps_lo}; no registered series)")
+    if claim is not None:  # a shipped theorem stanza: its domain is (0, ...)
+        side = "upper" if claim.mode == "upper" else "lower"
+        try:
+            nz_result = near_zero_certificate(claim.thm, lo_core, side=side)
+        except DomainError as exc:
+            nz_result = ProofResult("Unknown", reason=str(exc))
+    elif not spec.lo_closed:
+        left_gap_note = (f"(lo, {lo_core}] uncovered "
+                         f"(margin eps_lo={opts.eps_lo}; no registered series)")
 
     if claim is not None and not THEOREMS[claim.thm].derivative_series:
         N = _pick_N(claim.series_id, hi_core)
-        if _registration_ok(claim, ev, lo_core, hi_core, N, opts):
-            res = _bisect_positive(_series_claim_eval(claim, N),
-                                   lo_core, hi_core, opts)
-            if res.status == "Refuted":
-                # three spot checks do not make the series form the stanza's
-                # difference: only the raw difference may refute
-                res = _bisect_positive(ev, lo_core, hi_core, opts)
-                res.findings.append(
-                    f"series form {claim.series_id} (N={N}) certified negative "
-                    f"on a box; the raw difference was bisected instead")
-            else:
-                pre_res = _bisect_positive(
-                    _make_expr_eval(parse_expression(claim.prefactor), opts),
-                    lo_core, hi_core, opts)
-                res.findings.append(
-                    f"series form {claim.series_id} (N={N}) proved "
-                    f"{claim.mode}-claim on core; prefactor {claim.prefactor} "
-                    f"{pre_res.status.lower()} positive ({pre_res.leaves} leaves)")
-                if pre_res.status != "Proved":
-                    res.status = "Unknown"
-                    res.reason = f"prefactor positivity not established: {pre_res.reason}"
-        else:
+        res = _bisect_positive(_series_claim_eval(claim, N),
+                               lo_core, hi_core, opts)
+        if res.status == "Refuted":
+            # only the raw difference may refute
             res = _bisect_positive(ev, lo_core, hi_core, opts)
             res.findings.append(
-                "registered series failed its spot check; fell back to "
-                "direct interval bisection")
+                f"series form {claim.series_id} (N={N}) certified negative "
+                f"on a box; the raw difference was bisected instead")
+        else:
+            pre_res = _bisect_positive(
+                _make_expr_eval(parse_expression(claim.prefactor), opts),
+                lo_core, hi_core, opts)
+            res.findings.append(
+                f"series form {claim.series_id} (N={N}) proved "
+                f"{claim.mode}-claim on core; prefactor {claim.prefactor} "
+                f"{pre_res.status.lower()} positive ({pre_res.leaves} leaves)")
+            if pre_res.status != "Proved":
+                res.status = "Unknown"
+                res.reason = f"prefactor positivity not established: {pre_res.reason}"
     else:
         res = _bisect_positive(ev, lo_core, hi_core, opts)
+    res.theorem = claim
 
     # a dip narrower than the bisection can resolve may still show at a point
     if res.status == "Unknown" and not res.reason.startswith("internal inconsistency"):

@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ineqcert
 from ineqcert.cli import _ENGINE_OPTIONS, run_command
+from ineqcert.interval import pi_enclose
 from ineqcert.lang import TAG_KEYS
+from ineqcert.prove import THEOREM_CLAIMS
 
 
 def test_bernoulli_csv(tmp_path, capsys):
@@ -312,6 +315,17 @@ def test_sequences_pass_expectation(tmp_path):
     assert code == 0
 
 
+def test_sequences_unreadable_corpus_writes_no_report(tmp_path, capsys):
+    argv = ["sequences", "--id", "S_T31", "--mode", "positive", "--nmax", "10",
+            "--corpus", str(tmp_path / "nosuch.ineq")]
+    out = tmp_path / "s.json"
+    assert run_command([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read corpus" in captured.err
+
+
 def test_identities_cli(tmp_path):
     code = run_command(["identities", "--id", "ID_T33_CDIFF", "--nmax", "500",
                         "--out", str(tmp_path / "i.json")])
@@ -451,6 +465,43 @@ def test_reports_byte_identical_across_jobs(tmp_path):
     assert run_command(["prove", "--corpus", str(p), "--jobs", "4",
                         "--out", str(out4)]) == 0
     assert out1.read_bytes() == out4.read_bytes()
+
+
+def test_report_does_not_depend_on_earlier_pi_enclose(tmp_path):
+    # pi_enclose only ever tightens its shared bracket; the pi/2 endpoint,
+    # and so the core and its margin, must come out as in a fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(ineqcert.__file__).parents[1]))
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ineqcert", "prove", "--name", "HUY_TRIG",
+         "--out", str(fresh)], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    pi_enclose(Fraction(1, 10 ** 80))
+    assert run_command(["prove", "--name", "HUY_TRIG", "--out", str(here)]) == 0
+    assert here.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("rhs", ["1/2000", "0"])
+def test_theorem_names_on_other_claims(tmp_path, rhs):
+    # each theorem's name on x > rhs: no near-zero certificate, no series
+    # route and no sharp constant.  x > 1/2000 is false on (0, 1/2000], so
+    # no series may cover that margin; x > 0 is true, so THM33's
+    # refutation must not carry over
+    p = tmp_path / "impostors.ineq"
+    p.write_text("".join(
+        f"inequality {name} {{\n"
+        f"  domain = {'(0, inf)' if name in ('THM33', 'THM34') else '(0, pi/2)'}\n"
+        f"  lhs = x\n  relation = >\n  rhs = {rhs}\n"
+        f"  tags = expected:proved\n}}\n" for name in THEOREM_CLAIMS))
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--corpus", str(p), "--out", str(out)]) == 0
+    claims = json.loads(out.read_text())["claims"]
+    assert len(claims) == 8
+    for c in claims:
+        assert c["status"] == "Proved" and c["sharp"] is None, c["name"]
+        assert c["findings"] == [] and c["witness"] is None
+        assert c["uncovered"][0].startswith("(lo, ")
+        assert c["uncovered"][0].endswith("(margin eps_lo=1/1000; no registered series)")
 
 
 def test_full_corpus_exits_zero(corpus_report):

@@ -5,13 +5,16 @@ import pytest
 
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval
-from ineqcert.lang import eval_expr, parse_corpus, parse_expression
+from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
+                           parse_expression)
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
-                            _left_sup_bound, identity_check, limit_report,
+                            _left_sup_bound, _pick_N, _registration_ok,
+                            _series_claim_eval, identity_check, limit_report,
                             near_zero_certificate, prove_positive,
                             reverify_certificate, scan_extremum,
                             sequence_check, verify_inequality)
-from ineqcert.series import get_series, series_ids, theorem_coeff
+from ineqcert.series import (THEOREMS, get_series, series_ids, tail_bound,
+                             theorem_coeff)
 
 from oracles import left_lower_bound_termwise, left_sup_bound_termwise
 
@@ -193,14 +196,73 @@ def test_verify_unbounded_reports_cutoff(corpus_specs):
     assert any("inf) unverified" in u for u in r.uncovered)
 
 
+def _integrated_form(series_id: str, N: int):
+    # x -> enclosure of the integral over [0, x] of the series, for a series
+    # registered as the derivative of the prefactor times the difference
+    seq = get_series(series_id)
+    exps = [(seq.coeff(n), seq.exponent_of(n) + 1)
+            for n in range(seq.start_index, N + 1)]
+
+    def form(x: Fraction) -> Interval:
+        total = sum(c * x ** e / e for c, e in exps)
+        r = x * tail_bound(series_id, N, x).bound
+        return Interval(total - r, total + r)
+
+    return form
+
+
 @pytest.mark.parametrize("stanza", sorted(THEOREM_CLAIMS))
 def test_theorem_claim_matches_corpus_stanza(corpus_specs, stanza):
-    # the difference rebuilt from the theorem registry is the stanza's own
-    diff = parse_expression(THEOREM_CLAIMS[stanza].diff_text)
-    spec_diff = _spec(corpus_specs, stanza).difference()
-    for x in (F(1, 4), F(1, 2), F(1)):
+    # the registered series form, linked by its prefactor, encloses the
+    # shipped stanza's difference at 9 points of its default core (1/4, 1/2
+    # and 3/4 among them): registration by identity relies on this data
+    spec = _spec(corpus_specs, stanza)
+    claim = THEOREM_CLAIMS[stanza]
+    lo = eval_endpoint(spec.lo_expr).hi + F(1, 1000)
+    hi = (F(spec.tag_value("x_max") or 20) if spec.unbounded
+          else eval_endpoint(spec.hi_expr).lo - F(1, 1000))
+    N = _pick_N(claim.series_id, hi)
+    derivative = THEOREMS[claim.thm].derivative_series
+    form = (_integrated_form(claim.series_id, N) if derivative
+            else _series_claim_eval(claim, N))
+    prefactor = parse_expression(claim.prefactor)
+    for k in range(9):
+        x = lo + (hi - lo) * F(k, 8)
         xi = Interval.point(x)
-        assert eval_expr(diff, xi).intersects(eval_expr(spec_diff, xi)), x
+        s, p = form(x if derivative else xi), eval_expr(prefactor, xi)
+        via = s / p if claim.mode == "positive" else p * s
+        assert via.intersects(eval_expr(spec.difference(), xi)), (stanza, k)
+
+
+@pytest.mark.parametrize("stanza", sorted(THEOREM_CLAIMS))
+def test_shipped_theorem_stanzas_are_registered(corpus_specs, stanza):
+    assert _registration_ok(_spec(corpus_specs, stanza))
+
+
+_T31_SMALL, _T31_BIG = "3 + (1/60)*x^3*sin(x)", "2*x/sin(x) + x/tan(x)"
+
+
+def _thm31_lo(domain, lhs=_T31_SMALL, rel="<", rhs=_T31_BIG):
+    return parse_corpus(f"inequality THM31_LO {{\n  domain = {domain}\n"
+                        f"  lhs = {lhs}\n  relation = {rel}\n"
+                        f"  rhs = {rhs}\n}}\n")[0]
+
+
+def test_registration_compares_domain_and_difference():
+    # the same claim, spelt the other way round and with other spacing
+    assert _registration_ok(_thm31_lo("( 0 , pi/2 )", _T31_BIG, ">", _T31_SMALL))
+    assert not _registration_ok(_thm31_lo("(0, 31/10)"))
+    assert not _registration_ok(_thm31_lo("[0, pi/2)"))
+    assert not _registration_ok(_thm31_lo("(0, pi/2)", rhs=_T31_BIG + " + 0"))
+    assert not _registration_ok(_thm31_lo("(0, pi/2)", "x", ">", "1/2000"))
+
+
+def test_registered_stanza_past_the_series_radius_gets_a_verdict():
+    # T3.1's series has radius pi; on (0, 31/10) the stanza is not the
+    # shipped one, so the raw difference is bisected instead of the series
+    r = verify_inequality(_thm31_lo("(0, 31/10)"), ProveOptions(max_depth=16))
+    assert r.status == "Unknown" and r.theorem is None
+    assert "possible pole" in r.reason
 
 
 # --- near-zero certificates --------------------------------------------------
