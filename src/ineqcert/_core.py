@@ -17,12 +17,16 @@ Taylor vectors, or exact rational intervals for `lang.eval_endpoint`.  The
 plan is kept on the expression's root node; point series are cached in
 `Ctx`.  `enclose` intersects the plain range with an order-12 Taylor form
 about the midpoint, whose midpoint vector stops at order 11; there is no
-other narrowing step.  The Taylor ops skip every term with an exact (0, 0)
-factor, so sparse vectors cost less and come out equal to dense ones, and
-squares form each cross product once.  sin/cos and sinh/cosh vectors come
-from their coupled recurrence, tan and tanh from their own ODE
-t' = u' (1 +- t^2); interval vectors are divided only for an expression's
-`/` and negative powers.
+other narrowing step.  The form's remainder coefficient, from a box vector,
+bounds the remainder on every sub-box as well (the inclusion property of
+Taylor models), so `enclose` returns it for the sub-boxes and accepts a
+parent's: a box vector is then built only when the midpoint terms decide
+the sign and the inherited coefficient does not.  The Taylor ops skip
+every term with an exact (0, 0) factor, so sparse vectors cost less and
+come out equal to dense ones, and squares form each cross product once.
+sin/cos and sinh/cosh vectors come from their coupled recurrence, tan and
+tanh from their own ODE t' = u' (1 +- t^2); interval vectors are divided
+only for an expression's `/` and negative powers.
 """
 
 from fractions import Fraction
@@ -646,25 +650,43 @@ def _form_term(ctx, c, r, j):
     return (lo >> sh, _ceil_shift(hi, sh))
 
 
-def enclose(ctx, node, a, b):
-    """Certified enclosure of node over [a, b]/2**prec: the plain range,
-    intersected with the order-TAYLOR_ORDER Taylor form about the midpoint
-    (box coefficients for the remainder term) when the plain range does not
-    decide the sign."""
+def enclose(ctx, node, a, b, rem=None):
+    """(enclosure, rem for sub-boxes) of node over [a, b]/2**prec.
+
+    The enclosure is the plain range, intersected with the order-TAYLOR_ORDER
+    Taylor form about the midpoint when the plain range does not decide the
+    sign.  The form is P + c * [-r, r]^k, where P sums the midpoint terms
+    below order k and c bounds the order-k coefficient over the box.
+
+    `rem`, if given, is such a c over a box enclosing [a, b]: it bounds the
+    remainder here too.  Then the box vector is skipped when P with rem
+    already decides the sign, or when P itself straddles 0 (the remainder
+    term holds 0, so no c could decide), and rem is handed on.  Otherwise
+    the box vector gives c and c is handed on; without `rem` the enclosure
+    is always the full form.  No rem is handed on when a Taylor vector
+    could not be evaluated.
+    """
     enc = eval_plain(ctx, node, (a, b))
     if enc[0] > 0 or enc[1] < 0 or a == b:
-        return enc
+        return enc, rem
     k = TAYLOR_ORDER
     m = (a + b) // 2
+    r = max(b - m, m - a)
     try:
-        tx = eval_taylor(ctx, node, _tvar(ctx, a, b, k), k)
-        # the form reads tm[j] for j < k only: tx[k] bounds the remainder
+        # the form reads tm[j] for j < k only: c bounds the remainder
         tm = eval_taylor(ctx, node, _tvar(ctx, m, m, k - 1), k - 1)
     except (DomainError, PoleError):
-        return enc
-    r = max(b - m, m - a)
-    form = tm[0]
+        return enc, None
+    poly = tm[0]
     for j in range(1, k):
-        form = iadd(form, _form_term(ctx, tm[j], r, j))
-    form = iadd(form, _form_term(ctx, tx[k], r, k))
-    return iisect(enc, form)
+        poly = iadd(poly, _form_term(ctx, tm[j], r, j))
+    if rem is not None:
+        # P is no enclosure by itself: its sign is read, never intersected
+        out = iisect(enc, iadd(poly, _form_term(ctx, rem, r, k)))
+        if out[0] > 0 or out[1] < 0 or poly[0] <= 0 <= poly[1]:
+            return out, rem
+    try:
+        tx = eval_taylor(ctx, node, _tvar(ctx, a, b, k), k)
+    except (DomainError, PoleError):
+        return enc, None
+    return iisect(enc, iadd(poly, _form_term(ctx, tx[k], r, k))), tx[k]

@@ -4,7 +4,7 @@
   positive on a compact interval.  Leaf enclosures combine plain interval
   evaluation and order-12 midpoint Taylor forms, so differences that
   vanish to high order at an endpoint still certify with modest leaf
-  counts.
+  counts.  Each box hands its remainder coefficient down to its halves.
 * `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
   is registered as its theorem only when its domain and difference equal
   those of the same-named stanza in the shipped corpus.  Then a series
@@ -163,15 +163,20 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 
 def _make_expr_eval(expr: Expr, opts: ProveOptions):
-    """Returns eval_fn(x) -> Interval."""
+    """Returns eval_fn(x) -> Interval, whose attribute `carry(x, rem)`
+    returns (Interval, rem for sub-boxes) from `_core.enclose`, for
+    `_bisect_positive` to hand down."""
     ctx = get_ctx(opts.precision)
 
-    def ev(x: Interval):
-        a = ctx.lo_of(x.lo)
-        b = ctx.hi_of(x.hi)
-        lo, hi = _core.enclose(ctx, expr, a, b)
-        return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
+    def carry(x: Interval, rem=None):
+        # looked up at call time, so a rebinding of _core.enclose sees it
+        (lo, hi), rem = _core.enclose(ctx, expr, ctx.lo_of(x.lo), ctx.hi_of(x.hi), rem)
+        return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one)), rem
 
+    def ev(x: Interval):
+        return carry(x)[0]
+
+    ev.carry = carry
     return ev
 
 
@@ -189,19 +194,26 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
     """Proved when every box certifies positive; Refuted at the first box
     certified negative, even past inconclusive ones; otherwise Unknown,
     naming the first box that stayed inconclusive at the depth limit, or
-    the box whose enclosures contradict each other."""
+    the box whose enclosures contradict each other.
+
+    When ev has `carry(x, rem) -> (Interval, rem)`, each box hands the
+    remainder coefficient it returns down to its two halves; a box at the
+    depth or width limit gets none, so the enclosure a reason prints is
+    the box's own full form."""
     t0 = time.perf_counter()
-    stack = [(lo, hi, 0)]
+    carry = getattr(ev, "carry", None) or (lambda x, rem: (ev(x), None))
+    stack = [(lo, hi, 0, None)]
     leaves = []
     maxd = 0
     first_reason, inconclusive = None, 0
     while stack and inconclusive < MAX_INCONCLUSIVE:
-        a, b, d = stack.pop()
+        a, b, d, rem = stack.pop()
         maxd = max(maxd, d)
+        at_limit = d >= opts.max_depth or (b - a) <= opts.min_width
         enc = None
         err = None
         try:
-            enc = ev(Interval(a, b))
+            enc, rem = carry(Interval(a, b), None if at_limit else rem)
         except (DomainError, PoleError, EvalError) as exc:
             err = str(exc)
         except InconsistencyError as exc:
@@ -230,15 +242,17 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
                     "Refuted", witness=Interval(a, b), witness_value=wv,
                     certificate=leaves, leaves=len(leaves), max_depth=maxd,
                     ms=1000 * (time.perf_counter() - t0))
-        if d >= opts.max_depth or (b - a) <= opts.min_width:
+        if at_limit:
             why = err or f"enclosure [{enc.lo}, {enc.hi}] straddles 0"
             if first_reason is None:
                 first_reason = f"inconclusive on [{a}, {b}] at depth {d}: {why}"
             inconclusive += 1
             continue
+        if err is not None:
+            rem = None
         m = (a + b) / 2
-        stack.append((m, b, d + 1))
-        stack.append((a, m, d + 1))
+        stack.append((m, b, d + 1, rem))
+        stack.append((a, m, d + 1, rem))
     if inconclusive:
         return ProofResult("Unknown", reason=first_reason,
                            leaves=len(leaves), max_depth=maxd,
@@ -500,10 +514,12 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     """Check a corpus stanza on its compact core.
 
     The core is [lo + eps_lo, hi - eps_hi] (an unbounded domain is cut at
-    x_max).  A stanza that `_registration_ok` finds to be its theorem's
-    shipped stanza gets the near-zero certificate on (0, eps] and, where
-    one is registered, the series rewrite on the core; every other stanza
-    is bisected as it stands.  Only bisection of the raw difference refutes
+    x_max; a cutoff past a function's argument limit, where the difference
+    cannot be evaluated, leaves the core Unknown unbisected).  A stanza
+    that `_registration_ok` finds to be its theorem's shipped stanza gets
+    the near-zero certificate on (0, eps] and, where one is registered, the
+    series rewrite on the core; every other stanza is bisected as it
+    stands.  Only bisection of the raw difference refutes
     on the core; a grid of GRID + 1 points is scanned only when the core
     ends Unknown.  Margins left unverified are reported in `uncovered`.
     """
@@ -533,6 +549,14 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
 
     diff = spec.difference()
     ev = _make_expr_eval(diff, opts)
+    past_limit = None
+    if spec.unbounded:
+        # past an argument limit (|x| <= 4 for sin and cos, 32 for sinh, cosh
+        # and tanh) no box at the cutoff has an enclosure: do not bisect
+        try:
+            ev(Interval.point(hi_core))
+        except DomainError as exc:
+            past_limit = f"x_max={opts.x_max} is past an argument limit: {exc}"
 
     nz_result = None
     left_gap_note = None
@@ -546,7 +570,9 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         left_gap_note = (f"(lo, {lo_core}] uncovered "
                          f"(margin eps_lo={opts.eps_lo}; no registered series)")
 
-    if claim is not None and not THEOREMS[claim.thm].derivative_series:
+    if past_limit is not None:
+        res = ProofResult("Unknown", reason=past_limit)
+    elif claim is not None and not THEOREMS[claim.thm].derivative_series:
         N = _pick_N(claim.series_id, hi_core)
         res = _bisect_positive(_series_claim_eval(claim, N),
                                lo_core, hi_core, opts)
@@ -572,7 +598,8 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     res.theorem = claim
 
     # a dip narrower than the bisection can resolve may still show at a point
-    if res.status == "Unknown" and not res.reason.startswith("internal inconsistency"):
+    if (res.status == "Unknown" and past_limit is None
+            and not res.reason.startswith("internal inconsistency")):
         ref = _grid_refute(ev, lo_core, hi_core, GRID)
         if ref is not None:
             x0, v = ref

@@ -8,8 +8,9 @@ import mpmath
 import pytest
 
 from ineqcert import _core, lang
-from ineqcert.interval import get_ctx
+from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import INF, eval_endpoint, parse_expression
+from ineqcert.prove import ProveOptions, prove_positive
 from oracles import (enclose_full_order, idiv_eight, imul_dense, tdiv_dense,
                      tmul_dense, tsincos_dense, ttan_quotient, walk)
 
@@ -235,7 +236,7 @@ def test_plan_equals_recursive_walk(corpus_specs):
             for xvec in (_core._tvar(ctx, a, b), _core._tvar(ctx, m, m)):
                 assert (_core.eval_taylor(ctx, node, xvec, k)
                         == walk(ctx, node, xvec, _core._TAYLOR_OPS)), (spec.name, i, j)
-            assert (_core.enclose(ctx, node, a, b)
+            assert (_core.enclose(ctx, node, a, b)[0]
                     == enclose_full_order(ctx, node, a, b)), (spec.name, i, j)
 
 
@@ -272,5 +273,158 @@ def test_enclose_product_count_does_not_grow(monkeypatch, corpus_specs):
         return imul(*args)
 
     monkeypatch.setattr(_core, "imul", counting)
-    assert _core.enclose(ctx, node, a, b)[0] > 0
+    assert _core.enclose(ctx, node, a, b)[0][0] > 0
     assert len(calls) <= 651
+
+
+def _sign(enc):
+    return 1 if enc[0] > 0 else -1 if enc[1] < 0 else 0
+
+
+def test_inherited_remainder_keeps_sign_and_points(monkeypatch, corpus_specs):
+    # Each seeded box is split once, and each half is enclosed with the
+    # box's remainder coefficient: it decides what its own full form
+    # decides, holds the point enclosures at its ends and midpoint, and
+    # hands down no coefficient when a Taylor vector raised.
+    ctx = get_ctx(192)
+    rng = random.Random(1968)
+    raised = []
+    eval_taylor = _core.eval_taylor
+
+    def watching(*args):
+        try:
+            return eval_taylor(*args)
+        except (_core.DomainError, _core.PoleError):
+            raised.append(args[3])
+            raise
+
+    monkeypatch.setattr(_core, "eval_taylor", watching)
+    inherited = 0
+    for spec in corpus_specs:
+        node = spec.difference()
+        top = 512 if spec.unbounded else 96
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(1, top + 1), 2))
+            a, b = ctx.lo_of(Fraction(i, 64)), ctx.lo_of(Fraction(j, 64))
+            _, rem = _core.enclose(ctx, node, a, b)
+            m = (a + b) // 2
+            for ca, cb in ((a, m), (m, b)):
+                full, _ = _core.enclose(ctx, node, ca, cb)
+                raised.clear()
+                enc, child_rem = _core.enclose(ctx, node, ca, cb, rem)
+                where = (spec.name, i, j, ca == a)
+                assert _sign(enc) == _sign(full), where
+                for p in (ca, cb, (ca + cb) // 2):
+                    pt = _core.eval_plain(ctx, node, (p, p))
+                    assert enc[0] <= pt[0] and pt[1] <= enc[1], where
+                if raised:
+                    assert child_rem is None, where
+                inherited += rem is not None and enc != full
+    # the halves did take the inherited form, not only their own
+    assert inherited > 0
+
+
+def _record_orders(monkeypatch):
+    """Rebind eval_taylor to record the order of each call."""
+    orders = []
+    eval_taylor = _core.eval_taylor
+
+    def recording(ctx, node, xvec, k):
+        orders.append(k)
+        return eval_taylor(ctx, node, xvec, k)
+
+    monkeypatch.setattr(_core, "eval_taylor", recording)
+    return orders
+
+
+def _crafted_taylor(monkeypatch, tm0, rem):
+    """Rebind eval_taylor: the midpoint vector becomes tm0 and zeros, the
+    box vector zeros with rem at order k; returns the orders called."""
+    orders = []
+
+    def crafted(ctx, node, xvec, k):
+        orders.append(k)
+        if k < _core.TAYLOR_ORDER:
+            return [tm0] + [(0, 0)] * k
+        return [(0, 0)] * k + [rem]
+
+    monkeypatch.setattr(_core, "eval_taylor", crafted)
+    return orders
+
+
+def test_skip_reads_the_sign_of_p_and_never_intersects_it(monkeypatch):
+    # P is no enclosure: a plain range that misses it is no inconsistency,
+    # so deciding on P must read its sign, never intersect it
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    node = parse_expression("sin(x) - 1/2")
+    a, b = 0, ctx.one
+    plain = _core.eval_plain(ctx, node, (a, b))
+    assert plain[0] < 0 < plain[1]
+    wide = (-(10 ** 6) * ctx.one, 10 ** 6 * ctx.one)
+    above = (plain[1] + ctx.one, plain[1] + 2 * ctx.one)     # P > 0, misses plain
+    orders = _crafted_taylor(monkeypatch, above, wide)
+    # P decides but P with rem does not: the box vector is built, and its
+    # wide coefficient leaves the plain range
+    assert _core.enclose(ctx, node, a, b, wide) == (plain, wide)
+    assert orders == [k - 1, k]
+    # P straddles 0: no coefficient could decide, so no box vector is built
+    # and the inherited rem is handed on
+    orders = _crafted_taylor(monkeypatch, (-ctx.one, ctx.one), wide)
+    assert _core.enclose(ctx, node, a, b, wide) == (plain, wide)
+    assert orders == [k - 1]
+    # without rem the full form is taken all the same
+    orders = _crafted_taylor(monkeypatch, (-ctx.one, ctx.one), wide)
+    assert _core.enclose(ctx, node, a, b) == (plain, wide)
+    assert orders == [k - 1, k]
+
+
+def test_failed_taylor_vector_hands_down_no_rem(monkeypatch, corpus_specs):
+    # CHAIN_1_8_A on [1/2, 5/8]: the midpoint terms decide the sign, so with
+    # a coefficient too wide to decide the box vector is built, and when a
+    # vector raises, the plain range comes back with no coefficient
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    node = next(s for s in corpus_specs if s.name == "CHAIN_1_8_A").difference()
+    a, b = ctx.lo_of(Fraction(1, 2)), ctx.lo_of(Fraction(5, 8))
+    plain = _core.eval_plain(ctx, node, (a, b))
+    wide = (-(10 ** 20) * ctx.one, 10 ** 20 * ctx.one)   # times r^12 > 1e5
+    eval_taylor = _core.eval_taylor
+    for failing in (k - 1, k):
+        def failing_at(ctx, node, xvec, order, failing=failing):
+            if order == failing:
+                raise _core.PoleError("no vector")
+            return eval_taylor(ctx, node, xvec, order)
+
+        monkeypatch.setattr(_core, "eval_taylor", failing_at)
+        assert _core.enclose(ctx, node, a, b) == (plain, None)
+        assert _core.enclose(ctx, node, a, b, wide) == (plain, None)
+
+
+def test_inherited_remainder_decides_without_a_box_vector(monkeypatch, corpus_specs):
+    # CHAIN_1_8_A on [1/2, 5/8], inside [1/2, 3/4]: the remainder coefficient
+    # of the larger box already decides the sign, so no order-k vector is built
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    node = next(s for s in corpus_specs if s.name == "CHAIN_1_8_A").difference()
+    a, b = ctx.lo_of(Fraction(1, 2)), ctx.lo_of(Fraction(5, 8))
+    _, rem = _core.enclose(ctx, node, a, ctx.lo_of(Fraction(3, 4)))
+    full, own = _core.enclose(ctx, node, a, b)
+    orders = _record_orders(monkeypatch)
+    enc, handed = _core.enclose(ctx, node, a, b, rem)
+    assert enc[0] > 0 and full[0] > 0
+    assert orders == [k - 1] and handed == rem != own
+
+
+def test_inherited_remainder_cuts_box_vectors_on_ns_quartic(monkeypatch, corpus_specs):
+    # the slowest stanza's core: the same 149 leaves as with a box vector on
+    # every undecided box (291 order-12 vectors then), and 128 order-12
+    # vectors once each box inherits its parent's remainder coefficient
+    node = next(s for s in corpus_specs if s.name == "NS_QUARTIC").difference()
+    opts = ProveOptions()
+    lo = Interval.point(opts.eps_lo).round_out(opts.precision).hi
+    hi = Interval.point(opts.x_max).round_out(opts.precision).lo
+    orders = _record_orders(monkeypatch)
+    res = prove_positive(node, Interval(lo, hi), opts)
+    assert res.status == "Proved" and res.leaves == 149
+    assert orders.count(_core.TAYLOR_ORDER) <= 128

@@ -68,6 +68,28 @@ def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
         assert len(calls) > 0, op.__name__
 
 
+def test_bisection_encloses_through_module_enclose(monkeypatch):
+    # the span `core.enclose` rebinds `_core.enclose`: every box of a
+    # bisection must go through that name, inherited remainder and all
+    core = importlib.import_module("ineqcert._core")
+    prove = importlib.import_module("ineqcert.prove")
+    lang = importlib.import_module("ineqcert.lang")
+    interval = importlib.import_module("ineqcert.interval")
+    calls = []
+    enclose = core.enclose
+
+    def counting(*args, **kwargs):
+        calls.append(args[4:] + tuple(kwargs.values()))
+        return enclose(*args, **kwargs)
+
+    monkeypatch.setattr(core, "enclose", counting)
+    res = prove.prove_positive(lang.parse_expression("x - sin(x)"),
+                               interval.Interval(Fraction(1, 10), Fraction(3, 2)))
+    # a Proved bisection encloses each leaf and each box it split
+    assert res.status == "Proved" and len(calls) == 2 * res.leaves - 1
+    assert any(rem for (rem,) in calls)
+
+
 @pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
 def test_refute_workload_input_parses(tmp_path):
     # the benchmark writes its own stanzas; their tags must pass parse_corpus

@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from ineqcert import _core
 from ineqcert.errors import DomainError
-from ineqcert.interval import Interval
+from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
                            parse_expression)
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
@@ -62,6 +64,35 @@ def test_bisection_unknown_without_a_negative_box(src, lo, hi):
     r = prove_positive(parse_expression(src), Interval(lo, hi))
     assert r.status == "Unknown"
     assert r.reason.startswith("inconclusive on [")
+
+
+def test_unknown_reason_prints_the_full_form_of_its_box():
+    # boxes at the depth limit inherit no remainder coefficient: the
+    # enclosure a reason prints is the box's own full form, as enclose
+    # without rem gives it
+    node = parse_expression("sin(x)^2 + cos(x)^2 - 1")
+    opts = ProveOptions(max_depth=4)    # wide enough for the forms to differ
+    r = prove_positive(node, Interval(F(1, 4), F(1, 2)), opts)
+    assert r.status == "Unknown"
+    a, b, lo, hi = re.fullmatch(
+        r"inconclusive on \[(\S+), (\S+)\] at depth 4: "
+        r"enclosure \[(\S+), (\S+)\] straddles 0", r.reason).groups()
+    ctx = get_ctx(opts.precision)
+    (elo, ehi), _ = _core.enclose(ctx, node, ctx.lo_of(F(a)), ctx.hi_of(F(b)))
+    assert (F(lo), F(hi)) == (F(elo, ctx.one), F(ehi, ctx.one))
+
+
+@pytest.mark.parametrize("xmax,status", [(40, "Unknown"), (30, "Proved")])
+def test_cutoff_past_the_argument_limit_is_not_bisected(corpus_specs, xmax, status):
+    # sinh is certified on [-32, 32]: a cutoff past it ends the core at once
+    r = verify_inequality(_spec(corpus_specs, "HUY_HYP"), ProveOptions(x_max=F(xmax)))
+    assert r.status == status
+    if status == "Unknown":
+        assert r.reason == ("x_max=40 is past an argument limit: "
+                            "sinh argument outside [-32, 32]")
+        assert r.leaves == 0 and r.max_depth == 0
+    else:
+        assert r.reason is None and r.leaves > 0
 
 
 def test_prove_x_minus_sin():
