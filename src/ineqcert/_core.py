@@ -21,7 +21,15 @@ other narrowing step.  The form's remainder coefficient, from a box vector,
 bounds the remainder on every sub-box as well (the inclusion property of
 Taylor models), so `enclose` returns it for the sub-boxes and accepts a
 parent's: a box vector is then built only when the midpoint terms decide
-the sign and the inherited coefficient does not.  The Taylor ops skip
+the sign and the inherited coefficient does not.  Two rules decide the
+boxes near 0.  When the midpoint terms, summed term by term, have a lower
+end <= 0 while the value at the midpoint is > 0, that end is raised to
+their least Bernstein coefficient, formed in exact integers.  When a box's
+own coefficient leaves the form undecided while the midpoint terms decide,
+and the box lies in [0, 1), the coefficient is intersected with one over
+[0, b] in which every removable quotient u/v (u and v exactly 0 at the
+point 0, found once per plan) is taken as (u/x)/(v/x); a division by the
+box of x would inflate it like a^-12.  The Taylor ops skip
 every term with an exact (0, 0) factor, so sparse vectors cost less and
 come out equal to dense ones, and squares form each cross product once.
 sin/cos and sinh/cosh vectors come from their coupled recurrence, tan and
@@ -30,6 +38,8 @@ only for an expression's `/` and negative powers.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, lcm
 
 from .errors import DomainError, InconsistencyError, PoleError
 
@@ -386,10 +396,12 @@ def _tneg(a):
 # imul with a (0, 0) factor is exactly (0, 0), and iadd/isub with (0, 0) is
 # the identity, so the sparse loops below skip only terms that add nothing.
 # They call imul by its module name: the traced benchmark rebinds it to count.
+# Operands of unequal length (past a removable quotient, which drops an
+# order) are truncated to the shorter: a missing coefficient is unknown, not 0.
 def _tmul(ctx, a, b):
     if a is b:                  # a power's first product, or u*u of one step
         return _tsqr(ctx, a)
-    k = len(a) - 1
+    k = min(len(a), len(b)) - 1
     out = [(0, 0)] * (k + 1)
     nb = [(j, y) for j, y in enumerate(b) if y != (0, 0)]
     for i, x in enumerate(a):
@@ -406,7 +418,7 @@ def _tdiv(ctx, a, b):
     # idiv raises PoleError at j = 0 when b[0] contains 0
     nb = [(i, y) for i, y in enumerate(b) if i and y != (0, 0)]
     out = []
-    for j in range(len(a)):
+    for j in range(min(len(a), len(b))):
         acc = a[j]
         for i, y in nb:
             if i > j:
@@ -582,9 +594,11 @@ def _plan(node):
     return plan
 
 
-def _run(ctx, node, x, ops):
+def _run(ctx, node, x, ops, shifts=None):
     """Value of the expression node at x under the op table: each step of
-    its plan once, in order."""
+    its plan once, in order.  With `shifts` (one entry per step), each `/`
+    step i first drops shifts[i] leading coefficients of both operands; an
+    entry of None is filled in from the operands, as `_removable` does."""
     steps, positions = _plan(node)
     vals = []
     push = vals.append
@@ -602,6 +616,12 @@ def _run(ctx, node, x, ops):
                 push(ops["pow"](ctx, vals[p], q))
             elif kind == "neg":
                 push(ops["neg"](vals[p]))
+            elif kind == "div" and shifts is not None:
+                u, v = vals[p], vals[q]
+                s = shifts[len(vals)]
+                if s is None:
+                    s = shifts[len(vals)] = _shared_zeros(u, v)
+                push(ops["div"](ctx, u[s:], v[s:]))
             elif kind == "mul" or kind == "div":
                 push(ops[kind](ctx, vals[p], vals[q]))
             else:
@@ -619,13 +639,74 @@ def eval_plain(ctx, node, x):
     return _run(ctx, node, x, _RANGE_OPS)
 
 
-def eval_taylor(ctx, node, xvec, k):
+def eval_taylor(ctx, node, xvec, k, shifts=None):
     """Order-k Taylor vector of node, given the vector xvec (k + 1 entries)
-    of the variable."""
+    of the variable; with `_removable`'s shifts, each removable quotient
+    drops its operands' leading coefficients (and an order)."""
     if len(xvec) != k + 1:
         raise ValueError(f"an order-{k} vector has {k + 1} entries, "
                          f"not {len(xvec)}")
-    return _run(ctx, node, xvec, _TAYLOR_OPS)
+    return _run(ctx, node, xvec, _TAYLOR_OPS, shifts)
+
+
+# ---------------------------------------------------------------------------
+# removable quotients: u/v with u(0) = v(0) = 0
+#
+# Where u(0) = 0, u(x)/x = integral_0^1 u'(tx) dt, so for xi in [0, b] the
+# coefficient (u/x)^(j)(xi)/j! is a convex average of u^(j+1)/(j+1)! over
+# [0, xi]: a box vector of u over [0, b], shifted by one, is one of u/x.
+# Taking u/v as (u/x)/(v/x) never divides by a box around 0, at the cost of
+# one order per shift.
+# ---------------------------------------------------------------------------
+
+def _shared_zeros(u, v):
+    """Leading coefficients that u and v both have exactly (0, 0), keeping
+    at least one of each."""
+    s = 0
+    while s + 1 < min(len(u), len(v)) and u[s] == (0, 0) == v[s]:
+        s += 1
+    return s
+
+
+def _removable(ctx, node):
+    """(shifts, depth) for node's removable quotients, or None if it has
+    none or its plan cannot run at 0.  shifts holds, for each `/` step,
+    how many leading coefficients both operands have exactly (0, 0) at the
+    point 0, with the rule applied to the steps before it; depth is the
+    most orders one path to the root loses.  Exact zeros come only from
+    exact operations on exact zeros, so they do not depend on the
+    precision: the result is found once and kept on the node, like the
+    plan."""
+    try:
+        return node._removable
+    except AttributeError:
+        pass
+    k = TAYLOR_ORDER
+    shifts = [None] * len(_plan(node)[0])
+    try:
+        out = _run(ctx, node, _tvar(ctx, 0, 0, k), _TAYLOR_OPS, shifts)
+        found = (tuple(shifts), k + 1 - len(out)) if any(shifts) else None
+    except (DomainError, PoleError):
+        found = None
+    object.__setattr__(node, "_removable", found)
+    return found
+
+
+def _coeff_from_zero(ctx, node, b):
+    """The order-TAYLOR_ORDER box coefficient of node over [0, b], each
+    removable quotient taken as (u/x)/(v/x); None when node has no
+    removable quotient or the vector cannot be evaluated."""
+    found = _removable(ctx, node)
+    if found is None:
+        return None
+    shifts, depth = found
+    k = TAYLOR_ORDER + depth
+    try:
+        # looked up at call time, so the traced benchmark counts it
+        return eval_taylor(ctx, node, _tvar(ctx, 0, b, k), k,
+                           shifts)[TAYLOR_ORDER]
+    except (DomainError, PoleError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +731,64 @@ def _form_term(ctx, c, r, j):
     return (lo >> sh, _ceil_shift(hi, sh))
 
 
+@lru_cache(maxsize=None)
+def _bernstein_weights(n):
+    """(rows, d): rows[i][j] / d is the i-th degree-n Bernstein coefficient,
+    on [0, 1], of (2s - 1)^j, which is t^j / r^j for t = r (2s - 1) in
+    [-r, r].  The coefficient is the blossom of l^j, l(s) = 2s - 1, at n - i
+    zeros and i ones, where l is -1 and 1: the mean over the j-subsets of
+    n slots of the product of l there."""
+    d = lcm(*(comb(n, j) for j in range(n + 1)))
+    rows = tuple(
+        tuple(d // comb(n, j) * sum((-1) ** (j - m) * comb(i, m) * comb(n - i, j - m)
+                                    for m in range(j + 1))
+              for j in range(n + 1))
+        for i in range(n + 1))
+    return rows, d
+
+
+def _bernstein_lo(ctx, tm, r):
+    """Lower bound of sum_j tm[j] t^j over t in [-r, r] and over every
+    choice of coefficients in the intervals tm[j]: the least Bernstein
+    coefficient, each a linear form in the tm[j], formed exactly in
+    integers and rounded down once."""
+    n = len(tm) - 1
+    rows, d = _bernstein_weights(n)
+    prec = ctx.prec
+    # tm[j] r^j at scale 2**(prec (n + 1))
+    scale = [r ** j << (prec * (n - j)) for j in range(n + 1)]
+    lo = [c[0] * sc for c, sc in zip(tm, scale)]
+    hi = [c[1] * sc for c, sc in zip(tm, scale)]
+    least = min(sum(w * (lo[j] if w >= 0 else hi[j]) for j, w in enumerate(row))
+                for row in rows)
+    return least // (d << (prec * n))
+
+
 def enclose(ctx, node, a, b, rem=None):
     """(enclosure, rem for sub-boxes) of node over [a, b]/2**prec.
 
     The enclosure is the plain range, intersected with the order-TAYLOR_ORDER
     Taylor form about the midpoint when the plain range does not decide the
-    sign.  The form is P + c * [-r, r]^k, where P sums the midpoint terms
+    sign.  The form is P + c * [-r, r]^k, where P bounds the midpoint terms
     below order k and c bounds the order-k coefficient over the box.
+
+    P is summed term by term.  When its lower end is <= 0 although the
+    value at the midpoint is > 0, the lower end is raised to the least
+    Bernstein coefficient of the midpoint polynomial on [-r, r]: term by
+    term, c x^v > 0 cannot show on a box wider than about 1/v of its
+    distance from 0.  The upper end is never changed.
 
     `rem`, if given, is such a c over a box enclosing [a, b]: it bounds the
     remainder here too.  Then the box vector is skipped when P with rem
     already decides the sign, or when P itself straddles 0 (the remainder
     term holds 0, so no c could decide), and rem is handed on.  Otherwise
-    the box vector gives c and c is handed on; without `rem` the enclosure
-    is always the full form.  No rem is handed on when a Taylor vector
-    could not be evaluated.
+    the box vector gives c.  When that form leaves the sign undecided while
+    P decides it, and 0 <= a < b < 1, c becomes c intersected with the
+    coefficient over [0, b] with each removable quotient taken as
+    (u/x)/(v/x) (`_coeff_from_zero`): near 0, dividing by a box of x
+    inflates c like a^-k.  That c is handed on; without `rem` the
+    enclosure is always the full form.  No rem is handed on when a Taylor
+    vector could not be evaluated.
     """
     enc = eval_plain(ctx, node, (a, b))
     if enc[0] > 0 or enc[1] < 0 or a == b:
@@ -680,13 +804,27 @@ def enclose(ctx, node, a, b, rem=None):
     poly = tm[0]
     for j in range(1, k):
         poly = iadd(poly, _form_term(ctx, tm[j], r, j))
+    if poly[0] <= 0 < tm[0][0]:
+        poly = (max(poly[0], _bernstein_lo(ctx, tm, r)), poly[1])
+    straddles = poly[0] <= 0 <= poly[1]
     if rem is not None:
         # P is no enclosure by itself: its sign is read, never intersected
         out = iisect(enc, iadd(poly, _form_term(ctx, rem, r, k)))
-        if out[0] > 0 or out[1] < 0 or poly[0] <= 0 <= poly[1]:
+        if out[0] > 0 or out[1] < 0 or straddles:
             return out, rem
     try:
         tx = eval_taylor(ctx, node, _tvar(ctx, a, b, k), k)
     except (DomainError, PoleError):
         return enc, None
-    return iisect(enc, iadd(poly, _form_term(ctx, tx[k], r, k))), tx[k]
+    c = tx[k]
+    out = iisect(enc, iadd(poly, _form_term(ctx, c, r, k)))
+    # Over [0, b] the coefficient grows as b nears a singularity (pi/2 for
+    # tan, and off the real axis for tanh): past b = 1 it seldom beats the
+    # box's own.  The gate is on b, so every sub-box of an admitted box is
+    # admitted: a box that inherits a [0, b] coefficient builds its own.
+    if out[0] <= 0 <= out[1] and not straddles and 0 <= a and b < ctx.one:
+        c0 = _coeff_from_zero(ctx, node, b)
+        if c0 is not None:
+            c = iisect(c, c0)
+            out = iisect(enc, iadd(poly, _form_term(ctx, c, r, k)))
+    return out, c

@@ -190,11 +190,31 @@ MAX_LEAVES = 200_000
 GRID = 256
 
 
+# the phrase of an Unknown reason that names a point past an argument limit
+_PAST_LIMIT = "is past an argument limit"
+
+
+def _past_limit(ev, a: Fraction, b: Fraction) -> Optional[str]:
+    """The reason naming the first of a, b at which ev raises DomainError
+    as a point (an argument limit: |x| <= 4 for sin and cos, 32 for sinh,
+    cosh and tanh), or None."""
+    for p in (a, b):
+        try:
+            ev(Interval.point(p))
+        except DomainError as exc:
+            return f"x={p} {_PAST_LIMIT}: {exc}"
+        except (PoleError, EvalError):
+            pass
+    return None
+
+
 def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> ProofResult:
     """Proved when every box certifies positive; Refuted at the first box
     certified negative, even past inconclusive ones; otherwise Unknown,
     naming the first box that stayed inconclusive at the depth limit, or
-    the box whose enclosures contradict each other.
+    the box whose enclosures contradict each other.  A box that raises
+    DomainError at an end that raises it as a point, where no bisection can
+    help, ends the run Unknown at once, naming that point.
 
     When ev has `carry(x, rem) -> (Interval, rem)`, each box hands the
     remainder coefficient it returns down to its two halves; a box at the
@@ -216,6 +236,12 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
             enc, rem = carry(Interval(a, b), None if at_limit else rem)
         except (DomainError, PoleError, EvalError) as exc:
             err = str(exc)
+            # every box holding an end that raises as a point raises too
+            past = isinstance(exc, DomainError) and _past_limit(ev, a, b)
+            if past:
+                return ProofResult("Unknown", reason=past, leaves=len(leaves),
+                                   max_depth=maxd,
+                                   ms=1000 * (time.perf_counter() - t0))
         except InconsistencyError as exc:
             # a soundness fault: no verdict on this stanza can be trusted
             return ProofResult(
@@ -514,8 +540,9 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     """Check a corpus stanza on its compact core.
 
     The core is [lo + eps_lo, hi - eps_hi] (an unbounded domain is cut at
-    x_max; a cutoff past a function's argument limit, where the difference
-    cannot be evaluated, leaves the core Unknown unbisected).  A stanza
+    x_max; a core end past a function's argument limit, where the
+    difference cannot be evaluated, ends the core Unknown at the first box
+    that holds it, and no grid is scanned).  A stanza
     that `_registration_ok` finds to be its theorem's shipped stanza gets
     the near-zero certificate on (0, eps] and, where one is registered, the
     series rewrite on the core; every other stanza is bisected as it
@@ -549,14 +576,6 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
 
     diff = spec.difference()
     ev = _make_expr_eval(diff, opts)
-    past_limit = None
-    if spec.unbounded:
-        # past an argument limit (|x| <= 4 for sin and cos, 32 for sinh, cosh
-        # and tanh) no box at the cutoff has an enclosure: do not bisect
-        try:
-            ev(Interval.point(hi_core))
-        except DomainError as exc:
-            past_limit = f"x_max={opts.x_max} is past an argument limit: {exc}"
 
     nz_result = None
     left_gap_note = None
@@ -570,9 +589,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         left_gap_note = (f"(lo, {lo_core}] uncovered "
                          f"(margin eps_lo={opts.eps_lo}; no registered series)")
 
-    if past_limit is not None:
-        res = ProofResult("Unknown", reason=past_limit)
-    elif claim is not None and not THEOREMS[claim.thm].derivative_series:
+    if claim is not None and not THEOREMS[claim.thm].derivative_series:
         N = _pick_N(claim.series_id, hi_core)
         res = _bisect_positive(_series_claim_eval(claim, N),
                                lo_core, hi_core, opts)
@@ -598,7 +615,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     res.theorem = claim
 
     # a dip narrower than the bisection can resolve may still show at a point
-    if (res.status == "Unknown" and past_limit is None
+    if (res.status == "Unknown" and _PAST_LIMIT not in res.reason
             and not res.reason.startswith("internal inconsistency")):
         ref = _grid_refute(ev, lo_core, hi_core, GRID)
         if ref is not None:

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ineqcert import cli  # noqa: E402
 from ineqcert.cli import default_corpus_path, run_command  # noqa: E402
 from ineqcert.lang import parse_corpus  # noqa: E402
 
@@ -17,9 +18,32 @@ def corpus_specs():
 
 
 @pytest.fixture(scope="session")
-def corpus_report(tmp_path_factory):
-    """One full CLI run over the shipped corpus (exit code, raw bytes, JSON)."""
+def _corpus_run(tmp_path_factory):
+    """One full CLI run over the shipped corpus: exit code, raw bytes, JSON,
+    and each stanza with the ProofResult the run made for it."""
     out = tmp_path_factory.mktemp("report") / "corpus.json"
-    code = run_command(["prove", "--out", str(out)])
+    results = []
+    verify = cli.verify_inequality
+
+    def recording(spec, opts=None):
+        res = verify(spec, opts)
+        results.append((spec, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "verify_inequality", recording)
+        code = run_command(["prove", "--out", str(out)])
     raw = out.read_bytes()
-    return code, raw, json.loads(raw)
+    return code, raw, json.loads(raw), results
+
+
+@pytest.fixture(scope="session")
+def corpus_report(_corpus_run):
+    """The full corpus run's exit code, raw bytes and JSON."""
+    return _corpus_run[:3]
+
+
+@pytest.fixture(scope="session")
+def corpus_results(_corpus_run):
+    """(spec, ProofResult) for each stanza of the full corpus run."""
+    return _corpus_run[3]

@@ -11,12 +11,15 @@ coefficients and term ratios; the dense interval Taylor arithmetic (the
 plain loops `_core` replaced with sparse ones, the eight-quotient interval
 division it replaced with sign cases, and the tan/tanh route as the
 quotient sin/cos it replaced with a recurrence), over `_core`'s own sums and
-point ranges; and the recursive tree walk `_core` replaced with a
-straight-line plan, over `_core`'s own op tables.
+point ranges; the recursive tree walk `_core` replaced with a
+straight-line plan, over `_core`'s own op tables; and `enclose`'s two rules
+near 0, a Fraction Bernstein bound and the [0, b] coefficient through that
+walk.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, floor
 
 from ineqcert import _core
 from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
@@ -392,8 +395,96 @@ def enclose_full_order(ctx, node, a, b):
     except (DomainError, PoleError):
         return enc
     r = max(b - m, m - a)
-    form = tm[0]
+    poly = tm[0]
     for j in range(1, k):
-        form = iadd(form, _core._form_term(ctx, tm[j], r, j))
-    form = iadd(form, _core._form_term(ctx, tx[k], r, k))
-    return _core.iisect(enc, form)
+        poly = iadd(poly, _core._form_term(ctx, tm[j], r, j))
+    if poly[0] <= 0 < tm[0][0]:
+        poly = (max(poly[0], bernstein_lo_fraction(ctx, tm[:k], r)), poly[1])
+    c = tx[k]
+    form = _core.iisect(enc, iadd(poly, _core._form_term(ctx, c, r, k)))
+    if form[0] <= 0 <= form[1] and not poly[0] <= 0 <= poly[1] and 0 <= a and b < ctx.one:
+        vec = vector_from_zero_walk(ctx, node, b)
+        if vec is not None:
+            c = _core.iisect(c, vec[k])
+            form = _core.iisect(enc, iadd(poly, _core._form_term(ctx, c, r, k)))
+    return form
+
+
+# --- the two rules of enclose near 0 ----------------------------------------
+#
+# The least Bernstein coefficient in Fractions, each weight from the monomial
+# expansion of (2s - 1)^j and the classical conversion of monomial to
+# Bernstein coefficients; and the [0, b] coefficient with removable quotients
+# shifted, found and applied in one recursive walk.  `_core._bernstein_lo`
+# and `_core._coeff_from_zero` must return exactly these.
+
+@lru_cache(maxsize=None)
+def _bernstein_weight(n, i, j):
+    # (2s - 1)^j = sum_m C(j, m) 2^m (-1)^(j - m) s^m, and s^m has the
+    # degree-n Bernstein coefficients C(i, m) / C(n, m)
+    return sum(Fraction(comb(i, m) * comb(j, m) * 2 ** m * (-1) ** (j - m),
+                        comb(n, m)) for m in range(min(i, j) + 1))
+
+
+def bernstein_lo_fraction(ctx, tm, r):
+    """Least lower end over i of the i-th Bernstein coefficient on [0, 1] of
+    sum_j tm[j] (r (2s - 1))^j, rounded down once to the scale 2**prec."""
+    n = len(tm) - 1
+    rr = Fraction(r, ctx.one)
+    best = None
+    for i in range(n + 1):
+        low = Fraction(0)
+        for j in range(n + 1):
+            w = _bernstein_weight(n, i, j) * rr ** j
+            lo, hi = (Fraction(e, ctx.one) for e in tm[j])
+            low += min(w * lo, w * hi)
+        best = low if best is None else min(best, low)
+    return floor(best * ctx.one)
+
+
+def walk_removable(ctx, node, xbox, xzero):
+    """(value over the box, value at the point 0) of node under `_core`'s
+    Taylor table, each `/` first shifting both operands, in both values,
+    past the leading coefficients they both have exactly (0, 0) at 0."""
+    ops = _core._TAYLOR_OPS
+    kind = node.kind
+    if kind == "x":
+        return xbox, xzero
+    if kind == "lit" or kind == "pi":
+        return walk(ctx, node, xbox, ops), walk(ctx, node, xzero, ops)
+    if kind == "call":
+        ub, uz = walk_removable(ctx, node.arg, xbox, xzero)
+        return ops["call"](ctx, node.fn, ub), ops["call"](ctx, node.fn, uz)
+    if kind == "pow":
+        ub, uz = walk_removable(ctx, node.base, xbox, xzero)
+        return ops["pow"](ctx, ub, node.exponent), ops["pow"](ctx, uz, node.exponent)
+    if kind == "neg":
+        ub, uz = walk_removable(ctx, node.a, xbox, xzero)
+        return ops["neg"](ub), ops["neg"](uz)
+    ub, uz = walk_removable(ctx, node.a, xbox, xzero)
+    vb, vz = walk_removable(ctx, node.b, xbox, xzero)
+    if kind == "div":
+        s = 0
+        while s + 1 < min(len(uz), len(vz)) and uz[s] == (0, 0) == vz[s]:
+            s += 1
+        ub, uz, vb, vz = ub[s:], uz[s:], vb[s:], vz[s:]
+    if kind == "mul" or kind == "div":
+        return ops[kind](ctx, ub, vb), ops[kind](ctx, uz, vz)
+    return ops[kind](ub, vb), ops[kind](uz, vz)
+
+
+def vector_from_zero_walk(ctx, node, b):
+    """The order-TAYLOR_ORDER vector of node over [0, b] with its removable
+    quotients shifted, or None if it has none or cannot be evaluated; the
+    walk runs at the order raised by the orders the shifts lose."""
+    k = _core.TAYLOR_ORDER
+    zero = _core._tvar(ctx, 0, 0, k)
+    try:
+        depth = k + 1 - len(walk_removable(ctx, node, zero, zero)[1])
+        if depth == 0:
+            return None
+        box, _ = walk_removable(ctx, node, _core._tvar(ctx, 0, b, k + depth),
+                                _core._tvar(ctx, 0, 0, k + depth))
+    except (DomainError, PoleError):
+        return None
+    return box

@@ -11,8 +11,9 @@ from ineqcert import _core, lang
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import INF, eval_endpoint, parse_expression
 from ineqcert.prove import ProveOptions, prove_positive
-from oracles import (enclose_full_order, idiv_eight, imul_dense, tdiv_dense,
-                     tmul_dense, tsincos_dense, ttan_quotient, walk)
+from oracles import (bernstein_lo_fraction, enclose_full_order, idiv_eight,
+                     imul_dense, tdiv_dense, tmul_dense, tsincos_dense,
+                     ttan_quotient, vector_from_zero_walk, walk)
 
 _SIGNS = ("nonneg", "nonpos", "straddle", "thin", "zero")
 
@@ -329,9 +330,9 @@ def _record_orders(monkeypatch):
     orders = []
     eval_taylor = _core.eval_taylor
 
-    def recording(ctx, node, xvec, k):
+    def recording(ctx, node, xvec, k, shifts=None):
         orders.append(k)
-        return eval_taylor(ctx, node, xvec, k)
+        return eval_taylor(ctx, node, xvec, k, shifts)
 
     monkeypatch.setattr(_core, "eval_taylor", recording)
     return orders
@@ -342,7 +343,7 @@ def _crafted_taylor(monkeypatch, tm0, rem):
     box vector zeros with rem at order k; returns the orders called."""
     orders = []
 
-    def crafted(ctx, node, xvec, k):
+    def crafted(ctx, node, xvec, k, shifts=None):
         orders.append(k)
         if k < _core.TAYLOR_ORDER:
             return [tm0] + [(0, 0)] * k
@@ -391,10 +392,10 @@ def test_failed_taylor_vector_hands_down_no_rem(monkeypatch, corpus_specs):
     wide = (-(10 ** 20) * ctx.one, 10 ** 20 * ctx.one)   # times r^12 > 1e5
     eval_taylor = _core.eval_taylor
     for failing in (k - 1, k):
-        def failing_at(ctx, node, xvec, order, failing=failing):
+        def failing_at(ctx, node, xvec, order, shifts=None, failing=failing):
             if order == failing:
                 raise _core.PoleError("no vector")
-            return eval_taylor(ctx, node, xvec, order)
+            return eval_taylor(ctx, node, xvec, order, shifts)
 
         monkeypatch.setattr(_core, "eval_taylor", failing_at)
         assert _core.enclose(ctx, node, a, b) == (plain, None)
@@ -417,8 +418,8 @@ def test_inherited_remainder_decides_without_a_box_vector(monkeypatch, corpus_sp
 
 
 def test_inherited_remainder_cuts_box_vectors_on_ns_quartic(monkeypatch, corpus_specs):
-    # the slowest stanza's core: the same 149 leaves as with a box vector on
-    # every undecided box (291 order-12 vectors then), and 128 order-12
+    # NS_QUARTIC's core: the same 12 leaves as with a box vector on
+    # every undecided box (22 order-12 vectors then), and 11 order-12
     # vectors once each box inherits its parent's remainder coefficient
     node = next(s for s in corpus_specs if s.name == "NS_QUARTIC").difference()
     opts = ProveOptions()
@@ -426,5 +427,153 @@ def test_inherited_remainder_cuts_box_vectors_on_ns_quartic(monkeypatch, corpus_
     hi = Interval.point(opts.x_max).round_out(opts.precision).lo
     orders = _record_orders(monkeypatch)
     res = prove_positive(node, Interval(lo, hi), opts)
-    assert res.status == "Proved" and res.leaves == 149
-    assert orders.count(_core.TAYLOR_ORDER) <= 128
+    assert res.status == "Proved" and res.leaves == 12
+    assert orders.count(_core.TAYLOR_ORDER) <= 11
+
+
+def _poly_lo(ctx, tm, h):
+    """Lower end, in Fractions, of sum_j tm[j] h^j at the offset h."""
+    t = Fraction(h, ctx.one)
+    return sum(min(Fraction(lo, ctx.one) * t ** j, Fraction(hi, ctx.one) * t ** j)
+               for j, (lo, hi) in enumerate(tm))
+
+
+def test_integer_bernstein_bound_equals_fraction_reference(corpus_specs):
+    # seeded corpus boxes across each domain and within 1/8 of 0, and
+    # random interval vectors of every sign pattern: the integer bound
+    # equals the Fraction one, is below the midpoint polynomial at both
+    # ends and the midpoint, and beats the term-by-term sum on some boxes
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    rng = random.Random(1993)
+    raised = 0
+    for spec in corpus_specs:
+        node = spec.difference()
+        top = 512 if spec.unbounded else 96
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(1, top + 1), 2))
+            for den in (64, 64 * 64):
+                a, b = ctx.lo_of(Fraction(i, den)), ctx.lo_of(Fraction(j, den))
+                m = (a + b) // 2
+                r = max(b - m, m - a)
+                tm = _core.eval_taylor(ctx, node, _core._tvar(ctx, m, m, k - 1), k - 1)
+                lo = _core._bernstein_lo(ctx, tm, r)
+                assert lo == bernstein_lo_fraction(ctx, tm, r), (spec.name, i, j, den)
+                for h in (-r, 0, r):
+                    assert Fraction(lo, ctx.one) <= _poly_lo(ctx, tm, h), (spec.name, i, j)
+                term_lo = tm[0][0] + sum(_core._form_term(ctx, tm[t], r, t)[0]
+                                         for t in range(1, k))
+                raised += lo > term_lo
+    assert raised > 0
+    for _ in range(60):
+        tm = _vector(rng, 4 * ctx.one, k - 1)
+        r = rng.randrange(1, ctx.one)
+        assert _core._bernstein_lo(ctx, tm, r) == bernstein_lo_fraction(ctx, tm, r)
+
+
+def test_vector_from_zero_holds_point_vectors(corpus_specs):
+    # every corpus difference but the two Huygens ones divides u/v with
+    # u(0) = v(0) = 0; its vector over [0, b], with those quotients taken as
+    # (u/x)/(v/x), equals the recursive walk's and holds the point vectors
+    # at 0 (with the rule) and at seeded xi in (0, b] (without it).  Near 0
+    # a point vector divides by a tiny x and may be wider than the box's
+    # coefficient; there both still hold the true value, so they meet.
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    rng = random.Random(2003)
+    held = 0
+    for spec in corpus_specs:
+        node = spec.difference()
+        found = _core._removable(ctx, node)
+        assert (found is None) == (spec.name in ("HUY_TRIG", "HUY_HYP")), spec.name
+        if found is None:
+            continue
+        shifts, depth = found
+        assert depth == 1 and _core._removable(ctx, node) is found
+        top = 512 if spec.unbounded else 96
+        for _ in range(3):
+            b = ctx.lo_of(Fraction(rng.randint(1, top), 64))
+            vec = _core.eval_taylor(ctx, node, _core._tvar(ctx, 0, b, k + depth),
+                                    k + depth, shifts)
+            assert len(vec) == k + 1 and vec == vector_from_zero_walk(ctx, node, b)
+            assert _core._coeff_from_zero(ctx, node, b) == vec[k]
+            points = [_core.eval_taylor(ctx, node, _core._tvar(ctx, 0, 0, k + depth),
+                                        k + depth, shifts)]
+            for xi in (b, rng.randint(1, b - 1), rng.randint(1, b // 64)):
+                points.append(_core.eval_taylor(ctx, node, _core._tvar(ctx, xi, xi), k))
+            for pt in points:
+                for j, (c, p) in enumerate(zip(vec, pt)):
+                    assert _meets(c, p), (spec.name, b, j)
+                    if p[1] - p[0] <= ctx.one >> 64:
+                        assert c[0] <= p[0] and p[1] <= c[1], (spec.name, b, j)
+                        held += 1
+    assert held >= 24 * 4 * (k + 1)
+
+
+@pytest.mark.parametrize("bits", [128, 192, 384])
+def test_numerator_not_exactly_zero_at_0_never_takes_the_rule(monkeypatch, bits):
+    # 2^-150 is exact at 192 and 384 bits and rounds out to [0, 2^-128] at
+    # 128: either way sin(x) + 2^-150 is not exactly (0, 0) at 0, so the
+    # boxes near 0 where sin(x)/x takes the [0, b] vector never build one
+    ctx = get_ctx(bits)
+    k = _core.TAYLOR_ORDER
+    boxes = [(ctx.lo_of(Fraction(1, d)), ctx.lo_of(Fraction(2, d)))
+             for d in (10, 100, 1000)]
+    for text, takes in (("(sin(x) + 1/(2^50*2^50*2^50))/x - 1", False),
+                        ("sin(x)/x - 1", True)):
+        node = parse_expression(text)
+        assert (_core._removable(ctx, node) is not None) == takes
+        orders = _record_orders(monkeypatch)
+        for a, b in boxes:
+            _core.enclose(ctx, node, a, b)
+        assert (k + 1 in orders) == takes, text
+        monkeypatch.undo()
+
+
+def test_shorter_operand_is_truncated_never_read_as_zeros():
+    # past a removable quotient a vector is one order short: its missing
+    # coefficient is unknown, so products and quotients stop at the shorter
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    rng = random.Random(14)
+    for _ in range(40):
+        a, b = _vector(rng, 4 * ctx.one), _vector(rng, 4 * ctx.one)
+        b[0] = (ctx.one // 2, ctx.one)
+        short = b[:k]
+        assert _core._tmul(ctx, a, short) == tmul_dense(ctx, a[:k], short)
+        assert _core._tmul(ctx, short, a) == tmul_dense(ctx, short, a[:k])
+        assert _core._tdiv(ctx, a, short) == tdiv_dense(ctx, a[:k], short)
+        a[0] = (ctx.one, 2 * ctx.one)
+        assert _core._tdiv(ctx, short, a) == tdiv_dense(ctx, short, a[:k])
+
+
+def test_removable_quotient_coefficient_decides_near_zero(monkeypatch, corpus_specs):
+    # CHAIN_1_3_A on [1/1000, 1/500], where the difference is about 1e-12:
+    # dividing by the box of x makes its own order-12 coefficient about
+    # +-4.5e36, so its form is undecided while P decides; the coefficient
+    # over [0, 1/500] decides, and the intersection is handed down
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    node = next(s for s in corpus_specs if s.name == "CHAIN_1_3_A").difference()
+    a, b = ctx.lo_of(Fraction(1, 1000)), ctx.lo_of(Fraction(1, 500))
+    own = _core.eval_taylor(ctx, node, _core._tvar(ctx, a, b), k)[k]
+    assert own[0] < -(10 ** 36) * ctx.one and own[1] > 10 ** 36 * ctx.one
+    c0 = _core._coeff_from_zero(ctx, node, b)
+    orders = _record_orders(monkeypatch)
+    enc, c = _core.enclose(ctx, node, a, b)
+    assert enc[0] > 0 and orders == [k - 1, k, k + 1]
+    assert c == _core.iisect(own, c0) == c0
+    for p in (a, b, (a + b) // 2):
+        pt = _core.eval_plain(ctx, node, (p, p))
+        assert enc[0] <= pt[0] and pt[1] <= enc[1]
+    # when that vector cannot be evaluated, the own form and c stand
+    eval_taylor = _core.eval_taylor
+
+    def failing(ctx, node, xvec, order, shifts=None):
+        if shifts is not None:
+            raise _core.PoleError("no vector")
+        return eval_taylor(ctx, node, xvec, order)
+
+    monkeypatch.setattr(_core, "eval_taylor", failing)
+    enc, c = _core.enclose(ctx, node, a, b)
+    assert enc[0] <= 0 <= enc[1] and c == own

@@ -84,7 +84,7 @@ def test_bisection_encloses_through_module_enclose(monkeypatch):
 
     monkeypatch.setattr(core, "enclose", counting)
     res = prove.prove_positive(lang.parse_expression("x - sin(x)"),
-                               interval.Interval(Fraction(1, 10), Fraction(3, 2)))
+                               interval.Interval(Fraction(1, 100), Fraction(4)))
     # a Proved bisection encloses each leaf and each box it split
     assert res.status == "Proved" and len(calls) == 2 * res.leaves - 1
     assert any(rem for (rem,) in calls)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ineqcert import _core
+from ineqcert import _core, prove
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
@@ -88,11 +88,45 @@ def test_cutoff_past_the_argument_limit_is_not_bisected(corpus_specs, xmax, stat
     r = verify_inequality(_spec(corpus_specs, "HUY_HYP"), ProveOptions(x_max=F(xmax)))
     assert r.status == status
     if status == "Unknown":
-        assert r.reason == ("x_max=40 is past an argument limit: "
+        assert r.reason == ("x=40 is past an argument limit: "
                             "sinh argument outside [-32, 32]")
         assert r.leaves == 0 and r.max_depth == 0
     else:
         assert r.reason is None and r.leaves > 0
+
+
+_PAST_LIMIT_CORPUS = """
+inequality SINH_INV {
+  domain   = (0, inf)
+  lhs      = sinh(1/x)
+  relation = >
+  rhs      = 0
+}
+
+inequality SIN_WIDE {
+  domain   = [0, 10]
+  lhs      = sin(x)
+  relation = >
+  rhs      = -2
+}
+"""
+
+
+@pytest.mark.parametrize("name,point,limit", [
+    ("SINH_INV", Interval.point(F(1, 1000)).round_out(192).hi, "sinh argument outside [-32, 32]"),
+    ("SIN_WIDE", F(10), "sin argument outside [-4, 4]"),
+], ids=["left-end", "right-end"])
+def test_core_end_past_an_argument_limit_ends_the_stanza_at_once(monkeypatch, name, point, limit):
+    # the left end 1/1000 puts 1/x past 32, the right end 10 puts x past 4:
+    # every box holding that end raises, so neither is bisected (they went
+    # to depth 45 and 44) and no grid is scanned
+    grids = []
+    monkeypatch.setattr(prove, "_grid_refute", lambda *args: grids.append(args))
+    spec = {s.name: s for s in parse_corpus(_PAST_LIMIT_CORPUS)}[name]
+    r = verify_inequality(spec)
+    assert r.status == "Unknown" and not grids
+    assert r.reason == f"x={point} is past an argument limit: {limit}"
+    assert r.leaves == 0 and r.max_depth == 0
 
 
 def test_prove_x_minus_sin():
@@ -498,3 +532,23 @@ def test_scan_monotone_corroboration_family():
     hi = F("1.5697")
     assert scan_extremum("T3.2", Interval(F(1, 1000), hi), F(1, 10 ** 6)).sampled_monotone
     assert scan_extremum("T3.5", Interval(F(1, 1000), hi), F(1, 10 ** 6)).sampled_monotone
+
+
+def test_corpus_work_counts_and_certificates_reverify(corpus_report, corpus_results):
+    # counts, not timings: the removable-quotient remainder and the Bernstein
+    # bound took the corpus from 966 leaves (depths up to 21) to 222 (up to 11)
+    _, _, rep = corpus_report
+    assert sum(c["leaves"] for c in rep["claims"]) <= 300
+    proved = [c for c in rep["claims"] if c["status"] == "Proved"]
+    assert len(proved) == 27
+    assert all(c["max_depth"] <= 12 for c in proved), \
+        [(c["name"], c["max_depth"]) for c in proved if c["max_depth"] > 12]
+    # the leaves of a stanza on the series route certify its series form, not
+    # the difference, so reverify_certificate does not apply to them
+    raw = [(spec, r) for spec, r in corpus_results if r.status == "Proved"
+           and (r.theorem is None or THEOREMS[r.theorem.thm].derivative_series)]
+    assert len(raw) == 20 and len(corpus_results) == 28
+    for spec, r in raw:
+        for bits in (256, 384):
+            assert reverify_certificate(spec.difference(), r, precision=bits), \
+                (spec.name, bits)
