@@ -2,41 +2,38 @@
 
 Endpoints are dyadic rationals m / 2**prec stored as plain integers, so every
 operation is exact integer arithmetic with outward rounding: each computed
-pair (lo, hi) satisfies lo/2**prec <= true value <= hi/2**prec.  This is the
-hot path behind expression evaluation and the adaptive prover; the public
+pair (lo, hi) satisfies lo/2**prec <= true value <= hi/2**prec.  The public
 Fraction-based Interval type wraps it.
 
-Supported elementary functions: sin, cos on [-4, 4], tan where cos is
-certified positive, sinh/cosh/tanh on [-32, 32].  Ranges over an interval
-come from endpoint Taylor evaluations plus the interior extrema (+-pi/2 for
-sin, 0 and +-pi for cos); the corpus never needs argument reduction.
+Elementary functions: sin, cos on [-4, 4], tan where cos is certified
+positive, sinh/cosh/tanh on [-32, 32].  Ranges over an interval come from
+endpoint evaluations plus the interior extrema (+-pi/2 for sin, 0 and +-pi
+for cos); the corpus never needs argument reduction.
 
 One evaluator runs a parsed `lang.Expr` as a straight-line plan, each
 distinct subtree once, with one of three op tables: ranges, truncated
-Taylor vectors, or exact rational intervals for `lang.eval_endpoint`.  The
-plan is kept on the expression's root node; point series are cached in
-`Ctx`.  `enclose` intersects the plain range with an order-12 Taylor form
-about the midpoint, whose midpoint vector stops at order 11; there is no
-other narrowing step.  The form's remainder coefficient, from a box vector,
-bounds the remainder on every sub-box as well (the inclusion property of
-Taylor models), so `enclose` returns it for the sub-boxes and accepts a
-parent's: a box vector is then built only when the midpoint terms decide
-the sign and the inherited coefficient does not.  Two rules decide the
-boxes near 0.  When the midpoint terms, summed term by term, have a lower
-end <= 0 while the value at the midpoint is > 0, that end is raised to
-their least Bernstein coefficient, formed in exact integers.  When a box's
-own coefficient leaves the form undecided while the midpoint terms decide,
-and the box lies in [0, 1), the coefficient is intersected with one over
-[0, b] in which every removable quotient u/v (u and v exactly 0 at the
-point 0, found once per plan) is taken as (u/x)/(v/x); a division by the
-box of x would inflate it like a^-12.  The Taylor ops skip
-every term with an exact (0, 0) factor, so sparse vectors cost less and
-come out equal to dense ones, and squares form each cross product once.
-sin/cos and sinh/cosh vectors come from their coupled recurrence, tan and
-tanh from their own ODE t' = u' (1 +- t^2); interval vectors are divided
-only for an expression's `/` and negative powers.
+Taylor vectors, or exact rational intervals for `lang.eval_endpoint`.
+`enclose` intersects the plain range with an order-12 Taylor form about the
+midpoint, whose midpoint vector stops at order 11.  The remainder
+coefficient of a box vector bounds the remainder on every sub-box too (the
+inclusion property of Taylor models), so `enclose` hands it down and takes
+a parent's: a box builds its own only when the midpoint terms decide the
+sign and the inherited one does not.  Near 0, a lower end <= 0 of the
+midpoint terms above a positive midpoint value is raised to their least
+Bernstein coefficient, and on a box in [0, 1) an undecided coefficient is
+intersected with one over [0, b] in which every removable quotient u/v (u
+and v exactly 0 at 0) is taken as (u/x)/(v/x), not divided by a box of x.
+
+Each step of a plan has a global structural id.  `Ctx` caches point
+series and, for the boxes of one bisection root, the Taylor vectors of the
+costly steps `enclose` runs, by id and base vector: stanzas that bisect one
+core share those of their common sides.  The Taylor ops skip every term
+with an exact (0, 0) factor and square by half convolution; sin/cos and
+sinh/cosh vectors come from their coupled recurrence, tan and tanh from the
+ODE t' = u' (1 +- t^2).
 """
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -95,9 +92,9 @@ def _pi_bracket(prec):
 
 
 class Ctx:
-    """Evaluation context: precision, cached pi bracket, point-series cache."""
+    """Evaluation context: precision, pi bracket, point series, Taylor memo."""
 
-    __slots__ = ("prec", "one", "pi", "cache")
+    __slots__ = ("prec", "one", "pi", "cache", "memo", "root")
 
     def __init__(self, prec=192):
         if prec < 16:
@@ -106,6 +103,13 @@ class Ctx:
         self.one = 1 << prec
         self.pi = _pi_bracket(prec)
         self.cache = {}
+        self.memo = {}
+        self.root = None
+
+    def scope(self, root):
+        """A bisection of root starts: keep the memo only if it is root's."""
+        if root != self.root:
+            self.root, self.memo = root, {}
 
     # conversions ----------------------------------------------------------
     def lo_of(self, f):
@@ -594,16 +598,49 @@ def _plan(node):
     return plan
 
 
-def _run(ctx, node, x, ops, shifts=None):
+# Each distinct step of any plan has one global id, interned from its kind
+# and its operands' ids: equal subtrees of different expressions share it.
+# _OPERANDS flags which of a step's p, q are step indices.
+_STEP_IDS = {}
+_STEP_IDS_LOCK = threading.Lock()
+_OPERANDS = {"lit": (0, 0), "x": (0, 0), "pi": (0, 0), "call": (0, 1),
+             "pow": (1, 0), "neg": (1, 0)}
+_MEMO_KINDS = frozenset(("call", "mul", "div", "pow"))    # the costly steps
+
+
+def _step_ids(node):
+    """Global ids of the steps of node's plan, kept on the node like it."""
+    if hasattr(node, "_step_ids"):
+        return node._step_ids
+    ids = []
+    with _STEP_IDS_LOCK:
+        for kind, *pq in _plan(node)[0]:
+            flags = _OPERANDS.get(kind, (1, 1))
+            key = (kind, *(ids[v] if f else v for v, f in zip(pq, flags)))
+            ids.append(_STEP_IDS.setdefault(key, len(_STEP_IDS)))
+    object.__setattr__(node, "_step_ids", tuple(ids))
+    return node._step_ids
+
+
+def _run(ctx, node, x, ops, shifts=None, memo=None):
     """Value of the expression node at x under the op table: each step of
     its plan once, in order.  With `shifts` (one entry per step), each `/`
     step i first drops shifts[i] leading coefficients of both operands; an
-    entry of None is filled in from the operands, as `_removable` does."""
+    entry of None is filled in from the operands, as `_removable` does.
+    With `memo` (a `Ctx.memo`), each costly step is looked up there by its
+    global id and x (and whether shifts apply) before it is run."""
     steps, positions = _plan(node)
+    if memo is not None:
+        ids = _step_ids(node)
+        memo = memo.setdefault((shifts is not None, tuple(x)), {})
     vals = []
     push = vals.append
     try:
         for kind, p, q in steps:
+            key = ids[len(vals)] if memo is not None and kind in _MEMO_KINDS else None
+            if key is not None and key in memo:
+                push(memo[key])
+                continue
             if kind == "x":
                 push(x)
             elif kind == "lit":
@@ -626,6 +663,8 @@ def _run(ctx, node, x, ops, shifts=None):
                 push(ops[kind](ctx, vals[p], vals[q]))
             else:
                 push(ops[kind](vals[p], vals[q]))
+            if key is not None:
+                memo[key] = vals[-1]
     except (DomainError, PoleError) as exc:
         # the first step that fails names the offset; 0 is a valid one
         if getattr(exc, "position", None) is None:
@@ -639,14 +678,15 @@ def eval_plain(ctx, node, x):
     return _run(ctx, node, x, _RANGE_OPS)
 
 
-def eval_taylor(ctx, node, xvec, k, shifts=None):
+def eval_taylor(ctx, node, xvec, k, shifts=None, memo=None):
     """Order-k Taylor vector of node, given the vector xvec (k + 1 entries)
     of the variable; with `_removable`'s shifts, each removable quotient
-    drops its operands' leading coefficients (and an order)."""
+    drops its operands' leading coefficients (and an order).  Only
+    `enclose` passes a memo, so a direct call computes every product."""
     if len(xvec) != k + 1:
         raise ValueError(f"an order-{k} vector has {k + 1} entries, "
                          f"not {len(xvec)}")
-    return _run(ctx, node, xvec, _TAYLOR_OPS, shifts)
+    return _run(ctx, node, xvec, _TAYLOR_OPS, shifts, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -668,28 +708,33 @@ def _shared_zeros(u, v):
     return s
 
 
+_REMOVABLE = {}         # _removable's findings, by the global id of the root
+_DETECT_ORDER = 4       # the order at which _removable looks first
+
+
 def _removable(ctx, node):
     """(shifts, depth) for node's removable quotients, or None if it has
     none or its plan cannot run at 0.  shifts holds, for each `/` step,
     how many leading coefficients both operands have exactly (0, 0) at the
     point 0, with the rule applied to the steps before it; depth is the
     most orders one path to the root loses.  Exact zeros come only from
-    exact operations on exact zeros, so they do not depend on the
-    precision: the result is found once and kept on the node, like the
-    plan."""
-    try:
-        return node._removable
-    except AttributeError:
-        pass
-    k = TAYLOR_ORDER
-    shifts = [None] * len(_plan(node)[0])
-    try:
-        out = _run(ctx, node, _tvar(ctx, 0, 0, k), _TAYLOR_OPS, shifts)
-        found = (tuple(shifts), k + 1 - len(out)) if any(shifts) else None
-    except (DomainError, PoleError):
-        found = None
-    object.__setattr__(node, "_removable", found)
-    return found
+    exact operations on exact zeros, and a vector is any longer one cut
+    short: the shifts depend on neither precision nor order unless one
+    reaches its cap, all but one entry, which leaves one entry or a pole.
+    Only then is the run at _DETECT_ORDER redone at TAYLOR_ORDER."""
+    root = _step_ids(node)[-1]
+    if root in _REMOVABLE:
+        return _REMOVABLE[root]
+    for k in (_DETECT_ORDER, TAYLOR_ORDER):
+        shifts = [None] * len(_plan(node)[0])
+        try:
+            out = _run(ctx, node, _tvar(ctx, 0, 0, k), _TAYLOR_OPS, shifts)
+        except (DomainError, PoleError):
+            out = ()
+        if len(out) > 1:
+            break
+    found = (tuple(shifts), k + 1 - len(out)) if out and any(shifts) else None
+    return _REMOVABLE.setdefault(root, found)
 
 
 def _coeff_from_zero(ctx, node, b):
@@ -703,8 +748,8 @@ def _coeff_from_zero(ctx, node, b):
     k = TAYLOR_ORDER + depth
     try:
         # looked up at call time, so the traced benchmark counts it
-        return eval_taylor(ctx, node, _tvar(ctx, 0, b, k), k,
-                           shifts)[TAYLOR_ORDER]
+        return eval_taylor(ctx, node, _tvar(ctx, 0, b, k), k, shifts,
+                           memo=ctx.memo)[TAYLOR_ORDER]
     except (DomainError, PoleError):
         return None
 
@@ -798,7 +843,8 @@ def enclose(ctx, node, a, b, rem=None):
     r = max(b - m, m - a)
     try:
         # the form reads tm[j] for j < k only: c bounds the remainder
-        tm = eval_taylor(ctx, node, _tvar(ctx, m, m, k - 1), k - 1)
+        tm = eval_taylor(ctx, node, _tvar(ctx, m, m, k - 1), k - 1,
+                         memo=ctx.memo)
     except (DomainError, PoleError):
         return enc, None
     poly = tm[0]
@@ -813,7 +859,7 @@ def enclose(ctx, node, a, b, rem=None):
         if out[0] > 0 or out[1] < 0 or straddles:
             return out, rem
     try:
-        tx = eval_taylor(ctx, node, _tvar(ctx, a, b, k), k)
+        tx = eval_taylor(ctx, node, _tvar(ctx, a, b, k), k, memo=ctx.memo)
     except (DomainError, PoleError):
         return enc, None
     c = tx[k]

@@ -165,7 +165,7 @@ class ScanReport:
 def _make_expr_eval(expr: Expr, opts: ProveOptions):
     """Returns eval_fn(x) -> Interval, whose attribute `carry(x, rem)`
     returns (Interval, rem for sub-boxes) from `_core.enclose`, for
-    `_bisect_positive` to hand down."""
+    `_bisect_positive` to hand down; `scope(lo, hi)` is `Ctx.scope`."""
     ctx = get_ctx(opts.precision)
 
     def carry(x: Interval, rem=None):
@@ -177,6 +177,7 @@ def _make_expr_eval(expr: Expr, opts: ProveOptions):
         return carry(x)[0]
 
     ev.carry = carry
+    ev.scope = lambda lo, hi: ctx.scope((ctx.lo_of(lo), ctx.hi_of(hi)))
     return ev
 
 
@@ -219,9 +220,11 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
     When ev has `carry(x, rem) -> (Interval, rem)`, each box hands the
     remainder coefficient it returns down to its two halves; a box at the
     depth or width limit gets none, so the enclosure a reason prints is
-    the box's own full form."""
+    the box's own full form.  ev's `scope(lo, hi)`, if any, comes first."""
     t0 = time.perf_counter()
     carry = getattr(ev, "carry", None) or (lambda x, rem: (ev(x), None))
+    if hasattr(ev, "scope"):
+        ev.scope(lo, hi)
     stack = [(lo, hi, 0, None)]
     leaves = []
     maxd = 0
@@ -270,6 +273,11 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
                     ms=1000 * (time.perf_counter() - t0))
         if at_limit:
             why = err or f"enclosure [{enc.lo}, {enc.hi}] straddles 0"
+            bits = opts.precision
+            if err is None and max(-enc.lo, enc.hi) * 2 ** (bits - 64) <= 1:
+                # a form sums thousands of roundings of 2^-bits each
+                why += (f"; it lies within 2^{64 - bits} of 0, where {bits}-bit "
+                        f"rounding may hide the sign: try a higher --precision")
             if first_reason is None:
                 first_reason = f"inconclusive on [{a}, {b}] at depth {d}: {why}"
             inconclusive += 1

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -9,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import ineqcert
-from ineqcert.cli import _ENGINE_OPTIONS, run_command
+from ineqcert.cli import _ENGINE_OPTIONS, default_corpus_path, run_command
 from ineqcert.interval import pi_enclose
 from ineqcert.lang import TAG_KEYS
-from ineqcert.prove import THEOREM_CLAIMS
+from ineqcert.prove import THEOREM_CLAIMS, ProofResult
 
 
 def test_bernoulli_csv(tmp_path, capsys):
@@ -219,6 +221,35 @@ inequality COSH_ABOVE_ONE {
   tags     = expected:proved
 }
 """
+
+
+def test_internal_error_names_the_stanza_run_out_of_file_order(monkeypatch, capsys,
+                                                              tmp_path):
+    # stanzas run grouped by domain: WILKER, third in the file, runs second,
+    # right after HUY_TRIG on (0, pi/2), and the exit-4 line names it
+    p = tmp_path / "three.ineq"
+    p.write_text(_FIXTURE_TWO + """
+inequality WILKER {
+  domain   = (0, pi/2)
+  lhs      = (sin(x)/x)^2 + tan(x)/x
+  relation = >
+  rhs      = 2
+}
+""")
+    ran = []
+
+    def broken(spec, opts=None):
+        ran.append(spec.name)
+        if spec.name == "WILKER":
+            raise AssertionError("enclosures do not meet")
+        return ProofResult("Proved")
+
+    monkeypatch.setattr("ineqcert.cli.verify_inequality", broken)
+    assert run_command(["prove", "--corpus", str(p)]) == 4
+    assert ran == ["HUY_TRIG", "WILKER"]
+    err = capsys.readouterr().err
+    assert err == ("ineqcert: internal error in stanza WILKER: "
+                   "AssertionError: enclosures do not meet\n")
 
 
 def test_empty_intersection_is_a_stanza_unknown(monkeypatch, tmp_path):
@@ -508,3 +539,40 @@ def test_full_corpus_exits_zero(corpus_report):
     code, raw, rep = corpus_report
     assert code == 0
     assert len(rep["claims"]) == 28
+
+
+def test_shuffled_corpus_gives_the_same_report(tmp_path, corpus_report):
+    # stanzas run grouped by core, in an order that follows the file's, and
+    # share _core's Taylor memo: neither may show in the report, which is
+    # byte-identical to the shipped corpus's but for config.corpus
+    code, raw, _ = corpus_report
+    text = Path(default_corpus_path()).read_text(encoding="utf-8")
+    stanzas = re.findall(r"^inequality .*?^\}", text, re.M | re.S)
+    assert len(stanzas) == 28
+    random.Random(15).shuffle(stanzas)
+    p = tmp_path / "shuffled.ineq"
+    p.write_text("\n\n".join(stanzas) + "\n", encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--corpus", str(p), "--out", str(out)]) == code
+
+    def canonical(report: bytes, corpus) -> bytes:
+        return report.replace(json.dumps(str(corpus)).encode(), b'"CORPUS"')
+
+    assert canonical(out.read_bytes(), p) == canonical(raw, default_corpus_path())
+
+
+def test_unknown_below_the_precision_suggests_a_higher_one(tmp_path):
+    # NS_QUARTIC's difference is about 7/320 x^8: 2e-74 at x = 1e-9, below
+    # 2^-192, so at the default precision the boxes at its left end straddle
+    # 0 within rounding error, and the reason says so; 384 bits prove it
+    out = tmp_path / "o.json"
+    argv = ["prove", "--name", "NS_QUARTIC", "--eps-lo", "1e-9", "--out", str(out)]
+    assert run_command(argv) == 2
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Unknown"
+    assert claim["findings"][0].endswith(
+        " straddles 0; it lies within 2^-128 of 0, where 192-bit rounding "
+        "may hide the sign: try a higher --precision")
+    assert run_command(argv + ["--precision", "384"]) == 0
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Proved"

@@ -1,6 +1,7 @@
 """Taylor-vector algebra of `_core`, checked against its own point ranges
 and against the dense reference loops in `oracles`."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from ineqcert import _core, lang
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import INF, eval_endpoint, parse_expression
-from ineqcert.prove import ProveOptions, prove_positive
+from ineqcert.prove import ProveOptions, prove_positive, verify_inequality
 from oracles import (bernstein_lo_fraction, enclose_full_order, idiv_eight,
                      imul_dense, tdiv_dense, tmul_dense, tsincos_dense,
                      ttan_quotient, vector_from_zero_walk, walk)
@@ -292,9 +293,9 @@ def test_inherited_remainder_keeps_sign_and_points(monkeypatch, corpus_specs):
     raised = []
     eval_taylor = _core.eval_taylor
 
-    def watching(*args):
+    def watching(*args, **kwargs):
         try:
-            return eval_taylor(*args)
+            return eval_taylor(*args, **kwargs)
         except (_core.DomainError, _core.PoleError):
             raised.append(args[3])
             raise
@@ -330,9 +331,9 @@ def _record_orders(monkeypatch):
     orders = []
     eval_taylor = _core.eval_taylor
 
-    def recording(ctx, node, xvec, k, shifts=None):
+    def recording(ctx, node, xvec, k, shifts=None, memo=None):
         orders.append(k)
-        return eval_taylor(ctx, node, xvec, k, shifts)
+        return eval_taylor(ctx, node, xvec, k, shifts, memo)
 
     monkeypatch.setattr(_core, "eval_taylor", recording)
     return orders
@@ -343,7 +344,7 @@ def _crafted_taylor(monkeypatch, tm0, rem):
     box vector zeros with rem at order k; returns the orders called."""
     orders = []
 
-    def crafted(ctx, node, xvec, k, shifts=None):
+    def crafted(ctx, node, xvec, k, shifts=None, memo=None):
         orders.append(k)
         if k < _core.TAYLOR_ORDER:
             return [tm0] + [(0, 0)] * k
@@ -392,10 +393,11 @@ def test_failed_taylor_vector_hands_down_no_rem(monkeypatch, corpus_specs):
     wide = (-(10 ** 20) * ctx.one, 10 ** 20 * ctx.one)   # times r^12 > 1e5
     eval_taylor = _core.eval_taylor
     for failing in (k - 1, k):
-        def failing_at(ctx, node, xvec, order, shifts=None, failing=failing):
+        def failing_at(ctx, node, xvec, order, shifts=None, memo=None,
+                       failing=failing):
             if order == failing:
                 raise _core.PoleError("no vector")
-            return eval_taylor(ctx, node, xvec, order, shifts)
+            return eval_taylor(ctx, node, xvec, order, shifts, memo)
 
         monkeypatch.setattr(_core, "eval_taylor", failing_at)
         assert _core.enclose(ctx, node, a, b) == (plain, None)
@@ -569,11 +571,166 @@ def test_removable_quotient_coefficient_decides_near_zero(monkeypatch, corpus_sp
     # when that vector cannot be evaluated, the own form and c stand
     eval_taylor = _core.eval_taylor
 
-    def failing(ctx, node, xvec, order, shifts=None):
+    def failing(ctx, node, xvec, order, shifts=None, memo=None):
         if shifts is not None:
             raise _core.PoleError("no vector")
-        return eval_taylor(ctx, node, xvec, order)
+        return eval_taylor(ctx, node, xvec, order, memo=memo)
 
     monkeypatch.setattr(_core, "eval_taylor", failing)
     enc, c = _core.enclose(ctx, node, a, b)
     assert enc[0] <= 0 <= enc[1] and c == own
+
+
+# ---------------------------------------------------------------------------
+# the Taylor memo of enclose, and the low-order search for the shifts
+# ---------------------------------------------------------------------------
+
+def test_enclose_on_a_warmed_ctx_equals_a_fresh_one(monkeypatch, corpus_specs):
+    # Ctx.memo keeps the costly steps' vectors by global id and base vector,
+    # so stanzas that share a subtree share them.  Every shipped stanza, on
+    # boxes drawn once per domain (one of them in [0, 1), where the [0, b]
+    # coefficient is built too), encloses on a context the stanzas before
+    # it have warmed exactly as on a fresh one, with fewer products
+    warm = _core.Ctx(192)
+    rng = random.Random(1506)
+    boxes = {}
+    for top in (96, 512):
+        pairs = [sorted(rng.sample(range(1, top + 1), 2)) for _ in range(3)]
+        boxes[top] = [(Fraction(i, 64), Fraction(j, 64)) for i, j in pairs]
+        d = rng.randint(100, 1000)
+        boxes[top].append((Fraction(1, d), Fraction(2, d)))
+    products = {"warm": 0, "fresh": 0}
+    side = ["fresh"]
+    imul = _core.imul
+
+    def counting(*args):
+        products[side[0]] += 1
+        return imul(*args)
+
+    monkeypatch.setattr(_core, "imul", counting)
+    for spec in corpus_specs:
+        node = spec.difference()
+        for lo, hi in boxes[512 if spec.unbounded else 96]:
+            a, b = warm.lo_of(lo), warm.lo_of(hi)
+            side[0] = "fresh"
+            want = _core.enclose(_core.Ctx(192), node, a, b)
+            side[0] = "warm"
+            assert _core.enclose(warm, node, a, b) == want, (spec.name, lo, hi)
+    assert warm.memo and products["warm"] < products["fresh"]
+
+
+def _counting_taylor_products(monkeypatch):
+    """Rebind the Taylor ops that multiply; returns the list of their calls."""
+    made = []
+    for kind in _core._MEMO_KINDS:
+        def op(*args, kind=kind, run=_core._TAYLOR_OPS[kind]):
+            made.append(kind)
+            return run(*args)
+        monkeypatch.setitem(_core._TAYLOR_OPS, kind, op)
+    return made
+
+
+def test_chain_twin_run_after_its_twin_makes_no_taylor_products(monkeypatch,
+                                                                corpus_specs):
+    # CHAIN_1_7_C states exactly what CHAIN_1_3_B does.  Run right after
+    # it, on the same core, it takes every vector from the memo and its
+    # shifts from _removable's table
+    ctx = get_ctx(192)
+    ctx.scope(object())             # a root no bisection has: an empty memo
+    made = _counting_taylor_products(monkeypatch)
+    specs = {s.name: s for s in corpus_specs}
+    first = verify_inequality(specs["CHAIN_1_3_B"])
+    assert first.status == "Proved" and made
+    made.clear()
+    second = verify_inequality(specs["CHAIN_1_7_C"])
+    assert second.status == "Proved" and second.leaves == first.leaves
+    assert made == []
+
+
+def test_bisection_on_a_new_root_empties_the_memo():
+    ctx = get_ctx(192)
+    box = Interval(Fraction(1, 100), Fraction(4))
+    assert prove_positive(parse_expression("x - sin(x)"), box).status == "Proved"
+    memo = ctx.memo
+    assert memo and ctx.root == (ctx.lo_of(box.lo), ctx.hi_of(box.hi))
+    # another expression on the same root keeps it and adds its own steps
+    prove_positive(parse_expression("x^3 - sin(x)^3"), box)
+    assert ctx.memo is memo
+    # a new root starts from an empty memo
+    prove_positive(parse_expression("x - sin(x)"), Interval(Fraction(1, 100), 2))
+    assert ctx.memo is not memo and ctx.memo
+    assert ctx.root == (ctx.lo_of(Fraction(1, 100)), ctx.hi_of(Fraction(2)))
+
+
+def test_direct_eval_taylor_never_reads_the_memo(monkeypatch, corpus_specs):
+    # only enclose passes Ctx.memo: a direct call on a base vector whose
+    # steps the memo holds still forms every product, as the imul count of
+    # test_taylor_products_go_through_module_imul relies on
+    ctx = _core.Ctx(192)
+    k = _core.TAYLOR_ORDER
+    node = next(s for s in corpus_specs if s.name == "WILKER").difference()
+    xvec = _core._tvar(ctx, ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2)))
+    calls = []
+    imul = _core.imul
+
+    def counting(*args):
+        calls.append(args)
+        return imul(*args)
+
+    monkeypatch.setattr(_core, "imul", counting)
+    vec = _core.eval_taylor(ctx, node, xvec, k)
+    full = len(calls)
+    assert _core.eval_taylor(ctx, node, xvec, k, memo=ctx.memo) == vec
+    assert ctx.memo and len(calls) == 2 * full
+    assert _core.eval_taylor(ctx, node, xvec, k) == vec
+    assert len(calls) == 3 * full
+    # while a call that passes it forms none
+    assert _core.eval_taylor(ctx, node, xvec, k, memo=ctx.memo) == vec
+    assert len(calls) == 3 * full
+
+
+def _full_order_shifts(ctx, node):
+    """_removable's finding from one run at TAYLOR_ORDER."""
+    k = _core.TAYLOR_ORDER
+    shifts = [None] * len(_core._plan(node)[0])
+    try:
+        out = _core._run(ctx, node, _core._tvar(ctx, 0, 0, k),
+                         _core._TAYLOR_OPS, shifts)
+    except (_core.DomainError, _core.PoleError):
+        return None
+    return (tuple(shifts), k + 1 - len(out)) if any(shifts) else None
+
+
+def test_low_order_shifts_equal_full_order_ones(monkeypatch, corpus_specs):
+    # _removable looks at order _DETECT_ORDER and again at TAYLOR_ORDER only
+    # where a shift may have reached its cap.  Every shipped difference and
+    # every refute-style claim (its sides reversed) finds the full-order
+    # shifts in one low-order run; sin(x)^5/x^5 shares five leading zeros,
+    # past the cap at order 4, and is run again at full order
+    ctx = get_ctx(192)
+    monkeypatch.setattr(_core, "_REMOVABLE", {})
+    orders = []
+    tvar = _core._tvar
+
+    def recording(ctx, a, b, k=_core.TAYLOR_ORDER):
+        orders.append(k)
+        return tvar(ctx, a, b, k)
+
+    flip = {">": "<", "<": ">"}
+    nodes = [s.difference() for s in corpus_specs]
+    nodes += [dataclasses.replace(s, relation=flip[s.relation]).difference()
+              for s in corpus_specs]
+    for node in nodes:
+        want = _full_order_shifts(ctx, node)
+        monkeypatch.setattr(_core, "_tvar", recording)
+        assert _core._removable(ctx, node) == want, node
+        monkeypatch.setattr(_core, "_tvar", tvar)
+        assert _core.TAYLOR_ORDER not in orders
+    assert orders.count(_core._DETECT_ORDER) == len(nodes) - 2   # two twins
+    node = parse_expression("sin(x)^5/x^5")
+    want = _full_order_shifts(ctx, node)
+    assert want is not None and want[1] == 5 > _core._DETECT_ORDER
+    orders.clear()
+    monkeypatch.setattr(_core, "_tvar", recording)
+    assert _core._removable(ctx, node) == want
+    assert orders == [_core._DETECT_ORDER, _core.TAYLOR_ORDER]
