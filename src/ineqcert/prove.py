@@ -8,11 +8,15 @@
 * `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
   is registered as its theorem only when its domain and difference equal
   those of the same-named stanza in the shipped corpus.  Then a series
-  certificate closes the (0, eps] gap (all eight theorem stanzas), and for
-  seven of them a registered exact difference series provides the core's
-  enclosures.  On the core only bisection of the raw difference refutes,
-  backed by a point grid when it ends Unknown.  Uncovered margins are
-  always reported, never silently assumed.
+  certificate closes the (0, eps] gap, 0 < eps < 1, for all eight theorem
+  stanzas by one rule: the signed difference series over its leading
+  power, bounded below by its exact leading coefficient plus its later
+  terms of the wrong sign at eps minus a certified tail, must be > 0 (an
+  upper claim adds its constant's lower end).  For seven of them a
+  registered exact difference series also provides the core's enclosures.
+  On the core only bisection of the raw difference refutes, backed by a
+  point grid when it ends Unknown.  Uncovered margins are always reported,
+  never silently assumed.
 * `ProveOptions`: the engine options, each with its one default and its
   valid range, checked when the options are built.
 * `near_zero_certificate`, `sequence_check`, `identity_check`,
@@ -37,8 +41,7 @@ from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, default_corpus_path, eval_endpoint,
                    eval_expr, parse_corpus, parse_expression)
 from .series import (coeff_row, eval_series, exact_sum, get_series,
-                     tail_bound, theorem_coeff, THEOREMS, THEOREM_START,
-                     TRIG_X_MAX)
+                     tail_bound, theorem_coeff, THEOREMS, THEOREM_START)
 
 __all__ = [
     "ProveOptions", "Leaf", "ProofResult", "SequenceReport", "IdentityReport",
@@ -277,7 +280,8 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
             if err is None and max(-enc.lo, enc.hi) * 2 ** (bits - 64) <= 1:
                 # a form sums thousands of roundings of 2^-bits each
                 why += (f"; it lies within 2^{64 - bits} of 0, where {bits}-bit "
-                        f"rounding may hide the sign: try a higher --precision")
+                        f"rounding may hide the sign: try a higher --precision "
+                        f"(an identically zero difference ends so at any)")
             if first_reason is None:
                 first_reason = f"inconclusive on [{a}, {b}] at depth {d}: {why}"
             inconclusive += 1
@@ -402,20 +406,22 @@ def _left_lower_bound(series_id: str, n0: int, eps: Fraction, N: int,
     return lead + (wrong - tail_bound(series_id, N, eps).bound) / eps ** e0
 
 
-def _left_sup_bound(series_id: str, eps: Fraction, N: int) -> Fraction:
-    """Certified upper bound for the series on (0, eps] (exponents >= 0)."""
-    pos, _ = coeff_row(series_id, get_series(series_id).start_index, N)
-    return exact_sum((pos, eps)) + tail_bound(series_id, N, eps).bound
-
-
 def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
-    """Settle a theorem claim on (0, epsilon] from its exact difference series.
+    """Settle a theorem claim on (0, epsilon], 0 < epsilon < 1, from its
+    exact difference series, by one rule for every claim.
 
-    An upper claim is Proved when the series supremum clears the constant.
-    Otherwise the exact leading residual coefficient decides the branch:
-    positive, Proved when the leading coefficients minus the tail bound pin
-    the sign; negative, Refuted with a certified witness; zero, Unknown.
+    A lower or positive claim's difference is the series from index
+    start + 1 on, since its start term cancels exactly; an upper claim's is
+    its constant minus the whole series, which starts at x^0.  The series
+    is negated for an upper claim or a negative exact leading coefficient,
+    and `_left_lower_bound` bounds it over its leading power on
+    (0, epsilon]; an upper claim adds the constant's lower end.  A bound
+    > 0 settles the claim: Refuted, with a witness at epsilon/2, when the
+    leading coefficient is negative, Proved otherwise.  Else, as for a
+    leading coefficient of exactly 0, it is Unknown.
     """
+    if side not in ("lower", "upper"):
+        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     eps = Fraction(epsilon)
     t = THEOREMS.get(thm_id)
     if t is None:
@@ -423,104 +429,53 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
     i = 0 if side == "lower" else 1
     if i >= len(t.stanzas):
         raise DomainError(f"{thm_id} has no {side}-side claim")
+    if eps <= 0 or eps >= 1:
+        raise DomainError("epsilon must lie in (0, 1)")
+    t0 = time.perf_counter()
     stanza = t.stanzas[i]
     claim = THEOREM_CLAIMS[stanza]
     seq = get_series(claim.series_id)
-    if eps <= 0 or eps >= 1:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if seq.radius == "pi" and eps > TRIG_X_MAX:
-        raise DomainError("epsilon outside the series radius")
-    t0 = time.perf_counter()
-    res = ProofResult("Unknown")
-
-    if claim.mode == "upper":
-        cval = _const_interval(claim)
-        N = seq.start_index + 24
-        sup = _left_sup_bound(claim.series_id, eps, N)
-        ok = sup < cval.lo
-        res.status = "Proved" if ok else "Unknown"
-        if not ok:
-            res.reason = f"sup bound {sup} does not clear the constant"
-        res.series_certificate = {
-            "series": claim.series_id, "claim": "upper", "eps": eps, "N": N,
-            "sup_bound": sup, "constant_lower": cval.lo,
-        }
+    upper = claim.mode == "upper"
+    n0 = t.start if upper else t.start + 1
+    leading, e0, N = seq.coeff(n0), seq.exponent_of(n0), n0 + 22
+    negate = upper or leading < 0
+    refutes = negate and not upper
+    lb = bound = _left_lower_bound(claim.series_id, n0, eps, N, negate)
+    res = ProofResult("Unknown", series_certificate={
+        "series": claim.series_id, "claim": claim.mode, "eps": eps, "N": N,
+        "leading_index": n0, "leading": leading, "negated": negate,
+        "normalized_lower_bound": lb})
+    if upper:
+        cval = _const_interval(claim).lo
+        bound += cval
+        res.series_certificate.update(sup_bound=-lb, constant_lower=cval)
         res.findings.append(
-            f"{stanza}: series sup on (0, {eps}] is <= {float(sup):.10g}; "
-            f"upper constant > {float(cval.lo):.10g}")
-        res.ms = 1000 * (time.perf_counter() - t0)
-        return res
-
-    n_const = seq.start_index
-    lead_idx = t.start + 1
-    cancelled = seq.coeff(n_const)
-    if claim.mode == "lower":
-        cancelled -= t.zero_value
-    if cancelled != 0:
-        raise AssertionError(
-            f"{stanza}: expected exact cancellation at n={n_const}")
-    leading = seq.coeff(lead_idx)
-    if leading == 0:
-        res.reason = "leading residual coefficient is zero"
-        return res
-
-    if leading > 0:
-        N = lead_idx + 22
-        lb = _left_lower_bound(claim.series_id, lead_idx, eps, N)
-        while lb <= 0 and N < lead_idx + 80:
-            N += 12
-            lb = _left_lower_bound(claim.series_id, lead_idx, eps, N)
-        if lb > 0:
-            res.status = "Proved"
-            res.series_certificate = {
-                "series": claim.series_id, "claim": "positive", "eps": eps,
-                "N": N, "leading_index": lead_idx, "leading": leading,
-                "normalized_lower_bound": lb,
-            }
+            f"{stanza}: series sup on (0, {eps}] is <= {float(-lb):.10g}; "
+            f"upper constant > {float(cval):.10g}")
+    if bound <= 0:
+        res.reason = f"series bound {bound} does not settle the sign on (0, {eps}]"
+    elif refutes:
+        x0 = eps / 2
+        wv = eval_expr(_shipped_stanzas()[stanza].difference(), Interval.point(x0))
+        res.status = "Refuted"
+        res.witness = Interval.point(x0)
+        res.witness_value = wv if wv.hi < 0 else None
+        res.findings.append(
+            f"{stanza}: leading coefficient {leading} at x^{e0} is negative; "
+            f"difference certified negative on (0, {eps}]")
+        if t.derivative_series:
+            a3 = theorem_coeff(claim.thm, "a", n0)
+            b3 = theorem_coeff(claim.thm, "b", n0)
             res.findings.append(
-                f"{stanza}: difference >= {float(lb):.6g} * x^"
-                f"{seq.exponent_of(lead_idx)} on (0, {eps}]; leading "
-                f"coefficient {leading}")
-        else:
-            res.reason = f"series bound not positive at eps={eps}"
-        res.ms = 1000 * (time.perf_counter() - t0)
-        return res
-
-    # leading coefficient of the wrong sign
-    eff = eps
-    proved_neg = None
-    for _ in range(10):
-        N = lead_idx + 22
-        lb = _left_lower_bound(claim.series_id, lead_idx, eff, N, negate=True)
-        if lb > 0:
-            proved_neg = (eff, N, lb)
-            break
-        eff = eff / 2
-    if proved_neg is None:
-        res.reason = "could not certify the negative sign near zero"
-        return res
-    eff, N, lb = proved_neg
-    x0 = eff / 2
-    wv = eval_expr(_shipped_stanzas()[stanza].difference(), Interval.point(x0))
-    res.status = "Refuted"
-    res.witness = Interval.point(x0)
-    res.witness_value = wv if wv.hi < 0 else None
-    res.series_certificate = {
-        "series": claim.series_id, "claim": "negative", "eps": eff, "N": N,
-        "leading_index": lead_idx, "leading": leading,
-        "normalized_lower_bound_of_negation": lb,
-    }
-    res.findings.append(
-        f"{stanza}: leading coefficient {leading} at x^"
-        f"{seq.exponent_of(lead_idx)} is negative; difference certified "
-        f"negative on (0, {eff}]")
-    if t.derivative_series:
-        a3 = theorem_coeff(claim.thm, "a", lead_idx)
-        b3 = theorem_coeff(claim.thm, "b", lead_idx)
-        res.findings.append(
-            f"{stanza}: derivative-series leading term a_{lead_idx} - c*b_{lead_idx}"
-            f" = {a3} - ({t.zero_value})*{b3} = {leading}; integrated x^"
-            f"{seq.exponent_of(lead_idx) + 1} coefficient {leading / (seq.exponent_of(lead_idx) + 1)}")
+                f"{stanza}: derivative-series leading term a_{n0} - c*b_{n0}"
+                f" = {a3} - ({t.zero_value})*{b3} = {leading}; integrated x^"
+                f"{e0 + 1} coefficient {leading / (e0 + 1)}")
+    else:
+        res.status = "Proved"
+        if not upper:
+            res.findings.append(
+                f"{stanza}: difference >= {float(lb):.6g} * x^{e0} on "
+                f"(0, {eps}]; leading coefficient {leading}")
     res.ms = 1000 * (time.perf_counter() - t0)
     return res
 
@@ -645,8 +600,8 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
             res.witness = nz_result.witness
             res.witness_value = nz_result.witness_value
         elif nz_result.status == "Unknown" and res.status == "Proved":
-            uncovered.insert(0, f"(lo, {lo_core}] uncovered "
-                                f"(near-zero certificate inconclusive)")
+            uncovered.insert(0, f"(lo, {lo_core}] uncovered (near-zero "
+                                f"certificate inconclusive: {nz_result.reason})")
     elif left_gap_note is not None:
         uncovered.insert(0, left_gap_note)
     res.uncovered = uncovered

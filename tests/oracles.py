@@ -250,7 +250,9 @@ def left_lower_bound_termwise(kind, n0, eps, N, negate=False):
 
 
 def left_sup_bound_termwise(kind, eps, N):
-    """`prove._left_sup_bound` as a per-term Fraction loop."""
+    """An upper bound of the series on (0, eps] as a per-term Fraction loop:
+    the positive terms at eps plus the tail.  An upper near-zero
+    certificate's `sup_bound` equals it when its start term is positive."""
     seq = get_series(kind)
     ub = Fraction(0)
     for n in range(seq.start_index, N + 1):

@@ -327,6 +327,23 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "n,value\n0,1\n1,-1/2\n2,1/6\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ineqcert", "prove", "--name", "HUY_TRIG",
+         "--format", "text"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "HUY_TRIG       Proved" in proc.stdout.splitlines()
+
+
+def test_inconclusive_near_zero_certificate_gives_its_reason(tmp_path):
+    # the core starts at 1, where the series certificate does not apply
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--name", "THM31_LO", "--eps-lo", "1",
+                        "--out", str(out)]) == 0
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Proved"
+    assert claim["uncovered"][0] == (
+        "(lo, 1] uncovered (near-zero certificate inconclusive: "
+        "epsilon must lie in (0, 1))")
 
 
 def test_sequences_expectation_from_corpus(tmp_path, capsys):
@@ -572,7 +589,8 @@ def test_unknown_below_the_precision_suggests_a_higher_one(tmp_path):
     assert claim["status"] == "Unknown"
     assert claim["findings"][0].endswith(
         " straddles 0; it lies within 2^-128 of 0, where 192-bit rounding "
-        "may hide the sign: try a higher --precision")
+        "may hide the sign: try a higher --precision (an identically zero "
+        "difference ends so at any)")
     assert run_command(argv + ["--precision", "384"]) == 0
     (claim,) = json.loads(out.read_text())["claims"]
     assert claim["status"] == "Proved"

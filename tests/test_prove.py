@@ -10,7 +10,7 @@ from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
                            parse_expression)
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
-                            _left_sup_bound, _pick_N, _registration_ok,
+                            _pick_N, _registration_ok,
                             _series_claim_eval, identity_check, limit_report,
                             near_zero_certificate, prove_positive,
                             reverify_certificate, scan_extremum,
@@ -152,6 +152,15 @@ def test_certificate_leaves_cover_and_reverify():
     for a, b in zip(leaves, leaves[1:]):
         assert a.hi == b.lo
     assert reverify_certificate(expr, r, precision=384)
+
+
+def test_leaf_budget_ends_the_bisection_unknown(monkeypatch):
+    # the proof needs 6 leaves; past a budget of 3 it stops at the 4th
+    monkeypatch.setattr(prove, "MAX_LEAVES", 3)
+    r = prove_positive(parse_expression("2*sin(x) + tan(x) - 3*x"),
+                       Interval(F(1, 1000), F(3, 2)))
+    assert r.status == "Unknown" and r.reason == "leaf budget 3 exceeded"
+    assert r.leaves == 4 and r.certificate == []
 
 
 def test_prove_deterministic():
@@ -365,9 +374,6 @@ def test_near_zero_bounds_equal_termwise_loops(kind):
     # one exact sum per bound gives exactly the per-term Fraction loop's value
     start = get_series(kind).start_index
     for eps in (F(1, 1000), F(1, 3), F(3 * 2 ** 61 + 1, 2 ** 64)):
-        for N in (start + 7, start + 24):
-            assert (_left_sup_bound(kind, eps, N)
-                    == left_sup_bound_termwise(kind, eps, N)), (kind, eps, N)
         for n0 in (start, start + 1):
             for N in (n0 + 7, n0 + 22):
                 for negate in (False, True):
@@ -381,6 +387,64 @@ def test_near_zero_unregistered():
         near_zero_certificate("T9.9", F(1, 10))
     with pytest.raises(DomainError):
         near_zero_certificate("T3.3", F(1, 10), side="upper")
+    with pytest.raises(DomainError, match="'lower' or 'upper'"):
+        near_zero_certificate("T3.1", F(1, 10), side="lowr")
+    for eps in (0, 1, F(3, 2)):
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            near_zero_certificate("T3.1", eps)
+
+
+def test_theorem_series_cancel_at_start_and_lead_with_the_claimed_sign():
+    # the certificate's leading index is the start for an upper claim, whose
+    # series starts at x^0, and start + 1 otherwise, the start term
+    # cancelling exactly; THM33's leading coefficient refutes it
+    for stanza, claim in THEOREM_CLAIMS.items():
+        t, seq = THEOREMS[claim.thm], get_series(claim.series_id)
+        assert seq.start_index == t.start, stanza
+        if claim.mode == "upper":
+            assert seq.exponent_of(t.start) == 0, stanza
+            leading = seq.coeff(t.start)
+        else:
+            zero = t.zero_value if claim.mode == "lower" else 0
+            assert seq.coeff(t.start) == zero, stanza
+            leading = seq.coeff(t.start + 1)
+        if stanza == "THM33":
+            assert leading == F(-1, 40)
+        else:
+            assert leading > 0, stanza
+
+
+# 2^-61 ... 1/2, then 1 - 2^-5 ... 1 - 2^-30
+_SWEEP_EPS = ([F(1, 2 ** k) for k in range(1, 62)]
+              + [1 - F(1, 2 ** j) for j in range(5, 31)])
+
+
+@pytest.mark.parametrize("stanza", sorted(THEOREM_CLAIMS))
+def test_near_zero_sweep_takes_one_bound_per_claim(monkeypatch, stanza):
+    claim = THEOREM_CLAIMS[stanza]
+    side = "upper" if claim.mode == "upper" else "lower"
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _left_lower_bound(*args, **kwargs)
+
+    monkeypatch.setattr(prove, "_left_lower_bound", counting)
+    for eps in _SWEEP_EPS:
+        calls.clear()
+        r = near_zero_certificate(claim.thm, eps, side=side)
+        assert r.status == ("Refuted" if stanza == "THM33" else "Proved"), eps
+        assert len(calls) == 1, eps
+        cert = r.series_certificate
+        if side == "upper":
+            assert cert["sup_bound"] == left_sup_bound_termwise(
+                claim.series_id, eps, cert["N"]), eps
+        if stanza == "THM33":
+            # at x = eps/2 <= 2^-26 the difference, about -x^6/280, is smaller
+            # than a 192-bit point enclosure's width, which the divisions by
+            # x widen, so no value is shown
+            assert r.witness == Interval.point(eps / 2)
+            assert (r.witness_value is not None) == (eps >= F(1, 2 ** 24)), eps
 
 
 # --- sequence checks ---------------------------------------------------------
