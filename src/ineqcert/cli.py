@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .errors import DomainError, EvalError, ParseError, PoleError
@@ -387,6 +388,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+@cache  # one tree per process: parsing leaves it as it was, defaults are fixed
 def _build_parser() -> _ArgumentParser:
     p = _ArgumentParser(prog="ineqcert",
                         description="certified checks for a corpus of sharp "

@@ -1,14 +1,18 @@
 """Exact arithmetic: Bernoulli numbers, even-zeta ratios, binomials.
 
-Bernoulli numbers come from integers: the Seidel-Entringer-Arnold
-boustrophedon (Millar, Sloane & Young, JCTA 76, 1996) builds each row as
-the running sum of the previous row read in reverse, and the last entry of
-row 2m-1 is the tangent number T_m (Brent & Harvey, arXiv:1108.0286), so
+Bernoulli numbers come from integers: Brent & Harvey's TangentNumbers
+recurrence (arXiv:1108.0286) gives the tangent number T_j as
+entry j of a table that stage k = 2..j updates by
+
+    T_j <- (j - k) * T_(j-1) + (j - k + 2) * T_j,    T_j = (j - 1)! before,
+
+with T_(j-1) already at stage k.  The stages of entry j need only those of
+entry j - 1, so the table grows one column at a time, and
 
     B_2m = (-1)^(m-1) * 2m * T_m / (4^m * (4^m - 1)).
 
-Extending the table takes integer additions only; the values handed out,
-B_n and the zeta ratios, are `fractions.Fraction`.  The Bernoulli
+Extending the table takes integer products and sums only; the values
+handed out, B_n and the zeta ratios, are `fractions.Fraction`.  The Bernoulli
 convention is B1 = -1/2, the one forced by the generating function
 x/(e^x - 1); even-index values are the same under both sign conventions.
 """
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, factorial
 
 from .errors import DomainError
@@ -25,25 +28,33 @@ from .errors import DomainError
 __all__ = ["bernoulli", "zeta_even_ratio", "binomial"]
 
 # B_0, B_2, B_4, ...; the list only grows, so readers take no lock
-_EVEN: list[Fraction] = [Fraction(1)]
-# the last boustrophedon row built; row r has r + 1 entries
-_ROW = [1]
+_EVEN: list[Fraction] = [Fraction(1), Fraction(1, 6)]
+# (j, column): entry j of TangentNumbers after each of its stages 1..j, so
+# the last value is T_j; T_1 = 1 gives B_2 = 1/6 above
+_COL = (1, [1])
 _LOCK = threading.Lock()
 
 
 def _extend(m: int) -> None:
-    global _ROW
+    global _COL
     with _LOCK:
-        row = _ROW
+        j, col = _COL
         while len(_EVEN) <= m:
-            row = list(accumulate(reversed(row), initial=0))
-            j = len(_EVEN)
-            if len(row) == 2 * j:  # row 2j-1 ends in the tangent number T_j
-                t = row[-1] if j % 2 else -row[-1]
+            j += 1
+            v = (j - 1) * col[0]
+            nxt = [v]
+            for a, c in zip(range(j - 2, 0, -1), col[1:]):  # a = j - k
+                v = a * c + (a + 2) * v
+                nxt.append(v)
+            nxt.append(2 * v)                     # stage k = j
+            col = nxt
+            if j == len(_EVEN):
+                t = col[-1] if j % 2 else -col[-1]
                 _EVEN.append(Fraction(2 * j * t, 4 ** j * (4 ** j - 1)))
-        # stored last, so an interrupted extension leaves the row behind the
-        # table, never ahead, and the loop above catches up without appending
-        _ROW = row
+        # stored last, so an interrupted extension leaves the column behind
+        # the table, never ahead, and the loop above catches up without
+        # appending
+        _COL = (j, col)
 
 
 def bernoulli(n: int) -> Fraction:

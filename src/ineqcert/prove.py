@@ -406,6 +406,22 @@ def _left_lower_bound(series_id: str, n0: int, eps: Fraction, N: int,
     return lead + (wrong - tail_bound(series_id, N, eps).bound) / eps ** e0
 
 
+def _negative_value(diff: Expr, x0: Fraction) -> Optional[Interval]:
+    """diff's enclosure at x0 once one lies below 0, at 192 bits, then at
+    doubled precisions up to MAX_PRECISION (near 0 it widens like 1/x0, and
+    below 2^-precision x0 rounds to the pole at 0); None if none does."""
+    bits = 192
+    while bits <= MAX_PRECISION:
+        try:
+            wv = eval_expr(diff, Interval.point(x0), bits)
+            if wv.hi < 0:
+                return wv
+        except EvalError:
+            pass
+        bits *= 2
+    return None
+
+
 def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
     """Settle a theorem claim on (0, epsilon], 0 < epsilon < 1, from its
     exact difference series, by one rule for every claim.
@@ -416,9 +432,10 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
     is negated for an upper claim or a negative exact leading coefficient,
     and `_left_lower_bound` bounds it over its leading power on
     (0, epsilon]; an upper claim adds the constant's lower end.  A bound
-    > 0 settles the claim: Refuted, with a witness at epsilon/2, when the
-    leading coefficient is negative, Proved otherwise.  Else, as for a
-    leading coefficient of exactly 0, it is Unknown.
+    > 0 settles the claim: Refuted, with a witness at epsilon/2 and its
+    value from `_negative_value`, when the leading coefficient is negative,
+    Proved otherwise.  Else, as for a leading coefficient of exactly 0, it
+    is Unknown.
     """
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
@@ -456,10 +473,10 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
         res.reason = f"series bound {bound} does not settle the sign on (0, {eps}]"
     elif refutes:
         x0 = eps / 2
-        wv = eval_expr(_shipped_stanzas()[stanza].difference(), Interval.point(x0))
         res.status = "Refuted"
         res.witness = Interval.point(x0)
-        res.witness_value = wv if wv.hi < 0 else None
+        res.witness_value = _negative_value(
+            _shipped_stanzas()[stanza].difference(), x0)
         res.findings.append(
             f"{stanza}: leading coefficient {leading} at x^{e0} is negative; "
             f"difference certified negative on (0, {eps}]")

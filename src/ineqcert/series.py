@@ -19,9 +19,13 @@ settle each claim near 0):
   T3.2_G   (4^n(2n-3)+3+3n-2n^2)  |B_2n|/(2n)!        x^(2n-4), n>=2
   T3.5_F   ((6n-8)2^(2n)+8)       |B_2n|/(2n)!        x^(2n-4), n>=2
   T3.3_A/B (2^(2n+1)-6n-2)/(2n)!  and 4n(n-1)(4n^2-1)/(2n)!,  x^(2n), n>=2
-  T3.4_A/B see theorem_coeff,                          x^(2n), n>=3
+  T3.4_A   (n(3^(2n-1)/2-(n-1)2^(2n)-8n+9/2)+2^(2n+1)-4)/(2n)!  x^(2n), n>=3
+  T3.4_B   (1+2^(2n-6))(2n-4)(2n-3)(2n-2)(2n-1)2n/(2n)!       x^(2n), n>=3
   T3.3_DIFF = A - (3/20) B   (vanishes at n=2; leading term -x^6/40)
   T3.4_DIFF = A - (23/720) B (vanishes at n=3; leading term 47 x^8/3024)
+
+The ratio c_n = a_n/b_n of T3.3 and T3.4 is `theorem_coeff` role c, one
+quotient of the integer numerators of A and B over their common (2n)!.
 
 Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
@@ -64,8 +68,10 @@ TRIG_X_MAX = PI_LO * Fraction(63, 64)
 _RHO_MAX = 1 - Fraction(1, 1024)
 
 
-def _babs(n: int) -> Fraction:
-    return abs(bernoulli(2 * n))
+@lru_cache(maxsize=None)
+def _bnorm(n: int) -> Fraction:
+    """|B_2n|/(2n)!, normalised once per n and shared by every sequence."""
+    return abs(bernoulli(2 * n)) / factorial(2 * n)
 
 
 def _poly(coeffs: tuple, n: int) -> Fraction:
@@ -172,31 +178,29 @@ class TailBound:
 def _c_x_over_sin(n):
     if n == 0:
         return Fraction(1)
-    return Fraction(2 * (2 ** (2 * n - 1) - 1)) * _babs(n) / factorial(2 * n)
+    return Fraction(2 * (2 ** (2 * n - 1) - 1)) * _bnorm(n)
 
 
 def _c_cot(n):
-    return -Fraction(2 ** (2 * n)) * _babs(n) / factorial(2 * n)
+    return -Fraction(2 ** (2 * n)) * _bnorm(n)
 
 
 def _c_csc2(n):
-    return Fraction(2 ** (2 * n) * (2 * n - 1)) * _babs(n) / factorial(2 * n)
+    return Fraction(2 ** (2 * n) * (2 * n - 1)) * _bnorm(n)
 
 
 def _c_cos_over_sin2(n):
-    return (-Fraction(2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1))
-            * _babs(n) / factorial(2 * n))
+    return -Fraction(2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1)) * _bnorm(n)
 
 
 def _c_csc3(n):
-    inner = (Fraction(2 ** (2 * n + 1) - 1) * _babs(n + 1) / (n + 1)
-             + Fraction(2 ** (2 * n - 1) - 1) * _babs(n) / n)
-    return inner / (2 * factorial(2 * n - 1))
+    # [(2^(2n+1)-1)|B_2n+2|/(n+1) + (2^(2n-1)-1)|B_2n|/n] / (2(2n-1)!)
+    return (Fraction((2 ** (2 * n + 1) - 1) * 2 * n * (2 * n + 1))
+            * _bnorm(n + 1) + Fraction(2 ** (2 * n - 1) - 1) * _bnorm(n))
 
 
 def _c_cos_over_sin3(n):
-    return (-Fraction((2 * n - 1) * (n - 1) * 2 ** (2 * n))
-            * _babs(n) / factorial(2 * n))
+    return -Fraction((2 * n - 1) * (n - 1) * 2 ** (2 * n)) * _bnorm(n)
 
 
 def _c_sinh(n):
@@ -208,8 +212,7 @@ def _c_cosh(n):
 
 
 def _c_t31(n):
-    return (Fraction((n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1))
-            * _babs(n) / factorial(2 * n))
+    return Fraction((n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1)) * _bnorm(n)
 
 
 def _b_t32(n):
@@ -217,40 +220,64 @@ def _b_t32(n):
 
 
 def _c_t32(n):
-    return _b_t32(n) * _babs(n) / factorial(2 * n)
+    return _b_t32(n) * _bnorm(n)
 
 
 def _c_t35(n):
-    return Fraction((6 * n - 8) * 2 ** (2 * n) + 8) * _babs(n) / factorial(2 * n)
+    return Fraction((6 * n - 8) * 2 ** (2 * n) + 8) * _bnorm(n)
+
+
+# T3.3 and T3.4: integer numerators over the common denominator (2n)!
+
+def _na_t33(n):
+    return 2 ** (2 * n + 1) - 6 * n - 2
+
+
+def _nb_t33(n):
+    return 4 * n * (n - 1) * (4 * n * n - 1)
 
 
 def _a_t33(n):
-    return Fraction(2 ** (2 * n + 1) - 6 * n - 2, factorial(2 * n))
+    return Fraction(_na_t33(n), factorial(2 * n))
 
 
 def _b_t33(n):
-    return Fraction(4 * n * (n - 1) * (4 * n * n - 1), factorial(2 * n))
+    return Fraction(_nb_t33(n), factorial(2 * n))
 
 
-def _d_t33(n):
-    return _a_t33(n) - Fraction(3, 20) * _b_t33(n)
+def _c_t33(n):
+    return Fraction(_na_t33(n), _nb_t33(n))
+
+
+def _d_t33(n):  # a_n - (3/20) b_n
+    return Fraction(20 * _na_t33(n) - 3 * _nb_t33(n), 20 * factorial(2 * n))
+
+
+def _na_t34(n):
+    # 3^(2n-1) + 9 is even, so the docstring's halves make an integer
+    return (n * ((3 ** (2 * n - 1) + 9) // 2 - (n - 1) * 2 ** (2 * n) - 8 * n)
+            + 2 ** (2 * n + 1) - 4)
+
+
+def _nb_t34(n):
+    return ((1 + 2 ** (2 * n - 6)) * (2 * n - 4) * (2 * n - 3)
+            * (2 * n - 2) * (2 * n - 1) * 2 * n)
 
 
 def _a_t34(n):
-    num = (Fraction(n) * (Fraction(3 ** (2 * n - 1), 2)
-                          - (n - 1) * 2 ** (2 * n) - 8 * n + Fraction(9, 2))
-           + 2 ** (2 * n + 1) - 4)
-    return num / factorial(2 * n)
+    return Fraction(_na_t34(n), factorial(2 * n))
 
 
 def _b_t34(n):
-    num = ((1 + 2 ** (2 * n - 6)) * (2 * n - 4) * (2 * n - 3)
-           * (2 * n - 2) * (2 * n - 1) * 2 * n)
-    return Fraction(num, factorial(2 * n))
+    return Fraction(_nb_t34(n), factorial(2 * n))
 
 
-def _d_t34(n):
-    return _a_t34(n) - Fraction(23, 720) * _b_t34(n)
+def _c_t34(n):
+    return Fraction(_na_t34(n), _nb_t34(n))
+
+
+def _d_t34(n):  # a_n - (23/720) b_n
+    return Fraction(720 * _na_t34(n) - 23 * _nb_t34(n), 720 * factorial(2 * n))
 
 
 _REGISTRY = {}
@@ -333,8 +360,7 @@ class Theorem:
 
     id: str
     start: int                       # first index of every theorem sequence
-    roles: dict                      # role -> series id or exact function;
-                                     # None marks c = a/b
+    roles: dict                      # role -> series id or exact function
     zero_role: str                   # its value at `start` is the limit at 0
     zero_value: Fraction
     right_value: Optional[str]       # pi/2 closed form
@@ -358,12 +384,12 @@ THEOREMS = {t.id: t for t in (
             (Fraction("0.0484151"), Fraction("0.0484152")),
             "x/sin(x) + ((x/2)/tan(x/2))^2 - 2", "x^3*sin(x)", "T3.2_G",
             ("THM32_LO", "THM32_HI"), {"S_T32_B": "b", "S_T32_G": "g"}),
-    Theorem("T3.3", 2, {"a": "T3.3_A", "b": "T3.3_B", "c": None}, "c",
+    Theorem("T3.3", 2, {"a": "T3.3_A", "b": "T3.3_B", "c": _c_t33}, "c",
             Fraction(3, 20), None, None,
             "2*sinh(x)/x + tanh(x)/x - 3", "x^3*tanh(x)", "T3.3_DIFF",
             ("THM33",), {"S_T33_C": "c"},
             prefactor="x*cosh(x)", derivative_series=True),
-    Theorem("T3.4", 3, {"a": "T3.4_A", "b": "T3.4_B", "c": None}, "c",
+    Theorem("T3.4", 3, {"a": "T3.4_A", "b": "T3.4_B", "c": _c_t34}, "c",
             Fraction(23, 720), None, None,
             "sinh(x)/x + (tanh(x/2)/(x/2))^2 - 2", "x^3*tanh(x)", "T3.4_DIFF",
             ("THM34",), {"S_T34_C": "c"},
@@ -403,7 +429,8 @@ def theorem_coeff(thm: str, role: str, n: int) -> Fraction:
     Roles: f/g are full series coefficients (including the |B_2n|/(2n)!
     factor where the proof carries it), a/b are the hyperbolic numerator /
     denominator series coefficients, b of T3.2 is the integer sequence b_n,
-    and c is the ratio a_n/b_n.
+    and c is the ratio a_n/b_n, formed from the integer numerators of a_n and
+    b_n over their common (2n)!.
     """
     t = THEOREMS.get(thm)
     if t is None or role not in t.roles:
@@ -411,8 +438,6 @@ def theorem_coeff(thm: str, role: str, n: int) -> Fraction:
     if n < t.start:
         raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
     source = t.roles[role]
-    if source is None:
-        return (theorem_coeff(thm, "a", n) / theorem_coeff(thm, "b", n))
     if callable(source):
         return source(n)
     return get_series(source).coeff(n)

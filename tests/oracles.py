@@ -2,7 +2,7 @@
 
 Everything here is deliberately separate from the package internals: exact
 truncated Maclaurin algebra over Fractions (series product/quotient,
-differentiation, argument scaling), plus two self-contained Bernoulli
+differentiation, argument scaling), plus three self-contained Bernoulli
 routes.  Coefficient assertions against these oracles are equality checks,
 never tolerance checks.  Three sections are exceptions, kept over the
 package's own primitives: the term-by-term series sums and tail bounds that
@@ -14,16 +14,19 @@ quotient sin/cos it replaced with a recurrence), over `_core`'s own sums and
 point ranges; the recursive tree walk `_core` replaced with a
 straight-line plan, over `_core`'s own op tables; and `enclose`'s two rules
 near 0, a Fraction Bernstein bound and the [0, b] coefficient through that
-walk.
+walk.  The former series coefficient formulas, each dividing |B_2n| by (2n)!
+itself, sit over `exact.bernoulli` too.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, floor
 
 from ineqcert import _core
 from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
 from ineqcert.errors import DomainError, PoleError
+from ineqcert.exact import bernoulli
 from ineqcert.interval import Interval
 from ineqcert.series import _RHO_MAX, get_series, tail_bound
 
@@ -57,6 +60,67 @@ def bernoulli_akiyama_tanigawa(n_max):
     if n_max >= 1:
         out[1] = -out[1]
     return out
+
+
+def bernoulli_boustrophedon(n_max):
+    """B_0..B_n via the Seidel-Entringer-Arnold boustrophedon (third route,
+    the one `exact` used before the tangent-number recurrence).
+
+    Each row is the running sum of the previous row read in reverse; the
+    last entry of row 2m-1 is the tangent number T_m (Millar, Sloane &
+    Young, JCTA 76, 1996), and B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).
+    """
+    out = [Fraction(1), Fraction(-1, 2)]
+    row = [1]
+    while len(out) <= n_max:
+        row = list(accumulate(reversed(row), initial=0))
+        m = len(row) // 2
+        if len(row) % 2 == 0:  # row 2m-1 ends in T_m
+            t = row[-1] if m % 2 else -row[-1]
+            out += [Fraction(2 * m * t, 4 ** m * (4 ** m - 1)), Fraction(0)]
+    return out[:n_max + 1]
+
+
+# --- former series coefficient formulas ------------------------------------
+
+def _babs_over(n, den):
+    return abs(bernoulli(2 * n)) / den
+
+
+FORMER_COEFFS = {
+    "X_OVER_SIN": lambda n: Fraction(1) if n == 0 else (
+        Fraction(2 * (2 ** (2 * n - 1) - 1)) * _babs_over(n, factorial(2 * n))),
+    "COT": lambda n: -Fraction(2 ** (2 * n)) * _babs_over(n, factorial(2 * n)),
+    "CSC2": lambda n: (Fraction(2 ** (2 * n) * (2 * n - 1))
+                       * _babs_over(n, factorial(2 * n))),
+    "COS_OVER_SIN2": lambda n: (-Fraction(2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1))
+                                * _babs_over(n, factorial(2 * n))),
+    "CSC3": lambda n: (Fraction(2 ** (2 * n + 1) - 1) * _babs_over(n + 1, n + 1)
+                       + Fraction(2 ** (2 * n - 1) - 1) * _babs_over(n, n)
+                       ) / (2 * factorial(2 * n - 1)),
+    "COS_OVER_SIN3": lambda n: (-Fraction((2 * n - 1) * (n - 1) * 2 ** (2 * n))
+                                * _babs_over(n, factorial(2 * n))),
+    "T3.1_F": lambda n: (Fraction((n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1))
+                         * _babs_over(n, factorial(2 * n))),
+    "T3.2_G": lambda n: (Fraction(4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n)
+                         * _babs_over(n, factorial(2 * n))),
+    "T3.5_F": lambda n: (Fraction((6 * n - 8) * 2 ** (2 * n) + 8)
+                         * _babs_over(n, factorial(2 * n))),
+    "T3.3_A": lambda n: Fraction(2 ** (2 * n + 1) - 6 * n - 2, factorial(2 * n)),
+    "T3.3_B": lambda n: Fraction(4 * n * (n - 1) * (4 * n * n - 1),
+                                 factorial(2 * n)),
+    "T3.4_A": lambda n: (Fraction(n) * (Fraction(3 ** (2 * n - 1), 2)
+                                        - (n - 1) * 2 ** (2 * n) - 8 * n
+                                        + Fraction(9, 2))
+                         + 2 ** (2 * n + 1) - 4) / factorial(2 * n),
+    "T3.4_B": lambda n: Fraction((1 + 2 ** (2 * n - 6)) * (2 * n - 4) * (2 * n - 3)
+                                 * (2 * n - 2) * (2 * n - 1) * 2 * n,
+                                 factorial(2 * n)),
+}
+FORMER_COEFFS["T3.3_DIFF"] = lambda n: (
+    FORMER_COEFFS["T3.3_A"](n) - Fraction(3, 20) * FORMER_COEFFS["T3.3_B"](n))
+FORMER_COEFFS["T3.4_DIFF"] = lambda n: (
+    FORMER_COEFFS["T3.4_A"](n) - Fraction(23, 720) * FORMER_COEFFS["T3.4_B"](n))
 
 
 # --- exact truncated Maclaurin algebra --------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ineqcert
+from ineqcert import cli
 from ineqcert.cli import _ENGINE_OPTIONS, default_corpus_path, run_command
 from ineqcert.interval import pi_enclose
 from ineqcert.lang import TAG_KEYS
@@ -318,6 +319,34 @@ def test_config_margins_are_canonical(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert json.loads(reports[0])["config"]["eps_lo"] == "1/1000"
+
+
+def test_memoised_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # one argparse tree serves every call in a process; each call's output
+    # must equal the same call's made first, with a freshly built tree
+    out = tmp_path / "o.txt"
+    calls = [
+        ["prove", "--name", "HUY_TRIG", "--jobs", "0"],      # usage error
+        ["prove", "--name", "HUY_TRIG"],
+        ["prove"],
+        ["sequences", "--id", "S_T33_C", "--mode", "increasing",
+         "--nmax", "40"],
+    ]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        code = run_command([*argv, "--out", str(out)])
+        report = out.read_bytes() if out.exists() else None
+        return code, *capsys.readouterr(), report
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert fresh[0][0] == 3 and "--jobs" in fresh[0][2]
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -10,7 +10,8 @@ from ineqcert.exact import bernoulli, binomial, zeta_even_ratio
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval, pi_enclose
 
-from oracles import bernoulli_akiyama_tanigawa, bernoulli_recurrence
+from oracles import (bernoulli_akiyama_tanigawa, bernoulli_boustrophedon,
+                     bernoulli_recurrence)
 
 
 def test_bernoulli_examples():
@@ -35,6 +36,14 @@ def test_bernoulli_against_recurrence_oracle():
 def test_bernoulli_against_akiyama_tanigawa():
     oracle = bernoulli_akiyama_tanigawa(60)
     for n in range(61):
+        assert bernoulli(n) == oracle[n], n
+
+
+def test_bernoulli_against_boustrophedon():
+    # the Seidel boustrophedon is the route the tangent-number recurrence
+    # replaced; both must agree through B_1002
+    oracle = bernoulli_boustrophedon(1002)
+    for n in range(1003):
         assert bernoulli(n) == oracle[n], n
 
 
@@ -67,22 +76,23 @@ def test_bernoulli_von_staudt_clausen():
         assert _von_staudt_clausen_holds(m), m
 
 
-def test_bernoulli_resumes_from_a_row_left_behind(monkeypatch):
-    # an interrupted extension stores its row last, so the cached row can lag
-    # the table; the next extension must catch up without appending
+def test_bernoulli_resumes_from_a_column_left_behind(monkeypatch):
+    # an interrupted extension stores its column last, so the cached column
+    # can lag the table; the next extension must catch up without appending
     bernoulli(8)
     monkeypatch.setattr(exact, "_EVEN", exact._EVEN[:5])
-    monkeypatch.setattr(exact, "_ROW", [1])
+    monkeypatch.setattr(exact, "_COL", (1, [1]))
     assert len(exact._EVEN) == 5
     oracle = bernoulli_recurrence(60)
     assert [bernoulli(n) for n in range(61)] == oracle
+    assert exact._COL[0] == len(exact._EVEN) - 1 == 30
 
 
 def test_bernoulli_thread_purity(monkeypatch):
     # threads race on extending a fresh table to B_1200; a lost update would
     # shift the entries, which von Staudt-Clausen catches
-    monkeypatch.setattr(exact, "_EVEN", exact._EVEN[:1])
-    monkeypatch.setattr(exact, "_ROW", [1])
+    monkeypatch.setattr(exact, "_EVEN", exact._EVEN[:2])
+    monkeypatch.setattr(exact, "_COL", (1, [1]))
     indices = [1200 - 2 * (i % 4) for i in range(16)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

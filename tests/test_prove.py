@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from ineqcert import _core, prove
-from ineqcert.errors import DomainError
+from ineqcert.errors import DomainError, EvalError
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
                            parse_expression)
@@ -357,6 +357,30 @@ def test_near_zero_t33_refuted():
     assert r.witness_value.hi < 0
 
 
+@pytest.mark.parametrize("k", [30, 60, 200])
+def test_near_zero_t33_witness_value_below_the_192_bit_resolution(k):
+    # the 192-bit enclosure at eps/2 straddles 0 here, or at 2^-201 meets
+    # the pole at 0; doubling the precision (384 bits at 2^-30, 768 at 2^-60)
+    # shows the negative value
+    eps = F(1, 2 ** k)
+    diff = prove._shipped_stanzas()["THM33"].difference()
+    try:
+        at_192 = eval_expr(diff, Interval.point(eps / 2))
+        assert at_192.lo < 0 < at_192.hi
+    except EvalError:
+        assert k == 200
+    r = near_zero_certificate("T3.3", eps)
+    assert r.status == "Refuted"
+    assert r.witness_value.hi < 0
+
+
+def test_near_zero_t33_witness_value_at_the_corpus_eps_is_the_192_bit_one():
+    eps = F(1, 1000)
+    diff = prove._shipped_stanzas()["THM33"].difference()
+    r = near_zero_certificate("T3.3", eps)
+    assert r.witness_value == eval_expr(diff, Interval.point(eps / 2), 192)
+
+
 def test_near_zero_t34_t32_t35():
     assert near_zero_certificate("T3.4", F(1, 1000)).status == "Proved"
     assert near_zero_certificate("T3.2", F(1, 1000)).status == "Proved"
@@ -442,9 +466,9 @@ def test_near_zero_sweep_takes_one_bound_per_claim(monkeypatch, stanza):
         if stanza == "THM33":
             # at x = eps/2 <= 2^-26 the difference, about -x^6/280, is smaller
             # than a 192-bit point enclosure's width, which the divisions by
-            # x widen, so no value is shown
+            # x widen, so the value comes from a higher precision
             assert r.witness == Interval.point(eps / 2)
-            assert (r.witness_value is not None) == (eps >= F(1, 2 ** 24)), eps
+            assert r.witness_value.hi < 0, eps
 
 
 # --- sequence checks ---------------------------------------------------------

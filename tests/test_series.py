@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from ineqcert.cli import MAX_NMAX
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval, elem_enclose
-from ineqcert.series import (LEMMA_KINDS, CoeffSeq, _register, eval_series,
-                             get_series, lemma_coeff, series_ids, tail_bound,
-                             theorem_coeff)
+from ineqcert.series import (LEMMA_KINDS, THEOREMS, CoeffSeq, _register,
+                             eval_series, get_series, lemma_coeff, series_ids,
+                             tail_bound, theorem_coeff)
 
-from oracles import LemmaSeriesOracle, eval_series_termwise, tail_bound_termwise
+from oracles import (FORMER_COEFFS, LemmaSeriesOracle, eval_series_termwise,
+                     tail_bound_termwise)
 
 F = Fraction
 ORACLE = LemmaSeriesOracle(46)
@@ -55,6 +57,23 @@ def test_theorem_coeff_spot_values():
     assert theorem_coeff("T3.4", "c", 4) == F(17, 336)
     assert theorem_coeff("T3.4", "c", 5) == F(5099, 85680)
     assert theorem_coeff("T3.5", "f", 2) == F(1, 10)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMER_COEFFS))
+def test_coefficients_equal_their_former_formulas(kind):
+    # the shared |B_2n|/(2n)! and the integer numerators over (2n)! give
+    # exactly the value of the formula that divided each term itself
+    seq = get_series(kind)
+    for n in range(seq.start_index, MAX_NMAX + 1):
+        assert seq.coeff(n) == FORMER_COEFFS[kind](n), (kind, n)
+
+
+@pytest.mark.parametrize("thm", ["T3.3", "T3.4"])
+def test_ratio_role_equals_a_over_b(thm):
+    for n in range(THEOREMS[thm].start, MAX_NMAX + 1):
+        c = theorem_coeff(thm, "c", n)
+        assert type(c) is Fraction
+        assert c == theorem_coeff(thm, "a", n) / theorem_coeff(thm, "b", n), n
 
 
 def test_theorem_coeff_domain_errors():
