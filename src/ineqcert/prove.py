@@ -14,9 +14,9 @@
   terms of the wrong sign at eps minus a certified tail, must be > 0 (an
   upper claim adds its constant's lower end).  For seven of them a
   registered exact difference series also provides the core's enclosures.
-  On the core only bisection of the raw difference refutes, backed by a
-  point grid when it ends Unknown.  Uncovered margins are always reported,
-  never silently assumed.
+  On the core only bisection of the raw difference refutes; where it
+  leaves boxes inconclusive, a point certified negative in one of them
+  does.  Uncovered margins are always reported, never silently assumed.
 * `ProveOptions`: the engine options, each with its one default and its
   valid range, checked when the options are built.
 * `near_zero_certificate`, `sequence_check`, `identity_check`,
@@ -189,13 +189,6 @@ def _make_expr_eval(expr: Expr, opts: ProveOptions):
 MAX_INCONCLUSIVE = 16
 # proved leaves before a stanza ends Unknown
 MAX_LEAVES = 200_000
-# intervals of the fallback scan run when bisection ends Unknown (GRID + 1
-# points, each one point evaluation of the difference)
-GRID = 256
-
-
-# the phrase of an Unknown reason that names a point past an argument limit
-_PAST_LIMIT = "is past an argument limit"
 
 
 def _past_limit(ev, a: Fraction, b: Fraction) -> Optional[str]:
@@ -206,33 +199,64 @@ def _past_limit(ev, a: Fraction, b: Fraction) -> Optional[str]:
         try:
             ev(Interval.point(p))
         except DomainError as exc:
-            return f"x={p} {_PAST_LIMIT}: {exc}"
+            return f"x={p} is past an argument limit: {exc}"
         except (PoleError, EvalError):
             pass
     return None
 
 
+def _grid_refute(ev, boxes: list):
+    """(x, ev at x) for the first point certified negative among the two
+    ends and the midpoint of each box (a, b), in order; None if none is.
+
+    The name is older than this scan: it once named a fixed grid over the
+    whole core.  It stays because the benchmark's traced spans look the
+    function up by that name."""
+    for a, b in boxes:
+        for x in (a, (a + b) / 2, b):
+            try:
+                v = ev(Interval.point(x))
+            except (DomainError, PoleError, EvalError):
+                continue
+            if v.hi < 0:
+                return x, v
+    return None
+
+
 def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> ProofResult:
-    """Proved when every box certifies positive; Refuted at the first box
-    certified negative, even past inconclusive ones; otherwise Unknown,
-    naming the first box that stayed inconclusive at the depth limit, or
-    the box whose enclosures contradict each other.  A box that raises
-    DomainError at an end that raises it as a point, where no bisection can
-    help, ends the run Unknown at once, naming that point.
+    """The one place where a core's bisection ends.
+
+    Proved when every box certifies positive; Refuted at the first box
+    certified negative, even past inconclusive ones.  A box at the depth
+    or width limit that does neither is recorded, and the run stops after
+    MAX_INCONCLUSIVE of them.  If any were recorded, `_grid_refute` scans
+    their ends and midpoints: Refuted at the first point certified
+    negative, so a dip narrower than min_width is found wherever bisection
+    pins it; otherwise Unknown, naming the first recorded box.  Three
+    exits end the run Unknown before any scan: a box that raises
+    DomainError at an end that raises it as a point, where no bisection
+    can help (the reason names that point); a box whose enclosures
+    contradict each other; and more than MAX_LEAVES proved leaves.
 
     When ev has `carry(x, rem) -> (Interval, rem)`, each box hands the
     remainder coefficient it returns down to its two halves; a box at the
     depth or width limit gets none, so the enclosure a reason prints is
-    the box's own full form.  ev's `scope(lo, hi)`, if any, comes first."""
-    t0 = time.perf_counter()
+    the box's own full form.  ev's `scope(lo, hi)`, if any, comes first.
+    The caller times the run (`ProofResult.ms`)."""
     carry = getattr(ev, "carry", None) or (lambda x, rem: (ev(x), None))
     if hasattr(ev, "scope"):
         ev.scope(lo, hi)
     stack = [(lo, hi, 0, None)]
     leaves = []
     maxd = 0
-    first_reason, inconclusive = None, 0
-    while stack and inconclusive < MAX_INCONCLUSIVE:
+    first_reason, boxes = None, []
+
+    def result(status, **kw):
+        if status != "Unknown":
+            kw["certificate"] = sorted(leaves, key=lambda l: l.lo)
+        return ProofResult(status, leaves=len(leaves), max_depth=maxd, **kw)
+
+    while stack and len(boxes) < MAX_INCONCLUSIVE:
         a, b, d, rem = stack.pop()
         maxd = max(maxd, d)
         at_limit = d >= opts.max_depth or (b - a) <= opts.min_width
@@ -245,35 +269,23 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
             # every box holding an end that raises as a point raises too
             past = isinstance(exc, DomainError) and _past_limit(ev, a, b)
             if past:
-                return ProofResult("Unknown", reason=past, leaves=len(leaves),
-                                   max_depth=maxd,
-                                   ms=1000 * (time.perf_counter() - t0))
+                return result("Unknown", reason=past)
         except InconsistencyError as exc:
             # a soundness fault: no verdict on this stanza can be trusted
-            return ProofResult(
-                "Unknown", reason=f"internal inconsistency: {exc} on [{a}, {b}]",
-                leaves=len(leaves), max_depth=maxd,
-                ms=1000 * (time.perf_counter() - t0))
+            return result("Unknown",
+                          reason=f"internal inconsistency: {exc} on [{a}, {b}]")
         if enc is not None:
             if enc.lo > 0:
                 leaves.append(Leaf(a, b, enc.lo))
                 if len(leaves) > MAX_LEAVES:
-                    return ProofResult(
-                        "Unknown", reason=f"leaf budget {MAX_LEAVES} exceeded",
-                        leaves=len(leaves), max_depth=maxd,
-                        ms=1000 * (time.perf_counter() - t0))
+                    return result("Unknown", reason=f"leaf budget {MAX_LEAVES} exceeded")
                 continue
             if enc.hi < 0:
-                leaves.sort(key=lambda l: l.lo)
-                mid = (a + b) / 2
                 try:
-                    wv = ev(Interval.point(mid))
+                    wv = ev(Interval.point((a + b) / 2))
                 except (DomainError, PoleError, EvalError):
                     wv = enc
-                return ProofResult(
-                    "Refuted", witness=Interval(a, b), witness_value=wv,
-                    certificate=leaves, leaves=len(leaves), max_depth=maxd,
-                    ms=1000 * (time.perf_counter() - t0))
+                return result("Refuted", witness=Interval(a, b), witness_value=wv)
         if at_limit:
             why = err or f"enclosure [{enc.lo}, {enc.hi}] straddles 0"
             bits = opts.precision
@@ -284,26 +296,29 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
                         f"(an identically zero difference ends so at any)")
             if first_reason is None:
                 first_reason = f"inconclusive on [{a}, {b}] at depth {d}: {why}"
-            inconclusive += 1
+            boxes.append((a, b))
             continue
         if err is not None:
             rem = None
         m = (a + b) / 2
         stack.append((m, b, d + 1, rem))
         stack.append((a, m, d + 1, rem))
-    if inconclusive:
-        return ProofResult("Unknown", reason=first_reason,
-                           leaves=len(leaves), max_depth=maxd,
-                           ms=1000 * (time.perf_counter() - t0))
-    leaves.sort(key=lambda l: l.lo)
-    return ProofResult("Proved", certificate=leaves, leaves=len(leaves),
-                       max_depth=maxd, ms=1000 * (time.perf_counter() - t0))
+    if boxes:
+        hit = _grid_refute(ev, boxes)
+        if hit is None:
+            return result("Unknown", reason=first_reason)
+        x, v = hit
+        return result("Refuted", witness=Interval.point(x), witness_value=v)
+    return result("Proved")
 
 
 def prove_positive(expr: Expr, domain: Interval, opts: ProveOptions = None) -> ProofResult:
     """Adaptive bisection proof that expr > 0 on the compact domain."""
     opts = opts or ProveOptions()
-    return _bisect_positive(_make_expr_eval(expr, opts), domain.lo, domain.hi, opts)
+    t0 = time.perf_counter()
+    res = _bisect_positive(_make_expr_eval(expr, opts), domain.lo, domain.hi, opts)
+    res.ms = 1000 * (time.perf_counter() - t0)
+    return res
 
 
 def reverify_certificate(expr: Expr, result: ProofResult, precision: int) -> bool:
@@ -353,17 +368,19 @@ def _pick_N(series_id: str, x_hi: Fraction) -> int:
     return n
 
 
-def _series_claim_eval(claim: TheoremClaim, N: int):
+def _series_claim_eval(claim: TheoremClaim, N: int, bits: int = ProveOptions.precision):
     cval = None if claim.mode == "positive" else _const_interval(claim)
 
     def ev(x: Interval):
         # 64-bit outward endpoints keep the exact powers x^(2n) small
         s = eval_series(claim.series_id, x.round_out(64), N)
         if claim.mode == "lower":
-            return s - cval
-        if claim.mode == "upper":
-            return cval - s
-        return s
+            s = s - cval
+        elif claim.mode == "upper":
+            s = cval - s
+        # dyadic at the engine's precision, as every _core enclosure is: the
+        # exact sum's denominators reach 2^(128 N), too long to print
+        return s.round_out(bits)
 
     return ev
 
@@ -501,34 +518,19 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
 # verify_inequality
 # ---------------------------------------------------------------------------
 
-def _grid_refute(ev, lo: Fraction, hi: Fraction, grid: int):
-    best = None
-    for i in range(grid + 1):
-        x = Interval.point(lo + (hi - lo) * Fraction(i, grid)).round_out(64).lo
-        if x < lo:
-            x = lo
-        try:
-            v = ev(Interval.point(x))
-        except (DomainError, PoleError, EvalError):
-            continue
-        if v.hi < 0 and (best is None or v.hi < best[1].hi):
-            best = (x, v)
-    return best
-
-
 def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofResult:
     """Check a corpus stanza on its compact core.
 
     The core is [lo + eps_lo, hi - eps_hi] (an unbounded domain is cut at
     x_max; a core end past a function's argument limit, where the
     difference cannot be evaluated, ends the core Unknown at the first box
-    that holds it, and no grid is scanned).  A stanza
-    that `_registration_ok` finds to be its theorem's shipped stanza gets
-    the near-zero certificate on (0, eps] and, where one is registered, the
-    series rewrite on the core; every other stanza is bisected as it
-    stands.  Only bisection of the raw difference refutes
-    on the core; a grid of GRID + 1 points is scanned only when the core
-    ends Unknown.  Margins left unverified are reported in `uncovered`.
+    that holds it).  A stanza that `_registration_ok` finds to be its
+    theorem's shipped stanza gets the near-zero certificate on (0, eps]
+    and, where one is registered, the series rewrite on the core; every
+    other stanza is bisected as it stands.  Only the raw difference decides
+    a core that the series form does not prove, and `_bisect_positive`
+    ends every core by its one rule.  Margins left unverified are reported
+    in `uncovered`.
     """
     opts = opts or ProveOptions()
     t0 = time.perf_counter()
@@ -571,14 +573,15 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
 
     if claim is not None and not THEOREMS[claim.thm].derivative_series:
         N = _pick_N(claim.series_id, hi_core)
-        res = _bisect_positive(_series_claim_eval(claim, N),
+        res = _bisect_positive(_series_claim_eval(claim, N, bits),
                                lo_core, hi_core, opts)
-        if res.status == "Refuted":
-            # only the raw difference may refute
+        if res.status != "Proved":
+            # only the raw difference may refute or end the core Unknown
+            status = res.status
             res = _bisect_positive(ev, lo_core, hi_core, opts)
             res.findings.append(
-                f"series form {claim.series_id} (N={N}) certified negative "
-                f"on a box; the raw difference was bisected instead")
+                f"series form {claim.series_id} (N={N}) ended {status} on "
+                f"the core; the raw difference was bisected instead")
         else:
             pre_res = _bisect_positive(
                 _make_expr_eval(parse_expression(claim.prefactor), opts),
@@ -588,20 +591,14 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
                 f"{claim.mode}-claim on core; prefactor {claim.prefactor} "
                 f"{pre_res.status.lower()} positive ({pre_res.leaves} leaves)")
             if pre_res.status != "Proved":
+                w = pre_res.witness
                 res.status = "Unknown"
-                res.reason = f"prefactor positivity not established: {pre_res.reason}"
+                res.reason = ("prefactor positivity not established: "
+                              + (pre_res.reason or f"certified negative on "
+                                                   f"[{w.lo}, {w.hi}]"))
     else:
         res = _bisect_positive(ev, lo_core, hi_core, opts)
     res.theorem = claim
-
-    # a dip narrower than the bisection can resolve may still show at a point
-    if (res.status == "Unknown" and _PAST_LIMIT not in res.reason
-            and not res.reason.startswith("internal inconsistency")):
-        ref = _grid_refute(ev, lo_core, hi_core, GRID)
-        if ref is not None:
-            x0, v = ref
-            res.status, res.reason = "Refuted", None
-            res.witness, res.witness_value = Interval.point(x0), v
     if res.status == "Refuted":
         w, v = res.witness, res.witness_value
         res.findings.append(
@@ -751,7 +748,7 @@ _IDENTITY_START = {"ID_T32_BDIFF": 2, "ID_T33_CDIFF": 2,
 
 def _sign_record(records: dict, name: str, n, value):
     if name not in records and not value > 0:
-        records[name] = (n, value)
+        records[name] = (n, Fraction(value))
 
 
 def identity_check(identity_id: str, n_max: int) -> IdentityReport:
@@ -766,31 +763,30 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
     signs = {}
     sign_names = set()
     for n in range(start, n_max + 1):
+        # the identity is lhs = num / den, with integers num and den
         if identity_id == "ID_T32_BDIFF":
             lhs = (theorem_coeff(*SEQUENCE_IDS["S_T32_B"], n + 1)
                    - theorem_coeff(*SEQUENCE_IDS["S_T32_B"], n))
-            rhs = Fraction(4 ** n * (6 * n - 1) - 4 * n + 1)
+            num, den = 4 ** n * (6 * n - 1) - 4 * n + 1, 1
             sign_names.add("difference")
-            _sign_record(signs, "difference", n, rhs)
+            _sign_record(signs, "difference", n, num)
         elif identity_id == "ID_T33_CDIFF":
             lhs = (theorem_coeff(*SEQUENCE_IDS["S_T33_C"], n + 1)
                    - theorem_coeff(*SEQUENCE_IDS["S_T33_C"], n))
-            num = Fraction((6 * n * n - 17 * n + 1) * 4 ** n
-                           + 18 * n * n + 23 * n - 1)
+            num = (6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1
             den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
-            rhs = num / den
             sign_names.add("numerator")
             _sign_record(signs, "numerator", n, num)
         elif identity_id == "ID_T34_FDECOMP":
             lhs = (theorem_coeff(*SEQUENCE_IDS["S_T34_C"], n + 1)
                    - theorem_coeff(*SEQUENCE_IDS["S_T34_C"], n))
-            num = (_fdecomp_f1(n) + _fdecomp_f2(n)
-                   + _fdecomp_f3(n) + _fdecomp_f4(n))
-            rhs = Fraction(num, _fdecomp_denom(n))
+            num, den = 0, _fdecomp_denom(n)
             for name, fn in (("f1", _fdecomp_f1), ("f2", _fdecomp_f2),
                              ("f3", _fdecomp_f3), ("f4", _fdecomp_f4)):
+                f = fn(n)
+                num += f
                 sign_names.add(name)
-                _sign_record(signs, name, n, Fraction(fn(n)))
+                _sign_record(signs, name, n, f)
         else:  # ID_T34_POLYS
             pairs = (
                 ("f1_rewrite", _f1_plain(n), _f1_shift(n)),
@@ -800,17 +796,16 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
                 ("binomial_truncation", _quartic_from_binomial(n), _quartic_poly(n)),
                 ("quartic_rewrite", _quartic_poly(n), _quartic_shift(n)),
             )
-            lhs = rhs = Fraction(0)
             for name, left, right in pairs:
                 if left != right and failure is None:
                     failure = (n, Fraction(left), Fraction(right))
                 sign_names.add(name)
-                _sign_record(signs, name, n, Fraction(left))
+                _sign_record(signs, name, n, left)
             if failure is not None:
                 break
             continue
-        if lhs != rhs:
-            failure = (n, lhs, rhs)
+        if lhs.numerator * den != num * lhs.denominator:
+            failure = (n, lhs, Fraction(num, den))
             break
     positivity = {name: signs.get(name) for name in sorted(sign_names)}
     return IdentityReport(identity_id, start, n_max, holds=failure is None,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -605,6 +606,34 @@ def test_shuffled_corpus_gives_the_same_report(tmp_path, corpus_report):
         return report.replace(json.dumps(str(corpus)).encode(), b'"CORPUS"')
 
     assert canonical(out.read_bytes(), p) == canonical(raw, default_corpus_path())
+
+
+# sha256 of the canonical corpus report, config.corpus replaced by "CORPUS"
+_REPORT_SHA256 = "8fa451e6fbcf820cc4fe875dedb6d81dbabfdb614301abefe530f55d450b3e99"
+
+
+def test_canonical_report_is_pinned(corpus_report):
+    """The shipped corpus's report, byte for byte but for the checkout path.
+
+    A change that alters the report on purpose updates _REPORT_SHA256 and
+    explains each changed leaf count or verdict in CHANGES.md."""
+    _, raw, _ = corpus_report
+    token = json.dumps(str(default_corpus_path())).encode()
+    assert raw.count(token) == 1
+    canonical = raw.replace(token, b'"CORPUS"')
+    assert hashlib.sha256(canonical).hexdigest() == _REPORT_SHA256
+
+
+@pytest.mark.parametrize("name", ["THM31_HI", "THM32_HI", "THM35_HI"])
+def test_zero_right_margin_of_a_sharp_upper_claim_ends_without_a_crash(name, capsys):
+    # at eps_hi = 0 the series form's last box straddles 0; its reason once
+    # printed the exact enclosure, whose integers were past the 4,300-digit
+    # printing limit (exit 4).  The raw difference now decides the core.
+    code = run_command(["prove", "--name", name, "--eps-hi", "0",
+                        "--format", "text"])
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert code == (2 if name == "THM31_HI" else 0)
 
 
 def test_unknown_below_the_precision_suggests_a_higher_one(tmp_path):

@@ -211,11 +211,40 @@ _DIP = parse_corpus("inequality DIP {\n  domain   = [0, 1]\n"
 
 
 def test_grid_fallback_refutes_a_dip_below_min_width():
-    # every box at 1/2 stays inconclusive; the fallback grid hits the point
-    r = verify_inequality(_DIP)
-    assert r.status == "Refuted" and r.reason is None
-    assert r.witness == Interval.point(F(1, 2))
-    assert r.witness_value.hi < 0
+    # every box at 1/2 stays inconclusive; the scan of those boxes hits the
+    # point, an end of two of them, and both entry points end by that scan
+    for r in (verify_inequality(_DIP),
+              prove_positive(_DIP.difference(), Interval(0, 1))):
+        assert r.status == "Refuted" and r.reason is None
+        assert r.witness == Interval.point(F(1, 2))
+        assert r.witness_value.hi < 0 and r.ms > 0
+
+
+def test_a_dip_off_any_fixed_grid_is_refuted_by_both_entry_points():
+    # 1/512 is no point of a 257-point grid on [0, 1], but bisection pins it
+    # as the end of an inconclusive box
+    dip = parse_corpus("inequality DIP512 {\n  domain   = [0, 1]\n"
+                       "  lhs      = (x - 1/512)^2\n  relation = >\n"
+                       "  rhs      = (1/10)^30\n}\n")[0]
+    for r in (prove_positive(dip.difference(), Interval(0, 1)),
+              verify_inequality(dip)):
+        assert r.status == "Refuted" and r.reason is None
+        assert r.witness == Interval.point(F(1, 512)) and r.witness_value.hi < 0
+
+
+def test_unknown_scans_only_the_recorded_inconclusive_boxes(monkeypatch):
+    # an identically zero difference records MAX_INCONCLUSIVE boxes; one
+    # scan sees those boxes only, and the reason names the first of them
+    scans = []
+    scan = prove._grid_refute
+    monkeypatch.setattr(prove, "_grid_refute",
+                        lambda ev, boxes: scans.append(list(boxes)) or scan(ev, boxes))
+    r = prove_positive(parse_expression("sin(x)^2 + cos(x)^2 - 1"),
+                       Interval(F(1, 4), 1))
+    assert r.status == "Unknown" and r.reason.startswith("inconclusive on [")
+    (boxes,) = scans
+    assert len(boxes) == prove.MAX_INCONCLUSIVE
+    assert r.reason.startswith(f"inconclusive on [{boxes[0][0]}, {boxes[0][1]}]")
 
 
 def test_no_grid_fallback_after_an_inconsistency(monkeypatch):
@@ -234,12 +263,37 @@ def test_negative_series_form_is_confirmed_on_the_raw_difference(
     # refute a true claim: the raw difference decides
     monkeypatch.setattr("ineqcert.prove._registration_ok", lambda *a: True)
     monkeypatch.setattr("ineqcert.prove._series_claim_eval",
-                        lambda claim, N: lambda x: Interval(-1, F(-1, 2)))
+                        lambda claim, N, bits: lambda x: Interval(-1, F(-1, 2)))
     r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
     assert r.status == "Proved" and r.witness is None
     assert r.leaves > 1
     assert any("the raw difference was bisected instead" in f
                for f in r.findings)
+
+
+def test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference(
+        corpus_specs, monkeypatch):
+    # a series form that proves nothing does not end the core Unknown: the
+    # raw difference decides, and proves the true claim
+    monkeypatch.setattr("ineqcert.prove._series_claim_eval",
+                        lambda claim, N, bits: lambda x: Interval(-1, 1))
+    r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
+    assert r.status == "Proved" and r.reason is None and r.leaves > 1
+    assert any("ended Unknown on the core; the raw difference was bisected "
+               "instead" in f for f in r.findings)
+
+
+def test_a_refuted_prefactor_names_its_box(corpus_specs, monkeypatch):
+    # x - 1 is negative on part of THM31_LO's core: the reason says where,
+    # and never prints None
+    import dataclasses
+    claim = THEOREM_CLAIMS["THM31_LO"]
+    monkeypatch.setitem(THEOREM_CLAIMS, "THM31_LO",
+                        dataclasses.replace(claim, prefactor="x - 1"))
+    r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
+    assert r.status == "Unknown" and "None" not in r.reason
+    assert r.reason.startswith(
+        "prefactor positivity not established: certified negative on [")
 
 
 def test_verify_huy_trig(corpus_specs):
