@@ -7,16 +7,17 @@
   counts.  Each box hands its remainder coefficient down to its halves.
 * `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
   is registered as its theorem only when its domain and difference equal
-  those of the same-named stanza in the shipped corpus.  Then a series
-  certificate closes the (0, eps] gap, 0 < eps < 1, for all eight theorem
-  stanzas by one rule: the signed difference series over its leading
-  power, bounded below by its exact leading coefficient plus its later
-  terms of the wrong sign at eps minus a certified tail, must be > 0 (an
-  upper claim adds its constant's lower end).  For seven of them a
-  registered exact difference series also provides the core's enclosures.
-  On the core only bisection of the raw difference refutes; where it
-  leaves boxes inconclusive, a point certified negative in one of them
-  does.  Uncovered margins are always reported, never silently assumed.
+  those of the same-named stanza in the shipped corpus.  Then one series
+  rule (`_series_bound`) settles its sign on (0, x] for any x inside the
+  series' radius: the signed difference series over its leading power,
+  bounded below by its exact leading coefficient plus its later terms of
+  the wrong sign at x minus a certified tail, must be > 0 (an upper claim
+  adds its constant's lower end).  At x = eps it closes the (0, eps] gap
+  for all eight theorem stanzas; at the core's right end it proves the
+  core of the seven whose series is not a derivative's in one leaf.  Only
+  bisection of the raw difference refutes a core; where it leaves boxes
+  inconclusive, a point certified negative in one of them does.
+  Uncovered margins are always reported, never silently assumed.
 * `ProveOptions`: the engine options, each with its one default and its
   valid range, checked when the options are built.
 * `near_zero_certificate`, `sequence_check`, `identity_check`,
@@ -31,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf, isfinite
 from typing import Optional
 
 from . import _core
@@ -40,8 +41,9 @@ from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, default_corpus_path, eval_endpoint,
                    eval_expr, parse_corpus, parse_expression)
-from .series import (coeff_row, eval_series, exact_sum, get_series,
-                     tail_bound, theorem_coeff, THEOREMS, THEOREM_START)
+from .series import (coeff_row, exact_sum, get_series, tail_bound,
+                     theorem_coeff, THEOREMS, THEOREM_START, TRIG_X_MAX)
+from .series import eval_series  # noqa: F401 (patched by perfbench)
 
 __all__ = [
     "ProveOptions", "Leaf", "ProofResult", "SequenceReport", "IdentityReport",
@@ -165,23 +167,11 @@ class ScanReport:
 # generic adaptive bisection
 # ---------------------------------------------------------------------------
 
-def _make_expr_eval(expr: Expr, opts: ProveOptions):
-    """Returns eval_fn(x) -> Interval, whose attribute `carry(x, rem)`
-    returns (Interval, rem for sub-boxes) from `_core.enclose`, for
-    `_bisect_positive` to hand down; `scope(lo, hi)` is `Ctx.scope`."""
-    ctx = get_ctx(opts.precision)
-
-    def carry(x: Interval, rem=None):
-        # looked up at call time, so a rebinding of _core.enclose sees it
-        (lo, hi), rem = _core.enclose(ctx, expr, ctx.lo_of(x.lo), ctx.hi_of(x.hi), rem)
-        return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one)), rem
-
-    def ev(x: Interval):
-        return carry(x)[0]
-
-    ev.carry = carry
-    ev.scope = lambda lo, hi: ctx.scope((ctx.lo_of(lo), ctx.hi_of(hi)))
-    return ev
+def _enclose(ctx, expr: Expr, a: Fraction, b: Fraction, rem=None):
+    """(Interval, rem for sub-boxes) of expr over [a, b] from `_core.enclose`."""
+    # looked up at call time, so a rebinding of _core.enclose sees it
+    (lo, hi), rem = _core.enclose(ctx, expr, ctx.lo_of(a), ctx.hi_of(b), rem)
+    return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one)), rem
 
 
 # boxes left inconclusive before bisection gives up; bounds the work on an
@@ -223,7 +213,8 @@ def _grid_refute(ev, boxes: list):
     return None
 
 
-def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> ProofResult:
+def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
+                     opts: ProveOptions) -> ProofResult:
     """The one place where a core's bisection ends.
 
     Proved when every box certifies positive; Refuted at the first box
@@ -238,14 +229,16 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
     can help (the reason names that point); a box whose enclosures
     contradict each other; and more than MAX_LEAVES proved leaves.
 
-    When ev has `carry(x, rem) -> (Interval, rem)`, each box hands the
-    remainder coefficient it returns down to its two halves; a box at the
-    depth or width limit gets none, so the enclosure a reason prints is
-    the box's own full form.  ev's `scope(lo, hi)`, if any, comes first.
-    The caller times the run (`ProofResult.ms`)."""
-    carry = getattr(ev, "carry", None) or (lambda x, rem: (ev(x), None))
-    if hasattr(ev, "scope"):
-        ev.scope(lo, hi)
+    Every box is enclosed by `_core.enclose` at opts.precision, and hands
+    the remainder coefficient it returns down to its two halves; a box at
+    the depth or width limit gets none, so the enclosure a reason prints is
+    the box's own full form.  The caller times the run (`ProofResult.ms`)."""
+    ctx = get_ctx(opts.precision)
+    ctx.scope((ctx.lo_of(lo), ctx.hi_of(hi)))
+
+    def ev(x: Interval) -> Interval:  # a point's enclosure: witness, scans
+        return _enclose(ctx, expr, x.lo, x.hi)[0]
+
     stack = [(lo, hi, 0, None)]
     leaves = []
     maxd = 0
@@ -263,7 +256,7 @@ def _bisect_positive(ev, lo: Fraction, hi: Fraction, opts: ProveOptions) -> Proo
         enc = None
         err = None
         try:
-            enc, rem = carry(Interval(a, b), None if at_limit else rem)
+            enc, rem = _enclose(ctx, expr, a, b, None if at_limit else rem)
         except (DomainError, PoleError, EvalError) as exc:
             err = str(exc)
             # every box holding an end that raises as a point raises too
@@ -316,16 +309,15 @@ def prove_positive(expr: Expr, domain: Interval, opts: ProveOptions = None) -> P
     """Adaptive bisection proof that expr > 0 on the compact domain."""
     opts = opts or ProveOptions()
     t0 = time.perf_counter()
-    res = _bisect_positive(_make_expr_eval(expr, opts), domain.lo, domain.hi, opts)
+    res = _bisect_positive(expr, domain.lo, domain.hi, opts)
     res.ms = 1000 * (time.perf_counter() - t0)
     return res
 
 
 def reverify_certificate(expr: Expr, result: ProofResult, precision: int) -> bool:
     """Re-evaluate every Proved leaf at another precision; all must stay positive."""
-    opts = ProveOptions(precision=precision)
-    ev = _make_expr_eval(expr, opts)
-    return all(ev(Interval(leaf.lo, leaf.hi)).lo > 0
+    ctx = get_ctx(precision)
+    return all(_enclose(ctx, expr, leaf.lo, leaf.hi)[0].lo > 0
                for leaf in result.certificate)
 
 
@@ -366,23 +358,6 @@ def _pick_N(series_id: str, x_hi: Fraction) -> int:
             return n
         n += 12
     return n
-
-
-def _series_claim_eval(claim: TheoremClaim, N: int, bits: int = ProveOptions.precision):
-    cval = None if claim.mode == "positive" else _const_interval(claim)
-
-    def ev(x: Interval):
-        # 64-bit outward endpoints keep the exact powers x^(2n) small
-        s = eval_series(claim.series_id, x.round_out(64), N)
-        if claim.mode == "lower":
-            s = s - cval
-        elif claim.mode == "upper":
-            s = cval - s
-        # dyadic at the engine's precision, as every _core enclosure is: the
-        # exact sum's denominators reach 2^(128 N), too long to print
-        return s.round_out(bits)
-
-    return ev
 
 
 @lru_cache(maxsize=None)
@@ -439,56 +414,50 @@ def _negative_value(diff: Expr, x0: Fraction) -> Optional[Interval]:
     return None
 
 
-def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
-    """Settle a theorem claim on (0, epsilon], 0 < epsilon < 1, from its
-    exact difference series, by one rule for every claim.
-
-    A lower or positive claim's difference is the series from index
-    start + 1 on, since its start term cancels exactly; an upper claim's is
-    its constant minus the whole series, which starts at x^0.  The series
-    is negated for an upper claim or a negative exact leading coefficient,
-    and `_left_lower_bound` bounds it over its leading power on
-    (0, epsilon]; an upper claim adds the constant's lower end.  A bound
-    > 0 settles the claim: Refuted, with a witness at epsilon/2 and its
-    value from `_negative_value`, when the leading coefficient is negative,
-    Proved otherwise.  Else, as for a leading coefficient of exactly 0, it
-    is Unknown.
-    """
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    eps = Fraction(epsilon)
-    t = THEOREMS.get(thm_id)
-    if t is None:
-        raise DomainError(f"no registered series for theorem {thm_id!r}")
-    i = 0 if side == "lower" else 1
-    if i >= len(t.stanzas):
-        raise DomainError(f"{thm_id} has no {side}-side claim")
-    if eps <= 0 or eps >= 1:
-        raise DomainError("epsilon must lie in (0, 1)")
-    t0 = time.perf_counter()
-    stanza = t.stanzas[i]
-    claim = THEOREM_CLAIMS[stanza]
-    seq = get_series(claim.series_id)
+def _series_bound(claim: TheoremClaim, x: Fraction) -> tuple:
+    """The one series rule: (bound, certificate) for a registered claim on
+    (0, x], x inside its series' radius.  A lower or positive claim's
+    difference is the series from index start + 1 on (its start term
+    cancels exactly); an upper claim's is its constant minus the whole
+    series, which starts at x^0.  Negated for an upper claim or a negative
+    exact leading coefficient, the series over its leading power is bounded
+    below by `_left_lower_bound`, truncated at `_pick_N`; an upper claim
+    adds its constant's lower end.  A bound > 0 settles the sign on (0, x]:
+    negative if `negated` on a claim that is not upper, else positive."""
+    t, seq = THEOREMS[claim.thm], get_series(claim.series_id)
     upper = claim.mode == "upper"
     n0 = t.start if upper else t.start + 1
-    leading, e0, N = seq.coeff(n0), seq.exponent_of(n0), n0 + 22
+    leading, N = seq.coeff(n0), _pick_N(claim.series_id, x)
     negate = upper or leading < 0
-    refutes = negate and not upper
-    lb = bound = _left_lower_bound(claim.series_id, n0, eps, N, negate)
-    res = ProofResult("Unknown", series_certificate={
-        "series": claim.series_id, "claim": claim.mode, "eps": eps, "N": N,
-        "leading_index": n0, "leading": leading, "negated": negate,
-        "normalized_lower_bound": lb})
+    lb = bound = _left_lower_bound(claim.series_id, n0, x, N, negate)
+    cert = {"series": claim.series_id, "claim": claim.mode, "eps": x, "N": N,
+            "leading_index": n0, "leading": leading, "negated": negate,
+            "normalized_lower_bound": lb}
     if upper:
         cval = _const_interval(claim).lo
         bound += cval
-        res.series_certificate.update(sup_bound=-lb, constant_lower=cval)
+        cert.update(sup_bound=-lb, constant_lower=cval)
+    return bound, cert
+
+
+def _near_zero(claim: TheoremClaim, eps: Fraction) -> ProofResult:
+    """`_series_bound` on (0, eps] as a verdict: Refuted, with a witness at
+    eps/2 and its value from `_negative_value`, when it settles a negative
+    sign, Proved when it settles a positive one, else Unknown."""
+    t0 = time.perf_counter()
+    stanza, t = claim.stanza, THEOREMS[claim.thm]
+    bound, cert = _series_bound(claim, eps)
+    n0, leading = cert["leading_index"], cert["leading"]
+    e0 = get_series(claim.series_id).exponent_of(n0)
+    lb = cert["normalized_lower_bound"]
+    res = ProofResult("Unknown", series_certificate=cert)
+    if claim.mode == "upper":
         res.findings.append(
             f"{stanza}: series sup on (0, {eps}] is <= {float(-lb):.10g}; "
-            f"upper constant > {float(cval):.10g}")
+            f"upper constant > {float(cert['constant_lower']):.10g}")
     if bound <= 0:
         res.reason = f"series bound {bound} does not settle the sign on (0, {eps}]"
-    elif refutes:
+    elif cert["negated"] and claim.mode != "upper":
         x0 = eps / 2
         res.status = "Refuted"
         res.witness = Interval.point(x0)
@@ -506,12 +475,30 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
                 f"{e0 + 1} coefficient {leading / (e0 + 1)}")
     else:
         res.status = "Proved"
-        if not upper:
+        if claim.mode != "upper":
             res.findings.append(
                 f"{stanza}: difference >= {float(lb):.6g} * x^{e0} on "
                 f"(0, {eps}]; leading coefficient {leading}")
     res.ms = 1000 * (time.perf_counter() - t0)
     return res
+
+
+def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
+    """Settle a theorem claim on (0, epsilon], 0 < epsilon < 1, from its
+    exact difference series: `_near_zero`'s verdict, Unknown also for a
+    leading coefficient of exactly 0."""
+    if side not in ("lower", "upper"):
+        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+    eps = Fraction(epsilon)
+    t = THEOREMS.get(thm_id)
+    if t is None:
+        raise DomainError(f"no registered series for theorem {thm_id!r}")
+    i = 0 if side == "lower" else 1
+    if i >= len(t.stanzas):
+        raise DomainError(f"{thm_id} has no {side}-side claim")
+    if eps <= 0 or eps >= 1:
+        raise DomainError("epsilon must lie in (0, 1)")
+    return _near_zero(THEOREM_CLAIMS[t.stanzas[i]], eps)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +512,13 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     x_max; a core end past a function's argument limit, where the
     difference cannot be evaluated, ends the core Unknown at the first box
     that holds it).  A stanza that `_registration_ok` finds to be its
-    theorem's shipped stanza gets the near-zero certificate on (0, eps]
-    and, where one is registered, the series rewrite on the core; every
-    other stanza is bisected as it stands.  Only the raw difference decides
-    a core that the series form does not prove, and `_bisect_positive`
-    ends every core by its one rule.  Margins left unverified are reported
-    in `uncovered`.
+    theorem's shipped stanza takes `_series_bound` on (0, eps_lo] and,
+    where its series is not a derivative's, on (0, core end]: a bound > 0
+    there proves the core in one leaf once its prefactor is bisected
+    positive.  Every other core, and one the series bound does not prove,
+    is bisected as the raw difference, which alone may refute it, and
+    `_bisect_positive` ends it by its one rule.  Margins left unverified
+    are reported in `uncovered`; an empty one is not.
     """
     opts = opts or ProveOptions()
     t0 = time.perf_counter()
@@ -550,54 +538,57 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         hi_iv = eval_endpoint(spec.hi_expr)
         hi_core = hi_iv.lo if spec.hi_closed else hi_iv.lo - opts.eps_hi
         hi_core = Interval.point(hi_core).round_out(bits).lo
-        if not spec.hi_closed:
+        if not spec.hi_closed and hi_core < hi_iv.hi:
             uncovered.append(f"[{hi_core}, hi) uncovered (margin eps_hi={opts.eps_hi})")
     if lo_core >= hi_core:
         return ProofResult("Unknown", reason="empty core after margins",
                            theorem=claim)
 
-    diff = spec.difference()
-    ev = _make_expr_eval(diff, opts)
-
     nz_result = None
-    left_gap_note = None
-    if claim is not None:  # a shipped theorem stanza: its domain is (0, ...)
-        side = "upper" if claim.mode == "upper" else "lower"
-        try:
-            nz_result = near_zero_certificate(claim.thm, lo_core, side=side)
-        except DomainError as exc:
-            nz_result = ProofResult("Unknown", reason=str(exc))
-    elif not spec.lo_closed:
-        left_gap_note = (f"(lo, {lo_core}] uncovered "
-                         f"(margin eps_lo={opts.eps_lo}; no registered series)")
+    if not spec.lo_closed and lo_core > lo_iv.lo:  # a non-empty left margin
+        if claim is None:
+            uncovered.insert(0, f"(lo, {lo_core}] uncovered (margin "
+                                f"eps_lo={opts.eps_lo}; no registered series)")
+        else:  # a shipped theorem stanza: its domain is (0, ...)
+            try:
+                nz_result = _near_zero(claim, lo_core)
+            except DomainError as exc:
+                nz_result = ProofResult("Unknown", reason=str(exc))
 
+    diff = spec.difference()
     if claim is not None and not THEOREMS[claim.thm].derivative_series:
-        N = _pick_N(claim.series_id, hi_core)
-        res = _bisect_positive(_series_claim_eval(claim, N, bits),
-                               lo_core, hi_core, opts)
-        if res.status != "Proved":
-            # only the raw difference may refute or end the core Unknown
-            status = res.status
-            res = _bisect_positive(ev, lo_core, hi_core, opts)
+        # the bound at the core's right end, rounded up to 64 bits to keep
+        # the exact powers small, holds on the whole core
+        x_hi = Interval.point(hi_core).round_out(64).hi
+        try:
+            bound, cert = _series_bound(claim, x_hi)
+            form = f"series form {claim.series_id} (N={cert['N']})"
+            why = f"bound {float(bound):.6g} does not prove the core"
+            settled = bound > 0 and cert["negated"] == (claim.mode == "upper")
+        except DomainError as exc:
+            form, why, settled = f"series form {claim.series_id}", str(exc), False
+        if settled:
+            res = ProofResult("Proved", leaves=1, certificate=[
+                Leaf(lo_core, hi_core, Interval.point(bound).round_out(bits).lo)])
+            pre_res = _bisect_positive(parse_expression(claim.prefactor),
+                                       lo_core, hi_core, opts)
             res.findings.append(
-                f"series form {claim.series_id} (N={N}) ended {status} on "
-                f"the core; the raw difference was bisected instead")
-        else:
-            pre_res = _bisect_positive(
-                _make_expr_eval(parse_expression(claim.prefactor), opts),
-                lo_core, hi_core, opts)
-            res.findings.append(
-                f"series form {claim.series_id} (N={N}) proved "
-                f"{claim.mode}-claim on core; prefactor {claim.prefactor} "
-                f"{pre_res.status.lower()} positive ({pre_res.leaves} leaves)")
+                f"{form} proved {claim.mode}-claim on core; prefactor "
+                f"{claim.prefactor} {pre_res.status.lower()} positive "
+                f"({pre_res.leaves} leaves)")
             if pre_res.status != "Proved":
                 w = pre_res.witness
                 res.status = "Unknown"
                 res.reason = ("prefactor positivity not established: "
                               + (pre_res.reason or f"certified negative on "
                                                    f"[{w.lo}, {w.hi}]"))
+        else:
+            # only the raw difference may refute or end the core Unknown
+            res = _bisect_positive(diff, lo_core, hi_core, opts)
+            res.findings.append(f"{form} on (0, {float(x_hi):.6g}]: {why}; "
+                                f"the raw difference was bisected instead")
     else:
-        res = _bisect_positive(ev, lo_core, hi_core, opts)
+        res = _bisect_positive(diff, lo_core, hi_core, opts)
     res.theorem = claim
     if res.status == "Refuted":
         w, v = res.witness, res.witness_value
@@ -616,8 +607,6 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         elif nz_result.status == "Unknown" and res.status == "Proved":
             uncovered.insert(0, f"(lo, {lo_core}] uncovered (near-zero "
                                 f"certificate inconclusive: {nz_result.reason})")
-    elif left_gap_note is not None:
-        uncovered.insert(0, left_gap_note)
     res.uncovered = uncovered
     res.ms = 1000 * (time.perf_counter() - t0)
     return res
@@ -844,27 +833,32 @@ def limit_report(thm_id: str, endpoint: str) -> LimitReport:
 # ---------------------------------------------------------------------------
 
 def _ratio_float_fn(t):
+    """The theorem's ratio F as a float quotient of truncated series (the
+    registered series over 1 where that series is F itself); a sample that
+    is not finite raises DomainError naming x."""
     if "a" not in t.roles:
-        # the registered series is the ratio F itself
         seq = get_series(t.series)
-        coeffs = [(float(seq.coeff(n)), seq.exponent_of(n))
-                  for n in range(seq.start_index, 30)]
-
-        def f(x: float) -> float:
-            return sum(c * x ** e for c, e in coeffs)
-
-        return f
-    sa, sb = get_series(t.roles["a"]), get_series(t.roles["b"])
-    ca = [(float(sa.coeff(n)), 2 * n) for n in range(sa.start_index, 60)]
-    cb = [(float(sb.coeff(n)), 2 * n) for n in range(sb.start_index, 60)]
+        ca = [(float(seq.coeff(n)), seq.exponent_of(n))
+              for n in range(seq.start_index, 30)]
+        cb = [(1.0, 0)]
+    else:
+        sa, sb = get_series(t.roles["a"]), get_series(t.roles["b"])
+        ca = [(float(sa.coeff(n)), 2 * n) for n in range(sa.start_index, 60)]
+        cb = [(float(sb.coeff(n)), 2 * n) for n in range(sb.start_index, 60)]
     if t.derivative_series:
         # ratio of the integrated series f/g equals the theorem's F
         ca = [(c / (e + 1), e) for c, e in ca]
         cb = [(c / (e + 1), e) for c, e in cb]
 
     def f(x: float) -> float:
-        return (sum(c * x ** e for c, e in ca)
-                / sum(c * x ** e for c, e in cb))
+        try:
+            y = (sum(c * x ** e for c, e in ca)
+                 / sum(c * x ** e for c, e in cb))
+        except (OverflowError, ZeroDivisionError):
+            y = inf
+        if not isfinite(y):
+            raise DomainError(f"{t.id}: the float series is not finite at x={x!r}")
+        return y
 
     return f
 
@@ -873,12 +867,16 @@ def scan_extremum(thm_id: str, domain: Interval, tol) -> ScanReport:
     """Grid + golden-section estimate of the ratio function's minimum,
     confirmed by a rigorous interval evaluation at the candidate point.
     `sampled_monotone` reports whether a 1024-point grid is nondecreasing
-    (corroboration, not proof).  The tolerance must be at least 1e-12."""
+    (corroboration, not proof).  The tolerance must be at least 1e-12, and
+    a trigonometric theorem's domain must end within `series.TRIG_X_MAX`."""
     t = THEOREMS.get(thm_id)
     if t is None:
         raise DomainError(f"unknown theorem id {thm_id!r}")
     if Fraction(tol) < Fraction("1e-12"):
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
+    if get_series(t.series).radius == "pi" and domain.hi > TRIG_X_MAX:
+        raise DomainError(f"{thm_id}: hi={domain.hi} is past the series limit "
+                          f"{float(TRIG_X_MAX):.8g}, 63/64 of pi")
     tol_f = float(Fraction(tol))
     f = _ratio_float_fn(t)
     lo_f, hi_f = float(domain.lo), float(domain.hi)

@@ -15,7 +15,9 @@ point ranges; the recursive tree walk `_core` replaced with a
 straight-line plan, over `_core`'s own op tables; and `enclose`'s two rules
 near 0, a Fraction Bernstein bound and the [0, b] coefficient through that
 walk.  The former series coefficient formulas, each dividing |B_2n| by (2n)!
-itself, sit over `exact.bernoulli` too.
+itself, sit over `exact.bernoulli` too.  The series form of a theorem
+claim is an enclosure by the public `series.eval_series`, a route apart
+from `prove`'s one series bound.
 """
 
 from fractions import Fraction
@@ -28,7 +30,9 @@ from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
 from ineqcert.errors import DomainError, PoleError
 from ineqcert.exact import bernoulli
 from ineqcert.interval import Interval
-from ineqcert.series import _RHO_MAX, get_series, tail_bound
+from ineqcert.lang import eval_endpoint, parse_expression
+from ineqcert.series import (_RHO_MAX, THEOREMS, eval_series, get_series,
+                             tail_bound)
 
 
 # --- Bernoulli oracles -------------------------------------------------------
@@ -345,6 +349,24 @@ def tail_bound_termwise(kind, N, x_upper):
         else:
             raise DomainError(f"{kind}: tail does not contract at x={x}")
     return total
+
+
+def series_claim_form(claim, N):
+    """x -> enclosure of a registered claim's series form over the interval
+    x, by `series.eval_series` at 64-bit outward endpoints: the series less
+    a lower claim's constant, an upper claim's constant less the series, or
+    a positive claim's series as it is."""
+    t = THEOREMS[claim.thm]
+
+    def form(x):
+        s = eval_series(claim.series_id, x.round_out(64), N)
+        if claim.mode == "lower":
+            return s - t.zero_value
+        if claim.mode == "upper":
+            return eval_endpoint(parse_expression(t.right_value)) - s
+        return s
+
+    return form
 
 
 # --- dense interval Taylor arithmetic ---------------------------------------

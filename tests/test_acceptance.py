@@ -16,13 +16,13 @@ from ineqcert.exact import bernoulli
 from ineqcert.interval import Interval, elem_enclose
 from ineqcert.lang import eval_expr, format_expr, parse_expression
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _pick_N,
-                            _series_claim_eval, identity_check, limit_report,
+                            identity_check, limit_report,
                             near_zero_certificate, prove_positive,
                             reverify_certificate, sequence_check,
                             verify_inequality)
 from ineqcert.series import LEMMA_KINDS, get_series, lemma_coeff, theorem_coeff
 
-from oracles import LemmaSeriesOracle, bernoulli_recurrence
+from oracles import LemmaSeriesOracle, bernoulli_recurrence, series_claim_form
 
 F = Fraction
 
@@ -208,7 +208,7 @@ def test_acceptance_9_soundness(corpus_specs, corpus_report, corpus_report_jobs4
     claim = THEOREM_CLAIMS["THM31_LO"]
     r = verify_inequality(by_name["THM31_LO"], ProveOptions())
     n2 = _pick_N(claim.series_id, F(157, 100)) + 24
-    ev2 = _series_claim_eval(claim, n2)
+    ev2 = series_claim_form(claim, n2)
     for leaf in r.certificate:
         assert ev2(Interval(leaf.lo, leaf.hi)).lo > 0
 

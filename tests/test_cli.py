@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ineqcert
-from ineqcert import cli
+from ineqcert import cli, prove
 from ineqcert.cli import _ENGINE_OPTIONS, default_corpus_path, run_command
 from ineqcert.interval import pi_enclose
 from ineqcert.lang import TAG_KEYS
@@ -100,12 +100,15 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["prove", "--name", "HUY_TRIG", "--precision", "20000"],
     ["series", "--kind", "COT", "--format", "json"],
     ["prove", "--name", "HUY_TRIG", "--format", "csv"],
+    ["scan", "--thm", "T3.3", "--lo", "1", "--hi", "1000"],
+    ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "4"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
         "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
         "powers-nested", "upto-above-cap", "upto-huge", "series-nmax-above-cap",
         "sequences-nmax-huge", "identities-nmax-above-cap", "precision-huge",
-        "series-format", "prove-format-csv"])
+        "series-format", "prove-format-csv", "scan-float-overflow",
+        "scan-past-the-series-limit"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, refute a claim outside its stated domain, or run unbounded
@@ -286,9 +289,10 @@ def test_zero_margin_is_used_as_given(tmp_path):
     run_command(["prove", "--name", "HUY_TRIG", "--eps", "0", "--out", str(out)])
     rep = json.loads(out.read_text())
     assert rep["config"]["eps_lo"] == "0"
-    uncovered = rep["claims"][0]["uncovered"]
-    assert any("eps_lo=0;" in u for u in uncovered)
-    assert any("eps_hi=0)" in u for u in uncovered)
+    # the core starts at 0, so no left margin is listed; it ends below the
+    # irrational pi/2, so [hi_core, hi) is
+    (u,) = rep["claims"][0]["uncovered"]
+    assert u.endswith("hi) uncovered (margin eps_hi=0)")
 
 
 def test_flag_beats_tag_beats_eps(tmp_path):
@@ -305,7 +309,8 @@ def test_flag_beats_tag_beats_eps(tmp_path):
                      *flags, "--out", str(out)])
         return json.loads(out.read_text())["claims"][0]["uncovered"]
 
-    assert any("eps_lo=0;" in u for u in uncovered("--eps", "0"))
+    # --eps 0 reaches eps_lo: the core starts at 0 and lists no left margin
+    assert not any(u.startswith("(lo, ") for u in uncovered("--eps", "0"))
     assert any("eps_hi=1/100)" in u for u in uncovered("--eps", "0"))
     assert any("eps_hi=0)" in u for u in uncovered("--eps-hi", "0"))
 
@@ -364,8 +369,12 @@ def test_python_dash_m_runs_the_cli():
     assert "HUY_TRIG       Proved" in proc.stdout.splitlines()
 
 
-def test_inconclusive_near_zero_certificate_gives_its_reason(tmp_path):
-    # the core starts at 1, where the series certificate does not apply
+def test_inconclusive_near_zero_certificate_gives_its_reason(tmp_path, monkeypatch):
+    # a series bound of 0 settles nothing on (0, 1]; the raw difference
+    # still proves the core, and the margin names why it stays open
+    rule = prove._series_bound
+    monkeypatch.setattr(prove, "_series_bound",
+                        lambda claim, x: (Fraction(0), rule(claim, x)[1]))
     out = tmp_path / "o.json"
     assert run_command(["prove", "--name", "THM31_LO", "--eps-lo", "1",
                         "--out", str(out)]) == 0
@@ -373,7 +382,22 @@ def test_inconclusive_near_zero_certificate_gives_its_reason(tmp_path):
     assert claim["status"] == "Proved"
     assert claim["uncovered"][0] == (
         "(lo, 1] uncovered (near-zero certificate inconclusive: "
-        "epsilon must lie in (0, 1))")
+        "series bound 0 does not settle the sign on (0, 1])")
+
+
+def test_a_series_bound_that_fails_leaves_one_bisection(tmp_path, monkeypatch):
+    # at eps_hi = 0 the series bound at pi/2 is not > 0: the raw difference
+    # is bisected once, with no series bisection before it
+    calls = []
+    bisect = prove._bisect_positive
+    monkeypatch.setattr(prove, "_bisect_positive",
+                        lambda *args: calls.append(args) or bisect(*args))
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--name", "THM31_HI", "--eps-hi", "0",
+                        "--out", str(out)]) == 2
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Unknown" and claim["leaves"] == 83
+    assert len(calls) == 1
 
 
 def test_sequences_expectation_from_corpus(tmp_path, capsys):
@@ -626,9 +650,10 @@ def test_canonical_report_is_pinned(corpus_report):
 
 @pytest.mark.parametrize("name", ["THM31_HI", "THM32_HI", "THM35_HI"])
 def test_zero_right_margin_of_a_sharp_upper_claim_ends_without_a_crash(name, capsys):
-    # at eps_hi = 0 the series form's last box straddles 0; its reason once
-    # printed the exact enclosure, whose integers were past the 4,300-digit
-    # printing limit (exit 4).  The raw difference now decides the core.
+    # at eps_hi = 0 a bisected series form's last box once straddled 0, and
+    # its reason printed the exact enclosure, whose integers were past the
+    # 4,300-digit printing limit (exit 4).  The raw difference decides a
+    # core that the series bound does not prove.
     code = run_command(["prove", "--name", name, "--eps-hi", "0",
                         "--format", "text"])
     err = capsys.readouterr().err

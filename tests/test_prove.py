@@ -11,14 +11,15 @@ from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
                            parse_expression)
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
                             _pick_N, _registration_ok,
-                            _series_claim_eval, identity_check, limit_report,
+                            identity_check, limit_report,
                             near_zero_certificate, prove_positive,
                             reverify_certificate, scan_extremum,
                             sequence_check, verify_inequality)
 from ineqcert.series import (THEOREMS, get_series, series_ids, tail_bound,
                              theorem_coeff)
 
-from oracles import left_lower_bound_termwise, left_sup_bound_termwise
+from oracles import (left_lower_bound_termwise, left_sup_bound_termwise,
+                     series_claim_form)
 
 F = Fraction
 
@@ -259,28 +260,83 @@ def test_no_grid_fallback_after_an_inconsistency(monkeypatch):
 
 def test_negative_series_form_is_confirmed_on_the_raw_difference(
         corpus_specs, monkeypatch):
-    # a series form that passed its spot checks but is negative must not
-    # refute a true claim: the raw difference decides
+    # a series bound that is negative, or that settles a negative sign on
+    # the core (x > 1; the near-zero margin at x = 1/1000 keeps the true
+    # rule), must not refute a true claim: the raw difference decides
     monkeypatch.setattr("ineqcert.prove._registration_ok", lambda *a: True)
-    monkeypatch.setattr("ineqcert.prove._series_claim_eval",
-                        lambda claim, N, bits: lambda x: Interval(-1, F(-1, 2)))
-    r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
-    assert r.status == "Proved" and r.witness is None
-    assert r.leaves > 1
-    assert any("the raw difference was bisected instead" in f
-               for f in r.findings)
+    rule = prove._series_bound
+    fakes = (lambda claim, x: (F(-1), rule(claim, x)[1]),
+             lambda claim, x: (F(1), dict(rule(claim, x)[1], negated=True))
+             if x > 1 else rule(claim, x))
+    for fake in fakes:
+        monkeypatch.setattr(prove, "_series_bound", fake)
+        r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
+        assert r.status == "Proved" and r.witness is None
+        assert r.leaves > 1
+        assert any(f.endswith("the raw difference was bisected instead")
+                   for f in r.findings)
 
 
 def test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference(
         corpus_specs, monkeypatch):
-    # a series form that proves nothing does not end the core Unknown: the
+    # a series bound that proves nothing does not end the core Unknown: the
     # raw difference decides, and proves the true claim
-    monkeypatch.setattr("ineqcert.prove._series_claim_eval",
-                        lambda claim, N, bits: lambda x: Interval(-1, 1))
+    rule = prove._series_bound
+    monkeypatch.setattr(prove, "_series_bound",
+                        lambda claim, x: (F(0), rule(claim, x)[1]))
     r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
     assert r.status == "Proved" and r.reason is None and r.leaves > 1
-    assert any("ended Unknown on the core; the raw difference was bisected "
-               "instead" in f for f in r.findings)
+    assert any(f.endswith("bound 0 does not prove the core; the raw "
+                          "difference was bisected instead") for f in r.findings)
+
+
+def test_a_series_bound_at_the_core_end_proves_the_core_in_one_leaf(
+        corpus_specs, monkeypatch):
+    # the near-zero rule at the core's right end, 64 bits up, holds on the
+    # whole core: one leaf, and the series form is bisected nowhere
+    calls = []
+    rule = prove._series_bound
+    monkeypatch.setattr(prove, "_series_bound",
+                        lambda claim, x: calls.append(x) or rule(claim, x))
+    spec = _spec(corpus_specs, "THM32_LO")
+    r = verify_inequality(spec)
+    assert r.status == "Proved" and r.leaves == 1 and r.max_depth == 0
+    (leaf,) = r.certificate
+    assert calls[-1] == Interval.point(leaf.hi).round_out(64).hi > leaf.hi
+    assert leaf.bound > 0 and leaf.bound.denominator <= 2 ** 192
+    assert leaf.bound <= rule(THEOREM_CLAIMS["THM32_LO"], calls[-1])[0]
+
+
+def test_a_left_margin_of_1_or_more_is_closed_on_theorem_stanzas(corpus_specs):
+    # the series rule holds for any eps inside the series' radius, not only
+    # below 1: only the public near_zero_certificate keeps eps in (0, 1)
+    for stanza in sorted(THEOREM_CLAIMS):
+        for eps in (F(1), F(3, 2)):
+            r = verify_inequality(_spec(corpus_specs, stanza),
+                                  ProveOptions(eps_lo=eps))
+            assert r.status == ("Refuted" if stanza == "THM33" else "Proved")
+            assert not any(u.startswith("(lo, ") for u in r.uncovered), stanza
+            assert r.series_certificate["eps"] == eps
+
+
+_OPEN_UNIT = parse_corpus("inequality OPEN_UNIT {\n  domain   = (0, 1)\n"
+                          "  lhs      = 2 + sin(x)\n  relation = >\n"
+                          "  rhs      = 1\n}\n")[0]
+
+
+def test_an_empty_margin_is_not_listed(corpus_specs):
+    # a zero margin at a rational open end leaves nothing uncovered there;
+    # (lo, 0] and [1, hi) would name empty intervals
+    r = verify_inequality(_OPEN_UNIT, ProveOptions(eps_lo=F(0), eps_hi=F(0)))
+    assert r.status == "Proved" and r.uncovered == []
+    r = verify_inequality(_OPEN_UNIT)
+    left, right = r.uncovered
+    assert left.startswith("(lo, ") and right.startswith("[")
+    # pi/2 is no dyadic: a zero margin there still leaves [hi_core, hi)
+    r = verify_inequality(_spec(corpus_specs, "HUY_TRIG"),
+                          ProveOptions(eps_lo=F(0), eps_hi=F(0)))
+    (u,) = r.uncovered
+    assert u.startswith("[") and u.endswith("hi) uncovered (margin eps_hi=0)")
 
 
 def test_a_refuted_prefactor_names_its_box(corpus_specs, monkeypatch):
@@ -352,7 +408,7 @@ def test_theorem_claim_matches_corpus_stanza(corpus_specs, stanza):
     N = _pick_N(claim.series_id, hi)
     derivative = THEOREMS[claim.thm].derivative_series
     form = (_integrated_form(claim.series_id, N) if derivative
-            else _series_claim_eval(claim, N))
+            else series_claim_form(claim, N))
     prefactor = parse_expression(claim.prefactor)
     for k in range(9):
         x = lo + (hi - lo) * F(k, 8)
