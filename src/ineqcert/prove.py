@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -342,13 +343,6 @@ THEOREM_CLAIMS = {
 }
 
 
-def _const_interval(claim: TheoremClaim) -> Interval:
-    t = THEOREMS[claim.thm]
-    if claim.mode == "lower":
-        return Interval.point(t.zero_value)
-    return eval_endpoint(parse_expression(t.right_value))
-
-
 def _pick_N(series_id: str, x_hi: Fraction) -> int:
     seq = get_series(series_id)
     x = Interval.point(x_hi).round_out(64).hi
@@ -414,16 +408,19 @@ def _negative_value(diff: Expr, x0: Fraction) -> Optional[Interval]:
     return None
 
 
-def _series_bound(claim: TheoremClaim, x: Fraction) -> tuple:
-    """The one series rule: (bound, certificate) for a registered claim on
-    (0, x], x inside its series' radius.  A lower or positive claim's
-    difference is the series from index start + 1 on (its start term
-    cancels exactly); an upper claim's is its constant minus the whole
-    series, which starts at x^0.  Negated for an upper claim or a negative
-    exact leading coefficient, the series over its leading power is bounded
-    below by `_left_lower_bound`, truncated at `_pick_N`; an upper claim
-    adds its constant's lower end.  A bound > 0 settles the sign on (0, x]:
-    negative if `negated` on a claim that is not upper, else positive."""
+SeriesBound = namedtuple("SeriesBound", "bound sign e0 certificate")
+
+
+def _series_bound(claim: TheoremClaim, x: Fraction) -> SeriesBound:
+    """The one series rule for a registered claim on (0, x], x inside its
+    series' radius.  A lower or positive claim's difference is the series
+    from index start + 1 on (its start term cancels exactly); an upper
+    claim's is its constant minus the whole series, which starts at x^0.
+    Negated for an upper claim or a negative exact leading coefficient, the
+    series over its leading power x^e0 is bounded below by
+    `_left_lower_bound`, truncated at `_pick_N`; an upper claim adds its
+    constant's lower end.  A bound > 0 settles the difference's sign on
+    (0, x]: -1 for a negated claim that is not upper, else +1; else None."""
     t, seq = THEOREMS[claim.thm], get_series(claim.series_id)
     upper = claim.mode == "upper"
     n0 = t.start if upper else t.start + 1
@@ -434,10 +431,11 @@ def _series_bound(claim: TheoremClaim, x: Fraction) -> tuple:
             "leading_index": n0, "leading": leading, "negated": negate,
             "normalized_lower_bound": lb}
     if upper:
-        cval = _const_interval(claim).lo
+        cval = eval_endpoint(parse_expression(t.right_value)).lo
         bound += cval
         cert.update(sup_bound=-lb, constant_lower=cval)
-    return bound, cert
+    sign = None if bound <= 0 else -1 if negate and not upper else 1
+    return SeriesBound(bound, sign, seq.exponent_of(n0), cert)
 
 
 def _near_zero(claim: TheoremClaim, eps: Fraction) -> ProofResult:
@@ -446,18 +444,17 @@ def _near_zero(claim: TheoremClaim, eps: Fraction) -> ProofResult:
     sign, Proved when it settles a positive one, else Unknown."""
     t0 = time.perf_counter()
     stanza, t = claim.stanza, THEOREMS[claim.thm]
-    bound, cert = _series_bound(claim, eps)
+    bound, sign, e0, cert = _series_bound(claim, eps)
     n0, leading = cert["leading_index"], cert["leading"]
-    e0 = get_series(claim.series_id).exponent_of(n0)
     lb = cert["normalized_lower_bound"]
     res = ProofResult("Unknown", series_certificate=cert)
     if claim.mode == "upper":
         res.findings.append(
             f"{stanza}: series sup on (0, {eps}] is <= {float(-lb):.10g}; "
             f"upper constant > {float(cert['constant_lower']):.10g}")
-    if bound <= 0:
+    if sign is None:
         res.reason = f"series bound {bound} does not settle the sign on (0, {eps}]"
-    elif cert["negated"] and claim.mode != "upper":
+    elif sign < 0:
         x0 = eps / 2
         res.status = "Refuted"
         res.witness = Interval.point(x0)
@@ -561,15 +558,16 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         # the exact powers small, holds on the whole core
         x_hi = Interval.point(hi_core).round_out(64).hi
         try:
-            bound, cert = _series_bound(claim, x_hi)
-            form = f"series form {claim.series_id} (N={cert['N']})"
-            why = f"bound {float(bound):.6g} does not prove the core"
-            settled = bound > 0 and cert["negated"] == (claim.mode == "upper")
+            sb = _series_bound(claim, x_hi)
+            form = f"series form {claim.series_id} (N={sb.certificate['N']})"
+            why = f"bound {float(sb.bound):.6g} does not prove the core"
         except DomainError as exc:
-            form, why, settled = f"series form {claim.series_id}", str(exc), False
-        if settled:
+            sb, form, why = None, f"series form {claim.series_id}", str(exc)
+        if sb is not None and sb.sign == 1:
+            # form >= bound * x^e0 on (0, x_hi]: >= bound * lo_core^e0 here
+            leaf_bound = Interval.point(sb.bound * lo_core ** sb.e0)
             res = ProofResult("Proved", leaves=1, certificate=[
-                Leaf(lo_core, hi_core, Interval.point(bound).round_out(bits).lo)])
+                Leaf(lo_core, hi_core, leaf_bound.round_out(bits).lo)])
             pre_res = _bisect_positive(parse_expression(claim.prefactor),
                                        lo_core, hi_core, opts)
             res.findings.append(

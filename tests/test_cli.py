@@ -374,7 +374,8 @@ def test_inconclusive_near_zero_certificate_gives_its_reason(tmp_path, monkeypat
     # still proves the core, and the margin names why it stays open
     rule = prove._series_bound
     monkeypatch.setattr(prove, "_series_bound",
-                        lambda claim, x: (Fraction(0), rule(claim, x)[1]))
+                        lambda claim, x: rule(claim, x)._replace(
+                            bound=Fraction(0), sign=None))
     out = tmp_path / "o.json"
     assert run_command(["prove", "--name", "THM31_LO", "--eps-lo", "1",
                         "--out", str(out)]) == 0

@@ -265,8 +265,8 @@ def test_negative_series_form_is_confirmed_on_the_raw_difference(
     # rule), must not refute a true claim: the raw difference decides
     monkeypatch.setattr("ineqcert.prove._registration_ok", lambda *a: True)
     rule = prove._series_bound
-    fakes = (lambda claim, x: (F(-1), rule(claim, x)[1]),
-             lambda claim, x: (F(1), dict(rule(claim, x)[1], negated=True))
+    fakes = (lambda claim, x: rule(claim, x)._replace(bound=F(-1), sign=None),
+             lambda claim, x: rule(claim, x)._replace(bound=F(1), sign=-1)
              if x > 1 else rule(claim, x))
     for fake in fakes:
         monkeypatch.setattr(prove, "_series_bound", fake)
@@ -283,7 +283,8 @@ def test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference(
     # raw difference decides, and proves the true claim
     rule = prove._series_bound
     monkeypatch.setattr(prove, "_series_bound",
-                        lambda claim, x: (F(0), rule(claim, x)[1]))
+                        lambda claim, x: rule(claim, x)._replace(
+                            bound=F(0), sign=None))
     r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
     assert r.status == "Proved" and r.reason is None and r.leaves > 1
     assert any(f.endswith("bound 0 does not prove the core; the raw "
@@ -293,18 +294,25 @@ def test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference(
 def test_a_series_bound_at_the_core_end_proves_the_core_in_one_leaf(
         corpus_specs, monkeypatch):
     # the near-zero rule at the core's right end, 64 bits up, holds on the
-    # whole core: one leaf, and the series form is bisected nowhere
-    calls = []
-    rule = prove._series_bound
+    # whole core: one leaf, and the series form is bisected nowhere.  The
+    # leaf's bound holds for the form itself, not the form over x^e0: at
+    # the leaf's left end it lies below the form's own enclosure there
+    rule, calls = prove._series_bound, []
     monkeypatch.setattr(prove, "_series_bound",
-                        lambda claim, x: calls.append(x) or rule(claim, x))
-    spec = _spec(corpus_specs, "THM32_LO")
-    r = verify_inequality(spec)
-    assert r.status == "Proved" and r.leaves == 1 and r.max_depth == 0
-    (leaf,) = r.certificate
-    assert calls[-1] == Interval.point(leaf.hi).round_out(64).hi > leaf.hi
-    assert leaf.bound > 0 and leaf.bound.denominator <= 2 ** 192
-    assert leaf.bound <= rule(THEOREM_CLAIMS["THM32_LO"], calls[-1])[0]
+                        lambda claim, x: calls.append(rule(claim, x)) or calls[-1])
+    for stanza, claim in sorted(THEOREM_CLAIMS.items()):
+        if stanza == "THM33":  # a derivative's series: no core bound
+            continue
+        r = verify_inequality(_spec(corpus_specs, stanza))
+        assert r.status == "Proved" and r.leaves == 1 and r.max_depth == 0
+        (leaf,) = r.certificate
+        sb = calls[-1]
+        assert sb.certificate["eps"] == \
+            Interval.point(leaf.hi).round_out(64).hi >= leaf.hi
+        assert 0 < leaf.bound <= sb.bound * leaf.lo ** sb.e0
+        assert leaf.bound.denominator <= 2 ** 192
+        form = series_claim_form(claim, sb.certificate["N"])
+        assert leaf.bound <= form(Interval.point(leaf.lo)).lo, stanza
 
 
 def test_a_left_margin_of_1_or_more_is_closed_on_theorem_stanzas(corpus_specs):
