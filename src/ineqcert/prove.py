@@ -8,13 +8,13 @@
 * `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
   is registered as its theorem only when its domain and difference equal
   those of the same-named stanza in the shipped corpus.  Then one series
-  rule (`_series_bound`) settles its sign on (0, x] for any x inside the
+  rule (`_near_zero`) settles its sign on (0, x] for any x inside the
   series' radius: the signed difference series over its leading power,
   bounded below by its exact leading coefficient plus its later terms of
   the wrong sign at x minus a certified tail, must be > 0 (an upper claim
-  adds its constant's lower end).  At x = eps it closes the (0, eps] gap
-  for all eight theorem stanzas; at the core's right end it proves the
-  core of the seven whose series is not a derivative's in one leaf.  Only
+  adds its constant's lower end).  Run once at the core's right end, it
+  proves the core of the seven whose series is not a derivative's in one
+  leaf, and their (0, eps] gap with it; at x = eps it closes THM33's.  Only
   bisection of the raw difference refutes a core; where it leaves boxes
   inconclusive, a point certified negative in one of them does.
   Uncovered margins are always reported, never silently assumed.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +42,8 @@ from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, default_corpus_path, eval_endpoint,
                    eval_expr, parse_corpus, parse_expression)
 from .series import (coeff_row, exact_sum, get_series, tail_bound,
-                     theorem_coeff, THEOREMS, THEOREM_START, TRIG_X_MAX)
+                     theorem_coeff, TailBound, THEOREMS, THEOREM_START,
+                     TRIG_X_MAX)
 from .series import eval_series  # noqa: F401 (patched by perfbench)
 
 __all__ = [
@@ -343,15 +343,15 @@ THEOREM_CLAIMS = {
 }
 
 
-def _pick_N(series_id: str, x_hi: Fraction) -> int:
-    seq = get_series(series_id)
-    x = Interval.point(x_hi).round_out(64).hi
-    n = seq.start_index + 22
-    while n < 140:
-        if tail_bound(series_id, n, x).bound < Fraction(1, 10 ** 30):
-            return n
+def _pick_N(series_id: str, x: Fraction) -> TailBound:
+    """The tail bound at x of the first N, from the start index + 22 in
+    steps of 12, whose bound is below 10^-30, or of the first N >= 140."""
+    n = get_series(series_id).start_index + 22
+    while True:
+        tail = tail_bound(series_id, n, x)
+        if tail.bound < Fraction(1, 10 ** 30) or n >= 140:
+            return tail
         n += 12
-    return n
 
 
 @lru_cache(maxsize=None)
@@ -379,17 +379,15 @@ def _registration_ok(spec: InequalitySpec) -> bool:
 # near-zero series certificates
 # ---------------------------------------------------------------------------
 
-def _left_lower_bound(series_id: str, n0: int, eps: Fraction, N: int,
-                      negate: bool = False) -> Fraction:
-    """Certified lower bound of R(x)/x^e(n0) on (0, eps], where R is the
-    series from index n0 on (negated when `negate`): the leading term plus
-    every later term of the wrong sign at eps, minus the tail."""
-    seq = get_series(series_id)
-    e0 = seq.exponent_of(n0)
-    pos, neg = coeff_row(series_id, n0 + 1, N)
+def _left_lower_bound(tail: TailBound, n0: int, negate: bool = False) -> Fraction:
+    """Certified lower bound of R(x)/x^e(n0) on (0, tail.x_upper], R the
+    series tail.kind from index n0 on (negated when `negate`): the leading
+    term, plus its later terms to tail.N of the wrong sign there, minus the tail."""
+    seq, eps = get_series(tail.kind), tail.x_upper
+    pos, neg = coeff_row(tail.kind, n0 + 1, tail.N)
     lead = -seq.coeff(n0) if negate else seq.coeff(n0)
     wrong = -exact_sum((pos, eps)) if negate else exact_sum((neg, eps))
-    return lead + (wrong - tail_bound(series_id, N, eps).bound) / eps ** e0
+    return lead + (wrong - tail.bound) / eps ** seq.exponent_of(n0)
 
 
 def _negative_value(diff: Expr, x0: Fraction) -> Optional[Interval]:
@@ -408,61 +406,62 @@ def _negative_value(diff: Expr, x0: Fraction) -> Optional[Interval]:
     return None
 
 
-SeriesBound = namedtuple("SeriesBound", "bound sign e0 certificate")
+def _g6(q: Fraction) -> str:
+    """q as `:.6g` prints its float; past float's range, as a power of 2."""
+    try:
+        return f"{float(q):.6g}"
+    except OverflowError:
+        bits = q.numerator.bit_length() - q.denominator.bit_length()
+        return f"about {'-' * (q < 0)}2^{bits}"
 
 
-def _series_bound(claim: TheoremClaim, x: Fraction) -> SeriesBound:
-    """The one series rule for a registered claim on (0, x], x inside its
-    series' radius.  A lower or positive claim's difference is the series
-    from index start + 1 on (its start term cancels exactly); an upper
-    claim's is its constant minus the whole series, which starts at x^0.
-    Negated for an upper claim or a negative exact leading coefficient, the
-    series over its leading power x^e0 is bounded below by
-    `_left_lower_bound`, truncated at `_pick_N`; an upper claim adds its
-    constant's lower end.  A bound > 0 settles the difference's sign on
-    (0, x]: -1 for a negated claim that is not upper, else +1; else None."""
-    t, seq = THEOREMS[claim.thm], get_series(claim.series_id)
+def _near_zero(claim: TheoremClaim, x: Fraction) -> ProofResult:
+    """The one series rule for a registered claim: its verdict on (0, x],
+    x inside its series' radius.  A lower or positive claim's difference
+    is the series from index start + 1 on (its start term cancels
+    exactly); an upper claim's is its constant minus the whole series,
+    which starts at x^0.  Negated for an upper claim or a negative exact
+    leading coefficient, the series over its leading power x^e0 is bounded
+    below by `_left_lower_bound`, with the tail `_pick_N` stopped at; an
+    upper claim adds its constant's lower end.  A bound > 0 settles the
+    sign on (0, x]: Refuted for a negated claim that is not upper (witness
+    at x/2, valued by `_negative_value`), else Proved.  A bound <= 0, or a
+    DomainError from the rule, leaves it Unknown with the reason.  The
+    `series_certificate` also holds the bound and e0."""
+    t0 = time.perf_counter()
+    stanza, t, seq = claim.stanza, THEOREMS[claim.thm], get_series(claim.series_id)
     upper = claim.mode == "upper"
     n0 = t.start if upper else t.start + 1
-    leading, N = seq.coeff(n0), _pick_N(claim.series_id, x)
+    leading, e0 = seq.coeff(n0), seq.exponent_of(n0)
     negate = upper or leading < 0
-    lb = bound = _left_lower_bound(claim.series_id, n0, x, N, negate)
-    cert = {"series": claim.series_id, "claim": claim.mode, "eps": x, "N": N,
-            "leading_index": n0, "leading": leading, "negated": negate,
-            "normalized_lower_bound": lb}
+    try:
+        tail = _pick_N(claim.series_id, x)
+    except DomainError as exc:
+        return ProofResult("Unknown", reason=str(exc))
+    lb = bound = _left_lower_bound(tail, n0, negate)
+    cert = {"series": claim.series_id, "claim": claim.mode, "eps": x,
+            "N": tail.N, "leading_index": n0, "leading": leading,
+            "negated": negate, "normalized_lower_bound": lb, "e0": e0}
+    res = ProofResult("Unknown", series_certificate=cert)
     if upper:
         cval = eval_endpoint(parse_expression(t.right_value)).lo
         bound += cval
         cert.update(sup_bound=-lb, constant_lower=cval)
-    sign = None if bound <= 0 else -1 if negate and not upper else 1
-    return SeriesBound(bound, sign, seq.exponent_of(n0), cert)
-
-
-def _near_zero(claim: TheoremClaim, eps: Fraction) -> ProofResult:
-    """`_series_bound` on (0, eps] as a verdict: Refuted, with a witness at
-    eps/2 and its value from `_negative_value`, when it settles a negative
-    sign, Proved when it settles a positive one, else Unknown."""
-    t0 = time.perf_counter()
-    stanza, t = claim.stanza, THEOREMS[claim.thm]
-    bound, sign, e0, cert = _series_bound(claim, eps)
-    n0, leading = cert["leading_index"], cert["leading"]
-    lb = cert["normalized_lower_bound"]
-    res = ProofResult("Unknown", series_certificate=cert)
-    if claim.mode == "upper":
         res.findings.append(
-            f"{stanza}: series sup on (0, {eps}] is <= {float(-lb):.10g}; "
-            f"upper constant > {float(cert['constant_lower']):.10g}")
-    if sign is None:
-        res.reason = f"series bound {bound} does not settle the sign on (0, {eps}]"
-    elif sign < 0:
-        x0 = eps / 2
+            f"{stanza}: series sup on (0, {x}] is <= {float(-lb):.10g}; "
+            f"upper constant > {float(cval):.10g}")
+    cert["bound"] = bound
+    if bound <= 0:
+        res.reason = (f"series bound {_g6(bound)} does not settle the sign "
+                      f"on (0, {_g6(x)}]")
+    elif negate and not upper:
         res.status = "Refuted"
-        res.witness = Interval.point(x0)
+        res.witness = Interval.point(x / 2)
         res.witness_value = _negative_value(
-            _shipped_stanzas()[stanza].difference(), x0)
+            _shipped_stanzas()[stanza].difference(), x / 2)
         res.findings.append(
             f"{stanza}: leading coefficient {leading} at x^{e0} is negative; "
-            f"difference certified negative on (0, {eps}]")
+            f"difference certified negative on (0, {x}]")
         if t.derivative_series:
             a3 = theorem_coeff(claim.thm, "a", n0)
             b3 = theorem_coeff(claim.thm, "b", n0)
@@ -472,18 +471,21 @@ def _near_zero(claim: TheoremClaim, eps: Fraction) -> ProofResult:
                 f"{e0 + 1} coefficient {leading / (e0 + 1)}")
     else:
         res.status = "Proved"
-        if claim.mode != "upper":
+        if not upper:
+            # the rule bounds the form over x^e0, not the difference
             res.findings.append(
-                f"{stanza}: difference >= {float(lb):.6g} * x^{e0} on "
-                f"(0, {eps}]; leading coefficient {leading}")
+                f"{stanza}: series form {claim.series_id} from x^{e0} on >= "
+                f"{float(lb):.6g} * x^{e0} on (0, {x}]; leading coefficient "
+                f"{leading}")
     res.ms = 1000 * (time.perf_counter() - t0)
     return res
 
 
 def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
     """Settle a theorem claim on (0, epsilon], 0 < epsilon < 1, from its
-    exact difference series: `_near_zero`'s verdict, Unknown also for a
-    leading coefficient of exactly 0."""
+    exact difference series: `_near_zero`'s verdict and certificate (with
+    N, the bound and e0), Unknown also for a leading coefficient of
+    exactly 0."""
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     eps = Fraction(epsilon)
@@ -509,13 +511,14 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     x_max; a core end past a function's argument limit, where the
     difference cannot be evaluated, ends the core Unknown at the first box
     that holds it).  A stanza that `_registration_ok` finds to be its
-    theorem's shipped stanza takes `_series_bound` on (0, eps_lo] and,
-    where its series is not a derivative's, on (0, core end]: a bound > 0
-    there proves the core in one leaf once its prefactor is bisected
-    positive.  Every other core, and one the series bound does not prove,
-    is bisected as the raw difference, which alone may refute it, and
-    `_bisect_positive` ends it by its one rule.  Margins left unverified
-    are reported in `uncovered`; an empty one is not.
+    theorem's shipped stanza, its series not a derivative's, takes
+    `_near_zero` once, at the core's end: Proved, it proves the core in one
+    leaf once its prefactor is bisected positive, and covers (0, eps_lo]
+    too; else, and for THM33, `_near_zero` at the core's left end settles
+    that margin.  Every other core, and one the series rule does not
+    prove, is bisected as the raw difference, which alone may refute it,
+    and `_bisect_positive` ends it by its one rule.  Margins left
+    unverified are reported in `uncovered`; an empty one is not.
     """
     opts = opts or ProveOptions()
     t0 = time.perf_counter()
@@ -541,31 +544,18 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         return ProofResult("Unknown", reason="empty core after margins",
                            theorem=claim)
 
-    nz_result = None
-    if not spec.lo_closed and lo_core > lo_iv.lo:  # a non-empty left margin
-        if claim is None:
-            uncovered.insert(0, f"(lo, {lo_core}] uncovered (margin "
-                                f"eps_lo={opts.eps_lo}; no registered series)")
-        else:  # a shipped theorem stanza: its domain is (0, ...)
-            try:
-                nz_result = _near_zero(claim, lo_core)
-            except DomainError as exc:
-                nz_result = ProofResult("Unknown", reason=str(exc))
-
     diff = spec.difference()
+    nz = None  # the series rule's verdict on (0, x]
     if claim is not None and not THEOREMS[claim.thm].derivative_series:
-        # the bound at the core's right end, rounded up to 64 bits to keep
+        # the rule at the core's right end, rounded up to 64 bits to keep
         # the exact powers small, holds on the whole core
         x_hi = Interval.point(hi_core).round_out(64).hi
-        try:
-            sb = _series_bound(claim, x_hi)
-            form = f"series form {claim.series_id} (N={sb.certificate['N']})"
-            why = f"bound {float(sb.bound):.6g} does not prove the core"
-        except DomainError as exc:
-            sb, form, why = None, f"series form {claim.series_id}", str(exc)
-        if sb is not None and sb.sign == 1:
+        nz = _near_zero(claim, x_hi)
+        cert = nz.series_certificate
+        form = f"series form {claim.series_id}" + (f" (N={cert['N']})" if cert else "")
+        if nz.status == "Proved":
             # form >= bound * x^e0 on (0, x_hi]: >= bound * lo_core^e0 here
-            leaf_bound = Interval.point(sb.bound * lo_core ** sb.e0)
+            leaf_bound = Interval.point(cert["bound"] * lo_core ** cert["e0"])
             res = ProofResult("Proved", leaves=1, certificate=[
                 Leaf(lo_core, hi_core, leaf_bound.round_out(bits).lo)])
             pre_res = _bisect_positive(parse_expression(claim.prefactor),
@@ -582,8 +572,10 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
                                                    f"[{w.lo}, {w.hi}]"))
         else:
             # only the raw difference may refute or end the core Unknown
+            why = (nz.reason if cert is None else
+                   f"bound {_g6(cert['bound'])} does not prove the core")
             res = _bisect_positive(diff, lo_core, hi_core, opts)
-            res.findings.append(f"{form} on (0, {float(x_hi):.6g}]: {why}; "
+            res.findings.append(f"{form} on (0, {_g6(x_hi)}]: {why}; "
                                 f"the raw difference was bisected instead")
     else:
         res = _bisect_positive(diff, lo_core, hi_core, opts)
@@ -595,16 +587,22 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
             f"< 0; at x={float(w.mid):.6g} within [{float(v.lo):.6g}, "
             f"{float(v.hi):.6g}]")
 
-    if nz_result is not None:
-        res.findings.extend(nz_result.findings)
-        res.series_certificate = nz_result.series_certificate
-        if nz_result.status == "Refuted" and res.status != "Refuted":
-            res.status = "Refuted"
-            res.witness = nz_result.witness
-            res.witness_value = nz_result.witness_value
-        elif nz_result.status == "Unknown" and res.status == "Proved":
-            uncovered.insert(0, f"(lo, {lo_core}] uncovered (near-zero "
-                                f"certificate inconclusive: {nz_result.reason})")
+    if not spec.lo_closed and lo_core > lo_iv.lo:  # a non-empty left margin
+        if claim is None:
+            uncovered.insert(0, f"(lo, {lo_core}] uncovered (margin "
+                                f"eps_lo={opts.eps_lo}; no registered series)")
+        else:  # a shipped theorem stanza: its domain is (0, ...)
+            if nz is None or nz.status != "Proved":
+                nz = _near_zero(claim, lo_core)
+            res.findings.extend(nz.findings)
+            res.series_certificate = nz.series_certificate
+            if nz.status == "Refuted" and res.status != "Refuted":
+                res.status = "Refuted"
+                res.witness = nz.witness
+                res.witness_value = nz.witness_value
+            elif nz.status == "Unknown" and res.status == "Proved":
+                uncovered.insert(0, f"(lo, {lo_core}] uncovered (near-zero "
+                                    f"certificate inconclusive: {nz.reason})")
     res.uncovered = uncovered
     res.ms = 1000 * (time.perf_counter() - t0)
     return res

@@ -207,19 +207,19 @@ def test_acceptance_9_soundness(corpus_specs, corpus_report, corpus_report_jobs4
         assert reverify_certificate(expr, r, precision=384)
     claim = THEOREM_CLAIMS["THM31_LO"]
     r = verify_inequality(by_name["THM31_LO"], ProveOptions())
-    n2 = _pick_N(claim.series_id, F(157, 100)) + 24
+    n2 = _pick_N(claim.series_id, F(157, 100)).N + 24
     ev2 = series_claim_form(claim, n2)
     for leaf in r.certificate:
         assert ev2(Interval(leaf.lo, leaf.hi)).lo > 0
 
-    # byte-identical reports with 1 and 4 worker threads
+    # byte-identical reports with --jobs 1 and --jobs 4
     code1, raw1, _ = corpus_report
     code4, raw4 = corpus_report_jobs4
     assert code1 == code4 == 0
     assert raw1 == raw4
     print("ACCEPTANCE 9: PASS - 10^4 containment checks per elementary "
           "function, certificates re-verify at doubled precision, reports "
-          "byte-identical across 1 and 4 worker threads")
+          "byte-identical across --jobs 1 and --jobs 4")
 
 
 def test_acceptance_10_parser():

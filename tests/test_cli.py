@@ -372,10 +372,7 @@ def test_python_dash_m_runs_the_cli():
 def test_inconclusive_near_zero_certificate_gives_its_reason(tmp_path, monkeypatch):
     # a series bound of 0 settles nothing on (0, 1]; the raw difference
     # still proves the core, and the margin names why it stays open
-    rule = prove._series_bound
-    monkeypatch.setattr(prove, "_series_bound",
-                        lambda claim, x: rule(claim, x)._replace(
-                            bound=Fraction(0), sign=None))
+    monkeypatch.setattr(prove, "_left_lower_bound", lambda *a: Fraction(0))
     out = tmp_path / "o.json"
     assert run_command(["prove", "--name", "THM31_LO", "--eps-lo", "1",
                         "--out", str(out)]) == 0
@@ -384,6 +381,39 @@ def test_inconclusive_near_zero_certificate_gives_its_reason(tmp_path, monkeypat
     assert claim["uncovered"][0] == (
         "(lo, 1] uncovered (near-zero certificate inconclusive: "
         "series bound 0 does not settle the sign on (0, 1])")
+
+
+@pytest.mark.parametrize("eps_lo,bound", [("8.1", "-32.65"), ("15.1", "-1.0996e+06")])
+def test_a_wide_left_margin_prints_its_bound_as_a_decimal(tmp_path, eps_lo, bound):
+    # at eps 4.1 the exact series bound already has about 8,000 digits, past
+    # the printing limit (exit 4 once); the reason prints it to 6 digits.
+    # The core [eps, 20] is proved, against the stanza's expected:refuted
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--name", "THM33", "--eps-lo", eps_lo,
+                        "--out", str(out)]) == 1
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Proved"
+    assert claim["uncovered"][0].endswith(
+        f"(near-zero certificate inconclusive: series bound {bound} does not "
+        f"settle the sign on (0, {eps_lo}])")
+
+
+@pytest.mark.parametrize("x_max,finding", [
+    ("300", "series form T3.4_DIFF (N=145) on (0, 300]: bound about -2^1243 "
+            "does not prove the core;"),
+    ("1e400", "series form T3.4_DIFF on (0, about 2^1328]: T3.4_DIFF: tail "
+              "does not contract at x=1000"),
+])
+def test_a_value_past_float_range_prints_as_a_power_of_2(tmp_path, x_max, finding):
+    # THM34's bound at x_max 300, and x_max 1e400 itself, are past any
+    # float (exit 4 once); the core ends Unknown at the sinh argument limit
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--name", "THM34", "--xmax", x_max,
+                        "--out", str(out)]) == 2
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Unknown"
+    assert claim["findings"][0].startswith(finding)
+    assert claim["findings"][0].endswith("the raw difference was bisected instead")
 
 
 def test_a_series_bound_that_fails_leaves_one_bisection(tmp_path, monkeypatch):
@@ -634,7 +664,7 @@ def test_shuffled_corpus_gives_the_same_report(tmp_path, corpus_report):
 
 
 # sha256 of the canonical corpus report, config.corpus replaced by "CORPUS"
-_REPORT_SHA256 = "8fa451e6fbcf820cc4fe875dedb6d81dbabfdb614301abefe530f55d450b3e99"
+_REPORT_SHA256 = "7c0455729e9c69a4f61414f76a915ef1906cca9e38333bb115cab31a75a71443"
 
 
 def test_canonical_report_is_pinned(corpus_report):

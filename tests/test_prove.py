@@ -260,17 +260,23 @@ def test_no_grid_fallback_after_an_inconsistency(monkeypatch):
 
 def test_negative_series_form_is_confirmed_on_the_raw_difference(
         corpus_specs, monkeypatch):
-    # a series bound that is negative, or that settles a negative sign on
-    # the core (x > 1; the near-zero margin at x = 1/1000 keeps the true
+    # a series bound that is negative, or a rule that refutes on the core
+    # (x > 1; the left margin's own call at x = 1/1000 keeps the true
     # rule), must not refute a true claim: the raw difference decides
     monkeypatch.setattr("ineqcert.prove._registration_ok", lambda *a: True)
-    rule = prove._series_bound
-    fakes = (lambda claim, x: rule(claim, x)._replace(bound=F(-1), sign=None),
-             lambda claim, x: rule(claim, x)._replace(bound=F(1), sign=-1)
-             if x > 1 else rule(claim, x))
-    for fake in fakes:
-        monkeypatch.setattr(prove, "_series_bound", fake)
-        r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
+    rule = prove._near_zero
+
+    def refuting(claim, x):
+        r = rule(claim, x)
+        if x > 1:
+            r.status = "Refuted"
+        return r
+
+    for name, fake in (("_left_lower_bound", lambda *a: F(-1)),
+                       ("_near_zero", refuting)):
+        with monkeypatch.context() as m:
+            m.setattr(prove, name, fake)
+            r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
         assert r.status == "Proved" and r.witness is None
         assert r.leaves > 1
         assert any(f.endswith("the raw difference was bisected instead")
@@ -281,10 +287,7 @@ def test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference(
         corpus_specs, monkeypatch):
     # a series bound that proves nothing does not end the core Unknown: the
     # raw difference decides, and proves the true claim
-    rule = prove._series_bound
-    monkeypatch.setattr(prove, "_series_bound",
-                        lambda claim, x: rule(claim, x)._replace(
-                            bound=F(0), sign=None))
+    monkeypatch.setattr(prove, "_left_lower_bound", lambda *a: F(0))
     r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
     assert r.status == "Proved" and r.reason is None and r.leaves > 1
     assert any(f.endswith("bound 0 does not prove the core; the raw "
@@ -295,24 +298,79 @@ def test_a_series_bound_at_the_core_end_proves_the_core_in_one_leaf(
         corpus_specs, monkeypatch):
     # the near-zero rule at the core's right end, 64 bits up, holds on the
     # whole core: one leaf, and the series form is bisected nowhere.  The
-    # leaf's bound holds for the form itself, not the form over x^e0: at
-    # the leaf's left end it lies below the form's own enclosure there
-    rule, calls = prove._series_bound, []
-    monkeypatch.setattr(prove, "_series_bound",
+    # same one call stands for the left margin.  The leaf's bound holds for
+    # the form itself, not the form over x^e0: at the leaf's left end it
+    # lies below the form's own enclosure there
+    rule, calls = prove._near_zero, []
+    monkeypatch.setattr(prove, "_near_zero",
                         lambda claim, x: calls.append(rule(claim, x)) or calls[-1])
     for stanza, claim in sorted(THEOREM_CLAIMS.items()):
         if stanza == "THM33":  # a derivative's series: no core bound
             continue
+        calls.clear()
         r = verify_inequality(_spec(corpus_specs, stanza))
         assert r.status == "Proved" and r.leaves == 1 and r.max_depth == 0
         (leaf,) = r.certificate
-        sb = calls[-1]
-        assert sb.certificate["eps"] == \
-            Interval.point(leaf.hi).round_out(64).hi >= leaf.hi
-        assert 0 < leaf.bound <= sb.bound * leaf.lo ** sb.e0
+        (nz,) = calls
+        cert = nz.series_certificate
+        assert r.series_certificate is cert
+        assert cert["eps"] == Interval.point(leaf.hi).round_out(64).hi >= leaf.hi
+        assert 0 < leaf.bound <= cert["bound"] * leaf.lo ** cert["e0"]
         assert leaf.bound.denominator <= 2 ** 192
-        form = series_claim_form(claim, sb.certificate["N"])
+        form = series_claim_form(claim, cert["N"])
         assert leaf.bound <= form(Interval.point(leaf.lo)).lo, stanza
+
+
+def test_one_series_bound_and_one_tail_per_bound_for_each_theorem_stanza(
+        corpus_specs, monkeypatch):
+    # the core's call covers the left margin, so each stanza takes one
+    # bound; each tail is computed once, in `_pick_N`'s loop, and reused.
+    # Each stanza runs at the options of the corpus run (THM34's x_max 10)
+    bounds, tails = [], []
+    lower_bound, tail = prove._left_lower_bound, prove.tail_bound
+    monkeypatch.setattr(prove, "_left_lower_bound",
+                        lambda *a: bounds.append(a) or lower_bound(*a))
+    monkeypatch.setattr(prove, "tail_bound",
+                        lambda *a: tails.append(a) or tail(*a))
+    expected = {"THM33": 1, "THM34": 5}
+    for stanza in sorted(THEOREM_CLAIMS):
+        bounds.clear()
+        tails.clear()
+        spec = _spec(corpus_specs, stanza)
+        verify_inequality(spec, ProveOptions(x_max=F(spec.tag_value("x_max") or 20)))
+        assert len(bounds) == 1, stanza
+        assert len(tails) == expected.get(stanza, 4), stanza
+        (tail_used, _, _), last = bounds[0], tails[-1]
+        assert (tail_used.kind, tail_used.N, tail_used.x_upper) == last, stanza
+
+
+def test_the_margin_finding_bounds_the_series_form_not_the_difference(
+        corpus_specs):
+    # the rule bounds the series form over x^e0, and the finding says so:
+    # at x = 1/1000 a lower claim's difference is near 4.8e-21, far below
+    # the stated 0.0047619 * x^2, which the form meets there and at the
+    # finding's own x
+    pattern = (r"(\w+): series form (\S+) from x\^(\d+) on >= (\S+) \* "
+               r"x\^(\d+) on \(0, (\S+)\]; leading coefficient (\S+)")
+    x0 = F(1, 1000)
+    for stanza, claim in sorted(THEOREM_CLAIMS.items()):
+        if claim.mode == "upper" or stanza == "THM33":
+            continue
+        r = verify_inequality(_spec(corpus_specs, stanza))
+        cert = r.series_certificate
+        (m,) = filter(None, (re.fullmatch(pattern, f) for f in r.findings))
+        assert m[1] == stanza and m[2] == claim.series_id
+        e0, x = int(m[3]), F(m[6])
+        assert e0 == int(m[5]) == cert["e0"] and x == cert["eps"]
+        lb = cert["normalized_lower_bound"]
+        assert m[4] == f"{float(lb):.6g}" and m[7] == str(cert["leading"])
+        form = series_claim_form(claim, cert["N"])
+        for at in (x, x0):
+            assert form(Interval.point(at)).lo >= lb * at ** e0, (stanza, at)
+        if claim.mode == "lower":
+            diff = eval_expr(_spec(corpus_specs, stanza).difference(),
+                             Interval.point(x0), 384)
+            assert 0 < diff.hi < lb * x0 ** e0 * F(1, 10 ** 11), stanza
 
 
 def test_a_left_margin_of_1_or_more_is_closed_on_theorem_stanzas(corpus_specs):
@@ -324,7 +382,8 @@ def test_a_left_margin_of_1_or_more_is_closed_on_theorem_stanzas(corpus_specs):
                                   ProveOptions(eps_lo=eps))
             assert r.status == ("Refuted" if stanza == "THM33" else "Proved")
             assert not any(u.startswith("(lo, ") for u in r.uncovered), stanza
-            assert r.series_certificate["eps"] == eps
+            # the core's call covers the margin: its x is the core's end
+            assert r.series_certificate["eps"] >= eps
 
 
 _OPEN_UNIT = parse_corpus("inequality OPEN_UNIT {\n  domain   = (0, 1)\n"
@@ -413,7 +472,7 @@ def test_theorem_claim_matches_corpus_stanza(corpus_specs, stanza):
     lo = eval_endpoint(spec.lo_expr).hi + F(1, 1000)
     hi = (F(spec.tag_value("x_max") or 20) if spec.unbounded
           else eval_endpoint(spec.hi_expr).lo - F(1, 1000))
-    N = _pick_N(claim.series_id, hi)
+    N = _pick_N(claim.series_id, hi).N
     derivative = THEOREMS[claim.thm].derivative_series
     form = (_integrated_form(claim.series_id, N) if derivative
             else series_claim_form(claim, N))
@@ -519,7 +578,8 @@ def test_near_zero_bounds_equal_termwise_loops(kind):
         for n0 in (start, start + 1):
             for N in (n0 + 7, n0 + 22):
                 for negate in (False, True):
-                    assert (_left_lower_bound(kind, n0, eps, N, negate)
+                    assert (_left_lower_bound(tail_bound(kind, N, eps), n0,
+                                              negate)
                             == left_lower_bound_termwise(kind, n0, eps, N,
                                                          negate)), (kind, eps, n0, N)
 
