@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import mpmath
 import pytest
 
 from ineqcert import _core, prove
+from ineqcert.cli import run_command
 from ineqcert.errors import DomainError, EvalError
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
@@ -725,6 +727,51 @@ def test_identity_errors():
         identity_check("ID_NOPE", 10)
     with pytest.raises(DomainError):
         identity_check("ID_T34_POLYS", 3)
+
+
+def _bump(real, at):
+    """real, made 1 larger at the arguments `at` only."""
+    return lambda *args: real(*args) + (args == at)
+
+
+# (identity, what is bumped, at which arguments, the first failure it makes)
+_IDENTITY_TAMPERS = [
+    ("ID_T32_BDIFF", "theorem_coeff", ("T3.2", "b", 5), (4, F(5874), F(5873))),
+    ("ID_T33_CDIFF", "theorem_coeff", ("T3.3", "c", 7),
+     (6, F(6101, 4004), F(2097, 4004))),
+    ("ID_T34_FDECOMP", "_f4_plain", (9,),
+     (9, F(35411152249349, 655687219874400),
+      F(271957649275000321, 5035677848635392000))),
+    # _quartic_poly is the right side of one rewrite and the left of the
+    # next: the first of the two is reported
+    ("ID_T34_POLYS", "_quartic_poly", (8,), (8, F(22911342), F(22911343))),
+]
+
+
+@pytest.mark.parametrize("identity_id,name,at,failure", _IDENTITY_TAMPERS)
+def test_a_tampered_identity_first_fails_where_it_was_changed(
+        monkeypatch, identity_id, name, at, failure):
+    monkeypatch.setattr(prove, name, _bump(getattr(prove, name), at))
+    rep = identity_check(identity_id, 20)
+    assert not rep.holds and rep.n_max == 20
+    assert rep.first_failure == failure
+    assert all(type(v) is F for v in rep.first_failure[1:])
+
+
+@pytest.mark.parametrize("identity_id,name,at,failure", _IDENTITY_TAMPERS)
+def test_a_tampered_identity_exits_1_in_both_formats(
+        monkeypatch, capsys, tmp_path, identity_id, name, at, failure):
+    monkeypatch.setattr(prove, name, _bump(getattr(prove, name), at))
+    out = tmp_path / "i.json"
+    argv = ["identities", "--id", identity_id, "--nmax", "20"]
+    assert run_command([*argv, "--out", str(out)]) == 1
+    (claim,) = json.loads(out.read_text())["claims"]
+    n, lhs, rhs = failure
+    assert claim["status"] == "fails"
+    assert claim["first_failure"] == {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
+    assert run_command([*argv, "--format", "text"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"{identity_id}: FAILS on [{claim['n_min']}, 20]")
 
 
 # --- limits ------------------------------------------------------------------
