@@ -8,21 +8,26 @@
 * `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
   is registered as its theorem only when its domain and difference equal
   those of the same-named stanza in the shipped corpus.  Then one series
-  rule (`_near_zero`) settles its sign on (0, x] for any x inside the
-  series' radius: the signed difference series over its leading power,
-  bounded below by its exact leading coefficient plus its later terms of
-  the wrong sign at x minus a certified tail, must be > 0 (an upper claim
-  adds its constant's lower end).  Run once at the core's right end, it
-  proves the core of the seven whose series is not a derivative's in one
-  leaf, and their (0, eps] gap with it; at x = eps it closes THM33's.  Only
-  bisection of the raw difference refutes a core; where it leaves boxes
-  inconclusive, a point certified negative in one of them does.
-  Uncovered margins are always reported, never silently assumed.
+  rule, `near_zero_certificate`, settles its sign on (0, x] for any x > 0
+  inside the series' radius: the signed difference series over its
+  leading power, bounded below by its exact leading coefficient plus its
+  later terms of the wrong sign at x minus a certified tail, must be > 0
+  (an upper claim adds its constant's lower end).  Run once at the core's
+  right end, it proves the core of the seven whose series is not a
+  derivative's in one leaf, and their (0, eps] gap with it; at x = eps it
+  closes THM33's.  Only bisection of the raw difference refutes a core;
+  where it leaves boxes inconclusive, a point certified negative in one
+  of them does.  Uncovered margins are always reported, never silently
+  assumed.
 * `ProveOptions`: the engine options, each with its one default and its
   valid range, checked when the options are built.
-* `near_zero_certificate`, `sequence_check`, `identity_check`,
-  `limit_report`, `scan_extremum`: the finite exact checks mirroring each
-  proof step, reported as found (violations included).
+* `sequence_check`, `identity_check`: the paper's per-n proof steps,
+  checked exactly at each n up to n_max.  A sequence's a_n, or
+  a_(n+1) - a_n, must be > 0; an identity is one row of `_IDENTITIES`,
+  its sides at n compared as integers cross-multiplied, with the parts
+  whose sign the proof needs.  Found violations are reported.
+* `limit_report`, `scan_extremum`: the sharp constants at 0 and pi/2, and
+  a sampled search for the ratio's minimum.
 """
 
 from __future__ import annotations
@@ -415,21 +420,34 @@ def _g6(q: Fraction) -> str:
         return f"about {'-' * (q < 0)}2^{bits}"
 
 
-def _near_zero(claim: TheoremClaim, x: Fraction) -> ProofResult:
-    """The one series rule for a registered claim: its verdict on (0, x],
-    x inside its series' radius.  A lower or positive claim's difference
-    is the series from index start + 1 on (its start term cancels
-    exactly); an upper claim's is its constant minus the whole series,
-    which starts at x^0.  Negated for an upper claim or a negative exact
-    leading coefficient, the series over its leading power x^e0 is bounded
-    below by `_left_lower_bound`, with the tail `_pick_N` stopped at; an
-    upper claim adds its constant's lower end.  A bound > 0 settles the
-    sign on (0, x]: Refuted for a negated claim that is not upper (witness
-    at x/2, valued by `_negative_value`), else Proved.  A bound <= 0, or a
-    DomainError from the rule, leaves it Unknown with the reason.  The
-    `series_certificate` also holds the bound and e0."""
+def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
+    """The one series rule: the verdict of a theorem's lower (or only) or
+    upper claim on (0, epsilon], for any epsilon > 0 inside its series'
+    radius.  A lower or positive claim's difference is the series from
+    index start + 1 on (its start term cancels exactly); an upper claim's
+    is its constant minus the whole series, which starts at x^0.  Negated
+    for an upper claim or a negative exact leading coefficient, the series
+    over its leading power x^e0 is bounded below by `_left_lower_bound`,
+    with the tail `_pick_N` stopped at; an upper claim adds its constant's
+    lower end.  A bound > 0 settles the sign on (0, epsilon]: Refuted for a
+    negated claim that is not upper (witness at epsilon/2, valued by
+    `_negative_value`), else Proved.  A bound <= 0, or a DomainError from
+    the rule (an epsilon past the radius), leaves it Unknown with the
+    reason.  The `series_certificate` holds N, the bound and e0."""
+    if side not in ("lower", "upper"):
+        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+    x = Fraction(epsilon)
+    t = THEOREMS.get(thm_id)
+    if t is None:
+        raise DomainError(f"no registered series for theorem {thm_id!r}")
+    i = 0 if side == "lower" else 1
+    if i >= len(t.stanzas):
+        raise DomainError(f"{thm_id} has no {side}-side claim")
+    if x <= 0:
+        raise DomainError(f"epsilon must be positive, got {x}")
+    claim = THEOREM_CLAIMS[t.stanzas[i]]
     t0 = time.perf_counter()
-    stanza, t, seq = claim.stanza, THEOREMS[claim.thm], get_series(claim.series_id)
+    stanza, seq = claim.stanza, get_series(claim.series_id)
     upper = claim.mode == "upper"
     n0 = t.start if upper else t.start + 1
     leading, e0 = seq.coeff(n0), seq.exponent_of(n0)
@@ -481,25 +499,6 @@ def _near_zero(claim: TheoremClaim, x: Fraction) -> ProofResult:
     return res
 
 
-def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofResult:
-    """Settle a theorem claim on (0, epsilon], 0 < epsilon < 1, from its
-    exact difference series: `_near_zero`'s verdict and certificate (with
-    N, the bound and e0), Unknown also for a leading coefficient of
-    exactly 0."""
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    eps = Fraction(epsilon)
-    t = THEOREMS.get(thm_id)
-    if t is None:
-        raise DomainError(f"no registered series for theorem {thm_id!r}")
-    i = 0 if side == "lower" else 1
-    if i >= len(t.stanzas):
-        raise DomainError(f"{thm_id} has no {side}-side claim")
-    if eps <= 0 or eps >= 1:
-        raise DomainError("epsilon must lie in (0, 1)")
-    return _near_zero(THEOREM_CLAIMS[t.stanzas[i]], eps)
-
-
 # ---------------------------------------------------------------------------
 # verify_inequality
 # ---------------------------------------------------------------------------
@@ -512,10 +511,10 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     difference cannot be evaluated, ends the core Unknown at the first box
     that holds it).  A stanza that `_registration_ok` finds to be its
     theorem's shipped stanza, its series not a derivative's, takes
-    `_near_zero` once, at the core's end: Proved, it proves the core in one
-    leaf once its prefactor is bisected positive, and covers (0, eps_lo]
-    too; else, and for THM33, `_near_zero` at the core's left end settles
-    that margin.  Every other core, and one the series rule does not
+    `near_zero_certificate` once, at the core's end: Proved, it proves the
+    core in one leaf once its prefactor is bisected positive, and covers
+    (0, eps_lo] too; else, and for THM33, the same rule at the core's left
+    end settles that margin.  Every other core, and one the series rule does not
     prove, is bisected as the raw difference, which alone may refute it,
     and `_bisect_positive` ends it by its one rule.  Margins left
     unverified are reported in `uncovered`; an empty one is not.
@@ -526,6 +525,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     claim = THEOREM_CLAIMS.get(spec.name)
     if claim is not None and not _registration_ok(spec):
         claim = None
+    side = "upper" if claim and claim.mode == "upper" else "lower"
 
     lo_iv = eval_endpoint(spec.lo_expr)
     lo_core = lo_iv.hi if spec.lo_closed else lo_iv.hi + opts.eps_lo
@@ -550,7 +550,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         # the rule at the core's right end, rounded up to 64 bits to keep
         # the exact powers small, holds on the whole core
         x_hi = Interval.point(hi_core).round_out(64).hi
-        nz = _near_zero(claim, x_hi)
+        nz = near_zero_certificate(claim.thm, x_hi, side)
         cert = nz.series_certificate
         form = f"series form {claim.series_id}" + (f" (N={cert['N']})" if cert else "")
         if nz.status == "Proved":
@@ -593,7 +593,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
                                 f"eps_lo={opts.eps_lo}; no registered series)")
         else:  # a shipped theorem stanza: its domain is (0, ...)
             if nz is None or nz.status != "Proved":
-                nz = _near_zero(claim, lo_core)
+                nz = near_zero_certificate(claim.thm, lo_core, side)
             res.findings.extend(nz.findings)
             res.series_certificate = nz.series_certificate
             if nz.status == "Refuted" and res.status != "Refuted":
@@ -616,11 +616,18 @@ SEQUENCE_IDS = {seq_id: (t.id, role) for t in THEOREMS.values()
                 for seq_id, role in t.sequences.items()}
 
 
+def _step(seq_id: str, n: int) -> Fraction:
+    """a_(n+1) - a_n of a theorem sequence."""
+    thm, role = SEQUENCE_IDS[seq_id]
+    return theorem_coeff(thm, role, n + 1) - theorem_coeff(thm, role, n)
+
+
 def sequence_check(seq_id: str, mode: str, n_max: int,
                    n_min: Optional[int] = None) -> SequenceReport:
-    """Exact positivity / monotonicity check of a theorem sequence.
-
-    For `increasing`, a violation is reported as (n, a_{n+1} - a_n).
+    """Exact check that a theorem sequence's value is > 0 at each n from
+    its start (or n_min) on: a_n for n <= n_max in `positive` mode, and
+    a_(n+1) - a_n for n < n_max in `increasing` mode.  The first value
+    that is not is reported as (n, value).
     """
     if seq_id not in SEQUENCE_IDS:
         raise DomainError(f"unknown sequence id {seq_id!r}")
@@ -632,23 +639,16 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
         raise DomainError(f"{seq_id} starts at n={THEOREM_START[thm]}")
     if n_max < start + 1:
         raise DomainError("n_max must be at least the start index + 1")
-    f = lambda n: theorem_coeff(thm, role, n)
-    violation = None
     if mode == "positive":
-        for n in range(start, n_max + 1):
-            v = f(n)
-            if not v > 0:
-                violation = (n, v)
-                break
+        value, stop = (lambda n: theorem_coeff(thm, role, n)), n_max + 1
     else:
-        prev = f(start)
-        for n in range(start, n_max):
-            cur = f(n + 1)
-            d = cur - prev
-            if not d > 0:
-                violation = (n, d)
-                break
-            prev = cur
+        value, stop = (lambda n: _step(seq_id, n)), n_max
+    violation = None
+    for n in range(start, stop):
+        v = value(n)
+        if not v > 0:
+            violation = (n, v)
+            break
     return SequenceReport(seq_id, mode, start, n_max,
                           all_pass=violation is None, first_violation=violation)
 
@@ -689,11 +689,6 @@ def _f3_quartic_tail(n):
     return -2016 * n ** 4 + 8622 * n ** 3 + 5541 * n ** 2 - 33327 * n + 17490
 
 
-def _quartic_from_binomial(n):
-    trunc = 1 + 8 * comb(n, 1) + 64 * comb(n, 2) + 512 * comb(n, 3) + 4096 * comb(n, 4)
-    return 84 * trunc + _f3_quartic_tail(n)
-
-
 def _quartic_poly(n):
     return 12320 * n ** 4 - 70226 * n ** 3 + 144421 * n ** 2 - 107023 * n + 17574
 
@@ -704,97 +699,82 @@ def _quartic_shift(n):
             + 4686101 * m + 5372496)
 
 
-def _fdecomp_f1(n):
-    return 16 ** n * _f1_plain(n)
+def _difference(seq_id: str, n: int, num: int, den: int) -> tuple:
+    """The sides (p, q, num, den) of a_(n+1) - a_n = num/den, p/q being
+    the difference in lowest terms."""
+    d = _step(seq_id, n)
+    return d.numerator, d.denominator, num, den
 
 
-def _fdecomp_f2(n):
-    return 9 ** n * _f2_plain(n)
+def _t32_bdiff(n):
+    num = 4 ** n * (6 * n - 1) - 4 * n + 1
+    return [_difference("S_T32_B", n, num, 1)], (num,)
 
 
-def _fdecomp_f3(n):
-    return 4 ** n * (9 ** n * _f3_inner_plain(n) + _f3_quartic_tail(n))
+def _t33_cdiff(n):
+    num = (6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1
+    den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
+    return [_difference("S_T33_C", n, num, den)], (num,)
 
 
-def _fdecomp_f4(n):
-    return _f4_plain(n)
+def _t34_fdecomp(n):
+    f = (16 ** n * _f1_plain(n), 9 ** n * _f2_plain(n),
+         4 ** n * (9 ** n * _f3_inner_plain(n) + _f3_quartic_tail(n)),
+         _f4_plain(n))
+    den = (3 * n * (16 + 4 ** n) * (64 + 4 ** n) * (n - 2) * (2 * n - 3)
+           * (4 * n * n - 1) * (n * n - 1))
+    return [_difference("S_T34_C", n, sum(f), den)], f
 
 
-def _fdecomp_denom(n):
-    return (3 * n * (16 + 4 ** n) * (64 + 4 ** n) * (n - 2) * (2 * n - 3)
-            * (4 * n * n - 1) * (n * n - 1))
+def _t34_polys(n):
+    binomial = (84 * (1 + 8 * comb(n, 1) + 64 * comb(n, 2) + 512 * comb(n, 3)
+                      + 4096 * comb(n, 4)) + _f3_quartic_tail(n))
+    pairs = ((_f1_plain(n), _f1_shift(n)), (_f2_plain(n), _f2_shift(n)),
+             (_f4_plain(n), _f4_shift(n)),
+             (_f3_inner_plain(n), _f3_inner_shift(n)),
+             (binomial, _quartic_poly(n)), (_quartic_poly(n), _quartic_shift(n)))
+    return [(left, 1, right, 1) for left, right in pairs], [l for l, _ in pairs]
 
 
-IDENTITY_IDS = ("ID_T32_BDIFF", "ID_T33_CDIFF", "ID_T34_FDECOMP", "ID_T34_POLYS")
-
-_IDENTITY_START = {"ID_T32_BDIFF": 2, "ID_T33_CDIFF": 2,
-                   "ID_T34_FDECOMP": 6, "ID_T34_POLYS": 6}
-
-
-def _sign_record(records: dict, name: str, n, value):
-    if name not in records and not value > 0:
-        records[name] = (n, Fraction(value))
+# id -> (start, the parts whose sign the proof needs, at(n)); at(n) gives
+# the identity's sides at n, integer tuples (p, q, num, den) each meaning
+# p/q = num/den, and the values of those parts
+_IDENTITIES = {
+    "ID_T32_BDIFF": (2, ("difference",), _t32_bdiff),
+    "ID_T33_CDIFF": (2, ("numerator",), _t33_cdiff),
+    "ID_T34_FDECOMP": (6, ("f1", "f2", "f3", "f4"), _t34_fdecomp),
+    "ID_T34_POLYS": (6, ("f1_rewrite", "f2_rewrite", "f4_rewrite",
+                         "f3_inner_rewrite", "binomial_truncation",
+                         "quartic_rewrite"), _t34_polys),
+}
+IDENTITY_IDS = tuple(_IDENTITIES)
 
 
 def identity_check(identity_id: str, n_max: int) -> IdentityReport:
-    """Exact per-n verification of a proof-step identity; where the proof
-    also claims a sign, the first sign violation (if any) is recorded."""
-    if identity_id not in IDENTITY_IDS:
+    """Exact check of a proof-step identity at each n from its start to
+    n_max, its sides compared as integers cross-multiplied.  The first
+    failure is (n, lhs, rhs), where the run stops; the first n at which
+    each part the proof needs positive is not is recorded as (n, value)."""
+    if identity_id not in _IDENTITIES:
         raise DomainError(f"unknown identity id {identity_id!r}")
-    start = _IDENTITY_START[identity_id]
+    start, names, at = _IDENTITIES[identity_id]
     if n_max < start:
         raise DomainError(f"{identity_id} starts at n={start}")
     failure = None
-    signs = {}
-    sign_names = set()
+    signs = dict.fromkeys(sorted(names))
     for n in range(start, n_max + 1):
-        # the identity is lhs = num / den, with integers num and den
-        if identity_id == "ID_T32_BDIFF":
-            lhs = (theorem_coeff(*SEQUENCE_IDS["S_T32_B"], n + 1)
-                   - theorem_coeff(*SEQUENCE_IDS["S_T32_B"], n))
-            num, den = 4 ** n * (6 * n - 1) - 4 * n + 1, 1
-            sign_names.add("difference")
-            _sign_record(signs, "difference", n, num)
-        elif identity_id == "ID_T33_CDIFF":
-            lhs = (theorem_coeff(*SEQUENCE_IDS["S_T33_C"], n + 1)
-                   - theorem_coeff(*SEQUENCE_IDS["S_T33_C"], n))
-            num = (6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1
-            den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
-            sign_names.add("numerator")
-            _sign_record(signs, "numerator", n, num)
-        elif identity_id == "ID_T34_FDECOMP":
-            lhs = (theorem_coeff(*SEQUENCE_IDS["S_T34_C"], n + 1)
-                   - theorem_coeff(*SEQUENCE_IDS["S_T34_C"], n))
-            num, den = 0, _fdecomp_denom(n)
-            for name, fn in (("f1", _fdecomp_f1), ("f2", _fdecomp_f2),
-                             ("f3", _fdecomp_f3), ("f4", _fdecomp_f4)):
-                f = fn(n)
-                num += f
-                sign_names.add(name)
-                _sign_record(signs, name, n, f)
-        else:  # ID_T34_POLYS
-            pairs = (
-                ("f1_rewrite", _f1_plain(n), _f1_shift(n)),
-                ("f2_rewrite", _f2_plain(n), _f2_shift(n)),
-                ("f4_rewrite", _f4_plain(n), _f4_shift(n)),
-                ("f3_inner_rewrite", _f3_inner_plain(n), _f3_inner_shift(n)),
-                ("binomial_truncation", _quartic_from_binomial(n), _quartic_poly(n)),
-                ("quartic_rewrite", _quartic_poly(n), _quartic_shift(n)),
-            )
-            for name, left, right in pairs:
-                if left != right and failure is None:
-                    failure = (n, Fraction(left), Fraction(right))
-                sign_names.add(name)
-                _sign_record(signs, name, n, left)
-            if failure is not None:
+        sides, parts = at(n)
+        for name, v in zip(names, parts):
+            if signs[name] is None and not v > 0:
+                signs[name] = (n, Fraction(v))
+        for p, q, num, den in sides:
+            if p * den != num * q:
+                failure = (n, Fraction(p, q), Fraction(num, den))
                 break
-            continue
-        if lhs.numerator * den != num * lhs.denominator:
-            failure = (n, lhs, Fraction(num, den))
+        if failure is not None:
             break
-    positivity = {name: signs.get(name) for name in sorted(sign_names)}
     return IdentityReport(identity_id, start, n_max, holds=failure is None,
-                          first_failure=failure, positivity=positivity)
+                          first_failure=failure, positivity=signs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
                             near_zero_certificate, prove_positive,
                             reverify_certificate, scan_extremum,
                             sequence_check, verify_inequality)
-from ineqcert.series import (THEOREMS, get_series, series_ids, tail_bound,
-                             theorem_coeff)
+from ineqcert.series import (THEOREMS, TRIG_X_MAX, get_series, series_ids,
+                             tail_bound, theorem_coeff)
 
 from oracles import (left_lower_bound_termwise, left_sup_bound_termwise,
                      series_claim_form)
@@ -266,16 +266,16 @@ def test_negative_series_form_is_confirmed_on_the_raw_difference(
     # (x > 1; the left margin's own call at x = 1/1000 keeps the true
     # rule), must not refute a true claim: the raw difference decides
     monkeypatch.setattr("ineqcert.prove._registration_ok", lambda *a: True)
-    rule = prove._near_zero
+    rule = prove.near_zero_certificate
 
-    def refuting(claim, x):
-        r = rule(claim, x)
+    def refuting(thm, x, side):
+        r = rule(thm, x, side)
         if x > 1:
             r.status = "Refuted"
         return r
 
     for name, fake in (("_left_lower_bound", lambda *a: F(-1)),
-                       ("_near_zero", refuting)):
+                       ("near_zero_certificate", refuting)):
         with monkeypatch.context() as m:
             m.setattr(prove, name, fake)
             r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
@@ -303,9 +303,9 @@ def test_a_series_bound_at_the_core_end_proves_the_core_in_one_leaf(
     # same one call stands for the left margin.  The leaf's bound holds for
     # the form itself, not the form over x^e0: at the leaf's left end it
     # lies below the form's own enclosure there
-    rule, calls = prove._near_zero, []
-    monkeypatch.setattr(prove, "_near_zero",
-                        lambda claim, x: calls.append(rule(claim, x)) or calls[-1])
+    rule, calls = prove.near_zero_certificate, []
+    monkeypatch.setattr(prove, "near_zero_certificate",
+                        lambda *a: calls.append(rule(*a)) or calls[-1])
     for stanza, claim in sorted(THEOREM_CLAIMS.items()):
         if stanza == "THM33":  # a derivative's series: no core bound
             continue
@@ -377,7 +377,7 @@ def test_the_margin_finding_bounds_the_series_form_not_the_difference(
 
 def test_a_left_margin_of_1_or_more_is_closed_on_theorem_stanzas(corpus_specs):
     # the series rule holds for any eps inside the series' radius, not only
-    # below 1: only the public near_zero_certificate keeps eps in (0, 1)
+    # below 1
     for stanza in sorted(THEOREM_CLAIMS):
         for eps in (F(1), F(3, 2)):
             r = verify_inequality(_spec(corpus_specs, stanza),
@@ -593,9 +593,22 @@ def test_near_zero_unregistered():
         near_zero_certificate("T3.3", F(1, 10), side="upper")
     with pytest.raises(DomainError, match="'lower' or 'upper'"):
         near_zero_certificate("T3.1", F(1, 10), side="lowr")
-    for eps in (0, 1, F(3, 2)):
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+    for eps in (0, -1, F(-1, 10 ** 9)):
+        with pytest.raises(DomainError, match="epsilon must be positive"):
             near_zero_certificate("T3.1", eps)
+
+
+def test_near_zero_takes_any_eps_inside_the_radius():
+    # from 1 on the rule still settles the sign; past 63/64 of pi, the
+    # limit of a trigonometric series, it ends Unknown with its own reason
+    for eps in (1, F(3, 2)):
+        for side in ("lower", "upper"):
+            assert near_zero_certificate("T3.1", eps, side).status == "Proved"
+    for side in ("lower", "upper"):
+        r = near_zero_certificate("T3.1", 4, side)
+        assert r.status == "Unknown" and r.series_certificate is None
+        assert r.reason == (f"T3.1_F: x_upper=4 too close to the radius pi "
+                            f"(limit {TRIG_X_MAX})")
 
 
 def test_theorem_series_cancel_at_start_and_lead_with_the_claimed_sign():
