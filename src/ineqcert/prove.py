@@ -583,9 +583,8 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     if res.status == "Refuted":
         w, v = res.witness, res.witness_value
         res.findings.append(
-            f"difference on [{float(w.lo):.6g}, {float(w.hi):.6g}] certified "
-            f"< 0; at x={float(w.mid):.6g} within [{float(v.lo):.6g}, "
-            f"{float(v.hi):.6g}]")
+            f"difference on [{_g6(w.lo)}, {_g6(w.hi)}] certified < 0; at "
+            f"x={_g6(w.mid)} within [{_g6(v.lo)}, {_g6(v.hi)}]")
 
     if not spec.lo_closed and lo_core > lo_iv.lo:  # a non-empty left margin
         if claim is None:

@@ -15,7 +15,7 @@ import ineqcert
 from ineqcert import cli, prove
 from ineqcert.cli import _ENGINE_OPTIONS, default_corpus_path, run_command
 from ineqcert.interval import pi_enclose
-from ineqcert.lang import TAG_KEYS
+from ineqcert.lang import FUNCTIONS, TAG_KEYS
 from ineqcert.prove import THEOREM_CLAIMS, ProofResult
 
 
@@ -124,6 +124,77 @@ def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+
+
+# Seeded fuzz of the exit-code contract, all in this process: random
+# one-stanza corpora, then shipped stanzas under edge option values.  The
+# counts keep it near 5 s on a 2-vCPU machine (the 4096-bit runs cost most).
+_FUZZ_ATOMS = ("x", "x", "x/2", "1", "2", "1/3", "0", "pi", "2.5", "1/1000000000")
+_FUZZ_ENDS = ("-pi", "-1", "0", "1/1000", "1", "pi/4", "pi/2", "3", "1000", "inf")
+_FUZZ_TAGS = ("expected:proved", "expected:refuted", "eps_lo:0", "eps_hi:0",
+              "eps_lo:1", "x_max:3", "x_max:1e400", "max_depth:1",
+              "min_width:1e-300", "theorem:T3.1", "bogus:1",
+              "expect_seq.S_T31.positive:pass")
+_FUZZ_OPTIONS = {
+    "--eps": ("0", "1e-300", "1", "-1"),
+    "--eps-lo": ("0", "1e-300", "1/3", "1.5", "8.1", "1e9", "-1"),
+    "--eps-hi": ("0", "1e-300", "1.5", "2", "-0"),
+    "--xmax": ("1e-9", "0", "1/1000", "300", "1e400", "-5", "abc"),
+    "--max-depth": ("0", "1", "256", "257", "1.5"),
+    "--min-width": ("0", "1e-300", "1e9", "-1"),
+    "--precision": ("63", "64", "4096", "4097", "x"),
+}
+
+
+def _fuzz_expr(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return rng.choice(_FUZZ_ATOMS)
+    if r < 0.55:
+        return f"{rng.choice(FUNCTIONS)}({_fuzz_expr(rng, depth - 1)})"
+    if r < 0.9:
+        return (f"({_fuzz_expr(rng, depth - 1)}){rng.choice('+-*/')}"
+                f"({_fuzz_expr(rng, depth - 1)})")
+    return f"({_fuzz_expr(rng, depth - 1)})^{rng.randint(-3, 9)}"
+
+
+def _fuzz_stanza(rng):
+    i, j = sorted(rng.sample(range(len(_FUZZ_ENDS)), 2))
+    if rng.random() < 0.1:
+        i, j = j, i                       # ends out of order, now and then
+    tags = ", ".join(rng.sample(_FUZZ_TAGS, rng.randint(0, 2)))
+    return (f"inequality FUZZ {{\n"
+            f"  domain   = {rng.choice('([')}{_FUZZ_ENDS[i]}, {_FUZZ_ENDS[j]}"
+            f"{rng.choice(')]')}\n"
+            f"  lhs      = {_fuzz_expr(rng, 3)}\n"
+            f"  relation = {rng.choice('<>')}\n"
+            f"  rhs      = {_fuzz_expr(rng, 2)}\n"
+            + (f"  tags     = {tags}\n" if tags else "") + "}\n")
+
+
+def test_fuzzed_corpora_and_options_keep_the_exit_code_contract(tmp_path, capsys):
+    # exit 1 means refuted against expectation, so a crash must exit 4 and
+    # say so; none of these legal or hostile inputs may reach it
+    rng = random.Random(20)
+    corpus, out = tmp_path / "fuzz.ineq", str(tmp_path / "o.json")
+    names = sorted(prove._shipped_stanzas())
+    codes = set()
+    for k in range(360):
+        if k < 300:
+            what = _fuzz_stanza(rng)
+            corpus.write_text(what)
+            argv = ["prove", "--corpus", str(corpus), "--out", out]
+        else:
+            argv = ["prove", "--name", rng.choice(names), "--out", out]
+            for flag in rng.sample(sorted(_FUZZ_OPTIONS), rng.randint(1, 2)):
+                argv += [flag, rng.choice(_FUZZ_OPTIONS[flag])]
+            what = " ".join(argv)
+        code = run_command(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3) and "internal error" not in err, (what, err)
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
+
 
 
 _FIXTURE_TOUCH = """
@@ -414,6 +485,22 @@ def test_a_value_past_float_range_prints_as_a_power_of_2(tmp_path, x_max, findin
     assert claim["status"] == "Unknown"
     assert claim["findings"][0].startswith(finding)
     assert claim["findings"][0].endswith("the raw difference was bisected instead")
+
+
+def test_a_witness_past_float_range_prints_as_a_power_of_2(tmp_path):
+    # a constant claim, false on the whole core: the witness box, up to
+    # x_max 1e400, lies past any float (exit 4 once), so prints as 2^k
+    corpus = tmp_path / "far.ineq"
+    corpus.write_text("inequality FAR {\n  domain   = (0, inf)\n"
+                      "  lhs      = sin(1/3)\n  relation = >\n"
+                      "  rhs      = 1\n  tags     = x_max:1e400\n}\n")
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--corpus", str(corpus), "--out", str(out)]) == 1
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Refuted"
+    (finding,) = claim["findings"]
+    assert re.fullmatch(r"difference on \[\S+, about 2\^\d+\] certified < 0; "
+                        r"at x=about 2\^\d+ within \[\S+, \S+\]", finding)
 
 
 def test_a_series_bound_that_fails_leaves_one_bisection(tmp_path, monkeypatch):

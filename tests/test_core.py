@@ -4,6 +4,7 @@ and against the dense reference loops in `oracles`."""
 import dataclasses
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -734,3 +735,57 @@ def test_low_order_shifts_equal_full_order_ones(monkeypatch, corpus_specs):
     monkeypatch.setattr(_core, "_tvar", recording)
     assert _core._removable(ctx, node) == want
     assert orders == [_core._DETECT_ORDER, _core.TAYLOR_ORDER]
+
+
+# --- outward rounding against exact arithmetic --------------------------------
+
+_MACLAURIN_DEGREE = 200
+
+
+def _maclaurin(m, bits, hyper):
+    """(odd, even) parts of the Maclaurin sum of e^x (sin and cos unless
+    hyper) at x = m/2^bits through _MACLAURIN_DEGREE, as exact Fractions,
+    and a bound on what the sum omits for 0 < x <= 32: twice the first
+    omitted term, as each later one is under half the one before."""
+    n = _MACLAURIN_DEGREE
+    den = factorial(n) << (bits * n)
+    term, sums = den, [0, 0]          # term: den * x^k / k!, an integer
+    for k in range(n + 1):
+        sums[k % 2] += -term if not hyper and k % 4 >= 2 else term
+        term = term * m // ((k + 1) << bits)
+    tail = Fraction(2 * 32 ** (n + 1), factorial(n + 1))
+    return Fraction(sums[1], den), Fraction(sums[0], den), tail
+
+
+@pytest.mark.parametrize("tag,limit", [("sc", 4), ("hc", 32)])
+def test_point_series_brackets_contain_the_exact_sums(tag, limit):
+    # each bracket holds the exact value and lies within 2^8 ulps of it,
+    # relative to max(1, value); x^2 rounded down at the upper ends puts
+    # sinh and cosh near 32 below their true values
+    ctx = get_ctx(192)
+    rng = random.Random(12)
+    for _ in range(24):
+        m = rng.randrange(1, limit * ctx.one) | 1    # x*x is not dyadic at 192
+        brackets = _core._point_series(ctx, m, tag)
+        odd, even, tail = _maclaurin(m, ctx.prec, tag == "hc")
+        for (lo, hi), value in zip(brackets, (odd, even)):
+            v, t = value * ctx.one, tail * ctx.one         # in ulps
+            slack = max(1, abs(value)) * 2 ** 8
+            assert v - slack <= lo <= v - t and v + t <= hi <= v + slack, m
+
+
+def test_form_term_rounds_the_exact_product_outward_by_under_one_ulp():
+    # c * [-r, r]^j from the corners of the exact product: each end is the
+    # exact end rounded outward, so the true value lies within one ulp
+    ctx = get_ctx(192)
+    rng = random.Random(776)
+    for j in range(1, _core.TAYLOR_ORDER + 1):
+        for sign in _SIGNS:
+            for _ in range(12):
+                c = _interval(rng, 4 * ctx.one, sign)
+                r = rng.randrange(ctx.one // 4)
+                powers = (0, r ** j) if j % 2 == 0 else (-r ** j, r ** j)
+                ends = [Fraction(ci * p, ctx.one ** j) for ci in c for p in powers]
+                lo, hi = _core._form_term(ctx, c, r, j)
+                assert lo <= min(ends) < lo + 1, (j, c, r)
+                assert hi - 1 < max(ends) <= hi, (j, c, r)
