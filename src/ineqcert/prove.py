@@ -759,17 +759,14 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
     start, names, at = _IDENTITIES[identity_id]
     if n_max < start:
         raise DomainError(f"{identity_id} starts at n={start}")
-    failure = None
     signs = dict.fromkeys(sorted(names))
     for n in range(start, n_max + 1):
         sides, parts = at(n)
         for name, v in zip(names, parts):
             if signs[name] is None and not v > 0:
                 signs[name] = (n, Fraction(v))
-        for p, q, num, den in sides:
-            if p * den != num * q:
-                failure = (n, Fraction(p, q), Fraction(num, den))
-                break
+        failure = next(((n, Fraction(p, q), Fraction(num, den))
+                        for p, q, num, den in sides if p * den != num * q), None)
         if failure is not None:
             break
     return IdentityReport(identity_id, start, n_max, holds=failure is None,
