@@ -698,22 +698,17 @@ def _quartic_shift(n):
             + 4686101 * m + 5372496)
 
 
-def _difference(seq_id: str, n: int, num: int, den: int) -> tuple:
-    """The sides (p, q, num, den) of a_(n+1) - a_n = num/den, p/q being
-    the difference in lowest terms."""
-    d = _step(seq_id, n)
-    return d.numerator, d.denominator, num, den
-
-
 def _t32_bdiff(n):
     num = 4 ** n * (6 * n - 1) - 4 * n + 1
-    return [_difference("S_T32_B", n, num, 1)], (num,)
+    d = _step("S_T32_B", n)
+    return ((d.numerator, d.denominator, num, 1),), (num,)
 
 
 def _t33_cdiff(n):
     num = (6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1
     den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
-    return [_difference("S_T33_C", n, num, den)], (num,)
+    d = _step("S_T33_C", n)
+    return ((d.numerator, d.denominator, num, den),), (num,)
 
 
 def _t34_fdecomp(n):
@@ -722,17 +717,20 @@ def _t34_fdecomp(n):
          _f4_plain(n))
     den = (3 * n * (16 + 4 ** n) * (64 + 4 ** n) * (n - 2) * (2 * n - 3)
            * (4 * n * n - 1) * (n * n - 1))
-    return [_difference("S_T34_C", n, sum(f), den)], f
+    d = _step("S_T34_C", n)
+    return ((d.numerator, d.denominator, sum(f), den),), f
 
 
 def _t34_polys(n):
     binomial = (84 * (1 + 8 * comb(n, 1) + 64 * comb(n, 2) + 512 * comb(n, 3)
                       + 4096 * comb(n, 4)) + _f3_quartic_tail(n))
-    pairs = ((_f1_plain(n), _f1_shift(n)), (_f2_plain(n), _f2_shift(n)),
-             (_f4_plain(n), _f4_shift(n)),
-             (_f3_inner_plain(n), _f3_inner_shift(n)),
-             (binomial, _quartic_poly(n)), (_quartic_poly(n), _quartic_shift(n)))
-    return [(left, 1, right, 1) for left, right in pairs], [l for l, _ in pairs]
+    quartic = _quartic_poly(n)
+    left = (_f1_plain(n), _f2_plain(n), _f4_plain(n), _f3_inner_plain(n),
+            binomial, quartic)
+    right = (_f1_shift(n), _f2_shift(n), _f4_shift(n), _f3_inner_shift(n),
+             quartic, _quartic_shift(n))
+    ones = (1,) * 6
+    return zip(left, ones, right, ones), left
 
 
 # id -> (start, the parts whose sign the proof needs, at(n)); at(n) gives
@@ -759,14 +757,17 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
     start, names, at = _IDENTITIES[identity_id]
     if n_max < start:
         raise DomainError(f"{identity_id} starts at n={start}")
-    signs = dict.fromkeys(sorted(names))
+    failure, signs = None, dict.fromkeys(sorted(names))
     for n in range(start, n_max + 1):
         sides, parts = at(n)
-        for name, v in zip(names, parts):
-            if signs[name] is None and not v > 0:
-                signs[name] = (n, Fraction(v))
-        failure = next(((n, Fraction(p, q), Fraction(num, den))
-                        for p, q, num, den in sides if p * den != num * q), None)
+        if min(parts) <= 0:  # the rare n with a sign to record
+            for name, v in zip(names, parts):
+                if v <= 0 and signs[name] is None:
+                    signs[name] = (n, Fraction(v))
+        for p, q, num, den in sides:
+            if p * den != num * q:
+                failure = (n, Fraction(p, q), Fraction(num, den))
+                break
         if failure is not None:
             break
     return IdentityReport(identity_id, start, n_max, holds=failure is None,
