@@ -514,9 +514,9 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     `near_zero_certificate` once, at the core's end: Proved, it proves the
     core in one leaf once its prefactor is bisected positive, and covers
     (0, eps_lo] too; else, and for THM33, the same rule at the core's left
-    end settles that margin.  Every other core, and one the series rule does not
-    prove, is bisected as the raw difference, which alone may refute it,
-    and `_bisect_positive` ends it by its one rule.  Margins left
+    end settles that margin.  Every other core, and one the series rule
+    does not prove, is bisected as the raw difference, which alone may
+    refute it, and `_bisect_positive` ends it by its one rule.  Margins left
     unverified are reported in `uncovered`; an empty one is not.
     """
     opts = opts or ProveOptions()
@@ -729,7 +729,7 @@ def _t34_polys(n):
             binomial, quartic)
     right = (_f1_shift(n), _f2_shift(n), _f4_shift(n), _f3_inner_shift(n),
              quartic, _quartic_shift(n))
-    ones = (1,) * 6
+    ones = (1,) * 6  # each side over 1
     return zip(left, ones, right, ones), left
 
 
@@ -750,8 +750,9 @@ IDENTITY_IDS = tuple(_IDENTITIES)
 def identity_check(identity_id: str, n_max: int) -> IdentityReport:
     """Exact check of a proof-step identity at each n from its start to
     n_max, its sides compared as integers cross-multiplied.  The first
-    failure is (n, lhs, rhs), where the run stops; the first n at which
-    each part the proof needs positive is not is recorded as (n, value)."""
+    failure is (n, lhs, rhs), where the run stops.  For each part whose
+    sign the proof needs, the first n where it is not > 0 is recorded as
+    (n, value)."""
     if identity_id not in _IDENTITIES:
         raise DomainError(f"unknown identity id {identity_id!r}")
     start, names, at = _IDENTITIES[identity_id]
