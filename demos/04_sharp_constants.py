@@ -26,7 +26,7 @@ for thm in ("T3.1", "T3.2", "T3.5"):
           f"(width <= {float(enc.width):.1e})")
 
 print("\nMonotonicity corroboration via 1024-point scans:")
-hi = pi_enclose(F(1, 10 ** 20)).interval.lo / 2 - F(1, 1000)
+hi = pi_enclose(F(1, 10 ** 20)).lo / 2 - F(1, 1000)
 for thm, lo_, hi_ in (("T3.1", F(1, 1000), hi), ("T3.2", F(1, 1000), hi),
                       ("T3.3", F(1, 10), F(10)), ("T3.4", F(1, 1000), F(10)),
                       ("T3.5", F(1, 1000), hi)):

@@ -5,8 +5,8 @@ arithmetic, and adaptive bisection certificates."""
 __version__ = "0.1.0"
 
 from .errors import DomainError, EvalError, ParseError, PoleError
-from .exact import bernoulli, binomial, zeta_even_ratio
-from .interval import Interval, PiEnclosure, elem_enclose, interval_arith, pi_enclose
+from .exact import bernoulli, zeta_even_ratio
+from .interval import Interval, elem_enclose, pi_enclose
 from .series import (CoeffSeq, TailBound, eval_series, get_series,
                      lemma_coeff, tail_bound, theorem_coeff)
 from .lang import (Expr, InequalitySpec, Token, eval_expr, format_expr,
@@ -19,8 +19,8 @@ from .prove import (IdentityReport, Leaf, LimitReport, ProofResult,
 __all__ = [
     "__version__",
     "DomainError", "EvalError", "ParseError", "PoleError",
-    "bernoulli", "binomial", "zeta_even_ratio",
-    "Interval", "PiEnclosure", "elem_enclose", "interval_arith", "pi_enclose",
+    "bernoulli", "zeta_even_ratio",
+    "Interval", "elem_enclose", "pi_enclose",
     "CoeffSeq", "TailBound", "eval_series", "get_series", "lemma_coeff",
     "tail_bound", "theorem_coeff",
     "Expr", "InequalitySpec", "Token", "eval_expr", "format_expr",

@@ -40,7 +40,9 @@ from math import comb, lcm
 
 from .errors import DomainError, InconsistencyError, PoleError
 
-__all__ = ["Ctx", "DomainError", "PoleError"]
+__all__ = ["Ctx", "DomainError", "PoleError", "FUNCTIONS"]
+
+FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
 
 
 def _ceil_shift(a, bits):
@@ -519,7 +521,7 @@ def _ttan(ctx, u, hyper):
 def _tcall(ctx, name, u):
     """Taylor vector of name(u): sin/cos and sinh/cosh as one pair, tan and
     tanh by their own recurrence."""
-    if name not in ("sin", "cos", "tan", "sinh", "cosh", "tanh"):
+    if name not in FUNCTIONS:
         raise DomainError(f"unknown function {name}")
     hyper = name.endswith("h")
     if name.startswith("tan"):

@@ -1,4 +1,4 @@
-"""Exact arithmetic: Bernoulli numbers, even-zeta ratios, binomials.
+"""Exact arithmetic: Bernoulli numbers and even-zeta ratios.
 
 Bernoulli numbers come from integers: Brent & Harvey's TangentNumbers
 recurrence (arXiv:1108.0286) gives the tangent number T_j as
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import DomainError
 
-__all__ = ["bernoulli", "zeta_even_ratio", "binomial"]
+__all__ = ["bernoulli", "zeta_even_ratio"]
 
 # B_0, B_2, B_4, ...; the list only grows, so readers take no lock
 _EVEN: list[Fraction] = [Fraction(1), Fraction(1, 6)]
@@ -79,10 +79,3 @@ def zeta_even_ratio(q: int) -> Fraction:
     if q < 1:
         raise DomainError("zeta_even_ratio requires q >= 1")
     return (-1) ** (q - 1) * 2 ** (2 * q - 1) * bernoulli(2 * q) / factorial(2 * q)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) exactly; k > n or negative arguments are domain errors."""
-    if n < 0 or k < 0 or k > n:
-        raise DomainError(f"binomial({n}, {k}) is outside 0 <= k <= n")
-    return comb(n, k)

@@ -19,11 +19,8 @@ from . import _core
 from .errors import DomainError, PoleError
 
 __all__ = [
-    "Interval", "PiEnclosure", "interval_arith", "elem_enclose", "pi_enclose",
-    "DomainError", "PoleError",
+    "Interval", "elem_enclose", "pi_enclose", "DomainError", "PoleError",
 ]
-
-ELEM_FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
 
 
 def _frac(v) -> Fraction:
@@ -141,40 +138,12 @@ def _as_interval(v) -> Interval:
     return Interval.point(v)
 
 
-def interval_arith(op: str, a: Interval, b=None) -> Interval:
-    """Dispatcher over the endpoint formulas (same results as the operators)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "pow_int":
-        return a ** b
-    raise ValueError(f"unknown interval operation {op!r}")
-
-
-@dataclass(frozen=True)
-class PiEnclosure:
-    """A rational interval certified to contain pi."""
-
-    interval: Interval
-
-    @property
-    def width(self) -> Fraction:
-        return self.interval.width
-
-
 _pi_lock = threading.Lock()
 _pi_best: Interval | None = None
 
 
-def pi_enclose(width_target) -> PiEnclosure:
-    """Enclosure of pi of width <= width_target.
+def pi_enclose(width_target) -> Interval:
+    """A rational interval of width <= width_target certified to contain pi.
 
     Successive calls refine a shared bracket, so results nest: a tighter
     request returns an interval contained in every looser one.
@@ -185,7 +154,7 @@ def pi_enclose(width_target) -> PiEnclosure:
         raise DomainError("width_target must be positive")
     with _pi_lock:
         if _pi_best is not None and _pi_best.width <= wt:
-            return PiEnclosure(_pi_best)
+            return _pi_best
         prec = 16
         while Fraction(4, 1 << prec) > wt:
             prec += 32
@@ -195,7 +164,7 @@ def pi_enclose(width_target) -> PiEnclosure:
         if _pi_best is not None:
             cand = Interval(max(cand.lo, _pi_best.lo), min(cand.hi, _pi_best.hi))
         _pi_best = cand
-        return PiEnclosure(cand)
+        return cand
 
 
 def _bits_for_width(wt: Fraction) -> int:
@@ -226,7 +195,7 @@ def elem_enclose(fn: str, x: Interval, width_target) -> Interval:
     [-4, 4]; tan requires a cos enclosure excluding 0; hyperbolic functions
     accept [-32, 32].
     """
-    if fn not in ELEM_FUNCTIONS:
+    if fn not in _core.FUNCTIONS:
         raise DomainError(f"unknown function {fn!r}")
     wt = _frac(width_target)
     if wt <= 0:

@@ -35,6 +35,7 @@ from importlib import resources
 from typing import Optional, Union
 
 from . import _core
+from ._core import FUNCTIONS
 from .errors import DomainError, EvalError, ParseError, PoleError
 from .interval import Interval, get_ctx
 
@@ -45,7 +46,6 @@ __all__ = [
     "eval_endpoint", "FUNCTIONS", "TAG_KEYS",
 ]
 
-FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
 MAX_EXPONENT = 64      # largest |n| in x^n, nested powers' |n| multiplied;
                        # the corpus needs at most 8
 MAX_DEPTH = 200        # syntax-tree levels; the parser takes at most 3 frames a

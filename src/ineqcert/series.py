@@ -21,8 +21,8 @@ settle each claim near 0):
   T3.3_A/B (2^(2n+1)-6n-2)/(2n)!  and 4n(n-1)(4n^2-1)/(2n)!,  x^(2n), n>=2
   T3.4_A   (n(3^(2n-1)/2-(n-1)2^(2n)-8n+9/2)+2^(2n+1)-4)/(2n)!  x^(2n), n>=3
   T3.4_B   (1+2^(2n-6))(2n-4)(2n-3)(2n-2)(2n-1)2n/(2n)!       x^(2n), n>=3
-  T3.3_DIFF = A - (3/20) B   (vanishes at n=2; leading term -x^6/40)
-  T3.4_DIFF = A - (23/720) B (vanishes at n=3; leading term 47 x^8/3024)
+  T3.x_DIFF = A - (p/q) B, p/q the theorem's `zero_value` (vanishes at the
+            start index; leading term -x^6/40 for T3.3, 47 x^8/3024 for T3.4)
 
 The ratio c_n = a_n/b_n of T3.3 and T3.4 is `theorem_coeff` role c, one
 quotient of the integer numerators of A and B over their common (2n)!.
@@ -237,20 +237,8 @@ def _nb_t33(n):
     return 4 * n * (n - 1) * (4 * n * n - 1)
 
 
-def _a_t33(n):
-    return Fraction(_na_t33(n), factorial(2 * n))
-
-
-def _b_t33(n):
-    return Fraction(_nb_t33(n), factorial(2 * n))
-
-
 def _c_t33(n):
     return Fraction(_na_t33(n), _nb_t33(n))
-
-
-def _d_t33(n):  # a_n - (3/20) b_n
-    return Fraction(20 * _na_t33(n) - 3 * _nb_t33(n), 20 * factorial(2 * n))
 
 
 def _na_t34(n):
@@ -264,20 +252,8 @@ def _nb_t34(n):
             * (2 * n - 2) * (2 * n - 1) * 2 * n)
 
 
-def _a_t34(n):
-    return Fraction(_na_t34(n), factorial(2 * n))
-
-
-def _b_t34(n):
-    return Fraction(_nb_t34(n), factorial(2 * n))
-
-
 def _c_t34(n):
     return Fraction(_na_t34(n), _nb_t34(n))
-
-
-def _d_t34(n):  # a_n - (23/720) b_n
-    return Fraction(720 * _na_t34(n) - 23 * _nb_t34(n), 720 * factorial(2 * n))
 
 
 _REGISTRY = {}
@@ -316,32 +292,6 @@ _register(CoeffSeq("T3.2_G", 2, -4, _c_t32, "pi", None,
                    (_Geo((0, 12), -4),)))
 _register(CoeffSeq("T3.5_F", 2, -4, _c_t35, "pi", None,
                    (_Geo((0, 24), -4),)))
-_register(CoeffSeq("T3.3_A", 2, 0, _a_t33, "inf", None,
-                   (_Fact((2,), 2, 0),)))
-_register(CoeffSeq("T3.3_B", 2, 0, _b_t33, "inf", None,
-                   (_Fact((0, 0, 0, 0, 16), 1, 0),)))
-_register(CoeffSeq("T3.3_DIFF", 2, 0, _d_t33, "inf", None,
-                   (_Fact((2,), 2, 0),
-                    _Fact((0, 0, 0, 0, Fraction(12, 5)), 1, 0))))
-_T34_A_COMPONENTS = (
-    _Fact((0, Fraction(1, 6)), 3, 0),
-    _Fact((0, 0, 1), 2, 0),
-    _Fact((4, Fraction(9, 2), 8), 1, 0),
-    _Fact((2,), 2, 0),
-)
-_T34_B_COMPONENTS = (
-    _Fact((0, 0, 0, 0, 0, 32), 1, 0),
-    _Fact((0, 0, 0, 0, 0, Fraction(1, 2)), 2, 0),
-)
-_register(CoeffSeq("T3.4_A", 3, 0, _a_t34, "inf", None, _T34_A_COMPONENTS))
-_register(CoeffSeq("T3.4_B", 3, 0, _b_t34, "inf", None, _T34_B_COMPONENTS))
-_register(CoeffSeq(
-    "T3.4_DIFF", 3, 0, _d_t34, "inf", None,
-    _T34_A_COMPONENTS + tuple(
-        _Fact(tuple(Fraction(23, 720) * Fraction(c) for c in comp.poly),
-              comp.base, comp.shift)
-        for comp in _T34_B_COMPONENTS)))
-
 LEMMA_KINDS = ("X_OVER_SIN", "COT", "CSC2", "COS_OVER_SIN2", "CSC3",
                "COS_OVER_SIN3", "SINH", "COSH")
 
@@ -401,6 +351,34 @@ THEOREMS = {t.id: t for t in (
 )}
 
 THEOREM_START = {t.id: t.start for t in THEOREMS.values()}
+
+
+def _register_ratio(thm: str, na, nb, a_parts: tuple, b_parts: tuple) -> None:
+    """Register thm's A = na(n)/(2n)!, B = nb(n)/(2n)! and DIFF = A - (p/q) B
+    with p/q its `zero_value`; DIFF's tail is A's parts plus p/q times B's."""
+    start, zero = THEOREMS[thm].start, THEOREMS[thm].zero_value
+    p, q = zero.numerator, zero.denominator
+    _register(CoeffSeq(f"{thm}_A", start, 0,
+                       lambda n: Fraction(na(n), factorial(2 * n)),
+                       "inf", None, a_parts))
+    _register(CoeffSeq(f"{thm}_B", start, 0,
+                       lambda n: Fraction(nb(n), factorial(2 * n)),
+                       "inf", None, b_parts))
+    _register(CoeffSeq(
+        f"{thm}_DIFF", start, 0,
+        lambda n: Fraction(q * na(n) - p * nb(n), q * factorial(2 * n)),
+        "inf", None,
+        a_parts + tuple(_Fact(tuple(zero * c for c in f.poly), f.base, f.shift)
+                        for f in b_parts)))
+
+
+_register_ratio("T3.3", _na_t33, _nb_t33, (_Fact((2,), 2, 0),),
+                (_Fact((0, 0, 0, 0, 16), 1, 0),))
+_register_ratio("T3.4", _na_t34, _nb_t34,
+                (_Fact((0, Fraction(1, 6)), 3, 0), _Fact((0, 0, 1), 2, 0),
+                 _Fact((4, Fraction(9, 2), 8), 1, 0), _Fact((2,), 2, 0)),
+                (_Fact((0, 0, 0, 0, 0, 32), 1, 0),
+                 _Fact((0, 0, 0, 0, 0, Fraction(1, 2)), 2, 0)))
 
 
 def series_ids():

@@ -515,8 +515,13 @@ def _bernstein_weight(n, i, j):
 
 
 def bernstein_lo_fraction(ctx, tm, r):
+    """`bernstein_least` rounded down once to the scale 2**prec."""
+    return floor(bernstein_least(ctx, tm, r) * ctx.one)
+
+
+def bernstein_least(ctx, tm, r):
     """Least lower end over i of the i-th Bernstein coefficient on [0, 1] of
-    sum_j tm[j] (r (2s - 1))^j, rounded down once to the scale 2**prec."""
+    sum_j tm[j] (r (2s - 1))^j, exact."""
     n = len(tm) - 1
     rr = Fraction(r, ctx.one)
     best = None
@@ -527,7 +532,7 @@ def bernstein_lo_fraction(ctx, tm, r):
             lo, hi = (Fraction(e, ctx.one) for e in tm[j])
             low += min(w * lo, w * hi)
         best = low if best is None else min(best, low)
-    return floor(best * ctx.one)
+    return best
 
 
 def walk_removable(ctx, node, xbox, xzero):

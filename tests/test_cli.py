@@ -60,6 +60,38 @@ def test_missing_corpus_is_usage_error(capsys):
     assert "cannot read corpus" in capsys.readouterr().err
 
 
+def _stanza(domain="[1, 2]", lhs="x", body="  relation = >\n  rhs      = 0\n",
+            header="inequality P {", end="}\n"):
+    return f"{header}\n  domain   = {domain}\n  lhs      = {lhs}\n{body}{end}"
+
+
+@pytest.mark.parametrize("text,message", [
+    (_stanza(lhs="x x"), "unexpected token 'x'"),
+    (_stanza(lhs="2*"), "unexpected end of input"),
+    (_stanza(lhs="2*)"), "unexpected token ')'"),
+    (_stanza(domain="1, 2"), "stanza P: malformed domain '1, 2'"),
+    (_stanza(domain="(1)"), "stanza P: domain needs two endpoints"),
+    (_stanza(header="inequality P"), "expected 'inequality NAME {', got"),
+    (_stanza(header="inequality 9P {"), "bad inequality name '9P'"),
+    (_stanza(body="  relation >\n  rhs = 0\n"),
+     "stanza P: malformed line 'relation >'"),
+    (_stanza(body="  relation = >\n  rhs = 0\n  rhs = 1\n"),
+     "stanza P: duplicate key 'rhs'"),
+    (_stanza(end=""), "stanza P: missing closing '}'"),
+    (_stanza(body="  relation = >=\n  rhs = 0\n"),
+     "stanza P: relation must be < or >, got '>='"),
+], ids=["trailing-token", "ends-early", "stray-rparen", "domain-unbracketed",
+        "domain-one-endpoint", "bad-header", "bad-name", "line-without-equals",
+        "duplicate-key", "missing-brace", "relation-not-strict"])
+def test_a_malformed_corpus_is_one_error_line(tmp_path, capsys, text, message):
+    corpus = tmp_path / "bad.ineq"
+    corpus.write_text(text)
+    assert run_command(["prove", "--corpus", str(corpus)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_unknown_flag_rejected(capsys):
     assert run_command(["prove", "--frobnicate"]) == 3
 

@@ -13,9 +13,10 @@ from ineqcert import _core, lang
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import INF, eval_endpoint, parse_expression
 from ineqcert.prove import ProveOptions, prove_positive, verify_inequality
-from oracles import (bernstein_lo_fraction, enclose_full_order, idiv_eight,
-                     imul_dense, tdiv_dense, tmul_dense, tsincos_dense,
-                     ttan_quotient, vector_from_zero_walk, walk)
+from oracles import (bernstein_least, bernstein_lo_fraction,
+                     enclose_full_order, idiv_eight, imul_dense, tdiv_dense,
+                     tmul_dense, tsincos_dense, ttan_quotient,
+                     vector_from_zero_walk, walk)
 
 _SIGNS = ("nonneg", "nonpos", "straddle", "thin", "zero")
 
@@ -789,3 +790,109 @@ def test_form_term_rounds_the_exact_product_outward_by_under_one_ulp():
                 lo, hi = _core._form_term(ctx, c, r, j)
                 assert lo <= min(ends) < lo + 1, (j, c, r)
                 assert hi - 1 < max(ends) <= hi, (j, c, r)
+
+
+def _rounds_out_by_under_one_ulp(pair, ends):
+    """pair holds the exact ends (in ulps) and each of its ends lies less
+    than one ulp from theirs: a rounding flipped inward fails the first
+    check, one a whole ulp too wide the second."""
+    lo, hi = min(ends), max(ends)
+    return pair[0] <= lo < pair[0] + 1 and pair[1] - 1 < hi <= pair[1]
+
+
+def test_imul_and_idiv_round_the_exact_ends_outward_by_under_one_ulp():
+    # every sign case of the product; the quotient by a positive and by a
+    # negative divisor of a numerator >= 0, <= 0 and straddling 0, so each
+    # of idiv's eight divisor choices rounds an exact end that is not dyadic
+    ctx = get_ctx(192)
+    one = ctx.one
+    rng = random.Random(170)
+    for sa in ("nonneg", "nonpos", "straddle"):
+        for sb in ("nonneg", "nonpos", "straddle"):
+            for _ in range(24):
+                a = _interval(rng, 4 * one, sa)
+                b = _interval(rng, 4 * one, sb)
+                ends = [Fraction(x * y, one) for x in a for y in b]
+                assert _rounds_out_by_under_one_ulp(_core.imul(ctx, a, b), ends)
+        for divisor in ("positive", "negative"):
+            for _ in range(24):
+                a = _interval(rng, 4 * one, sa)
+                lo, hi = sorted(rng.randrange(1, 4 * one) for _ in range(2))
+                b = (lo | 1, hi | 1) if divisor == "positive" else (-(hi | 1), -(lo | 1))
+                ends = [Fraction(x * one, y) for x in a for y in b]
+                assert _rounds_out_by_under_one_ulp(_core.idiv(ctx, a, b), ends), (a, b)
+
+
+def test_idiv_int_and_ipow_round_the_exact_ends_outward_by_under_one_ulp():
+    # odd divisors and odd bases keep each exact end off the 2^-192 grid
+    ctx = get_ctx(192)
+    one = ctx.one
+    rng = random.Random(186)
+    for sign in ("nonneg", "nonpos", "straddle"):
+        for _ in range(24):
+            lo, hi = _interval(rng, 4 * one, sign)
+            a = (lo | 1, hi | 1)
+            k = rng.randrange(3, 1 << 20) | 1
+            assert _rounds_out_by_under_one_ulp(
+                _core.idiv_int(a, k), [Fraction(a[0], k), Fraction(a[1], k)])
+            for e in (2, 3, 4, 5):
+                ends = [Fraction(x ** e, one ** (e - 1)) for x in a]
+                if sign == "straddle" and e % 2 == 0:
+                    ends.append(Fraction(0))
+                assert _rounds_out_by_under_one_ulp(_core.ipow(ctx, a, e), ends), (a, e)
+
+
+def test_lo_of_and_hi_of_round_a_rational_outward_by_under_one_ulp():
+    ctx = get_ctx(192)
+    rng = random.Random(117)
+    for _ in range(200):
+        f = Fraction(rng.randrange(-8 << 64, 8 << 64), rng.randrange(3, 1 << 64) | 1)
+        exact = f * ctx.one
+        if exact.denominator == 1:
+            continue
+        assert ctx.lo_of(f) < exact < ctx.lo_of(f) + 1, f
+        assert ctx.hi_of(f) - 1 < exact < ctx.hi_of(f), f
+
+
+def test_bernstein_lo_lies_under_one_ulp_below_the_least_coefficient():
+    ctx = get_ctx(192)
+    rng = random.Random(797)
+    off_grid = 0
+    for _ in range(40):
+        tm = _vector(rng, 4 * ctx.one, 6)
+        r = rng.randrange(1, ctx.one) | 1
+        least = bernstein_least(ctx, tm, r) * ctx.one
+        lo = _core._bernstein_lo(ctx, tm, r)
+        assert lo <= least < lo + 1, (tm, r)
+        off_grid += least.denominator != 1
+    assert off_grid >= 30
+
+
+def test_unary_minus_negates_the_taylor_vector():
+    # the Taylor table's neg op: -sin(x) is sin(x)'s vector with each
+    # coefficient negated, and it holds -sin's true coefficients
+    ctx = get_ctx(192)
+    m = ctx.lo_of(Fraction(1, 3))
+    xvec = _core._tvar(ctx, m, m)
+    k = _core.TAYLOR_ORDER
+    neg = _core.eval_taylor(ctx, parse_expression("-sin(x)"), xvec, k)
+    pos = _core.eval_taylor(ctx, parse_expression("sin(x)"), xvec, k)
+    assert neg == [_core.ineg(c) for c in pos]
+    with mpmath.workdps(80):
+        x = mpmath.mpf(m) / ctx.one
+        for j, (lo, hi) in enumerate(neg):
+            true = -mpmath.diff(mpmath.sin, x, j) / factorial(j) * ctx.one
+            assert lo <= true <= hi, j
+
+
+def test_atan_and_pi_brackets_hold_the_true_values():
+    # every precision from 16 to 399 bits: an atan term rounded inward at
+    # its upper end puts atan(1/5) or atan(1/239) above most of the brackets
+    with mpmath.workprec(1200):
+        for prec in range(16, 400):
+            one = mpmath.mpf(2) ** prec
+            for q in (5, 239):
+                lo, hi = _core._atan_inv_bracket(q, prec)
+                assert lo <= mpmath.atan(mpmath.mpf(1) / q) * one <= hi, (q, prec)
+            lo, hi = _core._pi_bracket(prec)
+            assert lo < mpmath.pi * one < hi <= lo + 2, prec

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from ineqcert import exact
-from ineqcert.exact import bernoulli, binomial, zeta_even_ratio
+from ineqcert.exact import bernoulli, zeta_even_ratio
 from ineqcert.errors import DomainError
 from ineqcert.interval import Interval, pi_enclose
 
@@ -118,7 +118,7 @@ def test_zeta_even_ratio_examples():
 def test_zeta_cross_check_against_partial_sums():
     # zeta_even_ratio(q)*pi^(2q) must be consistent with the direct sum
     # S_K <= zeta(2q) <= S_K + K^(1-2q)/(2q-1) (integral tail bound)
-    pi_iv = pi_enclose(Fraction(1, 10 ** 40)).interval
+    pi_iv = pi_enclose(Fraction(1, 10 ** 40))
     K = 100
     for q in range(1, 21):
         z = pi_iv ** (2 * q) * zeta_even_ratio(q)
@@ -129,17 +129,7 @@ def test_zeta_cross_check_against_partial_sums():
 
 def test_bernoulli_magnitude_law():
     # |B_2n| * (2*pi_lo)^(2n) <= 4 * (2n)! for 1 <= n <= 100
-    two_pi_lo = 2 * pi_enclose(Fraction(1, 10 ** 30)).interval.lo
+    two_pi_lo = 2 * pi_enclose(Fraction(1, 10 ** 30)).lo
     for n in range(1, 101):
         assert abs(bernoulli(2 * n)) * two_pi_lo ** (2 * n) <= 4 * factorial(2 * n), n
 
-
-def test_binomial_examples():
-    assert binomial(5, 2) == 10
-    assert binomial(10, 5) == 252
-    for n in (0, 1, 7, 30):
-        assert binomial(n, 0) == 1
-    with pytest.raises(DomainError):
-        binomial(4, 5)
-    with pytest.raises(DomainError):
-        binomial(-1, 0)

@@ -5,19 +5,18 @@ import mpmath
 import pytest
 
 from ineqcert.errors import DomainError, PoleError
-from ineqcert.interval import (Interval, elem_enclose, interval_arith,
-                               pi_enclose)
+from ineqcert.interval import Interval, elem_enclose, pi_enclose
 
 F = Fraction
 
 
 def test_arith_fixtures():
-    assert interval_arith("add", Interval(0, 0), Interval(F(-3), F(7))) == Interval(-3, 7)
-    assert interval_arith("mul", Interval(1, 2), Interval(-1, 3)) == Interval(-2, 6)
-    assert interval_arith("div", Interval(1, 1), Interval(2, 4)) == Interval(F(1, 4), F(1, 2))
-    assert interval_arith("pow_int", Interval(-2, 1), 2) == Interval(0, 4)
-    assert interval_arith("neg", Interval(1, 2)) == Interval(-2, -1)
-    assert interval_arith("sub", Interval(0, 1), Interval(2, 5)) == Interval(-5, -1)
+    assert Interval(0, 0) + Interval(F(-3), F(7)) == Interval(-3, 7)
+    assert Interval(1, 2) * Interval(-1, 3) == Interval(-2, 6)
+    assert Interval(1, 1) / Interval(2, 4) == Interval(F(1, 4), F(1, 2))
+    assert Interval(-2, 1) ** 2 == Interval(0, 4)
+    assert -Interval(1, 2) == Interval(-2, -1)
+    assert Interval(0, 1) - Interval(2, 5) == Interval(-5, -1)
 
 
 def test_pow_cases():
@@ -39,6 +38,18 @@ def test_round_out_contains_original():
     r = iv.round_out(16)
     assert r.lo <= iv.lo and iv.hi <= r.hi
     assert r.lo.denominator <= 1 << 16 and r.hi.denominator <= 1 << 16
+
+
+@pytest.mark.parametrize("bits", [16, 64, 192])
+def test_round_out_moves_each_end_outward_by_under_one_ulp(bits):
+    # odd denominators keep both ends off the 2^-bits grid, of either sign
+    rng = random.Random(bits)
+    ulp = F(1, 1 << bits)
+    for _ in range(100):
+        lo, hi = sorted(F(rng.randrange(-1 << 80, 1 << 80), rng.randrange(3, 1 << 70) | 1)
+                        for _ in range(2))
+        r = Interval(lo, hi).round_out(bits)
+        assert r.lo < lo < r.lo + ulp and r.hi - ulp < hi < r.hi, (lo, hi)
 
 
 def test_inclusion_isotonicity_of_mul():
@@ -85,11 +96,11 @@ def test_pi_enclosure():
     e = pi_enclose(F(1, 10 ** 20))
     assert e.width <= F(1, 10 ** 20)
     # the true value lies between these decimal brackets
-    assert e.interval.lo <= F("3.14159265358979323847")
-    assert F("3.14159265358979323846") <= e.interval.hi
+    assert e.lo <= F("3.14159265358979323847")
+    assert F("3.14159265358979323846") <= e.hi
     loose = pi_enclose(1)
-    assert loose.interval.contains_interval(e.interval)
-    assert loose.interval.lo <= F("3.141593") and F("3.141592") <= loose.interval.hi
+    assert loose.contains_interval(e)
+    assert loose.lo <= F("3.141593") and F("3.141592") <= loose.hi
 
 
 _DOMAINS = {

@@ -207,6 +207,29 @@ def test_verify_thm33_refuted(corpus_specs):
     assert F("0.143781441112623") <= enc.hi
 
 
+@pytest.mark.parametrize("core", ["Unknown", "Proved"])
+def test_a_near_zero_refutation_overrides_a_core_that_is_not_refuted(
+        corpus_specs, monkeypatch, core):
+    # THM33's core bisection refutes it first; made to end Unknown or
+    # Proved instead, the series rule's refutation of (0, eps] still decides
+    def bisect(expr, lo, hi, opts):
+        if core == "Proved":
+            return prove.ProofResult("Proved", leaves=1,
+                                     certificate=[prove.Leaf(lo, hi, F(1))])
+        return prove.ProofResult("Unknown", reason="stopped by the test")
+
+    monkeypatch.setattr(prove, "_bisect_positive", bisect)
+    r = verify_inequality(_spec(corpus_specs, "THM33"))
+    eps = r.series_certificate["eps"]
+    assert r.status == "Refuted"
+    assert F(1, 1000) <= eps < F(1, 1000) + F(1, 2 ** 60)
+    assert r.witness == Interval.point(eps / 2)
+    assert r.witness_value.hi < 0
+    assert any(f == f"THM33: leading coefficient -1/40 at x^6 is negative; "
+                    f"difference certified negative on (0, {eps}]"
+               for f in r.findings)
+
+
 # negative only on |x - 1/2| < 1e-15, a dip narrower than min_width
 _DIP = parse_corpus("inequality DIP {\n  domain   = [0, 1]\n"
                     "  lhs      = (x - 1/2)^2\n  relation = >\n"

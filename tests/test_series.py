@@ -4,10 +4,10 @@ import pytest
 
 from ineqcert.cli import MAX_NMAX
 from ineqcert.errors import DomainError
-from ineqcert.interval import Interval, elem_enclose
-from ineqcert.series import (LEMMA_KINDS, THEOREMS, CoeffSeq, _register,
-                             eval_series, get_series, lemma_coeff, series_ids,
-                             tail_bound, theorem_coeff)
+from ineqcert.interval import Interval, elem_enclose, pi_enclose
+from ineqcert.series import (LEMMA_KINDS, PI_LO, THEOREMS, TRIG_X_MAX, CoeffSeq,
+                             _register, eval_series, get_series, lemma_coeff,
+                             series_ids, tail_bound, theorem_coeff)
 
 from oracles import (FORMER_COEFFS, LemmaSeriesOracle, eval_series_termwise,
                      tail_bound_termwise)
@@ -120,6 +120,13 @@ def test_diff_series_cancellation_and_leading_terms():
     d34 = get_series("T3.4_DIFF")
     assert d34.coeff(3) == 0
     assert d34.coeff(4) == F(47, 3024)
+
+
+def test_pi_lo_and_the_trig_limit_lie_below_pi():
+    # the trig tails close at the ratio (x/PI_LO)^2 and hold for x up to
+    # TRIG_X_MAX: a PI_LO above pi would understate every one of them
+    pi = pi_enclose(F(1, 10 ** 30))
+    assert TRIG_X_MAX < PI_LO < pi.lo
 
 
 def test_theorem_series_positivity():
