@@ -11,10 +11,11 @@ endpoint evaluations plus the interior extrema (+-pi/2 for sin, 0 and +-pi
 for cos); the corpus never needs argument reduction.
 
 One evaluator runs a parsed `lang.Expr` as a straight-line plan, each
-distinct subtree once, with one of three op tables: ranges, truncated
-Taylor vectors, or exact rational intervals for `lang.eval_endpoint`.
-`enclose` intersects the plain range with an order-12 Taylor form about the
-midpoint, whose midpoint vector stops at order 11.  The remainder
+distinct subtree once, with one of four op tables: ranges, truncated
+Taylor vectors, and in `lang` exact rational intervals for `eval_endpoint`
+and (text, precedence) pairs for `format_expr`.  `enclose` intersects the
+plain range with an order-12 Taylor form about the midpoint, whose
+midpoint vector stops at order 11.  The remainder
 coefficient of a box vector bounds the remainder on every sub-box too (the
 inclusion property of Taylor models), so `enclose` hands it down and takes
 a parent's: a box builds its own only when the midpoint terms decide the
@@ -157,9 +158,8 @@ def imul(ctx, a, b):
 
 
 def imul_int(a, k):
-    if k >= 0:
-        return (a[0] * k, a[1] * k)
-    return (a[1] * k, a[0] * k)
+    # k: positive integer (every caller passes a term index or 2)
+    return (a[0] * k, a[1] * k)
 
 
 def idiv_int(a, k):
@@ -297,16 +297,6 @@ def _point_series(ctx, m, tag):
     return out
 
 
-def _tan_pt(ctx, m):
-    s, c = _sincos_pt(ctx, m)
-    return idiv(ctx, s, c)
-
-
-def _tanh_pt(ctx, m):
-    s, c = _sinhcosh_pt(ctx, m)
-    return idiv(ctx, s, c)
-
-
 def fn_range(ctx, fn, a, b):
     """Certified range of fn over [a, b]/2**prec."""
     one = ctx.one
@@ -345,7 +335,7 @@ def fn_range(ctx, fn, a, b):
                 f"[{Fraction(crange[0], one)}, {Fraction(crange[1], one)}] "
                 "contains 0"
             )
-        return (_tan_pt(ctx, a)[0], _tan_pt(ctx, b)[1])
+        return (idiv(ctx, *_sincos_pt(ctx, a))[0], idiv(ctx, *_sincos_pt(ctx, b))[1])
 
     lim = _HYP_MAX * one
     if a < -lim or b > lim:
@@ -361,8 +351,8 @@ def fn_range(ctx, fn, a, b):
             return (max(cb[0], one), ca[1])
         return (max(ca[0], one), cb[1])
     if fn == "tanh":
-        lo = _tanh_pt(ctx, a)[0]
-        hi = _tanh_pt(ctx, b)[1]
+        lo = idiv(ctx, *_sinhcosh_pt(ctx, a))[0]
+        hi = idiv(ctx, *_sinhcosh_pt(ctx, b))[1]
         return (max(lo, -one), min(hi, one))
     raise DomainError(f"unknown function {fn}")
 
@@ -531,7 +521,7 @@ def _tcall(ctx, name, u):
 
 
 # ---------------------------------------------------------------------------
-# one straight-line plan per expression, run with one of three op tables
+# one straight-line plan per expression, run with one of four op tables
 #
 # A plan lists the distinct subtrees of a parsed `lang.Expr` in post-order,
 # each as a step (kind, p, q) whose operands are the indices of earlier
@@ -542,10 +532,10 @@ def _tcall(ctx, name, u):
 #
 # Op signatures: lit(ctx, value, x), pi(ctx, x), neg(a), add(a, b),
 # sub(a, b), mul(ctx, a, b), div(ctx, a, b), pow(ctx, a, int),
-# call(ctx, name, a).  `lang` holds the third table, on exact endpoint
-# intervals.  The range table's mul and call look imul and fn_range up at
-# call time, so a rebinding of either module attribute (as the traced
-# benchmark does) sees every call.
+# call(ctx, name, a).  `lang` holds the other two tables: exact endpoint
+# intervals, and the printer's (text, precedence) pairs.  The range table's
+# mul and call look imul and fn_range up at call time, so a rebinding of
+# either module attribute (as the traced benchmark does) sees every call.
 # ---------------------------------------------------------------------------
 
 _RANGE_OPS = {
@@ -763,9 +753,8 @@ def _coeff_from_zero(ctx, node, b):
 def _form_term(ctx, c, r, j):
     """c * [-r, r]^j (which is c * [0, r^j] for even j), computed with exact
     integer powers and a single outward rounding so tiny r^j cannot
-    underflow before multiplying a large remainder coefficient."""
-    if j == 0:
-        return c
+    underflow before multiplying a large remainder coefficient.  Every
+    caller passes j >= 1: the constant term is the coefficient itself."""
     rj = r ** j
     sh = j * ctx.prec
     clo, chi = c

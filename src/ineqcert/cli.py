@@ -55,18 +55,33 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_RAT_RE = re.compile(
-    r"^[+-]?(\d+(\.\d+)?([eE][+-]?\d+)?|\d+/\d+)$")
+_RAT_RE = re.compile(r"[+-]?(?:(\d+)(?:\.(\d+))?(?:[eE]([+-]?\d+))?|(\d+)/(\d+))")
 
 
 def _rational(text: str) -> Fraction:
-    """Exact rational from decimal/scientific/fraction notation."""
+    """Exact rational from decimal/scientific/fraction notation.  A zero
+    denominator is a usage error, and so is a numerator or denominator
+    with more digits as written (a mantissa's digits, shifted by its
+    exponent) than the interpreter's limit on integer text: both are read
+    off the text, before any big integer is built."""
     s = text.strip()
-    if not _RAT_RE.match(s):
+    m = _RAT_RE.fullmatch(s)
+    if not m:
         raise _UsageError(f"not an exact rational: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
+    whole, frac, exp, num, den = m.groups(default="")
+    # a limit of 0 is off; the default then still bounds the work
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if num:
+        sizes = (len(num), len(den))
+    elif len(exp) > limit:
+        sizes = (len(exp),)
+    else:
+        shift = int(exp or 0) - len(frac)
+        sizes = (len(whole + frac) + max(shift, 0), 1 - min(shift, 0))
+    if max(sizes) > limit:
+        raise _UsageError(f"more than {limit} digits in a rational: {text!r}")
+    if den and not int(den):
+        raise _UsageError(f"zero denominator: {text!r}")
     return Fraction(s)  # Fraction parses decimal/exponent strings exactly
 
 
@@ -91,16 +106,6 @@ def _int_in(minimum: int, maximum: int | None = None):
                 f"expected an integer {bound}, got {text!r}")
         return value
     return parse
-
-
-def _endpoint_value(text: str, upper: bool) -> Fraction:
-    """Rational endpoint from an expression over rationals and pi.
-
-    Upper endpoints round down, lower endpoints round up, so the resolved
-    point always lies inside the requested range.
-    """
-    iv = eval_endpoint(parse_expression(text))
-    return iv.lo if upper else iv.hi
 
 
 def _iv_json(iv: Interval | None):
@@ -167,8 +172,8 @@ def _claim_entry(spec, result) -> dict:
     if claim is not None:
         endpoint = "right" if claim.mode == "upper" else "zero"
         lr = limit_report(claim.thm, endpoint)
-        enc = (_iv_json(lr.value_enclosure) if lr.value_enclosure is not None
-               else {"lo": str(lr.value_exact), "hi": str(lr.value_exact)})
+        enc = _iv_json(lr.value_enclosure if lr.value_enclosure is not None
+                       else Interval.point(lr.value_exact))
         sharp = {"paper_value": lr.paper_value, "computed_enclosure": enc,
                  "match": lr.matches_paper}
     findings = list(result.findings)
@@ -185,10 +190,6 @@ def _claim_entry(spec, result) -> dict:
         "uncovered": list(result.uncovered),
         "ms": result.ms,
     }
-
-
-def _expected_of(spec) -> str:
-    return spec.tag_value("expected") or "proved"
 
 
 def _cmd_prove(args) -> int:
@@ -237,10 +238,9 @@ def _cmd_prove(args) -> int:
 
     mismatch = unknown = False
     for spec, res in results:
-        expected = _expected_of(spec)
         if res.status == "Unknown":
             unknown = True
-        elif res.status.lower() != expected:
+        elif res.status.lower() != (spec.tag_value("expected") or "proved"):
             mismatch = True
     if mismatch:
         return 1
@@ -365,8 +365,9 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    lo = _endpoint_value(args.lo, upper=False)
-    hi = _endpoint_value(args.hi, upper=True)
+    # each end rounds inward, so the scanned range lies inside the one asked
+    lo = eval_endpoint(parse_expression(args.lo)).hi
+    hi = eval_endpoint(parse_expression(args.hi)).lo
     if lo >= hi:
         raise _UsageError(f"scan needs lo < hi, got --lo {args.lo} --hi {args.hi}")
     rep = scan_extremum(args.thm, Interval(lo, hi), _rational(args.tol))

@@ -260,7 +260,10 @@ class _Parser:
         if t is None:
             raise ParseError("unexpected end of input", len(self.text))
         if t.kind == "NUMBER":
-            return Lit(_number_value(t.text), t.position)
+            try:
+                return Lit(_number_value(t.text), t.position)
+            except ValueError:      # past sys.get_int_max_str_digits()
+                raise ParseError("number has too many digits", t.position) from None
         if t.kind == "LPAREN":
             e = self.expression()
             self.expect("RPAREN")
@@ -309,54 +312,35 @@ def parse_expression(text: str) -> Expr:
 
 # --- printer ----------------------------------------------------------------
 
-def _prec_of(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Lit) and e.value.denominator != 1:
-        return 2  # prints as p/q
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, PowInt):
-        return 4
-    return 5
+def _paren(operand, least: int) -> str:
+    """The text of an operand's (text, precedence), in parentheses when its
+    precedence is below `least`."""
+    text, prec = operand
+    return text if prec >= least else "(" + text + ")"
+
+
+# (text, precedence) for _core's plan runner: + and - are 1, * and / 2 (as
+# is a p/q literal), unary - 3, ^ 4 and an atom or call 5.  Each operand
+# needs the least precedence that parses back in its place, so a right
+# operand of + - * / needs one more than its operator.
+_FORMAT_OPS = {
+    "lit": lambda ctx, v, x: (str(v), 5 if v.denominator == 1 else 2),
+    "pi": lambda ctx, x: ("pi", 5),
+    "neg": lambda a: ("-" + _paren(a, 3), 3),
+    "add": lambda a, b: (_paren(a, 1) + " + " + _paren(b, 2), 1),
+    "sub": lambda a, b: (_paren(a, 1) + " - " + _paren(b, 2), 1),
+    "mul": lambda ctx, a, b: (_paren(a, 2) + "*" + _paren(b, 3), 2),
+    "div": lambda ctx, a, b: (_paren(a, 2) + "/" + _paren(b, 3), 2),
+    "pow": lambda ctx, a, n: (_paren(a, 5) + (f"^{n}" if n >= 0 else f"^({n})"), 4),
+    "call": lambda ctx, name, a: (f"{name}({a[0]})", 5),
+}
 
 
 def format_expr(e: Expr) -> str:
     """Source form; parses back to an equal tree."""
-
-    def fmt(node, parent, right_side=False):
-        p = _prec_of(node)
-        if isinstance(node, Lit):
-            v = node.value
-            s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        elif isinstance(node, PiConst):
-            s = "pi"
-        elif isinstance(node, VarX):
-            s = "x"
-        elif isinstance(node, Neg):
-            s = "-" + fmt(node.a, 3)
-        elif isinstance(node, Add):
-            s = fmt(node.a, 1) + " + " + fmt(node.b, 1, True)
-        elif isinstance(node, Sub):
-            s = fmt(node.a, 1) + " - " + fmt(node.b, 2)
-        elif isinstance(node, Mul):
-            s = fmt(node.a, 2) + "*" + fmt(node.b, 2, True)
-        elif isinstance(node, Div):
-            s = fmt(node.a, 2) + "/" + fmt(node.b, 3)
-        elif isinstance(node, PowInt):
-            ex = str(node.exponent) if node.exponent >= 0 else f"(-{-node.exponent})"
-            s = fmt(node.base, 5) + "^" + ex
-        elif isinstance(node, Call):
-            s = f"{node.fn}({fmt(node.arg, 0)})"
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        if p < parent or (p == parent and right_side and p in (1, 2)):
-            return "(" + s + ")"
-        return s
-
-    return fmt(e, 0)
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression node: {e!r}")
+    return _core._run(None, e, ("x", 5), _FORMAT_OPS)[0]
 
 
 # --- evaluation -------------------------------------------------------------

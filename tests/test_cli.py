@@ -134,22 +134,44 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["prove", "--name", "HUY_TRIG", "--format", "csv"],
     ["scan", "--thm", "T3.3", "--lo", "1", "--hi", "1000"],
     ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "4"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "1/0"],
+    ["prove", "--name", "HUY_TRIG", "--min-width", "0/0"],
+    ["scan", "--thm", "T3.1", "--lo", "1/10", "--hi", "1", "--tol", "1/0"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "0." + "1" * 5000],
+    ["prove", "--corpus", "<lhs=a 5001-digit literal>"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "1e-99999"],
+    ["prove", "--corpus", "<tags=eps_lo:1e-99999>"],
+    ["prove", "--name", "HUY_HYP", "--xmax", "1e999999999"],
+    ["prove", "--name", "HUY_TRIG", "--min-width", "1e-5000"],
+    ["prove", "--name", "NOPE"],
+    ["series"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "abc"],
+    ["series", "--kind", "COT", "--nmax", "abc"],
+    ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "5",
+     "--nmin", "1"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
         "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
         "powers-nested", "upto-above-cap", "upto-huge", "series-nmax-above-cap",
         "sequences-nmax-huge", "identities-nmax-above-cap", "precision-huge",
         "series-format", "prove-format-csv", "scan-float-overflow",
-        "scan-past-the-series-limit"])
+        "scan-past-the-series-limit", "eps-over-zero", "min-width-zero-over-zero",
+        "tol-over-zero", "eps-5001-digits", "literal-5001-digits",
+        "eps-exponent-tiny", "tag-eps-lo-exponent-tiny", "xmax-exponent-huge",
+        "min-width-5001-digits", "name-unknown", "series-bare", "eps-abc",
+        "series-nmax-abc", "nmin-below-start"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
-    # table, refute a claim outside its stated domain, or run unbounded
-    hostile_lhs = {"<lhs=x^1000000>": "x^1000000",
-                   "<lhs=3000 nested parentheses>": "(" * 3000 + "x" + ")" * 3000,
-                   "<lhs=((x^64)^64)^64>": "((x^64)^64)^64"}
-    if argv[-1] in hostile_lhs:
+    # table, refute a claim outside its stated domain, or run unbounded.  A
+    # corpus placeholder names one edit of _FIXTURE_MISMATCH: (old, new).
+    hostile = {"<lhs=x^1000000>": ("cos(x)", "x^1000000"),
+               "<lhs=3000 nested parentheses>": ("cos(x)", "(" * 3000 + "x" + ")" * 3000),
+               "<lhs=((x^64)^64)^64>": ("cos(x)", "((x^64)^64)^64"),
+               "<lhs=a 5001-digit literal>": ("cos(x)", "1" * 5001),
+               "<tags=eps_lo:1e-99999>": ("expected:proved", "eps_lo:1e-99999")}
+    if argv[-1] in hostile:
         corpus = tmp_path / "hostile.ineq"
-        corpus.write_text(_FIXTURE_MISMATCH.replace("cos(x)", hostile_lhs[argv[-1]]))
+        corpus.write_text(_FIXTURE_MISMATCH.replace(*hostile[argv[-1]]))
         argv = argv[:-1] + [str(corpus)]
     start = time.monotonic()
     assert run_command(argv) == 3

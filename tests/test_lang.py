@@ -5,10 +5,10 @@ import pytest
 
 from ineqcert.errors import EvalError, ParseError
 from ineqcert.interval import Interval
-from ineqcert.lang import (MAX_DEPTH, MAX_EXPONENT, Add, Call, Div, Lit, Mul,
-                           Neg, PiConst, PowInt, Sub, VarX, eval_expr,
-                           format_expr, parse_corpus, parse_expression,
-                           tokenize)
+from ineqcert.lang import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Add, Call, Div,
+                           Lit, Mul, Neg, PiConst, PowInt, Sub, VarX,
+                           eval_expr, format_expr, parse_corpus,
+                           parse_expression, tokenize)
 
 F = Fraction
 
@@ -127,6 +127,46 @@ def test_round_trip_print_parse():
         assert a == b, (src, format_expr(a))
 
 
+def _random_tree(rng, depth, powers=MAX_EXPONENT):
+    """A tree the parser could return: literals are >= 0, a quotient of two
+    literals is folded (so a literal over a nonzero literal is not drawn),
+    and the |exponents| of nested powers multiply to at most `powers`."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return rng.choice([VarX(), PiConst(), Lit(F(rng.randint(0, 9))),
+                           Lit(F(rng.randint(0, 9), rng.randint(2, 7)))])
+    if r < 0.35:
+        return Neg(_random_tree(rng, depth - 1, powers))
+    if r < 0.5:
+        return Call(rng.choice(FUNCTIONS), _random_tree(rng, depth - 1, powers))
+    if r < 0.6:
+        n = rng.randint(-min(3, powers), min(3, powers))
+        return PowInt(_random_tree(rng, depth - 1, powers // max(abs(n), 1)), n)
+    node = rng.choice([Add, Sub, Mul, Div])
+    a, b = (_random_tree(rng, depth - 1, powers) for _ in range(2))
+    if node is Div and isinstance(a, Lit) and isinstance(b, Lit) and b.value:
+        b = VarX()
+    return node(a, b)
+
+
+def test_random_trees_round_trip_print_parse():
+    rng = random.Random(23)
+    texts = []
+    for _ in range(3000):
+        e = _random_tree(rng, 6)
+        texts.append(format_expr(e))
+        assert parse_expression(texts[-1]) == e, texts[-1]
+    # the draws hold every function, negative and zero exponents and nested
+    # unary minus
+    for part in (*(f"{fn}(" for fn in FUNCTIONS), "^(-", "^0", "--"):
+        assert any(part in t for t in texts), part
+
+
+def test_format_expr_rejects_a_non_expression():
+    with pytest.raises(TypeError, match="not an expression node"):
+        format_expr(3)
+
+
 def test_round_trip_all_corpus_expressions(corpus_specs):
     for spec in corpus_specs:
         for e in (spec.lhs, spec.rhs, spec.difference()):
@@ -202,6 +242,23 @@ def test_parse_corpus_basics():
     assert specs[2].lo_closed and specs[2].hi_closed
     # difference orientation follows the relation
     assert format_expr(specs[0].difference()).startswith("2*x/sin(x)")
+
+
+def test_parse_corpus_nested_endpoints_and_a_blank_line():
+    # the comma that splits the domain is the one outside every parenthesis,
+    # and a blank line inside a stanza is skipped like one between stanzas
+    spec, = parse_corpus("inequality P {\n domain = ((1/2), (1))\n\n lhs = x\n"
+                         " relation = >\n rhs = 0\n}")
+    assert (spec.lo_expr, spec.hi_expr) == (Lit(F(1, 2)), Lit(F(1)))
+    assert not spec.lo_closed and not spec.hi_closed
+
+
+def test_a_literal_past_the_digit_limit_is_a_parse_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default): the literal is named at its offset
+    with pytest.raises(ParseError, match="number has too many digits") as exc:
+        parse_expression("x + " + "1" * 5001)
+    assert exc.value.position == 4
 
 
 def test_parse_corpus_empty():

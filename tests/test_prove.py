@@ -132,6 +132,21 @@ def test_core_end_past_an_argument_limit_ends_the_stanza_at_once(monkeypatch, na
     assert r.leaves == 0 and r.max_depth == 0
 
 
+def test_an_end_past_an_argument_limit_inside_the_core_ends_it_after_a_split(monkeypatch):
+    # sin's argument 20x(1-x) passes 4 only near x = 1/2: neither end of
+    # [0, 1] raises as a point, so that box is split, and the first half
+    # then ends the stanza at its right end
+    found = []
+    real = prove._past_limit
+    monkeypatch.setattr(prove, "_past_limit",
+                        lambda *args: found.append(real(*args)) or found[-1])
+    r = prove_positive(parse_expression("sin(20*x*(1-x)) + 2"), Interval(0, 1))
+    assert r.status == "Unknown"
+    assert r.reason == "x=1/2 is past an argument limit: sin argument outside [-4, 4]"
+    assert found == [None, r.reason]
+    assert r.leaves == 0 and r.max_depth == 1
+
+
 def test_prove_x_minus_sin():
     r = prove_positive(parse_expression("x - sin(x)"),
                        Interval(F(1, 10), F(3, 2)))
@@ -833,6 +848,15 @@ def test_limits_right_enclosures():
         assert enc.width <= F(1, 10 ** 9)
         assert enc.lo <= hi and lo <= enc.hi
         assert rep.matches_paper
+
+
+@pytest.mark.parametrize("thm,endpoint,match", [
+    ("T9.9", "zero", "unknown theorem id 'T9.9'"),
+    ("T3.1", "middle", "endpoint must be 'zero' or 'right'"),
+])
+def test_limits_reject_an_unknown_theorem_or_endpoint(thm, endpoint, match):
+    with pytest.raises(DomainError, match=match):
+        limit_report(thm, endpoint)
 
 
 def test_limits_right_rejected_for_hyperbolic():
