@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -55,34 +54,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_RAT_RE = re.compile(r"[+-]?(?:(\d+)(?:\.(\d+))?(?:[eE]([+-]?\d+))?|(\d+)/(\d+))")
-
-
 def _rational(text: str) -> Fraction:
-    """Exact rational from decimal/scientific/fraction notation.  A zero
-    denominator is a usage error, and so is a numerator or denominator
-    with more digits as written (a mantissa's digits, shifted by its
-    exponent) than the interpreter's limit on integer text: both are read
-    off the text, before any big integer is built."""
-    s = text.strip()
-    m = _RAT_RE.fullmatch(s)
-    if not m:
-        raise _UsageError(f"not an exact rational: {text!r}")
-    whole, frac, exp, num, den = m.groups(default="")
-    # a limit of 0 is off; the default then still bounds the work
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if num:
-        sizes = (len(num), len(den))
-    elif len(exp) > limit:
-        sizes = (len(exp),)
-    else:
-        shift = int(exp or 0) - len(frac)
-        sizes = (len(whole + frac) + max(shift, 0), 1 - min(shift, 0))
-    if max(sizes) > limit:
-        raise _UsageError(f"more than {limit} digits in a rational: {text!r}")
-    if den and not int(den):
-        raise _UsageError(f"zero denominator: {text!r}")
-    return Fraction(s)  # Fraction parses decimal/exponent strings exactly
+    """Exact rational: any pi-free constant a domain endpoint accepts, such
+    as `1e-3`, `3/20` or `1/2000+1/2000`, read and size-checked by `lang`."""
+    try:
+        value = eval_endpoint(parse_expression(text))
+    except (ParseError, PoleError) as exc:
+        raise _UsageError(f"not an exact rational: {text!r}: {exc}") from None
+    if value.lo != value.hi:
+        raise _UsageError(f"not an exact rational: {text!r} depends on pi")
+    return value.lo
 
 
 def _integer(text: str) -> int:
@@ -149,17 +130,22 @@ _ENGINE_OPTIONS = (("eps_lo", _rational, True), ("eps_hi", _rational, True),
 def _stanza_opts(spec, args) -> ProveOptions:
     """Options for one stanza, or for the flags alone when spec is None.
     A flag beats the stanza's tag, which beats --eps (margins only); an option
-    set nowhere keeps its ProveOptions default, and ProveOptions checks ranges."""
+    set nowhere keeps its ProveOptions default, and ProveOptions checks ranges.
+    The flags are checked alone first, so a stanza's error names its tags."""
     chosen = {}
-    for name, parse, tagged in _ENGINE_OPTIONS:
-        text = getattr(args, name)
-        if text is None and tagged and spec is not None:
-            text = spec.tag_value(name)
-        if text is None and name.startswith("eps_"):
-            text = args.eps
-        if text is not None:
-            chosen[name] = parse(text)
-    return ProveOptions(**chosen)
+    try:
+        for name, parse, tagged in _ENGINE_OPTIONS:
+            text = getattr(args, name)
+            if text is None and tagged and spec is not None:
+                text = spec.tag_value(name)
+            if text is None and name.startswith("eps_"):
+                text = args.eps
+            if text is not None:
+                chosen[name] = parse(text)
+        return ProveOptions(**chosen)
+    except (_UsageError, DomainError) as exc:
+        where = "" if spec is None else f"stanza {spec.name}: "
+        raise _UsageError(where + str(exc)) from None
 
 
 def _claim_entry(spec, result) -> dict:
@@ -403,7 +389,8 @@ def _build_parser() -> _ArgumentParser:
     sp = sub.add_parser("prove", help="verify corpus inequalities")
     sp.add_argument("--corpus", default=default_corpus_path())
     sp.add_argument("--name", default=None, help="verify a single stanza")
-    sp.add_argument("--eps", default=None, help="endpoint margin (both sides)")
+    sp.add_argument("--eps", default=None,
+                    help="margin at both ends: a pi-free constant (1e-3, 1/2000+1/2000)")
     sp.add_argument("--eps-lo", dest="eps_lo", default=None)
     sp.add_argument("--eps-hi", dest="eps_hi", default=None)
     sp.add_argument("--xmax", dest="x_max", default=None,
@@ -454,8 +441,8 @@ def _build_parser() -> _ArgumentParser:
 
     sp = sub.add_parser("scan", help="extremum scan of a theorem ratio")
     sp.add_argument("--thm", required=True, choices=sorted(THEOREMS))
-    sp.add_argument("--lo", required=True, help="rational or pi-expression")
-    sp.add_argument("--hi", required=True, help="rational or pi-expression")
+    sp.add_argument("--lo", required=True, help="constant, as a domain end: 1e-3, pi/4")
+    sp.add_argument("--hi", required=True, help="constant, as a domain end: 3/2, pi/2")
     sp.add_argument("--tol", default="1e-6")
     common(sp)
     sp.set_defaults(fn=_cmd_scan)

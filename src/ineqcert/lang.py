@@ -2,8 +2,11 @@
 
 Grammar (precedence low to high): `+ -` < `* /` < unary `-` < `^` with an
 integer-literal exponent.  Identifiers are `x`, `pi`, and the six functions
-sin, cos, tan, sinh, cosh, tanh.  Decimal literals convert exactly to
-rationals (0.15 is 3/20, never a float).  A quotient of two integer
+sin, cos, tan, sinh, cosh, tanh.  Number literals are decimals with an
+optional exponent (`2.5e-1`); each converts exactly to a rational (0.15 is
+3/20, never a float), and one past the digit limit is a ParseError (see
+`_number_value`).  The CLI reads its rational flags and tags with this
+grammar too.  A quotient of two integer
 literals folds to a single rational literal, so printed expressions
 round-trip to equal syntax trees.  Parsing caps |exponent|, and the product
 of the |exponents| along nested `^`, at MAX_EXPONENT, and the syntax-tree
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -56,7 +60,7 @@ MAX_DEPTH = 200        # syntax-tree levels; the parser takes at most 3 frames a
 
 _TOKEN_RE = re.compile(r"""
     (?P<WS>\s+|\#[^\n]*)
-  | (?P<NUMBER>\d+(?:\.\d+)?)
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<SLASH>/)
   | (?P<CARET>\^) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
@@ -168,12 +172,25 @@ class Call(Expr):
     pos: int = field(default=-1, compare=False)
 
 
+def _digit_limit() -> int:
+    """Most digits of a numerator or denominator: the interpreter's limit on
+    integer text, or when that is 0 (off) its default, to bound the work."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _number_value(text: str) -> Fraction:
-    if "." in text:
-        whole, frac = text.split(".")
-        scale = 10 ** len(frac)
-        return Fraction(int(whole) * scale + int(frac), scale)
-    return Fraction(int(text))
+    """The exact value of a NUMBER token, or a ValueError, before any integer
+    is built, when its numerator or denominator would pass `_digit_limit()`:
+    the mantissa's digits, shifted by the exponent.  An exponent whose own
+    text is past the limit is not read."""
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    limit = _digit_limit()
+    shift = int(exp or 0) - len(frac) if len(exp) <= limit else limit + 1
+    up, down = max(shift, 0), max(-shift, 0)
+    if max(len(whole + frac) + up, 1 + down) > limit:
+        raise ValueError(f"more than {limit} digits")
+    return Fraction(int(whole + frac) * 10 ** up, 10 ** down)
 
 
 # --- parser -----------------------------------------------------------------
@@ -262,7 +279,7 @@ class _Parser:
         if t.kind == "NUMBER":
             try:
                 return Lit(_number_value(t.text), t.position)
-            except ValueError:      # past sys.get_int_max_str_digits()
+            except ValueError:      # past the digit limit
                 raise ParseError("number has too many digits", t.position) from None
         if t.kind == "LPAREN":
             e = self.expression()
@@ -375,15 +392,27 @@ def _check_endpoint_expr(e: Expr):
 # depends on how far earlier `pi_enclose` calls have tightened its bracket
 _PI = Interval(*(Fraction(v, 1 << 152) for v in _core._pi_bracket(152)))
 
+
+def _bounded(op):
+    """op, refusing a result whose numerator or denominator passes `_digit_limit()`."""
+    def run(*args):
+        iv, limit = op(*args), _digit_limit()
+        top = max(max(abs(v.numerator), v.denominator) for v in (iv.lo, iv.hi))
+        if top.bit_length() > 3 * limit and top >= 10 ** limit:  # cheap test first
+            raise ParseError(f"endpoint value of more than {limit} digits")
+        return iv
+    return run
+
+
 # exact Fraction intervals for _core's plan runner; endpoints hold no x or calls
-_ENDPOINT_OPS = {
+_ENDPOINT_OPS = {kind: _bounded(op) for kind, op in {
     "lit": lambda ctx, v, x: Interval.point(v),
     "pi": lambda ctx, x: _PI,
     "neg": operator.neg, "add": operator.add, "sub": operator.sub,
     "mul": lambda ctx, a, b: a * b,
     "div": lambda ctx, a, b: a / b,
     "pow": lambda ctx, a, e: a ** e,
-}
+}.items()}
 
 
 def eval_endpoint(e: Expr) -> Interval:
@@ -464,43 +493,24 @@ def _parse_tags(text: str, stanza: str) -> tuple:
     return tags
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def _parse_domain(text: str, stanza: str):
     s = text.strip()
     if not s or s[0] not in "([" or s[-1] not in ")]":
         raise ParseError(f"stanza {stanza}: malformed domain {text!r}")
     lo_closed = s[0] == "["
     hi_closed = s[-1] == "]"
-    inner = s[1:-1]
-    depth = 0
-    split = -1
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            split = i
-            break
-    if split < 0:
+    # the grammar has no commas, so the first one splits the endpoints
+    lo_text, comma, hi_text = map(str.strip, s[1:-1].partition(","))
+    if not comma:
         raise ParseError(f"stanza {stanza}: domain needs two endpoints")
-    lo_text = inner[:split].strip()
-    hi_text = inner[split + 1:].strip()
     lo_expr = parse_expression(lo_text)
-    _check_endpoint_expr(lo_expr)
+    lo_iv = eval_endpoint(lo_expr)
     if hi_text == INF:
         if hi_closed:
             raise ParseError(f"stanza {stanza}: [.., inf] cannot be closed")
         return lo_expr, INF, lo_closed, hi_closed
     hi_expr = parse_expression(hi_text)
-    _check_endpoint_expr(hi_expr)
-    lo_iv = eval_endpoint(lo_expr)
-    hi_iv = eval_endpoint(hi_expr)
-    if not lo_iv.hi < hi_iv.lo:
+    if not lo_iv.hi < eval_endpoint(hi_expr).lo:
         raise ParseError(f"stanza {stanza}: domain endpoints out of order")
     return lo_expr, hi_expr, lo_closed, hi_closed
 
@@ -513,7 +523,7 @@ def parse_corpus(text: str):
     i = 0
     n = len(lines)
     while i < n:
-        line = _strip_comment(lines[i]).strip()
+        line = lines[i].partition("#")[0].strip()
         i += 1
         if not line:
             continue
@@ -529,7 +539,7 @@ def parse_corpus(text: str):
         fields = {}
         closed = False
         while i < n:
-            line = _strip_comment(lines[i]).strip()
+            line = lines[i].partition("#")[0].strip()
             i += 1
             if not line:
                 continue

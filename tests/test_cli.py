@@ -149,6 +149,14 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     ["series", "--kind", "COT", "--nmax", "abc"],
     ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "5",
      "--nmin", "1"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "1e" + "9" * 5001],
+    ["prove", "--name", "HUY_TRIG", "--eps", "pi"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "x"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "+1/1000"],
+    ["prove", "--corpus", "<lhs=1e999999999>"],
+    ["prove", "--corpus", "<tags=x_max:1e999999999>"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "1e4000*1e4000"],
+    ["prove", "--corpus", "<domain=[1, (a 4000-digit literal squared)^64]>"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
         "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
@@ -159,7 +167,10 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
         "tol-over-zero", "eps-5001-digits", "literal-5001-digits",
         "eps-exponent-tiny", "tag-eps-lo-exponent-tiny", "xmax-exponent-huge",
         "min-width-5001-digits", "name-unknown", "series-bare", "eps-abc",
-        "series-nmax-abc", "nmin-below-start"])
+        "series-nmax-abc", "nmin-below-start", "eps-exponent-text-past-the-limit",
+        "eps-pi", "eps-x", "eps-leading-plus", "literal-exponent-huge",
+        "tag-xmax-exponent-huge", "eps-product-past-the-limit",
+        "domain-end-power-past-the-limit"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, refute a claim outside its stated domain, or run unbounded.  A
@@ -168,7 +179,11 @@ def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
                "<lhs=3000 nested parentheses>": ("cos(x)", "(" * 3000 + "x" + ")" * 3000),
                "<lhs=((x^64)^64)^64>": ("cos(x)", "((x^64)^64)^64"),
                "<lhs=a 5001-digit literal>": ("cos(x)", "1" * 5001),
-               "<tags=eps_lo:1e-99999>": ("expected:proved", "eps_lo:1e-99999")}
+               "<tags=eps_lo:1e-99999>": ("expected:proved", "eps_lo:1e-99999"),
+               "<lhs=1e999999999>": ("cos(x)", "1e999999999"),
+               "<tags=x_max:1e999999999>": ("expected:proved", "x_max:1e999999999"),
+               "<domain=[1, (a 4000-digit literal squared)^64]>": (
+                   "[1/10, 3/2]", "[1, ({0}*{0})^64]".format("7" * 4000))}
     if argv[-1] in hostile:
         corpus = tmp_path / "hostile.ineq"
         corpus.write_text(_FIXTURE_MISMATCH.replace(*hostile[argv[-1]]))
@@ -180,18 +195,39 @@ def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
 
 
+def _outputs(argv, capsys):
+    code = run_command(argv)
+    return code, capsys.readouterr().out
+
+
+def test_scan_ends_take_exponents_like_every_other_number(capsys):
+    # --lo and --hi are read by the same grammar as --tol and the prove flags
+    argv = ["scan", "--thm", "T3.1", "--hi", "1", "--format", "text", "--lo"]
+    assert _outputs(argv + ["1e-3"], capsys) == _outputs(argv + ["1/1000"], capsys)
+
+
+def test_a_flag_takes_constant_arithmetic(capsys):
+    # a flag accepts any pi-free constant a domain endpoint accepts
+    argv = ["prove", "--name", "HUY_TRIG", "--eps"]
+    code, out = _outputs(argv + ["1/2000+1/2000"], capsys)
+    assert code == 0 and (code, out) == _outputs(argv + ["1/1000"], capsys)
+
+
 # Seeded fuzz of the exit-code contract, all in this process: random
 # one-stanza corpora, then shipped stanzas under edge option values.  The
 # counts keep it near 5 s on a 2-vCPU machine (the 4096-bit runs cost most).
-_FUZZ_ATOMS = ("x", "x", "x/2", "1", "2", "1/3", "0", "pi", "2.5", "1/1000000000")
-_FUZZ_ENDS = ("-pi", "-1", "0", "1/1000", "1", "pi/4", "pi/2", "3", "1000", "inf")
+_FUZZ_ATOMS = ("x", "x", "x/2", "1", "2", "1/3", "0", "pi", "2.5", "1/1000000000",
+               "1e-3", "2.5E1")
+# in increasing order, so a pair drawn in index order is a domain in order
+_FUZZ_ENDS = ("-pi", "-1", "0", "1/1000", "1e-2", "pi/4", "1", "pi/2", "3*pi/4",
+              "3", "1000", "inf")
 _FUZZ_TAGS = ("expected:proved", "expected:refuted", "eps_lo:0", "eps_hi:0",
               "eps_lo:1", "x_max:3", "x_max:1e400", "max_depth:1",
               "min_width:1e-300", "theorem:T3.1", "bogus:1",
-              "expect_seq.S_T31.positive:pass")
+              "expect_seq.S_T31.positive:pass", "x_max:2e1", "eps_lo:1e-2")
 _FUZZ_OPTIONS = {
-    "--eps": ("0", "1e-300", "1", "-1"),
-    "--eps-lo": ("0", "1e-300", "1/3", "1.5", "8.1", "1e9", "-1"),
+    "--eps": ("0", "1e-300", "1", "-1", "1e-3"),
+    "--eps-lo": ("0", "1e-300", "1/3", "1.5", "8.1", "1e9", "-1", "1/2000+1/2000"),
     "--eps-hi": ("0", "1e-300", "1.5", "2", "-0"),
     "--xmax": ("1e-9", "0", "1/1000", "300", "1e400", "-5", "abc"),
     "--max-depth": ("0", "1", "256", "257", "1.5"),
@@ -265,12 +301,15 @@ inequality TOUCH {
 @pytest.mark.parametrize("tags,flags", [
     (", max_depth:abc", []), (", max_depth:-3", []), (", min_width:-1", []),
     (", min_width:0", []), ("", ["--max-depth", "100000"]),
-    ("", ["--min-width", "0"]),
+    ("", ["--min-width", "0"]), (", eps_lo:pi", []), (", eps_lo:-1", []),
+    (", x_max:1/0", []),
 ], ids=["tag-depth-abc", "tag-depth-negative", "tag-width-negative",
-        "tag-width-zero", "flag-depth-huge", "flag-width-zero"])
+        "tag-width-zero", "flag-depth-huge", "flag-width-zero", "tag-eps-lo-pi",
+        "tag-eps-lo-negative", "tag-xmax-over-zero"])
 def test_hostile_engine_option_is_usage_error(capsys, tmp_path, tags, flags):
     # tags are checked like the flags, and a depth or width that would let
-    # bisection of a touching claim run without bound is refused up front
+    # bisection of a touching claim run without bound is refused up front;
+    # a bad tag names its stanza
     corpus = tmp_path / "touch.ineq"
     corpus.write_text(_FIXTURE_TOUCH.replace("proved", "proved" + tags))
     start = time.monotonic()
@@ -278,6 +317,7 @@ def test_hostile_engine_option_is_usage_error(capsys, tmp_path, tags, flags):
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
+    assert err.startswith("ineqcert: error: stanza TOUCH:") == bool(tags)
 
 
 @pytest.mark.parametrize("tags", [

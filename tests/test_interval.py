@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from ineqcert import interval
 from ineqcert.errors import DomainError, PoleError
 from ineqcert.interval import Interval, elem_enclose, pi_enclose
 
@@ -101,6 +102,18 @@ def test_pi_enclosure():
     loose = pi_enclose(1)
     assert loose.contains_interval(e)
     assert loose.lo <= F("3.141593") and F("3.141592") <= loose.hi
+
+
+def test_pi_enclose_keeps_a_later_tighter_bracket_inside_an_earlier_one(monkeypatch):
+    # a looser bracket first, so the tighter one is cut to fit inside it
+    monkeypatch.setattr(interval, "_pi_best", None)
+    loose = pi_enclose(F(1, 10 ** 10))
+    tight = pi_enclose(F(1, 10 ** 40))
+    assert loose.contains_interval(tight) and tight.width <= F(1, 10 ** 40)
+    with mpmath.workprec(600):
+        for e in (loose, tight):
+            assert (mpmath.mpf(e.lo.numerator) / e.lo.denominator <= mpmath.pi
+                    <= mpmath.mpf(e.hi.numerator) / e.hi.denominator)
 
 
 _DOMAINS = {

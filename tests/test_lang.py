@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from ineqcert.errors import EvalError, ParseError
 from ineqcert.interval import Interval
 from ineqcert.lang import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Add, Call, Div,
                            Lit, Mul, Neg, PiConst, PowInt, Sub, VarX,
-                           eval_expr, format_expr, parse_corpus,
+                           eval_endpoint, eval_expr, format_expr, parse_corpus,
                            parse_expression, tokenize)
 
 F = Fraction
@@ -245,8 +246,8 @@ def test_parse_corpus_basics():
 
 
 def test_parse_corpus_nested_endpoints_and_a_blank_line():
-    # the comma that splits the domain is the one outside every parenthesis,
-    # and a blank line inside a stanza is skipped like one between stanzas
+    # parenthesised endpoints split at the domain's one comma, and a blank
+    # line inside a stanza is skipped like one between stanzas
     spec, = parse_corpus("inequality P {\n domain = ((1/2), (1))\n\n lhs = x\n"
                          " relation = >\n rhs = 0\n}")
     assert (spec.lo_expr, spec.hi_expr) == (Lit(F(1, 2)), Lit(F(1)))
@@ -259,6 +260,41 @@ def test_a_literal_past_the_digit_limit_is_a_parse_error():
     with pytest.raises(ParseError, match="number has too many digits") as exc:
         parse_expression("x + " + "1" * 5001)
     assert exc.value.position == 4
+
+
+@pytest.mark.parametrize("text,value", [
+    ("2.5e-1", F(1, 4)), ("2.5E1", F(25)), ("1e+3", F(1000)), ("0.15e0", F(3, 20)),
+    ("7e-3", F(7, 1000)),
+])
+def test_a_literal_takes_an_exponent_exactly(text, value):
+    assert parse_expression(text) == Lit(value)
+    assert format_expr(Lit(value)) == str(value)
+
+
+def test_the_digit_limit_holds_when_the_interpreter_has_none(monkeypatch):
+    # a limit of 0 switches the interpreter's check off; the default 4,300
+    # still bounds the work, as it always did for the CLI's flags
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    for text in ("1" * 4301, "1e4300", "1e-4300", "1e" + "9" * 4301):
+        with pytest.raises(ParseError, match="number has too many digits"):
+            parse_expression(text)
+    assert parse_expression("1e4299") == Lit(F(10 ** 4299))
+
+
+@pytest.mark.parametrize("text", ["1e4000*1e4000", "1e-4000/1e4000",
+                                  "(1e2000 + 1/3)^64", "1/(1e3000)^2"])
+def test_endpoint_arithmetic_stops_at_the_digit_limit(text):
+    # each literal is within the limit; the value built from them is not
+    with pytest.raises(ParseError, match="endpoint value of more than 4300 digits"):
+        eval_endpoint(parse_expression(text))
+
+
+def test_endpoint_arithmetic_reaches_the_digit_limit_exactly():
+    top = 10 ** 4300 - 1                        # the largest with 4,300 digits
+    assert eval_endpoint(parse_expression(f"{top}*1")) == Interval.point(top)
+    assert eval_endpoint(parse_expression(f"1/{top}")) == Interval.point(F(1, top))
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        eval_endpoint(parse_expression(f"{top}+1"))
 
 
 def test_parse_corpus_empty():
