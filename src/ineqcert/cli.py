@@ -45,8 +45,8 @@ MAX_UPTO = 2000
 MAX_NMAX = 750
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(argparse.ArgumentTypeError):
+    """Exit 3.  Raised by an argparse type, argparse names the flag."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -54,39 +54,56 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _rational(text: str) -> Fraction:
-    """Exact rational: any pi-free constant a domain endpoint accepts, such
-    as `1e-3`, `3/20` or `1/2000+1/2000`, read and size-checked by `lang`."""
+def _constant(text: str) -> Interval:
+    """Tight enclosure of a constant, pi allowed, as a domain end reads it:
+    `1e-3`, `3/20`, `1/2000+1/2000` or `pi/4`, read and size-checked by `lang`."""
     try:
-        value = eval_endpoint(parse_expression(text))
+        return eval_endpoint(parse_expression(text))
     except (ParseError, PoleError) as exc:
         raise _UsageError(f"not an exact rational: {text!r}: {exc}") from None
+
+
+def _rational(text: str) -> Fraction:
+    """An exact rational: a pi-free constant."""
+    value = _constant(text)
     if value.lo != value.hi:
         raise _UsageError(f"not an exact rational: {text!r} depends on pi")
     return value.lo
 
 
 def _integer(text: str) -> int:
+    """A constant of integer value: `40`, `4e1` or `2*20`."""
     try:
-        return int(text)
-    except ValueError:
-        raise _UsageError(f"expected an integer, got {text!r}") from None
+        value = _rational(text)
+        if value.denominator == 1:
+            return int(value)
+    except _UsageError:
+        pass
+    raise _UsageError(f"expected an integer, got {text!r}")
 
 
 def _int_in(minimum: int, maximum: int | None = None):
     """argparse type for counts: a bad value is a usage error (exit 3)."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
+            value = _integer(text)
+        except _UsageError:
             value = minimum - 1
         if value < minimum or (maximum is not None and value > maximum):
             bound = (f">= {minimum}" if maximum is None
                      else f"in [{minimum}, {maximum}]")
-            raise argparse.ArgumentTypeError(
-                f"expected an integer {bound}, got {text!r}")
+            raise _UsageError(f"expected an integer {bound}, got {text!r}")
         return value
     return parse
+
+
+def _checked(read):
+    """argparse type that keeps a flag's text, which the report quotes, once
+    `read` accepts it, so a bad value's error names the flag."""
+    def check(text: str) -> str:
+        read(text)
+        return text
+    return check
 
 
 def _iv_json(iv: Interval | None):
@@ -121,7 +138,8 @@ def _emit_report(args, config: dict, claims: list, lines: list) -> None:
     _emit(text + "\n", args.out)
 
 
-# engine options: the `prove` flag's dest, and whether a tag `name:value` sets it
+# engine options: the `prove` flag's dest, which argparse reads with the same
+# function as a tag's value, and whether a tag `name:value` sets it
 _ENGINE_OPTIONS = (("eps_lo", _rational, True), ("eps_hi", _rational, True),
                    ("x_max", _rational, True), ("max_depth", _integer, True),
                    ("min_width", _rational, True), ("precision", _integer, False))
@@ -131,17 +149,19 @@ def _stanza_opts(spec, args) -> ProveOptions:
     """Options for one stanza, or for the flags alone when spec is None.
     A flag beats the stanza's tag, which beats --eps (margins only); an option
     set nowhere keeps its ProveOptions default, and ProveOptions checks ranges.
-    The flags are checked alone first, so a stanza's error names its tags."""
+    The flags' ranges are checked alone first, so a stanza's error names its
+    tags."""
     chosen = {}
     try:
         for name, parse, tagged in _ENGINE_OPTIONS:
-            text = getattr(args, name)
-            if text is None and tagged and spec is not None:
+            value = getattr(args, name)  # argparse has read the flags
+            if value is None and tagged and spec is not None:
                 text = spec.tag_value(name)
-            if text is None and name.startswith("eps_"):
-                text = args.eps
-            if text is not None:
-                chosen[name] = parse(text)
+                value = None if text is None else parse(text)
+            if value is None and name.startswith("eps_"):
+                value = args.eps
+            if value is not None:
+                chosen[name] = value
         return ProveOptions(**chosen)
     except (_UsageError, DomainError) as exc:
         where = "" if spec is None else f"stanza {spec.name}: "
@@ -352,8 +372,7 @@ def _cmd_limits(args) -> int:
 
 def _cmd_scan(args) -> int:
     # each end rounds inward, so the scanned range lies inside the one asked
-    lo = eval_endpoint(parse_expression(args.lo)).hi
-    hi = eval_endpoint(parse_expression(args.hi)).lo
+    lo, hi = _constant(args.lo).hi, _constant(args.hi).lo
     if lo >= hi:
         raise _UsageError(f"scan needs lo < hi, got --lo {args.lo} --hi {args.hi}")
     rep = scan_extremum(args.thm, Interval(lo, hi), _rational(args.tol))
@@ -389,15 +408,15 @@ def _build_parser() -> _ArgumentParser:
     sp = sub.add_parser("prove", help="verify corpus inequalities")
     sp.add_argument("--corpus", default=default_corpus_path())
     sp.add_argument("--name", default=None, help="verify a single stanza")
-    sp.add_argument("--eps", default=None,
+    sp.add_argument("--eps", type=_rational, default=None,
                     help="margin at both ends: a pi-free constant (1e-3, 1/2000+1/2000)")
-    sp.add_argument("--eps-lo", dest="eps_lo", default=None)
-    sp.add_argument("--eps-hi", dest="eps_hi", default=None)
-    sp.add_argument("--xmax", dest="x_max", default=None,
+    sp.add_argument("--eps-lo", dest="eps_lo", type=_rational, default=None)
+    sp.add_argument("--eps-hi", dest="eps_hi", type=_rational, default=None)
+    sp.add_argument("--xmax", dest="x_max", type=_rational, default=None,
                     help="cutoff for unbounded domains")
-    sp.add_argument("--max-depth", dest="max_depth", default=None)
-    sp.add_argument("--min-width", dest="min_width", default=None)
-    sp.add_argument("--precision", default=None, help="dyadic bits")
+    sp.add_argument("--max-depth", dest="max_depth", type=_integer, default=None)
+    sp.add_argument("--min-width", dest="min_width", type=_rational, default=None)
+    sp.add_argument("--precision", type=_integer, default=None, help="dyadic bits")
     sp.add_argument("--jobs", type=_int_in(1), default=1,
                     help="accepted for compatibility; stanzas run serially")
     sp.add_argument("--timing", action="store_true",
@@ -422,7 +441,7 @@ def _build_parser() -> _ArgumentParser:
     sp.add_argument("--id", required=True, choices=sorted(SEQUENCE_IDS))
     sp.add_argument("--mode", required=True, choices=("positive", "increasing"))
     sp.add_argument("--nmax", type=_int_in(0, MAX_NMAX), required=True)
-    sp.add_argument("--nmin", type=int, default=None)
+    sp.add_argument("--nmin", type=_integer, default=None)
     sp.add_argument("--corpus", default=default_corpus_path())
     common(sp)
     sp.set_defaults(fn=_cmd_sequences)
@@ -441,9 +460,11 @@ def _build_parser() -> _ArgumentParser:
 
     sp = sub.add_parser("scan", help="extremum scan of a theorem ratio")
     sp.add_argument("--thm", required=True, choices=sorted(THEOREMS))
-    sp.add_argument("--lo", required=True, help="constant, as a domain end: 1e-3, pi/4")
-    sp.add_argument("--hi", required=True, help="constant, as a domain end: 3/2, pi/2")
-    sp.add_argument("--tol", default="1e-6")
+    sp.add_argument("--lo", type=_checked(_constant), required=True,
+                    help="constant, as a domain end: 1e-3, pi/4")
+    sp.add_argument("--hi", type=_checked(_constant), required=True,
+                    help="constant, as a domain end: 3/2, pi/2")
+    sp.add_argument("--tol", type=_checked(_rational), default="1e-6")
     common(sp)
     sp.set_defaults(fn=_cmd_scan)
 

@@ -11,11 +11,11 @@ step.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from . import _core
+from ._record import Record
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -31,18 +31,18 @@ def _frac(v) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo, hi):
+        lo, hi = _frac(lo), _frac(hi)
+        if lo > hi:
+            raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def point(cls, v) -> "Interval":

@@ -2,11 +2,11 @@
 
 Grammar (precedence low to high): `+ -` < `* /` < unary `-` < `^` with an
 integer-literal exponent.  Identifiers are `x`, `pi`, and the six functions
-sin, cos, tan, sinh, cosh, tanh.  Number literals are decimals with an
-optional exponent (`2.5e-1`); each converts exactly to a rational (0.15 is
+sin, cos, tan, sinh, cosh, tanh.  Number literals are ASCII decimals with
+an optional exponent (`2.5e-1`); each converts exactly to a rational (0.15 is
 3/20, never a float), and one past the digit limit is a ParseError (see
-`_number_value`).  The CLI reads its rational flags and tags with this
-grammar too.  A quotient of two integer
+`_number_value`).  The CLI reads every number in its flags and tags with
+this grammar too.  A quotient of two integer
 literals folds to a single rational literal, so printed expressions
 round-trip to equal syntax trees.  Parsing caps |exponent|, and the product
 of the |exponents| along nested `^`, at MAX_EXPONENT, and the syntax-tree
@@ -31,15 +31,15 @@ given twice is a ParseError.
 from __future__ import annotations
 
 import operator
+import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from typing import Optional, Union
 
 from . import _core
 from ._core import FUNCTIONS
+from ._record import Record
 from .errors import DomainError, EvalError, ParseError, PoleError
 from .interval import Interval, get_ctx
 
@@ -60,15 +60,14 @@ MAX_DEPTH = 200        # syntax-tree levels; the parser takes at most 3 frames a
 
 _TOKEN_RE = re.compile(r"""
     (?P<WS>\s+|\#[^\n]*)
-  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<SLASH>/)
   | (?P<CARET>\^) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str
     text: str
     position: int
@@ -91,85 +90,68 @@ def tokenize(text: str):
 
 # --- AST --------------------------------------------------------------------
 
-class Expr:
+class Expr(Record):
     """Base class for expression nodes (immutable, structurally comparable).
-    Each class names its operator in `kind`, which `_core` dispatches on."""
+    Each class names its operator in `kind`, which `_core` dispatches on;
+    `pos`, the node's offset in its source text, follows each node's own
+    fields and is not compared."""
 
-    __slots__ = ()
+    _uncompared = ("pos",)
+    pos: int = -1
 
 
-@dataclass(frozen=True)
 class Lit(Expr):
     kind = "lit"
     value: Fraction
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class PiConst(Expr):
     kind = "pi"
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class VarX(Expr):
     kind = "x"
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
     kind = "neg"
     a: Expr
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
     kind = "add"
     a: Expr
     b: Expr
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
     kind = "sub"
     a: Expr
     b: Expr
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
     kind = "mul"
     a: Expr
     b: Expr
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class Div(Expr):
     kind = "div"
     a: Expr
     b: Expr
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class PowInt(Expr):
     kind = "pow"
     base: Expr
     exponent: int
-    pos: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     kind = "call"
     fn: str
     arg: Expr
-    pos: int = field(default=-1, compare=False)
 
 
 def _digit_limit() -> int:
@@ -425,7 +407,7 @@ def eval_endpoint(e: Expr) -> Interval:
 
 def default_corpus_path() -> str:
     """The shipped corpus, `data/paper.ineq` inside the package."""
-    return str(resources.files("ineqcert").joinpath("data/paper.ineq"))
+    return os.path.join(os.path.dirname(__file__), "data", "paper.ineq")
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.]*$")
@@ -438,14 +420,13 @@ INF = "inf"
 TAG_KEYS = {
     "expected": r"proved|refuted",
     "theorem": None,
-    "expect_seq.": r"pass|violation@\d+",
+    "expect_seq.": r"pass|violation@[0-9]+",
     "eps_lo": None, "eps_hi": None, "x_max": None, "max_depth": None,
     "min_width": None,
 }
 
 
-@dataclass(frozen=True)
-class InequalitySpec:
+class InequalitySpec(Record):
     """One corpus stanza: `lhs relation rhs` claimed on the stated domain."""
 
     name: str

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf, isfinite
 from typing import Optional
 
 from . import _core
+from ._record import Record
 from .errors import DomainError, EvalError, InconsistencyError, PoleError
 from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
@@ -68,8 +68,7 @@ MAX_BISECT_DEPTH = 256
 MAX_PRECISION = 4096
 
 
-@dataclass(frozen=True)
-class ProveOptions:
+class ProveOptions(Record):
     """Engine options.  Each default lives here, and a value outside its
     range raises DomainError naming the field."""
     eps_lo: Fraction = Fraction(1, 1000)
@@ -79,7 +78,8 @@ class ProveOptions:
     min_width: Fraction = Fraction(1, 10 ** 12)
     precision: int = 192
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # a negative margin leaves the stated domain; x_max <= 0 leaves no core
         if self.eps_lo < 0 or self.eps_hi < 0:
             raise DomainError(f"margins must be non-negative: eps_lo={self.eps_lo}, "
@@ -104,31 +104,30 @@ class ProveOptions:
                 f"printing an integer")
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     lo: Fraction
     hi: Fraction
     bound: Fraction      # certified lower bound of the proved-positive form
 
 
-@dataclass
-class ProofResult:
+class ProofResult(Record):
+    # the one mutable record, so unhashable: the prover fills it in as it goes
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     status: str                                  # Proved | Refuted | Unknown
     witness: Optional[Interval] = None
     witness_value: Optional[Interval] = None
-    certificate: list = field(default_factory=list)   # list[Leaf]
+    certificate: list = []                       # list[Leaf]
     leaves: int = 0
     max_depth: int = 0
     ms: float = 0.0
     reason: Optional[str] = None
-    findings: list = field(default_factory=list)
-    uncovered: list = field(default_factory=list)
+    findings: list = []
+    uncovered: list = []
     series_certificate: Optional[dict] = None
     theorem: Optional[TheoremClaim] = None  # the registered claim the stanza is
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(Record):
     seq_id: str
     mode: str
     n_min: int
@@ -137,18 +136,16 @@ class SequenceReport:
     first_violation: Optional[tuple] = None      # (n, exact value)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     identity_id: str
     n_min: int
     n_max: int
     holds: bool
     first_failure: Optional[tuple] = None        # (n, lhs, rhs)
-    positivity: dict = field(default_factory=dict)
+    positivity: dict = {}
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Record):
     thm_id: str
     endpoint: str
     value_exact: Optional[Fraction]
@@ -157,8 +154,7 @@ class LimitReport:
     paper_value: str
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     thm_id: str
     lo: Fraction
     hi: Fraction
@@ -331,8 +327,7 @@ def reverify_certificate(expr: Expr, result: ProofResult, precision: int) -> boo
 # registered theorem claims (difference rewrites from the proofs)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremClaim:
+class TheoremClaim(Record):
     stanza: str
     thm: str
     series_id: str

@@ -44,12 +44,12 @@ normalises it once, giving the same rational as a term-by-term sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, Optional
 
+from ._record import Record
 from .errors import DomainError
 from .exact import bernoulli
 from .interval import Interval
@@ -93,8 +93,7 @@ def _row(poly: tuple, n0: int, top: int, weights: list) -> tuple:
         for n, w in enumerate(weights, n0))
 
 
-@dataclass(frozen=True)
-class _Geo:
+class _Geo(Record):
     """Dominating term poly(n) * (x/PI_LO)^(2n) * x^shift (trig kinds)."""
 
     poly: tuple
@@ -115,8 +114,7 @@ class _Geo:
         return _row(self.poly, n0, 1, [1] * (m - n0)), (x / PI_LO) ** 2
 
 
-@dataclass(frozen=True)
-class _Fact:
+class _Fact(Record):
     """Dominating term poly(n) * (base*x)^(2n)/(2n)! * x^shift (entire kinds)."""
 
     poly: tuple
@@ -141,8 +139,7 @@ class _Fact:
                 (self.base * x) ** 2)
 
 
-@dataclass(frozen=True)
-class CoeffSeq:
+class CoeffSeq(Record):
     """A named exact coefficient sequence with tail metadata."""
 
     id: str
@@ -163,8 +160,7 @@ class CoeffSeq:
         return self.coeff_fn(n)
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(Record):
     """bound >= sum_{n>N} |coeff(n)| * x_upper^exponent_of(n)."""
 
     kind: str
@@ -296,8 +292,7 @@ LEMMA_KINDS = ("X_OVER_SIN", "COT", "CSC2", "COS_OVER_SIN2", "CSC3",
                "COS_OVER_SIN3", "SINH", "COSH")
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Record):
     """One sharp bound zero_value < F(x) < right_value, F = num/den (the
     hyperbolic theorems have no right-hand constant).
 

@@ -109,6 +109,41 @@ def test_bad_count_flag_is_usage_error(capsys, flag, value):
     assert err.startswith("ineqcert: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["+4_0", "٤٠", "4.5"],
+                         ids=["underscore", "arabic-indic", "fraction"])
+@pytest.mark.parametrize("argv", [
+    ["prove", "--name", "HUY_TRIG", "--max-depth"],
+    ["prove", "--name", "HUY_TRIG", "--precision"],
+    ["prove", "--name", "HUY_TRIG", "--jobs"],
+    ["bernoulli", "--upto"],
+    ["series", "--kind", "COT", "--nmax"],
+    ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "5",
+     "--nmin"],
+], ids=lambda argv: argv[-1])
+def test_counts_are_read_as_lang_integers(capsys, argv, value):
+    # int() would take `+4_0` and Arabic-Indic digits as 40; lang's grammar
+    # reads neither, and a count must have an integer value
+    assert run_command(argv + [value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ineqcert: error: argument {argv[-1]}: expected an "
+                          f"integer") and err.count("\n") == 1
+
+
+def test_a_count_takes_any_integer_constant(capsys):
+    argv = ["prove", "--name", "HUY_TRIG", "--format", "text", "--max-depth"]
+    assert _outputs(argv + ["4e1"], capsys) == _outputs(argv + ["40"], capsys)
+
+
+@pytest.mark.parametrize("flag", ["--lo", "--hi"])
+def test_a_bad_scan_end_names_its_flag(capsys, flag):
+    ends = {"--lo": "1/10", "--hi": "1", flag: "abc"}
+    argv = ["scan", "--thm", "T3.1", "--lo", ends["--lo"], "--hi", ends["--hi"]]
+    assert run_command(argv) == 3
+    assert capsys.readouterr().err == (
+        f"ineqcert: error: argument {flag}: not an exact rational: 'abc': "
+        f"unknown identifier abc (at offset 0)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "5",
      "--nmin", "abc"],
@@ -302,10 +337,10 @@ inequality TOUCH {
     (", max_depth:abc", []), (", max_depth:-3", []), (", min_width:-1", []),
     (", min_width:0", []), ("", ["--max-depth", "100000"]),
     ("", ["--min-width", "0"]), (", eps_lo:pi", []), (", eps_lo:-1", []),
-    (", x_max:1/0", []),
+    (", x_max:1/0", []), (", max_depth:4.5", []),
 ], ids=["tag-depth-abc", "tag-depth-negative", "tag-width-negative",
         "tag-width-zero", "flag-depth-huge", "flag-width-zero", "tag-eps-lo-pi",
-        "tag-eps-lo-negative", "tag-xmax-over-zero"])
+        "tag-eps-lo-negative", "tag-xmax-over-zero", "tag-depth-fraction"])
 def test_hostile_engine_option_is_usage_error(capsys, tmp_path, tags, flags):
     # tags are checked like the flags, and a depth or width that would let
     # bisection of a touching claim run without bound is refused up front;

@@ -1,7 +1,6 @@
 """Taylor-vector algebra of `_core`, checked against its own point ranges
 and against the dense reference loops in `oracles`."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import factorial
@@ -720,7 +719,7 @@ def test_low_order_shifts_equal_full_order_ones(monkeypatch, corpus_specs):
 
     flip = {">": "<", "<": ">"}
     nodes = [s.difference() for s in corpus_specs]
-    nodes += [dataclasses.replace(s, relation=flip[s.relation]).difference()
+    nodes += [s.replace(relation=flip[s.relation]).difference()
               for s in corpus_specs]
     for node in nodes:
         want = _full_order_shifts(ctx, node)

@@ -449,10 +449,9 @@ def test_an_empty_margin_is_not_listed(corpus_specs):
 def test_a_refuted_prefactor_names_its_box(corpus_specs, monkeypatch):
     # x - 1 is negative on part of THM31_LO's core: the reason says where,
     # and never prints None
-    import dataclasses
     claim = THEOREM_CLAIMS["THM31_LO"]
     monkeypatch.setitem(THEOREM_CLAIMS, "THM31_LO",
-                        dataclasses.replace(claim, prefactor="x - 1"))
+                        claim.replace(prefactor="x - 1"))
     r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
     assert r.status == "Unknown" and "None" not in r.reason
     assert r.reason.startswith(
