@@ -10,7 +10,7 @@ this grammar too.  A quotient of two integer
 literals folds to a single rational literal, so printed expressions
 round-trip to equal syntax trees.  Parsing caps |exponent|, and the product
 of the |exponents| along nested `^`, at MAX_EXPONENT, and the syntax-tree
-depth at MAX_DEPTH.
+depth at MAX_DEPTH.  Whitespace is ASCII only (`_WS`), here and in a corpus.
 
 Corpus files hold one stanza per inequality:
 
@@ -35,7 +35,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from . import _core
 from ._core import FUNCTIONS
@@ -58,13 +58,17 @@ MAX_DEPTH = 200        # syntax-tree levels; the parser takes at most 3 frames a
 
 # --- tokens -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<WS>\s+|\#[^\n]*)
-  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-  | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<SLASH>/)
-  | (?P<CARET>\^) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
-""", re.VERBOSE)
+# The only whitespace, between tokens and around corpus lines and fields.
+_WS = " \t\n\r\f\v"
+
+# maximal munch: one alternative per first character, where a character that
+# starts no longer token is an operator (kind from _KINDS) or illegal
+_TOKEN_RE = re.compile("[" + _WS + r"]+|#[^\n]*|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+                       r"|[A-Za-z_][A-Za-z_0-9]*|.", re.DOTALL)
+_KINDS = {**dict.fromkeys(_WS + "#"), **dict.fromkeys("0123456789", "NUMBER"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
+          **dict(zip("+-*/^(),", ("PLUS", "MINUS", "STAR", "SLASH", "CARET", "LPAREN",
+                                  "RPAREN", "COMMA")))}
 
 
 class Token(Record):
@@ -73,19 +77,24 @@ class Token(Record):
     position: int
 
 
+def _scan(text: str) -> list:
+    """(kind, text, position) of each token, whitespace and # comments
+    skipped, then ("END", "", len(text))."""
+    toks, pos = [], 0
+    for tok in _TOKEN_RE.findall(text):
+        kind = _KINDS.get(tok[0], "BAD")
+        if kind:
+            if kind == "BAD":
+                raise ParseError(f"illegal character {tok!r}", pos)
+            toks.append((kind, tok, pos))
+        pos += len(tok)
+    toks.append(("END", "", pos))
+    return toks
+
+
 def tokenize(text: str):
     """Maximal-munch token stream; whitespace and # comments skipped."""
-    out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"illegal character {text[i]!r}", i)
-        kind = m.lastgroup
-        if kind != "WS":
-            out.append(Token(kind, m.group(), i))
-        i = m.end()
-    return out
+    return [Token(*t) for t in _scan(text)[:-1]]
 
 
 # --- AST --------------------------------------------------------------------
@@ -165,9 +174,11 @@ def _number_value(text: str) -> Fraction:
     is built, when its numerator or denominator would pass `_digit_limit()`:
     the mantissa's digits, shifted by the exponent.  An exponent whose own
     text is past the limit is not read."""
+    limit = _digit_limit()
+    if text.isdigit() and len(text) <= limit:      # the common case: an integer
+        return Fraction(int(text))
     mantissa, _, exp = text.lower().partition("e")
     whole, _, frac = mantissa.partition(".")
-    limit = _digit_limit()
     shift = int(exp or 0) - len(frac) if len(exp) <= limit else limit + 1
     up, down = max(shift, 0), max(-shift, 0)
     if max(len(whole + frac) + up, 1 + down) > limit:
@@ -177,132 +188,117 @@ def _number_value(text: str) -> Fraction:
 
 # --- parser -----------------------------------------------------------------
 
+# operator token: (precedence, node class)
+_BINARY = {"PLUS": (1, Add), "MINUS": (1, Sub), "STAR": (2, Mul), "SLASH": (2, Div)}
+
+
 class _Parser:
-    # operator token: (precedence, node class)
-    _BINARY = {"PLUS": (1, Add), "MINUS": (1, Sub), "STAR": (2, Mul), "SLASH": (2, Div)}
+    """Recursive descent over `_scan`'s tuples, read by index: `toks[i]` is the
+    next token, and the END sentinel is never passed."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.toks = tokenize(text)
+        self.toks = _scan(text)
         self.i = 0
         self.depth = 0
+        self.powers = []                # each `^`'s power product, in post-order
+        self.too_big = None             # where the first one passes MAX_EXPONENT
 
-    def peek(self) -> Optional[Token]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> Optional[Token]:
-        t = self.peek()
-        if t is not None:
-            self.i += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t is None or t.kind != kind:
-            got = "end of input" if t is None else f"{t.text!r}"
-            pos = len(self.text) if t is None else t.position
+    def expect(self, kind: str):
+        k, tok, pos = self.toks[self.i]
+        if k != kind:
+            got = "end of input" if k == "END" else repr(tok)
             raise ParseError(f"expected {kind}, got {got}", pos)
-        return self.next()
+        self.i += 1
 
     def parse(self) -> Expr:
         e = self.expression()
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"unexpected token {t.text!r}", t.position)
-        _power_product(e)
+        kind, tok, pos = self.toks[self.i]
+        if kind != "END":
+            raise ParseError(f"unexpected token {tok!r}", pos)
+        if self.too_big is not None:
+            raise ParseError(f"|exponent| exceeds {MAX_EXPONENT} (the exponents "
+                             f"of nested powers multiply)", self.too_big)
         return e
 
     def expression(self, min_prec: int = 1) -> Expr:
         """Left-associative binary operators of precedence >= min_prec."""
         top = self.depth
         e = self.unary()
-        while ((t := self.peek()) is not None
-               and (op := self._BINARY.get(t.kind)) and op[0] >= min_prec):
+        toks = self.toks
+        while (op := _BINARY.get(toks[self.i][0])) and op[0] >= min_prec:
             prec, node = op
+            pos = toks[self.i][2]
             self.depth += 1                 # checked by the operand's unary
-            self.next()
-            rhs = self.expression(prec + 1)
-            if (t.kind == "SLASH" and isinstance(e, Lit) and isinstance(rhs, Lit)
+            self.i += 1
+            # no operator binds tighter than * and /: their operand is a unary
+            rhs = self.expression(2) if prec == 1 else self.unary()
+            if (node is Div and isinstance(e, Lit) and isinstance(rhs, Lit)
                     and rhs.value != 0):
                 e = Lit(e.value / rhs.value, e.pos)
             else:
-                e = node(e, rhs, t.position)
+                e = node(e, rhs, pos)
         self.depth = top
         return e
 
     def unary(self) -> Expr:
         """`-` unary, or an atom with an optional integer-literal exponent.
         Each binary operator, unary minus and atom is one tree level."""
-        t = self.peek()
+        toks = self.toks
+        kind, _, pos = toks[self.i]
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
-                             len(self.text) if t is None else t.position)
-        if t is not None and t.kind == "MINUS":
-            self.next()
-            e = Neg(self.unary(), t.position)
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        if kind == "MINUS":
+            self.i += 1
+            e = Neg(self.unary(), pos)
         else:
+            inner = len(self.powers)        # the powers parsed next lie in the atom
             e = self.atom()
-            t = self.peek()
-            if t is not None and t.kind == "CARET":
-                self.next()
+            kind, _, pos = toks[self.i]
+            if kind == "CARET":
+                self.i += 1
                 exp = self.unary()
                 lit, sign = (exp.a, -1) if isinstance(exp, Neg) else (exp, 1)
                 if not (isinstance(lit, Lit) and lit.value.denominator == 1):
-                    raise ParseError("exponent must be an integer literal", t.position)
-                e = PowInt(e, sign * int(lit.value), t.position)
+                    raise ParseError("exponent must be an integer literal", pos)
+                e = PowInt(e, sign * int(lit.value), pos)
+                # the largest product of max(|exponent|, 1) along nested `^`,
+                # which bounds the polynomial degree that evaluation builds
+                n = max(abs(e.exponent), 1) * max(self.powers[inner:], default=1)
+                self.powers.append(n)
+                if n > MAX_EXPONENT and self.too_big is None:
+                    self.too_big = pos
         self.depth -= 1
         return e
 
     def atom(self) -> Expr:
-        t = self.next()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        if t.kind == "NUMBER":
+        kind, tok, pos = self.toks[self.i]
+        if kind == "END":
+            raise ParseError("unexpected end of input", pos)
+        self.i += 1
+        if kind == "NUMBER":
             try:
-                return Lit(_number_value(t.text), t.position)
+                return Lit(_number_value(tok), pos)
             except ValueError:      # past the digit limit
-                raise ParseError("number has too many digits", t.position) from None
-        if t.kind == "LPAREN":
+                raise ParseError("number has too many digits", pos) from None
+        if kind == "LPAREN":
             e = self.expression()
             self.expect("RPAREN")
             return e
-        if t.kind == "IDENT":
-            name = t.text
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "LPAREN":
-                if name not in FUNCTIONS:
-                    raise ParseError(f"unknown function {name}", t.position)
-                self.next()
+        if kind == "IDENT":
+            if self.toks[self.i][0] == "LPAREN":
+                if tok not in FUNCTIONS:
+                    raise ParseError(f"unknown function {tok}", pos)
+                self.i += 1
                 arg = self.expression()
                 self.expect("RPAREN")
-                return Call(name, arg, t.position)
-            if name == "x":
-                return VarX(t.position)
-            if name == "pi":
-                return PiConst(t.position)
-            raise ParseError(f"unknown identifier {name}", t.position)
-        raise ParseError(f"unexpected token {t.text!r}", t.position)
-
-
-def _power_product(e: Expr) -> int:
-    """Largest product of max(|exponent|, 1) along a chain of nested `^` in e,
-    which bounds the polynomial degree that evaluation builds; a ParseError
-    at the innermost `^` that takes it past MAX_EXPONENT."""
-    kind = e.kind
-    if kind == "pow":
-        n = max(abs(e.exponent), 1) * _power_product(e.base)
-        if n > MAX_EXPONENT:
-            raise ParseError(f"|exponent| exceeds {MAX_EXPONENT} (the exponents "
-                             f"of nested powers multiply)", e.pos)
-        return n
-    if kind == "call":
-        return _power_product(e.arg)
-    if kind == "neg":
-        return _power_product(e.a)
-    if kind in ("add", "sub", "mul", "div"):
-        return max(_power_product(e.a), _power_product(e.b))
-    return 1
+                return Call(tok, arg, pos)
+            if tok == "x":
+                return VarX(pos)
+            if tok == "pi":
+                return PiConst(pos)
+            raise ParseError(f"unknown identifier {tok}", pos)
+        raise ParseError(f"unexpected token {tok!r}", pos)
 
 
 def parse_expression(text: str) -> Expr:
@@ -458,7 +454,7 @@ class InequalitySpec(Record):
 
 
 def _parse_tags(text: str, stanza: str) -> tuple:
-    tags = tuple(t.strip() for t in text.split(",") if t.strip())
+    tags = tuple(t.strip(_WS) for t in text.split(",") if t.strip(_WS))
     keys = set()
     for tag in tags:
         key, colon, value = tag.partition(":")
@@ -475,13 +471,13 @@ def _parse_tags(text: str, stanza: str) -> tuple:
 
 
 def _parse_domain(text: str, stanza: str):
-    s = text.strip()
+    s = text.strip(_WS)
     if not s or s[0] not in "([" or s[-1] not in ")]":
         raise ParseError(f"stanza {stanza}: malformed domain {text!r}")
     lo_closed = s[0] == "["
     hi_closed = s[-1] == "]"
     # the grammar has no commas, so the first one splits the endpoints
-    lo_text, comma, hi_text = map(str.strip, s[1:-1].partition(","))
+    lo_text, comma, hi_text = (t.strip(_WS) for t in s[1:-1].partition(","))
     if not comma:
         raise ParseError(f"stanza {stanza}: domain needs two endpoints")
     lo_expr = parse_expression(lo_text)
@@ -496,19 +492,44 @@ def _parse_domain(text: str, stanza: str):
     return lo_expr, hi_expr, lo_closed, hi_closed
 
 
+_PARSED: dict = {}   # (text, _digit_limit()) -> its specs, for the two latest texts
+
+
 def parse_corpus(text: str):
-    """Parse a corpus file into a list of InequalitySpec (order preserved)."""
+    """Parse a corpus file into a list of InequalitySpec (order preserved).
+    A text is parsed once per process and digit limit: each call returns a
+    new list of the same (immutable) specs.  An error is not kept."""
+    key = (text, _digit_limit())
+    specs = _PARSED.get(key)
+    if specs is None:
+        specs = _parse_corpus(text)
+        for old in list(_PARSED)[:-1]:      # no check-then-act: threads call this
+            _PARSED.pop(old, None)
+        _PARSED[key] = specs
+    return list(specs)
+
+
+def _parse_corpus(text: str) -> tuple:
     specs = []
     seen = set()
-    lines = text.splitlines()
+    known = {}      # (reader, field text) -> value: a corpus repeats sides and
+                    # domains, and each distinct one is read once
+
+    def read(reader, value, *args):
+        if (reader, value) not in known:
+            known[reader, value] = reader(value, *args)
+        return known[reader, value]
+
+    # lines end at \n, \r\n or \r; _WS alone is whitespace
+    lines = text.replace("\r", "\n").split("\n")
     i = 0
     n = len(lines)
     while i < n:
-        line = lines[i].partition("#")[0].strip()
+        line = lines[i].partition("#")[0].strip(_WS)
         i += 1
         if not line:
             continue
-        m = re.match(r"inequality\s+(\S+)\s*\{$", line)
+        m = re.match(r"inequality\s+(\S+)\s*\{$", line, re.ASCII)
         if not m:
             raise ParseError(f"expected 'inequality NAME {{', got {line!r}")
         name = m.group(1)
@@ -520,7 +541,7 @@ def parse_corpus(text: str):
         fields = {}
         closed = False
         while i < n:
-            line = lines[i].partition("#")[0].strip()
+            line = lines[i].partition("#")[0].strip(_WS)
             i += 1
             if not line:
                 continue
@@ -530,8 +551,8 @@ def parse_corpus(text: str):
             if "=" not in line:
                 raise ParseError(f"stanza {name}: malformed line {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key = key.strip(_WS)
+            value = value.strip(_WS)
             if key in fields:
                 raise ParseError(f"stanza {name}: duplicate key {key!r}")
             fields[key] = value
@@ -543,14 +564,9 @@ def parse_corpus(text: str):
         if fields["relation"] not in ("<", ">"):
             raise ParseError(
                 f"stanza {name}: relation must be < or >, got {fields['relation']!r}")
-        lo_expr, hi_expr, lo_c, hi_c = _parse_domain(fields["domain"], name)
+        lo_expr, hi_expr, lo_c, hi_c = read(_parse_domain, fields["domain"], name)
         tags = _parse_tags(fields.get("tags", ""), name)
         specs.append(InequalitySpec(
-            name=name,
-            lo_expr=lo_expr, hi_expr=hi_expr, lo_closed=lo_c, hi_closed=hi_c,
-            lhs=parse_expression(fields["lhs"]),
-            rhs=parse_expression(fields["rhs"]),
-            relation=fields["relation"],
-            tags=tags,
-        ))
-    return specs
+            name, lo_expr, hi_expr, lo_c, hi_c, read(parse_expression, fields["lhs"]),
+            read(parse_expression, fields["rhs"]), fields["relation"], tags))
+    return tuple(specs)

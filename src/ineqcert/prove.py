@@ -35,7 +35,6 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, inf, isfinite
 from typing import Optional
 
@@ -354,9 +353,8 @@ def _pick_N(series_id: str, x: Fraction) -> TailBound:
         n += 12
 
 
-@lru_cache(maxsize=None)
 def _shipped_stanzas() -> dict:
-    """The shipped corpus's stanzas by name, parsed once per process."""
+    """The shipped corpus's stanzas by name (`parse_corpus` parses a text once)."""
     with open(default_corpus_path(), "r", encoding="utf-8") as fh:
         return {s.name: s for s in parse_corpus(fh.read())}
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ineqcert
-from ineqcert import cli, prove
+from ineqcert import cli, lang, prove
 from ineqcert.cli import _ENGINE_OPTIONS, default_corpus_path, run_command
 from ineqcert.interval import pi_enclose
 from ineqcert.lang import FUNCTIONS, TAG_KEYS
@@ -252,7 +252,7 @@ def test_a_flag_takes_constant_arithmetic(capsys):
 # one-stanza corpora, then shipped stanzas under edge option values.  The
 # counts keep it near 5 s on a 2-vCPU machine (the 4096-bit runs cost most).
 _FUZZ_ATOMS = ("x", "x", "x/2", "1", "2", "1/3", "0", "pi", "2.5", "1/1000000000",
-               "1e-3", "2.5E1")
+               "1e-3", "2.5E1", "tan(x)", "tan(x/2)^2", "tan(pi/2 - x)")
 # in increasing order, so a pair drawn in index order is a domain in order
 _FUZZ_ENDS = ("-pi", "-1", "0", "1/1000", "1e-2", "pi/4", "1", "pi/2", "3*pi/4",
               "3", "1000", "inf")
@@ -260,6 +260,9 @@ _FUZZ_TAGS = ("expected:proved", "expected:refuted", "eps_lo:0", "eps_hi:0",
               "eps_lo:1", "x_max:3", "x_max:1e400", "max_depth:1",
               "min_width:1e-300", "theorem:T3.1", "bogus:1",
               "expect_seq.S_T31.positive:pass", "x_max:2e1", "eps_lo:1e-2")
+# whitespace to Python's str.isspace, but not to the corpus grammar; the
+# last three end a line for str.splitlines
+_UNICODE_SPACES = ("\u00a0", "\u2003", "\u3000", "\x1c", "\x85", "\u2028")
 _FUZZ_OPTIONS = {
     "--eps": ("0", "1e-300", "1", "-1", "1e-3"),
     "--eps-lo": ("0", "1e-300", "1/3", "1.5", "8.1", "1e9", "-1", "1/2000+1/2000"),
@@ -271,16 +274,21 @@ _FUZZ_OPTIONS = {
 }
 
 
-def _fuzz_expr(rng, depth):
+def _fuzz_expr(rng, depth, sep=""):
+    # sep goes around each binary operator; nested powers may multiply past
+    # the parser's cap
     r = rng.random()
     if depth == 0 or r < 0.25:
         return rng.choice(_FUZZ_ATOMS)
     if r < 0.55:
-        return f"{rng.choice(FUNCTIONS)}({_fuzz_expr(rng, depth - 1)})"
-    if r < 0.9:
-        return (f"({_fuzz_expr(rng, depth - 1)}){rng.choice('+-*/')}"
-                f"({_fuzz_expr(rng, depth - 1)})")
-    return f"({_fuzz_expr(rng, depth - 1)})^{rng.randint(-3, 9)}"
+        return f"{rng.choice(FUNCTIONS)}({_fuzz_expr(rng, depth - 1, sep)})"
+    if r < 0.85:
+        return (f"({_fuzz_expr(rng, depth - 1, sep)}){sep}{rng.choice('+-*/')}{sep}"
+                f"({_fuzz_expr(rng, depth - 1, sep)})")
+    if r < 0.93:
+        return (f"(({_fuzz_expr(rng, depth - 1, sep)})^{rng.randint(-3, 9)})"
+                f"^{rng.randint(-9, 9)}")
+    return f"({_fuzz_expr(rng, depth - 1, sep)})^{rng.randint(-3, 9)}"
 
 
 def _fuzz_stanza(rng):
@@ -288,12 +296,13 @@ def _fuzz_stanza(rng):
     if rng.random() < 0.1:
         i, j = j, i                       # ends out of order, now and then
     tags = ", ".join(rng.sample(_FUZZ_TAGS, rng.randint(0, 2)))
+    sep = rng.choice(("", "", " ", "\t"))   # tokens apart by tabs, now and then
     return (f"inequality FUZZ {{\n"
             f"  domain   = {rng.choice('([')}{_FUZZ_ENDS[i]}, {_FUZZ_ENDS[j]}"
             f"{rng.choice(')]')}\n"
-            f"  lhs      = {_fuzz_expr(rng, 3)}\n"
-            f"  relation = {rng.choice('<>')}\n"
-            f"  rhs      = {_fuzz_expr(rng, 2)}\n"
+            f"  lhs      = {_fuzz_expr(rng, 3, sep)}\n"
+            f"\trelation\t=\t{rng.choice('<>')}\n"
+            f"  rhs      = {_fuzz_expr(rng, 2, sep)}\n"
             + (f"  tags     = {tags}\n" if tags else "") + "}\n")
 
 
@@ -305,9 +314,13 @@ def test_fuzzed_corpora_and_options_keep_the_exit_code_contract(tmp_path, capsys
     names = sorted(prove._shipped_stanzas())
     codes = set()
     for k in range(360):
+        spaced = k % 60 == 59 and k < 300   # Unicode whitespace between tokens
         if k < 300:
             what = _fuzz_stanza(rng)
-            corpus.write_text(what)
+            if spaced:
+                what = what.replace("lhs      = ", "lhs = 0" + rng.choice(_UNICODE_SPACES)
+                                    + "+ ")
+            corpus.write_text(what, encoding="utf-8")
             argv = ["prove", "--corpus", str(corpus), "--out", out]
         else:
             argv = ["prove", "--name", rng.choice(names), "--out", out]
@@ -317,9 +330,81 @@ def test_fuzzed_corpora_and_options_keep_the_exit_code_contract(tmp_path, capsys
         code = run_command(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3) and "internal error" not in err, (what, err)
+        assert code == 3 or not spaced, what
         codes.add(code)
     assert codes == {0, 1, 2, 3}
 
+
+def test_unicode_whitespace_is_a_usage_error(tmp_path, capsys):
+    # only ASCII whitespace separates tokens: an em space and a no-break
+    # space around a count's digits, or between two corpus tokens, used to
+    # be skipped
+    corpus = tmp_path / "nbsp.ineq"
+    corpus.write_text(_FIXTURE_TOUCH.replace("(x - 1)^2", "(x - 1)\u00a0^2"),
+                      encoding="utf-8")
+    for argv in (["prove", "--name", "HUY_TRIG", "--max-depth", "\u2003 40\u00a0"],
+                 ["prove", "--corpus", str(corpus)]):
+        assert run_command(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ineqcert: error:") and err.count("\n") == 1, err
+
+
+# --- one parse of a corpus text per process ----------------------------------
+
+@pytest.fixture
+def corpus_parses(monkeypatch):
+    """The texts the uncached corpus parser reads, from an empty memo."""
+    texts, parse = [], lang._parse_corpus
+    monkeypatch.setattr(lang, "_PARSED", {})
+    monkeypatch.setattr(lang, "_parse_corpus", lambda text: texts.append(text) or parse(text))
+    return texts
+
+
+def test_a_default_prove_parses_the_corpus_once(corpus_parses, monkeypatch, tmp_path):
+    # THM31_LO's registration check reads the shipped stanzas as well
+    shipped, lookups = prove._shipped_stanzas, []
+    monkeypatch.setattr(prove, "_shipped_stanzas", lambda: lookups.append(1) or shipped())
+    assert run_command(["prove", "--name", "THM31_LO", "--out", str(tmp_path / "o.json")]) == 0
+    assert lookups and len(corpus_parses) == 1
+
+
+def test_sequences_commands_parse_the_corpus_once(corpus_parses, tmp_path):
+    out = str(tmp_path / "s.json")
+    for seq_id, mode in (("S_T31", "positive"), ("S_T33_C", "increasing")):
+        assert run_command(["sequences", "--id", seq_id, "--mode", mode,
+                            "--nmax", "10", "--out", out]) == 0
+    assert len(corpus_parses) == 1
+
+
+def test_a_corpus_error_is_raised_on_every_call(corpus_parses, tmp_path, capsys):
+    corpus = tmp_path / "bad.ineq"
+    corpus.write_text(_FIXTURE_TOUCH.replace("(x - 1)^2", "(x - 1^2"))
+    for _ in range(2):
+        assert run_command(["prove", "--corpus", str(corpus)]) == 3
+        assert "expected RPAREN" in capsys.readouterr().err
+    assert len(corpus_parses) == 2
+
+
+def test_the_corpus_memo_hands_out_new_lists(corpus_parses):
+    first = lang.parse_corpus(_FIXTURE_TWO)
+    names = [s.name for s in first]
+    first.clear()
+    again = lang.parse_corpus(_FIXTURE_TWO)
+    assert [s.name for s in again] == names and len(corpus_parses) == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer printing limit in this Python")
+def test_a_new_digit_limit_parses_again(corpus_parses):
+    # the limit decides which literals parse, so it is part of the memo's key
+    saved = sys.get_int_max_str_digits()
+    try:
+        lang.parse_corpus(_FIXTURE_TWO)
+        sys.set_int_max_str_digits(640)
+        lang.parse_corpus(_FIXTURE_TWO)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert len(corpus_parses) == 2
 
 
 _FIXTURE_TOUCH = """

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -8,8 +10,8 @@ from ineqcert.errors import EvalError, ParseError
 from ineqcert.interval import Interval
 from ineqcert.lang import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Add, Call, Div,
                            Lit, Mul, Neg, PiConst, PowInt, Sub, VarX,
-                           eval_endpoint, eval_expr, format_expr, parse_corpus,
-                           parse_expression, tokenize)
+                           default_corpus_path, eval_endpoint, eval_expr,
+                           format_expr, parse_corpus, parse_expression, tokenize)
 
 F = Fraction
 
@@ -23,6 +25,28 @@ def test_tokenize_examples():
         tokenize("3 @ x")
     assert exc.value.position == 2
     assert [t.kind for t in tokenize("# only a comment")] == []
+
+
+def test_only_ascii_whitespace_separates_tokens():
+    toks = tokenize("1\t+\f2\v*\r\nx # note\u00a0")
+    assert [t.text for t in toks] == ["1", "+", "2", "*", "x"]
+    for space in ("\u00a0", "\u2003", "\u3000", "\x1c", "\x85", "\u2028"):
+        with pytest.raises(ParseError, match="illegal character") as exc:
+            parse_expression(f"x +{space}1")
+        assert exc.value.position == 3
+
+
+@pytest.mark.parametrize("old,new", [
+    ("inequality T {", "inequality\u00a0T {"), ("lhs = x", "lhs = x\u2003"),
+    ("tags = expected:proved", "tags = expected:proved,\u00a0theorem:3.1"),
+    ("domain = (0, 1)", "domain = (0,\u3000 1)"), ("}", "}\x85"),
+])
+def test_the_corpus_takes_only_ascii_whitespace(old, new):
+    text = ("inequality T {\n domain = (0, 1)\n lhs = x\n relation = <\n"
+            " rhs = 2*x\n tags = expected:proved\n}")
+    assert len(parse_corpus(text.replace("\n", "\r\n").replace(" ", "\t"))) == 1
+    with pytest.raises(ParseError):
+        parse_corpus(text.replace(old, new))
 
 
 def test_token_positions_increase():
@@ -359,3 +383,57 @@ def test_eval_soundness_on_corpus_expressions(corpus_specs):
                              precision=128)
             tight = eval_expr(expr, Interval.point(p), precision=256)
             assert wide.lo <= tight.lo and tight.hi <= wide.hi, (spec.name, p)
+
+
+# Golden record of the expression parser: each input's tree `repr` (every
+# node's `pos` included) or its ParseError message and offset.  The inputs
+# are the shipped lhs, rhs and domain ends, printed random trees, and
+# one-character deletions, insertions and swaps of the corpus expressions,
+# powers of them, and inputs at the depth and digit limits.  The digest was
+# taken from the parser before its rewrite over `_scan`'s tuples.
+_GOLDEN_PARSE_SHA256 = (
+    "d8c847bf8b4a4877b3e19075dc2e7fb95aae3538a3407e859000f63e5c5688ec")
+
+
+def _golden_parse_inputs():
+    with open(default_corpus_path(), encoding="utf-8") as fh:
+        fields = re.findall(r"^ *(lhs|rhs|domain) *= *(.*?) *$", fh.read(), re.M)
+    exprs = []
+    for key, value in fields:
+        exprs += ([end.strip() for end in value[1:-1].split(",")]
+                  if key == "domain" else [value])
+    rng = random.Random(26)
+    inputs = exprs + [format_expr(_random_tree(rng, 6)) for _ in range(800)]
+    alphabet = "0123456789.eE+-*/^(),xpisnhcota_# \t@"
+    while len(inputs) < 2300:
+        s = rng.choice(exprs)
+        k = rng.randrange(len(s))
+        edit = rng.randrange(3)
+        if edit == 0:
+            s = s[:k] + s[k + 1:]
+        elif edit == 1:
+            s = s[:k] + rng.choice(alphabet) + s[k:]
+        elif k + 1 < len(s):
+            s = s[:k] + s[k + 1] + s[k] + s[k + 2:]
+        inputs.append(s)
+    powers = ("x", "1.5", "(-2)", "-3", "9", "70", "2^40", "1/2", "0", "pi")
+    inputs += [f"({rng.choice(exprs)})^{rng.choice(powers)}" for _ in range(100)]
+    inputs += ["(" * n + "x" + ")" * n for n in (66, 67, 199, 200)]
+    inputs += ["-" * n + "x" for n in (199, 200)]
+    inputs += ["1" * 4300, "1" * 4301, "1e4299", "1e-4300", "2.5e+1"]
+    return exprs, inputs
+
+
+def test_the_parser_matches_its_golden_record():
+    exprs, inputs = _golden_parse_inputs()
+    assert len(exprs) == 28 * 4 and len(inputs) == 2411
+    records = []
+    for text in inputs:
+        try:
+            records.append(repr(parse_expression(text)))
+        except ParseError as exc:
+            records.append(f"ParseError({exc}, {exc.position})")
+    errors = sum(r.startswith("ParseError(") for r in records)
+    assert 400 < errors < 1600
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == _GOLDEN_PARSE_SHA256
