@@ -5,8 +5,8 @@ operation is exact integer arithmetic with outward rounding: each computed
 pair (lo, hi) satisfies lo/2**prec <= true value <= hi/2**prec.  The public
 Fraction-based Interval type wraps it.
 
-Elementary functions: sin, cos on [-4, 4], tan where cos is certified
-positive, sinh/cosh/tanh on [-32, 32].  Ranges over an interval come from
+Elementary functions: sin, cos on [-4, 4], tan where the cos enclosure
+excludes 0, sinh/cosh/tanh on [-32, 32].  Ranges over an interval come from
 endpoint evaluations plus the interior extrema (+-pi/2 for sin, 0 and +-pi
 for cos); the corpus never needs argument reduction.
 
@@ -329,7 +329,7 @@ def fn_range(ctx, fn, a, b):
 
     if fn == "tan":
         crange = fn_range(ctx, "cos", a, b)
-        if crange[0] <= 0:
+        if crange[0] <= 0 <= crange[1]:  # tan increases between poles
             raise PoleError(
                 "possible pole: cos enclosure "
                 f"[{Fraction(crange[0], one)}, {Fraction(crange[1], one)}] "

@@ -11,8 +11,8 @@ entry j - 1, so the table grows one column at a time, and
 
     B_2m = (-1)^(m-1) * 2m * T_m / (4^m * (4^m - 1)).
 
-Extending the table takes integer products and sums only; the values
-handed out, B_n and the zeta ratios, are `fractions.Fraction`.  The Bernoulli
+The table keeps the integers T_m (`tangent`); `bernoulli` forms a B_n as a
+`fractions.Fraction` once, when it is first asked for.  The Bernoulli
 convention is B1 = -1/2, the one forced by the generating function
 x/(e^x - 1); even-index values are the same under both sign conventions.
 """
@@ -25,13 +25,14 @@ from math import factorial
 
 from .errors import DomainError
 
-__all__ = ["bernoulli", "zeta_even_ratio"]
+__all__ = ["bernoulli", "tangent", "zeta_even_ratio"]
 
-# B_0, B_2, B_4, ...; the list only grows, so readers take no lock
-_EVEN: list[Fraction] = [Fraction(1), Fraction(1, 6)]
+# _TAN[m] = T_m (entry 0 unused); the list only grows, so readers take no lock
+_TAN: list[int] = [0, 1]
 # (j, column): entry j of TangentNumbers after each of its stages 1..j, so
-# the last value is T_j; T_1 = 1 gives B_2 = 1/6 above
+# the last value is T_j
 _COL = (1, [1])
+_EVEN: dict[int, Fraction] = {0: Fraction(1)}     # B_n for the even n asked
 _LOCK = threading.Lock()
 
 
@@ -39,7 +40,7 @@ def _extend(m: int) -> None:
     global _COL
     with _LOCK:
         j, col = _COL
-        while len(_EVEN) <= m:
+        while len(_TAN) <= m:
             j += 1
             v = (j - 1) * col[0]
             nxt = [v]
@@ -48,13 +49,21 @@ def _extend(m: int) -> None:
                 nxt.append(v)
             nxt.append(2 * v)                     # stage k = j
             col = nxt
-            if j == len(_EVEN):
-                t = col[-1] if j % 2 else -col[-1]
-                _EVEN.append(Fraction(2 * j * t, 4 ** j * (4 ** j - 1)))
+            if j == len(_TAN):
+                _TAN.append(col[-1])
         # stored last, so an interrupted extension leaves the column behind
         # the table, never ahead, and the loop above catches up without
         # appending
         _COL = (j, col)
+
+
+def tangent(m: int) -> int:
+    """The tangent number T_m, m >= 1: tan x = sum T_m x^(2m-1)/(2m-1)!."""
+    if m < 1:
+        raise DomainError("tangent index must be >= 1")
+    if m >= len(_TAN):
+        _extend(m)
+    return _TAN[m]
 
 
 def bernoulli(n: int) -> Fraction:
@@ -65,10 +74,11 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    m = n // 2
-    if m >= len(_EVEN):
-        _extend(m)
-    return _EVEN[m]
+    if n not in _EVEN:
+        m = n // 2
+        _EVEN[n] = Fraction((-1) ** (m - 1) * 2 * m * tangent(m),
+                            4 ** m * (4 ** m - 1))
+    return _EVEN[n]
 
 
 def zeta_even_ratio(q: int) -> Fraction:

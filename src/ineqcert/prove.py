@@ -46,8 +46,8 @@ from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, default_corpus_path, eval_endpoint,
                    eval_expr, parse_corpus, parse_expression)
 from .series import (coeff_row, exact_sum, get_series, tail_bound,
-                     theorem_coeff, TailBound, THEOREMS, THEOREM_START,
-                     TRIG_X_MAX)
+                     theorem_coeff, theorem_pair, TailBound, THEOREMS,
+                     THEOREM_START, TRIG_X_MAX)
 from .series import eval_series  # noqa: F401 (patched by perfbench)
 
 __all__ = [
@@ -608,18 +608,19 @@ SEQUENCE_IDS = {seq_id: (t.id, role) for t in THEOREMS.values()
                 for seq_id, role in t.sequences.items()}
 
 
-def _step(seq_id: str, n: int) -> Fraction:
-    """a_(n+1) - a_n of a theorem sequence."""
+def _step(seq_id: str, n: int) -> tuple:
+    """a_(n+1) - a_n of a theorem sequence, as an unnormalised pair."""
     thm, role = SEQUENCE_IDS[seq_id]
-    return theorem_coeff(thm, role, n + 1) - theorem_coeff(thm, role, n)
+    (n1, d1), (n0, d0) = (theorem_pair(thm, role, k) for k in (n + 1, n))
+    return n1 * d0 - n0 * d1, d0 * d1
 
 
 def sequence_check(seq_id: str, mode: str, n_max: int,
                    n_min: Optional[int] = None) -> SequenceReport:
     """Exact check that a theorem sequence's value is > 0 at each n from
     its start (or n_min) on: a_n for n <= n_max in `positive` mode, and
-    a_(n+1) - a_n for n < n_max in `increasing` mode.  The first value
-    that is not is reported as (n, value).
+    a_(n+1) - a_n for n < n_max in `increasing` mode, as pairs (num, den)
+    with den > 0.  The first value that is not is reported as (n, value).
     """
     if seq_id not in SEQUENCE_IDS:
         raise DomainError(f"unknown sequence id {seq_id!r}")
@@ -632,14 +633,14 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
     if n_max < start + 1:
         raise DomainError("n_max must be at least the start index + 1")
     if mode == "positive":
-        value, stop = (lambda n: theorem_coeff(thm, role, n)), n_max + 1
+        value, stop = (lambda n: theorem_pair(thm, role, n)), n_max + 1
     else:
         value, stop = (lambda n: _step(seq_id, n)), n_max
     violation = None
     for n in range(start, stop):
-        v = value(n)
-        if not v > 0:
-            violation = (n, v)
+        num, den = value(n)
+        if not num > 0:
+            violation = (n, Fraction(num, den))
             break
     return SequenceReport(seq_id, mode, start, n_max,
                           all_pass=violation is None, first_violation=violation)
@@ -693,15 +694,13 @@ def _quartic_shift(n):
 
 def _t32_bdiff(n):
     num = 4 ** n * (6 * n - 1) - 4 * n + 1
-    d = _step("S_T32_B", n)
-    return ((d.numerator, d.denominator, num, 1),), (num,)
+    return ((*_step("S_T32_B", n), num, 1),), (num,)
 
 
 def _t33_cdiff(n):
     num = (6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1
     den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
-    d = _step("S_T33_C", n)
-    return ((d.numerator, d.denominator, num, den),), (num,)
+    return ((*_step("S_T33_C", n), num, den),), (num,)
 
 
 def _t34_fdecomp(n):
@@ -710,8 +709,7 @@ def _t34_fdecomp(n):
          _f4_plain(n))
     den = (3 * n * (16 + 4 ** n) * (64 + 4 ** n) * (n - 2) * (2 * n - 3)
            * (4 * n * n - 1) * (n * n - 1))
-    d = _step("S_T34_C", n)
-    return ((d.numerator, d.denominator, sum(f), den),), f
+    return ((*_step("S_T34_C", n), sum(f), den),), f
 
 
 def _t34_polys(n):

@@ -24,8 +24,11 @@ settle each claim near 0):
   T3.x_DIFF = A - (p/q) B, p/q the theorem's `zero_value` (vanishes at the
             start index; leading term -x^6/40 for T3.3, 47 x^8/3024 for T3.4)
 
-The ratio c_n = a_n/b_n of T3.3 and T3.4 is `theorem_coeff` role c, one
-quotient of the integer numerators of A and B over their common (2n)!.
+The ratio c_n = a_n/b_n of T3.3 and T3.4 is role c, the integer numerators
+of A and B over their common (2n)!.  Every coefficient is an unnormalised
+integer pair (num, den), den > 0, with |B_2n|/(2n)! = T_n/((2n-1)! 4^n
+(4^n-1)) from the tangent number T_n.  `CoeffSeq.pair` and `theorem_pair`
+hand out pairs; `coeff`, `lemma_coeff` and `theorem_coeff` normalise once.
 
 Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
@@ -51,13 +54,13 @@ from typing import Callable, Optional
 
 from ._record import Record
 from .errors import DomainError
-from .exact import bernoulli
+from .exact import bernoulli, tangent  # noqa: F401 (bernoulli: perfbench)
 from .interval import Interval
 
 __all__ = [
     "CoeffSeq", "TailBound", "get_series", "series_ids",
-    "lemma_coeff", "theorem_coeff", "tail_bound", "eval_series",
-    "coeff_row", "exact_sum",
+    "lemma_coeff", "theorem_coeff", "theorem_pair", "tail_bound",
+    "eval_series", "coeff_row", "exact_sum",
     "LEMMA_KINDS", "THEOREM_START", "Theorem", "THEOREMS",
 ]
 
@@ -69,9 +72,14 @@ _RHO_MAX = 1 - Fraction(1, 1024)
 
 
 @lru_cache(maxsize=None)
-def _bnorm(n: int) -> Fraction:
-    """|B_2n|/(2n)!, normalised once per n and shared by every sequence."""
-    return abs(bernoulli(2 * n)) / factorial(2 * n)
+def _bnorm(n: int) -> tuple:
+    """|B_2n|/(2n)! as the pair (T_n, (2n-1)! 4^n (4^n-1))."""
+    return tangent(n), factorial(2 * n - 1) * 4 ** n * (4 ** n - 1)
+
+
+def _w(k: int, n: int) -> tuple:
+    """k |B_2n|/(2n)! as a pair."""
+    return k * _bnorm(n)[0], _bnorm(n)[1]
 
 
 def _poly(coeffs: tuple, n: int) -> Fraction:
@@ -145,7 +153,7 @@ class CoeffSeq(Record):
     id: str
     start_index: int
     expo_offset: int                       # exponent_of(n) = 2n + expo_offset
-    coeff_fn: Callable[[int], Fraction]
+    coeff_fn: Callable[[int], tuple]       # n -> (num, den), den > 0
     radius: str                            # "pi" or "inf"
     singular_part: Optional[str]
     components: tuple
@@ -153,11 +161,14 @@ class CoeffSeq(Record):
     def exponent_of(self, n: int) -> int:
         return 2 * n + self.expo_offset
 
-    def coeff(self, n: int) -> Fraction:
+    def pair(self, n: int) -> tuple:
         if n < self.start_index:
             raise DomainError(
                 f"{self.id}: index {n} below start index {self.start_index}")
         return self.coeff_fn(n)
+
+    def coeff(self, n: int) -> Fraction:
+        return Fraction(*self.pair(n))
 
 
 class TailBound(Record):
@@ -173,54 +184,55 @@ class TailBound(Record):
 
 def _c_x_over_sin(n):
     if n == 0:
-        return Fraction(1)
-    return Fraction(2 * (2 ** (2 * n - 1) - 1)) * _bnorm(n)
+        return 1, 1
+    return _w(2 * (2 ** (2 * n - 1) - 1), n)
 
 
 def _c_cot(n):
-    return -Fraction(2 ** (2 * n)) * _bnorm(n)
+    return _w(-2 ** (2 * n), n)
 
 
 def _c_csc2(n):
-    return Fraction(2 ** (2 * n) * (2 * n - 1)) * _bnorm(n)
+    return _w(2 ** (2 * n) * (2 * n - 1), n)
 
 
 def _c_cos_over_sin2(n):
-    return -Fraction(2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1)) * _bnorm(n)
+    return _w(-2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1), n)
 
 
 def _c_csc3(n):
     # [(2^(2n+1)-1)|B_2n+2|/(n+1) + (2^(2n-1)-1)|B_2n|/n] / (2(2n-1)!)
-    return (Fraction((2 ** (2 * n + 1) - 1) * 2 * n * (2 * n + 1))
-            * _bnorm(n + 1) + Fraction(2 ** (2 * n - 1) - 1) * _bnorm(n))
+    a1, d1 = _w((2 ** (2 * n + 1) - 1) * 2 * n * (2 * n + 1), n + 1)
+    a0, d0 = _w(2 ** (2 * n - 1) - 1, n)
+    return a1 * d0 + a0 * d1, d0 * d1
 
 
 def _c_cos_over_sin3(n):
-    return -Fraction((2 * n - 1) * (n - 1) * 2 ** (2 * n)) * _bnorm(n)
+    return _w(-(2 * n - 1) * (n - 1) * 2 ** (2 * n), n)
 
 
 def _c_sinh(n):
-    return Fraction(1, factorial(2 * n + 1))
+    return 1, factorial(2 * n + 1)
 
 
 def _c_cosh(n):
-    return Fraction(1, factorial(2 * n))
+    return 1, factorial(2 * n)
 
 
 def _c_t31(n):
-    return Fraction((n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1)) * _bnorm(n)
+    return _w((n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1), n)
 
 
 def _b_t32(n):
-    return Fraction(4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n)
+    return 4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n, 1
 
 
 def _c_t32(n):
-    return _b_t32(n) * _bnorm(n)
+    return _w(_b_t32(n)[0], n)
 
 
 def _c_t35(n):
-    return Fraction((6 * n - 8) * 2 ** (2 * n) + 8) * _bnorm(n)
+    return _w((6 * n - 8) * 2 ** (2 * n) + 8, n)
 
 
 # T3.3 and T3.4: integer numerators over the common denominator (2n)!
@@ -234,7 +246,7 @@ def _nb_t33(n):
 
 
 def _c_t33(n):
-    return Fraction(_na_t33(n), _nb_t33(n))
+    return _na_t33(n), _nb_t33(n)
 
 
 def _na_t34(n):
@@ -249,7 +261,7 @@ def _nb_t34(n):
 
 
 def _c_t34(n):
-    return Fraction(_na_t34(n), _nb_t34(n))
+    return _na_t34(n), _nb_t34(n)
 
 
 _REGISTRY = {}
@@ -354,14 +366,14 @@ def _register_ratio(thm: str, na, nb, a_parts: tuple, b_parts: tuple) -> None:
     start, zero = THEOREMS[thm].start, THEOREMS[thm].zero_value
     p, q = zero.numerator, zero.denominator
     _register(CoeffSeq(f"{thm}_A", start, 0,
-                       lambda n: Fraction(na(n), factorial(2 * n)),
+                       lambda n: (na(n), factorial(2 * n)),
                        "inf", None, a_parts))
     _register(CoeffSeq(f"{thm}_B", start, 0,
-                       lambda n: Fraction(nb(n), factorial(2 * n)),
+                       lambda n: (nb(n), factorial(2 * n)),
                        "inf", None, b_parts))
     _register(CoeffSeq(
         f"{thm}_DIFF", start, 0,
-        lambda n: Fraction(q * na(n) - p * nb(n), q * factorial(2 * n)),
+        lambda n: (q * na(n) - p * nb(n), q * factorial(2 * n)),
         "inf", None,
         a_parts + tuple(_Fact(tuple(zero * c for c in f.poly), f.base, f.shift)
                         for f in b_parts)))
@@ -396,8 +408,8 @@ def lemma_coeff(kind: str, n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def theorem_coeff(thm: str, role: str, n: int) -> Fraction:
-    """Exact theorem-proof sequence values.
+def theorem_pair(thm: str, role: str, n: int) -> tuple:
+    """Exact theorem-proof sequence values as pairs (num, den), den > 0.
 
     Roles: f/g are full series coefficients (including the |B_2n|/(2n)!
     factor where the proof carries it), a/b are the hyperbolic numerator /
@@ -413,7 +425,12 @@ def theorem_coeff(thm: str, role: str, n: int) -> Fraction:
     source = t.roles[role]
     if callable(source):
         return source(n)
-    return get_series(source).coeff(n)
+    return get_series(source).pair(n)
+
+
+def theorem_coeff(thm: str, role: str, n: int) -> Fraction:
+    """`theorem_pair`'s value as a Fraction."""
+    return Fraction(*theorem_pair(thm, role, n))
 
 
 def tail_bound(kind: str, N: int, x_upper) -> TailBound:

@@ -121,10 +121,23 @@ FORMER_COEFFS = {
                                  * (2 * n - 2) * (2 * n - 1) * 2 * n,
                                  factorial(2 * n)),
 }
+FORMER_COEFFS["SINH"] = lambda n: Fraction(1, factorial(2 * n + 1))
+FORMER_COEFFS["COSH"] = lambda n: Fraction(1, factorial(2 * n))
 FORMER_COEFFS["T3.3_DIFF"] = lambda n: (
     FORMER_COEFFS["T3.3_A"](n) - Fraction(3, 20) * FORMER_COEFFS["T3.3_B"](n))
 FORMER_COEFFS["T3.4_DIFF"] = lambda n: (
     FORMER_COEFFS["T3.4_A"](n) - Fraction(23, 720) * FORMER_COEFFS["T3.4_B"](n))
+
+
+def former_theorem_value(thm, role, n):
+    """A theorem role's value by the former formulas: its series'
+    coefficient, T3.2's integer b_n, or the ratio c = a/b."""
+    roles = THEOREMS[thm].roles
+    if isinstance(roles[role], str):
+        return FORMER_COEFFS[roles[role]](n)
+    if role == "b":
+        return Fraction(4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n)
+    return FORMER_COEFFS[roles["a"]](n) / FORMER_COEFFS[roles["b"]](n)
 
 
 # --- exact truncated Maclaurin algebra --------------------------------------

@@ -120,6 +120,28 @@ def test_sign_case_idiv_equals_eight_quotients():
             _core.idiv(ctx, (ctx.one, ctx.one), b)
 
 
+def test_tan_range_where_cos_is_negative_holds_the_true_values():
+    # on [-4, -pi/2) and (pi/2, 4] cos < 0 and tan has no pole: the range
+    # must hold tan at the ends and the midpoint; a box with pi/2 still raises
+    ctx = get_ctx(128)
+    rng = random.Random(14)
+    tol = mpmath.mpf(10) ** -45
+    with mpmath.workdps(60):
+        for sign in (1, -1):
+            for _ in range(30):
+                i = rng.randrange(101, 256)          # i/64 > pi/2
+                j = rng.randrange(i + 1, 257)
+                ends = sorted((Fraction(sign * i, 64), Fraction(sign * j, 64)))
+                lo, hi = _core.fn_range(ctx, "tan", *map(ctx.lo_of, ends))
+                for x in (ends[0], sum(ends) / 2, ends[1]):
+                    v = mpmath.tan(mpmath.mpf(x.numerator) / x.denominator)
+                    assert (mpmath.mpf(lo) / ctx.one - tol <= v
+                            <= mpmath.mpf(hi) / ctx.one + tol), (ends, x)
+    for ends in ((Fraction(3, 2), Fraction(2)), (Fraction(-2), Fraction(-3, 2))):
+        with pytest.raises(_core.PoleError, match="contains 0"):
+            _core.fn_range(ctx, "tan", *map(ctx.lo_of, ends))
+
+
 _TAN_ARGS = {
     "tan(x)": mpmath.tan,
     "tan(x^2/2)": lambda x: mpmath.tan(x ** 2 / 2),

@@ -76,23 +76,40 @@ def test_bernoulli_von_staudt_clausen():
         assert _von_staudt_clausen_holds(m), m
 
 
+def _tangent_oracle(m_max):
+    # T_m = (-1)^(m-1) B_2m 4^m (4^m - 1) / (2m), from an independent route
+    b = bernoulli_recurrence(2 * m_max)
+    return [(-1) ** (m - 1) * b[2 * m] * 4 ** m * (4 ** m - 1) / (2 * m)
+            for m in range(1, m_max + 1)]
+
+
+def test_tangent_examples():
+    assert [exact.tangent(m) for m in range(1, 7)] == [1, 2, 16, 272, 7936, 353792]
+    assert all(type(exact.tangent(m)) is int for m in range(1, 40))
+    with pytest.raises(DomainError):
+        exact.tangent(0)
+
+
 def test_bernoulli_resumes_from_a_column_left_behind(monkeypatch):
     # an interrupted extension stores its column last, so the cached column
-    # can lag the table; the next extension must catch up without appending
-    bernoulli(8)
-    monkeypatch.setattr(exact, "_EVEN", exact._EVEN[:5])
+    # can lag the tangent list; the next extension must catch up without
+    # appending
+    exact.tangent(8)
+    monkeypatch.setattr(exact, "_TAN", exact._TAN[:5])
     monkeypatch.setattr(exact, "_COL", (1, [1]))
-    assert len(exact._EVEN) == 5
-    oracle = bernoulli_recurrence(60)
-    assert [bernoulli(n) for n in range(61)] == oracle
-    assert exact._COL[0] == len(exact._EVEN) - 1 == 30
+    monkeypatch.setattr(exact, "_EVEN", {0: Fraction(1)})
+    assert len(exact._TAN) == 5
+    assert [exact.tangent(m) for m in range(1, 31)] == _tangent_oracle(30)
+    assert exact._COL[0] == len(exact._TAN) - 1 == 30
+    assert [bernoulli(n) for n in range(61)] == bernoulli_recurrence(60)
 
 
 def test_bernoulli_thread_purity(monkeypatch):
-    # threads race on extending a fresh table to B_1200; a lost update would
-    # shift the entries, which von Staudt-Clausen catches
-    monkeypatch.setattr(exact, "_EVEN", exact._EVEN[:2])
+    # threads race on extending a fresh tangent list to T_600 (B_1200); a
+    # lost update would shift the entries, which von Staudt-Clausen catches
+    monkeypatch.setattr(exact, "_TAN", exact._TAN[:2])
     monkeypatch.setattr(exact, "_COL", (1, [1]))
+    monkeypatch.setattr(exact, "_EVEN", {0: Fraction(1)})
     indices = [1200 - 2 * (i % 4) for i in range(16)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ineqcert import _core, prove
+from ineqcert import _core, prove, series
 from ineqcert.cli import run_command
 from ineqcert.errors import DomainError, EvalError
-from ineqcert.interval import Interval, get_ctx
+from ineqcert.interval import Interval, get_ctx, pi_enclose
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
                            parse_expression)
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
@@ -555,6 +555,27 @@ def test_registered_stanza_past_the_series_radius_gets_a_verdict():
     assert "possible pole" in r.reason
 
 
+def test_tan_where_cos_is_negative_is_proved():
+    # TAN23: on [2, 3] cos < 0 throughout, so tan has no pole there
+    r = prove_positive(parse_expression("tan(x) + 3"), Interval(2, 3))
+    assert r.status == "Proved" and r.reason is None
+
+
+def test_tan_where_cos_is_negative_is_refuted():
+    # tan(2) + 1 is about -1.19
+    r = prove_positive(parse_expression("tan(x) + 1"), Interval(2, 3))
+    assert r.status == "Refuted"
+    assert r.witness == Interval(2, F(9, 4)) and r.witness_value.hi < 0
+
+
+def test_tan_just_past_its_pole_is_refuted():
+    # tan(x) > 0 fails just right of pi/2, where cos < 0
+    r = prove_positive(parse_expression("tan(x)"), Interval(1, 2))
+    assert r.status == "Refuted" and r.witness_value.hi < 0
+    half_pi = pi_enclose(F(1, 10 ** 30)) * F(1, 2)
+    assert half_pi.hi < r.witness.lo and r.witness.hi < F(1571, 1000)
+
+
 # --- near-zero certificates --------------------------------------------------
 
 def test_near_zero_t31_proved():
@@ -713,6 +734,7 @@ def test_sequence_t33_c_violation():
     rep = sequence_check("S_T33_C", "increasing", 100)
     assert not rep.all_pass
     assert rep.first_violation == (2, F(-3, 140))
+    assert type(rep.first_violation[1]) is F
 
 
 def test_sequence_t33_c_restricted_passes():
@@ -740,6 +762,23 @@ def test_sequence_errors():
         sequence_check("S_T31", "sideways", 10)
     with pytest.raises(DomainError):
         sequence_check("S_T31", "positive", 2)
+
+
+def test_passing_exact_checks_never_normalise_a_coefficient(monkeypatch):
+    # a passing check signs and cross-multiplies integer pairs only
+    def refuse(*args):
+        raise AssertionError(f"theorem_coeff{args} called")
+
+    monkeypatch.setattr(prove, "theorem_coeff", refuse)
+    monkeypatch.setattr(series, "theorem_coeff", refuse)
+    checks = [("S_T31", "positive", None), ("S_T32_B", "increasing", None),
+              ("S_T32_G", "positive", None), ("S_T33_C", "increasing", 3),
+              ("S_T34_C", "increasing", None), ("S_T35", "positive", None)]
+    assert sorted(c[0] for c in checks) == sorted(prove.SEQUENCE_IDS)
+    for seq_id, mode, n_min in checks:
+        assert sequence_check(seq_id, mode, 500, n_min=n_min).all_pass, seq_id
+    for identity_id in prove.IDENTITY_IDS:
+        assert identity_check(identity_id, 500).holds, identity_id
 
 
 # --- identity checks ---------------------------------------------------------
@@ -780,14 +819,20 @@ def test_identity_errors():
 
 
 def _bump(real, at):
-    """real, made 1 larger at the arguments `at` only."""
-    return lambda *args: real(*args) + (args == at)
+    """real, made 1 larger at the arguments `at` only; a pair (num, den)
+    becomes (num + den, den)."""
+    def bumped(*args):
+        v = real(*args)
+        if args != at:
+            return v
+        return (v[0] + v[1], v[1]) if type(v) is tuple else v + 1
+    return bumped
 
 
 # (identity, what is bumped, at which arguments, the first failure it makes)
 _IDENTITY_TAMPERS = [
-    ("ID_T32_BDIFF", "theorem_coeff", ("T3.2", "b", 5), (4, F(5874), F(5873))),
-    ("ID_T33_CDIFF", "theorem_coeff", ("T3.3", "c", 7),
+    ("ID_T32_BDIFF", "theorem_pair", ("T3.2", "b", 5), (4, F(5874), F(5873))),
+    ("ID_T33_CDIFF", "theorem_pair", ("T3.3", "c", 7),
      (6, F(6101, 4004), F(2097, 4004))),
     ("ID_T34_FDECOMP", "_f4_plain", (9,),
      (9, F(35411152249349, 655687219874400),

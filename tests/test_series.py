@@ -7,10 +7,11 @@ from ineqcert.errors import DomainError
 from ineqcert.interval import Interval, elem_enclose, pi_enclose
 from ineqcert.series import (LEMMA_KINDS, PI_LO, THEOREMS, TRIG_X_MAX, CoeffSeq,
                              _register, eval_series, get_series, lemma_coeff,
-                             series_ids, tail_bound, theorem_coeff)
+                             series_ids, tail_bound, theorem_coeff,
+                             theorem_pair)
 
 from oracles import (FORMER_COEFFS, LemmaSeriesOracle, eval_series_termwise,
-                     tail_bound_termwise)
+                     former_theorem_value, tail_bound_termwise)
 
 F = Fraction
 ORACLE = LemmaSeriesOracle(46)
@@ -66,6 +67,41 @@ def test_coefficients_equal_their_former_formulas(kind):
     seq = get_series(kind)
     for n in range(seq.start_index, MAX_NMAX + 1):
         assert seq.coeff(n) == FORMER_COEFFS[kind](n), (kind, n)
+
+
+_PAIR_NS = (*range(61), 250, 500)
+
+
+def _check_pair(pair, want, where):
+    num, den = pair
+    assert type(num) is int and type(den) is int and den > 0, where
+    assert Fraction(num, den) == want, where
+
+
+def test_every_registered_series_has_an_oracle():
+    assert sorted(FORMER_COEFFS) == sorted(series_ids())
+
+
+@pytest.mark.parametrize("kind", sorted(FORMER_COEFFS))
+def test_coefficient_pairs_equal_the_oracle(kind):
+    # each coefficient is an integer pair over a positive denominator, and
+    # `coeff` normalises it into the same value
+    seq = get_series(kind)
+    for n in (n for n in _PAIR_NS if n >= seq.start_index):
+        want = FORMER_COEFFS[kind](n)
+        _check_pair(seq.pair(n), want, (kind, n))
+        c = seq.coeff(n)
+        assert type(c) is Fraction and c == want, (kind, n)
+
+
+@pytest.mark.parametrize("thm,role", [(t.id, role) for t in THEOREMS.values()
+                                      for role in t.roles])
+def test_theorem_pairs_equal_the_oracle(thm, role):
+    for n in (n for n in _PAIR_NS if n >= THEOREMS[thm].start):
+        want = former_theorem_value(thm, role, n)
+        _check_pair(theorem_pair(thm, role, n), want, (thm, role, n))
+        c = theorem_coeff(thm, role, n)
+        assert type(c) is Fraction and c == want, (thm, role, n)
 
 
 @pytest.mark.parametrize("thm", ["T3.3", "T3.4"])
@@ -289,7 +325,7 @@ def test_eval_series_equals_termwise_sum(kind):
 
 
 def test_register_rejects_a_negative_start_exponent():
-    seq = CoeffSeq("NEG_EXPONENT", 0, -1, lambda n: F(1), "inf", None, ())
+    seq = CoeffSeq("NEG_EXPONENT", 0, -1, lambda n: (1, 1), "inf", None, ())
     with pytest.raises(DomainError, match="NEG_EXPONENT"):
         _register(seq)
     assert "NEG_EXPONENT" not in series_ids()
