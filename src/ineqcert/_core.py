@@ -525,10 +525,12 @@ def _tcall(ctx, name, u):
 #
 # A plan lists the distinct subtrees of a parsed `lang.Expr` in post-order,
 # each as a step (kind, p, q) whose operands are the indices of earlier
-# steps: structurally equal subtrees share the step of their first
-# occurrence, and its pos names the offset of any error there.  The plan is
-# built once and kept on the root node itself, so it is found by identity
-# (never by Expr equality, which ignores pos) and goes when the node goes.
+# steps, with its global id: interned from the kind and the operands' ids as
+# the step is recorded, so equal subtrees of any expressions share it.  A
+# plan holds each id once, at its first occurrence, whose pos names the
+# offset of any error there.  The plan is built in one pass and kept on the
+# root node itself, so it is found by identity (never by Expr equality,
+# which ignores pos) and goes when the node goes.
 #
 # Op signatures: lit(ctx, value, x), pi(ctx, x), neg(a), add(a, b),
 # sub(a, b), mul(ctx, a, b), div(ctx, a, b), pow(ctx, a, int),
@@ -555,63 +557,52 @@ _TAYLOR_OPS = {
 }
 
 
+_STEP_IDS = {}          # global step ids, by (kind, operand ids or values)
+_STEP_IDS_LOCK = threading.Lock()
+_MEMO_KINDS = frozenset(("call", "mul", "div", "pow"))    # the costly steps
+
+
 def _plan(node):
-    """(steps, positions) of node's straight-line plan."""
+    """(steps, positions, ids) of node's straight-line plan: step i, the
+    offset of its first node and its global id."""
     try:
         return node._plan
     except AttributeError:
         pass
-    steps, positions, index = [], [], {}
+    steps, positions, ids, index = [], [], [], {}
 
     def visit(n):
         kind = n.kind
         if kind == "lit":
-            step = (kind, n.value, None)
+            step = key = (kind, n.value, None)
         elif kind == "x" or kind == "pi":
-            step = (kind, None, None)
+            step = key = (kind, None, None)
         elif kind == "call":
-            step = (kind, n.fn, visit(n.arg))
+            q = visit(n.arg)
+            step, key = (kind, n.fn, q), (kind, n.fn, ids[q])
         elif kind == "pow":
-            step = (kind, visit(n.base), n.exponent)
+            p = visit(n.base)
+            step, key = (kind, p, n.exponent), (kind, ids[p], n.exponent)
         elif kind == "neg":
-            step = (kind, visit(n.a), None)
+            p = visit(n.a)
+            step, key = (kind, p, None), (kind, ids[p], None)
         else:
-            step = (kind, visit(n.a), visit(n.b))
-        i = index.get(step)
+            p, q = visit(n.a), visit(n.b)
+            step, key = (kind, p, q), (kind, ids[p], ids[q])
+        gid = _STEP_IDS.setdefault(key, len(_STEP_IDS))
+        i = index.get(gid)
         if i is None:
-            i = index[step] = len(steps)
+            i = index[gid] = len(steps)
             steps.append(step)
             positions.append(n.pos)
+            ids.append(gid)
         return i
 
-    visit(node)
-    plan = (tuple(steps), tuple(positions))
+    with _STEP_IDS_LOCK:
+        visit(node)
+    plan = (tuple(steps), tuple(positions), tuple(ids))
     object.__setattr__(node, "_plan", plan)     # the nodes are frozen
     return plan
-
-
-# Each distinct step of any plan has one global id, interned from its kind
-# and its operands' ids: equal subtrees of different expressions share it.
-# _OPERANDS flags which of a step's p, q are step indices.
-_STEP_IDS = {}
-_STEP_IDS_LOCK = threading.Lock()
-_OPERANDS = {"lit": (0, 0), "x": (0, 0), "pi": (0, 0), "call": (0, 1),
-             "pow": (1, 0), "neg": (1, 0)}
-_MEMO_KINDS = frozenset(("call", "mul", "div", "pow"))    # the costly steps
-
-
-def _step_ids(node):
-    """Global ids of the steps of node's plan, kept on the node like it."""
-    if hasattr(node, "_step_ids"):
-        return node._step_ids
-    ids = []
-    with _STEP_IDS_LOCK:
-        for kind, *pq in _plan(node)[0]:
-            flags = _OPERANDS.get(kind, (1, 1))
-            key = (kind, *(ids[v] if f else v for v, f in zip(pq, flags)))
-            ids.append(_STEP_IDS.setdefault(key, len(_STEP_IDS)))
-    object.__setattr__(node, "_step_ids", tuple(ids))
-    return node._step_ids
 
 
 def _run(ctx, node, x, ops, shifts=None, memo=None):
@@ -619,11 +610,11 @@ def _run(ctx, node, x, ops, shifts=None, memo=None):
     its plan once, in order.  With `shifts` (one entry per step), each `/`
     step i first drops shifts[i] leading coefficients of both operands; an
     entry of None is filled in from the operands, as `_removable` does.
-    With `memo` (a `Ctx.memo`), each costly step is looked up there by its
-    global id and x (and whether shifts apply) before it is run."""
-    steps, positions = _plan(node)
+    With `memo` (a `Ctx.memo`), each costly step is looked up there by the
+    global id its plan carries and x (and whether shifts apply) before it
+    is run."""
+    steps, positions, ids = _plan(node)
     if memo is not None:
-        ids = _step_ids(node)
         memo = memo.setdefault((shifts is not None, tuple(x)), {})
     vals = []
     push = vals.append
@@ -714,7 +705,7 @@ def _removable(ctx, node):
     short: the shifts depend on neither precision nor order unless one
     reaches its cap, all but one entry, which leaves one entry or a pole.
     Only then is the run at _DETECT_ORDER redone at TAYLOR_ORDER."""
-    root = _step_ids(node)[-1]
+    root = _plan(node)[2][-1]
     if root in _REMOVABLE:
         return _REMOVABLE[root]
     for k in (_DETECT_ORDER, TAYLOR_ORDER):

@@ -352,20 +352,6 @@ def eval_expr(e: Expr, x: Interval, precision: int = 192) -> Interval:
     return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
 
 
-_ENDPOINT_NODES = (Lit, PiConst, Neg, Add, Sub, Mul, Div, PowInt)
-
-
-def _check_endpoint_expr(e: Expr):
-    if not isinstance(e, _ENDPOINT_NODES):
-        raise ParseError(
-            "domain endpoints allow only rationals, pi and arithmetic",
-            getattr(e, "pos", None))
-    for name in ("a", "b", "base"):
-        child = getattr(e, name, None)
-        if child is not None:
-            _check_endpoint_expr(child)
-
-
 # pi to a fixed 152 bits (width under 1e-36), so an endpoint's value never
 # depends on how far earlier `pi_enclose` calls have tightened its bracket
 _PI = Interval(*(Fraction(v, 1 << 152) for v in _core._pi_bracket(152)))
@@ -394,8 +380,16 @@ _ENDPOINT_OPS = {kind: _bounded(op) for kind, op in {
 
 
 def eval_endpoint(e: Expr) -> Interval:
-    """Tight enclosure of a constant endpoint expression (exact when pi-free)."""
-    _check_endpoint_expr(e)
+    """Tight enclosure of a constant endpoint expression (exact when pi-free).
+    An `x` or a call in e's plan is a ParseError at the least offset of one,
+    that of the leftmost such node; a non-Expr is one with no offset."""
+    bad = [None]
+    if isinstance(e, Expr):
+        steps, positions, _ = _core._plan(e)
+        bad = [p for s, p in zip(steps, positions) if s[0] in ("x", "call")]
+    if bad:
+        raise ParseError("domain endpoints allow only rationals, pi and arithmetic",
+                         min(bad))
     return _core._run(None, e, None, _ENDPOINT_OPS)
 
 

@@ -32,7 +32,6 @@
 
 from __future__ import annotations
 
-import sys
 import time
 from fractions import Fraction
 from math import comb, inf, isfinite
@@ -43,8 +42,8 @@ from ._record import Record
 from .errors import DomainError, EvalError, InconsistencyError, PoleError
 from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
-from .lang import (Expr, InequalitySpec, default_corpus_path, eval_endpoint,
-                   eval_expr, parse_corpus, parse_expression)
+from .lang import (Expr, InequalitySpec, _digit_limit, default_corpus_path,
+                   eval_endpoint, eval_expr, parse_corpus, parse_expression)
 from .series import (coeff_row, exact_sum, get_series, tail_bound,
                      theorem_coeff, theorem_pair, TailBound, THEOREMS,
                      THEOREM_START, TRIG_X_MAX)
@@ -94,9 +93,9 @@ class ProveOptions(Record):
             raise DomainError(f"precision must be in [64, {MAX_PRECISION}], "
                               f"got {self.precision}")
         # the report's dyadic integers, of about precision + 128 bits, must print
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+        limit = _digit_limit()
         digits = (self.precision + 128) * 30103 // 100000 + 1  # log10(2) < 0.30103
-        if limit and digits > limit:
+        if digits > limit:
             raise DomainError(
                 f"precision {self.precision} needs integers of about {digits} "
                 f"digits, past the interpreter's limit of {limit} digits on "

@@ -33,9 +33,9 @@ hand out pairs; `coeff`, `lemma_coeff` and `theorem_coeff` normalise once.
 Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
 the remaining sum geometrically, so truncated evaluation is a certified
-enclosure.  The terms before the geometric close are a polynomial in
-u = (x/PI_LO)^2 (trig kinds) or (base*x)^2 (entire kinds), summed by
-`exact_sum` in integers with one normalisation.
+enclosure.  The terms before the geometric close, and the one it starts
+from, are a polynomial in u = (x/PI_LO)^2 (trig kinds) or (base*x)^2
+(entire kinds), summed by `exact_sum` in integers with one normalisation.
 
 Partial sums are exact.  Every registered exponent is >= 0 (checked at
 registration) and sums are taken over x >= 0, so each term c*x^e is monotone
@@ -79,16 +79,8 @@ def _bnorm(n: int) -> tuple:
 
 def _w(k: int, n: int) -> tuple:
     """k |B_2n|/(2n)! as a pair."""
-    return k * _bnorm(n)[0], _bnorm(n)[1]
-
-
-def _poly(coeffs: tuple, n: int) -> Fraction:
-    acc = Fraction(0)
-    p = 1
-    for c in coeffs:
-        acc += Fraction(c) * p
-        p *= n
-    return acc
+    t, d = _bnorm(n)
+    return k * t, d
 
 
 def _row(poly: tuple, n0: int, top: int, weights: list) -> tuple:
@@ -107,10 +99,6 @@ class _Geo(Record):
     poly: tuple
     shift: int
 
-    def term(self, n: int, x: Fraction) -> Fraction:
-        u = (x / PI_LO) ** 2
-        return _poly(self.poly, n) * u ** n * x ** self.shift
-
     def ratio(self, n: int, x: Fraction) -> Fraction:
         u = (x / PI_LO) ** 2
         deg = len(self.poly) - 1
@@ -128,10 +116,6 @@ class _Fact(Record):
     poly: tuple
     base: int
     shift: int
-
-    def term(self, n: int, x: Fraction) -> Fraction:
-        return (_poly(self.poly, n) * (self.base * x) ** (2 * n)
-                / factorial(2 * n) * x ** self.shift)
 
     def ratio(self, n: int, x: Fraction) -> Fraction:
         deg = len(self.poly) - 1
@@ -455,13 +439,12 @@ def tail_bound(kind: str, N: int, x_upper) -> TailBound:
                 break
         else:
             raise DomainError(f"{kind}: tail does not contract at x={x}")
-        total += comp.term(m, x) / (1 - rho)
+        total += exact_sum(comp.row(m, m + 1, x)) * x ** comp.shift / (1 - rho)
         if m > N + 1:
             total += exact_sum(comp.row(N + 1, m, x)) * x ** comp.shift
     return TailBound(kind, N, x, total)
 
 
-@lru_cache(maxsize=64)
 def coeff_row(kind: str, n_from: int, N: int) -> tuple:
     """The nonzero coefficients of `kind` for n_from <= n <= N, split by sign.
 

@@ -31,8 +31,8 @@ from ineqcert.errors import DomainError, PoleError
 from ineqcert.exact import bernoulli
 from ineqcert.interval import Interval
 from ineqcert.lang import eval_endpoint, parse_expression
-from ineqcert.series import (_RHO_MAX, THEOREMS, eval_series, get_series,
-                             tail_bound)
+from ineqcert.series import (_RHO_MAX, PI_LO, THEOREMS, eval_series,
+                             get_series, tail_bound)
 
 
 # --- Bernoulli oracles -------------------------------------------------------
@@ -343,6 +343,18 @@ def left_sup_bound_termwise(kind, eps, N):
     return ub + tail_bound(kind, N, eps).bound
 
 
+def dominating_term(comp, n, x):
+    """A tail component's dominating term at index n as one Fraction, from
+    its `poly`, `base` and `shift`: poly(n) (x/PI_LO)^(2n) for a trig
+    component (which has no base), poly(n) (base x)^(2n)/(2n)! for an
+    entire one, times x^shift."""
+    p = sum(Fraction(c) * n ** i for i, c in enumerate(comp.poly))
+    base = getattr(comp, "base", None)
+    if base is None:
+        return p * (x / PI_LO) ** (2 * n) * x ** comp.shift
+    return p * (base * x) ** (2 * n) / factorial(2 * n) * x ** comp.shift
+
+
 def tail_bound_termwise(kind, N, x_upper):
     """`series.tail_bound`'s bound as a Fraction loop: each dominating term
     added on its own, in normalised Fractions, until the term ratio
@@ -355,9 +367,9 @@ def tail_bound_termwise(kind, N, x_upper):
         for _ in range(600):
             rho = comp.ratio(m, x)
             if rho < Fraction(1, 2) or (m - N > 200 and rho < _RHO_MAX):
-                total += comp.term(m, x) / (1 - rho)
+                total += dominating_term(comp, m, x) / (1 - rho)
                 break
-            total += comp.term(m, x)
+            total += dominating_term(comp, m, x)
             m += 1
         else:
             raise DomainError(f"{kind}: tail does not contract at x={x}")

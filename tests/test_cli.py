@@ -993,6 +993,14 @@ def test_zero_right_margin_of_a_sharp_upper_claim_ends_without_a_crash(name, cap
     assert code == (2 if name == "THM31_HI" else 0)
 
 
+def test_margins_that_meet_leave_an_empty_core(capsys):
+    # eps 1 on each side of HUY_TRIG's (0, pi/2) leaves no core to bisect
+    assert run_command(["prove", "--name", "HUY_TRIG", "--eps", "1"]) == 2
+    (claim,) = json.loads(capsys.readouterr().out)["claims"]
+    assert claim["status"] == "Unknown" and claim["leaves"] == 0
+    assert claim["findings"] == ["reason: empty core after margins"]
+
+
 def test_unknown_below_the_precision_suggests_a_higher_one(tmp_path):
     # NS_QUARTIC's difference is about 7/320 x^8: 2e-74 at x = 1e-9, below
     # 2^-192, so at the default precision the boxes at its left end straddle

@@ -233,7 +233,7 @@ def test_tsqr_equals_dense_square(shape):
 
 def test_plan_holds_each_distinct_subtree_once():
     node = parse_expression("(sin(x)/x)^2 + sin(x)/x")
-    steps, positions = _core._plan(node)
+    steps, positions, _ = _core._plan(node)
     assert [step[0] for step in steps] == ["x", "call", "div", "pow", "add"]
     assert positions == (5, 1, 7, 10, 13)          # the first occurrences
     assert _core._plan(node) is _core._plan(node)
@@ -861,6 +861,24 @@ def test_idiv_int_and_ipow_round_the_exact_ends_outward_by_under_one_ulp():
                 if sign == "straddle" and e % 2 == 0:
                     ends.append(Fraction(0))
                 assert _rounds_out_by_under_one_ulp(_core.ipow(ctx, a, e), ends), (a, e)
+
+
+def test_a_zeroth_power_is_exactly_one():
+    ctx = get_ctx(192)
+    one = ctx.one
+    for a in ((-3 * one, 5 * one), (0, 0), (one, 2 * one)):
+        assert _core.ipow(ctx, a, 0) == (one, one)
+    assert lang.eval_expr(parse_expression("x^0"), Interval(-3, 5)) == Interval.point(1)
+
+
+def test_a_negative_power_is_the_reciprocal_of_the_positive_one():
+    # over the box [1, 2] the Taylor vector of x^(-2) is that of 1/x^2
+    ctx = get_ctx(192)
+    k = _core.TAYLOR_ORDER
+    xvec = _core._tvar(ctx, ctx.one, 2 * ctx.one, k)
+    vec = _core.eval_taylor(ctx, parse_expression("x^(-2)"), xvec, k)
+    assert vec == _core.eval_taylor(ctx, parse_expression("1/x^2"), xvec, k)
+    assert vec[0][0] > 0 and vec[1][1] < 0
 
 
 def test_lo_of_and_hi_of_round_a_rational_outward_by_under_one_ulp():

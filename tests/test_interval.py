@@ -104,6 +104,12 @@ def test_pi_enclosure():
     assert loose.lo <= F("3.141593") and F("3.141592") <= loose.hi
 
 
+@pytest.mark.parametrize("width", [0, -1, F(-1, 3)])
+def test_pi_enclose_refuses_a_width_that_is_not_positive(width):
+    with pytest.raises(DomainError, match="width_target must be positive"):
+        pi_enclose(width)
+
+
 def test_pi_enclose_keeps_a_later_tighter_bracket_inside_an_earlier_one(monkeypatch):
     # a looser bracket first, so the tighter one is cut to fit inside it
     monkeypatch.setattr(interval, "_pi_best", None)

@@ -227,6 +227,26 @@ def test_eval_error_position_is_the_failing_node():
         assert exc.value.position == pos, text
 
 
+@pytest.mark.parametrize("text,offset", [("sin(x)", 0), ("x + sin(1)", 0),
+                                         ("2*sin(x)", 2)])
+def test_a_bad_endpoint_is_refused_at_its_leftmost_x_or_call(text, offset):
+    with pytest.raises(ParseError, match="endpoints allow only") as exc:
+        eval_endpoint(parse_expression(text))
+    assert exc.value.position == offset
+
+
+def test_an_endpoint_that_is_no_expression_is_refused_with_no_offset():
+    with pytest.raises(ParseError, match="endpoints allow only") as exc:
+        eval_endpoint("inf")
+    assert exc.value.position is None
+
+
+def test_an_infinite_upper_endpoint_cannot_be_closed():
+    with pytest.raises(ParseError, match=r"stanza D: \[\.\., inf\] cannot be closed"):
+        parse_corpus("inequality D {\n domain = (0, inf]\n lhs = x\n"
+                     " relation = <\n rhs = 2*x\n}")
+
+
 _CORPUS = """
 # a comment line
 inequality THM31_LO {

@@ -10,8 +10,8 @@ from ineqcert.series import (LEMMA_KINDS, PI_LO, THEOREMS, TRIG_X_MAX, CoeffSeq,
                              series_ids, tail_bound, theorem_coeff,
                              theorem_pair)
 
-from oracles import (FORMER_COEFFS, LemmaSeriesOracle, eval_series_termwise,
-                     former_theorem_value, tail_bound_termwise)
+from oracles import (FORMER_COEFFS, LemmaSeriesOracle, dominating_term,
+                     eval_series_termwise, former_theorem_value, tail_bound_termwise)
 
 F = Fraction
 ORACLE = LemmaSeriesOracle(46)
@@ -182,7 +182,7 @@ def test_dominating_bounds_cover_coefficients():
         xs = (F(1, 2), F(3, 2)) if seq.radius == "pi" else (F(1, 2), F(8))
         for x in xs:
             for n in range(max(seq.start_index, 1), 61):
-                dom = sum(c.term(n, x) for c in seq.components)
+                dom = sum(dominating_term(c, n, x) for c in seq.components)
                 assert abs(seq.coeff(n)) * x ** seq.exponent_of(n) <= dom, (kind, n, x)
 
 
