@@ -14,8 +14,8 @@ print("x/sin(x) = 1 + sum c_n x^(2n):")
 for n in range(1, 7):
     print(f"  c_{n} = {lemma_coeff('X_OVER_SIN', n)}")
 
-print("\n1/sin(x)^3 carries singular parts", repr(get_series("CSC3").singular_part),
-      "plus an analytic series:")
+singular = " + ".join(f"{c}*x^-{p}" for c, p in get_series("CSC3").singular_part)
+print(f"\n1/sin(x)^3 carries the singular part {singular} plus an analytic series:")
 for n in range(1, 5):
     print(f"  coefficient of x^{get_series('CSC3').exponent_of(n)}:"
           f" {lemma_coeff('CSC3', n)}")

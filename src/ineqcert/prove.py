@@ -522,7 +522,9 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     lo_iv = eval_endpoint(spec.lo_expr)
     lo_core = lo_iv.hi if spec.lo_closed else lo_iv.hi + opts.eps_lo
     lo_core = Interval.point(lo_core).round_out(bits).hi
-    uncovered = []
+    # a closed end that is no dyadic at `bits` lies just beyond the core
+    uncovered = ([f"[lo, {lo_core}) uncovered (closed end lo lies beyond "
+                  f"the core)"] if spec.lo_closed and lo_core > lo_iv.lo else [])
     if spec.unbounded:
         hi_core = Interval.point(Fraction(opts.x_max)).round_out(bits).lo
         uncovered.append(f"({hi_core}, inf) unverified (x_max cutoff)")
@@ -530,8 +532,11 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         hi_iv = eval_endpoint(spec.hi_expr)
         hi_core = hi_iv.lo if spec.hi_closed else hi_iv.lo - opts.eps_hi
         hi_core = Interval.point(hi_core).round_out(bits).lo
-        if not spec.hi_closed and hi_core < hi_iv.hi:
-            uncovered.append(f"[{hi_core}, hi) uncovered (margin eps_hi={opts.eps_hi})")
+        if hi_core < hi_iv.hi:
+            uncovered.append(
+                f"({hi_core}, hi] uncovered (closed end hi lies beyond the core)"
+                if spec.hi_closed else
+                f"[{hi_core}, hi) uncovered (margin eps_hi={opts.eps_hi})")
     if lo_core >= hi_core:
         return ProofResult("Unknown", reason="empty core after margins",
                            theorem=claim)
@@ -630,7 +635,7 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
     if start < THEOREM_START[thm]:
         raise DomainError(f"{seq_id} starts at n={THEOREM_START[thm]}")
     if n_max < start + 1:
-        raise DomainError("n_max must be at least the start index + 1")
+        raise DomainError(f"n_max must be at least {start + 1}, got {n_max}")
     if mode == "positive":
         value, stop = (lambda n: theorem_pair(thm, role, n)), n_max + 1
     else:

@@ -1,7 +1,7 @@
 """Exact series coefficients and rigorous truncation tails.
 
-Lemma kinds (coefficient of x^exponent_of(n), signed; singular parts such
-as 1/x^3 are excluded and listed in `singular_part`):
+Lemma kinds (signed coefficient of x^exponent_of(n); `singular_part` holds
+the excluded terms c/x^p as pairs (c, p), summed with no per-kind code):
 
   X_OVER_SIN      x/sin x        = 1 + sum_{n>=1} 2(2^(2n-1)-1)|B_2n|/(2n)! x^(2n)
   COT             cot x          = 1/x - sum_{n>=1} 2^(2n)|B_2n|/(2n)! x^(2n-1)
@@ -139,7 +139,7 @@ class CoeffSeq(Record):
     expo_offset: int                       # exponent_of(n) = 2n + expo_offset
     coeff_fn: Callable[[int], tuple]       # n -> (num, den), den > 0
     radius: str                            # "pi" or "inf"
-    singular_part: Optional[str]
+    singular_part: Optional[tuple]         # ((c, p), ...): sum of c/x^p
     components: tuple
 
     def exponent_of(self, n: int) -> int:
@@ -263,20 +263,21 @@ def _register(seq: CoeffSeq):
 
 _register(CoeffSeq("X_OVER_SIN", 0, 0, _c_x_over_sin, "pi", None,
                    (_Geo((4,), 0),)))
-_register(CoeffSeq("COT", 1, -1, _c_cot, "pi", "1/x",
+_register(CoeffSeq("COT", 1, -1, _c_cot, "pi", ((1, 1),),
                    (_Geo((4,), -1),)))
-_register(CoeffSeq("CSC2", 1, -2, _c_csc2, "pi", "1/x^2",
+_register(CoeffSeq("CSC2", 1, -2, _c_csc2, "pi", ((1, 2),),
                    (_Geo((0, 8), -2),)))
-_register(CoeffSeq("COS_OVER_SIN2", 1, -2, _c_cos_over_sin2, "pi", "1/x^2",
+_register(CoeffSeq("COS_OVER_SIN2", 1, -2, _c_cos_over_sin2, "pi", ((1, 2),),
                    (_Geo((0, 8), -2),)))
-_register(CoeffSeq("CSC3", 1, -1, _c_csc3, "pi", "1/x^3 + 1/(2x)",
+_register(CoeffSeq("CSC3", 1, -1, _c_csc3, "pi", ((1, 3), (Fraction(1, 2), 1)),
                    (_Geo((4, Fraction(8, 9), Fraction(16, 9)), -1),)))
-_register(CoeffSeq("COS_OVER_SIN3", 2, -3, _c_cos_over_sin3, "pi", "1/x^3",
+_register(CoeffSeq("COS_OVER_SIN3", 2, -3, _c_cos_over_sin3, "pi", ((1, 3),),
                    (_Geo((0, 0, 8), -3),)))
 _register(CoeffSeq("SINH", 0, 1, _c_sinh, "inf", None,
                    (_Fact((1,), 1, 1),)))
 _register(CoeffSeq("COSH", 0, 0, _c_cosh, "inf", None,
                    (_Fact((1,), 1, 0),)))
+LEMMA_KINDS = tuple(_REGISTRY)
 
 _register(CoeffSeq("T3.1_F", 2, -4, _c_t31, "pi", None,
                    (_Geo((0, 12), -4),)))
@@ -284,8 +285,6 @@ _register(CoeffSeq("T3.2_G", 2, -4, _c_t32, "pi", None,
                    (_Geo((0, 12), -4),)))
 _register(CoeffSeq("T3.5_F", 2, -4, _c_t35, "pi", None,
                    (_Geo((0, 24), -4),)))
-LEMMA_KINDS = ("X_OVER_SIN", "COT", "CSC2", "COS_OVER_SIN2", "CSC3",
-               "COS_OVER_SIN3", "SINH", "COSH")
 
 
 class Theorem(Record):
@@ -383,7 +382,6 @@ def get_series(kind: str) -> CoeffSeq:
     return seq
 
 
-@lru_cache(maxsize=None)
 def lemma_coeff(kind: str, n: int) -> Fraction:
     """Signed coefficient of x^exponent_of(n) in the named lemma expansion."""
     if kind not in LEMMA_KINDS:
@@ -491,32 +489,21 @@ def eval_series(kind: str, x: Interval, N: int, full_value: bool = False) -> Int
     The partial sum through index N is exact: since x >= 0 and every
     exponent is >= 0, its lower end is the positive terms at x.lo plus the
     negative terms at x.hi (the upper end the mirror image), each end formed
-    by `exact_sum` with one normalisation.  It is widened by the tail bound
-    at x.hi.  With `full_value`, singular parts (e.g. 1/x^3) are added so the
-    result encloses the closed-form function.
+    by `exact_sum` with one normalisation.  It is widened by `tail_bound` at
+    x.hi, which checks N and the radius.  With `full_value`, the singular
+    terms c/x^p are added so the result encloses the closed-form function.
     """
     seq = get_series(kind)
-    if N < seq.start_index:
-        raise DomainError(f"{kind}: N={N} below start index")
     needs_positive = (seq.expo_offset < 0 or seq.singular_part is not None
                       or full_value)
     if x.lo < 0 or (needs_positive and x.lo == 0):
         raise DomainError(f"{kind}: interval must lie in x > 0")
-    if seq.radius == "pi" and x.hi > TRIG_X_MAX:
-        raise DomainError(f"{kind}: interval exceeds the radius margin")
-    pos, neg = coeff_row(kind, seq.start_index, N)
-    acc = Interval(exact_sum((pos, x.lo), (neg, x.hi)),
-                   exact_sum((pos, x.hi), (neg, x.lo)))
     tb = tail_bound(kind, N, x.hi).bound
-    acc = acc + Interval(-tb, tb)
+    pos, neg = coeff_row(kind, seq.start_index, N)
+    acc = Interval(exact_sum((pos, x.lo), (neg, x.hi)) - tb,
+                   exact_sum((pos, x.hi), (neg, x.lo)) + tb)
     if full_value and seq.singular_part is not None:
         inv = Interval.point(1) / x
-        if seq.id == "COT":
-            acc = acc + inv
-        elif seq.id in ("CSC2", "COS_OVER_SIN2"):
-            acc = acc + inv ** 2
-        elif seq.id == "CSC3":
-            acc = acc + inv ** 3 + inv * Fraction(1, 2)
-        elif seq.id == "COS_OVER_SIN3":
-            acc = acc + inv ** 3
+        for c, p in seq.singular_part:
+            acc = acc + inv ** p * c
     return acc

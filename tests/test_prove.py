@@ -446,6 +446,38 @@ def test_an_empty_margin_is_not_listed(corpus_specs):
     assert u.startswith("[") and u.endswith("hi) uncovered (margin eps_hi=0)")
 
 
+def _closed_stanza(domain, lhs, rhs):
+    return parse_corpus(f"inequality CLOSED {{\n  domain   = {domain}\n"
+                        f"  lhs      = {lhs}\n  relation = >\n"
+                        f"  rhs      = {rhs}\n}}\n")[0]
+
+
+@pytest.mark.parametrize("domain,lhs,rhs,ends", [
+    ("[0, pi/4]", "1", "tan(x)", ["hi"]),        # false at pi/4 itself
+    ("[1/3, 2/3]", "x", "0", ["lo", "hi"]),
+    ("[1/2, 1]", "x", "0", []),                  # dyadic ends: no sliver
+    ("[1/3, inf)", "x", "0", ["lo", "x_max"]),
+])
+def test_a_closed_end_beyond_the_core_is_listed(domain, lhs, rhs, ends):
+    spec = _closed_stanza(domain, lhs, rhs)
+    r = verify_inequality(spec)
+    assert r.status == "Proved"
+    assert len(r.uncovered) == len(ends)
+    for end, u in zip(ends, r.uncovered):
+        if end == "x_max":
+            assert u == "(20, inf) unverified (x_max cutoff)"
+            continue
+        assert u.endswith(f" uncovered (closed end {end} lies beyond the core)")
+        if end == "lo":
+            assert u.startswith("[lo, ")
+            core = F(u[len("[lo, "):u.index(")")])
+            assert core > eval_endpoint(spec.lo_expr).lo
+        else:
+            assert u.startswith("(") and ", hi] " in u
+            core = F(u[1:u.index(",")])
+            assert core < eval_endpoint(spec.hi_expr).hi
+
+
 def test_a_refuted_prefactor_names_its_box(corpus_specs, monkeypatch):
     # x - 1 is negative on part of THM31_LO's core: the reason says where,
     # and never prints None
@@ -762,6 +794,18 @@ def test_sequence_errors():
         sequence_check("S_T31", "sideways", 10)
     with pytest.raises(DomainError):
         sequence_check("S_T31", "positive", 2)
+
+
+@pytest.mark.parametrize("flags,least", [
+    (["--nmax", "2"], 3),                        # the default start, n=2
+    (["--nmax", "10", "--nmin", "20"], 21),
+])
+def test_a_short_nmax_names_the_least_one_accepted(flags, least, capsys):
+    n_max = flags[1]
+    assert run_command(["sequences", "--id", "S_T31", "--mode", "positive",
+                        *flags]) == 3
+    assert capsys.readouterr().err == (
+        f"ineqcert: error: n_max must be at least {least}, got {n_max}\n")
 
 
 def test_passing_exact_checks_never_normalise_a_coefficient(monkeypatch):

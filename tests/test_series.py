@@ -299,6 +299,46 @@ def test_eval_series_domain_errors():
         eval_series("X_OVER_SIN", Interval(F(1, 2), F(32, 10)), 10)
 
 
+def test_eval_series_past_the_radius_margin_is_refused_by_tail_bound():
+    x = Interval(F(1, 2), TRIG_X_MAX + F(1, 10 ** 9))
+    for kind, full in (("X_OVER_SIN", False), ("COT", True)):
+        with pytest.raises(DomainError, match=(
+                rf"^{kind}: x_upper=.* too close to the radius pi \(limit ")):
+            eval_series(kind, x, 10, full_value=full)
+
+
+def test_lemma_kinds_are_the_eight_lemma_expansions_in_order():
+    assert LEMMA_KINDS == ("X_OVER_SIN", "COT", "CSC2", "COS_OVER_SIN2",
+                           "CSC3", "COS_OVER_SIN3", "SINH", "COSH")
+
+
+def test_singular_parts_are_the_principal_parts_of_the_laurent_series():
+    # sympy's own series at 0: the terms c*x^k with k < 0 are the c/x^p
+    import sympy
+
+    x = sympy.Symbol("x")
+    closed = {"X_OVER_SIN": x / sympy.sin(x), "COT": sympy.cot(x),
+              "CSC2": 1 / sympy.sin(x) ** 2,
+              "COS_OVER_SIN2": sympy.cos(x) / sympy.sin(x) ** 2,
+              "CSC3": 1 / sympy.sin(x) ** 3,
+              "COS_OVER_SIN3": sympy.cos(x) / sympy.sin(x) ** 3,
+              "SINH": sympy.sinh(x), "COSH": sympy.cosh(x)}
+    regular = 0
+    for kind, f in closed.items():
+        laurent = sympy.series(f, x, 0, 1).removeO()
+        principal = sorted(
+            (F(int(c.p), int(c.q)), int(-k)) for c, k in
+            (t.as_coeff_exponent(x) for t in sympy.Add.make_args(laurent))
+            if k < 0)
+        got = get_series(kind).singular_part
+        if not principal:
+            assert got is None, kind
+            regular += 1
+        else:
+            assert sorted((F(c), p) for c, p in got) == principal, kind
+    assert regular == 3
+
+
 # a point, a wide interval, x.lo = 0, and 64-bit outward endpoints (as the
 # series claims in `prove` use them)
 _SUM_XS = (Interval.point(F(1, 3)), Interval(F(1, 8), F(3, 2)), Interval(0, 1),
