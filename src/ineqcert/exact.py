@@ -15,6 +15,16 @@ The table keeps the integers T_m (`tangent`); `bernoulli` forms a B_n as a
 `fractions.Fraction` once, when it is first asked for.  The Bernoulli
 convention is B1 = -1/2, the one forced by the generating function
 x/(e^x - 1); even-index values are the same under both sign conventions.
+
+Every T_m is >= 1: the table starts at T_1 = 1, entry j starts at
+(j - 1)!, and each stage adds positive multiples of positive integers (the
+last one doubles).  So the weight |B_2m|/(2m)! is > 0, and the positive
+proof steps of T3.1, T3.2 and T3.5 (`series.theorem_sign`) take their sign
+from an integer kernel without reading this table.  It is read by
+`bernoulli` and `zeta_even_ratio`, and through `series` by every value of a
+Bernoulli-weighted coefficient: `lemma_coeff`, `theorem_coeff`, the partial
+sums of `eval_series`, an increasing check of such a series, and the value
+a failing positive step reports.
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, _digit_limit, default_corpus_path,
                    eval_endpoint, eval_expr, parse_corpus, parse_expression)
 from .series import (coeff_row, exact_sum, get_series, tail_bound,
-                     theorem_coeff, theorem_pair, TailBound, THEOREMS,
-                     THEOREM_START, TRIG_X_MAX)
+                     theorem_coeff, theorem_pair, theorem_sign, TailBound,
+                     THEOREMS, THEOREM_START, TRIG_X_MAX)
 from .series import eval_series  # noqa: F401 (patched by perfbench)
 
 __all__ = [
@@ -625,6 +625,9 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
     its start (or n_min) on: a_n for n <= n_max in `positive` mode, and
     a_(n+1) - a_n for n < n_max in `increasing` mode, as pairs (num, den)
     with den > 0.  The first value that is not is reported as (n, value).
+
+    A positive step reads its sign from `theorem_sign`, so a series with a
+    kernel forms no tangent number; the pair is formed only to report.
     """
     if seq_id not in SEQUENCE_IDS:
         raise DomainError(f"unknown sequence id {seq_id!r}")
@@ -638,13 +641,14 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
         raise DomainError(f"n_max must be at least {start + 1}, got {n_max}")
     if mode == "positive":
         value, stop = (lambda n: theorem_pair(thm, role, n)), n_max + 1
+        sign = (lambda n: theorem_sign(thm, role, n))
     else:
         value, stop = (lambda n: _step(seq_id, n)), n_max
+        sign = (lambda n: value(n)[0])
     violation = None
     for n in range(start, stop):
-        num, den = value(n)
-        if not num > 0:
-            violation = (n, Fraction(num, den))
+        if not sign(n) > 0:
+            violation = (n, Fraction(*value(n)))
             break
     return SequenceReport(seq_id, mode, start, n_max,
                           all_pass=violation is None, first_violation=violation)

@@ -30,6 +30,13 @@ integer pair (num, den), den > 0, with |B_2n|/(2n)! = T_n/((2n-1)! 4^n
 (4^n-1)) from the tangent number T_n.  `CoeffSeq.pair` and `theorem_pair`
 hand out pairs; `coeff`, `lemma_coeff` and `theorem_coeff` normalise once.
 
+A series whose coefficient is k_n |B_2n|/(2n)! states only its integer
+`kernel` k_n (the T3.x_F/G rows above, and COT, CSC2, COS_OVER_SIN2 and
+COS_OVER_SIN3); `pair` multiplies in the weight.  The weight is > 0, since
+T_n >= 1 (see `exact`), so `theorem_sign` reads a sign off k_n alone: the
+positive proof steps of T3.1, T3.2 and T3.5 read no tangent number.  Every
+coefficient value, and so every partial sum, still does.
+
 Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
 the remaining sum geometrically, so truncated evaluation is a certified
@@ -47,6 +54,7 @@ normalises it once, giving the same rational as a term-by-term sum.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -59,7 +67,8 @@ from .interval import Interval
 
 __all__ = [
     "CoeffSeq", "TailBound", "get_series", "series_ids",
-    "lemma_coeff", "theorem_coeff", "theorem_pair", "tail_bound",
+    "lemma_coeff", "theorem_coeff", "theorem_pair", "theorem_sign",
+    "tail_bound",
     "eval_series", "coeff_row", "exact_sum",
     "LEMMA_KINDS", "THEOREM_START", "Theorem", "THEOREMS",
 ]
@@ -71,10 +80,20 @@ TRIG_X_MAX = PI_LO * Fraction(63, 64)
 _RHO_MAX = 1 - Fraction(1, 1024)
 
 
+# _ODD_FACT[n] = (2n-1)! (entry 0 unused); grown under _ODD_LOCK one n at a
+# time from the entry before, and only appended to, so readers take no lock
+_ODD_FACT: list[int] = [1, 1]
+_ODD_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=None)
 def _bnorm(n: int) -> tuple:
     """|B_2n|/(2n)! as the pair (T_n, (2n-1)! 4^n (4^n-1))."""
-    return tangent(n), factorial(2 * n - 1) * 4 ** n * (4 ** n - 1)
+    if n >= len(_ODD_FACT):
+        with _ODD_LOCK:
+            for m in range(len(_ODD_FACT), n + 1):
+                _ODD_FACT.append(_ODD_FACT[m - 1] * (2 * m - 2) * (2 * m - 1))
+    return tangent(n), _ODD_FACT[n] * 4 ** n * (4 ** n - 1)
 
 
 def _w(k: int, n: int) -> tuple:
@@ -137,10 +156,12 @@ class CoeffSeq(Record):
     id: str
     start_index: int
     expo_offset: int                       # exponent_of(n) = 2n + expo_offset
-    coeff_fn: Callable[[int], tuple]       # n -> (num, den), den > 0
+    coeff_fn: Optional[Callable[[int], tuple]]  # n -> (num, den), den > 0
     radius: str                            # "pi" or "inf"
     singular_part: Optional[tuple]         # ((c, p), ...): sum of c/x^p
     components: tuple
+    # n -> k_n, the coefficient being k_n |B_2n|/(2n)!; set in place of coeff_fn
+    kernel: Optional[Callable[[int], int]] = None
 
     def exponent_of(self, n: int) -> int:
         return 2 * n + self.expo_offset
@@ -149,7 +170,9 @@ class CoeffSeq(Record):
         if n < self.start_index:
             raise DomainError(
                 f"{self.id}: index {n} below start index {self.start_index}")
-        return self.coeff_fn(n)
+        if self.kernel is None:
+            return self.coeff_fn(n)
+        return _w(self.kernel(n), n)
 
     def coeff(self, n: int) -> Fraction:
         return Fraction(*self.pair(n))
@@ -172,16 +195,16 @@ def _c_x_over_sin(n):
     return _w(2 * (2 ** (2 * n - 1) - 1), n)
 
 
-def _c_cot(n):
-    return _w(-2 ** (2 * n), n)
+def _k_cot(n):
+    return -2 ** (2 * n)
 
 
-def _c_csc2(n):
-    return _w(2 ** (2 * n) * (2 * n - 1), n)
+def _k_csc2(n):
+    return 2 ** (2 * n) * (2 * n - 1)
 
 
-def _c_cos_over_sin2(n):
-    return _w(-2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1), n)
+def _k_cos_over_sin2(n):
+    return -2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1)
 
 
 def _c_csc3(n):
@@ -191,8 +214,8 @@ def _c_csc3(n):
     return a1 * d0 + a0 * d1, d0 * d1
 
 
-def _c_cos_over_sin3(n):
-    return _w(-(2 * n - 1) * (n - 1) * 2 ** (2 * n), n)
+def _k_cos_over_sin3(n):
+    return -(2 * n - 1) * (n - 1) * 2 ** (2 * n)
 
 
 def _c_sinh(n):
@@ -203,20 +226,16 @@ def _c_cosh(n):
     return 1, factorial(2 * n)
 
 
-def _c_t31(n):
-    return _w((n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1), n)
+def _k_t31(n):
+    return (n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1)
 
 
 def _b_t32(n):
-    return 4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n, 1
+    return 4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n
 
 
-def _c_t32(n):
-    return _w(_b_t32(n)[0], n)
-
-
-def _c_t35(n):
-    return _w((6 * n - 8) * 2 ** (2 * n) + 8, n)
+def _k_t35(n):
+    return (6 * n - 8) * 2 ** (2 * n) + 8
 
 
 # T3.3 and T3.4: integer numerators over the common denominator (2n)!
@@ -263,28 +282,28 @@ def _register(seq: CoeffSeq):
 
 _register(CoeffSeq("X_OVER_SIN", 0, 0, _c_x_over_sin, "pi", None,
                    (_Geo((4,), 0),)))
-_register(CoeffSeq("COT", 1, -1, _c_cot, "pi", ((1, 1),),
-                   (_Geo((4,), -1),)))
-_register(CoeffSeq("CSC2", 1, -2, _c_csc2, "pi", ((1, 2),),
-                   (_Geo((0, 8), -2),)))
-_register(CoeffSeq("COS_OVER_SIN2", 1, -2, _c_cos_over_sin2, "pi", ((1, 2),),
-                   (_Geo((0, 8), -2),)))
+_register(CoeffSeq("COT", 1, -1, None, "pi", ((1, 1),),
+                   (_Geo((4,), -1),), kernel=_k_cot))
+_register(CoeffSeq("CSC2", 1, -2, None, "pi", ((1, 2),),
+                   (_Geo((0, 8), -2),), kernel=_k_csc2))
+_register(CoeffSeq("COS_OVER_SIN2", 1, -2, None, "pi", ((1, 2),),
+                   (_Geo((0, 8), -2),), kernel=_k_cos_over_sin2))
 _register(CoeffSeq("CSC3", 1, -1, _c_csc3, "pi", ((1, 3), (Fraction(1, 2), 1)),
                    (_Geo((4, Fraction(8, 9), Fraction(16, 9)), -1),)))
-_register(CoeffSeq("COS_OVER_SIN3", 2, -3, _c_cos_over_sin3, "pi", ((1, 3),),
-                   (_Geo((0, 0, 8), -3),)))
+_register(CoeffSeq("COS_OVER_SIN3", 2, -3, None, "pi", ((1, 3),),
+                   (_Geo((0, 0, 8), -3),), kernel=_k_cos_over_sin3))
 _register(CoeffSeq("SINH", 0, 1, _c_sinh, "inf", None,
                    (_Fact((1,), 1, 1),)))
 _register(CoeffSeq("COSH", 0, 0, _c_cosh, "inf", None,
                    (_Fact((1,), 1, 0),)))
 LEMMA_KINDS = tuple(_REGISTRY)
 
-_register(CoeffSeq("T3.1_F", 2, -4, _c_t31, "pi", None,
-                   (_Geo((0, 12), -4),)))
-_register(CoeffSeq("T3.2_G", 2, -4, _c_t32, "pi", None,
-                   (_Geo((0, 12), -4),)))
-_register(CoeffSeq("T3.5_F", 2, -4, _c_t35, "pi", None,
-                   (_Geo((0, 24), -4),)))
+_register(CoeffSeq("T3.1_F", 2, -4, None, "pi", None,
+                   (_Geo((0, 12), -4),), kernel=_k_t31))
+_register(CoeffSeq("T3.2_G", 2, -4, None, "pi", None,
+                   (_Geo((0, 12), -4),), kernel=_b_t32))
+_register(CoeffSeq("T3.5_F", 2, -4, None, "pi", None,
+                   (_Geo((0, 24), -4),), kernel=_k_t35))
 
 
 class Theorem(Record):
@@ -319,8 +338,8 @@ THEOREMS = {t.id: t for t in (
             "(8*pi-24)/pi^3", (Fraction("0.0365326"), Fraction("0.0365327")),
             "2*x/sin(x) + x/tan(x) - 3", "x^3*sin(x)", "T3.1_F",
             ("THM31_LO", "THM31_HI"), {"S_T31": "f"}),
-    Theorem("T3.2", 2, {"g": "T3.2_G", "b": _b_t32}, "g", Fraction(17, 720),
-            "(pi^2+8*pi-32)/(2*pi^3)",
+    Theorem("T3.2", 2, {"g": "T3.2_G", "b": lambda n: (_b_t32(n), 1)}, "g",
+            Fraction(17, 720), "(pi^2+8*pi-32)/(2*pi^3)",
             (Fraction("0.0484151"), Fraction("0.0484152")),
             "x/sin(x) + ((x/2)/tan(x/2))^2 - 2", "x^3*sin(x)", "T3.2_G",
             ("THM32_LO", "THM32_HI"), {"S_T32_B": "b", "S_T32_G": "g"}),
@@ -389,6 +408,16 @@ def lemma_coeff(kind: str, n: int) -> Fraction:
     return get_series(kind).coeff(n)
 
 
+def _role_source(thm: str, role: str, n: int):
+    """The series id or exact function of thm's role, once n is checked."""
+    t = THEOREMS.get(thm)
+    if t is None or role not in t.roles:
+        raise DomainError(f"no sequence for theorem {thm!r} role {role!r}")
+    if n < t.start:
+        raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
+    return t.roles[role]
+
+
 @lru_cache(maxsize=None)
 def theorem_pair(thm: str, role: str, n: int) -> tuple:
     """Exact theorem-proof sequence values as pairs (num, den), den > 0.
@@ -399,15 +428,22 @@ def theorem_pair(thm: str, role: str, n: int) -> tuple:
     and c is the ratio a_n/b_n, formed from the integer numerators of a_n and
     b_n over their common (2n)!.
     """
-    t = THEOREMS.get(thm)
-    if t is None or role not in t.roles:
-        raise DomainError(f"no sequence for theorem {thm!r} role {role!r}")
-    if n < t.start:
-        raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
-    source = t.roles[role]
+    source = _role_source(thm, role, n)
     if callable(source):
         return source(n)
     return get_series(source).pair(n)
+
+
+def theorem_sign(thm: str, role: str, n: int) -> int:
+    """An integer with the sign of `theorem_pair(thm, role, n)`'s value.
+
+    For a series with a kernel it is k_n, whose weight |B_2n|/(2n)! is > 0
+    (T_n >= 1), so no tangent number is formed; otherwise it is the pair's
+    numerator, its den being > 0.
+    """
+    source = _role_source(thm, role, n)
+    kernel = None if callable(source) else get_series(source).kernel
+    return theorem_pair(thm, role, n)[0] if kernel is None else kernel(n)
 
 
 def theorem_coeff(thm: str, role: str, n: int) -> Fraction:
@@ -437,7 +473,10 @@ def tail_bound(kind: str, N: int, x_upper) -> TailBound:
                 break
         else:
             raise DomainError(f"{kind}: tail does not contract at x={x}")
-        total += exact_sum(comp.row(m, m + 1, x)) * x ** comp.shift / (1 - rho)
+        # the closing term: y^m, already in lowest terms, times the row's
+        # small factor, so no gcd of two large integers is taken
+        (den, ((num, _),)), y = comp.row(m, m + 1, x)
+        total += y ** m * Fraction(num, den) * x ** comp.shift / (1 - rho)
         if m > N + 1:
             total += exact_sum(comp.row(N + 1, m, x)) * x ** comp.shift
     return TailBound(kind, N, x, total)

@@ -1,10 +1,13 @@
 """Flip each outward rounding of the engine and report the flips no test sees.
 
-Every mutant below turns one rounding the wrong way: a lower end rounded
-up, an upper end rounded down, or a certified lower bound of pi raised
-above pi.  For each, the repository is copied to a temporary directory,
-the one edit is made there, and `pytest -x -q` runs on the copy.  A mutant
-that leaves the suite green survives: the rounding it flips has no test.
+Every mutant below but the last two turns one rounding the wrong way: a
+lower end rounded up, an upper end rounded down, or a certified lower bound
+of pi raised above pi.  The last two weaken the exact positive proof steps,
+which read a sign off an integer kernel: one lets a zero step pass, the
+other changes T3.5's kernel.  For each, the repository is copied to a
+temporary directory, the one edit is made there, and `pytest -x -q` runs on
+the copy.  A mutant that leaves the suite green survives: the edit it makes
+has no test.
 
 `test_canonical_report_is_pinned` is deselected on every run: it hashes the
 report's bytes, so it catches a change, not an unsound one, and a flip whose
@@ -94,6 +97,12 @@ MUTANTS = [
     ("series-PI_LO-above-pi", "src/ineqcert/series.py",
      "PI_LO = Fraction(314159265358979, 10 ** 14)",
      "PI_LO = Fraction(314159265358980, 10 ** 14)"),
+    ("positive-step-admits-zero", "src/ineqcert/prove.py",
+     "if not sign(n) > 0:",
+     "if not sign(n) >= 0:"),
+    ("t35-kernel-minus-8", "src/ineqcert/series.py",
+     "return (6 * n - 8) * 2 ** (2 * n) + 8",
+     "return (6 * n - 8) * 2 ** (2 * n) - 8"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

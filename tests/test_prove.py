@@ -1,11 +1,12 @@
 import json
 import re
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
 
-from ineqcert import _core, prove, series
+from ineqcert import _core, exact, prove, series
 from ineqcert.cli import run_command
 from ineqcert.errors import DomainError, EvalError
 from ineqcert.interval import Interval, get_ctx, pi_enclose
@@ -823,6 +824,56 @@ def test_passing_exact_checks_never_normalise_a_coefficient(monkeypatch):
         assert sequence_check(seq_id, mode, 500, n_min=n_min).all_pass, seq_id
     for identity_id in prove.IDENTITY_IDS:
         assert identity_check(identity_id, 500).holds, identity_id
+
+
+_WEIGHTED = {"S_T31": ("T3.1", "f"), "S_T32_G": ("T3.2", "g"),
+             "S_T35": ("T3.5", "f")}
+
+
+@pytest.fixture
+def fresh_pairs():
+    # theorem_pair keeps its values: none may come from, or outlive, a test
+    # that rebinds what it reads
+    series.theorem_pair.cache_clear()
+    yield
+    series.theorem_pair.cache_clear()
+
+
+def test_positive_steps_read_no_tangent_number(monkeypatch, fresh_pairs):
+    # T_n >= 1, so a step's sign is its integer kernel's: past n = 2 neither
+    # the tangent table nor the weight |B_2n|/(2n)! is read
+    def upto_2(real):
+        def guarded(n):
+            if n > 2:
+                raise AssertionError(f"{real.__name__}({n}) read")
+            return real(n)
+        return guarded
+
+    monkeypatch.setattr(exact, "tangent", upto_2(exact.tangent))
+    monkeypatch.setattr(series, "tangent", upto_2(series.tangent))
+    monkeypatch.setattr(series, "_bnorm", upto_2(series._bnorm))
+    for seq_id in _WEIGHTED:
+        assert sequence_check(seq_id, "positive", 500).all_pass, seq_id
+
+
+@pytest.mark.parametrize("seq_id", sorted(_WEIGHTED))
+@pytest.mark.parametrize("at,flip", [(37, lambda k: -k), (5, lambda k: 0)],
+                         ids=["negative-at-37", "zero-at-5"])
+def test_a_failing_kernel_reports_the_full_value(seq_id, at, flip, monkeypatch,
+                                                 fresh_pairs):
+    thm, role = _WEIGHTED[seq_id]
+    seq = get_series(THEOREMS[thm].roles[role])
+    real = seq.kernel
+    monkeypatch.setitem(series._REGISTRY, seq.id, seq.replace(
+        kernel=lambda n: flip(real(n)) if n == at else real(n)))
+    rep = sequence_check(seq_id, "positive", 500)
+    assert not rep.all_pass
+    n, v = rep.first_violation
+    assert n == at and type(v) is F
+    den = factorial(2 * at - 1) * 4 ** at * (4 ** at - 1)
+    assert v == F(*series.theorem_pair(thm, role, at))
+    assert v == F(flip(real(at)) * exact.tangent(at), den)
+    assert (v < 0) if at == 37 else (v == 0)
 
 
 # --- identity checks ---------------------------------------------------------

@@ -54,7 +54,7 @@ FIELDS = {
     _Geo: ("poly", "shift"),
     _Fact: ("poly", "base", "shift"),
     CoeffSeq: ("id", "start_index", "expo_offset", "coeff_fn", "radius",
-               "singular_part", "components"),
+               "singular_part", "components", "kernel"),
     TailBound: ("kind", "N", "x_upper", "bound"),
     Theorem: ("id", "start", "roles", "zero_role", "zero_value", "right_value",
               "right_bracket", "num", "den", "series", "stanzas", "sequences",

@@ -1,14 +1,20 @@
+import random
+import sys
+import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from ineqcert import series
 from ineqcert.cli import MAX_NMAX
 from ineqcert.errors import DomainError
+from ineqcert.exact import tangent
 from ineqcert.interval import Interval, elem_enclose, pi_enclose
 from ineqcert.series import (LEMMA_KINDS, PI_LO, THEOREMS, TRIG_X_MAX, CoeffSeq,
                              _register, eval_series, get_series, lemma_coeff,
                              series_ids, tail_bound, theorem_coeff,
-                             theorem_pair)
+                             theorem_pair, theorem_sign)
 
 from oracles import (FORMER_COEFFS, LemmaSeriesOracle, dominating_term,
                      eval_series_termwise, former_theorem_value, tail_bound_termwise)
@@ -113,12 +119,78 @@ def test_ratio_role_equals_a_over_b(thm):
 
 
 def test_theorem_coeff_domain_errors():
-    with pytest.raises(DomainError):
-        theorem_coeff("T3.4", "c", 2)   # starts at n=3
-    with pytest.raises(DomainError):
-        theorem_coeff("T3.1", "b", 2)   # no such role
-    with pytest.raises(DomainError):
-        theorem_coeff("T9.9", "f", 2)
+    for read in (theorem_coeff, theorem_sign):
+        with pytest.raises(DomainError):
+            read("T3.4", "c", 2)   # starts at n=3
+        with pytest.raises(DomainError):
+            read("T3.1", "b", 2)   # no such role
+        with pytest.raises(DomainError):
+            read("T9.9", "f", 2)
+        with pytest.raises(DomainError):
+            read("T3.1", "f", 1)   # a kernel role checks its start too
+
+
+# the integer factor k_n of each Bernoulli-weighted theorem series, stated
+# here from the paper, apart from the module's own
+KERNELS = {
+    "T3.1_F": lambda n: (n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1),
+    "T3.2_G": lambda n: 4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n,
+    "T3.5_F": lambda n: (6 * n - 8) * 4 ** n + 8,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_a_kernel_times_its_weight_is_the_pair(kind):
+    # |B_2n|/(2n)! = T_n/((2n-1)! 4^n (4^n-1)), multiplied in by `pair`
+    seq = get_series(kind)
+    for n in range(seq.start_index, 301):
+        k = seq.kernel(n)
+        assert k == KERNELS[kind](n), (kind, n)
+        assert seq.pair(n) == (k * tangent(n), factorial(2 * n - 1) * 4 ** n
+                               * (4 ** n - 1)), (kind, n)
+
+
+def test_the_odd_factorials_grown_by_threads_are_right(monkeypatch):
+    # _bnorm carries (2n-1)! up from n-1 in a table that threads share: a
+    # lost or doubled append would shift every later entry
+    top, workers = 400, 8
+    want = [1] + [factorial(2 * n - 1) for n in range(1, top)]
+
+    def grow(seed, start):
+        order = list(range(1, top))
+        random.Random(seed).shuffle(order)
+        start.wait()
+        for n in order:
+            series._bnorm(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(6):
+            monkeypatch.setattr(series, "_ODD_FACT", [1, 1])
+            series._bnorm.cache_clear()
+            start = threading.Barrier(workers)
+            threads = [threading.Thread(target=grow, args=(round_ * workers + i,
+                                                           start))
+                       for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert series._ODD_FACT == want, round_
+    finally:
+        sys.setswitchinterval(interval)
+        series._bnorm.cache_clear()
+
+
+@pytest.mark.parametrize("thm,role", [(t.id, role) for t in THEOREMS.values()
+                                      for role in t.roles])
+def test_theorem_sign_has_the_sign_of_the_pair(thm, role):
+    for n in range(THEOREMS[thm].start, 301):
+        sign, (num, den) = theorem_sign(thm, role, n), theorem_pair(thm, role, n)
+        assert type(sign) is int and den > 0, (thm, role, n)
+        assert (sign > 0, sign < 0) == (num > 0, num < 0), (thm, role, n)
 
 
 def test_theorem_series_reconstructions():
