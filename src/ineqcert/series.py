@@ -54,7 +54,6 @@ normalises it once, giving the same rational as a term-by-term sum.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -80,20 +79,10 @@ TRIG_X_MAX = PI_LO * Fraction(63, 64)
 _RHO_MAX = 1 - Fraction(1, 1024)
 
 
-# _ODD_FACT[n] = (2n-1)! (entry 0 unused); grown under _ODD_LOCK one n at a
-# time from the entry before, and only appended to, so readers take no lock
-_ODD_FACT: list[int] = [1, 1]
-_ODD_LOCK = threading.Lock()
-
-
 @lru_cache(maxsize=None)
 def _bnorm(n: int) -> tuple:
     """|B_2n|/(2n)! as the pair (T_n, (2n-1)! 4^n (4^n-1))."""
-    if n >= len(_ODD_FACT):
-        with _ODD_LOCK:
-            for m in range(len(_ODD_FACT), n + 1):
-                _ODD_FACT.append(_ODD_FACT[m - 1] * (2 * m - 2) * (2 * m - 1))
-    return tangent(n), _ODD_FACT[n] * 4 ** n * (4 ** n - 1)
+    return tangent(n), factorial(2 * n - 1) * 4 ** n * (4 ** n - 1)
 
 
 def _w(k: int, n: int) -> tuple:
@@ -408,16 +397,6 @@ def lemma_coeff(kind: str, n: int) -> Fraction:
     return get_series(kind).coeff(n)
 
 
-def _role_source(thm: str, role: str, n: int):
-    """The series id or exact function of thm's role, once n is checked."""
-    t = THEOREMS.get(thm)
-    if t is None or role not in t.roles:
-        raise DomainError(f"no sequence for theorem {thm!r} role {role!r}")
-    if n < t.start:
-        raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
-    return t.roles[role]
-
-
 @lru_cache(maxsize=None)
 def theorem_pair(thm: str, role: str, n: int) -> tuple:
     """Exact theorem-proof sequence values as pairs (num, den), den > 0.
@@ -428,7 +407,12 @@ def theorem_pair(thm: str, role: str, n: int) -> tuple:
     and c is the ratio a_n/b_n, formed from the integer numerators of a_n and
     b_n over their common (2n)!.
     """
-    source = _role_source(thm, role, n)
+    t = THEOREMS.get(thm)
+    if t is None or role not in t.roles:
+        raise DomainError(f"no sequence for theorem {thm!r} role {role!r}")
+    if n < t.start:
+        raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
+    source = t.roles[role]
     if callable(source):
         return source(n)
     return get_series(source).pair(n)
@@ -441,9 +425,12 @@ def theorem_sign(thm: str, role: str, n: int) -> int:
     (T_n >= 1), so no tangent number is formed; otherwise it is the pair's
     numerator, its den being > 0.
     """
-    source = _role_source(thm, role, n)
-    kernel = None if callable(source) else get_series(source).kernel
-    return theorem_pair(thm, role, n)[0] if kernel is None else kernel(n)
+    t = THEOREMS.get(thm)
+    source = t.roles.get(role) if t is not None else None
+    kernel = get_series(source).kernel if isinstance(source, str) else None
+    if kernel is None or n < t.start:
+        return theorem_pair(thm, role, n)[0]   # raises for a bad thm, role or n
+    return kernel(n)
 
 
 def theorem_coeff(thm: str, role: str, n: int) -> Fraction:

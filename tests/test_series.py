@@ -1,12 +1,8 @@
-import random
-import sys
-import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from ineqcert import series
 from ineqcert.cli import MAX_NMAX
 from ineqcert.errors import DomainError
 from ineqcert.exact import tangent
@@ -148,40 +144,6 @@ def test_a_kernel_times_its_weight_is_the_pair(kind):
         assert k == KERNELS[kind](n), (kind, n)
         assert seq.pair(n) == (k * tangent(n), factorial(2 * n - 1) * 4 ** n
                                * (4 ** n - 1)), (kind, n)
-
-
-def test_the_odd_factorials_grown_by_threads_are_right(monkeypatch):
-    # _bnorm carries (2n-1)! up from n-1 in a table that threads share: a
-    # lost or doubled append would shift every later entry
-    top, workers = 400, 8
-    want = [1] + [factorial(2 * n - 1) for n in range(1, top)]
-
-    def grow(seed, start):
-        order = list(range(1, top))
-        random.Random(seed).shuffle(order)
-        start.wait()
-        for n in order:
-            series._bnorm(n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for round_ in range(6):
-            monkeypatch.setattr(series, "_ODD_FACT", [1, 1])
-            series._bnorm.cache_clear()
-            start = threading.Barrier(workers)
-            threads = [threading.Thread(target=grow, args=(round_ * workers + i,
-                                                           start))
-                       for i in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert series._ODD_FACT == want, round_
-    finally:
-        sys.setswitchinterval(interval)
-        series._bnorm.cache_clear()
 
 
 @pytest.mark.parametrize("thm,role", [(t.id, role) for t in THEOREMS.values()
