@@ -256,15 +256,15 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.kind:
-        kind = args.kind
-    elif args.thm and args.role:
-        kind = None
-    else:
+    if args.kind and (args.thm or args.role):
+        raise _UsageError("series takes --kind, or --thm with --role, not both")
+    if not (args.kind or (args.thm and args.role)):
         raise _UsageError("series requires --kind, or --thm with --role")
+    # a role backed by a registered series prints that series' rows
+    source = args.kind or THEOREMS[args.thm].roles.get(args.role)
     rows = ["n,exponent,coefficient"]
-    if kind is not None:
-        seq = get_series(kind)
+    if isinstance(source, str):
+        seq = get_series(source)
         for n in range(seq.start_index, args.nmax + 1):
             rows.append(f"{n},{seq.exponent_of(n)},{seq.coeff(n)}")
     else:

@@ -11,8 +11,9 @@ entry j - 1, so the table grows one column at a time, and
 
     B_2m = (-1)^(m-1) * 2m * T_m / (4^m * (4^m - 1)).
 
-The table keeps the integers T_m (`tangent`); `bernoulli` forms a B_n as a
-`fractions.Fraction` once, when it is first asked for.  The Bernoulli
+The table keeps the integers T_m (`tangent`).  It is the one process-wide
+table of exact values: `bernoulli` forms its `fractions.Fraction` from it on
+each call, and `series` keeps no coefficient it forms from it.  The Bernoulli
 convention is B1 = -1/2, the one forced by the generating function
 x/(e^x - 1); even-index values are the same under both sign conventions.
 
@@ -42,7 +43,6 @@ _TAN: list[int] = [0, 1]
 # (j, column): entry j of TangentNumbers after each of its stages 1..j, so
 # the last value is T_j
 _COL = (1, [1])
-_EVEN: dict[int, Fraction] = {0: Fraction(1)}     # B_n for the even n asked
 _LOCK = threading.Lock()
 
 
@@ -77,18 +77,17 @@ def tangent(m: int) -> int:
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n with B_1 = -1/2; results are cached and repeated calls are pure."""
+    """B_n with B_1 = -1/2, formed from the tangent number on each call."""
     if n < 0:
         raise DomainError("Bernoulli index must be >= 0")
+    if n == 0:
+        return Fraction(1)
     if n == 1:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    if n not in _EVEN:
-        m = n // 2
-        _EVEN[n] = Fraction((-1) ** (m - 1) * 2 * m * tangent(m),
-                            4 ** m * (4 ** m - 1))
-    return _EVEN[n]
+    m = n // 2
+    return Fraction((-1) ** (m - 1) * 2 * m * tangent(m), 4 ** m * (4 ** m - 1))
 
 
 def zeta_even_ratio(q: int) -> Fraction:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import count, repeat
 from math import comb, inf, isfinite
 from typing import Optional
 
@@ -46,7 +47,7 @@ from .lang import (Expr, InequalitySpec, _digit_limit, default_corpus_path,
                    eval_endpoint, eval_expr, parse_corpus, parse_expression)
 from .series import (coeff_row, exact_sum, get_series, tail_bound,
                      theorem_coeff, theorem_pair, theorem_sign, TailBound,
-                     THEOREMS, THEOREM_START, TRIG_X_MAX)
+                     THEOREMS, TRIG_X_MAX)
 from .series import eval_series  # noqa: F401 (patched by perfbench)
 
 __all__ = [
@@ -612,11 +613,15 @@ SEQUENCE_IDS = {seq_id: (t.id, role) for t in THEOREMS.values()
                 for seq_id, role in t.sequences.items()}
 
 
-def _step(seq_id: str, n: int) -> tuple:
-    """a_(n+1) - a_n of a theorem sequence, as an unnormalised pair."""
+def _steps(seq_id: str, n: int):
+    """a_(k+1) - a_k of a theorem sequence for k = n, n + 1, ..., as
+    unnormalised pairs; each a_k is formed once, when first drawn on."""
     thm, role = SEQUENCE_IDS[seq_id]
-    (n1, d1), (n0, d0) = (theorem_pair(thm, role, k) for k in (n + 1, n))
-    return n1 * d0 - n0 * d1, d0 * d1
+    n0, d0 = theorem_pair(thm, role, n)
+    for k in count(n + 1):
+        n1, d1 = theorem_pair(thm, role, k)
+        yield n1 * d0 - n0 * d1, d0 * d1
+        n0, d0 = n1, d1
 
 
 def sequence_check(seq_id: str, mode: str, n_max: int,
@@ -626,7 +631,7 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
     a_(n+1) - a_n for n < n_max in `increasing` mode, as pairs (num, den)
     with den > 0.  The first value that is not is reported as (n, value).
 
-    A positive step reads its sign from `theorem_sign`, so a series with a
+    A positive value reads its sign from `theorem_sign`, so a series with a
     kernel forms no tangent number; the pair is formed only to report.
     """
     if seq_id not in SEQUENCE_IDS:
@@ -634,22 +639,23 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
     if mode not in ("positive", "increasing"):
         raise DomainError(f"unknown mode {mode!r}")
     thm, role = SEQUENCE_IDS[seq_id]
-    start = THEOREM_START[thm] if n_min is None else n_min
-    if start < THEOREM_START[thm]:
-        raise DomainError(f"{seq_id} starts at n={THEOREM_START[thm]}")
+    start = THEOREMS[thm].start if n_min is None else n_min
+    if start < THEOREMS[thm].start:
+        raise DomainError(f"{seq_id} starts at n={THEOREMS[thm].start}")
     if n_max < start + 1:
         raise DomainError(f"n_max must be at least {start + 1}, got {n_max}")
-    if mode == "positive":
-        value, stop = (lambda n: theorem_pair(thm, role, n)), n_max + 1
-        sign = (lambda n: theorem_sign(thm, role, n))
-    else:
-        value, stop = (lambda n: _step(seq_id, n)), n_max
-        sign = (lambda n: value(n)[0])
     violation = None
-    for n in range(start, stop):
-        if not sign(n) > 0:
-            violation = (n, Fraction(*value(n)))
-            break
+    if mode == "positive":
+        for n in range(start, n_max + 1):
+            if not theorem_sign(thm, role, n) > 0:
+                violation = (n, Fraction(*theorem_pair(thm, role, n)))
+                break
+    else:
+        # range drives zip, so no a_n past n_max is formed
+        for n, (num, den) in zip(range(start, n_max), _steps(seq_id, start)):
+            if not num > 0:
+                violation = (n, Fraction(num, den))
+                break
     return SequenceReport(seq_id, mode, start, n_max,
                           all_pass=violation is None, first_violation=violation)
 
@@ -700,27 +706,27 @@ def _quartic_shift(n):
             + 4686101 * m + 5372496)
 
 
-def _t32_bdiff(n):
+def _t32_bdiff(n, step):
     num = 4 ** n * (6 * n - 1) - 4 * n + 1
-    return ((*_step("S_T32_B", n), num, 1),), (num,)
+    return ((*step, num, 1),), (num,)
 
 
-def _t33_cdiff(n):
+def _t33_cdiff(n, step):
     num = (6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1
     den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
-    return ((*_step("S_T33_C", n), num, den),), (num,)
+    return ((*step, num, den),), (num,)
 
 
-def _t34_fdecomp(n):
+def _t34_fdecomp(n, step):
     f = (16 ** n * _f1_plain(n), 9 ** n * _f2_plain(n),
          4 ** n * (9 ** n * _f3_inner_plain(n) + _f3_quartic_tail(n)),
          _f4_plain(n))
     den = (3 * n * (16 + 4 ** n) * (64 + 4 ** n) * (n - 2) * (2 * n - 3)
            * (4 * n * n - 1) * (n * n - 1))
-    return ((*_step("S_T34_C", n), sum(f), den),), f
+    return ((*step, sum(f), den),), f
 
 
-def _t34_polys(n):
+def _t34_polys(n, _):
     binomial = (84 * (1 + 8 * comb(n, 1) + 64 * comb(n, 2) + 512 * comb(n, 3)
                       + 4096 * comb(n, 4)) + _f3_quartic_tail(n))
     quartic = _quartic_poly(n)
@@ -732,16 +738,16 @@ def _t34_polys(n):
     return zip(left, ones, right, ones), left
 
 
-# id -> (start, the parts whose sign the proof needs, at(n)); at(n) gives
-# the identity's sides at n, integer tuples (p, q, num, den) each meaning
-# p/q = num/den, and the values of those parts
+# id -> (start, the parts whose sign the proof needs, the sequence whose
+# `_steps` feed at(n, step)); at gives the identity's sides at n, integer
+# tuples (p, q, num, den) each meaning p/q = num/den, and the parts' values
 _IDENTITIES = {
-    "ID_T32_BDIFF": (2, ("difference",), _t32_bdiff),
-    "ID_T33_CDIFF": (2, ("numerator",), _t33_cdiff),
-    "ID_T34_FDECOMP": (6, ("f1", "f2", "f3", "f4"), _t34_fdecomp),
+    "ID_T32_BDIFF": (2, ("difference",), "S_T32_B", _t32_bdiff),
+    "ID_T33_CDIFF": (2, ("numerator",), "S_T33_C", _t33_cdiff),
+    "ID_T34_FDECOMP": (6, ("f1", "f2", "f3", "f4"), "S_T34_C", _t34_fdecomp),
     "ID_T34_POLYS": (6, ("f1_rewrite", "f2_rewrite", "f4_rewrite",
                          "f3_inner_rewrite", "binomial_truncation",
-                         "quartic_rewrite"), _t34_polys),
+                         "quartic_rewrite"), None, _t34_polys),
 }
 IDENTITY_IDS = tuple(_IDENTITIES)
 
@@ -754,12 +760,13 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
     (n, value)."""
     if identity_id not in _IDENTITIES:
         raise DomainError(f"unknown identity id {identity_id!r}")
-    start, names, at = _IDENTITIES[identity_id]
+    start, names, seq_id, at = _IDENTITIES[identity_id]
     if n_max < start:
         raise DomainError(f"{identity_id} starts at n={start}")
     failure, signs = None, dict.fromkeys(sorted(names))
-    for n in range(start, n_max + 1):
-        sides, parts = at(n)
+    steps = repeat(None) if seq_id is None else _steps(seq_id, start)
+    for n, step in zip(range(start, n_max + 1), steps):
+        sides, parts = at(n, step)
         if min(parts) <= 0:  # the rare n with a sign to record
             for name, v in zip(names, parts):
                 if v <= 0 and signs[name] is None:

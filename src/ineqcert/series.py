@@ -29,6 +29,8 @@ of A and B over their common (2n)!.  Every coefficient is an unnormalised
 integer pair (num, den), den > 0, with |B_2n|/(2n)! = T_n/((2n-1)! 4^n
 (4^n-1)) from the tangent number T_n.  `CoeffSeq.pair` and `theorem_pair`
 hand out pairs; `coeff`, `lemma_coeff` and `theorem_coeff` normalise once.
+No coefficient is kept: each call forms its value again, and `exact`'s
+tangent list is the one table of exact values behind them.
 
 A series whose coefficient is k_n |B_2n|/(2n)! states only its integer
 `kernel` k_n (the T3.x_F/G rows above, and COT, CSC2, COS_OVER_SIN2 and
@@ -55,7 +57,6 @@ normalises it once, giving the same rational as a term-by-term sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, Optional
 
@@ -69,7 +70,7 @@ __all__ = [
     "lemma_coeff", "theorem_coeff", "theorem_pair", "theorem_sign",
     "tail_bound",
     "eval_series", "coeff_row", "exact_sum",
-    "LEMMA_KINDS", "THEOREM_START", "Theorem", "THEOREMS",
+    "LEMMA_KINDS", "Theorem", "THEOREMS",
 ]
 
 # Certified rational bound pi > PI_LO; tails only need a lower bound.
@@ -79,16 +80,9 @@ TRIG_X_MAX = PI_LO * Fraction(63, 64)
 _RHO_MAX = 1 - Fraction(1, 1024)
 
 
-@lru_cache(maxsize=None)
-def _bnorm(n: int) -> tuple:
-    """|B_2n|/(2n)! as the pair (T_n, (2n-1)! 4^n (4^n-1))."""
-    return tangent(n), factorial(2 * n - 1) * 4 ** n * (4 ** n - 1)
-
-
 def _w(k: int, n: int) -> tuple:
-    """k |B_2n|/(2n)! as a pair."""
-    t, d = _bnorm(n)
-    return k * t, d
+    """k |B_2n|/(2n)! as the pair (k T_n, (2n-1)! 4^n (4^n-1))."""
+    return k * tangent(n), factorial(2 * n - 1) * 4 ** n * (4 ** n - 1)
 
 
 def _row(poly: tuple, n0: int, top: int, weights: list) -> tuple:
@@ -348,8 +342,6 @@ THEOREMS = {t.id: t for t in (
             ("THM35_LO", "THM35_HI"), {"S_T35": "f"}),
 )}
 
-THEOREM_START = {t.id: t.start for t in THEOREMS.values()}
-
 
 def _register_ratio(thm: str, na, nb, a_parts: tuple, b_parts: tuple) -> None:
     """Register thm's A = na(n)/(2n)!, B = nb(n)/(2n)! and DIFF = A - (p/q) B
@@ -397,7 +389,6 @@ def lemma_coeff(kind: str, n: int) -> Fraction:
     return get_series(kind).coeff(n)
 
 
-@lru_cache(maxsize=None)
 def theorem_pair(thm: str, role: str, n: int) -> tuple:
     """Exact theorem-proof sequence values as pairs (num, den), den > 0.
 

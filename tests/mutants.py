@@ -1,10 +1,12 @@
 """Flip each outward rounding of the engine and report the flips no test sees.
 
-Every mutant below but the last two turns one rounding the wrong way: a
+Every mutant below but the last three turns one rounding the wrong way: a
 lower end rounded up, an upper end rounded down, or a certified lower bound
-of pi raised above pi.  The last two weaken the exact positive proof steps,
-which read a sign off an integer kernel: one lets a zero step pass, the
-other changes T3.5's kernel.  For each, the repository is copied to a
+of pi raised above pi.  The last three weaken the exact proof steps.  Two
+hit the positive steps, which read a sign off an integer kernel: one lets a
+zero value pass, the other changes T3.5's kernel.  `step-drops-carry`
+deletes the line of `prove._steps` that moves a_(n+1) into a_n, so every
+step is taken from the sequence's first value.  For each, the repository is copied to a
 temporary directory, the one edit is made there, and `pytest -x -q` runs on
 the copy.  A mutant that leaves the suite green survives: the edit it makes
 has no test.
@@ -98,11 +100,14 @@ MUTANTS = [
      "PI_LO = Fraction(314159265358979, 10 ** 14)",
      "PI_LO = Fraction(314159265358980, 10 ** 14)"),
     ("positive-step-admits-zero", "src/ineqcert/prove.py",
-     "if not sign(n) > 0:",
-     "if not sign(n) >= 0:"),
+     "if not theorem_sign(thm, role, n) > 0:",
+     "if not theorem_sign(thm, role, n) >= 0:"),
     ("t35-kernel-minus-8", "src/ineqcert/series.py",
      "return (6 * n - 8) * 2 ** (2 * n) + 8",
      "return (6 * n - 8) * 2 ** (2 * n) - 8"),
+    ("step-drops-carry", "src/ineqcert/prove.py",
+     "        n0, d0 = n1, d1\n",
+     ""),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

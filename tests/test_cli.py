@@ -53,6 +53,28 @@ def test_series_theorem_role(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "2,4,3/20"
     assert lines[2] == "3,6,9/70"
+    assert run_command(["series", "--thm", "T3.2", "--role", "b", "--nmax", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2,4,17"
+
+
+@pytest.mark.parametrize("thm,role,kind", [
+    ("T3.1", "f", "T3.1_F"), ("T3.2", "g", "T3.2_G"), ("T3.5", "f", "T3.5_F")])
+def test_series_role_prints_its_series_exponent(capsys, thm, role, kind):
+    # the x^0 coefficient of F's series is its limit at 0
+    assert run_command(["series", "--thm", thm, "--role", role, "--nmax", "4"]) == 0
+    by_role = capsys.readouterr().out
+    assert run_command(["series", "--kind", kind, "--nmax", "4"]) == 0
+    assert by_role == capsys.readouterr().out
+    assert by_role.splitlines()[1].startswith("2,0,")
+
+
+@pytest.mark.parametrize("extra", [["--thm", "T3.1"], ["--role", "f"],
+                                   ["--thm", "T3.1", "--role", "f"]])
+def test_series_kind_with_thm_or_role_is_a_usage_error(capsys, extra):
+    assert run_command(["series", "--kind", "T3.1_F", "--nmax", "4", *extra]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "ineqcert: error: series takes --kind, or --thm with --role, not both\n")
 
 
 def test_missing_corpus_is_usage_error(capsys):

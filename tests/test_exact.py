@@ -97,7 +97,6 @@ def test_bernoulli_resumes_from_a_column_left_behind(monkeypatch):
     exact.tangent(8)
     monkeypatch.setattr(exact, "_TAN", exact._TAN[:5])
     monkeypatch.setattr(exact, "_COL", (1, [1]))
-    monkeypatch.setattr(exact, "_EVEN", {0: Fraction(1)})
     assert len(exact._TAN) == 5
     assert [exact.tangent(m) for m in range(1, 31)] == _tangent_oracle(30)
     assert exact._COL[0] == len(exact._TAN) - 1 == 30
@@ -109,7 +108,6 @@ def test_bernoulli_thread_purity(monkeypatch):
     # lost update would shift the entries, which von Staudt-Clausen catches
     monkeypatch.setattr(exact, "_TAN", exact._TAN[:2])
     monkeypatch.setattr(exact, "_COL", (1, [1]))
-    monkeypatch.setattr(exact, "_EVEN", {0: Fraction(1)})
     indices = [1200 - 2 * (i % 4) for i in range(16)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

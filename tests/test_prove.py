@@ -830,28 +830,19 @@ _WEIGHTED = {"S_T31": ("T3.1", "f"), "S_T32_G": ("T3.2", "g"),
              "S_T35": ("T3.5", "f")}
 
 
-@pytest.fixture
-def fresh_pairs():
-    # theorem_pair keeps its values: none may come from, or outlive, a test
-    # that rebinds what it reads
-    series.theorem_pair.cache_clear()
-    yield
-    series.theorem_pair.cache_clear()
-
-
-def test_positive_steps_read_no_tangent_number(monkeypatch, fresh_pairs):
+def test_positive_steps_read_no_tangent_number(monkeypatch):
     # T_n >= 1, so a step's sign is its integer kernel's: past n = 2 neither
     # the tangent table nor the weight |B_2n|/(2n)! is read
     def upto_2(real):
-        def guarded(n):
-            if n > 2:
-                raise AssertionError(f"{real.__name__}({n}) read")
-            return real(n)
+        def guarded(*args):             # the index n is the last argument
+            if args[-1] > 2:
+                raise AssertionError(f"{real.__name__}{args} read")
+            return real(*args)
         return guarded
 
     monkeypatch.setattr(exact, "tangent", upto_2(exact.tangent))
     monkeypatch.setattr(series, "tangent", upto_2(series.tangent))
-    monkeypatch.setattr(series, "_bnorm", upto_2(series._bnorm))
+    monkeypatch.setattr(series, "_w", upto_2(series._w))
     for seq_id in _WEIGHTED:
         assert sequence_check(seq_id, "positive", 500).all_pass, seq_id
 
@@ -859,8 +850,7 @@ def test_positive_steps_read_no_tangent_number(monkeypatch, fresh_pairs):
 @pytest.mark.parametrize("seq_id", sorted(_WEIGHTED))
 @pytest.mark.parametrize("at,flip", [(37, lambda k: -k), (5, lambda k: 0)],
                          ids=["negative-at-37", "zero-at-5"])
-def test_a_failing_kernel_reports_the_full_value(seq_id, at, flip, monkeypatch,
-                                                 fresh_pairs):
+def test_a_failing_kernel_reports_the_full_value(seq_id, at, flip, monkeypatch):
     thm, role = _WEIGHTED[seq_id]
     seq = get_series(THEOREMS[thm].roles[role])
     real = seq.kernel
@@ -874,6 +864,39 @@ def test_a_failing_kernel_reports_the_full_value(seq_id, at, flip, monkeypatch,
     assert v == F(*series.theorem_pair(thm, role, at))
     assert v == F(flip(real(at)) * exact.tangent(at), den)
     assert (v < 0) if at == 37 else (v == 0)
+
+
+def test_each_check_forms_each_value_once(monkeypatch):
+    # each a_n of a step is formed once, and no a_n past the last step
+    calls = []
+    real = prove.theorem_pair
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(prove, "theorem_pair", counted)
+    assert sequence_check("S_T34_C", "increasing", 500).all_pass
+    assert len(calls) == len(set(calls)) == 498        # a_3 .. a_500
+    calls.clear()
+    assert identity_check("ID_T34_FDECOMP", 500).holds
+    assert len(calls) == len(set(calls)) == 496        # c_6 .. c_501
+
+
+def test_a_lowered_sequence_value_first_fails_its_step(monkeypatch):
+    # b_38 of T3.2 lowered to b_37 - 1: the increasing check must first fail
+    # at the step b_38 - b_37 = -1, so each step must start from the value
+    # the step before it ended at
+    real = prove.theorem_pair
+
+    def lowered(thm, role, n):
+        if (thm, role, n) == ("T3.2", "b", 38):
+            return real(thm, role, 37)[0] - 1, 1
+        return real(thm, role, n)
+
+    monkeypatch.setattr(prove, "theorem_pair", lowered)
+    rep = sequence_check("S_T32_B", "increasing", 500)
+    assert not rep.all_pass and rep.first_violation == (37, F(-1))
 
 
 # --- identity checks ---------------------------------------------------------
@@ -1006,11 +1029,10 @@ def test_limits_right_rejected_for_hyperbolic():
 
 
 def test_limits_cross_consistency():
-    from ineqcert.series import THEOREM_START
     roles = {"T3.1": "f", "T3.2": "g", "T3.3": "c", "T3.4": "c", "T3.5": "f"}
     for thm, role in roles.items():
         rep = limit_report(thm, "zero")
-        assert rep.value_exact == theorem_coeff(thm, role, THEOREM_START[thm])
+        assert rep.value_exact == theorem_coeff(thm, role, THEOREMS[thm].start)
 
 
 # --- extremum scan -----------------------------------------------------------
