@@ -692,7 +692,6 @@ def _shared_zeros(u, v):
 
 
 _REMOVABLE = {}         # _removable's findings, by the global id of the root
-_DETECT_ORDER = 4       # the order at which _removable looks first
 
 
 def _removable(ctx, node):
@@ -701,23 +700,18 @@ def _removable(ctx, node):
     how many leading coefficients both operands have exactly (0, 0) at the
     point 0, with the rule applied to the steps before it; depth is the
     most orders one path to the root loses.  Exact zeros come only from
-    exact operations on exact zeros, and a vector is any longer one cut
-    short: the shifts depend on neither precision nor order unless one
-    reaches its cap, all but one entry, which leaves one entry or a pole.
-    Only then is the run at _DETECT_ORDER redone at TAYLOR_ORDER."""
+    exact operations on exact zeros, so the shifts do not depend on the
+    precision."""
     root = _plan(node)[2][-1]
     if root in _REMOVABLE:
         return _REMOVABLE[root]
-    for k in (_DETECT_ORDER, TAYLOR_ORDER):
-        shifts = [None] * len(_plan(node)[0])
-        try:
-            out = _run(ctx, node, _tvar(ctx, 0, 0, k), _TAYLOR_OPS, shifts)
-        except (DomainError, PoleError):
-            out = ()
-        if len(out) > 1:
-            break
-    found = (tuple(shifts), k + 1 - len(out)) if out and any(shifts) else None
-    return _REMOVABLE.setdefault(root, found)
+    shifts = [None] * len(_plan(node)[0])
+    try:
+        out = _run(ctx, node, _tvar(ctx, 0, 0), _TAYLOR_OPS, shifts)
+    except (DomainError, PoleError):
+        out = ()
+    found = (tuple(shifts), TAYLOR_ORDER + 1 - len(out))
+    return _REMOVABLE.setdefault(root, found if out and any(shifts) else None)
 
 
 def _coeff_from_zero(ctx, node, b):

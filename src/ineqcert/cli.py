@@ -225,11 +225,10 @@ def _cmd_prove(args) -> int:
                     key=lambda c: c["name"])
     for c in claims:
         c["ms"] = round(c["ms"], 3) if args.timing else 0
-    # deliberately excludes volatile details (jobs, output path) so reports
-    # are byte-identical regardless of scheduling
+    # deliberately excludes volatile details (jobs, corpus and output paths)
+    # so reports are byte-identical regardless of scheduling and checkout
     config = {
-        "subcommand": "prove", "corpus": args.corpus,
-        "name_filter": args.name or "",
+        "subcommand": "prove", "name_filter": args.name or "",
         "eps_lo": str(opts.eps_lo), "eps_hi": str(opts.eps_hi),
         "x_max": str(opts.x_max), "precision": opts.precision,
     }
@@ -262,6 +261,9 @@ def _cmd_series(args) -> int:
         raise _UsageError("series requires --kind, or --thm with --role")
     # a role backed by a registered series prints that series' rows
     source = args.kind or THEOREMS[args.thm].roles.get(args.role)
+    if source is None:      # checked before any row, whatever --nmax is
+        raise _UsageError(f"no sequence for theorem {args.thm!r} "
+                          f"role {args.role!r}")
     rows = ["n,exponent,coefficient"]
     if isinstance(source, str):
         seq = get_series(source)

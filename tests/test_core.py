@@ -503,19 +503,21 @@ def test_vector_from_zero_holds_point_vectors(corpus_specs):
     # at 0 (with the rule) and at seeded xi in (0, b] (without it).  Near 0
     # a point vector divides by a tiny x and may be wider than the box's
     # coefficient; there both still hold the true value, so they meet.
+    # sin(x)^5/x^5 shares five leading zeros, so its vector loses 5 orders.
     ctx = get_ctx(192)
     k = _core.TAYLOR_ORDER
     rng = random.Random(2003)
     held = 0
-    for spec in corpus_specs:
-        node = spec.difference()
+    cases = [(s.name, s.difference(), s.unbounded, 1) for s in corpus_specs]
+    cases.append(("SIN5", parse_expression("sin(x)^5/x^5"), False, 5))
+    for name, node, unbounded, want in cases:
         found = _core._removable(ctx, node)
-        assert (found is None) == (spec.name in ("HUY_TRIG", "HUY_HYP")), spec.name
+        assert (found is None) == (name in ("HUY_TRIG", "HUY_HYP")), name
         if found is None:
             continue
         shifts, depth = found
-        assert depth == 1 and _core._removable(ctx, node) is found
-        top = 512 if spec.unbounded else 96
+        assert depth == want and _core._removable(ctx, node) is found
+        top = 512 if unbounded else 96
         for _ in range(3):
             b = ctx.lo_of(Fraction(rng.randint(1, top), 64))
             vec = _core.eval_taylor(ctx, node, _core._tvar(ctx, 0, b, k + depth),
@@ -528,9 +530,9 @@ def test_vector_from_zero_holds_point_vectors(corpus_specs):
                 points.append(_core.eval_taylor(ctx, node, _core._tvar(ctx, xi, xi), k))
             for pt in points:
                 for j, (c, p) in enumerate(zip(vec, pt)):
-                    assert _meets(c, p), (spec.name, b, j)
+                    assert _meets(c, p), (name, b, j)
                     if p[1] - p[0] <= ctx.one >> 64:
-                        assert c[0] <= p[0] and p[1] <= c[1], (spec.name, b, j)
+                        assert c[0] <= p[0] and p[1] <= c[1], (name, b, j)
                         held += 1
     assert held >= 24 * 4 * (k + 1)
 
@@ -710,53 +712,6 @@ def test_direct_eval_taylor_never_reads_the_memo(monkeypatch, corpus_specs):
     # while a call that passes it forms none
     assert _core.eval_taylor(ctx, node, xvec, k, memo=ctx.memo) == vec
     assert len(calls) == 3 * full
-
-
-def _full_order_shifts(ctx, node):
-    """_removable's finding from one run at TAYLOR_ORDER."""
-    k = _core.TAYLOR_ORDER
-    shifts = [None] * len(_core._plan(node)[0])
-    try:
-        out = _core._run(ctx, node, _core._tvar(ctx, 0, 0, k),
-                         _core._TAYLOR_OPS, shifts)
-    except (_core.DomainError, _core.PoleError):
-        return None
-    return (tuple(shifts), k + 1 - len(out)) if any(shifts) else None
-
-
-def test_low_order_shifts_equal_full_order_ones(monkeypatch, corpus_specs):
-    # _removable looks at order _DETECT_ORDER and again at TAYLOR_ORDER only
-    # where a shift may have reached its cap.  Every shipped difference and
-    # every refute-style claim (its sides reversed) finds the full-order
-    # shifts in one low-order run; sin(x)^5/x^5 shares five leading zeros,
-    # past the cap at order 4, and is run again at full order
-    ctx = get_ctx(192)
-    monkeypatch.setattr(_core, "_REMOVABLE", {})
-    orders = []
-    tvar = _core._tvar
-
-    def recording(ctx, a, b, k=_core.TAYLOR_ORDER):
-        orders.append(k)
-        return tvar(ctx, a, b, k)
-
-    flip = {">": "<", "<": ">"}
-    nodes = [s.difference() for s in corpus_specs]
-    nodes += [s.replace(relation=flip[s.relation]).difference()
-              for s in corpus_specs]
-    for node in nodes:
-        want = _full_order_shifts(ctx, node)
-        monkeypatch.setattr(_core, "_tvar", recording)
-        assert _core._removable(ctx, node) == want, node
-        monkeypatch.setattr(_core, "_tvar", tvar)
-        assert _core.TAYLOR_ORDER not in orders
-    assert orders.count(_core._DETECT_ORDER) == len(nodes) - 2   # two twins
-    node = parse_expression("sin(x)^5/x^5")
-    want = _full_order_shifts(ctx, node)
-    assert want is not None and want[1] == 5 > _core._DETECT_ORDER
-    orders.clear()
-    monkeypatch.setattr(_core, "_tvar", recording)
-    assert _core._removable(ctx, node) == want
-    assert orders == [_core._DETECT_ORDER, _core.TAYLOR_ORDER]
 
 
 # --- outward rounding against exact arithmetic --------------------------------
