@@ -3,7 +3,9 @@
 `prove_positive` covers a compact interval with subintervals, each carrying
 a certified positive lower bound computed in outward-rounded interval
 arithmetic (plain ranges + midpoint Taylor forms).  A Refuted result
-carries a witness subinterval with a certified negative upper bound.
+carries a witness with a certified negative upper bound: the interval's
+midpoint when the claim is certified false there, evaluated before any
+bisection, else a subinterval or a point that bisection found.
 """
 
 from fractions import Fraction
@@ -26,9 +28,10 @@ print("  re-verification at doubled precision:",
 print("\nA false claim is refuted with a witness: cos(x) > 1/2 on [1.1, 1.5]")
 r = prove_positive(parse_expression("cos(x) - 1/2"), Interval(F(11, 10), F(3, 2)))
 print(f"  status={r.status}")
-print(f"  witness interval: [{float(r.witness.lo):.4f}, {float(r.witness.hi):.4f}]")
+print(f"  witness (the midpoint): [{float(r.witness.lo):.4f}, {float(r.witness.hi):.4f}]"
+      f", {r.leaves} leaves")
 print(f"  certified value there: [{float(r.witness_value.lo):.6f}, "
-      f"{float(r.witness_value.hi):.6f}]  (cos(1.2) = 0.3623...)")
+      f"{float(r.witness_value.hi):.6f}]  (cos(1.3) - 1/2 = -0.2325...)")
 
 print("\nAn inconclusive claim stays Unknown: x^2 > 0 across 0")
 r = prove_positive(parse_expression("x^2"), Interval(-1, 1),

@@ -21,9 +21,10 @@ spec = next(s for s in parse_corpus(open(default_corpus_path()).read())
 print("claim:", "2*sinh(x)/x + tanh(x)/x > 3 + (3/20)*x^3*tanh(x) for x > 0")
 
 print("\n1. Interval refutation with a certified witness:")
-# The witness is the first box that bisection certifies negative, at the
-# left end of the core (x near 0.001), not the deepest dip near x = 2; the
-# ratio below shows the claim failing there too.
+# The difference is positive at the core's midpoint (x near 10), so the
+# witness is the first box that bisection certifies negative, at the left
+# end of the core (x near 0.001), not the deepest dip near x = 2; the ratio
+# below shows the claim failing there too.
 r = verify_inequality(spec)
 print(f"   status = {r.status}")
 print(f"   witness x = {float(r.witness.mid):.6g}, difference in "

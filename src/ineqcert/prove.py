@@ -15,10 +15,11 @@
   (an upper claim adds its constant's lower end).  Run once at the core's
   right end, it proves the core of the seven whose series is not a
   derivative's in one leaf, and their (0, eps] gap with it; at x = eps it
-  closes THM33's.  Only bisection of the raw difference refutes a core;
-  where it leaves boxes inconclusive, a point certified negative in one
-  of them does.  Uncovered margins are always reported, never silently
-  assumed.
+  closes THM33's.  Only the raw difference refutes a core: at the core's
+  midpoint, evaluated as a point before any box is formed; else at
+  bisection's first box certified negative; and where bisection leaves
+  boxes inconclusive, at a point certified negative in one of them.
+  Uncovered margins are always reported, never silently assumed.
 * `ProveOptions`: the engine options, each with its one default and its
   valid range, checked when the options are built.
 * `sequence_check`, `identity_check`: the paper's per-n proof steps,
@@ -218,17 +219,22 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
                      opts: ProveOptions) -> ProofResult:
     """The one place where a core's bisection ends.
 
-    Proved when every box certifies positive; Refuted at the first box
-    certified negative, even past inconclusive ones.  A box at the depth
-    or width limit that does neither is recorded, and the run stops after
-    MAX_INCONCLUSIVE of them.  If any were recorded, `_grid_refute` scans
-    their ends and midpoints: Refuted at the first point certified
-    negative, so a dip narrower than min_width is found wherever bisection
-    pins it; otherwise Unknown, naming the first recorded box.  Three
-    exits end the run Unknown before any scan: a box that raises
-    DomainError at an end that raises it as a point, where no bisection
-    can help (the reason names that point); a box whose enclosures
-    contradict each other; and more than MAX_LEAVES proved leaves.
+    First the difference is evaluated as a point at the core's midpoint:
+    an enclosure below 0 there ends the run Refuted with that point as its
+    witness, before any box or Taylor form is built (0 leaves, depth 0).
+    A point that is not certified negative, or that raises, leaves the run
+    to bisection.  Proved when every box certifies positive; Refuted at the
+    first box certified negative, even past inconclusive ones.  A box at
+    the depth or width limit that does neither is recorded, and the run
+    stops after MAX_INCONCLUSIVE of them.  If any were recorded,
+    `_grid_refute` scans their ends and midpoints: Refuted at the first
+    point certified negative, so a dip narrower than min_width is found
+    wherever bisection pins it; otherwise Unknown, naming the first
+    recorded box.  Three exits end the run Unknown before that scan: a box
+    that raises DomainError at an end that raises it as a point, where no
+    bisection can help (the reason names that point); a box whose
+    enclosures contradict each other; and more than MAX_LEAVES proved
+    leaves.
 
     Every box is enclosed by `_core.enclose` at opts.precision, and hands
     the remainder coefficient it returns down to its two halves; a box at
@@ -237,7 +243,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
     ctx = get_ctx(opts.precision)
     ctx.scope((ctx.lo_of(lo), ctx.hi_of(hi)))
 
-    def ev(x: Interval) -> Interval:  # a point's enclosure: witness, scans
+    def ev(x: Interval) -> Interval:  # a point's enclosure: probe, witness, scan
         return _enclose(ctx, expr, x.lo, x.hi)[0]
 
     stack = [(lo, hi, 0, None)]
@@ -249,6 +255,16 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
         if status != "Unknown":
             kw["certificate"] = sorted(leaves, key=lambda l: l.lo)
         return ProofResult(status, leaves=len(leaves), max_depth=maxd, **kw)
+
+    # a false claim is most clearly negative inside its core, where one
+    # point refutes it before any box is formed
+    mid = (lo + hi) / 2
+    try:
+        v = ev(Interval.point(mid))
+    except (DomainError, PoleError, EvalError):
+        v = None
+    if v is not None and v.hi < 0:
+        return result("Refuted", witness=Interval.point(mid), witness_value=v)
 
     while stack and len(boxes) < MAX_INCONCLUSIVE:
         a, b, d, rem = stack.pop()

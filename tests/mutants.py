@@ -1,14 +1,17 @@
 """Flip each outward rounding of the engine and report the flips no test sees.
 
-Every mutant below but the last three turns one rounding the wrong way: a
+Every mutant below but the last four turns one rounding the wrong way: a
 lower end rounded up, an upper end rounded down, or a certified lower bound
-of pi raised above pi.  The last three weaken the exact proof steps.  Two
+of pi raised above pi.  The next three weaken the exact proof steps.  Two
 hit the positive steps, which read a sign off an integer kernel: one lets a
 zero value pass, the other changes T3.5's kernel.  `step-drops-carry`
 deletes the line of `prove._steps` that moves a_(n+1) into a_n, so every
-step is taken from the sequence's first value.  For each, the repository is copied to a
-temporary directory, the one edit is made there, and `pytest -x -q` runs on
-the copy.  A mutant that leaves the suite green survives: the edit it makes
+step is taken from the sequence's first value.  The last,
+`probe-refutes-straddle`, lets the point that `prove._bisect_positive`
+evaluates at a core's midpoint refute the claim when its enclosure merely
+reaches below 0.  For each, the repository is copied to a temporary
+directory, the one edit is made there, and `pytest -x -q` runs on the
+copy.  A mutant that leaves the suite green survives: the edit it makes
 has no test.
 
 `test_canonical_report_is_pinned` is deselected on every run: it hashes the
@@ -108,6 +111,9 @@ MUTANTS = [
     ("step-drops-carry", "src/ineqcert/prove.py",
      "        n0, d0 = n1, d1\n",
      ""),
+    ("probe-refutes-straddle", "src/ineqcert/prove.py",
+     "if v is not None and v.hi < 0:",
+     "if v is not None and v.lo < 0:"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

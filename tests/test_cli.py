@@ -734,8 +734,9 @@ def test_a_value_past_float_range_prints_as_a_power_of_2(tmp_path, x_max, findin
 
 
 def test_a_witness_past_float_range_prints_as_a_power_of_2(tmp_path):
-    # a constant claim, false on the whole core: the witness box, up to
-    # x_max 1e400, lies past any float (exit 4 once), so prints as 2^k
+    # a constant claim, false on the whole core: the witness, the core's
+    # midpoint near 5e399, lies past any float (exit 4 once), so both its
+    # ends print as 2^k
     corpus = tmp_path / "far.ineq"
     corpus.write_text("inequality FAR {\n  domain   = (0, inf)\n"
                       "  lhs      = sin(1/3)\n  relation = >\n"
@@ -745,8 +746,8 @@ def test_a_witness_past_float_range_prints_as_a_power_of_2(tmp_path):
     (claim,) = json.loads(out.read_text())["claims"]
     assert claim["status"] == "Refuted"
     (finding,) = claim["findings"]
-    assert re.fullmatch(r"difference on \[\S+, about 2\^\d+\] certified < 0; "
-                        r"at x=about 2\^\d+ within \[\S+, \S+\]", finding)
+    assert re.fullmatch(r"difference on \[about 2\^\d+, about 2\^\d+\] certified "
+                        r"< 0; at x=about 2\^\d+ within \[\S+, \S+\]", finding)
 
 
 def test_a_series_bound_that_fails_leaves_one_bisection(tmp_path, monkeypatch):

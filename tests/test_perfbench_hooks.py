@@ -5,6 +5,7 @@ silently lose its span or counter, so the names are checked here."""
 import importlib
 import importlib.util
 import inspect
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,7 +71,8 @@ def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
 
 def test_bisection_encloses_through_module_enclose(monkeypatch):
     # the span `core.enclose` rebinds `_core.enclose`: every box of a
-    # bisection must go through that name, inherited remainder and all
+    # bisection, and the point probed at the core's midpoint before it,
+    # must go through that name, inherited remainder and all
     core = importlib.import_module("ineqcert._core")
     prove = importlib.import_module("ineqcert.prove")
     lang = importlib.import_module("ineqcert.lang")
@@ -79,25 +81,48 @@ def test_bisection_encloses_through_module_enclose(monkeypatch):
     enclose = core.enclose
 
     def counting(*args, **kwargs):
-        calls.append(args[4:] + tuple(kwargs.values()))
+        calls.append(args[2:] + tuple(kwargs.values()))
         return enclose(*args, **kwargs)
 
     monkeypatch.setattr(core, "enclose", counting)
     res = prove.prove_positive(lang.parse_expression("x - sin(x)"),
                                interval.Interval(Fraction(1, 100), Fraction(4)))
-    # a Proved bisection encloses each leaf and each box it split
-    assert res.status == "Proved" and len(calls) == 2 * res.leaves - 1
-    assert any(rem for (rem,) in calls)
+    # a Proved bisection encloses each leaf and each box it split, after
+    # one point at the midpoint: 401/200, rounded out to one unit wide
+    assert res.status == "Proved" and len(calls) == 2 * res.leaves
+    assert [i for i, (a, b, _) in enumerate(calls) if b - a <= 1] == [0]
+    assert any(rem for _, _, rem in calls)
 
 
-@pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
-def test_refute_workload_input_parses(tmp_path):
-    # the benchmark writes its own stanzas; their tags must pass parse_corpus
+def _refute_input(tmp_path):
+    """The benchmark's workloads module, and the plan and input file of its
+    seed-1 refute workload, written under tmp_path."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", SPANS.parent / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     plan = workloads.build("refute", 1, SPANS.parents[1], tmp_path, 2, 1)
-    lang = importlib.import_module("ineqcert.lang")
     (path,) = tmp_path.glob("input-b*.ineq")
+    return workloads, plan, path
+
+
+@pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
+def test_refute_workload_input_parses(tmp_path):
+    # the benchmark writes its own stanzas; their tags must pass parse_corpus
+    _, plan, path = _refute_input(tmp_path)
+    lang = importlib.import_module("ineqcert.lang")
     assert len(lang.parse_corpus(path.read_text())) == len(plan["expected"])
+
+
+@pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
+def test_refute_workload_is_refuted_with_confirmed_witnesses(tmp_path):
+    # every one of the 108 false claims is Refuted, and mpmath finds each
+    # witness's value negative and inside its certified enclosure
+    mpmath = pytest.importorskip("mpmath")
+    workloads, plan, path = _refute_input(tmp_path)
+    cli = importlib.import_module("ineqcert.cli")
+    out = tmp_path / "refute.json"
+    assert cli.run_command(["prove", "--corpus", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["claims"]) == len(plan["expected"])
+    assert workloads.check_prove(report, plan, mpmath) == []

@@ -8,7 +8,7 @@ import pytest
 
 from ineqcert import _core, exact, prove, series
 from ineqcert.cli import run_command
-from ineqcert.errors import DomainError, EvalError
+from ineqcert.errors import DomainError, EvalError, PoleError
 from ineqcert.interval import Interval, get_ctx, pi_enclose
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
                            parse_expression)
@@ -49,6 +49,31 @@ def test_prove_cos_minus_half_refuted():
     assert r.status == "Refuted"
     assert r.witness is not None
     assert r.witness_value.hi < 0
+
+
+def test_a_claim_negative_at_its_midpoint_builds_no_taylor_form(monkeypatch):
+    # cos(13/10) - 1/2 is about -0.23: the point probed at the core's
+    # midpoint refutes the claim before any box is formed
+    calls = []
+    taylor = _core.eval_taylor
+    monkeypatch.setattr(_core, "eval_taylor",
+                        lambda *a, **kw: calls.append(a) or taylor(*a, **kw))
+    r = prove_positive(parse_expression("cos(x) - 1/2"),
+                       Interval(F(11, 10), F(3, 2)))
+    assert r.status == "Refuted" and r.witness == Interval.point(F(13, 10))
+    assert r.witness_value.hi < 0 and r.certificate == []
+    assert (r.leaves, r.max_depth, len(calls)) == (0, 0, 0)
+
+
+def test_a_pole_at_the_midpoint_leaves_the_core_to_bisection():
+    # 1/(x-1) raises PoleError at the midpoint 1; bisection still refutes
+    # the claim on a box left of the pole
+    expr = parse_expression("1/(x-1)")
+    with pytest.raises(PoleError):
+        prove._enclose(get_ctx(192), expr, F(1), F(1))
+    r = prove_positive(expr, Interval(0, 2))
+    assert r.status == "Refuted" and r.witness == Interval(0, F(1, 2))
+    assert r.max_depth == 2 and r.witness_value.hi < 0
 
 
 @pytest.mark.parametrize("src,hi", [("cos(x) - 1/2", F(3, 2)), ("1 - x", 2)])
@@ -246,19 +271,20 @@ def test_a_near_zero_refutation_overrides_a_core_that_is_not_refuted(
                for f in r.findings)
 
 
-# negative only on |x - 1/2| < 1e-15, a dip narrower than min_width
+# negative only on |x - 1/4| < 1e-15, a dip narrower than min_width and off
+# the core's midpoint 1/2, where the difference is positive
 _DIP = parse_corpus("inequality DIP {\n  domain   = [0, 1]\n"
-                    "  lhs      = (x - 1/2)^2\n  relation = >\n"
+                    "  lhs      = (x - 1/4)^2\n  relation = >\n"
                     "  rhs      = (1/10)^30\n}\n")[0]
 
 
 def test_grid_fallback_refutes_a_dip_below_min_width():
-    # every box at 1/2 stays inconclusive; the scan of those boxes hits the
+    # every box at 1/4 stays inconclusive; the scan of those boxes hits the
     # point, an end of two of them, and both entry points end by that scan
     for r in (verify_inequality(_DIP),
               prove_positive(_DIP.difference(), Interval(0, 1))):
         assert r.status == "Refuted" and r.reason is None
-        assert r.witness == Interval.point(F(1, 2))
+        assert r.witness == Interval.point(F(1, 4)) and r.max_depth > 0
         assert r.witness_value.hi < 0 and r.ms > 0
 
 
@@ -595,7 +621,8 @@ def test_tan_where_cos_is_negative_is_proved():
 
 
 def test_tan_where_cos_is_negative_is_refuted():
-    # tan(2) + 1 is about -1.19
+    # tan(2) + 1 is about -1.19; at the midpoint 5/2 it is about 0.25, so
+    # the point probed there leaves bisection's witness box in place
     r = prove_positive(parse_expression("tan(x) + 1"), Interval(2, 3))
     assert r.status == "Refuted"
     assert r.witness == Interval(2, F(9, 4)) and r.witness_value.hi < 0
