@@ -124,5 +124,4 @@ def test_refute_workload_is_refuted_with_confirmed_witnesses(tmp_path):
     out = tmp_path / "refute.json"
     assert cli.run_command(["prove", "--corpus", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert len(report["claims"]) == len(plan["expected"])
     assert workloads.check_prove(report, plan, mpmath) == []
