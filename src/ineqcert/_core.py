@@ -258,10 +258,14 @@ def _point_series(ctx, m, tag):
     k = 0
     while True:
         k += 1
-        t_lo = (t_lo * mm_lo >> prec) // ((2 * k) * (2 * k + 1))
-        t_hi = _ceil_div(_ceil_shift(t_hi * mm_hi, prec), (2 * k) * (2 * k + 1))
-        u_lo = (u_lo * mm_lo >> prec) // ((2 * k - 1) * (2 * k))
-        u_hi = _ceil_div(_ceil_shift(u_hi * mm_hi, prec), (2 * k - 1) * (2 * k))
+        # t gains the factor x^2/((2k)(2k+1)), u the factor x^2/((2k-1)(2k));
+        # an upper end is _ceil_div(_ceil_shift(...)) written out in place
+        d = 2 * k
+        dt, du = d * (d + 1), (d - 1) * d
+        t_lo = (t_lo * mm_lo >> prec) // dt
+        t_hi = -((-t_hi * mm_hi >> prec) // dt)
+        u_lo = (u_lo * mm_lo >> prec) // du
+        u_hi = -((-u_hi * mm_hi >> prec) // du)
         if alternating and k % 2:
             s_lo -= t_hi
             s_hi -= t_lo

@@ -375,6 +375,8 @@ def _cmd_limits(args) -> int:
 def _cmd_scan(args) -> int:
     # each end rounds inward, so the scanned range lies inside the one asked
     lo, hi = _constant(args.lo).hi, _constant(args.hi).lo
+    if lo <= 0:
+        raise _UsageError(f"scan needs --lo above 0, got --lo {args.lo}")
     if lo >= hi:
         raise _UsageError(f"scan needs lo < hi, got --lo {args.lo} --hi {args.hi}")
     rep = scan_extremum(args.thm, Interval(lo, hi), _rational(args.tol))

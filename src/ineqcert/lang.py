@@ -382,7 +382,13 @@ _ENDPOINT_OPS = {kind: _bounded(op) for kind, op in {
 def eval_endpoint(e: Expr) -> Interval:
     """Tight enclosure of a constant endpoint expression (exact when pi-free).
     An `x` or a call in e's plan is a ParseError at the least offset of one,
-    that of the leftmost such node; a non-Expr is one with no offset."""
+    that of the leftmost such node; a non-Expr is one with no offset.  The
+    value is kept on e, as its plan is, with the `_digit_limit()` it was
+    checked under; a valuation that fails keeps nothing."""
+    limit = _digit_limit()
+    kept = getattr(e, "_endpoint", None)
+    if kept is not None and kept[0] == limit:
+        return kept[1]
     bad = [None]
     if isinstance(e, Expr):
         steps, positions, _ = _core._plan(e)
@@ -390,7 +396,9 @@ def eval_endpoint(e: Expr) -> Interval:
     if bad:
         raise ParseError("domain endpoints allow only rationals, pi and arithmetic",
                          min(bad))
-    return _core._run(None, e, None, _ENDPOINT_OPS)
+    iv = _core._run(None, e, None, _ENDPOINT_OPS)
+    object.__setattr__(e, "_endpoint", (limit, iv))     # the nodes are frozen
+    return iv
 
 
 # --- corpus -----------------------------------------------------------------
@@ -434,10 +442,16 @@ class InequalitySpec(Record):
         return self.hi_expr == INF
 
     def difference(self) -> Expr:
-        """The expression claimed positive on the domain."""
-        if self.relation == ">":
-            return Sub(self.lhs, self.rhs)
-        return Sub(self.rhs, self.lhs)
+        """The expression claimed positive on the domain: one node per spec,
+        kept from the first call (and shared by `_parse_corpus` among the
+        stanzas of one statement), so its `_core` plan is built once."""
+        try:
+            return self._difference
+        except AttributeError:
+            pass
+        d = Sub(self.lhs, self.rhs) if self.relation == ">" else Sub(self.rhs, self.lhs)
+        object.__setattr__(self, "_difference", d)      # the specs are frozen
+        return d
 
     def tag_value(self, key: str):
         prefix = key + ":"
@@ -506,8 +520,8 @@ def parse_corpus(text: str):
 def _parse_corpus(text: str) -> tuple:
     specs = []
     seen = set()
-    known = {}      # (reader, field text) -> value: a corpus repeats sides and
-                    # domains, and each distinct one is read once
+    known = {}      # (reader, field text) -> value: a corpus repeats sides,
+                    # domains and statements, and each distinct one is read once
 
     def read(reader, value, *args):
         if (reader, value) not in known:
@@ -560,7 +574,16 @@ def _parse_corpus(text: str) -> tuple:
                 f"stanza {name}: relation must be < or >, got {fields['relation']!r}")
         lo_expr, hi_expr, lo_c, hi_c = read(_parse_domain, fields["domain"], name)
         tags = _parse_tags(fields.get("tags", ""), name)
-        specs.append(InequalitySpec(
+        spec = InequalitySpec(
             name, lo_expr, hi_expr, lo_c, hi_c, read(parse_expression, fields["lhs"]),
-            read(parse_expression, fields["rhs"]), fields["relation"], tags))
+            read(parse_expression, fields["rhs"]), fields["relation"], tags)
+        # the stanzas of one statement share its difference node, and so its plan
+        statement = (fields["relation"], fields["lhs"], fields["rhs"])
+        object.__setattr__(spec, "_difference", read(_difference, statement, spec))
+        specs.append(spec)
     return tuple(specs)
+
+
+def _difference(statement: tuple, spec: InequalitySpec) -> Expr:
+    # `read`'s reader of a statement, (relation, lhs text, rhs text)
+    return spec.difference()

@@ -863,11 +863,14 @@ def scan_extremum(thm_id: str, domain: Interval, tol) -> ScanReport:
     """Grid + golden-section estimate of the ratio function's minimum,
     confirmed by a rigorous interval evaluation at the candidate point.
     `sampled_monotone` reports whether a 1024-point grid is nondecreasing
-    (corroboration, not proof).  The tolerance must be at least 1e-12, and
+    (corroboration, not proof).  The domain must start above 0, where the
+    ratio functions are defined, the tolerance must be at least 1e-12, and
     a trigonometric theorem's domain must end within `series.TRIG_X_MAX`."""
     t = THEOREMS.get(thm_id)
     if t is None:
         raise DomainError(f"unknown theorem id {thm_id!r}")
+    if domain.lo <= 0:
+        raise DomainError(f"{thm_id}: lo={domain.lo} must be above 0")
     if Fraction(tol) < Fraction("1e-12"):
         raise DomainError(f"tolerance must be at least 1e-12, got {tol}")
     if get_series(t.series).radius == "pi" and domain.hi > TRIG_X_MAX:

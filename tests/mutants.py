@@ -81,6 +81,9 @@ MUTANTS = [
     ("point_series-xx-hi-down", CORE,
      "mm_hi = _ceil_shift(x * x, prec)",
      "mm_hi = (x * x) >> prec"),
+    ("point_series-term-hi-down", CORE,
+     "t_hi = -((-t_hi * mm_hi >> prec) // dt)",
+     "t_hi = (t_hi * mm_hi >> prec) // dt"),
     ("atan-term-hi-down", CORE,
      "t_hi = _ceil_div(one, d)",
      "t_hi = one // d"),

@@ -12,9 +12,10 @@ plain loops `_core` replaced with sparse ones, the eight-quotient interval
 division it replaced with sign cases, and the tan/tanh route as the
 quotient sin/cos it replaced with a recurrence), over `_core`'s own sums and
 point ranges; the recursive tree walk `_core` replaced with a
-straight-line plan, over `_core`'s own op tables; and `enclose`'s two rules
+straight-line plan, over `_core`'s own op tables; `enclose`'s two rules
 near 0, a Fraction Bernstein bound and the [0, b] coefficient through that
-walk.  The former series coefficient formulas, each dividing |B_2n| by (2n)!
+walk; and the point series' term loop through `_core`'s rounding helpers,
+which `_core` writes out in place.  The former series coefficient formulas, each dividing |B_2n| by (2n)!
 itself, sit over `exact.bernoulli` too.  The series form of a theorem
 claim is an enclosure by the public `series.eval_series`, a route apart
 from `prove`'s one series bound.
@@ -606,3 +607,57 @@ def vector_from_zero_walk(ctx, node, b):
     except (DomainError, PoleError):
         return None
     return box
+
+
+# --- point series through the rounding helpers ---------------------------------
+
+def point_series_helpers(ctx, m, tag):
+    """(odd, even) brackets at m/2**prec as `_core._point_series` formed them
+    before its term loop wrote the ceilings out in place: each upper end
+    through `_ceil_shift` and `_ceil_div`, each divisor formed where it is
+    used.  No cache."""
+    if m == 0:
+        return ((0, 0), (ctx.one, ctx.one))
+    ceil_shift, ceil_div = _core._ceil_shift, _core._ceil_div
+    alternating = tag == "sc"
+    neg = m < 0
+    x = -m if neg else m
+    prec = ctx.prec
+    mm_lo = (x * x) >> prec
+    mm_hi = ceil_shift(x * x, prec)
+    t_lo, t_hi = x, x
+    u_lo, u_hi = ctx.one, ctx.one
+    s_lo, s_hi = x, x
+    c_lo, c_hi = ctx.one, ctx.one
+    k = 0
+    while True:
+        k += 1
+        t_lo = (t_lo * mm_lo >> prec) // ((2 * k) * (2 * k + 1))
+        t_hi = ceil_div(ceil_shift(t_hi * mm_hi, prec), (2 * k) * (2 * k + 1))
+        u_lo = (u_lo * mm_lo >> prec) // ((2 * k - 1) * (2 * k))
+        u_hi = ceil_div(ceil_shift(u_hi * mm_hi, prec), (2 * k - 1) * (2 * k))
+        if alternating and k % 2:
+            s_lo -= t_hi
+            s_hi -= t_lo
+            c_lo -= u_hi
+            c_hi -= u_lo
+        else:
+            s_lo += t_lo
+            s_hi += t_hi
+            c_lo += u_lo
+            c_hi += u_hi
+        if t_hi <= 2 and u_hi <= 2 and (
+                k >= 2 if alternating
+                else 2 * mm_hi <= ((2 * k + 2) * (2 * k + 3)) << prec):
+            rt = ceil_div(ceil_shift(t_hi * mm_hi, prec), (2 * k + 2) * (2 * k + 3)) + 1
+            ru = ceil_div(ceil_shift(u_hi * mm_hi, prec), (2 * k + 1) * (2 * k + 2)) + 1
+            if alternating:
+                s = (s_lo - rt, s_hi + rt)
+                c = (c_lo - ru, c_hi + ru)
+            else:
+                s = (s_lo, s_hi + 2 * rt)
+                c = (c_lo, c_hi + 2 * ru)
+            break
+    if neg:
+        s = (-s[1], -s[0])
+    return (s, c)

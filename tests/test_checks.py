@@ -41,6 +41,9 @@ _CHECKS = {
     "scan-unknown-theorem": (
         lambda: scan_extremum("T9", Interval(F(1, 10), 1), F(1, 10 ** 6)),
         DomainError, "unknown theorem id 'T9'"),
+    # the ratio functions divide by sin, sinh or x: no scan may start at 0
+    "scan-lo-zero": (lambda: scan_extremum("T3.1", Interval(0, 1), F(1, 10 ** 6)),
+                     DomainError, "T3.1: lo=0 must be above 0"),
     "ctx-precision-tiny": (lambda: _core.Ctx(8), ValueError, "too small"),
     "taylor-power-zero": (
         lambda: _core._tpow(_CTX, _core._tvar(_CTX, 0, _CTX.one, 3), 0),

@@ -176,10 +176,22 @@ def test_a_bad_scan_end_names_its_flag(capsys, flag):
         f"unknown identifier abc (at offset 0)\n")
 
 
+@pytest.mark.parametrize("thm,lo", [("T3.1", "0"), ("T3.1", "-1"), ("T3.3", "0"),
+                                    ("T3.4", "-1")])
+def test_a_scan_from_0_or_below_names_lo(capsys, thm, lo):
+    # the ratio functions are undefined at 0: refused up front, not at an
+    # offset into an internal expression or at a float sample
+    assert run_command(["scan", "--thm", thm, "--lo", lo, "--hi", "1"]) == 3
+    assert capsys.readouterr().err == (
+        f"ineqcert: error: scan needs --lo above 0, got --lo {lo}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sequences", "--id", "S_T33_C", "--mode", "increasing", "--nmax", "5",
      "--nmin", "abc"],
     ["scan", "--thm", "T3.1", "--lo", "1", "--hi", "1/2"],
+    ["scan", "--thm", "T3.1", "--lo", "0", "--hi", "1"],
+    ["scan", "--thm", "T3.1", "--lo", "-1", "--hi", "1"],
     ["bernoulli", "--upto", "-3"],
     ["series", "--kind", "COT", "--nmax", "-5"],
     ["prove", "--name", "HUY_TRIG", "--eps", "-1"],
@@ -224,7 +236,8 @@ def test_a_bad_scan_end_names_its_flag(capsys, flag):
     ["prove", "--corpus", "<tags=x_max:1e999999999>"],
     ["prove", "--name", "HUY_TRIG", "--eps", "1e4000*1e4000"],
     ["prove", "--corpus", "<domain=[1, (a 4000-digit literal squared)^64]>"],
-], ids=["nmin-abc", "scan-lo-above-hi", "upto-negative", "nmax-negative",
+], ids=["nmin-abc", "scan-lo-above-hi", "scan-lo-zero", "scan-lo-negative",
+        "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
         "xmax-zero", "tol-tiny", "exponent-huge", "nesting-deep",
         "powers-nested", "upto-above-cap", "upto-huge", "series-nmax-above-cap",

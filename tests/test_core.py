@@ -13,9 +13,9 @@ from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import INF, eval_endpoint, parse_expression
 from ineqcert.prove import ProveOptions, prove_positive, verify_inequality
 from oracles import (bernstein_least, bernstein_lo_fraction,
-                     enclose_full_order, idiv_eight, imul_dense, tdiv_dense,
-                     tmul_dense, tsincos_dense, ttan_quotient,
-                     vector_from_zero_walk, walk)
+                     enclose_full_order, idiv_eight, imul_dense,
+                     point_series_helpers, tdiv_dense, tmul_dense,
+                     tsincos_dense, ttan_quotient, vector_from_zero_walk, walk)
 
 _SIGNS = ("nonneg", "nonpos", "straddle", "thin", "zero")
 
@@ -749,6 +749,24 @@ def test_point_series_brackets_contain_the_exact_sums(tag, limit):
             v, t = value * ctx.one, tail * ctx.one         # in ulps
             slack = max(1, abs(value)) * 2 ** 8
             assert v - slack <= lo <= v - t and v + t <= hi <= v + slack, m
+
+
+@pytest.mark.parametrize("tag,limit", [("sc", 4), ("hc", 32)])
+def test_point_series_equals_the_helper_loop(tag, limit):
+    # the term loop with its ceilings written out gives the very integers of
+    # the loop through _ceil_shift and _ceil_div, on seeded dyadic points:
+    # 0 and both ends, short dyadics and full-precision ones
+    ctx = _core.Ctx(192)
+    rng = random.Random(35)
+    top = limit * ctx.one
+    points = [0, top, -top]
+    while len(points) < 400:
+        bits = rng.choice((4, 12, 64, ctx.prec))
+        step = 1 << (ctx.prec - bits)
+        points.append(rng.randrange(-top // step, top // step + 1) * step)
+    for m in points:
+        ctx.cache.clear()
+        assert _core._point_series(ctx, m, tag) == point_series_helpers(ctx, m, tag), m
 
 
 def test_form_term_rounds_the_exact_product_outward_by_under_one_ulp():

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from ineqcert import _core
 from ineqcert.errors import EvalError, ParseError
-from ineqcert.interval import Interval
+from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Add, Call, Div,
-                           Lit, Mul, Neg, PiConst, PowInt, Sub, VarX,
-                           default_corpus_path, eval_endpoint, eval_expr,
+                           InequalitySpec, Lit, Mul, Neg, PiConst, PowInt, Sub,
+                           VarX, default_corpus_path, eval_endpoint, eval_expr,
                            format_expr, parse_corpus, parse_expression, tokenize)
 
 F = Fraction
@@ -298,6 +299,41 @@ def test_parse_corpus_nested_endpoints_and_a_blank_line():
     assert not spec.lo_closed and not spec.hi_closed
 
 
+_TWINS = """
+inequality NEAR {
+  domain   = (0, 1)
+  lhs      = sin(x)
+  relation = <
+  rhs      = x
+}
+
+inequality FAR {
+  domain   = [1, 3/2]
+  lhs      = sin(x)
+  relation = <
+  rhs      = x
+}
+"""
+
+
+def test_one_statement_shares_one_difference_and_one_plan():
+    near, far = parse_corpus(_TWINS)
+    node = near.difference()
+    assert far.difference() is node and near.difference() is node
+    assert "_plan" not in vars(node)
+    ctx = get_ctx(192)
+    _core.eval_plain(ctx, node, (ctx.one // 2, ctx.one))
+    plan = vars(node)["_plan"]
+    assert _core._plan(far.difference()) is plan
+    # a spec built by hand keeps the node of its first call
+    twin = InequalitySpec(*(getattr(near, f) for f in InequalitySpec._fields))
+    assert twin.difference() is twin.difference() is not node
+    # a changed statement gets a node of its own
+    other = near.replace(relation=">")
+    assert other.difference() is not node
+    assert other.difference() == Sub(near.lhs, near.rhs)
+
+
 def test_a_literal_past_the_digit_limit_is_a_parse_error():
     # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
     # default): the literal is named at its offset
@@ -339,6 +375,29 @@ def test_endpoint_arithmetic_reaches_the_digit_limit_exactly():
     assert eval_endpoint(parse_expression(f"1/{top}")) == Interval.point(F(1, top))
     with pytest.raises(ParseError, match="more than 4300 digits"):
         eval_endpoint(parse_expression(f"{top}+1"))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer printing limit in this Python")
+def test_a_kept_endpoint_value_is_checked_again_under_a_new_digit_limit():
+    # the node keeps its value with the limit it was checked under: under a
+    # lower limit it is valued again, and refused
+    node = parse_expression(f"{10 ** 700}*3")
+    value = eval_endpoint(node)
+    assert eval_endpoint(node) is value
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ParseError, match="endpoint value of more than 640 digits"):
+            eval_endpoint(node)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert eval_endpoint(node) == value
+    # a valuation that fails keeps nothing on its node
+    big = parse_expression("1e4000*1e4000")
+    with pytest.raises(ParseError, match="endpoint value of more than"):
+        eval_endpoint(big)
+    assert "_endpoint" not in vars(big)
 
 
 def test_parse_corpus_empty():
