@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -475,10 +476,27 @@ def _build_parser() -> _ArgumentParser:
     return p
 
 
+# argparse reads `-1` and `-0.5` as values but `-1/1000` and `-1e-3` as
+# options, which leaves the flag before them without its value
+_FLAG, _NEGATIVE = re.compile(r"--[^=]+"), re.compile(r"-[0-9.]")
+
+
+def _joined(argv) -> list:
+    """argv with each `--flag` and the negative number after it joined as
+    `--flag=number`, so the number's own check names what is wrong."""
+    out = []
+    for word in argv:
+        if out and _FLAG.fullmatch(out[-1]) and _NEGATIVE.match(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def run_command(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(argv))
         return args.fn(args)
     except (_UsageError, ParseError, DomainError, EvalError, PoleError,
             OSError) as exc:

@@ -20,7 +20,7 @@ x/(e^x - 1); even-index values are the same under both sign conventions.
 Every T_m is >= 1: the table starts at T_1 = 1, entry j starts at
 (j - 1)!, and each stage adds positive multiples of positive integers (the
 last one doubles).  So the weight |B_2m|/(2m)! is > 0, and the positive
-proof steps of T3.1, T3.2 and T3.5 (`series.theorem_sign`) take their sign
+proof steps of T3.1, T3.2 and T3.5 (`series.sign_function`) take their sign
 from an integer kernel without reading this table.  It is read by
 `bernoulli` and `zeta_even_ratio`, and through `series` by every value of a
 Bernoulli-weighted coefficient: `lemma_coeff`, `theorem_coeff`, the partial
@@ -87,7 +87,8 @@ def bernoulli(n: int) -> Fraction:
     if n % 2:
         return Fraction(0)
     m = n // 2
-    return Fraction((-1) ** (m - 1) * 2 * m * tangent(m), 4 ** m * (4 ** m - 1))
+    return Fraction((-1) ** (m - 1) * 2 * m * tangent(m),
+                    ((1 << 2 * m) - 1) << 2 * m)
 
 
 def zeta_even_ratio(q: int) -> Fraction:

@@ -46,8 +46,8 @@ from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, _digit_limit, default_corpus_path,
                    eval_endpoint, eval_expr, parse_corpus, parse_expression)
-from .series import (coeff_row, exact_sum, get_series, tail_bound,
-                     theorem_coeff, theorem_pair, theorem_sign, TailBound,
+from .series import (coeff_row, exact_sum, get_series, sign_function,
+                     tail_bound, theorem_coeff, theorem_pair, TailBound,
                      THEOREMS, TRIG_X_MAX)
 from .series import eval_series  # noqa: F401 (patched by perfbench)
 
@@ -647,8 +647,9 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
     a_(n+1) - a_n for n < n_max in `increasing` mode, as pairs (num, den)
     with den > 0.  The first value that is not is reported as (n, value).
 
-    A positive value reads its sign from `theorem_sign`, so a series with a
-    kernel forms no tangent number; the pair is formed only to report.
+    A positive value reads its sign from `sign_function`, resolved once per
+    check, so a series with a kernel forms no tangent number; the pair is
+    formed only to report.
     """
     if seq_id not in SEQUENCE_IDS:
         raise DomainError(f"unknown sequence id {seq_id!r}")
@@ -662,8 +663,9 @@ def sequence_check(seq_id: str, mode: str, n_max: int,
         raise DomainError(f"n_max must be at least {start + 1}, got {n_max}")
     violation = None
     if mode == "positive":
+        sign = sign_function(thm, role, start)
         for n in range(start, n_max + 1):
-            if not theorem_sign(thm, role, n) > 0:
+            if not sign(n) > 0:
                 violation = (n, Fraction(*theorem_pair(thm, role, n)))
                 break
     else:
@@ -723,21 +725,22 @@ def _quartic_shift(n):
 
 
 def _t32_bdiff(n, step):
-    num = 4 ** n * (6 * n - 1) - 4 * n + 1
+    num = ((6 * n - 1) << 2 * n) - 4 * n + 1
     return ((*step, num, 1),), (num,)
 
 
 def _t33_cdiff(n, step):
-    num = (6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1
+    num = ((6 * n * n - 17 * n + 1) << 2 * n) + 18 * n * n + 23 * n - 1
     den = 2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)
     return ((*step, num, den),), (num,)
 
 
 def _t34_fdecomp(n, step):
-    f = (16 ** n * _f1_plain(n), 9 ** n * _f2_plain(n),
-         4 ** n * (9 ** n * _f3_inner_plain(n) + _f3_quartic_tail(n)),
+    four_n = 1 << 2 * n
+    f = (_f1_plain(n) << 4 * n, 9 ** n * _f2_plain(n),
+         (9 ** n * _f3_inner_plain(n) + _f3_quartic_tail(n)) << 2 * n,
          _f4_plain(n))
-    den = (3 * n * (16 + 4 ** n) * (64 + 4 ** n) * (n - 2) * (2 * n - 3)
+    den = (3 * n * (16 + four_n) * (64 + four_n) * (n - 2) * (2 * n - 3)
            * (4 * n * n - 1) * (n * n - 1))
     return ((*step, sum(f), den),), f
 

@@ -35,9 +35,10 @@ tangent list is the one table of exact values behind them.
 A series whose coefficient is k_n |B_2n|/(2n)! states only its integer
 `kernel` k_n (the T3.x_F/G rows above, and COT, CSC2, COS_OVER_SIN2 and
 COS_OVER_SIN3); `pair` multiplies in the weight.  The weight is > 0, since
-T_n >= 1 (see `exact`), so `theorem_sign` reads a sign off k_n alone: the
+T_n >= 1 (see `exact`), so `sign_function` reads a sign off k_n alone: the
 positive proof steps of T3.1, T3.2 and T3.5 read no tangent number.  Every
-coefficient value, and so every partial sum, still does.
+coefficient value, and so every partial sum, still does.  Each power of 2
+or 4 in a kernel, numerator or weight is written as a shift.
 
 Tail bounds replace |B_2n|/(2n)! by 4/(2 pi)^(2n) (valid since
 |B_2n|/(2n)! = 2 zeta(2n)/(2 pi)^(2n) and zeta(2n) <= zeta(2) < 2) and close
@@ -68,6 +69,7 @@ from .interval import Interval
 __all__ = [
     "CoeffSeq", "TailBound", "get_series", "series_ids",
     "lemma_coeff", "theorem_coeff", "theorem_pair", "theorem_sign",
+    "sign_function",
     "tail_bound",
     "eval_series", "coeff_row", "exact_sum",
     "LEMMA_KINDS", "Theorem", "THEOREMS",
@@ -82,7 +84,7 @@ _RHO_MAX = 1 - Fraction(1, 1024)
 
 def _w(k: int, n: int) -> tuple:
     """k |B_2n|/(2n)! as the pair (k T_n, (2n-1)! 4^n (4^n-1))."""
-    return k * tangent(n), factorial(2 * n - 1) * 4 ** n * (4 ** n - 1)
+    return k * tangent(n), (factorial(2 * n - 1) * ((1 << 2 * n) - 1)) << 2 * n
 
 
 def _row(poly: tuple, n0: int, top: int, weights: list) -> tuple:
@@ -175,30 +177,30 @@ class TailBound(Record):
 def _c_x_over_sin(n):
     if n == 0:
         return 1, 1
-    return _w(2 * (2 ** (2 * n - 1) - 1), n)
+    return _w(2 * ((1 << 2 * n - 1) - 1), n)
 
 
 def _k_cot(n):
-    return -2 ** (2 * n)
+    return -(1 << 2 * n)
 
 
 def _k_csc2(n):
-    return 2 ** (2 * n) * (2 * n - 1)
+    return (2 * n - 1) << 2 * n
 
 
 def _k_cos_over_sin2(n):
-    return -2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1)
+    return -2 * (2 * n - 1) * ((1 << 2 * n - 1) - 1)
 
 
 def _c_csc3(n):
     # [(2^(2n+1)-1)|B_2n+2|/(n+1) + (2^(2n-1)-1)|B_2n|/n] / (2(2n-1)!)
-    a1, d1 = _w((2 ** (2 * n + 1) - 1) * 2 * n * (2 * n + 1), n + 1)
-    a0, d0 = _w(2 ** (2 * n - 1) - 1, n)
+    a1, d1 = _w(((1 << 2 * n + 1) - 1) * 2 * n * (2 * n + 1), n + 1)
+    a0, d0 = _w((1 << 2 * n - 1) - 1, n)
     return a1 * d0 + a0 * d1, d0 * d1
 
 
 def _k_cos_over_sin3(n):
-    return -(2 * n - 1) * (n - 1) * 2 ** (2 * n)
+    return -((2 * n - 1) * (n - 1) << 2 * n)
 
 
 def _c_sinh(n):
@@ -210,21 +212,21 @@ def _c_cosh(n):
 
 
 def _k_t31(n):
-    return (n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1)
+    return ((n - 2) << 2 * n + 1) + 4 * (n + 1)
 
 
 def _b_t32(n):
-    return 4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n
+    return ((2 * n - 3) << 2 * n) + (3 + 3 * n - 2 * n * n)
 
 
 def _k_t35(n):
-    return (6 * n - 8) * 2 ** (2 * n) + 8
+    return ((6 * n - 8) << 2 * n) + 8
 
 
 # T3.3 and T3.4: integer numerators over the common denominator (2n)!
 
 def _na_t33(n):
-    return 2 ** (2 * n + 1) - 6 * n - 2
+    return (1 << 2 * n + 1) - 6 * n - 2
 
 
 def _nb_t33(n):
@@ -237,12 +239,12 @@ def _c_t33(n):
 
 def _na_t34(n):
     # 3^(2n-1) + 9 is even, so the docstring's halves make an integer
-    return (n * ((3 ** (2 * n - 1) + 9) // 2 - (n - 1) * 2 ** (2 * n) - 8 * n)
-            + 2 ** (2 * n + 1) - 4)
+    return (n * ((3 ** (2 * n - 1) + 9) // 2 - ((n - 1) << 2 * n) - 8 * n)
+            + (1 << 2 * n + 1) - 4)
 
 
 def _nb_t34(n):
-    return ((1 + 2 ** (2 * n - 6)) * (2 * n - 4) * (2 * n - 3)
+    return ((1 + (1 << 2 * n - 6)) * (2 * n - 4) * (2 * n - 3)
             * (2 * n - 2) * (2 * n - 1) * 2 * n)
 
 
@@ -398,30 +400,43 @@ def theorem_pair(thm: str, role: str, n: int) -> tuple:
     and c is the ratio a_n/b_n, formed from the integer numerators of a_n and
     b_n over their common (2n)!.
     """
-    t = THEOREMS.get(thm)
-    if t is None or role not in t.roles:
-        raise DomainError(f"no sequence for theorem {thm!r} role {role!r}")
-    if n < t.start:
-        raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
-    source = t.roles[role]
+    source = _source(thm, role, n)
     if callable(source):
         return source(n)
     return get_series(source).pair(n)
 
 
-def theorem_sign(thm: str, role: str, n: int) -> int:
-    """An integer with the sign of `theorem_pair(thm, role, n)`'s value.
+def _source(thm: str, role: str, n: int):
+    """thm's source for role, an exact function or a series id, once thm,
+    role and the index n are checked."""
+    t = THEOREMS.get(thm)
+    if t is None or role not in t.roles:
+        raise DomainError(f"no sequence for theorem {thm!r} role {role!r}")
+    if n < t.start:
+        raise DomainError(f"{thm} sequences start at n={t.start}, got {n}")
+    return t.roles[role]
+
+
+def sign_function(thm: str, role: str, n: int) -> Callable[[int], int]:
+    """A function that gives, for each index from n on, an integer with the
+    sign of `theorem_pair(thm, role, index)`'s value; thm, role and n are
+    checked here, once.
 
     For a series with a kernel it is k_n, whose weight |B_2n|/(2n)! is > 0
     (T_n >= 1), so no tangent number is formed; otherwise it is the pair's
     numerator, its den being > 0.
     """
-    t = THEOREMS.get(thm)
-    source = t.roles.get(role) if t is not None else None
+    source = _source(thm, role, n)
     kernel = get_series(source).kernel if isinstance(source, str) else None
-    if kernel is None or n < t.start:
-        return theorem_pair(thm, role, n)[0]   # raises for a bad thm, role or n
-    return kernel(n)
+    if kernel is not None:
+        return kernel
+    return lambda k: theorem_pair(thm, role, k)[0]
+
+
+def theorem_sign(thm: str, role: str, n: int) -> int:
+    """An integer with the sign of `theorem_pair(thm, role, n)`'s value,
+    read by `sign_function`."""
+    return sign_function(thm, role, n)(n)
 
 
 def theorem_coeff(thm: str, role: str, n: int) -> Fraction:

@@ -1,10 +1,12 @@
 """Flip each outward rounding of the engine and report the flips no test sees.
 
-Every mutant below but the last four turns one rounding the wrong way: a
+Every mutant below but the last five turns one rounding the wrong way: a
 lower end rounded up, an upper end rounded down, or a certified lower bound
-of pi raised above pi.  The next three weaken the exact proof steps.  Two
+of pi raised above pi.  The next four weaken the exact proof steps.  Two
 hit the positive steps, which read a sign off an integer kernel: one lets a
-zero value pass, the other changes T3.5's kernel.  `step-drops-carry`
+zero value pass, the other changes T3.5's kernel.  `b_t32-shift-short`
+shifts T3.2's b_n, also the kernel of its g_n, one bit short, so its 4^n
+reads 4^n/2.  `step-drops-carry`
 deletes the line of `prove._steps` that moves a_(n+1) into a_n, so every
 step is taken from the sequence's first value.  The last,
 `probe-refutes-straddle`, lets the point that `prove._bisect_positive`
@@ -14,9 +16,11 @@ directory, the one edit is made there, and `pytest -x -q` runs on the
 copy.  A mutant that leaves the suite green survives: the edit it makes
 has no test.
 
-`test_canonical_report_is_pinned` is deselected on every run: it hashes the
-report's bytes, so it catches a change, not an unsound one, and a flip whose
-error stays below the printed digits would pass it.
+`test_canonical_report_is_pinned` and `test_exact_reports_are_pinned` are
+deselected on every run: each hashes reports' bytes, so it catches a change,
+not an unsound one, and a flip whose error stays below the printed digits
+would pass it.  So is `test_each_mutant_anchor_is_once_in_its_file`, which
+every mutant's own edit fails.
 
 Usage, from the repository root (stdlib only; pytest runs in a subprocess):
 
@@ -106,11 +110,14 @@ MUTANTS = [
      "PI_LO = Fraction(314159265358979, 10 ** 14)",
      "PI_LO = Fraction(314159265358980, 10 ** 14)"),
     ("positive-step-admits-zero", "src/ineqcert/prove.py",
-     "if not theorem_sign(thm, role, n) > 0:",
-     "if not theorem_sign(thm, role, n) >= 0:"),
+     "if not sign(n) > 0:",
+     "if not sign(n) >= 0:"),
     ("t35-kernel-minus-8", "src/ineqcert/series.py",
-     "return (6 * n - 8) * 2 ** (2 * n) + 8",
-     "return (6 * n - 8) * 2 ** (2 * n) - 8"),
+     "return ((6 * n - 8) << 2 * n) + 8",
+     "return ((6 * n - 8) << 2 * n) - 8"),
+    ("b_t32-shift-short", "src/ineqcert/series.py",
+     "return ((2 * n - 3) << 2 * n) + (3 + 3 * n - 2 * n * n)",
+     "return ((2 * n - 3) << 2 * n - 1) + (3 + 3 * n - 2 * n * n)"),
     ("step-drops-carry", "src/ineqcert/prove.py",
      "        n0, d0 = n1, d1\n",
      ""),
@@ -120,7 +127,10 @@ MUTANTS = [
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "--deselect", "tests/test_cli.py::test_canonical_report_is_pinned"]
+          "--deselect", "tests/test_cli.py::test_canonical_report_is_pinned",
+          "--deselect", "tests/test_cli.py::test_exact_reports_are_pinned",
+          "--deselect",
+          "tests/test_mutants.py::test_each_mutant_anchor_is_once_in_its_file"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".perfbench_out", "*.egg-info")
 

@@ -15,8 +15,12 @@ point ranges; the recursive tree walk `_core` replaced with a
 straight-line plan, over `_core`'s own op tables; `enclose`'s two rules
 near 0, a Fraction Bernstein bound and the [0, b] coefficient through that
 walk; and the point series' term loop through `_core`'s rounding helpers,
-which `_core` writes out in place.  The former series coefficient formulas, each dividing |B_2n| by (2n)!
-itself, sit over `exact.bernoulli` too.  The series form of a theorem
+which `_core` writes out in place.  The former series coefficient formulas,
+each dividing |B_2n| by (2n)! itself, sit over `exact.bernoulli` too, and
+the integer kernels, numerators, denominators and identity parts with each
+power of 2, 4 and 16 written as a power, which `series`, `exact` and
+`prove` form as shifts, sit over `exact.tangent` and `prove`'s polynomials
+in n.  The series form of a theorem
 claim is an enclosure by the public `series.eval_series`, a route apart
 from `prove`'s one series bound.
 """
@@ -26,10 +30,10 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, floor
 
-from ineqcert import _core
+from ineqcert import _core, prove
 from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
 from ineqcert.errors import DomainError, PoleError
-from ineqcert.exact import bernoulli
+from ineqcert.exact import bernoulli, tangent
 from ineqcert.interval import Interval
 from ineqcert.lang import eval_endpoint, parse_expression
 from ineqcert.series import (_RHO_MAX, PI_LO, THEOREMS, eval_series,
@@ -139,6 +143,65 @@ def former_theorem_value(thm, role, n):
     if role == "b":
         return Fraction(4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n)
     return FORMER_COEFFS[roles["a"]](n) / FORMER_COEFFS[roles["b"]](n)
+
+
+# --- powers of 2, 4 and 16 as powers ------------------------------------------
+
+def w_powers(k, n):
+    """`series._w`'s pair with 4^n a power."""
+    return k * tangent(n), factorial(2 * n - 1) * 4 ** n * (4 ** n - 1)
+
+
+def bernoulli_powers(m):
+    """B_2m over the denominator 4^m (4^m - 1), as `exact.bernoulli` formed
+    it with powers."""
+    return Fraction((-1) ** (m - 1) * 2 * m * tangent(m), 4 ** m * (4 ** m - 1))
+
+
+def _c_csc3_powers(n):
+    a1, d1 = w_powers((2 ** (2 * n + 1) - 1) * 2 * n * (2 * n + 1), n + 1)
+    a0, d0 = w_powers(2 ** (2 * n - 1) - 1, n)
+    return a1 * d0 + a0 * d1, d0 * d1
+
+
+# `series` function name -> (first n it is read at, the function with `**`)
+SERIES_POWER_FORMS = {
+    "_c_x_over_sin": (1, lambda n: w_powers(2 * (2 ** (2 * n - 1) - 1), n)),
+    "_k_cot": (1, lambda n: -2 ** (2 * n)),
+    "_k_csc2": (1, lambda n: 2 ** (2 * n) * (2 * n - 1)),
+    "_k_cos_over_sin2": (1, lambda n: -2 * (2 * n - 1) * (2 ** (2 * n - 1) - 1)),
+    "_c_csc3": (1, _c_csc3_powers),
+    "_k_cos_over_sin3": (2, lambda n: -(2 * n - 1) * (n - 1) * 2 ** (2 * n)),
+    "_k_t31": (2, lambda n: (n - 2) * 2 ** (2 * n + 1) + 4 * (n + 1)),
+    "_b_t32": (2, lambda n: 4 ** n * (2 * n - 3) + 3 + 3 * n - 2 * n * n),
+    "_k_t35": (2, lambda n: (6 * n - 8) * 2 ** (2 * n) + 8),
+    "_na_t33": (2, lambda n: 2 ** (2 * n + 1) - 6 * n - 2),
+    "_na_t34": (3, lambda n: (n * ((3 ** (2 * n - 1) + 9) // 2
+                                   - (n - 1) * 2 ** (2 * n) - 8 * n)
+                              + 2 ** (2 * n + 1) - 4)),
+    "_nb_t34": (3, lambda n: ((1 + 2 ** (2 * n - 6)) * (2 * n - 4) * (2 * n - 3)
+                              * (2 * n - 2) * (2 * n - 1) * 2 * n)),
+}
+
+
+def _t34_fdecomp_powers(n):
+    f = (16 ** n * prove._f1_plain(n), 9 ** n * prove._f2_plain(n),
+         4 ** n * (9 ** n * prove._f3_inner_plain(n) + prove._f3_quartic_tail(n)),
+         prove._f4_plain(n))
+    den = (3 * n * (16 + 4 ** n) * (64 + 4 ** n) * (n - 2) * (2 * n - 3)
+           * (4 * n * n - 1) * (n * n - 1))
+    return f, den
+
+
+# identity id -> n -> (the parts, the right side's denominator) with `**`,
+# over `prove`'s own polynomials in n
+IDENTITY_POWER_FORMS = {
+    "ID_T32_BDIFF": lambda n: ((4 ** n * (6 * n - 1) - 4 * n + 1,), 1),
+    "ID_T33_CDIFF": lambda n: (
+        ((6 * n * n - 17 * n + 1) * 4 ** n + 18 * n * n + 23 * n - 1,),
+        2 * n * (2 * n + 3) * (4 * n * n - 1) * (n * n - 1)),
+    "ID_T34_FDECOMP": _t34_fdecomp_powers,
+}
 
 
 # --- exact truncated Maclaurin algebra --------------------------------------

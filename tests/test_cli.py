@@ -236,6 +236,9 @@ def test_a_scan_from_0_or_below_names_lo(capsys, thm, lo):
     ["prove", "--corpus", "<tags=x_max:1e999999999>"],
     ["prove", "--name", "HUY_TRIG", "--eps", "1e4000*1e4000"],
     ["prove", "--corpus", "<domain=[1, (a 4000-digit literal squared)^64]>"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "-1/1000"],
+    ["prove", "--name", "HUY_TRIG", "--eps", "-1e-3"],
+    ["scan", "--thm", "T3.4", "--lo", "-1/2", "--hi", "1"],
 ], ids=["nmin-abc", "scan-lo-above-hi", "scan-lo-zero", "scan-lo-negative",
         "upto-negative", "nmax-negative",
         "eps-negative", "tol-zero", "tol-negative", "xmax-negative",
@@ -250,7 +253,8 @@ def test_a_scan_from_0_or_below_names_lo(capsys, thm, lo):
         "series-nmax-abc", "nmin-below-start", "eps-exponent-text-past-the-limit",
         "eps-pi", "eps-x", "eps-leading-plus", "literal-exponent-huge",
         "tag-xmax-exponent-huge", "eps-product-past-the-limit",
-        "domain-end-power-past-the-limit"])
+        "domain-end-power-past-the-limit", "eps-negative-fraction",
+        "eps-negative-exponent", "scan-lo-negative-fraction"])
 def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
     # none of these may crash with a traceback (exit 1), print an empty
     # table, refute a claim outside its stated domain, or run unbounded.  A
@@ -278,6 +282,23 @@ def test_hostile_argv_is_usage_error(capsys, tmp_path, argv):
 def _outputs(argv, capsys):
     code = run_command(argv)
     return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--eps", "-1/1000", "margins must be non-negative"),
+    ("--eps", "-1e-3", "margins must be non-negative"),
+    ("--lo", "-1/2", "scan needs --lo above 0")])
+def test_a_negative_value_as_its_own_word_reads_as_after_equals(
+        capsys, flag, value, reason):
+    # argparse takes `-1/1000` and `-1e-3` for options, not values: the flag
+    # must still get the word, and its error be the one `--flag=word` gives
+    rest = (["prove", "--name", "HUY_TRIG"] if flag == "--eps"
+            else ["scan", "--thm", "T3.4", "--hi", "1"])
+    errs = []
+    for words in ([flag, value], [f"{flag}={value}"]):
+        assert run_command(rest + words) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and reason in errs[0]
 
 
 def test_scan_ends_take_exponents_like_every_other_number(capsys):
@@ -1017,6 +1038,38 @@ def test_canonical_report_is_pinned(corpus_report):
     explains each changed leaf count or verdict in CHANGES.md."""
     _, raw, _ = corpus_report
     assert hashlib.sha256(raw).hexdigest() == _REPORT_SHA256
+
+
+# the exact path's 18 commands at --nmax 500: each sequence check the corpus
+# tags, each identity and each limit, in this order
+_EXACT_COMMANDS = (
+    [["sequences", "--id", seq_id, "--mode", mode, "--nmax", "500"]
+     for seq_id, mode in (("S_T31", "positive"), ("S_T32_B", "increasing"),
+                          ("S_T32_G", "positive"), ("S_T33_C", "increasing"),
+                          ("S_T34_C", "increasing"), ("S_T35", "positive"))]
+    + [["identities", "--id", identity_id, "--nmax", "500"]
+       for identity_id in ("ID_T32_BDIFF", "ID_T33_CDIFF", "ID_T34_FDECOMP",
+                           "ID_T34_POLYS")]
+    + [["limits", "--thm", thm, "--endpoint", endpoint]
+       for thm, endpoint in (("T3.1", "zero"), ("T3.2", "zero"),
+                             ("T3.3", "zero"), ("T3.4", "zero"),
+                             ("T3.5", "zero"), ("T3.1", "right"),
+                             ("T3.2", "right"), ("T3.5", "right"))])
+# sha256 of their JSON reports, one after another
+_EXACT_SHA256 = "14372537fed52db6532264800c3c20626ace9d168e607e021a0876c456713adc"
+
+
+def test_exact_reports_are_pinned(capsys):
+    """The exact path's reports, byte for byte.
+
+    A change that alters one on purpose updates _EXACT_SHA256 and says in
+    CHANGES.md which report changed and why."""
+    digest = hashlib.sha256()
+    for argv in _EXACT_COMMANDS:
+        assert run_command(argv + ["--format", "json"]) == 0, argv
+        digest.update(capsys.readouterr().out.encode())
+    assert len(_EXACT_COMMANDS) == 18
+    assert digest.hexdigest() == _EXACT_SHA256
 
 
 @pytest.mark.parametrize("name", ["THM31_HI", "THM32_HI", "THM35_HI"])

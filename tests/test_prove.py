@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from ineqcert import _core, exact, prove, series
-from ineqcert.cli import run_command
+from ineqcert.cli import MAX_NMAX, run_command
 from ineqcert.errors import DomainError, EvalError, PoleError
 from ineqcert.interval import Interval, get_ctx, pi_enclose
 from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
@@ -21,8 +21,8 @@ from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
 from ineqcert.series import (THEOREMS, TRIG_X_MAX, get_series, series_ids,
                              tail_bound, theorem_coeff)
 
-from oracles import (left_lower_bound_termwise, left_sup_bound_termwise,
-                     series_claim_form)
+from oracles import (IDENTITY_POWER_FORMS, left_lower_bound_termwise,
+                     left_sup_bound_termwise, series_claim_form)
 
 F = Fraction
 
@@ -927,6 +927,18 @@ def test_a_lowered_sequence_value_first_fails_its_step(monkeypatch):
 
 
 # --- identity checks ---------------------------------------------------------
+
+@pytest.mark.parametrize("identity_id", sorted(IDENTITY_POWER_FORMS))
+def test_each_identity_shift_form_equals_its_power_form(identity_id):
+    # 4^n, 16^n and the denominator's (16 + 4^n)(64 + 4^n) as shifts: the
+    # same parts and sides from the identity's start to the --nmax cap + 1
+    start, _, _, at = prove._IDENTITIES[identity_id]
+    for n in range(start, MAX_NMAX + 2):
+        sides, parts = at(n, (0, 1))
+        want_parts, want_den = IDENTITY_POWER_FORMS[identity_id](n)
+        assert parts == want_parts, (identity_id, n)
+        assert sides == ((0, 1, sum(want_parts), want_den),), (identity_id, n)
+
 
 def test_identity_t32_bdiff():
     rep = identity_check("ID_T32_BDIFF", 500)

@@ -3,17 +3,19 @@ from math import factorial
 
 import pytest
 
+from ineqcert import series
 from ineqcert.cli import MAX_NMAX
 from ineqcert.errors import DomainError
-from ineqcert.exact import tangent
+from ineqcert.exact import bernoulli, tangent
 from ineqcert.interval import Interval, elem_enclose, pi_enclose
 from ineqcert.series import (LEMMA_KINDS, PI_LO, THEOREMS, TRIG_X_MAX, CoeffSeq,
                              _register, eval_series, get_series, lemma_coeff,
                              series_ids, tail_bound, theorem_coeff,
                              theorem_pair, theorem_sign)
 
-from oracles import (FORMER_COEFFS, LemmaSeriesOracle, dominating_term,
-                     eval_series_termwise, former_theorem_value, tail_bound_termwise)
+from oracles import (FORMER_COEFFS, SERIES_POWER_FORMS, LemmaSeriesOracle,
+                     bernoulli_powers, dominating_term, eval_series_termwise,
+                     former_theorem_value, tail_bound_termwise, w_powers)
 
 F = Fraction
 ORACLE = LemmaSeriesOracle(46)
@@ -115,15 +117,34 @@ def test_ratio_role_equals_a_over_b(thm):
 
 
 def test_theorem_coeff_domain_errors():
-    for read in (theorem_coeff, theorem_sign):
-        with pytest.raises(DomainError):
-            read("T3.4", "c", 2)   # starts at n=3
-        with pytest.raises(DomainError):
-            read("T3.1", "b", 2)   # no such role
-        with pytest.raises(DomainError):
-            read("T9.9", "f", 2)
-        with pytest.raises(DomainError):
-            read("T3.1", "f", 1)   # a kernel role checks its start too
+    for read in (theorem_coeff, theorem_pair, theorem_sign):
+        for args, message in [
+                (("T3.4", "c", 2), "T3.4 sequences start at n=3, got 2"),
+                (("T3.1", "b", 2), "no sequence for theorem 'T3.1' role 'b'"),
+                (("T9.9", "f", 2), "no sequence for theorem 'T9.9' role 'f'"),
+                # a kernel role checks its start too
+                (("T3.1", "f", 1), "T3.1 sequences start at n=2, got 1")]:
+            with pytest.raises(DomainError) as exc:
+                read(*args)
+            assert str(exc.value) == message, (read.__name__, args)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_POWER_FORMS))
+def test_each_shift_form_equals_its_power_form(name):
+    # each power of 2, 4 or 16 is a shift: the same integers from the first
+    # n read to the --nmax cap plus the a_(n+1) a step reads
+    start, powers = SERIES_POWER_FORMS[name]
+    shifts = getattr(series, name)
+    for n in range(start, MAX_NMAX + 2):
+        got, want = shifts(n), powers(n)
+        assert type(got) is type(want) and got == want, (name, n)
+
+
+def test_the_weight_and_bernoulli_denominators_equal_their_power_forms():
+    for n in range(1, MAX_NMAX + 2):
+        assert series._w(7, n) == w_powers(7, n), n
+        # the numerator is unchanged, so equal values mean equal denominators
+        assert bernoulli(2 * n) == bernoulli_powers(n), n
 
 
 # the integer factor k_n of each Bernoulli-weighted theorem series, stated
