@@ -164,7 +164,7 @@ def _c_csc3_powers(n):
     return a1 * d0 + a0 * d1, d0 * d1
 
 
-# `series` function name -> (first n it is read at, the function with `**`)
+# `series` function name -> (its first n with a power, the function with `**`)
 SERIES_POWER_FORMS = {
     "_c_x_over_sin": (1, lambda n: w_powers(2 * (2 ** (2 * n - 1) - 1), n)),
     "_k_cot": (1, lambda n: -2 ** (2 * n)),
