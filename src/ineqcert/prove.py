@@ -15,10 +15,12 @@
   (an upper claim adds its constant's lower end).  Run once at the core's
   right end, it proves the core of the seven whose series is not a
   derivative's in one leaf, and their (0, eps] gap with it; at x = eps it
-  closes THM33's.  Only the raw difference refutes a core: at the core's
-  midpoint, evaluated as a point before any box is formed; else at
-  bisection's first box certified negative; and where bisection leaves
-  boxes inconclusive, at a point certified negative in one of them.
+  closes THM33's.  Only the raw difference refutes a core.  A point does
+  so by one rule, `_grid_refute`'s: its enclosure lies below 0.  It is
+  tried at the core's midpoint before any box is formed, and at the ends
+  and midpoints of the boxes bisection leaves inconclusive.  A box does so
+  when its enclosure lies below 0; its value is its midpoint's if that
+  point refutes, else its own enclosure.
   Uncovered margins are always reported, never silently assumed.
 * `ProveOptions`: the engine options, each with its one default and its
   valid range, checked when the options are built.
@@ -197,21 +199,19 @@ def _past_limit(ev, a: Fraction, b: Fraction) -> Optional[str]:
     return None
 
 
-def _grid_refute(ev, boxes: list):
-    """(x, ev at x) for the first point certified negative among the two
-    ends and the midpoint of each box (a, b), in order; None if none is.
-
-    The name is older than this scan: it once named a fixed grid over the
-    whole core.  It stays because the benchmark's traced spans look the
-    function up by that name."""
-    for a, b in boxes:
-        for x in (a, (a + b) / 2, b):
-            try:
-                v = ev(Interval.point(x))
-            except (DomainError, PoleError, EvalError):
-                continue
-            if v.hi < 0:
-                return x, v
+def _grid_refute(ev, points) -> Optional[tuple]:
+    """(x, ev at x) for the first of points, in order, whose point
+    enclosure lies below 0 (the one rule by which a point refutes a
+    claim), skipping a point where ev raises DomainError, PoleError or
+    EvalError; None if none does.  The name is older than this rule: it
+    once named a fixed grid, and the benchmark's traced spans look it up."""
+    for x in points:
+        try:
+            v = ev(Interval.point(x))
+        except (DomainError, PoleError, EvalError):
+            continue
+        if v.hi < 0:
+            return x, v
     return None
 
 
@@ -219,22 +219,21 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
                      opts: ProveOptions) -> ProofResult:
     """The one place where a core's bisection ends.
 
-    First the difference is evaluated as a point at the core's midpoint:
-    an enclosure below 0 there ends the run Refuted with that point as its
-    witness, before any box or Taylor form is built (0 leaves, depth 0).
-    A point that is not certified negative, or that raises, leaves the run
-    to bisection.  Proved when every box certifies positive; Refuted at the
-    first box certified negative, even past inconclusive ones.  A box at
-    the depth or width limit that does neither is recorded, and the run
-    stops after MAX_INCONCLUSIVE of them.  If any were recorded,
-    `_grid_refute` scans their ends and midpoints: Refuted at the first
-    point certified negative, so a dip narrower than min_width is found
-    wherever bisection pins it; otherwise Unknown, naming the first
-    recorded box.  Three exits end the run Unknown before that scan: a box
-    that raises DomainError at an end that raises it as a point, where no
-    bisection can help (the reason names that point); a box whose
-    enclosures contradict each other; and more than MAX_LEAVES proved
-    leaves.
+    A point refutes the claim by `_grid_refute`'s one rule.  The core's
+    midpoint is tried first: if it refutes, it is the witness, and no box
+    or Taylor form is built (0 leaves, depth 0).  Then bisection: Proved
+    when every box certifies positive; Refuted at the first box certified
+    negative, even past inconclusive ones, with that box as the witness,
+    valued at its midpoint if that point refutes, else by its own
+    enclosure.  A box at the depth or width limit that does neither is
+    recorded, and the run stops after MAX_INCONCLUSIVE of them.  Then the
+    ends and midpoint of each recorded box are tried, in order: Refuted at
+    the first that refutes, so a dip narrower than min_width is found
+    wherever bisection pins it; else Unknown, naming the first recorded
+    box.  Three exits end the run Unknown before that scan: a box that
+    raises DomainError at an end that raises it as a point (the reason
+    names that point); a box whose enclosures contradict each other; and
+    more than MAX_LEAVES proved leaves.
 
     Every box is enclosed by `_core.enclose` at opts.precision, and hands
     the remainder coefficient it returns down to its two halves; a box at
@@ -243,35 +242,32 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
     ctx = get_ctx(opts.precision)
     ctx.scope((ctx.lo_of(lo), ctx.hi_of(hi)))
 
-    def ev(x: Interval) -> Interval:  # a point's enclosure: probe, witness, scan
+    def ev(x: Interval) -> Interval:  # a point's enclosure
         return _enclose(ctx, expr, x.lo, x.hi)[0]
 
-    stack = [(lo, hi, 0, None)]
-    leaves = []
-    maxd = 0
-    first_reason, boxes = None, []
+    stack, leaves, boxes = [(lo, hi, 0, None)], [], []
+    maxd, first_reason = 0, None
 
     def result(status, **kw):
         if status != "Unknown":
             kw["certificate"] = sorted(leaves, key=lambda l: l.lo)
         return ProofResult(status, leaves=len(leaves), max_depth=maxd, **kw)
 
+    def refuted(hit):
+        x, v = hit
+        return result("Refuted", witness=Interval.point(x), witness_value=v)
+
     # a false claim is most clearly negative inside its core, where one
     # point refutes it before any box is formed
-    mid = (lo + hi) / 2
-    try:
-        v = ev(Interval.point(mid))
-    except (DomainError, PoleError, EvalError):
-        v = None
-    if v is not None and v.hi < 0:
-        return result("Refuted", witness=Interval.point(mid), witness_value=v)
+    hit = _grid_refute(ev, [(lo + hi) / 2])
+    if hit:
+        return refuted(hit)
 
     while stack and len(boxes) < MAX_INCONCLUSIVE:
         a, b, d, rem = stack.pop()
         maxd = max(maxd, d)
         at_limit = d >= opts.max_depth or (b - a) <= opts.min_width
-        enc = None
-        err = None
+        enc = err = None
         try:
             enc, rem = _enclose(ctx, expr, a, b, None if at_limit else rem)
         except (DomainError, PoleError, EvalError) as exc:
@@ -291,11 +287,9 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
                     return result("Unknown", reason=f"leaf budget {MAX_LEAVES} exceeded")
                 continue
             if enc.hi < 0:
-                try:
-                    wv = ev(Interval.point((a + b) / 2))
-                except (DomainError, PoleError, EvalError):
-                    wv = enc
-                return result("Refuted", witness=Interval(a, b), witness_value=wv)
+                hit = _grid_refute(ev, [(a + b) / 2])
+                return result("Refuted", witness=Interval(a, b),
+                              witness_value=hit[1] if hit else enc)
         if at_limit:
             why = err or f"enclosure [{enc.lo}, {enc.hi}] straddles 0"
             bits = opts.precision
@@ -314,11 +308,8 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
         stack.append((m, b, d + 1, rem))
         stack.append((a, m, d + 1, rem))
     if boxes:
-        hit = _grid_refute(ev, boxes)
-        if hit is None:
-            return result("Unknown", reason=first_reason)
-        x, v = hit
-        return result("Refuted", witness=Interval.point(x), witness_value=v)
+        hit = _grid_refute(ev, [x for a, b in boxes for x in (a, (a + b) / 2, b)])
+        return refuted(hit) if hit else result("Unknown", reason=first_reason)
     return result("Proved")
 
 
@@ -405,17 +396,15 @@ def _left_lower_bound(tail: TailBound, n0: int, negate: bool = False) -> Fractio
 
 
 def _negative_value(diff: Expr, x0: Fraction) -> Optional[Interval]:
-    """diff's enclosure at x0 once one lies below 0, at 192 bits, then at
-    doubled precisions up to MAX_PRECISION (near 0 it widens like 1/x0, and
-    below 2^-precision x0 rounds to the pole at 0); None if none does."""
+    """diff's enclosure at x0 once `_grid_refute` finds it below 0, at 192
+    bits, then at doubled precisions up to MAX_PRECISION (near 0 it widens
+    like 1/x0, and below 2^-precision x0 rounds to the pole at 0); None if
+    none does."""
     bits = 192
     while bits <= MAX_PRECISION:
-        try:
-            wv = eval_expr(diff, Interval.point(x0), bits)
-            if wv.hi < 0:
-                return wv
-        except EvalError:
-            pass
+        hit = _grid_refute(lambda x: eval_expr(diff, x, bits), [x0])
+        if hit:
+            return hit[1]
         bits *= 2
     return None
 
@@ -611,8 +600,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
             res.series_certificate = nz.series_certificate
             if nz.status == "Refuted" and res.status != "Refuted":
                 res.status = "Refuted"
-                res.witness = nz.witness
-                res.witness_value = nz.witness_value
+                res.witness, res.witness_value = nz.witness, nz.witness_value
             elif nz.status == "Unknown" and res.status == "Proved":
                 uncovered.insert(0, f"(lo, {lo_core}] uncovered (near-zero "
                                     f"certificate inconclusive: {nz.reason})")
@@ -736,9 +724,9 @@ def _t33_cdiff(n, step):
 
 
 def _t34_fdecomp(n, step):
-    four_n = 1 << 2 * n
-    f = (_f1_plain(n) << 4 * n, 9 ** n * _f2_plain(n),
-         (9 ** n * _f3_inner_plain(n) + _f3_quartic_tail(n)) << 2 * n,
+    four_n, nine_n = 1 << 2 * n, 9 ** n
+    f = (_f1_plain(n) << 4 * n, nine_n * _f2_plain(n),
+         (nine_n * _f3_inner_plain(n) + _f3_quartic_tail(n)) << 2 * n,
          _f4_plain(n))
     den = (3 * n * (16 + four_n) * (64 + four_n) * (n - 2) * (2 * n - 3)
            * (4 * n * n - 1) * (n * n - 1))

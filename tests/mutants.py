@@ -1,20 +1,23 @@
 """Flip each outward rounding of the engine and report the flips no test sees.
 
-Every mutant below but the last five turns one rounding the wrong way: a
-lower end rounded up, an upper end rounded down, or a certified lower bound
-of pi raised above pi.  The next four weaken the exact proof steps.  Two
-hit the positive steps, which read a sign off an integer kernel: one lets a
-zero value pass, the other changes T3.5's kernel.  `b_t32-shift-short`
-shifts T3.2's b_n, also the kernel of its g_n, one bit short, so its 4^n
-reads 4^n/2.  `step-drops-carry`
-deletes the line of `prove._steps` that moves a_(n+1) into a_n, so every
-step is taken from the sequence's first value.  The last,
-`probe-refutes-straddle`, lets the point that `prove._bisect_positive`
-evaluates at a core's midpoint refute the claim when its enclosure merely
-reaches below 0.  For each, the repository is copied to a temporary
-directory, the one edit is made there, and `pytest -x -q` runs on the
-copy.  A mutant that leaves the suite green survives: the edit it makes
-has no test.
+The first 21 mutants below each turn one rounding the wrong way: a lower
+end rounded up, an upper end rounded down, or a certified lower bound of pi
+raised above pi.  The next four weaken the exact proof steps.  Two hit the
+positive steps, which read a sign off an integer kernel: one lets a zero
+value pass, the other changes T3.5's kernel.  `b_t32-shift-short` shifts
+T3.2's b_n, also the kernel of its g_n, one bit short, so its 4^n reads
+4^n/2.  `step-drops-carry` deletes the line of `prove._steps` that moves
+a_(n+1) into a_n, so every step is taken from the sequence's first value.
+`probe-refutes-straddle` lets a point refute a claim in
+`prove._grid_refute` when its enclosure merely reaches below 0.  The last
+four break a rule of `_core.enclose`, not a rounding: the inherited
+remainder term taken at order k + 1, an even-order term's lower end not
+held at 0 or below, the coefficient over [0, b] taken at TAYLOR_ORDER
+without its removable quotients' lost orders, and that coefficient taken
+for a box left of 0 as well.  For each, the repository is copied to a
+temporary directory, the one edit is made there, and `pytest -x -q` runs
+on the copy.  A mutant that leaves the suite green survives: the edit it
+makes has no test.
 
 `test_canonical_report_is_pinned` and `test_exact_reports_are_pinned` are
 deselected on every run: each hashes reports' bytes, so it catches a change,
@@ -122,8 +125,20 @@ MUTANTS = [
      "        n0, d0 = n1, d1\n",
      ""),
     ("probe-refutes-straddle", "src/ineqcert/prove.py",
-     "if v is not None and v.hi < 0:",
-     "if v is not None and v.lo < 0:"),
+     "if v.hi < 0:",
+     "if v.lo < 0:"),
+    ("inherited-rem-order-up", CORE,
+     "out = iisect(enc, iadd(poly, _form_term(ctx, rem, r, k)))",
+     "out = iisect(enc, iadd(poly, _form_term(ctx, rem, r, k + 1)))"),
+    ("form_term-even-lo", CORE,
+     "lo = min(clo * rj, 0)",
+     "lo = clo * rj"),
+    ("coeff0-drops-depth", CORE,
+     "k = TAYLOR_ORDER + depth",
+     "k = TAYLOR_ORDER"),
+    ("coeff0-gate-drops-a", CORE,
+     "and 0 <= a and b < ctx.one:",
+     "and b < ctx.one:"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -606,6 +606,31 @@ def test_removable_quotient_coefficient_decides_near_zero(monkeypatch, corpus_sp
     assert enc[0] <= 0 <= enc[1] and c == own
 
 
+@pytest.mark.parametrize("src,f,lo,hi", [
+    ("((x - sinh(x))/(x^3)) - (-171/1024)",
+     lambda x: (x - mpmath.sinh(x)) / x ** 3 + mpmath.mpf(171) / 1024,
+     Fraction(-137, 4000), Fraction(-3, 1000)),
+    ("((sinh(x) - sin(x))/x^3) - (341/1024)",
+     lambda x: (mpmath.sinh(x) - mpmath.sin(x)) / x ** 3 - mpmath.mpf(341) / 1024,
+     Fraction(-59, 100), Fraction(-9, 100)),
+    ("((cosh(x) - 1)/x^2) - (1/2)",
+     lambda x: (mpmath.cosh(x) - 1) / x ** 2 - mpmath.mpf(1) / 2,
+     Fraction(-189, 64000), Fraction(-1, 1000)),
+], ids=["x-sinh", "sinh-sin", "cosh"])
+def test_a_box_left_of_0_takes_no_coefficient_from_0(src, f, lo, hi):
+    # the coefficient over [0, b] bounds no point left of 0; taken over
+    # [0, b] with b < 0, it contradicted each box's own coefficient
+    # (InconsistencyError)
+    ctx = get_ctx(192)
+    a, b = ctx.lo_of(lo), ctx.hi_of(hi)
+    enc, _ = _core.enclose(ctx, parse_expression(src), a, b)
+    with mpmath.workdps(60):
+        for t in range(9):
+            x = lo + (hi - lo) * Fraction(t, 8)
+            v = f(mpmath.mpf(x.numerator) / x.denominator)
+            assert mpmath.mpf(enc[0]) / ctx.one <= v <= mpmath.mpf(enc[1]) / ctx.one
+
+
 # ---------------------------------------------------------------------------
 # the Taylor memo of enclose, and the low-order search for the shifts
 # ---------------------------------------------------------------------------

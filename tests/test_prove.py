@@ -148,12 +148,19 @@ inequality SIN_WIDE {
 def test_core_end_past_an_argument_limit_ends_the_stanza_at_once(monkeypatch, name, point, limit):
     # the left end 1/1000 puts 1/x past 32, the right end 10 puts x past 4:
     # every box holding that end raises, so neither is bisected (they went
-    # to depth 45 and 44) and no grid is scanned
-    grids = []
-    monkeypatch.setattr(prove, "_grid_refute", lambda *args: grids.append(args))
+    # to depth 45 and 44); the only points tried are the core's midpoint,
+    # by the probe, and no point of a recorded box
+    cores, scans = [], []
+    bisect = prove._bisect_positive
+    monkeypatch.setattr(prove, "_bisect_positive",
+                        lambda expr, lo, hi, opts: cores.append((lo, hi))
+                        or bisect(expr, lo, hi, opts))
+    monkeypatch.setattr(prove, "_grid_refute",
+                        lambda ev, points: scans.append(list(points)))
     spec = {s.name: s for s in parse_corpus(_PAST_LIMIT_CORPUS)}[name]
     r = verify_inequality(spec)
-    assert r.status == "Unknown" and not grids
+    ((lo, hi),) = cores
+    assert r.status == "Unknown" and scans == [[(lo + hi) / 2]]
     assert r.reason == f"x={point} is past an argument limit: {limit}"
     assert r.leaves == 0 and r.max_depth == 0
 
@@ -248,6 +255,28 @@ def test_verify_thm33_refuted(corpus_specs):
     assert F("0.143781441112623") <= enc.hi
 
 
+def test_a_negative_box_is_valued_by_its_own_enclosure_where_its_midpoint_straddles(
+        corpus_specs, monkeypatch):
+    # every point enclosure made to straddle 0, THM33's core is still
+    # refuted by its first negative box; its midpoint no longer refutes, so
+    # the box's own enclosure is its value, certified below 0
+    boxes = {}
+    enclose = prove._enclose
+
+    def straddling_points(ctx, expr, a, b, rem=None):
+        if a == b:
+            return Interval(-1, 1), None
+        enc, rem = enclose(ctx, expr, a, b, rem)
+        boxes[a, b] = enc
+        return enc, rem
+
+    monkeypatch.setattr(prove, "_enclose", straddling_points)
+    r = verify_inequality(_spec(corpus_specs, "THM33"))
+    w = r.witness
+    assert r.status == "Refuted" and w.lo < w.hi
+    assert r.witness_value == boxes[w.lo, w.hi] and r.witness_value.hi < 0
+
+
 @pytest.mark.parametrize("core", ["Unknown", "Proved"])
 def test_a_near_zero_refutation_overrides_a_core_that_is_not_refuted(
         corpus_specs, monkeypatch, core):
@@ -301,18 +330,21 @@ def test_a_dip_off_any_fixed_grid_is_refuted_by_both_entry_points():
 
 
 def test_unknown_scans_only_the_recorded_inconclusive_boxes(monkeypatch):
-    # an identically zero difference records MAX_INCONCLUSIVE boxes; one
-    # scan sees those boxes only, and the reason names the first of them
+    # an identically zero difference records MAX_INCONCLUSIVE boxes; after
+    # the probe at the core's midpoint, one scan tries the ends and midpoint
+    # of those boxes only, in order, and the reason names the first of them
     scans = []
     scan = prove._grid_refute
     monkeypatch.setattr(prove, "_grid_refute",
-                        lambda ev, boxes: scans.append(list(boxes)) or scan(ev, boxes))
+                        lambda ev, points: scans.append(list(points)) or scan(ev, points))
     r = prove_positive(parse_expression("sin(x)^2 + cos(x)^2 - 1"),
                        Interval(F(1, 4), 1))
     assert r.status == "Unknown" and r.reason.startswith("inconclusive on [")
-    (boxes,) = scans
-    assert len(boxes) == prove.MAX_INCONCLUSIVE
-    assert r.reason.startswith(f"inconclusive on [{boxes[0][0]}, {boxes[0][1]}]")
+    probe, points = scans
+    assert probe == [F(5, 8)] and len(points) == 3 * prove.MAX_INCONCLUSIVE
+    boxes = [points[i:i + 3] for i in range(0, len(points), 3)]
+    assert all(a < m == (a + b) / 2 < b for a, m, b in boxes)
+    assert r.reason.startswith(f"inconclusive on [{boxes[0][0]}, {boxes[0][2]}]")
 
 
 def test_no_grid_fallback_after_an_inconsistency(monkeypatch):
