@@ -3,7 +3,10 @@
 Endpoints are dyadic rationals m / 2**prec stored as plain integers, so every
 operation is exact integer arithmetic with outward rounding: each computed
 pair (lo, hi) satisfies lo/2**prec <= true value <= hi/2**prec.  The public
-Fraction-based Interval type wraps it.
+Fraction-based Interval type wraps it.  Each Taylor coefficient, and the
+polynomial part of `enclose`'s form, is rounded once: its exact products
+(`_xmul`) are summed exactly, and only the sum, or the sum's quotient, is
+rounded outward.
 
 Elementary functions: sin, cos on [-4, 4], tan where the cos enclosure
 excludes 0, sinh/cosh/tanh on [-32, 32].  Ranges over an interval come from
@@ -138,36 +141,50 @@ def ineg(a):
     return (-a[1], -a[0])
 
 
-def imul(ctx, a, b):
-    # when neither factor straddles 0 the sign case names the two products
-    # that are the min and the max of the four endpoint products
+def _xmul(a, b):
+    """The exact product of the pairs a and b, at the product of their
+    scales: the least and the greatest of the four endpoint products.  The
+    signs of the factors name the two, except when both straddle 0: then
+    each end is the lesser or the greater of two.  Every product of the
+    range and the Taylor ops goes through this name."""
     a0, a1 = a
     b0, b1 = b
-    if a0 >= 0 and b0 >= 0:
-        lo, hi = a0 * b0, a1 * b1
-    elif a0 >= 0 and b1 <= 0:
-        lo, hi = a1 * b0, a0 * b1
-    elif a1 <= 0 and b0 >= 0:
-        lo, hi = a0 * b1, a1 * b0
-    elif a1 <= 0 and b1 <= 0:
-        lo, hi = a1 * b1, a0 * b0
-    else:
-        p = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-        lo, hi = min(p), max(p)
+    if b0 >= 0:
+        if a0 >= 0:
+            return a0 * b0, a1 * b1
+        if a1 <= 0:
+            return a0 * b1, a1 * b0
+        return a0 * b1, a1 * b1
+    if b1 <= 0:
+        if a0 >= 0:
+            return a1 * b0, a0 * b1
+        if a1 <= 0:
+            return a1 * b1, a0 * b0
+        return a1 * b0, a0 * b0
+    if a0 >= 0:
+        return a1 * b0, a1 * b1
+    if a1 <= 0:
+        return a0 * b1, a0 * b0
+    return min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1)
+
+
+def imul(ctx, a, b):
+    lo, hi = _xmul(a, b)
     return (lo >> ctx.prec, _ceil_shift(hi, ctx.prec))
 
 
 def imul_int(a, k):
-    # k: positive integer (every caller passes a term index or 2)
+    # k: positive integer (every caller passes a term index)
     return (a[0] * k, a[1] * k)
 
 
-def idiv_int(a, k):
-    # k: positive integer
-    return (a[0] // k, _ceil_div(a[1], k))
-
-
 def idiv(ctx, a, b):
+    return _xdiv(ctx, a[0] << ctx.prec, a[1] << ctx.prec, b)
+
+
+def _xdiv(ctx, lo, hi, b):
+    """[lo, hi]/2**(2 prec) divided by b/2**prec, rounded outward once to
+    the scale 2**prec."""
     if b[0] <= 0 <= b[1]:
         raise PoleError(
             f"division by an interval containing 0: "
@@ -175,7 +192,6 @@ def idiv(ctx, a, b):
         )
     # b does not straddle 0, so x/y is monotone in each argument and the
     # signs of b and of each numerator endpoint name the divisor of each bound
-    lo, hi = a[0] << ctx.prec, a[1] << ctx.prec
     if b[0] > 0:
         return (lo // (b[1] if lo >= 0 else b[0]),
                 _ceil_div(hi, b[0] if hi >= 0 else b[1]))
@@ -378,6 +394,8 @@ def _tconst(iv, k):
 
 def _tvar(ctx, a, b, k=TAYLOR_ORDER):
     """The variable x over [a, b]/2**prec as an order-k vector."""
+    if a > b:
+        raise ValueError(f"a reversed box: {a} > {b}")
     return [(a, b), (ctx.one, ctx.one)] + [(0, 0)] * (k - 1)
 
 
@@ -393,39 +411,49 @@ def _tneg(a):
     return [ineg(x) for x in a]
 
 
-# imul with a (0, 0) factor is exactly (0, 0), and iadd/isub with (0, 0) is
-# the identity, so the sparse loops below skip only terms that add nothing.
-# They call imul by its module name: the traced benchmark rebinds it to count.
-# Operands of unequal length (past a removable quotient, which drops an
-# order) are truncated to the shorter: a missing coefficient is unknown, not 0.
+# Each coefficient below is an exact sum of exact products (`_xmul`) at the
+# scale 2**(2 prec), rounded outward once; a division by j is in that one
+# rounding, as floor(floor(n / 2**prec) / j) is floor(n / (j 2**prec)).  A
+# (0, 0) factor adds exactly nothing, so the sparse loops skip only terms
+# that add nothing.  They call _xmul by its module name, so a rebinding of
+# it sees every product.  Operands of unequal length (past a removable
+# quotient, which drops an order) are truncated to the shorter: a missing
+# coefficient is unknown, not 0.
 def _tmul(ctx, a, b):
     if a is b:                  # a power's first product, or u*u of one step
         return _tsqr(ctx, a)
     k = min(len(a), len(b)) - 1
-    out = [(0, 0)] * (k + 1)
+    lo, hi = [0] * (k + 1), [0] * (k + 1)
     nb = [(j, y) for j, y in enumerate(b) if y != (0, 0)]
-    for i, x in enumerate(a):
+    for i, x in enumerate(a[:k + 1]):
         if x == (0, 0):
             continue
         for j, y in nb:
             if i + j > k:
                 break
-            out[i + j] = iadd(out[i + j], imul(ctx, x, y))
-    return out
+            p, q = _xmul(x, y)
+            lo[i + j] += p
+            hi[i + j] += q
+    prec = ctx.prec
+    return [(p >> prec, _ceil_shift(q, prec)) for p, q in zip(lo, hi)]
 
 
 def _tdiv(ctx, a, b):
-    # idiv raises PoleError at j = 0 when b[0] contains 0
+    # out[j] = (a[j] - sum_{i>=1} out[j-i] b[i]) / b[0], its numerator exact;
+    # _xdiv raises PoleError at j = 0 when b[0] contains 0
+    prec = ctx.prec
     nb = [(i, y) for i, y in enumerate(b) if i and y != (0, 0)]
     out = []
     for j in range(min(len(a), len(b))):
-        acc = a[j]
+        lo, hi = a[j][0] << prec, a[j][1] << prec
         for i, y in nb:
             if i > j:
                 break
-            if out[j - i] != (0, 0):
-                acc = isub(acc, imul(ctx, out[j - i], y))
-        out.append(idiv(ctx, acc, b[0]))
+            x = out[j - i]
+            if x != (0, 0):
+                p, q = _xmul(x, y)
+                lo, hi = lo - q, hi - p
+        out.append(_xdiv(ctx, lo, hi, b[0]))
     return out
 
 
@@ -441,49 +469,57 @@ def _tpow(ctx, a, e):
     return out
 
 
-def _half_conv(ctx, a, m):
-    """(a^2)[m] less its middle square: twice the sum of the cross products
-    a[p] a[m - p], p < m - p, so each is formed once."""
-    acc = (0, 0)
+def _half_conv(a, m):
+    """(a^2)[m] less its middle square, exact: twice the sum of the cross
+    products a[p] a[m - p], p < m - p, so each is formed once."""
+    lo = hi = 0
     for p in range((m + 1) // 2):
         x, y = a[p], a[m - p]
         if x != (0, 0) and y != (0, 0):
-            acc = iadd(acc, imul(ctx, x, y))
-    return imul_int(acc, 2)
+            s, t = _xmul(x, y)
+            lo, hi = lo + s, hi + t
+    return 2 * lo, 2 * hi
 
 
 def _tsqr(ctx, a):
-    """a * a by half convolution.  imul is symmetric and the sums are exact,
-    so this equals _tmul(ctx, a, a); the middle square goes through imul
-    too, not the tighter ipow, to keep it so."""
+    """a * a by half convolution.  _xmul is symmetric and the sums are
+    exact, so this equals _tmul(ctx, a, list(a)); the middle square is the
+    plain product too, not the tighter square, to keep it so."""
+    prec = ctx.prec
     out = []
     for m in range(len(a)):
-        acc = _half_conv(ctx, a, m)
+        lo, hi = _half_conv(a, m)
         mid = a[m // 2]
         if m % 2 == 0 and mid != (0, 0):
-            acc = iadd(acc, imul(ctx, mid, mid))
-        out.append(acc)
+            p, q = _xmul(mid, mid)
+            lo, hi = lo + p, hi + q
+        out.append((lo >> prec, _ceil_shift(hi, prec)))
     return out
 
 
 def _tsincos(ctx, u, hyper):
-    """Taylor vectors of sin(u), cos(u) (or sinh/cosh when hyper)."""
+    """Taylor vectors of sin(u), cos(u) (or sinh/cosh when hyper):
+    s[j] = (1/j) sum_{i>=1} i u[i] c[j-i], c[j] = -+(1/j) sum i u[i] s[j-i]."""
     k = len(u) - 1
+    prec = ctx.prec
     names = ("sinh", "cosh") if hyper else ("sin", "cos")
     s = [fn_range(ctx, names[0], u[0][0], u[0][1])]
     c = [fn_range(ctx, names[1], u[0][0], u[0][1])]
     # i*u[i] for the nonzero u[i], i >= 1: only i = 1 for an affine argument
     nu = [(i, imul_int(y, i)) for i, y in enumerate(u) if i and y != (0, 0)]
     for j in range(1, k + 1):
-        acc_s = acc_c = (0, 0)
+        s_lo = s_hi = c_lo = c_hi = 0
         for i, iu in nu:
             if i > j:
                 break
-            acc_s = iadd(acc_s, imul(ctx, iu, c[j - i]))
-            acc_c = iadd(acc_c, imul(ctx, iu, s[j - i]))
-        s.append(idiv_int(acc_s, j))
-        acc_c = idiv_int(acc_c, j)
-        c.append(acc_c if hyper else ineg(acc_c))
+            p, q = _xmul(iu, c[j - i])
+            s_lo, s_hi = s_lo + p, s_hi + q
+            p, q = _xmul(iu, s[j - i])
+            c_lo, c_hi = c_lo + p, c_hi + q
+        if not hyper:
+            c_lo, c_hi = -c_hi, -c_lo
+        s.append(((s_lo >> prec) // j, -((-s_hi >> prec) // j)))
+        c.append(((c_lo >> prec) // j, -((-c_hi >> prec) // j)))
     return s, c
 
 
@@ -491,24 +527,30 @@ def _ttan(ctx, u, hyper):
     """Taylor vector of tan(u) (tanh(u) when hyper) from t' = u' w with
     w = 1 + t^2 (1 - t^2): t[j] = (1/j) sum_{i>=1} i u[i] w[j-i]."""
     k = len(u) - 1
+    prec = ctx.prec
     t = [fn_range(ctx, "tanh" if hyper else "tan", u[0][0], u[0][1])]
     w = []
     nu = [(i, imul_int(y, i)) for i, y in enumerate(u) if i and y != (0, 0)]
     for j in range(1, k + 1):
-        # (t^2)[m], m = j - 1: the half convolution plus the middle square
+        # (t^2)[m], m = j - 1: the half convolution plus the middle square,
+        # whose lower end is held at 0 or above, then w[m], rounded once
         m = j - 1
-        tt = _half_conv(ctx, t, m)
+        lo, hi = _half_conv(t, m)
         if m % 2 == 0:
-            tt = iadd(tt, ipow(ctx, t[m // 2], 2))
+            p, q = _xmul(t[m // 2], t[m // 2])
+            lo, hi = lo + max(p, 0), hi + q
         if hyper:
-            tt = ineg(tt)
-        w.append(iadd((ctx.one, ctx.one), tt) if m == 0 else tt)
-        acc = (0, 0)
+            lo, hi = -hi, -lo
+        if m == 0:
+            lo, hi = lo + (1 << 2 * prec), hi + (1 << 2 * prec)
+        w.append((lo >> prec, _ceil_shift(hi, prec)))
+        t_lo = t_hi = 0
         for i, iu in nu:
             if i > j:
                 break
-            acc = iadd(acc, imul(ctx, iu, w[j - i]))
-        t.append(idiv_int(acc, j))
+            p, q = _xmul(iu, w[j - i])
+            t_lo, t_hi = t_lo + p, t_hi + q
+        t.append(((t_lo >> prec) // j, -((-t_hi >> prec) // j)))
     return t
 
 
@@ -797,11 +839,12 @@ def enclose(ctx, node, a, b, rem=None):
     sign.  The form is P + c * [-r, r]^k, where P bounds the midpoint terms
     below order k and c bounds the order-k coefficient over the box.
 
-    P is summed term by term.  When its lower end is <= 0 although the
-    value at the midpoint is > 0, the lower end is raised to the least
-    Bernstein coefficient of the midpoint polynomial on [-r, r]: term by
-    term, c x^v > 0 cannot show on a box wider than about 1/v of its
-    distance from 0.  The upper end is never changed.
+    P is summed term by term, exactly, and rounded outward once.  When its
+    lower end is <= 0 although the value at the midpoint is > 0, the lower
+    end is raised to the least Bernstein coefficient of the midpoint
+    polynomial on [-r, r]: term by term, c x^v > 0 cannot show on a box
+    wider than about 1/v of its distance from 0.  The upper end is never
+    changed.
 
     `rem`, if given, is such a c over a box enclosing [a, b]: it bounds the
     remainder here too.  Then the box vector is skipped when P with rem
@@ -827,9 +870,22 @@ def enclose(ctx, node, a, b, rem=None):
                          memo=ctx.memo)
     except (DomainError, PoleError):
         return enc, None
-    poly = tm[0]
+    # P = tm[0] + sum_j tm[j] [-r, r]^j, exact at the scale 2**(k prec)
+    # with rj = r^j 2**((k - 1 - j) prec), and rounded outward once
+    sh = (k - 1) * ctx.prec
+    lo, hi = tm[0][0] << sh, tm[0][1] << sh
+    rj = 1 << sh
     for j in range(1, k):
-        poly = iadd(poly, _form_term(ctx, tm[j], r, j))
+        rj = rj * r >> ctx.prec
+        clo, chi = tm[j]
+        if not (clo or chi):
+            continue
+        if j % 2:
+            e = max(-clo, chi) * rj
+            lo, hi = lo - e, hi + e
+        else:
+            lo, hi = lo + min(clo * rj, 0), hi + max(chi * rj, 0)
+    poly = (lo >> sh, _ceil_shift(hi, sh))
     if poly[0] <= 0 < tm[0][0]:
         poly = (max(poly[0], _bernstein_lo(ctx, tm, r)), poly[1])
     straddles = poly[0] <= 0 <= poly[1]

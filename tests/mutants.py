@@ -1,8 +1,12 @@
 """Flip each outward rounding of the engine and report the flips no test sees.
 
-The first 21 mutants below each turn one rounding the wrong way: a lower
+The first 33 mutants below each turn one rounding the wrong way: a lower
 end rounded up, an upper end rounded down, or a certified lower bound of pi
-raised above pi.  The next four weaken the exact proof steps.  Two hit the
+raised above pi.  Fourteen of them flip the one outward rounding of a
+Taylor coefficient: in `_tmul`, `_tsqr`, the sin and cos lines of
+`_tsincos`, the w and t lines of `_ttan`, and `enclose`'s polynomial part.
+`_tdiv` rounds through `_xdiv`, as `idiv` does, so the four `idiv` flips
+reach it too.  The next four weaken the exact proof steps.  Two hit the
 positive steps, which read a sign off an integer kernel: one lets a zero
 value pass, the other changes T3.5's kernel.  `b_t32-shift-short` shifts
 T3.2's b_n, also the kernel of its g_n, one bit short, so its 4^n reads
@@ -19,8 +23,9 @@ temporary directory, the one edit is made there, and `pytest -x -q` runs
 on the copy.  A mutant that leaves the suite green survives: the edit it
 makes has no test.
 
-`test_canonical_report_is_pinned` and `test_exact_reports_are_pinned` are
-deselected on every run: each hashes reports' bytes, so it catches a change,
+`test_canonical_report_is_pinned`, `test_exact_reports_are_pinned` and
+`test_refute_report_is_pinned` are deselected on every run: each hashes
+reports' bytes, so it catches a change,
 not an unsound one, and a flip whose error stays below the printed digits
 would pass it.  So is `test_each_mutant_anchor_is_once_in_its_file`, which
 every mutant's own edit fails.
@@ -55,12 +60,6 @@ MUTANTS = [
     ("imul-hi-down", CORE,
      "return (lo >> ctx.prec, _ceil_shift(hi, ctx.prec))",
      "return (lo >> ctx.prec, hi >> ctx.prec)"),
-    ("idiv_int-lo-up", CORE,
-     "return (a[0] // k, _ceil_div(a[1], k))",
-     "return (_ceil_div(a[0], k), _ceil_div(a[1], k))"),
-    ("idiv_int-hi-down", CORE,
-     "return (a[0] // k, _ceil_div(a[1], k))",
-     "return (a[0] // k, a[1] // k)"),
     ("idiv-pos-lo-up", CORE,
      "return (lo // (b[1] if lo >= 0 else b[0]),",
      "return (_ceil_div(lo, b[1] if lo >= 0 else b[0]),"),
@@ -100,6 +99,48 @@ MUTANTS = [
     ("form_term-hi-down", CORE,
      "return (lo >> sh, _ceil_shift(hi, sh))",
      "return (lo >> sh, hi >> sh)"),
+    ("tmul-lo-up", CORE,
+     "return [(p >> prec, _ceil_shift(q, prec)) for p, q in zip(lo, hi)]",
+     "return [(_ceil_shift(p, prec), _ceil_shift(q, prec)) for p, q in zip(lo, hi)]"),
+    ("tmul-hi-down", CORE,
+     "return [(p >> prec, _ceil_shift(q, prec)) for p, q in zip(lo, hi)]",
+     "return [(p >> prec, q >> prec) for p, q in zip(lo, hi)]"),
+    ("tsqr-lo-up", CORE,
+     "out.append((lo >> prec, _ceil_shift(hi, prec)))",
+     "out.append((_ceil_shift(lo, prec), _ceil_shift(hi, prec)))"),
+    ("tsqr-hi-down", CORE,
+     "out.append((lo >> prec, _ceil_shift(hi, prec)))",
+     "out.append((lo >> prec, hi >> prec))"),
+    ("tsincos-sin-lo-up", CORE,
+     "s.append(((s_lo >> prec) // j, -((-s_hi >> prec) // j)))",
+     "s.append((-((-s_lo >> prec) // j), -((-s_hi >> prec) // j)))"),
+    ("tsincos-sin-hi-down", CORE,
+     "s.append(((s_lo >> prec) // j, -((-s_hi >> prec) // j)))",
+     "s.append(((s_lo >> prec) // j, (s_hi >> prec) // j))"),
+    ("tsincos-cos-lo-up", CORE,
+     "c.append(((c_lo >> prec) // j, -((-c_hi >> prec) // j)))",
+     "c.append((-((-c_lo >> prec) // j), -((-c_hi >> prec) // j)))"),
+    ("tsincos-cos-hi-down", CORE,
+     "c.append(((c_lo >> prec) // j, -((-c_hi >> prec) // j)))",
+     "c.append(((c_lo >> prec) // j, (c_hi >> prec) // j))"),
+    ("ttan-w-lo-up", CORE,
+     "w.append((lo >> prec, _ceil_shift(hi, prec)))",
+     "w.append((_ceil_shift(lo, prec), _ceil_shift(hi, prec)))"),
+    ("ttan-w-hi-down", CORE,
+     "w.append((lo >> prec, _ceil_shift(hi, prec)))",
+     "w.append((lo >> prec, hi >> prec))"),
+    ("ttan-t-lo-up", CORE,
+     "t.append(((t_lo >> prec) // j, -((-t_hi >> prec) // j)))",
+     "t.append((-((-t_lo >> prec) // j), -((-t_hi >> prec) // j)))"),
+    ("ttan-t-hi-down", CORE,
+     "t.append(((t_lo >> prec) // j, -((-t_hi >> prec) // j)))",
+     "t.append(((t_lo >> prec) // j, (t_hi >> prec) // j))"),
+    ("poly-lo-up", CORE,
+     "poly = (lo >> sh, _ceil_shift(hi, sh))",
+     "poly = (_ceil_shift(lo, sh), _ceil_shift(hi, sh))"),
+    ("poly-hi-down", CORE,
+     "poly = (lo >> sh, _ceil_shift(hi, sh))",
+     "poly = (lo >> sh, hi >> sh)"),
     ("bernstein-lo-up", CORE,
      "return least // (d << (prec * n))",
      "return _ceil_div(least, d << (prec * n))"),
@@ -144,6 +185,7 @@ MUTANTS = [
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--deselect", "tests/test_cli.py::test_canonical_report_is_pinned",
           "--deselect", "tests/test_cli.py::test_exact_reports_are_pinned",
+          "--deselect", "tests/test_cli.py::test_refute_report_is_pinned",
           "--deselect",
           "tests/test_mutants.py::test_each_mutant_anchor_is_once_in_its_file"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

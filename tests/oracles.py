@@ -9,9 +9,12 @@ package's own primitives: the term-by-term series sums and tail bounds that
 `series` and `prove` replaced with exact integer sums, over `series`'
 coefficients and term ratios; the dense interval Taylor arithmetic (the
 plain loops `_core` replaced with sparse ones, the eight-quotient interval
-division it replaced with sign cases, and the tan/tanh route as the
-quotient sin/cos it replaced with a recurrence), over `_core`'s own sums and
-point ranges; the recursive tree walk `_core` replaced with a
+division it replaced with sign cases, the tan/tanh recurrence over the
+full convolution where `_core` halves it, and the quotient sin/cos that
+recurrence replaced), over `_core`'s point ranges alone: as in `_core`,
+each coefficient is its exact sum of exact products rounded outward once,
+and `enclose_full_order`'s polynomial part is the Fraction sum of its
+terms, rounded once; the recursive tree walk `_core` replaced with a
 straight-line plan, over `_core`'s own op tables; `enclose`'s two rules
 near 0, a Fraction Bernstein bound and the [0, b] coefficient through that
 walk; and the point series' term loop through `_core`'s rounding helpers,
@@ -28,10 +31,10 @@ from `prove`'s one series bound.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, floor
+from math import ceil, comb, factorial, floor
 
 from ineqcert import _core, prove
-from ineqcert._core import fn_range, iadd, idiv_int, imul_int, ineg, isub
+from ineqcert._core import fn_range, iadd
 from ineqcert.errors import DomainError, PoleError
 from ineqcert.exact import bernoulli, tangent
 from ineqcert.interval import Interval
@@ -460,44 +463,68 @@ def series_claim_form(claim, N):
 
 # --- dense interval Taylor arithmetic ---------------------------------------
 #
-# Every product of every coefficient pair, the interval product as the min
-# and max of all four endpoint products, and the interval quotient as the min
-# and max of all eight rounded endpoint quotients.  `_core`'s sparse,
-# sign-aware versions must return exactly these tuples.
+# One rounding per coefficient: every product of every coefficient pair is
+# exact, the min and max of its four endpoint products; a coefficient is the
+# exact sum of its products at the scale 2**(2 prec), rounded outward once to
+# 2**prec, the division by j of the sin/cos and tan recurrences inside that
+# one rounding; and a quotient's ends are the min and max of the eight
+# rounded quotients of its exact numerator's ends by the divisor's ends.
+# `_core`'s sparse, sign-aware versions must return exactly these tuples.
+
+def _exact_product(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(p), max(p)
+
+
+def _exact_square(a):
+    """[a]^2 exactly: 0 is its least value when a straddles 0."""
+    sq = (a[0] * a[0], a[1] * a[1])
+    return (0 if a[0] < 0 < a[1] else min(sq)), max(sq)
+
+
+def _round_out(ctx, lo, hi, j=1):
+    """[lo, hi] / (j 2**(2 prec)), rounded outward to the scale 2**prec."""
+    d = j * ctx.one
+    return lo // d, -(-hi // d)
+
 
 def imul_dense(ctx, a, b):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(p) >> ctx.prec, -(-max(p) >> ctx.prec))
+    return _round_out(ctx, *_exact_product(a, b))
 
 
-def idiv_eight(ctx, a, b):
+def _eight_quotients(lo, hi, b):
+    """[lo, hi] / b, b at the scale 2**prec, rounded outward: the least
+    floor and the greatest ceiling of the eight endpoint quotients."""
     if b[0] <= 0 <= b[1]:
         raise PoleError("division by an interval containing 0")
-    sh = a[0] << ctx.prec, a[1] << ctx.prec
-    q = (sh[0] // b[0], sh[0] // b[1], sh[1] // b[0], sh[1] // b[1])
-    qc = (-(-sh[0] // b[0]), -(-sh[0] // b[1]),
-          -(-sh[1] // b[0]), -(-sh[1] // b[1]))
+    q = (lo // b[0], lo // b[1], hi // b[0], hi // b[1])
+    qc = (-(-lo // b[0]), -(-lo // b[1]), -(-hi // b[0]), -(-hi // b[1]))
     return (min(q), max(qc))
 
 
+def idiv_eight(ctx, a, b):
+    return _eight_quotients(a[0] << ctx.prec, a[1] << ctx.prec, b)
+
+
 def tmul_dense(ctx, a, b):
-    k = len(a) - 1
     out = []
-    for j in range(k + 1):
-        acc = (0, 0)
+    for j in range(len(a)):
+        lo = hi = 0
         for i in range(j + 1):
-            acc = iadd(acc, imul_dense(ctx, a[i], b[j - i]))
-        out.append(acc)
+            p, q = _exact_product(a[i], b[j - i])
+            lo, hi = lo + p, hi + q
+        out.append(_round_out(ctx, lo, hi))
     return out
 
 
 def tdiv_dense(ctx, a, b):
     out = []
     for j in range(len(a)):
-        acc = a[j]
+        lo, hi = a[j][0] * ctx.one, a[j][1] * ctx.one
         for i in range(j):
-            acc = isub(acc, imul_dense(ctx, out[i], b[j - i]))
-        out.append(idiv_eight(ctx, acc, b[0]))
+            p, q = _exact_product(out[i], b[j - i])
+            lo, hi = lo - q, hi - p
+        out.append(_eight_quotients(lo, hi, b[0]))
     return out
 
 
@@ -507,22 +534,65 @@ def tsincos_dense(ctx, u, hyper):
     s = [fn_range(ctx, names[0], u[0][0], u[0][1])]
     c = [fn_range(ctx, names[1], u[0][0], u[0][1])]
     for j in range(1, k + 1):
-        acc_s = (0, 0)
-        acc_c = (0, 0)
+        s_lo = s_hi = c_lo = c_hi = 0
         for i in range(1, j + 1):
-            iu = imul_int(u[i], i)
-            acc_s = iadd(acc_s, imul_dense(ctx, iu, c[j - i]))
-            acc_c = iadd(acc_c, imul_dense(ctx, iu, s[j - i]))
-        s.append(idiv_int(acc_s, j))
-        acc_c = idiv_int(acc_c, j)
-        c.append(acc_c if hyper else ineg(acc_c))
+            iu = (i * u[i][0], i * u[i][1])
+            p, q = _exact_product(iu, c[j - i])
+            s_lo, s_hi = s_lo + p, s_hi + q
+            p, q = _exact_product(iu, s[j - i])
+            c_lo, c_hi = c_lo + p, c_hi + q
+        s.append(_round_out(ctx, s_lo, s_hi, j))
+        c.append(_round_out(ctx, c_lo, c_hi, j) if hyper
+                 else _round_out(ctx, -c_hi, -c_lo, j))
     return s, c
+
+
+def ttan_dense(ctx, u, hyper):
+    """tan(u) (tanh(u) when hyper) by the recurrence t' = u' w, w = 1 + t^2
+    (1 - t^2): each (t^2)[m] the full convolution, its middle term the exact
+    square, and each w[m] and t[j] rounded outward once."""
+    k = len(u) - 1
+    one = ctx.one
+    t = [fn_range(ctx, "tanh" if hyper else "tan", u[0][0], u[0][1])]
+    w = []
+    for j in range(1, k + 1):
+        m = j - 1
+        lo = hi = 0
+        for p in range(m + 1):
+            s, q = (_exact_square(t[p]) if 2 * p == m
+                    else _exact_product(t[p], t[m - p]))
+            lo, hi = lo + s, hi + q
+        if hyper:
+            lo, hi = -hi, -lo
+        if m == 0:
+            lo, hi = lo + one * one, hi + one * one
+        w.append(_round_out(ctx, lo, hi))
+        lo = hi = 0
+        for i in range(1, j + 1):
+            p, q = _exact_product((i * u[i][0], i * u[i][1]), w[j - i])
+            lo, hi = lo + p, hi + q
+        t.append(_round_out(ctx, lo, hi, j))
+    return t
 
 
 def ttan_quotient(ctx, u, hyper):
     """tan(u) (tanh(u) when hyper) as the Taylor quotient sin(u)/cos(u)."""
     s, c = tsincos_dense(ctx, u, hyper)
     return tdiv_dense(ctx, s, c)
+
+
+def poly_part(ctx, tm, r):
+    """tm[0] + sum_{j>=1} tm[j] [-r, r]^j in Fractions, rounded outward once
+    to 2**-prec: each term the least and the greatest product of an end of
+    tm[j] and an end of [-r, r]^j, which is [0, r^j] for even j."""
+    one = ctx.one
+    rr = Fraction(r, one)
+    lo, hi = Fraction(tm[0][0], one), Fraction(tm[0][1], one)
+    for j in range(1, len(tm)):
+        powers = (0, rr ** j) if j % 2 == 0 else (-rr ** j, rr ** j)
+        ends = [Fraction(c, one) * p for c in tm[j] for p in powers]
+        lo, hi = lo + min(ends), hi + max(ends)
+    return floor(lo * one), ceil(hi * one)
 
 
 # --- the recursive tree walk -------------------------------------------------
@@ -572,9 +642,7 @@ def enclose_full_order(ctx, node, a, b):
     except (DomainError, PoleError):
         return enc
     r = max(b - m, m - a)
-    poly = tm[0]
-    for j in range(1, k):
-        poly = iadd(poly, _core._form_term(ctx, tm[j], r, j))
+    poly = poly_part(ctx, tm[:k], r)
     if poly[0] <= 0 < tm[0][0]:
         poly = (max(poly[0], bernstein_lo_fraction(ctx, tm[:k], r)), poly[1])
     c = tx[k]

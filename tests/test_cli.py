@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -1038,6 +1039,28 @@ def test_canonical_report_is_pinned(corpus_report):
     explains each changed leaf count or verdict in CHANGES.md."""
     _, raw, _ = corpus_report
     assert hashlib.sha256(raw).hexdigest() == _REPORT_SHA256
+
+
+# sha256 of the report on the benchmark's seed-1 refute input: 108 shipped
+# claims reversed on sub-domains, each refuted
+_REFUTE_SHA256 = "1f3323f18ba67f26d3d42f8d60782112aae2e426b53832b3affdc2936f84d5f9"
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.mark.skipif(not _WORKLOADS.exists(), reason="no perfbench/ in this checkout")
+def test_refute_report_is_pinned(tmp_path):
+    """The report on the seed-1 refute input, byte for byte.
+
+    A change that alters it on purpose updates _REFUTE_SHA256 and explains
+    each changed verdict, witness or leaf count in CHANGES.md."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.build("refute", 1, _WORKLOADS.parents[1], tmp_path, 2, 1)
+    (path,) = tmp_path.glob("input-b*.ineq")
+    out = tmp_path / "refute.json"
+    assert run_command(["prove", "--corpus", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _REFUTE_SHA256
 
 
 # the exact path's 18 commands at --nmax 500: each sequence check the corpus

@@ -1,8 +1,9 @@
 """Containment fuzz: random expressions over the whole grammar, checked
 against mpmath.
 
-Each expression (depth 1-4: the six functions, `x/k` arguments, `pi`,
-negative literals, + - * /, small powers) is centred by a rational near its value at
+Each expression (depth 1-4: the six functions, `x/k` arguments,
+arguments near the edge of a function's domain, `pi`, negative literals,
++ - * /, small powers) is centred by a rational near its value at
 its box's midpoint, so that the plain range straddles 0 and `enclose` builds
 its Taylor form.  Boxes start near 0, sit left of 0, are points or are
 ordinary boxes; some are split in two with the parent's remainder
@@ -11,6 +12,9 @@ coefficient handed to each half, as bisection does.  Every `eval_plain` and
 at the box's ends and 3 inner points.  A DomainError or PoleError is a valid
 answer; any other exception fails.  The test knows no stanza of the corpus,
 so it guards the arithmetic on inputs that no corpus was tuned on.
+
+A second test feeds the Taylor kernels random interval vectors directly and
+checks each against the exact series of point choices of its inputs.
 """
 
 import random
@@ -21,6 +25,7 @@ import mpmath
 from ineqcert import _core
 from ineqcert.errors import DomainError, PoleError
 from ineqcert.lang import parse_expression
+from oracles import ser_div, ser_mul
 
 SEED = 19
 CHECKS = 3000
@@ -28,11 +33,24 @@ PREC = 192
 TOL = mpmath.mpf(2) ** -400
 
 _UNARY = ("sin", "cos", "tan", "sinh", "cosh", "tanh")
+_EDGE = {"sin": 4, "cos": 4, "sinh": 32, "cosh": 32, "tanh": 32}
 
 
 def _literal(rng):
     q = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
     return f"({q})", lambda x: mpmath.mpf(q.numerator) / q.denominator
+
+
+def _edge_call(rng, fn, f):
+    """fn at c + x/64, c within 1 of the edge of fn's argument domain: 4
+    for sin and cos, 32 for sinh, cosh and tanh.  sinh and cosh are scaled
+    by 2^-46, to values below 1."""
+    lim = _EDGE[fn]
+    c = Fraction(rng.choice((-1, 1)) * rng.randint(64 * lim - 64, 64 * lim), 64)
+    text = f"{fn}(({c}) + x/64)"
+    if fn in ("sinh", "cosh"):
+        return f"({text})/{2 ** 46}", lambda x: f(_mp(c) + x / 64) / 2 ** 46
+    return text, lambda x: f(_mp(c) + x / 64)
 
 
 def _draw(rng, depth):
@@ -50,7 +68,10 @@ def _draw(rng, depth):
     if kind == "call":
         fn = rng.choice(_UNARY)
         f = getattr(mpmath, fn)
-        if rng.random() < 0.4:  # an x/k argument
+        u = rng.random()
+        if u < 0.25 and fn in _EDGE:
+            return _edge_call(rng, fn, f)
+        if u < 0.4:  # an x/k argument
             k = rng.randint(2, 9)
             return f"{fn}(x/{k})", lambda x: f(x / k)
         text, g = _draw(rng, depth - 1)
@@ -172,3 +193,142 @@ def test_every_enclosure_holds_the_mpmath_value():
                 run("enclose-right-half", text, fq, node, mid, hi, rem)
     assert not raised, raised[:3]
     assert not misses, misses[:3]
+
+
+# ---------------------------------------------------------------------------
+# the Taylor kernels on random interval vectors
+# ---------------------------------------------------------------------------
+
+KERNEL_DRAWS = 30
+REALISATIONS = 3
+KERNEL_TOL = mpmath.mpf(2) ** -256     # far below one unit at 2^-192
+
+_CLASSES = ("nonneg", "nonpos", "straddle", "straddle", "thin", "zero")
+
+
+def _coefficient(rng, scale, sign):
+    lo, hi = sorted((rng.randrange(scale), rng.randrange(scale)))
+    if sign == "nonneg":
+        return (lo, hi)
+    if sign == "nonpos":
+        return (-hi, -lo)
+    if sign == "straddle":
+        return (-lo - 1, hi + 1)
+    if sign == "thin":
+        return (hi - lo, hi - lo) if rng.random() < 0.5 else (lo - hi, lo - hi)
+    return (0, 0)
+
+
+def _vector(rng, k, scale):
+    return [_coefficient(rng, scale, rng.choice(_CLASSES)) for _ in range(k + 1)]
+
+
+def _realise(rng, vec, one):
+    """A point of each coefficient, as a Fraction: an end or a point between."""
+    out = []
+    for lo, hi in vec:
+        u = rng.random()
+        out.append(Fraction(lo if u < 0.3 else hi if u < 0.6 else rng.randint(lo, hi), one))
+    return out
+
+
+def _sign(pair):
+    return "+" if pair[0] >= 0 else "-" if pair[1] < 0 else "+-"
+
+
+def _sin_cos_series(v, hyper):
+    """(sin, cos) (sinh, cosh when hyper) of the series v, in mpmath:
+    sin(v0 + w) = sin(v0) cos(w) + cos(v0) sin(w) with w = v - v0, whose
+    series are sums of the powers of w over the factorials."""
+    k = len(v) - 1
+    w = [mpmath.mpf(0)] + [_mp(c) for c in v[1:]]
+    odd, even = [mpmath.mpf(0)] * (k + 1), [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+    power = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+    for n in range(1, k + 1):
+        power = ser_mul(power, w, k)
+        sign = 1 if hyper or n % 4 in (0, 1) else -1
+        target = odd if n % 2 else even
+        for j in range(k + 1):
+            target[j] += sign * power[j] / mpmath.factorial(n)
+    v0 = _mp(v[0])
+    s0, c0 = (mpmath.sinh(v0), mpmath.cosh(v0)) if hyper else (mpmath.sin(v0), mpmath.cos(v0))
+    sgn = 1 if hyper else -1
+    return ([s0 * e + c0 * o for e, o in zip(even, odd)],
+            [c0 * e + sgn * s0 * o for e, o in zip(even, odd)])
+
+
+def _holds(vec, true, one):
+    """Whether each coefficient of vec holds the exact Fraction of true."""
+    return all(Fraction(lo, one) <= v <= Fraction(hi, one)
+               for (lo, hi), v in zip(vec, true)) and len(vec) == len(true)
+
+
+def _holds_mp(vec, true, one):
+    """Whether each coefficient of vec holds the mpmath value of true, to
+    within KERNEL_TOL of its size."""
+    return all(_mp(Fraction(lo, one)) - KERNEL_TOL * (1 + abs(v)) <= v
+               <= _mp(Fraction(hi, one)) + KERNEL_TOL * (1 + abs(v))
+               for (lo, hi), v in zip(vec, true)) and len(vec) == len(true)
+
+
+def test_taylor_kernels_hold_every_realisation(monkeypatch):
+    # random interval vectors, their coefficients of every sign and many
+    # straddling 0: each kernel's vector must hold the exact coefficients
+    # (Fractions) or mpmath's (sin, cos, tan and the hyperbolic three) of
+    # the series got by taking a point in each input coefficient.  Every
+    # sign pair of the exact product and of the quotient's numerator and
+    # divisor must be reached.
+    rng = random.Random(SEED)
+    ctx = _core.Ctx(PREC)
+    one = ctx.one
+    products, quotients, misses = set(), set(), []
+    xmul, xdiv = _core._xmul, _core._xdiv
+
+    def recording_xmul(a, b):
+        products.add((_sign(a), _sign(b)))
+        return xmul(a, b)
+
+    def recording_xdiv(ctx, lo, hi, b):
+        quotients.add((_sign((lo, hi)), _sign(b)))
+        return xdiv(ctx, lo, hi, b)
+
+    monkeypatch.setattr(_core, "_xmul", recording_xmul)
+    monkeypatch.setattr(_core, "_xdiv", recording_xdiv)
+    with mpmath.workdps(100):
+        for _ in range(KERNEL_DRAWS):
+            k = rng.randint(1, _core.TAYLOR_ORDER)
+            a, b = _vector(rng, k, 4 * one), _vector(rng, k, 4 * one)
+            lo, hi = _coefficient(rng, 4 * one, "nonneg")
+            b[0] = (lo + one // 2, hi + one // 2)
+            if rng.random() < 0.5:
+                b[0] = (-b[0][1], -b[0][0])
+            if rng.random() < 0.25:
+                b = b[:k]                       # a shorter operand truncates
+            n = min(len(a), len(b)) - 1
+            got = {"tmul": _core._tmul(ctx, a, b), "tdiv": _core._tdiv(ctx, a, b),
+                   "tsqr": _core._tsqr(ctx, a)}
+            for _ in range(REALISATIONS):
+                ra, rb = _realise(rng, a, one), _realise(rng, b, one)
+                want = {"tmul": ser_mul(ra, rb, n), "tdiv": ser_div(ra, rb, n),
+                        "tsqr": ser_mul(ra, ra, k)}
+                misses += [(op, a, b) for op in got
+                           if not _holds(got[op], want[op], one)]
+            for hyper in (False, True):
+                u = _vector(rng, k, 4 * one)
+                u[0] = _coefficient(rng, (32 if hyper else 4) * one,
+                                    rng.choice(_CLASSES))
+                s, c = _core._tsincos(ctx, u, hyper)
+                try:
+                    t = _core._ttan(ctx, u, hyper)
+                except PoleError:           # cos(u[0]) may hold 0
+                    t = None
+                for _ in range(REALISATIONS):
+                    ts, tc = _sin_cos_series(_realise(rng, u, one), hyper)
+                    pairs = [("sin", s, ts), ("cos", c, tc)]
+                    if t is not None:
+                        pairs.append(("tan", t, ser_div(ts, tc, k)))
+                    misses += [(op, hyper, u) for op, vec, true in pairs
+                               if not _holds_mp(vec, true, one)]
+    assert not misses, misses[:3]
+    assert products == {(p, q) for p in ("+", "-", "+-") for q in ("+", "-", "+-")}
+    assert quotients == {(p, q) for p in ("+", "-", "+-") for q in ("+", "-")}

@@ -40,22 +40,23 @@ def test_traced_attributes_exist():
         for prec, ctx in interval._ctx_cache.items())
 
 
-def test_taylor_products_go_through_module_imul(monkeypatch, corpus_specs):
-    # `core.imul.calls` counts the products by rebinding `_core.imul`; a copy
-    # of the product inlined into the Taylor ops would hide its work there
+def test_taylor_products_go_through_module_xmul(monkeypatch, corpus_specs):
+    # every exact product of the Taylor ops goes through `_core._xmul`, so a
+    # rebinding of it counts them; a copy of the product inlined into an op
+    # would hide its work there
     core = importlib.import_module("ineqcert._core")
     ctx = core.Ctx(192)
     node = next(s for s in corpus_specs if s.name == "WILKER").difference()
     xvec = core._tvar(ctx, ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2)))
     vec = core.eval_taylor(ctx, node, xvec, core.TAYLOR_ORDER)
     calls = []
-    imul = core.imul
+    xmul = core._xmul
 
     def counting(*args):
         calls.append(args)
-        return imul(*args)
+        return xmul(*args)
 
-    monkeypatch.setattr(core, "imul", counting)
+    monkeypatch.setattr(core, "_xmul", counting)
     assert core.eval_taylor(ctx, node, xvec, core.TAYLOR_ORDER) == vec
     assert len(calls) > 0
     # and each Taylor op on its own; `_tmul` of one object squares through
