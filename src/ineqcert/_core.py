@@ -3,10 +3,10 @@
 Endpoints are dyadic rationals m / 2**prec stored as plain integers, so every
 operation is exact integer arithmetic with outward rounding: each computed
 pair (lo, hi) satisfies lo/2**prec <= true value <= hi/2**prec.  The public
-Fraction-based Interval type wraps it.  Each Taylor coefficient, and the
-polynomial part of `enclose`'s form, is rounded once: its exact products
-(`_xmul`) are summed exactly, and only the sum, or the sum's quotient, is
-rounded outward.
+Fraction-based Interval type wraps it.  Each Taylor coefficient, and each
+Taylor form of `enclose`, is rounded once: its exact products (`_xmul`) are
+summed exactly, and only the sum, or the sum's quotient, is rounded
+outward.
 
 Elementary functions: sin, cos on [-4, 4], tan where the cos enclosure
 excludes 0, sinh/cosh/tanh on [-32, 32].  Ranges over an interval come from
@@ -32,9 +32,9 @@ Each step of a plan has a global structural id.  `Ctx` caches point
 series and, for the boxes of one bisection root, the Taylor vectors of the
 costly steps `enclose` runs, by id and base vector: stanzas that bisect one
 core share those of their common sides.  The Taylor ops skip every term
-with an exact (0, 0) factor and square by half convolution; sin/cos and
-sinh/cosh vectors come from their coupled recurrence, tan and tanh from the
-ODE t' = u' (1 +- t^2).
+with an exact (0, 0) factor and square by half convolution (`_sq`), the
+middle square held at 0 or above; sin/cos and sinh/cosh vectors come from
+their coupled recurrence, tan and tanh from the ODE t' = u' (1 +- t^2).
 """
 
 import threading
@@ -171,11 +171,6 @@ def _xmul(a, b):
 def imul(ctx, a, b):
     lo, hi = _xmul(a, b)
     return (lo >> ctx.prec, _ceil_shift(hi, ctx.prec))
-
-
-def imul_int(a, k):
-    # k: positive integer (every caller passes a term index)
-    return (a[0] * k, a[1] * k)
 
 
 def idiv(ctx, a, b):
@@ -469,30 +464,29 @@ def _tpow(ctx, a, e):
     return out
 
 
-def _half_conv(a, m):
-    """(a^2)[m] less its middle square, exact: twice the sum of the cross
-    products a[p] a[m - p], p < m - p, so each is formed once."""
+def _sq(a, m):
+    """(a^2)[m], exact: twice the cross products a[p] a[m - p], p < m - p,
+    each formed once, and the middle square a[m/2]^2, whose lower end is
+    held at 0 or above, since a square is never negative."""
     lo = hi = 0
     for p in range((m + 1) // 2):
         x, y = a[p], a[m - p]
         if x != (0, 0) and y != (0, 0):
             s, t = _xmul(x, y)
             lo, hi = lo + s, hi + t
-    return 2 * lo, 2 * hi
+    lo, hi = 2 * lo, 2 * hi
+    if m % 2 == 0 and a[m // 2] != (0, 0):
+        s, t = _xmul(a[m // 2], a[m // 2])
+        lo, hi = lo + max(s, 0), hi + t
+    return lo, hi
 
 
 def _tsqr(ctx, a):
-    """a * a by half convolution.  _xmul is symmetric and the sums are
-    exact, so this equals _tmul(ctx, a, list(a)); the middle square is the
-    plain product too, not the tighter square, to keep it so."""
+    """a * a, each coefficient `_sq` rounded outward once."""
     prec = ctx.prec
     out = []
     for m in range(len(a)):
-        lo, hi = _half_conv(a, m)
-        mid = a[m // 2]
-        if m % 2 == 0 and mid != (0, 0):
-            p, q = _xmul(mid, mid)
-            lo, hi = lo + p, hi + q
+        lo, hi = _sq(a, m)
         out.append((lo >> prec, _ceil_shift(hi, prec)))
     return out
 
@@ -506,7 +500,7 @@ def _tsincos(ctx, u, hyper):
     s = [fn_range(ctx, names[0], u[0][0], u[0][1])]
     c = [fn_range(ctx, names[1], u[0][0], u[0][1])]
     # i*u[i] for the nonzero u[i], i >= 1: only i = 1 for an affine argument
-    nu = [(i, imul_int(y, i)) for i, y in enumerate(u) if i and y != (0, 0)]
+    nu = [(i, (y[0] * i, y[1] * i)) for i, y in enumerate(u) if i and y != (0, 0)]
     for j in range(1, k + 1):
         s_lo = s_hi = c_lo = c_hi = 0
         for i, iu in nu:
@@ -530,15 +524,11 @@ def _ttan(ctx, u, hyper):
     prec = ctx.prec
     t = [fn_range(ctx, "tanh" if hyper else "tan", u[0][0], u[0][1])]
     w = []
-    nu = [(i, imul_int(y, i)) for i, y in enumerate(u) if i and y != (0, 0)]
+    nu = [(i, (y[0] * i, y[1] * i)) for i, y in enumerate(u) if i and y != (0, 0)]
     for j in range(1, k + 1):
-        # (t^2)[m], m = j - 1: the half convolution plus the middle square,
-        # whose lower end is held at 0 or above, then w[m], rounded once
+        # w[m], m = j - 1, from the exact (t^2)[m], rounded once
         m = j - 1
-        lo, hi = _half_conv(t, m)
-        if m % 2 == 0:
-            p, q = _xmul(t[m // 2], t[m // 2])
-            lo, hi = lo + max(p, 0), hi + q
+        lo, hi = _sq(t, m)
         if hyper:
             lo, hi = -hi, -lo
         if m == 0:
@@ -781,21 +771,12 @@ def _coeff_from_zero(ctx, node, b):
 # adaptive enclosure: plain range + interval Taylor form
 # ---------------------------------------------------------------------------
 
-def _form_term(ctx, c, r, j):
-    """c * [-r, r]^j (which is c * [0, r^j] for even j), computed with exact
-    integer powers and a single outward rounding so tiny r^j cannot
-    underflow before multiplying a large remainder coefficient.  Every
-    caller passes j >= 1: the constant term is the coefficient itself."""
-    rj = r ** j
-    sh = j * ctx.prec
-    clo, chi = c
-    if j % 2 == 0:
-        lo = min(clo * rj, 0)
-        hi = max(chi * rj, 0)
-    else:
-        m = max(abs(clo), abs(chi)) * rj
-        lo, hi = -m, m
-    return (lo >> sh, _ceil_shift(hi, sh))
+def _term(c, rs, j):
+    """c [-r, r]^j, exact at the scale of c times rs[j] = r^j 2**((k - j)
+    prec): [-r, r]^j is [0, r^j] for even j.  Formed from exact integer
+    powers, so a tiny r^j cannot underflow before it multiplies a large
+    coefficient."""
+    return _xmul(c, (-rs[j] if j % 2 else 0, rs[j]))
 
 
 @lru_cache(maxsize=None)
@@ -814,21 +795,16 @@ def _bernstein_weights(n):
     return rows, d
 
 
-def _bernstein_lo(ctx, tm, r):
+def _bernstein_lo(tm, rs):
     """Lower bound of sum_j tm[j] t^j over t in [-r, r] and over every
-    choice of coefficients in the intervals tm[j]: the least Bernstein
-    coefficient, each a linear form in the tm[j], formed exactly in
-    integers and rounded down once."""
-    n = len(tm) - 1
-    rows, d = _bernstein_weights(n)
-    prec = ctx.prec
-    # tm[j] r^j at scale 2**(prec (n + 1))
-    scale = [r ** j << (prec * (n - j)) for j in range(n + 1)]
-    lo = [c[0] * sc for c, sc in zip(tm, scale)]
-    hi = [c[1] * sc for c, sc in zip(tm, scale)]
-    least = min(sum(w * (lo[j] if w >= 0 else hi[j]) for j, w in enumerate(row))
-                for row in rows)
-    return least // (d << (prec * n))
+    choice of coefficients in the intervals tm[j], at the scale of tm[j]
+    rs[j]: the least Bernstein coefficient, each a linear form in the
+    tm[j] rs[j], formed exactly in integers and rounded down once."""
+    rows, d = _bernstein_weights(len(tm) - 1)
+    lo = [c[0] * sc for c, sc in zip(tm, rs)]
+    hi = [c[1] * sc for c, sc in zip(tm, rs)]
+    return min(sum(w * (lo[j] if w >= 0 else hi[j]) for j, w in enumerate(row))
+               for row in rows) // d
 
 
 def enclose(ctx, node, a, b, rem=None):
@@ -839,12 +815,13 @@ def enclose(ctx, node, a, b, rem=None):
     sign.  The form is P + c * [-r, r]^k, where P bounds the midpoint terms
     below order k and c bounds the order-k coefficient over the box.
 
-    P is summed term by term, exactly, and rounded outward once.  When its
-    lower end is <= 0 although the value at the midpoint is > 0, the lower
-    end is raised to the least Bernstein coefficient of the midpoint
-    polynomial on [-r, r]: term by term, c x^v > 0 cannot show on a box
-    wider than about 1/v of its distance from 0.  The upper end is never
-    changed.
+    Every term is exact at one scale, from powers of r formed once per
+    box, and each form is the exact sum P + c * [-r, r]^k rounded outward
+    once.  When P's lower end is <= 0 although the value at the midpoint
+    is > 0, the lower end is raised to the least Bernstein coefficient of
+    the midpoint polynomial on [-r, r]: term by term, c x^v > 0 cannot
+    show on a box wider than about 1/v of its distance from 0.  The upper
+    end is never changed.
 
     `rem`, if given, is such a c over a box enclosing [a, b]: it bounds the
     remainder here too.  Then the box vector is skipped when P with rem
@@ -870,28 +847,29 @@ def enclose(ctx, node, a, b, rem=None):
                          memo=ctx.memo)
     except (DomainError, PoleError):
         return enc, None
-    # P = tm[0] + sum_j tm[j] [-r, r]^j, exact at the scale 2**(k prec)
-    # with rj = r^j 2**((k - 1 - j) prec), and rounded outward once
-    sh = (k - 1) * ctx.prec
+    # every term tm[j] [-r, r]^j is exact at the scale 2**((k + 1) prec),
+    # with rs[j] = r^j 2**((k - j) prec); P is their sum for j < k
+    sh = k * ctx.prec
+    rs = [r ** j << (k - j) * ctx.prec for j in range(k + 1)]
     lo, hi = tm[0][0] << sh, tm[0][1] << sh
-    rj = 1 << sh
     for j in range(1, k):
-        rj = rj * r >> ctx.prec
-        clo, chi = tm[j]
-        if not (clo or chi):
-            continue
-        if j % 2:
-            e = max(-clo, chi) * rj
-            lo, hi = lo - e, hi + e
-        else:
-            lo, hi = lo + min(clo * rj, 0), hi + max(chi * rj, 0)
-    poly = (lo >> sh, _ceil_shift(hi, sh))
-    if poly[0] <= 0 < tm[0][0]:
-        poly = (max(poly[0], _bernstein_lo(ctx, tm, r)), poly[1])
-    straddles = poly[0] <= 0 <= poly[1]
+        if tm[j] != (0, 0):
+            p, q = _term(tm[j], rs, j)
+            lo, hi = lo + p, hi + q
+    # P's signs are read at the scale 2**prec of the forms' rounded ends:
+    # when those of P straddle 0, so do those of every form
+    if lo >> sh <= 0 < tm[0][0]:
+        lo = max(lo, _bernstein_lo(tm, rs))
+    straddles = lo >> sh <= 0 <= _ceil_shift(hi, sh)
+
+    def form(c):
+        # P + c [-r, r]^k, exact, rounded outward once
+        p, q = _term(c, rs, k)
+        return iisect(enc, ((lo + p) >> sh, _ceil_shift(hi + q, sh)))
+
     if rem is not None:
         # P is no enclosure by itself: its sign is read, never intersected
-        out = iisect(enc, iadd(poly, _form_term(ctx, rem, r, k)))
+        out = form(rem)
         if out[0] > 0 or out[1] < 0 or straddles:
             return out, rem
     try:
@@ -899,7 +877,7 @@ def enclose(ctx, node, a, b, rem=None):
     except (DomainError, PoleError):
         return enc, None
     c = tx[k]
-    out = iisect(enc, iadd(poly, _form_term(ctx, c, r, k)))
+    out = form(c)
     # Over [0, b] the coefficient grows as b nears a singularity (pi/2 for
     # tan, and off the real axis for tanh): past b = 1 it seldom beats the
     # box's own.  The gate is on b, so every sub-box of an admitted box is
@@ -908,5 +886,5 @@ def enclose(ctx, node, a, b, rem=None):
         c0 = _coeff_from_zero(ctx, node, b)
         if c0 is not None:
             c = iisect(c, c0)
-            out = iisect(enc, iadd(poly, _form_term(ctx, c, r, k)))
+            out = form(c)
     return out, c

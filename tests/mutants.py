@@ -1,34 +1,35 @@
 """Flip each outward rounding of the engine and report the flips no test sees.
 
-The first 33 mutants below each turn one rounding the wrong way: a lower
+The first 32 mutants below each turn one rounding the wrong way: a lower
 end rounded up, an upper end rounded down, or a certified lower bound of pi
-raised above pi.  Fourteen of them flip the one outward rounding of a
-Taylor coefficient: in `_tmul`, `_tsqr`, the sin and cos lines of
-`_tsincos`, the w and t lines of `_ttan`, and `enclose`'s polynomial part.
-`_tdiv` rounds through `_xdiv`, as `idiv` does, so the four `idiv` flips
-reach it too.  The next four weaken the exact proof steps.  Two hit the
-positive steps, which read a sign off an integer kernel: one lets a zero
-value pass, the other changes T3.5's kernel.  `b_t32-shift-short` shifts
-T3.2's b_n, also the kernel of its g_n, one bit short, so its 4^n reads
-4^n/2.  `step-drops-carry` deletes the line of `prove._steps` that moves
-a_(n+1) into a_n, so every step is taken from the sequence's first value.
-`probe-refutes-straddle` lets a point refute a claim in
-`prove._grid_refute` when its enclosure merely reaches below 0.  The last
-four break a rule of `_core.enclose`, not a rounding: the inherited
-remainder term taken at order k + 1, an even-order term's lower end not
-held at 0 or below, the coefficient over [0, b] taken at TAYLOR_ORDER
-without its removable quotients' lost orders, and that coefficient taken
-for a box left of 0 as well.  For each, the repository is copied to a
-temporary directory, the one edit is made there, and `pytest -x -q` runs
-on the copy.  A mutant that leaves the suite green survives: the edit it
-makes has no test.
+raised above pi.  Twelve of them flip the one outward rounding of a Taylor
+coefficient: in `_tmul`, `_tsqr`, the sin and cos lines of `_tsincos`, and
+the w and t lines of `_ttan`; two flip the one rounding of each Taylor form
+of `enclose`.  `_tdiv` rounds through `_xdiv`, as `idiv` does, so the four
+`idiv` flips reach it too.  The next four weaken the exact proof steps.
+Two hit the positive steps, which read a sign off an integer kernel: one
+lets a zero value pass, the other changes T3.5's kernel.
+`b_t32-shift-short` shifts T3.2's b_n, also the kernel of its g_n, one bit
+short, so its 4^n reads 4^n/2.  `step-drops-carry` deletes the line of
+`prove._steps` that moves a_(n+1) into a_n, so every step is taken from
+the sequence's first value.  `probe-refutes-straddle` lets a point refute
+a claim in `prove._grid_refute` when its enclosure merely reaches below 0.
+The last five break a rule of `_core`, not a rounding: the cross products
+of `_sq` counted once, not twice; and in `enclose`, the inherited
+remainder times r, as if taken at order k + 1, an even-order term taken at
+r^j alone, not over [0, r^j], the coefficient over [0, b] taken at
+TAYLOR_ORDER without its removable quotients' lost orders, and that
+coefficient taken for a box left of 0 as well.  For each, the repository
+is copied to a temporary directory, the one edit is made there, and
+`pytest -x -q` runs on the copy.  A mutant that leaves the suite green
+survives: the edit it makes has no test.
 
-`test_canonical_report_is_pinned`, `test_exact_reports_are_pinned` and
-`test_refute_report_is_pinned` are deselected on every run: each hashes
-reports' bytes, so it catches a change,
-not an unsound one, and a flip whose error stays below the printed digits
-would pass it.  So is `test_each_mutant_anchor_is_once_in_its_file`, which
-every mutant's own edit fails.
+`test_canonical_report_is_pinned`, `test_exact_reports_are_pinned`,
+`test_refute_report_is_pinned` and `test_holdout_report_is_pinned` are
+deselected on every run: each hashes reports' bytes, so it catches a
+change, not an unsound one, and a flip whose error stays below the printed
+digits would pass it.  So is `test_each_mutant_anchor_is_once_in_its_file`,
+which every mutant's own edit fails.
 
 Usage, from the repository root (stdlib only; pytest runs in a subprocess):
 
@@ -36,10 +37,13 @@ Usage, from the repository root (stdlib only; pytest runs in a subprocess):
     python tests/mutants.py idiv ipow    # the mutants whose label starts so
 
 Each mutant takes from a few seconds (killed early) to a full Tier-1 run
-(survived).  The unmutated copy runs first and must pass.  Exit status is
-0 when every mutant run is killed, 1 when one survives, and 2 when no
-label matches, a text to flip is not once in its file, or the unmutated
-copy fails.
+(survived).  Each pytest run is capped at 1 GiB of address space (on POSIX
+systems): a mutant that makes a bisection keep Taylor vectors without end
+then fails out of memory instead of exhausting the machine; the unmutated
+suite stays near 120 MB resident.  The unmutated copy runs first and must
+pass.  Exit status is 0 when every mutant run is killed, 1 when one
+survives, and 2 when no label matches, a text to flip is not once in its
+file, or the unmutated copy fails.
 """
 
 import os
@@ -96,9 +100,6 @@ MUTANTS = [
     ("pi-hi-down", CORE,
      "return lo >> 16, _ceil_shift(hi, 16)",
      "return lo >> 16, hi >> 16"),
-    ("form_term-hi-down", CORE,
-     "return (lo >> sh, _ceil_shift(hi, sh))",
-     "return (lo >> sh, hi >> sh)"),
     ("tmul-lo-up", CORE,
      "return [(p >> prec, _ceil_shift(q, prec)) for p, q in zip(lo, hi)]",
      "return [(_ceil_shift(p, prec), _ceil_shift(q, prec)) for p, q in zip(lo, hi)]"),
@@ -135,15 +136,17 @@ MUTANTS = [
     ("ttan-t-hi-down", CORE,
      "t.append(((t_lo >> prec) // j, -((-t_hi >> prec) // j)))",
      "t.append(((t_lo >> prec) // j, (t_hi >> prec) // j))"),
-    ("poly-lo-up", CORE,
-     "poly = (lo >> sh, _ceil_shift(hi, sh))",
-     "poly = (_ceil_shift(lo, sh), _ceil_shift(hi, sh))"),
-    ("poly-hi-down", CORE,
-     "poly = (lo >> sh, _ceil_shift(hi, sh))",
-     "poly = (lo >> sh, hi >> sh)"),
+    ("form-lo-up", CORE,
+     "return iisect(enc, ((lo + p) >> sh, _ceil_shift(hi + q, sh)))",
+     "return iisect(enc, (_ceil_shift(lo + p, sh), _ceil_shift(hi + q, sh)))"),
+    ("form-hi-down", CORE,
+     "return iisect(enc, ((lo + p) >> sh, _ceil_shift(hi + q, sh)))",
+     "return iisect(enc, ((lo + p) >> sh, (hi + q) >> sh))"),
     ("bernstein-lo-up", CORE,
-     "return least // (d << (prec * n))",
-     "return _ceil_div(least, d << (prec * n))"),
+     "return min(sum(w * (lo[j] if w >= 0 else hi[j]) for j, w in enumerate(row))\n"
+     "               for row in rows) // d",
+     "return -(-min(sum(w * (lo[j] if w >= 0 else hi[j]) for j, w in enumerate(row))\n"
+     "                 for row in rows) // d)"),
     ("round_out-lo-up", "src/ineqcert/interval.py",
      "lo = Fraction((self.lo.numerator * scale) // self.lo.denominator, scale)",
      "lo = Fraction(-((-self.lo.numerator * scale) // self.lo.denominator), scale)"),
@@ -168,12 +171,15 @@ MUTANTS = [
     ("probe-refutes-straddle", "src/ineqcert/prove.py",
      "if v.hi < 0:",
      "if v.lo < 0:"),
+    ("sq-cross-undoubled", CORE,
+     "lo, hi = 2 * lo, 2 * hi",
+     "lo, hi = lo, hi"),
     ("inherited-rem-order-up", CORE,
-     "out = iisect(enc, iadd(poly, _form_term(ctx, rem, r, k)))",
-     "out = iisect(enc, iadd(poly, _form_term(ctx, rem, r, k + 1)))"),
-    ("form_term-even-lo", CORE,
-     "lo = min(clo * rj, 0)",
-     "lo = clo * rj"),
+     "out = form(rem)",
+     "out = form(imul(ctx, rem, (r, r)))"),
+    ("term-even-lo", CORE,
+     "return _xmul(c, (-rs[j] if j % 2 else 0, rs[j]))",
+     "return _xmul(c, (-rs[j] if j % 2 else rs[j], rs[j]))"),
     ("coeff0-drops-depth", CORE,
      "k = TAYLOR_ORDER + depth",
      "k = TAYLOR_ORDER"),
@@ -186,10 +192,17 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--deselect", "tests/test_cli.py::test_canonical_report_is_pinned",
           "--deselect", "tests/test_cli.py::test_exact_reports_are_pinned",
           "--deselect", "tests/test_cli.py::test_refute_report_is_pinned",
+          "--deselect", "tests/test_cli.py::test_holdout_report_is_pinned",
           "--deselect",
           "tests/test_mutants.py::test_each_mutant_anchor_is_once_in_its_file"]
+MEMORY_CAP = 1 << 30
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".perfbench_out", "*.egg-info")
+
+
+def _cap_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def run(edit=None):
@@ -202,12 +215,15 @@ def run(edit=None):
             target = copy / path
             target.write_text(target.read_text().replace(old, new))
         proc = subprocess.run(PYTEST, cwd=copy, capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": "src"})
+                              env={**os.environ, "PYTHONPATH": "src"},
+                              preexec_fn=_cap_memory if os.name == "posix" else None)
     lines = proc.stdout.splitlines()
     failed = [ln.split(" ", 1)[1].split(" - ")[0] for ln in lines
               if ln.startswith("FAILED ") or ln.startswith("ERROR ")]
-    return proc.returncode != 0, (failed[0] if failed else
-                                  (lines[-1] if lines else proc.stderr.strip()))
+    # a run that dies without a test report (a MemoryError at the cap) names
+    # the last line of its stderr
+    tail = proc.stderr.strip().splitlines() or lines or [""]
+    return proc.returncode != 0, failed[0] if failed else tail[-1]
 
 
 def main(argv):

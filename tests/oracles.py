@@ -34,7 +34,7 @@ from itertools import accumulate
 from math import ceil, comb, factorial, floor
 
 from ineqcert import _core, prove
-from ineqcert._core import fn_range, iadd
+from ineqcert._core import fn_range
 from ineqcert.errors import DomainError, PoleError
 from ineqcert.exact import bernoulli, tangent
 from ineqcert.interval import Interval
@@ -547,6 +547,21 @@ def tsincos_dense(ctx, u, hyper):
     return s, c
 
 
+def _exact_square_coeff(a, m):
+    """(a^2)[m] exactly, by the full convolution: its middle term the exact
+    square, never below 0."""
+    lo = hi = 0
+    for p in range(m + 1):
+        s, q = (_exact_square(a[p]) if 2 * p == m
+                else _exact_product(a[p], a[m - p]))
+        lo, hi = lo + s, hi + q
+    return lo, hi
+
+
+def tsqr_dense(ctx, a):
+    return [_round_out(ctx, *_exact_square_coeff(a, m)) for m in range(len(a))]
+
+
 def ttan_dense(ctx, u, hyper):
     """tan(u) (tanh(u) when hyper) by the recurrence t' = u' w, w = 1 + t^2
     (1 - t^2): each (t^2)[m] the full convolution, its middle term the exact
@@ -556,15 +571,10 @@ def ttan_dense(ctx, u, hyper):
     t = [fn_range(ctx, "tanh" if hyper else "tan", u[0][0], u[0][1])]
     w = []
     for j in range(1, k + 1):
-        m = j - 1
-        lo = hi = 0
-        for p in range(m + 1):
-            s, q = (_exact_square(t[p]) if 2 * p == m
-                    else _exact_product(t[p], t[m - p]))
-            lo, hi = lo + s, hi + q
+        lo, hi = _exact_square_coeff(t, j - 1)
         if hyper:
             lo, hi = -hi, -lo
-        if m == 0:
+        if j == 1:
             lo, hi = lo + one * one, hi + one * one
         w.append(_round_out(ctx, lo, hi))
         lo = hi = 0
@@ -581,18 +591,22 @@ def ttan_quotient(ctx, u, hyper):
     return tdiv_dense(ctx, s, c)
 
 
-def poly_part(ctx, tm, r):
-    """tm[0] + sum_{j>=1} tm[j] [-r, r]^j in Fractions, rounded outward once
-    to 2**-prec: each term the least and the greatest product of an end of
-    tm[j] and an end of [-r, r]^j, which is [0, r^j] for even j."""
-    one = ctx.one
-    rr = Fraction(r, one)
-    lo, hi = Fraction(tm[0][0], one), Fraction(tm[0][1], one)
+def term_exact(ctx, c, r, j):
+    """c [-r, r]^j in Fractions, exact: the least and the greatest product
+    of an end of c and an end of [-r, r]^j, which is [0, r^j] for even j."""
+    rj = Fraction(r, ctx.one) ** j
+    powers = (0, rj) if j % 2 == 0 else (-rj, rj)
+    ends = [Fraction(e, ctx.one) * p for e in c for p in powers]
+    return min(ends), max(ends)
+
+
+def poly_exact(ctx, tm, r):
+    """tm[0] + sum_{j>=1} tm[j] [-r, r]^j in Fractions, exact."""
+    lo, hi = Fraction(tm[0][0], ctx.one), Fraction(tm[0][1], ctx.one)
     for j in range(1, len(tm)):
-        powers = (0, rr ** j) if j % 2 == 0 else (-rr ** j, rr ** j)
-        ends = [Fraction(c, one) * p for c in tm[j] for p in powers]
-        lo, hi = lo + min(ends), hi + max(ends)
-    return floor(lo * one), ceil(hi * one)
+        t_lo, t_hi = term_exact(ctx, tm[j], r, j)
+        lo, hi = lo + t_lo, hi + t_hi
+    return lo, hi
 
 
 # --- the recursive tree walk -------------------------------------------------
@@ -642,17 +656,25 @@ def enclose_full_order(ctx, node, a, b):
     except (DomainError, PoleError):
         return enc
     r = max(b - m, m - a)
-    poly = poly_part(ctx, tm[:k], r)
-    if poly[0] <= 0 < tm[0][0]:
-        poly = (max(poly[0], bernstein_lo_fraction(ctx, tm[:k], r)), poly[1])
+    one = ctx.one
+    lo, hi = poly_exact(ctx, tm[:k], r)
+    if floor(lo * one) <= 0 < tm[0][0]:
+        lo = max(lo, bernstein_least(ctx, tm[:k], r))
+    straddles = floor(lo * one) <= 0 <= ceil(hi * one)
+
+    def form(c):
+        # P + c [-r, r]^k, exact, rounded outward once
+        t_lo, t_hi = term_exact(ctx, c, r, k)
+        return _core.iisect(enc, (floor((lo + t_lo) * one),
+                                  ceil((hi + t_hi) * one)))
+
     c = tx[k]
-    form = _core.iisect(enc, iadd(poly, _core._form_term(ctx, c, r, k)))
-    if form[0] <= 0 <= form[1] and not poly[0] <= 0 <= poly[1] and 0 <= a and b < ctx.one:
+    out = form(c)
+    if out[0] <= 0 <= out[1] and not straddles and 0 <= a and b < one:
         vec = vector_from_zero_walk(ctx, node, b)
         if vec is not None:
-            c = _core.iisect(c, vec[k])
-            form = _core.iisect(enc, iadd(poly, _core._form_term(ctx, c, r, k)))
-    return form
+            out = form(_core.iisect(c, vec[k]))
+    return out
 
 
 # --- the two rules of enclose near 0 ----------------------------------------
@@ -660,8 +682,9 @@ def enclose_full_order(ctx, node, a, b):
 # The least Bernstein coefficient in Fractions, each weight from the monomial
 # expansion of (2s - 1)^j and the classical conversion of monomial to
 # Bernstein coefficients; and the [0, b] coefficient with removable quotients
-# shifted, found and applied in one recursive walk.  `_core._bernstein_lo`
-# and `_core._coeff_from_zero` must return exactly these.
+# shifted, found and applied in one recursive walk.  `_core._bernstein_lo`,
+# at the scale of its powers, and `_core._coeff_from_zero` must return
+# exactly these.
 
 @lru_cache(maxsize=None)
 def _bernstein_weight(n, i, j):
@@ -671,9 +694,9 @@ def _bernstein_weight(n, i, j):
                         comb(n, m)) for m in range(min(i, j) + 1))
 
 
-def bernstein_lo_fraction(ctx, tm, r):
-    """`bernstein_least` rounded down once to the scale 2**prec."""
-    return floor(bernstein_least(ctx, tm, r) * ctx.one)
+def bernstein_lo_fraction(ctx, tm, r, scale):
+    """`bernstein_least` rounded down once to the scale `scale`."""
+    return floor(bernstein_least(ctx, tm, r) * scale)
 
 
 def bernstein_least(ctx, tm, r):

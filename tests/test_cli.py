@@ -613,8 +613,8 @@ def test_empty_intersection_is_a_stanza_unknown(monkeypatch, tmp_path):
     # a Taylor form far above the plain range contradicts it: the stanza
     # that needs the form is Unknown, naming the box, and the run goes on
     from ineqcert import _core
-    monkeypatch.setattr(_core, "_form_term",
-                        lambda ctx, c, r, j: (ctx.one << 20, ctx.one << 20))
+    monkeypatch.setattr(_core, "_term",
+                        lambda c, rs, j: (1 << 10000, 1 << 10000))
     corpus, out = tmp_path / "two.ineq", tmp_path / "o.json"
     corpus.write_text(_FIXTURE_TWO)
     assert run_command(["prove", "--corpus", str(corpus), "--out", str(out)]) == 2
@@ -1061,6 +1061,21 @@ def test_refute_report_is_pinned(tmp_path):
     out = tmp_path / "refute.json"
     assert run_command(["prove", "--corpus", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _REFUTE_SHA256
+
+
+# sha256 of the hold-out corpus's report at default options
+_HOLDOUT_SHA256 = "012e5d8480120eab72bd83127762ae36a37e4233e90f501a6bf1478427d4c931"
+
+
+def test_holdout_report_is_pinned(tmp_path):
+    """The hold-out corpus's report, byte for byte, leaf counts and all.
+
+    A change that alters it on purpose updates _HOLDOUT_SHA256 and explains
+    each changed verdict, margin or leaf count in CHANGES.md."""
+    holdout = Path(__file__).parent / "data" / "holdout.ineq"
+    out = tmp_path / "holdout.json"
+    assert run_command(["prove", "--corpus", str(holdout), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _HOLDOUT_SHA256
 
 
 # the exact path's 18 commands at --nmax 500: each sequence check the corpus

@@ -3,7 +3,7 @@ and against the dense reference loops in `oracles`."""
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
 
 import mpmath
 import pytest
@@ -14,9 +14,9 @@ from ineqcert.lang import INF, eval_endpoint, parse_expression
 from ineqcert.prove import ProveOptions, prove_positive, verify_inequality
 from oracles import (bernstein_least, bernstein_lo_fraction,
                      enclose_full_order, idiv_eight, imul_dense,
-                     point_series_helpers, tdiv_dense, tmul_dense,
-                     tsincos_dense, ttan_dense, ttan_quotient,
-                     vector_from_zero_walk, walk)
+                     point_series_helpers, poly_exact, tdiv_dense,
+                     term_exact, tmul_dense, tsincos_dense, tsqr_dense,
+                     ttan_dense, ttan_quotient, vector_from_zero_walk, walk)
 
 _SIGNS = ("nonneg", "nonpos", "straddle", "thin", "zero")
 
@@ -234,6 +234,7 @@ def test_tsqr_equals_dense_square(shape):
     ctx = get_ctx(192)
     rng = random.Random(shape)
     k = _core.TAYLOR_ORDER
+    tighter = 0
     for _ in range(40):
         if shape == "sparse":
             a = _vector(rng, 4 * ctx.one)
@@ -241,10 +242,15 @@ def test_tsqr_equals_dense_square(shape):
             sign = "thin" if shape == "point" else "straddle"
             a = [_interval(rng, 4 * ctx.one, sign) for _ in range(k + 1)]
         sq = _core._tsqr(ctx, a)
-        assert sq == tmul_dense(ctx, a, a)
+        assert sq == tsqr_dense(ctx, a)
         # _tmul squares a vector it gets twice; an equal copy takes the
-        # general product, with the same result
-        assert _core._tmul(ctx, a, a) == sq == _core._tmul(ctx, a, list(a))
+        # general product, which holds the square: its middle terms may
+        # reach below 0
+        assert _core._tmul(ctx, a, a) == sq
+        general = _core._tmul(ctx, a, list(a))
+        assert all(g[0] <= s[0] and s[1] <= g[1] for g, s in zip(general, sq))
+        tighter += general != sq
+    assert tighter > 0 or shape == "point"
 
 
 def test_plan_holds_each_distinct_subtree_once():
@@ -479,11 +485,17 @@ def _poly_lo(ctx, tm, h):
                for j, (lo, hi) in enumerate(tm))
 
 
+def _powers(ctx, r, k):
+    """rs[j] = r^j 2**((k - j) prec), j = 0..k: r^j at the scale of r^k."""
+    return [r ** j << (k - j) * ctx.prec for j in range(k + 1)]
+
+
 def test_integer_bernstein_bound_equals_fraction_reference(corpus_specs):
     # seeded corpus boxes across each domain and within 1/8 of 0, and
-    # random interval vectors of every sign pattern: the integer bound
-    # equals the Fraction one, is below the midpoint polynomial at both
-    # ends and the midpoint, and beats the term-by-term sum on some boxes
+    # random interval vectors of every sign pattern: the integer bound, at
+    # the scale of its powers, equals the Fraction one, is below the
+    # midpoint polynomial at both ends and the midpoint, and beats the
+    # exact term-by-term sum on some boxes
     ctx = get_ctx(192)
     k = _core.TAYLOR_ORDER
     rng = random.Random(1993)
@@ -498,18 +510,20 @@ def test_integer_bernstein_bound_equals_fraction_reference(corpus_specs):
                 m = (a + b) // 2
                 r = max(b - m, m - a)
                 tm = _core.eval_taylor(ctx, node, _core._tvar(ctx, m, m, k - 1), k - 1)
-                lo = _core._bernstein_lo(ctx, tm, r)
-                assert lo == bernstein_lo_fraction(ctx, tm, r), (spec.name, i, j, den)
+                rs = _powers(ctx, r, k)
+                scale = ctx.one * rs[0]
+                lo = _core._bernstein_lo(tm, rs)
+                assert lo == bernstein_lo_fraction(ctx, tm, r, scale), (spec.name, i, j, den)
                 for h in (-r, 0, r):
-                    assert Fraction(lo, ctx.one) <= _poly_lo(ctx, tm, h), (spec.name, i, j)
-                term_lo = tm[0][0] + sum(_core._form_term(ctx, tm[t], r, t)[0]
-                                         for t in range(1, k))
-                raised += lo > term_lo
+                    assert Fraction(lo, scale) <= _poly_lo(ctx, tm, h), (spec.name, i, j)
+                raised += Fraction(lo, scale) > poly_exact(ctx, tm, r)[0]
     assert raised > 0
     for _ in range(60):
         tm = _vector(rng, 4 * ctx.one, k - 1)
         r = rng.randrange(1, ctx.one)
-        assert _core._bernstein_lo(ctx, tm, r) == bernstein_lo_fraction(ctx, tm, r)
+        rs = _powers(ctx, r, k)
+        assert (_core._bernstein_lo(tm, rs)
+                == bernstein_lo_fraction(ctx, tm, r, ctx.one * rs[0]))
 
 
 def test_vector_from_zero_holds_point_vectors(corpus_specs):
@@ -824,21 +838,41 @@ def test_point_series_equals_the_helper_loop(tag, limit):
         assert _core._point_series(ctx, m, tag) == point_series_helpers(ctx, m, tag), m
 
 
-def test_form_term_rounds_the_exact_product_outward_by_under_one_ulp():
-    # c * [-r, r]^j from the corners of the exact product: each end is the
-    # exact end rounded outward, so the true value lies within one ulp
+def test_each_form_rounds_the_exact_sum_outward_by_under_one_ulp(corpus_specs):
+    # P + c [-r, r]^k, with c of each sign pattern handed down as `rem`, on
+    # seeded corpus boxes: each end the plain range does not give is the
+    # end of the exact sum, P's lower end raised as `enclose` raises it,
+    # rounded outward, so it lies within one ulp of the exact end
     ctx = get_ctx(192)
+    one = ctx.one
+    k = _core.TAYLOR_ORDER
     rng = random.Random(776)
-    for j in range(1, _core.TAYLOR_ORDER + 1):
-        for sign in _SIGNS:
-            for _ in range(12):
-                c = _interval(rng, 4 * ctx.one, sign)
-                r = rng.randrange(ctx.one // 4)
-                powers = (0, r ** j) if j % 2 == 0 else (-r ** j, r ** j)
-                ends = [Fraction(ci * p, ctx.one ** j) for ci in c for p in powers]
-                lo, hi = _core._form_term(ctx, c, r, j)
-                assert lo <= min(ends) < lo + 1, (j, c, r)
-                assert hi - 1 < max(ends) <= hi, (j, c, r)
+    checked = 0
+    for spec in corpus_specs:
+        node = spec.difference()
+        for _ in range(2):
+            x = Fraction(rng.randrange(1, 96), 64)
+            a, b = ctx.lo_of(x), ctx.lo_of(x + Fraction(1, 64 << rng.randrange(4)))
+            enc = _core.eval_plain(ctx, node, (a, b))
+            m = (a + b) // 2
+            r = max(b - m, m - a)
+            tm = _core.eval_taylor(ctx, node, _core._tvar(ctx, m, m, k - 1), k - 1)
+            lo, hi = poly_exact(ctx, tm, r)
+            if floor(lo * one) <= 0 < tm[0][0]:
+                lo = max(lo, bernstein_least(ctx, tm, r))
+            for sign in _SIGNS:
+                c = _interval(rng, 4 * one, sign)
+                out, rem = _core.enclose(ctx, node, a, b, c)
+                if rem is not c:        # the plain range or the box's own c
+                    continue
+                t_lo, t_hi = term_exact(ctx, c, r, k)
+                exact = ((lo + t_lo) * one, (hi + t_hi) * one)
+                if out[0] != enc[0]:
+                    assert out[0] <= exact[0] < out[0] + 1, (spec.name, x, c)
+                if out[1] != enc[1]:
+                    assert out[1] - 1 < exact[1] <= out[1], (spec.name, x, c)
+                checked += out[0] != enc[0] and out[1] != enc[1]
+    assert checked >= 100
 
 
 def _rounds_out_by_under_one_ulp(pair, ends):
@@ -919,14 +953,17 @@ def test_lo_of_and_hi_of_round_a_rational_outward_by_under_one_ulp():
 
 
 def test_bernstein_lo_lies_under_one_ulp_below_the_least_coefficient():
+    # at the scale of its powers only the Bernstein denominator leaves the
+    # grid, on about one draw in ten
     ctx = get_ctx(192)
     rng = random.Random(797)
     off_grid = 0
-    for _ in range(40):
+    for _ in range(400):
         tm = _vector(rng, 4 * ctx.one, 6)
         r = rng.randrange(1, ctx.one) | 1
-        least = bernstein_least(ctx, tm, r) * ctx.one
-        lo = _core._bernstein_lo(ctx, tm, r)
+        rs = _powers(ctx, r, 6)
+        least = bernstein_least(ctx, tm, r) * ctx.one * rs[0]
+        lo = _core._bernstein_lo(tm, rs)
         assert lo <= least < lo + 1, (tm, r)
         off_grid += least.denominator != 1
     assert off_grid >= 30

@@ -350,8 +350,8 @@ def test_unknown_scans_only_the_recorded_inconclusive_boxes(monkeypatch):
 def test_no_grid_fallback_after_an_inconsistency(monkeypatch):
     # contradicting enclosures mean no verdict on the stanza can be trusted
     from ineqcert import _core
-    monkeypatch.setattr(_core, "_form_term",
-                        lambda ctx, c, r, j: (ctx.one << 20, ctx.one << 20))
+    monkeypatch.setattr(_core, "_term",
+                        lambda c, rs, j: (1 << 10000, 1 << 10000))
     r = verify_inequality(_DIP)
     assert r.status == "Unknown" and r.witness is None
     assert r.reason.startswith("internal inconsistency: ")

@@ -82,6 +82,17 @@ def _check_pair(pair, want, where):
     assert Fraction(num, den) == want, where
 
 
+def test_theorem_tags_match_the_registered_stanzas(corpus_specs):
+    # nothing in `src/` reads a stanza's `theorem:N` tag, so a retagged or
+    # renamed stanza would drift from THEOREMS["TN"].stanzas unnoticed
+    tagged = {(f"T{spec.tag_value('theorem')}", spec.name)
+              for spec in corpus_specs if spec.tag_value("theorem")}
+    registered = {(t.id, name) for t in THEOREMS.values() for name in t.stanzas}
+    assert tagged == registered
+    assert len(registered) == 8 and {t for t, _ in tagged} == {
+        "T3.1", "T3.2", "T3.3", "T3.4", "T3.5"}
+
+
 def test_every_registered_series_has_an_oracle():
     assert sorted(FORMER_COEFFS) == sorted(series_ids())
 
