@@ -2,11 +2,14 @@
 
 Endpoints are dyadic rationals m / 2**prec stored as plain integers, so every
 operation is exact integer arithmetic with outward rounding: each computed
-pair (lo, hi) satisfies lo/2**prec <= true value <= hi/2**prec.  The public
-Fraction-based Interval type wraps it.  Each Taylor coefficient, and each
-Taylor form of `enclose`, is rounded once: its exact products (`_xmul`) are
-summed exactly, and only the sum, or the sum's quotient, is rounded
-outward.
+pair (lo, hi) satisfies lo/2**prec <= true value <= hi/2**prec.  Each range
+op rounds one exact result outward once: `imul` the product `_xmul` and
+`ipow` the power `_xpow`, while `idiv`'s `_xdiv` floors or ceils each
+exact quotient once.  The public Fraction-based Interval type wraps the
+engine and reads the same sign tables, `_xmul` and `_xpow`, unrounded.
+Each Taylor coefficient, and each Taylor form of `enclose`, is rounded
+once: its exact products (`_xmul`) are summed exactly, and only the sum,
+or the sum's quotient, is rounded outward.
 
 Elementary functions: sin, cos on [-4, 4], tan where the cos enclosure
 excludes 0, sinh/cosh/tanh on [-32, 32].  Ranges over an interval come from
@@ -194,30 +197,26 @@ def _xdiv(ctx, lo, hi, b):
             _ceil_div(lo, b[0] if lo >= 0 else b[1]))
 
 
+def _xpow(a, e):
+    """The exact e-th power (e >= 1) of the pair a, at the e-th power of
+    its scale: the powers of the ends in order for an odd e or a >= 0,
+    reversed for a <= 0, and from 0 for an even e when a straddles 0."""
+    lo, hi = a
+    if e % 2 or lo >= 0:
+        return lo ** e, hi ** e
+    if hi <= 0:
+        return hi ** e, lo ** e
+    return 0, max(lo ** e, hi ** e)
+
+
 def ipow(ctx, a, e):
     one = ctx.one
     if e == 0:
         return (one, one)
     if e < 0:
         return idiv(ctx, (one, one), ipow(ctx, a, -e))
-    sc = one ** (e - 1)
-
-    def plo(m):
-        return (m ** e) // sc if e > 1 else m
-
-    def phi(m):
-        return _ceil_div(m ** e, sc) if e > 1 else m
-
-    lo, hi = a
-    if lo >= 0:
-        return (plo(lo), phi(hi))
-    if hi <= 0:
-        if e % 2:
-            return (plo(lo), phi(hi))
-        return (plo(hi), phi(lo))
-    if e % 2:
-        return (plo(lo), phi(hi))
-    return (0, max(phi(lo), phi(hi)))
+    lo, hi = _xpow(a, e)
+    return (lo >> (e - 1) * ctx.prec, _ceil_shift(hi, (e - 1) * ctx.prec))
 
 
 def iisect(a, b):

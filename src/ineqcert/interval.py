@@ -1,11 +1,12 @@
 """Rational interval arithmetic with certified elementary enclosures.
 
-Endpoints are exact Fractions; arithmetic uses the standard endpoint
-formulas with no rounding, so results are the tightest rational intervals.
-`round_out` optionally widens endpoints to dyadics of a chosen precision to
-keep numbers small inside long computations.  Elementary functions and pi
-come from the fixed-point engine in `_core`, which rounds outward at every
-step.
+Endpoints are exact Fractions and the operators round nothing, so results
+are the tightest rational intervals.  Products and powers take their ends
+from `_core`'s exact sign tables (`_xmul`, `_xpow`), and a quotient is the
+product with the exact reciprocal of its divisor.  `round_out` optionally
+widens endpoints to dyadics of a chosen precision to keep numbers small
+inside long computations.  Elementary functions and pi come from the
+fixed-point engine in `_core`, which rounds outward at every step.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ class Interval(Record):
 
     def __mul__(self, other):
         o = _as_interval(other)
-        ps = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(ps), max(ps))
+        return Interval(*_core._xmul((self.lo, self.hi), (o.lo, o.hi)))
 
     __rmul__ = __mul__
 
@@ -97,8 +97,7 @@ class Interval(Record):
         if o.lo <= 0 <= o.hi:
             raise PoleError(
                 f"division by an interval containing 0: [{o.lo}, {o.hi}]")
-        qs = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(min(qs), max(qs))
+        return self * Interval(1 / o.hi, 1 / o.lo)
 
     def __rtruediv__(self, other):
         return _as_interval(other) / self
@@ -110,15 +109,7 @@ class Interval(Record):
             return Interval(Fraction(1), Fraction(1))
         if e < 0:
             return Interval.point(1) / self ** (-e)
-        if self.lo >= 0:
-            return Interval(self.lo ** e, self.hi ** e)
-        if self.hi <= 0:
-            if e % 2:
-                return Interval(self.lo ** e, self.hi ** e)
-            return Interval(self.hi ** e, self.lo ** e)
-        if e % 2:
-            return Interval(self.lo ** e, self.hi ** e)
-        return Interval(Fraction(0), max(self.lo ** e, self.hi ** e))
+        return Interval(*_core._xpow((self.lo, self.hi), e))
 
     # --- rounding ---------------------------------------------------------
     def round_out(self, bits: int) -> "Interval":

@@ -43,7 +43,7 @@ from typing import Optional
 
 from . import _core
 from ._record import Record
-from .errors import DomainError, EvalError, InconsistencyError, PoleError
+from .errors import DomainError, InconsistencyError, PoleError
 from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, _digit_limit, default_corpus_path,
@@ -194,7 +194,7 @@ def _past_limit(ev, a: Fraction, b: Fraction) -> Optional[str]:
             ev(Interval.point(p))
         except DomainError as exc:
             return f"x={p} is past an argument limit: {exc}"
-        except (PoleError, EvalError):
+        except PoleError:
             pass
     return None
 
@@ -202,13 +202,13 @@ def _past_limit(ev, a: Fraction, b: Fraction) -> Optional[str]:
 def _grid_refute(ev, points) -> Optional[tuple]:
     """(x, ev at x) for the first of points, in order, whose point
     enclosure lies below 0 (the one rule by which a point refutes a
-    claim), skipping a point where ev raises DomainError, PoleError or
-    EvalError; None if none does.  The name is older than this rule: it
-    once named a fixed grid, and the benchmark's traced spans look it up."""
+    claim), skipping a point where ev raises DomainError or PoleError;
+    None if none does.  The name is older than this rule: it once named a
+    fixed grid, and the benchmark's traced spans look it up."""
     for x in points:
         try:
             v = ev(Interval.point(x))
-        except (DomainError, PoleError, EvalError):
+        except (DomainError, PoleError):
             continue
         if v.hi < 0:
             return x, v
@@ -270,7 +270,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
         enc = err = None
         try:
             enc, rem = _enclose(ctx, expr, a, b, None if at_limit else rem)
-        except (DomainError, PoleError, EvalError) as exc:
+        except (DomainError, PoleError) as exc:
             err = str(exc)
             # every box holding an end that raises as a point raises too
             past = isinstance(exc, DomainError) and _past_limit(ev, a, b)
@@ -402,7 +402,7 @@ def _negative_value(diff: Expr, x0: Fraction) -> Optional[Interval]:
     none does."""
     bits = 192
     while bits <= MAX_PRECISION:
-        hit = _grid_refute(lambda x: eval_expr(diff, x, bits), [x0])
+        hit = _grid_refute(lambda x: _enclose(get_ctx(bits), diff, x.lo, x.hi)[0], [x0])
         if hit:
             return hit[1]
         bits *= 2

@@ -68,8 +68,7 @@ from .interval import Interval
 
 __all__ = [
     "CoeffSeq", "TailBound", "get_series", "series_ids",
-    "lemma_coeff", "theorem_coeff", "theorem_pair", "theorem_sign",
-    "sign_function",
+    "lemma_coeff", "theorem_coeff", "theorem_pair", "sign_function",
     "tail_bound",
     "eval_series", "coeff_row", "exact_sum",
     "LEMMA_KINDS", "Theorem", "THEOREMS",
@@ -431,12 +430,6 @@ def sign_function(thm: str, role: str, n: int) -> Callable[[int], int]:
     if kernel is not None:
         return kernel
     return lambda k: theorem_pair(thm, role, k)[0]
-
-
-def theorem_sign(thm: str, role: str, n: int) -> int:
-    """An integer with the sign of `theorem_pair(thm, role, n)`'s value,
-    read by `sign_function`."""
-    return sign_function(thm, role, n)(n)
 
 
 def theorem_coeff(thm: str, role: str, n: int) -> Fraction:

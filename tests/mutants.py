@@ -14,15 +14,17 @@ short, so its 4^n reads 4^n/2.  `step-drops-carry` deletes the line of
 `prove._steps` that moves a_(n+1) into a_n, so every step is taken from
 the sequence's first value.  `probe-refutes-straddle` lets a point refute
 a claim in `prove._grid_refute` when its enclosure merely reaches below 0.
-The last five break a rule of `_core`, not a rounding: the cross products
-of `_sq` counted once, not twice; and in `enclose`, the inherited
+The last seven break a rule of `_core`, not a rounding: the cross
+products of `_sq` counted once, not twice; in `enclose`, the inherited
 remainder times r, as if taken at order k + 1, an even-order term taken at
 r^j alone, not over [0, r^j], the coefficient over [0, b] taken at
 TAYLOR_ORDER without its removable quotients' lost orders, and that
-coefficient taken for a box left of 0 as well.  For each, the repository
-is copied to a temporary directory, the one edit is made there, and
-`pytest -x -q` runs on the copy.  A mutant that leaves the suite green
-survives: the edit it makes has no test.
+coefficient taken for a box left of 0 as well; and in `_xpow`, an even
+power of a pair straddling 0 raised from 0 to the lesser end's power, and
+an even power of a nonpositive pair left in the order of its ends.  For
+each, the repository is copied to a temporary directory, the one edit is
+made there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
+suite green survives: the edit it makes has no test.
 
 `test_canonical_report_is_pinned`, `test_exact_reports_are_pinned`,
 `test_refute_report_is_pinned` and `test_holdout_report_is_pinned` are
@@ -77,11 +79,11 @@ MUTANTS = [
      "_ceil_div(lo, b[0] if lo >= 0 else b[1]))",
      "lo // (b[0] if lo >= 0 else b[1]))"),
     ("ipow-lo-up", CORE,
-     "return (m ** e) // sc if e > 1 else m",
-     "return _ceil_div(m ** e, sc) if e > 1 else m"),
+     "return (lo >> (e - 1) * ctx.prec, _ceil_shift(hi, (e - 1) * ctx.prec))",
+     "return (_ceil_shift(lo, (e - 1) * ctx.prec), _ceil_shift(hi, (e - 1) * ctx.prec))"),
     ("ipow-hi-down", CORE,
-     "return _ceil_div(m ** e, sc) if e > 1 else m",
-     "return (m ** e) // sc if e > 1 else m"),
+     "return (lo >> (e - 1) * ctx.prec, _ceil_shift(hi, (e - 1) * ctx.prec))",
+     "return (lo >> (e - 1) * ctx.prec, hi >> (e - 1) * ctx.prec)"),
     ("lo_of-up", CORE,
      "return (f.numerator << self.prec) // f.denominator",
      "return _ceil_div(f.numerator << self.prec, f.denominator)"),
@@ -186,6 +188,12 @@ MUTANTS = [
     ("coeff0-gate-drops-a", CORE,
      "and 0 <= a and b < ctx.one:",
      "and b < ctx.one:"),
+    ("xpow-straddle-lo-up", CORE,
+     "return 0, max(lo ** e, hi ** e)",
+     "return min(lo ** e, hi ** e), max(lo ** e, hi ** e)"),
+    ("xpow-nonpos-even-order", CORE,
+     "return hi ** e, lo ** e",
+     "return lo ** e, hi ** e"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -10,8 +10,9 @@ ordinary boxes; some are split in two with the parent's remainder
 coefficient handed to each half, as bisection does.  Every `eval_plain` and
 `enclose` result must hold mpmath's value at 100 digits, to within 2^-400,
 at the box's ends and 3 inner points.  A DomainError or PoleError is a valid
-answer; any other exception fails.  The test knows no stanza of the corpus,
-so it guards the arithmetic on inputs that no corpus was tuned on.
+answer; any other exception fails.  Each of the three cases of the exact
+power `_core._xpow` must be reached.  The test knows no stanza of the
+corpus, so it guards the arithmetic on inputs that no corpus was tuned on.
 
 A second test feeds the Taylor kernels random interval vectors directly and
 checks each against the exact series of point choices of its inputs.
@@ -137,10 +138,26 @@ def _points(rng, a, b):
     return [a, *inner, b]
 
 
-def test_every_enclosure_holds_the_mpmath_value():
+def _xpow_case(a, e):
+    """The case of `_core._xpow` that the pair a and the power e take."""
+    if e % 2 or a[0] >= 0:
+        return "in order"
+    return "reversed" if a[1] <= 0 else "from 0"
+
+
+def test_every_enclosure_holds_the_mpmath_value(monkeypatch):
+    # every case of the exact power must be reached, as every sign pair of
+    # the exact product and quotient is in the kernel test below
     rng = random.Random(SEED)
     ctx = _core.Ctx(PREC)
-    checks, misses, raised = 0, [], []
+    checks, misses, raised, powers = 0, [], [], set()
+    xpow = _core._xpow
+
+    def recording_xpow(a, e):
+        powers.add(_xpow_case(a, e))
+        return xpow(a, e)
+
+    monkeypatch.setattr(_core, "_xpow", recording_xpow)
 
     def check(label, text, f, enc, points):
         nonlocal checks
@@ -193,6 +210,7 @@ def test_every_enclosure_holds_the_mpmath_value():
                 run("enclose-right-half", text, fq, node, mid, hi, rem)
     assert not raised, raised[:3]
     assert not misses, misses[:3]
+    assert powers == {"in order", "reversed", "from 0"}
 
 
 # ---------------------------------------------------------------------------

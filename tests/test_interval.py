@@ -34,6 +34,48 @@ def test_division_by_zero_interval_names_offender():
     assert "[-1, 2]" in str(exc.value)
 
 
+def _of_class(rng, kind):
+    """A random interval of one sign class, its ends Fractions."""
+    a, b = sorted(F(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(2))
+    return {"nonneg": Interval(a, b), "nonpos": Interval(-b, -a),
+            "straddle": Interval(-a, b), "point": Interval(-a, -a),
+            "lo-zero": Interval(0, b), "hi-zero": Interval(-b, 0),
+            "zero": Interval(0, 0)}[kind]
+
+
+_CLASSES = ("nonneg", "nonpos", "straddle", "point", "lo-zero", "hi-zero", "zero")
+
+
+def test_mul_div_pow_equal_the_endpoint_definitions():
+    # each result is the least and the greatest of its endpoint products,
+    # quotients or powers (an even power straddling 0 reaches 0): equality,
+    # so a looser interval that still contains the true range fails
+    rng = random.Random(2009)
+    for _ in range(8):
+        for p in _CLASSES:
+            for q in _CLASSES:
+                x, y = _of_class(rng, p), _of_class(rng, q)
+                ps = [u * v for u in (x.lo, x.hi) for v in (y.lo, y.hi)]
+                assert x * y == Interval(min(ps), max(ps)), (x, y)
+                if y.contains(0):
+                    with pytest.raises(PoleError) as exc:
+                        x / y
+                    assert str(exc.value) == (
+                        f"division by an interval containing 0: [{y.lo}, {y.hi}]")
+                else:
+                    qs = [u / v for u in (x.lo, x.hi) for v in (y.lo, y.hi)]
+                    assert x / y == Interval(min(qs), max(qs)), (x, y)
+            for e in range(-3, 6):
+                if e < 0 and x.contains(0):
+                    with pytest.raises(PoleError):
+                        x ** e
+                    continue
+                es = [x.lo ** e, x.hi ** e]
+                if e > 0 and e % 2 == 0 and x.lo < 0 < x.hi:
+                    es.append(F(0))
+                assert x ** e == Interval(min(es), max(es)), (x, e)
+
+
 def test_round_out_contains_original():
     iv = Interval(F(1, 3), F(2, 3))
     r = iv.round_out(16)

@@ -10,8 +10,8 @@ from ineqcert.exact import bernoulli, tangent
 from ineqcert.interval import Interval, elem_enclose, pi_enclose
 from ineqcert.series import (LEMMA_KINDS, PI_LO, THEOREMS, TRIG_X_MAX, CoeffSeq,
                              _register, eval_series, get_series, lemma_coeff,
-                             series_ids, tail_bound, theorem_coeff,
-                             theorem_pair, theorem_sign)
+                             series_ids, sign_function, tail_bound,
+                             theorem_coeff, theorem_pair)
 
 from oracles import (FORMER_COEFFS, SERIES_POWER_FORMS, LemmaSeriesOracle,
                      bernoulli_powers, dominating_term, eval_series_termwise,
@@ -128,7 +128,8 @@ def test_ratio_role_equals_a_over_b(thm):
 
 
 def test_theorem_coeff_domain_errors():
-    for read in (theorem_coeff, theorem_pair, theorem_sign):
+    # sign_function checks its arguments when it is made, before any call
+    for read in (theorem_coeff, theorem_pair, sign_function):
         for args, message in [
                 (("T3.4", "c", 2), "T3.4 sequences start at n=3, got 2"),
                 (("T3.1", "b", 2), "no sequence for theorem 'T3.1' role 'b'"),
@@ -182,7 +183,8 @@ def test_a_kernel_times_its_weight_is_the_pair(kind):
                                       for role in t.roles])
 def test_theorem_sign_has_the_sign_of_the_pair(thm, role):
     for n in range(THEOREMS[thm].start, 301):
-        sign, (num, den) = theorem_sign(thm, role, n), theorem_pair(thm, role, n)
+        sign = sign_function(thm, role, n)(n)
+        num, den = theorem_pair(thm, role, n)
         assert type(sign) is int and den > 0, (thm, role, n)
         assert (sign > 0, sign < 0) == (num > 0, num < 0), (thm, role, n)
 
