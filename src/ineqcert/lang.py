@@ -328,6 +328,7 @@ _FORMAT_OPS = {
     "div": lambda ctx, a, b: (_paren(a, 2) + "/" + _paren(b, 3), 2),
     "pow": lambda ctx, a, n: (_paren(a, 5) + (f"^{n}" if n >= 0 else f"^({n})"), 4),
     "call": lambda ctx, name, a: (f"{name}({a[0]})", 5),
+    "divtan": lambda ctx, v, u: (v, (f"tan({u[0]})", 5)),
 }
 
 
@@ -368,7 +369,8 @@ def _bounded(op):
     return run
 
 
-# exact Fraction intervals for _core's plan runner; endpoints hold no x or calls
+# exact Fraction intervals for _core's plan runner; endpoints hold no x or
+# calls, so no divtan step either
 _ENDPOINT_OPS = {kind: _bounded(op) for kind, op in {
     "lit": lambda ctx, v, x: Interval.point(v),
     "pi": lambda ctx, x: _PI,
@@ -381,10 +383,11 @@ _ENDPOINT_OPS = {kind: _bounded(op) for kind, op in {
 
 def eval_endpoint(e: Expr) -> Interval:
     """Tight enclosure of a constant endpoint expression (exact when pi-free).
-    An `x` or a call in e's plan is a ParseError at the least offset of one,
-    that of the leftmost such node; a non-Expr is one with no offset.  The
-    value is kept on e, as its plan is, with the `_digit_limit()` it was
-    checked under; a valuation that fails keeps nothing."""
+    An `x` or a call in e's plan (a `divtan` step holds a tan call) is a
+    ParseError at the least offset of one, that of the leftmost such node;
+    a non-Expr is one with no offset.  The value is kept on e, as its plan
+    is, with the `_digit_limit()` it was checked under; a valuation that
+    fails keeps nothing."""
     limit = _digit_limit()
     kept = getattr(e, "_endpoint", None)
     if kept is not None and kept[0] == limit:
@@ -392,7 +395,8 @@ def eval_endpoint(e: Expr) -> Interval:
     bad = [None]
     if isinstance(e, Expr):
         steps, positions, _ = _core._plan(e)
-        bad = [p for s, p in zip(steps, positions) if s[0] in ("x", "call")]
+        bad = [p for s, p in zip(steps, positions)
+               if s[0] in ("x", "call", "divtan")]
     if bad:
         raise ParseError("domain endpoints allow only rationals, pi and arithmetic",
                          min(bad))

@@ -14,14 +14,19 @@ short, so its 4^n reads 4^n/2.  `step-drops-carry` deletes the line of
 `prove._steps` that moves a_(n+1) into a_n, so every step is taken from
 the sequence's first value.  `probe-refutes-straddle` lets a point refute
 a claim in `prove._grid_refute` when its enclosure merely reaches below 0.
-The last seven break a rule of `_core`, not a rounding: the cross
+The last nine break a rule of `_core`, not a rounding: the cross
 products of `_sq` counted once, not twice; in `enclose`, the inherited
 remainder times r, as if taken at order k + 1, an even-order term taken at
 r^j alone, not over [0, r^j], the coefficient over [0, b] taken at
 TAYLOR_ORDER without its removable quotients' lost orders, and that
-coefficient taken for a box left of 0 as well; and in `_xpow`, an even
+coefficient taken for a box left of 0 as well; in `_xpow`, an even
 power of a pair straddling 0 raised from 0 to the lesser end's power, and
-an even power of a nonpositive pair left in the order of its ends.  For
+an even power of a nonpositive pair left in the order of its ends; and in
+`_tcot`, the Taylor operands of v/tan(u), the guard on cos u dropped, so
+a box that holds tan's pole is divided (`tcot-drops-cos-guard`, which
+`test_eval_error_position_is_the_failing_node` kills), and sin and cos
+swapped (`tcot-swaps-sin-cos`, which
+`test_taylor_quotient_by_tan_holds_the_mpmath_coefficients` kills).  For
 each, the repository is copied to a temporary directory, the one edit is
 made there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
 suite green survives: the edit it makes has no test.
@@ -39,13 +44,17 @@ Usage, from the repository root (stdlib only; pytest runs in a subprocess):
     python tests/mutants.py idiv ipow    # the mutants whose label starts so
 
 Each mutant takes from a few seconds (killed early) to a full Tier-1 run
-(survived).  Each pytest run is capped at 1 GiB of address space (on POSIX
-systems): a mutant that makes a bisection keep Taylor vectors without end
-then fails out of memory instead of exhausting the machine; the unmutated
-suite stays near 120 MB resident.  The unmutated copy runs first and must
-pass.  Exit status is 0 when every mutant run is killed, 1 when one
-survives, and 2 when no label matches, a text to flip is not once in its
-file, or the unmutated copy fails.
+(survived).  Each copy runs the kernel tests (`FIRST`) before the whole
+suite, which runs the corpus early: a mutant that sends a bisection to
+the leaf budget spends minutes there (`sq-cross-undoubled` took 12 of
+them), and the kernel tests see most mutants in seconds.  A copy that
+passes them still runs every test.  Each pytest run is capped at 1 GiB of
+address space (on POSIX systems): a mutant that makes a bisection keep
+values without end then fails out of memory instead of exhausting the
+machine; the unmutated suite stays near 120 MB resident.  The unmutated
+copy runs first and must pass.  Exit status is 0 when every mutant run is
+killed, 1 when one survives, and 2 when no label matches, a text to flip
+is not once in its file, or the unmutated copy fails.
 """
 
 import os
@@ -194,6 +203,12 @@ MUTANTS = [
     ("xpow-nonpos-even-order", CORE,
      "return hi ** e, lo ** e",
      "return lo ** e, hi ** e"),
+    ("tcot-drops-cos-guard", CORE,
+     "    _cos_off_pole(ctx, *u[0])\n",
+     ""),
+    ("tcot-swaps-sin-cos", CORE,
+     "return _tmul(ctx, v, c), s",
+     "return _tmul(ctx, v, s), c"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -203,6 +218,7 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--deselect", "tests/test_cli.py::test_holdout_report_is_pinned",
           "--deselect",
           "tests/test_mutants.py::test_each_mutant_anchor_is_once_in_its_file"]
+FIRST = ["tests/test_core.py", "tests/test_interval.py"]
 MEMORY_CAP = 1 << 30
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".perfbench_out", "*.egg-info")
@@ -222,9 +238,12 @@ def run(edit=None):
             path, old, new = edit
             target = copy / path
             target.write_text(target.read_text().replace(old, new))
-        proc = subprocess.run(PYTEST, cwd=copy, capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": "src"},
-                              preexec_fn=_cap_memory if os.name == "posix" else None)
+        for first in (FIRST, []):
+            proc = subprocess.run(PYTEST + first, cwd=copy, capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": "src"},
+                                  preexec_fn=_cap_memory if os.name == "posix" else None)
+            if proc.returncode != 0:
+                break
     lines = proc.stdout.splitlines()
     failed = [ln.split(" ", 1)[1].split(" - ")[0] for ln in lines
               if ln.startswith("FAILED ") or ln.startswith("ERROR ")]

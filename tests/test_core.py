@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 from ineqcert import _core, lang
+from ineqcert.cli import run_command
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import INF, eval_endpoint, parse_expression
 from ineqcert.prove import ProveOptions, prove_positive, verify_inequality
@@ -754,6 +755,29 @@ def test_bisection_on_a_new_root_empties_the_memo():
     prove_positive(parse_expression("x - sin(x)"), Interval(Fraction(1, 100), 2))
     assert ctx.memo is not memo and ctx.memo
     assert ctx.root == (ctx.lo_of(Fraction(1, 100)), ctx.hi_of(Fraction(2)))
+
+
+def test_a_full_memo_stores_nothing_and_changes_no_report(monkeypatch, tmp_path,
+                                                          corpus_report):
+    # past MEMO_CAP vectors for one root, Ctx.memo stores no new one and
+    # lookups go on: the corpus report is the same bytes, and no root
+    # holds more than the cap (the shipped corpus peaks near 1,000)
+    cap, peak = 64, [0]
+    monkeypatch.setattr(_core, "MEMO_CAP", cap)
+    scope = _core.Ctx.scope
+
+    def recording(ctx, root):
+        assert ctx.stored == sum(len(steps) for steps in ctx.memo.values())
+        peak[0] = max(peak[0], ctx.stored)
+        return scope(ctx, root)
+
+    monkeypatch.setattr(_core.Ctx, "scope", recording)
+    get_ctx(192).scope(object())            # a root no bisection has
+    out = tmp_path / "capped.json"
+    assert run_command(["prove", "--out", str(out)]) == 0
+    get_ctx(192).scope(object())
+    assert out.read_bytes() == corpus_report[1]
+    assert peak[0] == cap
 
 
 def test_direct_eval_taylor_never_reads_the_memo(monkeypatch, corpus_specs):

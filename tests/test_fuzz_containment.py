@@ -15,11 +15,15 @@ power `_core._xpow` must be reached.  The test knows no stanza of the
 corpus, so it guards the arithmetic on inputs that no corpus was tuned on.
 
 A second test feeds the Taylor kernels random interval vectors directly and
-checks each against the exact series of point choices of its inputs.
+checks each against the exact series of point choices of its inputs.  A
+third checks the box, point and [0, b] vectors of v/tan(u), which the
+Taylor table divides as (v cos u)/sin u, against mpmath's coefficients of
+v over the tan series.
 """
 
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 
@@ -350,3 +354,89 @@ def test_taylor_kernels_hold_every_realisation(monkeypatch):
     assert not misses, misses[:3]
     assert products == {(p, q) for p in ("+", "-", "+-") for q in ("+", "-", "+-")}
     assert quotients == {(p, q) for p in ("+", "-", "+-") for q in ("+", "-")}
+
+
+# ---------------------------------------------------------------------------
+# v/tan(u): one plan step, divided as (v cos u)/sin u
+# ---------------------------------------------------------------------------
+
+TAN_DRAWS = 56
+
+# (text, v, u), v and u polynomials in x, lowest power first
+_BY_TAN = [("x/tan(x)", [0, 1], [0, 1]),
+           ("(x/2)/tan(x/2)", [0, Fraction(1, 2)], [0, Fraction(1, 2)]),
+           ("(x^2+1)/tan(2*x/3)", [1, 0, 1], [0, Fraction(2, 3)])]
+
+
+def _poly_text(p):
+    return " + ".join(f"({c})*x^{i}" for i, c in enumerate(p))
+
+
+def _at(p, xi, k):
+    """The Taylor coefficients of the polynomial p at xi, through order k."""
+    return [sum(c * comb(i, j) * xi ** (i - j) for i, c in enumerate(p) if i >= j)
+            for j in range(k + 1)]
+
+
+def _by_tan_series(v, u, xi, k):
+    """The order-k Taylor coefficients of v/tan(u) at xi, in mpmath, by the
+    tan series sin(u)/cos(u), not by the kernel's sin and cos operands; at a
+    shared zero (xi = 0, where v and u vanish) both series drop it first."""
+    n = k + (xi == 0)
+    vs, us = _at(v, xi, n), _at(u, xi, n)
+    s, c = _sin_cos_series(us, False)
+    t = ser_div(s, c, n)
+    num = [_mp(e) for e in vs]
+    while num[0] == 0 and t[0] == 0:
+        num, t = num[1:], t[1:]
+    return ser_div(num, t, k)
+
+
+def test_taylor_quotient_by_tan_holds_the_mpmath_coefficients():
+    # box, point and [0, b] vectors (the last with _removable's shifts) of
+    # v/tan(u) on [1/64, 3/2], for the three shipped shapes and random
+    # polynomial v with u = q x: each coefficient must hold mpmath's at the
+    # box's ends and inner points, at the point, and over [0, b] at 0 too
+    rng = random.Random(SEED)
+    ctx = _core.Ctx(PREC)
+    one, k = ctx.one, _core.TAYLOR_ORDER
+    checks, misses = 0, []
+
+    def check(label, text, vec, v, u, points):
+        nonlocal checks
+        for xi in points:
+            checks += len(vec)
+            if not _holds_mp(vec, _by_tan_series(v, u, xi, k), one):
+                misses.append((label, text, xi))
+
+    with mpmath.workdps(80):
+        for draw in range(TAN_DRAWS):
+            if draw < 2 * len(_BY_TAN):
+                text, v, u = _BY_TAN[draw % len(_BY_TAN)]
+            else:
+                v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+                v[rng.randint(0, 2)] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                if rng.random() < 0.5:
+                    v[0] = Fraction(0)       # v(0) = 0: a removable quotient
+                u = [0, Fraction(rng.randint(1, 8), 8)]
+                text = f"({_poly_text(v)})/tan(({u[1]})*x)"
+            node = parse_expression(text)
+            a = Fraction(rng.randint(1, 95), 64)
+            b = min(a + Fraction(1, 2 ** rng.randint(2, 8)), Fraction(3, 2))
+            lo, hi = ctx.lo_of(a), ctx.lo_of(b)
+            box = _core.eval_taylor(ctx, node, _core._tvar(ctx, lo, hi, k), k)
+            check("box", text, box, v, u, [Fraction(lo, one), *_points(rng, a, b)[1:-1],
+                                           Fraction(hi, one)])
+            m = (lo + hi) // 2
+            point = _core.eval_taylor(ctx, node, _core._tvar(ctx, m, m, k), k)
+            check("point", text, point, v, u, [Fraction(m, one)])
+            found = _core._removable(ctx, node)
+            assert (found is None) == (v[0] != 0), text
+            if found is not None:
+                shifts, depth = found
+                vec = _core.eval_taylor(ctx, node, _core._tvar(ctx, 0, hi, k + depth),
+                                        k + depth, shifts)
+                check("from 0", text, vec, v, u,
+                      [Fraction(0), *_points(rng, Fraction(0), Fraction(hi, one))[1:]])
+    assert not misses, misses[:3]
+    assert checks > 6000

@@ -3,16 +3,18 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ineqcert import _core
-from ineqcert.errors import EvalError, ParseError
+from ineqcert.errors import EvalError, ParseError, PoleError
 from ineqcert.interval import Interval, get_ctx
 from ineqcert.lang import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Add, Call, Div,
-                           InequalitySpec, Lit, Mul, Neg, PiConst, PowInt, Sub,
-                           VarX, default_corpus_path, eval_endpoint, eval_expr,
-                           format_expr, parse_corpus, parse_expression, tokenize)
+                           Expr, InequalitySpec, Lit, Mul, Neg, PiConst, PowInt,
+                           Sub, VarX, default_corpus_path, eval_endpoint,
+                           eval_expr, format_expr, parse_corpus,
+                           parse_expression, tokenize)
 
 F = Fraction
 
@@ -193,10 +195,26 @@ def test_format_expr_rejects_a_non_expression():
         format_expr(3)
 
 
+def _subtrees(e):
+    yield e
+    for field in ("a", "b", "arg", "base"):
+        child = getattr(e, field, None)
+        if isinstance(child, Expr):
+            yield from _subtrees(child)
+
+
 def test_round_trip_all_corpus_expressions(corpus_specs):
-    for spec in corpus_specs:
+    # the hold-out corpus too; each v/tan(u) is one divtan step, which the
+    # printer writes as v/tan(u)
+    holdout = Path(__file__).parent / "data" / "holdout.ineq"
+    specs = [*corpus_specs, *parse_corpus(holdout.read_text(encoding="utf-8"))]
+    for spec in specs:
         for e in (spec.lhs, spec.rhs, spec.difference()):
             assert parse_expression(format_expr(e)) == e, spec.name
+    by_tan = {e for spec in specs for e in _subtrees(spec.difference())
+              if isinstance(e, Div) and isinstance(e.b, Call) and e.b.fn == "tan"}
+    assert {format_expr(e) for e in by_tan} == {"x/tan(x)", "x/2/tan(x/2)"}
+    assert all(_core._plan(e)[0][-1][0] == "divtan" for e in by_tan)
 
 
 def test_eval_expr_examples():
@@ -226,10 +244,31 @@ def test_eval_error_position_is_the_failing_node():
         with pytest.raises(EvalError) as exc:
             eval_expr(parse_expression(text), x)
         assert exc.value.position == pos, text
+    # v/tan(u) is one plan step, run as (v cos u)/sin u in the Taylor table:
+    # on both paths a box holding pi/2 fails at tan's offset with the
+    # message tan(u) fails with alone, and a divisor holding 0 at the `/`
+    ctx, near = get_ctx(192), Interval(F(3, 2), F(8, 5))
+    for text, x, pos, alone in [("x/tan(x)", near, 2, "tan(x)"),
+                                ("1 + x/tan(x)", near, 6, "tan(x)"),
+                                ("(x+1)/tan(x/2)", Interval(F(3), F(7, 2)), 6, "tan(x/2)"),
+                                ("x/tan(x)", Interval(F(-1, 2), F(1, 2)), 1, None)]:
+        node = parse_expression(text)
+        box = _core._tvar(ctx, ctx.lo_of(x.lo), ctx.hi_of(x.hi))
+        with pytest.raises(EvalError) as plain:
+            eval_expr(node, x)
+        with pytest.raises(PoleError) as taylor:
+            _core.eval_taylor(ctx, node, box, _core.TAYLOR_ORDER)
+        assert plain.value.position == taylor.value.position == pos, text
+        if alone is not None:
+            with pytest.raises(PoleError) as own:
+                _core.eval_plain(ctx, parse_expression(alone), box[0])
+            assert str(taylor.value) == str(own.value), text
+            assert str(plain.value) == f"{own.value} (expression offset {pos})"
 
 
 @pytest.mark.parametrize("text,offset", [("sin(x)", 0), ("x + sin(1)", 0),
-                                         ("2*sin(x)", 2)])
+                                         ("2*sin(x)", 2), ("1/tan(1)", 2),
+                                         ("1/tan(x)", 2)])
 def test_a_bad_endpoint_is_refused_at_its_leftmost_x_or_call(text, offset):
     with pytest.raises(ParseError, match="endpoints allow only") as exc:
         eval_endpoint(parse_expression(text))

@@ -1,4 +1,5 @@
 import json
+import operator
 import re
 from fractions import Fraction
 from math import factorial
@@ -666,6 +667,60 @@ def test_tan_just_past_its_pole_is_refuted():
     assert r.status == "Refuted" and r.witness_value.hi < 0
     half_pi = pi_enclose(F(1, 10 ** 30)) * F(1, 2)
     assert half_pi.hi < r.witness.lo and r.witness.hi < F(1571, 1000)
+
+
+def _mp_value(e, x):
+    """The expression e at the mpmath number x, at mpmath's precision."""
+    kind = e.kind
+    if kind == "x":
+        return x
+    if kind == "lit":
+        return mpmath.mpf(e.value.numerator) / e.value.denominator
+    if kind == "pi":
+        return +mpmath.pi
+    if kind == "call":
+        return getattr(mpmath, e.fn)(_mp_value(e.arg, x))
+    if kind == "pow":
+        return _mp_value(e.base, x) ** e.exponent
+    if kind == "neg":
+        return -_mp_value(e.a, x)
+    ops = {"add": operator.add, "sub": operator.sub,
+           "mul": operator.mul, "div": operator.truediv}
+    return ops[kind](_mp_value(e.a, x), _mp_value(e.b, x))
+
+
+def test_the_sharp_end_of_thm31_hi_proves_under_mpmath(corpus_specs):
+    # with no right margin THM31_HI's core ends at the dyadic just below
+    # pi/2, where its difference is 0.  Divided as (x cos x)/sin x, x/tan(x)
+    # does not grow near pi/2, and the raw difference proves there: each
+    # leaf's bound lies under mpmath's value at 150 digits at the leaf's
+    # ends and midpoint, and each such value is > 0
+    spec = next(s for s in corpus_specs if s.name == "THM31_HI")
+    r = verify_inequality(spec, ProveOptions(eps_hi=F(0)))
+    assert r.status == "Proved" and (r.leaves, r.max_depth) == (15, 12)
+    assert len(r.certificate) == 15
+    node = spec.difference()
+    with mpmath.workdps(150):
+        assert _mp_value(node, mpmath.pi / 2) == pytest.approx(0, abs=1e-140)
+        mp = lambda q: mpmath.mpf(q.numerator) / q.denominator
+        gap = mpmath.pi / 2 - mp(r.certificate[-1].hi)
+        assert 0 < gap < mpmath.mpf(2) ** -140
+        for leaf in r.certificate:
+            for x in (leaf.lo, (leaf.lo + leaf.hi) / 2, leaf.hi):
+                v = _mp_value(node, mp(x))
+                assert mp(leaf.bound) <= v and v > 0, x
+
+
+def test_a_quotient_by_tan_across_its_pole_is_never_proved():
+    # x/tan(x) > -1 holds on (1, 2) but at pi/2, where tan is undefined.
+    # The Taylor table divides x cos x by sin x, which is finite there:
+    # only its guard on cos keeps the pole out of every proof
+    spec, = parse_corpus("inequality T {\n  domain   = (1, 2)\n  lhs      = x/tan(x)\n"
+                         "  relation = >\n  rhs      = -1\n}\n")
+    r = verify_inequality(spec)
+    assert r.status == "Unknown" and "possible pole" in r.reason
+    r = prove_positive(parse_expression("x/tan(x) + 1"), Interval(1, 2))
+    assert r.status != "Proved"
 
 
 # --- near-zero certificates --------------------------------------------------
