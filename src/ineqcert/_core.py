@@ -35,10 +35,10 @@ Bernstein coefficient, and on a box in [0, 1) an undecided coefficient is
 intersected with one over [0, b] in which every removable quotient u/v (u
 and v exactly 0 at 0) is taken as (u/x)/(v/x), not divided by a box of x.
 
-Each step of a plan has a global structural id.  `Ctx` caches point
-series and, for the boxes of one bisection root, up to MEMO_CAP Taylor
-vectors of the costly steps `enclose` runs, by id and base vector: stanzas
-that bisect one core share those of their common sides.  The Taylor ops
+Each step of a plan has a global structural id.  For one bisection root,
+`Ctx` keeps up to MEMO_CAP point series and as many Taylor vectors of the
+costly steps `enclose` runs, by id, box and order: stanzas that bisect one
+core share those of their common sides.  The Taylor ops
 skip every term with an exact (0, 0) factor and square by half convolution
 (`_sq`), the middle square held at 0 or above; sin/cos and sinh/cosh
 vectors come from their coupled recurrence, tan and tanh from the ODE
@@ -105,16 +105,17 @@ def _pi_bracket(prec):
     return lo >> 16, _ceil_shift(hi, 16)
 
 
-# Taylor vectors `Ctx.memo` stores for one bisection root; past it, lookups
-# go on and nothing new is stored.  The shipped corpus stores at most 1,046.
+# Entries each table of `Ctx` stores for one bisection root; past it, lookups
+# go on and nothing new is stored.  The shipped corpus peaks at 1,046.
 MEMO_CAP = 1 << 14
 
 
 class Ctx:
-    """Evaluation context: precision, pi bracket, point series, Taylor memo
-    (`stored` counts its vectors)."""
+    """Evaluation context: precision, pi bracket, and two tables that live
+    for one bisection root (`scope`), each storing while it holds fewer than
+    MEMO_CAP entries: point series (`cache`) and Taylor vectors (`memo`)."""
 
-    __slots__ = ("prec", "one", "pi", "cache", "memo", "root", "stored")
+    __slots__ = ("prec", "one", "pi", "cache", "memo", "root")
 
     def __init__(self, prec=192):
         if prec < 16:
@@ -125,12 +126,11 @@ class Ctx:
         self.cache = {}
         self.memo = {}
         self.root = None
-        self.stored = 0
 
     def scope(self, root):
-        """A bisection of root starts: keep the memo only if it is root's."""
+        """A bisection of root starts: keep the tables only if root's."""
         if root != self.root:
-            self.root, self.memo, self.stored = root, {}, 0
+            self.root, self.cache, self.memo = root, {}, {}
 
     # conversions ----------------------------------------------------------
     def lo_of(self, f):
@@ -319,7 +319,8 @@ def _point_series(ctx, m, tag):
     if neg:
         s = (-s[1], -s[0])
     out = (s, c)
-    ctx.cache[key] = out
+    if len(ctx.cache) < MEMO_CAP:
+        ctx.cache[key] = out
     return out
 
 
@@ -631,7 +632,7 @@ _TAYLOR_OPS = {
 }
 
 
-_STEP_IDS = {}          # global step ids, by (kind, operand ids or values)
+_STEP_IDS = {}  # the one process-wide table: ids by (kind, operand ids or values)
 _STEP_IDS_LOCK = threading.Lock()
 _MEMO_KINDS = frozenset(("call", "mul", "div", "pow", "divtan"))  # the costly steps
 
@@ -689,21 +690,18 @@ def _run(ctx, node, x, ops, shifts=None, memo=None):
     step i (a `divtan` too, after its op has formed the two operands) first
     drops shifts[i] leading coefficients of both operands; an entry of None
     is filled in from the operands, as `_removable` does.
-    With `memo` (a `Ctx.memo`), each costly step is looked up there by the
-    global id its plan carries and x (and whether shifts apply) before it
-    is run, and stored there while ctx has stored fewer than MEMO_CAP."""
+    With `memo` (a `Ctx.memo`), each costly step is looked up there by its
+    global id, the box and order of x (`_tvar`'s) and whether shifts apply
+    before it is run, and stored while the memo holds under MEMO_CAP."""
     steps, positions, ids = _plan(node)
-    if memo is not None:
-        base = (shifts is not None, tuple(x))
-        memo = (memo.setdefault(base, {}) if ctx.stored < MEMO_CAP
-                else memo.get(base, {}))
+    base = None if memo is None else (x[0], len(x), shifts is not None)
     vals = []
     push = vals.append
     try:
         for kind, p, q in steps:
-            key = ids[len(vals)] if memo is not None and kind in _MEMO_KINDS else None
-            if key is not None and key in memo:
-                push(memo[key])
+            key = (ids[len(vals)], base) if base and kind in _MEMO_KINDS else None
+            if key is not None and (hit := memo.get(key)) is not None:
+                push(hit)
                 continue
             if kind == "x":
                 push(x)
@@ -738,9 +736,8 @@ def _run(ctx, node, x, ops, shifts=None, memo=None):
                     raise
             else:
                 push(ops[kind](vals[p], vals[q]))
-            if key is not None and ctx.stored < MEMO_CAP:
+            if key is not None and len(memo) < MEMO_CAP:
                 memo[key] = vals[-1]
-                ctx.stored += 1
     except (DomainError, PoleError) as exc:
         # the first step that fails names the offset; 0 is a valid one
         if getattr(exc, "position", None) is None:
@@ -758,10 +755,13 @@ def eval_taylor(ctx, node, xvec, k, shifts=None, memo=None):
     """Order-k Taylor vector of node, given the vector xvec (k + 1 entries)
     of the variable; with `_removable`'s shifts, each removable quotient
     drops its operands' leading coefficients (and an order).  Only
-    `enclose` passes a memo, so a direct call computes every product."""
+    `enclose` passes a memo, so a direct call computes every product; a
+    memoised xvec must be `_tvar`'s, which its box and order fix."""
     if len(xvec) != k + 1:
         raise ValueError(f"an order-{k} vector has {k + 1} entries, "
                          f"not {len(xvec)}")
+    if memo is not None and xvec != _tvar(ctx, *xvec[0], k):
+        raise ValueError("a memoised run takes _tvar's vector of the variable")
     return _run(ctx, node, xvec, _TAYLOR_OPS, shifts, memo)
 
 
@@ -784,9 +784,6 @@ def _shared_zeros(u, v):
     return s
 
 
-_REMOVABLE = {}         # _removable's findings, by the global id of the root
-
-
 def _removable(ctx, node):
     """(shifts, depth) for node's removable quotients, or None if it has
     none or its plan cannot run at 0.  shifts holds, for each `/` step,
@@ -794,17 +791,19 @@ def _removable(ctx, node):
     point 0, with the rule applied to the steps before it; depth is the
     most orders one path to the root loses.  Exact zeros come only from
     exact operations on exact zeros, so the shifts do not depend on the
-    precision."""
-    root = _plan(node)[2][-1]
-    if root in _REMOVABLE:
-        return _REMOVABLE[root]
+    precision: the finding is kept on the root node, beside its plan."""
+    try:
+        return node._removable
+    except AttributeError:
+        pass
     shifts = [None] * len(_plan(node)[0])
     try:
         out = _run(ctx, node, _tvar(ctx, 0, 0), _TAYLOR_OPS, shifts)
     except (DomainError, PoleError):
         out = ()
-    found = (tuple(shifts), TAYLOR_ORDER + 1 - len(out))
-    return _REMOVABLE.setdefault(root, found if out and any(shifts) else None)
+    found = (tuple(shifts), TAYLOR_ORDER + 1 - len(out)) if out and any(shifts) else None
+    object.__setattr__(node, "_removable", found)     # the nodes are frozen
+    return found
 
 
 def _coeff_from_zero(ctx, node, b):

@@ -515,7 +515,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     end settles that margin.  Every other core, and one the series rule
     does not prove, is bisected as the raw difference, which alone may
     refute it, and `_bisect_positive` ends it by its one rule.  Margins left
-    unverified are reported in `uncovered`; an empty one is not.
+    unverified, an empty core's too, are reported in `uncovered`.
     """
     opts = opts or ProveOptions()
     t0 = time.perf_counter()
@@ -543,13 +543,12 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
                 f"({hi_core}, hi] uncovered (closed end hi lies beyond the core)"
                 if spec.hi_closed else
                 f"[{hi_core}, hi) uncovered (margin eps_hi={opts.eps_hi})")
-    if lo_core >= hi_core:
-        return ProofResult("Unknown", reason="empty core after margins",
-                           theorem=claim)
-
+    empty = lo_core >= hi_core  # no rule runs: every margin is listed
     diff = spec.difference()
     nz = None  # the series rule's verdict on (0, x]
-    if claim is not None and not THEOREMS[claim.thm].derivative_series:
+    if empty:
+        res = ProofResult("Unknown", reason="empty core after margins")
+    elif claim is not None and not THEOREMS[claim.thm].derivative_series:
         # the rule at the core's right end, rounded up to 64 bits to keep
         # the exact powers small, holds on the whole core
         x_hi = Interval.point(hi_core).round_out(64).hi
@@ -590,9 +589,10 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
             f"x={_g6(w.mid)} within [{_g6(v.lo)}, {_g6(v.hi)}]")
 
     if not spec.lo_closed and lo_core > lo_iv.lo:  # a non-empty left margin
-        if claim is None:
+        if claim is None or empty:
+            why = "no registered series" if claim is None else "empty core"
             uncovered.insert(0, f"(lo, {lo_core}] uncovered (margin "
-                                f"eps_lo={opts.eps_lo}; no registered series)")
+                                f"eps_lo={opts.eps_lo}; {why})")
         else:  # a shipped theorem stanza: its domain is (0, ...)
             if nz is None or nz.status != "Proved":
                 nz = near_zero_certificate(claim.thm, lo_core, side)

@@ -14,7 +14,7 @@ short, so its 4^n reads 4^n/2.  `step-drops-carry` deletes the line of
 `prove._steps` that moves a_(n+1) into a_n, so every step is taken from
 the sequence's first value.  `probe-refutes-straddle` lets a point refute
 a claim in `prove._grid_refute` when its enclosure merely reaches below 0.
-The last nine break a rule of `_core`, not a rounding: the cross
+The last twelve break a rule of `_core`, not a rounding: the cross
 products of `_sq` counted once, not twice; in `enclose`, the inherited
 remainder times r, as if taken at order k + 1, an even-order term taken at
 r^j alone, not over [0, r^j], the coefficient over [0, b] taken at
@@ -26,7 +26,14 @@ an even power of a nonpositive pair left in the order of its ends; and in
 a box that holds tan's pole is divided (`tcot-drops-cos-guard`, which
 `test_eval_error_position_is_the_failing_node` kills), and sin and cos
 swapped (`tcot-swaps-sin-cos`, which
-`test_taylor_quotient_by_tan_holds_the_mpmath_coefficients` kills).  For
+`test_taylor_quotient_by_tan_holds_the_mpmath_coefficients` kills); and
+in `_run`, each part of the Taylor memo's key but the step id dropped in
+turn: the box, so boxes share vectors
+(`test_enclose_on_a_warmed_ctx_equals_a_fresh_one`), the order, so two
+removable quotients that lose 2 and 3 orders share one of sin(x) over
+[0, b] (`test_a_memo_vector_is_served_only_at_its_order`), and whether
+shifts apply, so a plain run is served the shifted quotient
+(`test_a_memo_vector_is_served_only_to_its_shifts`).  For
 each, the repository is copied to a temporary directory, the one edit is
 made there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
 suite green survives: the edit it makes has no test.
@@ -209,6 +216,15 @@ MUTANTS = [
     ("tcot-swaps-sin-cos", CORE,
      "return _tmul(ctx, v, c), s",
      "return _tmul(ctx, v, s), c"),
+    ("memo-key-drops-box", CORE,
+     "else (x[0], len(x), shifts is not None)",
+     "else (None, len(x), shifts is not None)"),
+    ("memo-key-drops-order", CORE,
+     "else (x[0], len(x), shifts is not None)",
+     "else (x[0], None, shifts is not None)"),
+    ("memo-key-drops-shifts", CORE,
+     "else (x[0], len(x), shifts is not None)",
+     "else (x[0], len(x), None)"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -681,7 +681,7 @@ def test_a_reversed_box_is_refused():
 # ---------------------------------------------------------------------------
 
 def test_enclose_on_a_warmed_ctx_equals_a_fresh_one(monkeypatch, corpus_specs):
-    # Ctx.memo keeps the costly steps' vectors by global id and base vector,
+    # Ctx.memo keeps the costly steps' vectors by global id, box and order,
     # so stanzas that share a subtree share them.  Every shipped stanza, on
     # boxes drawn once per domain (one of them in [0, 1), where the [0, b]
     # coefficient is built too), encloses on a context the stanzas before
@@ -729,7 +729,7 @@ def test_chain_twin_run_after_its_twin_makes_no_taylor_products(monkeypatch,
                                                                 corpus_specs):
     # CHAIN_1_7_C states exactly what CHAIN_1_3_B does.  Run right after
     # it, on the same core, it takes every vector from the memo and its
-    # shifts from _removable's table
+    # shifts from the difference node they share
     ctx = get_ctx(192)
     ctx.scope(object())             # a root no bisection has: an empty memo
     made = _counting_taylor_products(monkeypatch)
@@ -743,32 +743,35 @@ def test_chain_twin_run_after_its_twin_makes_no_taylor_products(monkeypatch,
 
 
 def test_bisection_on_a_new_root_empties_the_memo():
+    # and the point series: both tables live for one root
     ctx = get_ctx(192)
     box = Interval(Fraction(1, 100), Fraction(4))
     assert prove_positive(parse_expression("x - sin(x)"), box).status == "Proved"
-    memo = ctx.memo
-    assert memo and ctx.root == (ctx.lo_of(box.lo), ctx.hi_of(box.hi))
-    # another expression on the same root keeps it and adds its own steps
+    memo, cache = ctx.memo, ctx.cache
+    assert memo and cache and ctx.root == (ctx.lo_of(box.lo), ctx.hi_of(box.hi))
+    # another expression on the same root keeps them and adds its own entries
     prove_positive(parse_expression("x^3 - sin(x)^3"), box)
-    assert ctx.memo is memo
-    # a new root starts from an empty memo
+    assert ctx.memo is memo and ctx.cache is cache
+    # a new root starts from empty tables
     prove_positive(parse_expression("x - sin(x)"), Interval(Fraction(1, 100), 2))
     assert ctx.memo is not memo and ctx.memo
+    assert ctx.cache is not cache and ctx.cache
     assert ctx.root == (ctx.lo_of(Fraction(1, 100)), ctx.hi_of(Fraction(2)))
 
 
 def test_a_full_memo_stores_nothing_and_changes_no_report(monkeypatch, tmp_path,
                                                           corpus_report):
-    # past MEMO_CAP vectors for one root, Ctx.memo stores no new one and
-    # lookups go on: the corpus report is the same bytes, and no root
-    # holds more than the cap (the shipped corpus peaks near 1,000)
-    cap, peak = 64, [0]
+    # past MEMO_CAP entries for one root, neither Ctx.memo nor Ctx.cache
+    # stores a new one and lookups go on: the corpus report is the same
+    # bytes, and no root holds more than the cap in either table (the
+    # shipped corpus peaks at 1,046 vectors and 109 point series)
+    cap, peak = 64, {"memo": 0, "cache": 0}
     monkeypatch.setattr(_core, "MEMO_CAP", cap)
     scope = _core.Ctx.scope
 
     def recording(ctx, root):
-        assert ctx.stored == sum(len(steps) for steps in ctx.memo.values())
-        peak[0] = max(peak[0], ctx.stored)
+        for table in peak:
+            peak[table] = max(peak[table], len(getattr(ctx, table)))
         return scope(ctx, root)
 
     monkeypatch.setattr(_core.Ctx, "scope", recording)
@@ -777,7 +780,92 @@ def test_a_full_memo_stores_nothing_and_changes_no_report(monkeypatch, tmp_path,
     assert run_command(["prove", "--out", str(out)]) == 0
     get_ctx(192).scope(object())
     assert out.read_bytes() == corpus_report[1]
-    assert peak[0] == cap
+    assert peak == {"memo": cap, "cache": cap}
+
+
+def test_a_bisection_past_the_cap_keeps_its_verdict(monkeypatch):
+    # one bisection that evaluates more distinct points than the cap: its
+    # tables stop at the cap, and the verdict and leaves are the uncapped
+    # ones (past the cap a lookup misses and the value is computed again)
+    ctx = get_ctx(192)
+    node = parse_expression("2*sin(x) + tan(x) - 3*x")          # HUY_TRIG
+    box = Interval(Fraction(1, 1000), Fraction(3, 2))
+    ctx.scope(object())
+    want = prove_positive(node, box)
+    cap, points = 8, set()
+    series = _core._point_series
+
+    def recording(ctx, m, tag):
+        points.add((tag, m))
+        return series(ctx, m, tag)
+
+    monkeypatch.setattr(_core, "MEMO_CAP", cap)
+    monkeypatch.setattr(_core, "_point_series", recording)
+    ctx.scope(object())
+    got = prove_positive(node, box)
+    assert want.status == "Proved"
+    assert (got.status, got.leaves) == (want.status, want.leaves)
+    assert len(points) > cap
+    assert len(ctx.cache) == cap and len(ctx.memo) == cap
+    ctx.scope(object())
+
+
+def test_removable_keeps_its_finding_on_the_node(monkeypatch):
+    # the shifts depend on the expression's structure alone, so the second
+    # call on a node runs no Taylor op, at any precision, and no
+    # process-wide table holds them
+    node = parse_expression("((x - sinh(x))/(x^3)) - (-171/1024)")
+    made = _counting_taylor_products(monkeypatch)
+    found = _core._removable(_core.Ctx(192), node)
+    assert found is not None and made
+    made.clear()
+    assert _core._removable(_core.Ctx(64), node) == found and made == []
+    assert not hasattr(_core, "_REMOVABLE")
+
+
+def test_a_memoised_run_takes_only_tvar_vectors():
+    # the memo key names the variable's vector by its box and order alone,
+    # so a memoised run on any other vector is refused
+    ctx = _core.Ctx(192)
+    k = _core.TAYLOR_ORDER
+    node = parse_expression("x*sin(x)")
+    xvec = _core._tvar(ctx, ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2)))
+    square = _core._tmul(ctx, xvec, list(xvec))       # x^2 over the same box
+    _core.eval_taylor(ctx, node, square, k)           # a direct call runs
+    with pytest.raises(ValueError, match="_tvar"):
+        _core.eval_taylor(ctx, node, square, k, memo=ctx.memo)
+    assert ctx.memo == {}
+    assert _core.eval_taylor(ctx, node, xvec, k, memo=ctx.memo) == \
+        _core.eval_taylor(ctx, node, xvec, k)
+
+
+def test_a_memo_vector_is_served_only_at_its_order():
+    # two removable quotients that lose 2 and 3 orders share the step
+    # sin(x) over [0, b]: each is built at its own order, so the one built
+    # second on a warm memo equals the one on a fresh context
+    ctx = _core.Ctx(192)
+    b = ctx.lo_of(Fraction(1, 2))
+    nodes = [parse_expression(t) for t in ("(x - sin(x))/(x^2)",
+                                           "(x - sin(x))/(x^3) - 1/7")]
+    assert [_core._removable(ctx, n)[1] for n in nodes] == [2, 3]
+    for node in nodes:
+        want = _core._coeff_from_zero(_core.Ctx(192), node, b)
+        assert want is not None and _core._coeff_from_zero(ctx, node, b) == want
+
+
+def test_a_memo_vector_is_served_only_to_its_shifts():
+    # after the shifted run of _coeff_from_zero, a plain memoised run at
+    # the same box and order still divides by the box of x^3, which holds
+    # 0, as it does on a fresh context
+    ctx = _core.Ctx(192)
+    b = ctx.lo_of(Fraction(1, 2))
+    node = parse_expression("(x - sin(x))/(x^3) - 1/7")
+    _, depth = _core._removable(ctx, node)
+    k = _core.TAYLOR_ORDER + depth
+    assert _core._coeff_from_zero(ctx, node, b) is not None
+    for memo in ({}, ctx.memo):
+        with pytest.raises(_core.PoleError):
+            _core.eval_taylor(ctx, node, _core._tvar(ctx, 0, b, k), k, memo=memo)
 
 
 def test_direct_eval_taylor_never_reads_the_memo(monkeypatch, corpus_specs):

@@ -506,6 +506,35 @@ def test_an_empty_margin_is_not_listed(corpus_specs):
     assert u.startswith("[") and u.endswith("hi) uncovered (margin eps_hi=0)")
 
 
+def test_an_empty_core_lists_its_margins(corpus_specs, monkeypatch):
+    # margins that meet leave no core: no rule runs, and each margin is
+    # listed, as under every other verdict
+    r = verify_inequality(_closed_stanza("(30, inf)", "x", "0"))
+    assert (r.status, r.reason, r.leaves) == ("Unknown", "empty core after margins", 0)
+    left, tail = r.uncovered
+    assert left.startswith("(lo, ") and left.endswith(
+        "] uncovered (margin eps_lo=1/1000; no registered series)")
+    assert F(left[len("(lo, "):left.index("]")]) > 30
+    assert tail == "(20, inf) unverified (x_max cutoff)"
+    # eps 1 on each side of (0, pi/2): (lo, 1] and [pi/2 - 1, hi) cover it
+    one = ProveOptions(eps_lo=F(1), eps_hi=F(1))
+    r = verify_inequality(_spec(corpus_specs, "HUY_TRIG"), one)
+    left, right = r.uncovered
+    assert left == "(lo, 1] uncovered (margin eps_lo=1; no registered series)"
+    assert right.startswith("[") and right.endswith("hi) uncovered (margin eps_hi=1)")
+    assert F(right[1:right.index(",")]) < 1
+    # a theorem's stanza takes no series rule on it either
+
+    def no_rule(*args):
+        raise AssertionError("a series rule ran on an empty core")
+
+    monkeypatch.setattr(prove, "near_zero_certificate", no_rule)
+    r = verify_inequality(_spec(corpus_specs, "THM31_LO"), one)
+    assert r.status == "Unknown" and r.theorem.stanza == "THM31_LO"
+    assert r.uncovered[0] == "(lo, 1] uncovered (margin eps_lo=1; empty core)"
+    assert len(r.uncovered) == 2
+
+
 def _closed_stanza(domain, lhs, rhs):
     return parse_corpus(f"inequality CLOSED {{\n  domain   = {domain}\n"
                         f"  lhs      = {lhs}\n  relation = >\n"
