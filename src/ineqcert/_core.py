@@ -409,7 +409,8 @@ def _tvar(ctx, a, b, k=TAYLOR_ORDER):
     """The variable x over [a, b]/2**prec as an order-k vector."""
     if a > b:
         raise ValueError(f"a reversed box: {a} > {b}")
-    return [(a, b), (ctx.one, ctx.one)] + [(0, 0)] * (k - 1)
+    x = [(a, b), (ctx.one, ctx.one)] + [(0, 0)] * (k - 1)
+    return x[:k + 1]  # order 0 is the range alone
 
 
 def _tadd(a, b):

@@ -509,13 +509,14 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     difference cannot be evaluated, ends the core Unknown at the first box
     that holds it).  A stanza that `_registration_ok` finds to be its
     theorem's shipped stanza, its series not a derivative's, takes
-    `near_zero_certificate` once, at the core's end: Proved, it proves the
-    core in one leaf once its prefactor is bisected positive, and covers
-    (0, eps_lo] too; else, and for THM33, the same rule at the core's left
-    end settles that margin.  Every other core, and one the series rule
-    does not prove, is bisected as the raw difference, which alone may
-    refute it, and `_bisect_positive` ends it by its one rule.  Margins left
-    unverified, an empty core's too, are reported in `uncovered`.
+    `near_zero_certificate` once, at the core's end: Proved, with its
+    prefactor bisected Proved positive, it proves the core in one leaf and
+    covers (0, eps_lo] too.  Every other core is bisected as the raw
+    difference, which alone may refute it or end it Unknown, by
+    `_bisect_positive`'s one rule.  A registered stanza's left margin is
+    settled by the rule, at the core's left end if not at its right, or
+    listed with the rule's reason, whatever the core's verdict.  Margins
+    left unverified, an empty core's too, are reported in `uncovered`.
     """
     opts = opts or ProveOptions()
     t0 = time.perf_counter()
@@ -544,8 +545,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
                 if spec.hi_closed else
                 f"[{hi_core}, hi) uncovered (margin eps_hi={opts.eps_hi})")
     empty = lo_core >= hi_core  # no rule runs: every margin is listed
-    diff = spec.difference()
-    nz = None  # the series rule's verdict on (0, x]
+    nz = res = None  # the series rule's verdict on (0, x], and the core's
     if empty:
         res = ProofResult("Unknown", reason="empty core after margins")
     elif claim is not None and not THEOREMS[claim.thm].derivative_series:
@@ -555,32 +555,26 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
         nz = near_zero_certificate(claim.thm, x_hi, side)
         cert = nz.series_certificate
         form = f"series form {claim.series_id}" + (f" (N={cert['N']})" if cert else "")
+        why = (nz.reason if cert is None else
+               f"bound {_g6(cert['bound'])} does not prove the core")
         if nz.status == "Proved":
-            # form >= bound * x^e0 on (0, x_hi]: >= bound * lo_core^e0 here
-            leaf_bound = Interval.point(cert["bound"] * lo_core ** cert["e0"])
-            res = ProofResult("Proved", leaves=1, certificate=[
-                Leaf(lo_core, hi_core, leaf_bound.round_out(bits).lo)])
-            pre_res = _bisect_positive(parse_expression(claim.prefactor),
-                                       lo_core, hi_core, opts)
-            res.findings.append(
-                f"{form} proved {claim.mode}-claim on core; prefactor "
-                f"{claim.prefactor} {pre_res.status.lower()} positive "
-                f"({pre_res.leaves} leaves)")
-            if pre_res.status != "Proved":
-                w = pre_res.witness
-                res.status = "Unknown"
-                res.reason = ("prefactor positivity not established: "
-                              + (pre_res.reason or f"certified negative on "
-                                                   f"[{w.lo}, {w.hi}]"))
-        else:
-            # only the raw difference may refute or end the core Unknown
-            why = (nz.reason if cert is None else
-                   f"bound {_g6(cert['bound'])} does not prove the core")
-            res = _bisect_positive(diff, lo_core, hi_core, opts)
+            pre = _bisect_positive(parse_expression(claim.prefactor),
+                                   lo_core, hi_core, opts)
+            why = (f"prefactor {claim.prefactor} {pre.status.lower()} "
+                   f"positive ({pre.leaves} leaves)")
+            if pre.status == "Proved":
+                # form >= bound * x^e0 on (0, x_hi]: >= bound * lo_core^e0 here
+                leaf_bound = Interval.point(cert["bound"] * lo_core ** cert["e0"])
+                res = ProofResult("Proved", leaves=1, certificate=[
+                    Leaf(lo_core, hi_core, leaf_bound.round_out(bits).lo)])
+                res.findings.append(
+                    f"{form} proved {claim.mode}-claim on core; {why}")
+    if res is None:
+        # only the raw difference may refute or end the core Unknown
+        res = _bisect_positive(spec.difference(), lo_core, hi_core, opts)
+        if nz is not None:
             res.findings.append(f"{form} on (0, {_g6(x_hi)}]: {why}; "
                                 f"the raw difference was bisected instead")
-    else:
-        res = _bisect_positive(diff, lo_core, hi_core, opts)
     res.theorem = claim
     if res.status == "Refuted":
         w, v = res.witness, res.witness_value
@@ -601,7 +595,8 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
             if nz.status == "Refuted" and res.status != "Refuted":
                 res.status = "Refuted"
                 res.witness, res.witness_value = nz.witness, nz.witness_value
-            elif nz.status == "Unknown" and res.status == "Proved":
+                res.reason = None  # the core's Unknown no longer stands
+            elif nz.status == "Unknown":
                 uncovered.insert(0, f"(lo, {lo_core}] uncovered (near-zero "
                                     f"certificate inconclusive: {nz.reason})")
     res.uncovered = uncovered

@@ -14,7 +14,7 @@ short, so its 4^n reads 4^n/2.  `step-drops-carry` deletes the line of
 `prove._steps` that moves a_(n+1) into a_n, so every step is taken from
 the sequence's first value.  `probe-refutes-straddle` lets a point refute
 a claim in `prove._grid_refute` when its enclosure merely reaches below 0.
-The last twelve break a rule of `_core`, not a rounding: the cross
+The next twelve break a rule of `_core`, not a rounding: the cross
 products of `_sq` counted once, not twice; in `enclose`, the inherited
 remainder times r, as if taken at order k + 1, an even-order term taken at
 r^j alone, not over [0, r^j], the coefficient over [0, b] taken at
@@ -33,8 +33,17 @@ turn: the box, so boxes share vectors
 removable quotients that lose 2 and 3 orders share one of sin(x) over
 [0, b] (`test_a_memo_vector_is_served_only_at_its_order`), and whether
 shifts apply, so a plain run is served the shifted quotient
-(`test_a_memo_vector_is_served_only_to_its_shifts`).  For
-each, the repository is copied to a temporary directory, the one edit is
+(`test_a_memo_vector_is_served_only_to_its_shifts`).  The last three
+break the registered route of `prove.verify_inequality`: the one-leaf
+proof taken for a prefactor that is merely not Refuted
+(`series-route-prefactor-not-refuted`, which
+`test_a_prefactor_that_does_not_prove_leaves_the_core_to_the_raw_difference`
+kills), a stanza registered by its name alone
+(`registration-by-name`, which `test_theorem_names_on_other_claims`
+kills), and a zero series bound taken as settling the sign in
+`near_zero_certificate` (`series-bound-admits-zero`, which
+`test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference`
+kills).  For each, the repository is copied to a temporary directory, the one edit is
 made there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
 suite green survives: the edit it makes has no test.
 
@@ -73,6 +82,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CORE = "src/ineqcert/_core.py"
+PROVE = "src/ineqcert/prove.py"
 
 # (label, file, the exact text once in that file, its flipped form)
 MUTANTS = [
@@ -174,7 +184,7 @@ MUTANTS = [
     ("series-PI_LO-above-pi", "src/ineqcert/series.py",
      "PI_LO = Fraction(314159265358979, 10 ** 14)",
      "PI_LO = Fraction(314159265358980, 10 ** 14)"),
-    ("positive-step-admits-zero", "src/ineqcert/prove.py",
+    ("positive-step-admits-zero", PROVE,
      "if not sign(n) > 0:",
      "if not sign(n) >= 0:"),
     ("t35-kernel-minus-8", "src/ineqcert/series.py",
@@ -183,10 +193,10 @@ MUTANTS = [
     ("b_t32-shift-short", "src/ineqcert/series.py",
      "return ((2 * n - 3) << 2 * n) + (3 + 3 * n - 2 * n * n)",
      "return ((2 * n - 3) << 2 * n - 1) + (3 + 3 * n - 2 * n * n)"),
-    ("step-drops-carry", "src/ineqcert/prove.py",
+    ("step-drops-carry", PROVE,
      "        n0, d0 = n1, d1\n",
      ""),
-    ("probe-refutes-straddle", "src/ineqcert/prove.py",
+    ("probe-refutes-straddle", PROVE,
      "if v.hi < 0:",
      "if v.lo < 0:"),
     ("sq-cross-undoubled", CORE,
@@ -225,6 +235,15 @@ MUTANTS = [
     ("memo-key-drops-shifts", CORE,
      "else (x[0], len(x), shifts is not None)",
      "else (x[0], len(x), None)"),
+    ("series-route-prefactor-not-refuted", PROVE,
+     'if pre.status == "Proved":',
+     'if pre.status != "Refuted":'),
+    ("registration-by-name", PROVE,
+     "return shipped is not None and _statement(spec) == _statement(shipped)",
+     "return shipped is not None"),
+    ("series-bound-admits-zero", PROVE,
+     "if bound <= 0:",
+     "if bound < 0:"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

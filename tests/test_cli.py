@@ -750,6 +750,33 @@ def test_a_wide_left_margin_prints_its_bound_as_a_decimal(tmp_path, eps_lo, boun
         f"settle the sign on (0, {eps_lo}])")
 
 
+def test_a_margin_refutation_drops_the_cores_unknown_reason(tmp_path):
+    # at depth 1 and 64 bits THM33's core is left inconclusive, and the
+    # series rule refutes its left margin: the stanza is Refuted, and the
+    # core's Unknown reason is not kept beside the witness
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--name", "THM33", "--precision", "64",
+                        "--max-depth", "1", "--out", str(out)]) == 0
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Refuted" and claim["witness"] is not None
+    assert not any(f.startswith("reason: ") for f in claim["findings"])
+    assert any("difference certified negative on (0, " in f
+               for f in claim["findings"])
+
+
+def test_a_refuted_core_still_lists_an_unsettled_left_margin(tmp_path):
+    # THM33's core [3, 20] is refuted by bisection; the series rule at
+    # x = 3 settles nothing, so (0, 3] is listed with the rule's reason
+    out = tmp_path / "o.json"
+    assert run_command(["prove", "--name", "THM33", "--eps-lo", "3",
+                        "--out", str(out)]) == 0
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["status"] == "Refuted"
+    assert claim["uncovered"][0] == (
+        "(lo, 3] uncovered (near-zero certificate inconclusive: series "
+        "bound -0.0116919 does not settle the sign on (0, 3])")
+
+
 @pytest.mark.parametrize("x_max,finding", [
     ("300", "series form T3.4_DIFF (N=145) on (0, 300]: bound about -2^1243 "
             "does not prove the core;"),

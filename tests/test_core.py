@@ -839,6 +839,21 @@ def test_a_memoised_run_takes_only_tvar_vectors():
         _core.eval_taylor(ctx, node, xvec, k)
 
 
+def test_an_order_0_run_is_the_range_alone():
+    # _tvar gives k + 1 entries at every order, 0 included, so an order-0
+    # run, plain or memoised, returns one coefficient: a range that holds
+    # eval_plain at the box's ends and midpoint
+    ctx = _core.Ctx(192)
+    node = parse_expression("x*sin(x) - x/tan(x) + 1/cosh(x)^2")
+    a, b = ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2))
+    assert [len(_core._tvar(ctx, a, b, k)) for k in range(3)] == [1, 2, 3]
+    for memo in (None, ctx.memo):
+        (c,) = _core.eval_taylor(ctx, node, _core._tvar(ctx, a, b, 0), 0, memo=memo)
+        for m in (a, (a + b) // 2, b):
+            lo, hi = _core.eval_plain(ctx, node, (m, m))
+            assert c[0] <= lo and hi <= c[1]
+
+
 def test_a_memo_vector_is_served_only_at_its_order():
     # two removable quotients that lose 2 and 3 orders share the step
     # sin(x) over [0, b]: each is built at its own order, so the one built

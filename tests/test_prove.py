@@ -567,16 +567,21 @@ def test_a_closed_end_beyond_the_core_is_listed(domain, lhs, rhs, ends):
             assert core < eval_endpoint(spec.hi_expr).hi
 
 
-def test_a_refuted_prefactor_names_its_box(corpus_specs, monkeypatch):
-    # x - 1 is negative on part of THM31_LO's core: the reason says where,
-    # and never prints None
+def test_a_prefactor_that_does_not_prove_leaves_the_core_to_the_raw_difference(
+        corpus_specs, monkeypatch):
+    # the series route proves a core in one leaf only with its prefactor
+    # Proved positive: x - 1 is refuted on part of THM31_LO's core, and
+    # x - x is 0 everywhere, so Unknown.  Either way the raw difference
+    # decides, proves the true claim, and the finding names the verdict
     claim = THEOREM_CLAIMS["THM31_LO"]
-    monkeypatch.setitem(THEOREM_CLAIMS, "THM31_LO",
-                        claim.replace(prefactor="x - 1"))
-    r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
-    assert r.status == "Unknown" and "None" not in r.reason
-    assert r.reason.startswith(
-        "prefactor positivity not established: certified negative on [")
+    for prefactor, verdict in (("x - 1", "refuted"), ("x - x", "unknown")):
+        monkeypatch.setitem(THEOREM_CLAIMS, "THM31_LO",
+                            claim.replace(prefactor=prefactor))
+        r = verify_inequality(_spec(corpus_specs, "THM31_LO"))
+        assert r.status == "Proved" and r.reason is None and r.leaves > 1
+        assert any(f"prefactor {prefactor} {verdict} positive (" in f and
+                   f.endswith("; the raw difference was bisected instead")
+                   for f in r.findings), r.findings
 
 
 def test_verify_huy_trig(corpus_specs):
