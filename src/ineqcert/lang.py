@@ -341,6 +341,118 @@ def format_expr(e: Expr) -> str:
 
 # --- evaluation -------------------------------------------------------------
 
+def _subtrees(e: Expr):
+    yield e
+    for child in (getattr(e, f, None) for f in ("a", "b", "base", "arg")):
+        if isinstance(child, Expr):
+            yield from _subtrees(child)
+
+
+def _numerator_tans(t: Expr):
+    """The tan calls among term t's numerator factors: t itself, and those
+    of the factors of a `*`, the dividend of a `/` and the operand of a
+    unary `-`."""
+    if t.kind == "call":
+        return [t] if t.fn == "tan" else []
+    if t.kind == "mul":
+        return _numerator_tans(t.a) + _numerator_tans(t.b)
+    return _numerator_tans(t.a) if t.kind in ("div", "neg") else []
+
+
+def tan_multipliers(e: Expr) -> tuple:
+    """The multipliers cos(u) that clear tan's poles from e, in order of
+    first use: one per tan argument u that some additive term of e has as
+    its one numerator factor tan(u), with no other tan(u) in that term,
+    while every other term holds tan(u) only as the divisor of v/tan(u).
+    Kept on e, as its plan is."""
+    try:
+        return e._multipliers
+    except AttributeError:
+        pass
+    ok, first, numerators, terms = {}, {}, set(), []   # first: u's first tan(u)
+    _signed_terms(e, 1, terms)
+    for _, t in terms:
+        numer = [n.arg for n in _numerator_tans(t)]
+        nodes = list(_subtrees(t))
+        tans = [n for n in nodes if n.kind == "call" and n.fn == "tan"]
+        divisors = [n.b.arg for n in nodes if n.kind == "div" and n.b in tans]
+        held = [n.arg for n in tans]
+        for n in tans:
+            first.setdefault(n.arg, n.pos)
+        for u in held:
+            c, k = numer.count(u), held.count(u)
+            ok[u] = ok.get(u, True) and (c == k == 1 or c == 0 and k == divisors.count(u))
+            if c:
+                numerators.add(u)
+    # each cos(u) takes the offset of the first tan(u), which names its errors
+    found = tuple(Call("cos", u, first[u]) for u, good in ok.items()
+                  if good and u in numerators)
+    object.__setattr__(e, "_multipliers", found)        # the nodes are frozen
+    return found
+
+
+def _swap_numerator(t: Expr, old: Expr, new: Expr) -> Expr:
+    """Term t with its numerator factor old (see `_numerator_tans`) as new."""
+    if t == old:
+        return new
+    if t.kind == "mul":
+        return Mul(_swap_numerator(t.a, old, new), _swap_numerator(t.b, old, new), t.pos)
+    if t.kind == "div":
+        return Div(_swap_numerator(t.a, old, new), t.b, t.pos)
+    return Neg(_swap_numerator(t.a, old, new), t.pos) if t.kind == "neg" else t
+
+
+def _signed_terms(e: Expr, sign: int, out: list):
+    """Append (sign, term) for each additive term of e, its sign under the
+    +, - and unary - above it."""
+    if e.kind in ("add", "sub"):
+        _signed_terms(e.a, sign, out)
+        _signed_terms(e.b, sign if e.kind == "add" else -sign, out)
+    elif e.kind == "neg":
+        _signed_terms(e.a, -sign, out)
+    else:
+        out.append((sign, e))
+
+
+def clear_tan(e: Expr, multipliers: tuple) -> Expr:
+    """N = m*e for the product m of the given multipliers cos(u) of
+    `tan_multipliers(e)`, as an exact rewrite: in each additive term whose
+    numerator factor is tan(u), that factor becomes sin(u), and every other
+    term is multiplied by cos(u), once for the sum of the terms that lack
+    the same multipliers.  So N has no pole where those tan(u) have one.
+    One node per e and multipliers, kept on e (so stanzas of one statement
+    share it and its plan); e itself for none."""
+    if not multipliers:
+        return e
+    kept = getattr(e, "_cleared", None)
+    if kept is None:
+        kept = {}
+        object.__setattr__(e, "_cleared", kept)         # the nodes are frozen
+    n = kept.get(multipliers)
+    if n is None:
+        terms, groups = [], {}      # the multipliers a term lacks -> its terms
+        _signed_terms(e, 1, terms)
+        for sign, t in terms:
+            lacks = []
+            for m in multipliers:
+                tan = Call("tan", m.arg)
+                if tan in _numerator_tans(t):
+                    t = _swap_numerator(t, tan, Call("sin", m.arg, m.pos))
+                else:
+                    lacks.append(m)
+            groups.setdefault(tuple(lacks), []).append((sign, t))
+        for lacks, group in groups.items():
+            g = None
+            for sign, t in group:
+                g = (t if sign > 0 else Neg(t, t.pos)) if g is None else (
+                    Add if sign > 0 else Sub)(g, t, t.pos)
+            for m in lacks:
+                g = Mul(g, m, m.pos)
+            n = g if n is None else Add(n, g, g.pos)
+        kept[multipliers] = n
+    return n
+
+
 def eval_expr(e: Expr, x: Interval, precision: int = 192) -> Interval:
     """Certified enclosure of {e(t) : t in x} at the given dyadic precision."""
     ctx = get_ctx(precision)

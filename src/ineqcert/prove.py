@@ -5,6 +5,8 @@
   evaluation and order-12 midpoint Taylor forms, so differences that
   vanish to high order at an endpoint still certify with modest leaf
   counts.  Each box hands its remainder coefficient down to its halves.
+  Where tan(u)'s pole lies near the core, the boxes bound the difference
+  times cos(u), certified > 0 there, which has no pole.
 * `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
   is registered as its theorem only when its domain and difference equal
   those of the same-named stanza in the shipped corpus.  Then one series
@@ -46,8 +48,9 @@ from ._record import Record
 from .errors import DomainError, InconsistencyError, PoleError
 from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
-from .lang import (Expr, InequalitySpec, _digit_limit, default_corpus_path,
-                   eval_endpoint, eval_expr, parse_corpus, parse_expression)
+from .lang import (Expr, InequalitySpec, _digit_limit, clear_tan, default_corpus_path,
+                   eval_endpoint, eval_expr, format_expr, parse_corpus,
+                   parse_expression, tan_multipliers)
 from .series import (coeff_row, exact_sum, get_series, sign_function,
                      tail_bound, theorem_coeff, theorem_pair, TailBound,
                      THEOREMS, TRIG_X_MAX)
@@ -127,6 +130,8 @@ class ProofResult(Record):
     uncovered: list = []
     series_certificate: Optional[dict] = None
     theorem: Optional[TheoremClaim] = None  # the registered claim the stanza is
+    bisected: Optional[Expr] = None         # the expression the leaves bound
+    multipliers: tuple = ()                 # its cos(u), each > 0 on the core
 
 
 class SequenceReport(Record):
@@ -215,43 +220,62 @@ def _grid_refute(ev, points) -> Optional[tuple]:
     return None
 
 
+def _positive(ctx, e: Expr, x) -> bool:
+    """Whether `_core.eval_plain` certifies e > 0 over the integer range x."""
+    try:
+        return _core.eval_plain(ctx, e, x)[0] > 0
+    except (DomainError, PoleError):
+        return False
+
+
 def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
                      opts: ProveOptions) -> ProofResult:
     """The one place where a core's bisection ends.
 
     A point refutes the claim by `_grid_refute`'s one rule.  The core's
     midpoint is tried first: if it refutes, it is the witness, and no box
-    or Taylor form is built (0 leaves, depth 0).  Then bisection: Proved
-    when every box certifies positive; Refuted at the first box certified
-    negative, even past inconclusive ones, with that box as the witness,
-    valued at its midpoint if that point refutes, else by its own
-    enclosure.  A box at the depth or width limit that does neither is
-    recorded, and the run stops after MAX_INCONCLUSIVE of them.  Then the
-    ends and midpoint of each recorded box are tried, in order: Refuted at
-    the first that refutes, so a dip narrower than min_width is found
-    wherever bisection pins it; else Unknown, naming the first recorded
-    box.  Three exits end the run Unknown before that scan: a box that
-    raises DomainError at an end that raises it as a point (the reason
-    names that point); a box whose enclosures contradict each other; and
-    more than MAX_LEAVES proved leaves.
+    or Taylor form is built (0 leaves, depth 0).  Then the boxes bound
+    N = `lang.clear_tan(expr, multipliers)`, cos(u)*expr for each
+    multiplier cos(u) of `lang.tan_multipliers(expr)` that `eval_plain`
+    certifies > 0 on the core and not on the core widened by half its
+    width at each end: a pole of tan(u) lies that near, and N has none
+    there.  N has expr's sign on the core, and is expr itself for none.
+    Bisection: Proved when every box certifies N positive; Refuted at the
+    first box certified negative, even past inconclusive ones, with that
+    box as the witness, valued by expr at its midpoint if that point
+    refutes, else by expr's enclosure over the box (a box where expr has
+    none is taken as inconclusive).  A box at the depth or width limit
+    that does neither is recorded, and the run stops after
+    MAX_INCONCLUSIVE of them.  Then the ends and midpoint of each recorded
+    box are tried on expr, in order: Refuted at the first that refutes, so
+    a dip narrower than min_width is found wherever bisection pins it;
+    else Unknown, naming the first recorded box.  Three exits end the run
+    Unknown before that scan: a box that raises DomainError at an end that
+    raises it as a point (the reason names that point); a box whose
+    enclosures contradict each other; and more than MAX_LEAVES proved
+    leaves.
 
     Every box is enclosed by `_core.enclose` at opts.precision, and hands
     the remainder coefficient it returns down to its two halves; a box at
     the depth or width limit gets none, so the enclosure a reason prints is
-    the box's own full form.  The caller times the run (`ProofResult.ms`)."""
+    the box's own full form.  The result records N (`bisected`) and its
+    multipliers; the caller times the run (`ProofResult.ms`)."""
     ctx = get_ctx(opts.precision)
-    ctx.scope((ctx.lo_of(lo), ctx.hi_of(hi)))
+    core = (ctx.lo_of(lo), ctx.hi_of(hi))
+    ctx.scope(core)
 
-    def ev(x: Interval) -> Interval:  # a point's enclosure
+    def ev(x: Interval) -> Interval:  # a point's enclosure, or a box's
         return _enclose(ctx, expr, x.lo, x.hi)[0]
 
     stack, leaves, boxes = [(lo, hi, 0, None)], [], []
     maxd, first_reason = 0, None
+    form, multipliers = expr, ()
 
     def result(status, **kw):
         if status != "Unknown":
             kw["certificate"] = sorted(leaves, key=lambda l: l.lo)
-        return ProofResult(status, leaves=len(leaves), max_depth=maxd, **kw)
+        return ProofResult(status, leaves=len(leaves), max_depth=maxd, bisected=form,
+                           multipliers=multipliers, findings=findings, **kw)
 
     def refuted(hit):
         x, v = hit
@@ -259,9 +283,18 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
 
     # a false claim is most clearly negative inside its core, where one
     # point refutes it before any box is formed
+    findings = []
     hit = _grid_refute(ev, [(lo + hi) / 2])
     if hit:
         return refuted(hit)
+    r = (core[1] - core[0]) // 2
+    multipliers = tuple(m for m in tan_multipliers(expr) if _positive(ctx, m, core)
+                        and not _positive(ctx, m, (core[0] - r, core[1] + r)))
+    if multipliers:
+        form = clear_tan(expr, multipliers)
+        names = [format_expr(m) for m in multipliers]
+        findings.append(f"bisected {'*'.join(names)}*difference: {', '.join(names)} "
+                        f"> 0 on the core, with tan's pole near it")
 
     while stack and len(boxes) < MAX_INCONCLUSIVE:
         a, b, d, rem = stack.pop()
@@ -269,7 +302,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
         at_limit = d >= opts.max_depth or (b - a) <= opts.min_width
         enc = err = None
         try:
-            enc, rem = _enclose(ctx, expr, a, b, None if at_limit else rem)
+            enc, rem = _enclose(ctx, form, a, b, None if at_limit else rem)
         except (DomainError, PoleError) as exc:
             err = str(exc)
             # every box holding an end that raises as a point raises too
@@ -288,8 +321,12 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
                 continue
             if enc.hi < 0:
                 hit = _grid_refute(ev, [(a + b) / 2])
-                return result("Refuted", witness=Interval(a, b),
-                              witness_value=hit[1] if hit else enc)
+                try:
+                    value = hit[1] if hit else enc if form is expr else ev(Interval(a, b))
+                except (DomainError, PoleError) as exc:
+                    err = str(exc)
+                else:
+                    return result("Refuted", witness=Interval(a, b), witness_value=value)
         if at_limit:
             why = err or f"enclosure [{enc.lo}, {enc.hi}] straddles 0"
             bits = opts.precision
@@ -323,9 +360,16 @@ def prove_positive(expr: Expr, domain: Interval, opts: ProveOptions = None) -> P
 
 
 def reverify_certificate(expr: Expr, result: ProofResult, precision: int) -> bool:
-    """Re-evaluate every Proved leaf at another precision; all must stay positive."""
+    """Re-evaluate every Proved leaf at another precision: the expression
+    the leaves bound, expr's cleared form for the result's multipliers,
+    must stay positive on each, and so must each multiplier."""
     ctx = get_ctx(precision)
-    return all(_enclose(ctx, expr, leaf.lo, leaf.hi)[0].lo > 0
+    form = clear_tan(expr, result.multipliers)
+    if result.bisected is not None and result.bisected is not form:
+        return False
+    return all(_enclose(ctx, form, leaf.lo, leaf.hi)[0].lo > 0
+               and all(_positive(ctx, m, (ctx.lo_of(leaf.lo), ctx.hi_of(leaf.hi)))
+                       for m in result.multipliers)
                for leaf in result.certificate)
 
 

@@ -33,7 +33,7 @@ turn: the box, so boxes share vectors
 removable quotients that lose 2 and 3 orders share one of sin(x) over
 [0, b] (`test_a_memo_vector_is_served_only_at_its_order`), and whether
 shifts apply, so a plain run is served the shifted quotient
-(`test_a_memo_vector_is_served_only_to_its_shifts`).  The last three
+(`test_a_memo_vector_is_served_only_to_its_shifts`).  The next three
 break the registered route of `prove.verify_inequality`: the one-leaf
 proof taken for a prefactor that is merely not Refuted
 (`series-route-prefactor-not-refuted`, which
@@ -43,8 +43,15 @@ kills), a stanza registered by its name alone
 kills), and a zero series bound taken as settling the sign in
 `near_zero_certificate` (`series-bound-admits-zero`, which
 `test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference`
-kills).  For each, the repository is copied to a temporary directory, the one edit is
-made there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
+kills).  The last two break the clearing of tan's pole: in
+`lang.clear_tan`, the terms with no tan(u) left without their factor
+cos(u) (`clear-drops-cos-factor`, which
+`test_the_cleared_form_is_cos_times_the_difference` kills), and in
+`prove._bisect_positive`, a multiplier taken without its certificate
+cos(u) > 0 on the core (`clear-skips-cos-certificate`, which
+`test_a_core_that_holds_tans_pole_is_not_cleared` kills).  For each,
+the repository is copied to a temporary directory, the one edit is made
+there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
 suite green survives: the edit it makes has no test.
 
 `test_canonical_report_is_pinned`, `test_exact_reports_are_pinned`,
@@ -244,6 +251,12 @@ MUTANTS = [
     ("series-bound-admits-zero", PROVE,
      "if bound <= 0:",
      "if bound < 0:"),
+    ("clear-drops-cos-factor", "src/ineqcert/lang.py",
+     "g = Mul(g, m, m.pos)",
+     "g = g"),
+    ("clear-skips-cos-certificate", PROVE,
+     "if _positive(ctx, m, core)",
+     "if True"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -373,6 +373,31 @@ def _fuzz_stanza(rng):
             + (f"  tags     = {tags}\n" if tags else "") + "}\n")
 
 
+# tan(q*x) as a numerator factor, in a power and as a divisor, on domains
+# that end before, at and past its pole pi/(2q), where clearing the pole
+# by cos(q*x) applies or must not
+_TAN_TERMS = ("tan({u})", "2*tan({u})/x", "x^3*tan({u})", "-tan({u})/x",
+              "tan({u})^2", "x/tan({u})", "sin(x)*tan({u})", "(sin(x)/x)^2",
+              "tan({u})*cos({u})", "3*x", "2")
+_TAN_ARGS = (("x", "1"), ("2*x", "2"), ("x/2", "1/2"), ("3*x", "3"))
+_TAN_ENDS = ("pi/(2*{q}) - 1/1000", "pi/(2*{q})", "pi/(2*{q}) + 1/10",
+             "3*pi/(4*{q})", "pi/{q}")
+
+
+def _tan_stanza(rng):
+    u, q = rng.choice(_TAN_ARGS)
+    side = lambda n: " + ".join(rng.choice(_TAN_TERMS) for _ in range(n)).format(u=u)
+    tags = ", ".join(rng.sample(("eps_hi:0", "eps_lo:0", "max_depth:16",
+                                 "expected:proved"), rng.randint(0, 2)))
+    return (f"inequality FUZZ_TAN {{\n"
+            f"  domain   = ({rng.choice(('0', '1/1000', 'pi/(8*' + q + ')'))}, "
+            f"{rng.choice(_TAN_ENDS).format(q=q)}{rng.choice(')]')}\n"
+            f"  lhs      = {side(rng.randint(1, 3))}\n"
+            f"  relation = {rng.choice('<>')}\n"
+            f"  rhs      = {side(1)}\n"
+            + (f"  tags     = {tags}\n" if tags else "") + "}\n")
+
+
 def test_fuzzed_corpora_and_options_keep_the_exit_code_contract(tmp_path, capsys):
     # exit 1 means refuted against expectation, so a crash must exit 4 and
     # say so; none of these legal or hostile inputs may reach it
@@ -400,6 +425,13 @@ def test_fuzzed_corpora_and_options_keep_the_exit_code_contract(tmp_path, capsys
         assert code == 3 or not spaced, what
         codes.add(code)
     assert codes == {0, 1, 2, 3}
+    rng = random.Random(44)
+    for _ in range(60):
+        what = _tan_stanza(rng)
+        corpus.write_text(what, encoding="utf-8")
+        code = run_command(["prove", "--corpus", str(corpus), "--out", out])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3) and "internal error" not in err, (what, err)
 
 
 def test_unicode_whitespace_is_a_usage_error(tmp_path, capsys):
@@ -1060,7 +1092,7 @@ def test_shuffled_corpus_gives_the_same_report(tmp_path, corpus_report):
 
 
 # sha256 of the canonical corpus report
-_REPORT_SHA256 = "a1bbba36eb1d2593bc5f56e944ecc9bbd8f0b3e17a1ef94ea1c3d744da8d8925"
+_REPORT_SHA256 = "fc1a77c22d15fd5702978af1c734774115e0f51c4b13b3948ca3535668d7c1d4"
 
 
 def test_canonical_report_is_pinned(corpus_report):
@@ -1095,7 +1127,7 @@ def test_refute_report_is_pinned(tmp_path):
 
 
 # sha256 of the hold-out corpus's report at default options
-_HOLDOUT_SHA256 = "677b5e3dec7d21e2b8b6c657b432bb3a27c9bc9fc6b23c8714aed4803b33d51f"
+_HOLDOUT_SHA256 = "c9aca590209eecc0b1e9fc027a5615246fa7ae2b609d2e5324d2fdc94a2aa6f1"
 
 
 def test_holdout_report_is_pinned(tmp_path):
@@ -1152,6 +1184,23 @@ def test_zero_right_margin_of_a_sharp_upper_claim_ends_without_a_crash(name, cap
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert code == 0
+
+
+@pytest.mark.parametrize("name,leaves,depth", [("WILKER_HI", 6, 4),
+                                               ("WILKER_LO", 15, 12)])
+def test_a_wilker_bound_to_its_zero_right_margin_is_cleared_and_proved(
+        name, leaves, depth, capsys):
+    # with no right margin the core ends at pi/2's endpoint value, about
+    # 2^-150 below pi/2, where cos(x) is still certified > 0: the boxes
+    # bound cos(x)*difference, which has no pole there (the raw difference
+    # ended Unknown at depth 41).  The open end's sliver stays uncovered
+    code = run_command(["prove", "--name", name, "--eps-hi", "0"])
+    (claim,) = json.loads(capsys.readouterr().out)["claims"]
+    assert code == 0 and claim["status"] == "Proved"
+    assert (claim["leaves"], claim["max_depth"]) == (leaves, depth)
+    assert claim["findings"] == ["bisected cos(x)*difference: cos(x) > 0 on "
+                                 "the core, with tan's pole near it"]
+    assert any("uncovered (margin eps_hi=0)" in u for u in claim["uncovered"])
 
 
 def test_margins_that_meet_leave_an_empty_core(capsys):

@@ -1,8 +1,10 @@
 import json
 import operator
+import random
 import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,8 +13,8 @@ from ineqcert import _core, exact, prove, series
 from ineqcert.cli import MAX_NMAX, run_command
 from ineqcert.errors import DomainError, EvalError, PoleError
 from ineqcert.interval import Interval, get_ctx, pi_enclose
-from ineqcert.lang import (eval_endpoint, eval_expr, parse_corpus,
-                           parse_expression)
+from ineqcert.lang import (clear_tan, eval_endpoint, eval_expr, format_expr,
+                           parse_corpus, parse_expression, tan_multipliers)
 from ineqcert.prove import (THEOREM_CLAIMS, ProveOptions, _left_lower_bound,
                             _pick_N, _registration_ok,
                             identity_check, limit_report,
@@ -755,6 +757,113 @@ def test_a_quotient_by_tan_across_its_pole_is_never_proved():
     assert r.status == "Unknown" and "possible pole" in r.reason
     r = prove_positive(parse_expression("x/tan(x) + 1"), Interval(1, 2))
     assert r.status != "Proved"
+
+
+# --- tan's pole cleared: N = cos(u)*difference -------------------------------
+
+_HOLDOUT = Path(__file__).parent / "data" / "holdout.ineq"
+_CLEARED = {"HUY_TRIG", "CHAIN_1_3_A", "WILKER", "WILKER_HI", "WILKER_LO",
+            "CHAIN_1_7_A", "CHAIN_1_8_A", "BECKER_STARK_LO", "BECKER_STARK_HI"}
+
+
+def test_the_cleared_form_is_cos_times_the_difference(corpus_results):
+    # the shipped stanzas as the corpus run left them, and the hold-out's
+    holdout = parse_corpus(_HOLDOUT.read_text(encoding="utf-8"))
+    runs = list(corpus_results) + [(s, verify_inequality(s)) for s in holdout]
+    cleared = {spec.name: r for spec, r in runs if r.multipliers}
+    assert set(cleared) == _CLEARED
+    rng = random.Random(44)
+    with mpmath.workdps(60):
+        for spec, r in runs:
+            if spec.name not in cleared:
+                assert r.bisected in (None, spec.difference()), spec.name
+                continue
+            assert [format_expr(m) for m in r.multipliers] == ["cos(x)"]
+            assert r.bisected is clear_tan(spec.difference(), r.multipliers)
+            assert r.findings[0] == ("bisected cos(x)*difference: cos(x) > 0 on "
+                                     "the core, with tan's pole near it")
+            for _ in range(20):
+                x = mpmath.mpf(rng.random()) * mpmath.pi / 2
+                want = mpmath.cos(x) * _mp_value(spec.difference(), x)
+                assert _mp_value(r.bisected, x) == pytest.approx(want, rel=1e-40,
+                                                                 abs=1e-50)
+
+
+@pytest.mark.parametrize("text", [
+    "tan(x)^2 - 1", "sin(tan(x)) - 1/2", "tan(x)*x/tan(x) - 1",
+    "tan(x)*tan(x) + 1", "x/tan(x) - 1", "1/(2*tan(x)) + tan(x)",
+    "x*(tan(x) + 1) - 1"])
+def test_a_tan_used_otherwise_is_not_cleared(text):
+    e = parse_expression(text)
+    assert tan_multipliers(e) == () and clear_tan(e, ()) is e
+
+
+def test_each_tan_argument_is_cleared_in_turn():
+    # tan(x) and tan(x/2) are each one numerator factor of their term
+    e = parse_expression("2*sin(x)/x + tan(x)/x - sin(x)/x - 2*tan(x/2)/(x/2)")
+    ms = tan_multipliers(e)
+    assert [format_expr(m) for m in ms] == ["cos(x)", "cos(x/2)"]
+    n = clear_tan(e, ms)
+    assert clear_tan(e, ms) is n and "tan" not in format_expr(n)
+    with mpmath.workdps(50):
+        for k in range(1, 10):
+            x = mpmath.mpf(k) / 7
+            want = mpmath.cos(x) * mpmath.cos(x / 2) * _mp_value(e, x)
+            assert _mp_value(n, x) == pytest.approx(want, rel=1e-40)
+
+
+def test_a_core_that_holds_tans_pole_is_not_cleared():
+    # sin(x) wherever it is defined: Unknown at the pole, as it always was.
+    # Taken through cos(x), which holds 0 here, it would read sin(x)cos(x),
+    # negative past pi/2
+    spec, = parse_corpus("inequality T {\n  domain   = (1, 2)\n  lhs      = "
+                         "tan(x)*cos(x)\n  relation = >\n  rhs      = 0\n}\n")
+    r = verify_inequality(spec)
+    assert r.status == "Unknown" and "possible pole" in r.reason
+    assert r.multipliers == () and r.bisected is spec.difference()
+    assert not any(f.startswith("bisected") for f in r.findings)
+
+
+def test_a_core_end_2_to_the_minus_192_below_pi_2_takes_the_raw_difference(
+        corpus_specs, monkeypatch):
+    # cos is not certified > 0 at the 192-bit dyadic just below pi/2, so the
+    # raw difference is bisected there, exactly as with no clearing at all
+    ctx = get_ctx(192)
+    hi = F(ctx.pi[0] >> 1, ctx.one)
+    node = _spec(corpus_specs, "WILKER_HI").difference()
+    opts = ProveOptions(max_depth=12)
+    r = prove_positive(node, Interval(F(1, 1000), hi), opts)
+    assert r.multipliers == () and r.bisected is node and r.findings == []
+    monkeypatch.setattr(prove, "tan_multipliers", lambda e: ())
+    plain = prove_positive(node, Interval(F(1, 1000), hi), opts)
+    assert (r.status, r.leaves, r.max_depth, r.reason) == (
+        plain.status, plain.leaves, plain.max_depth, plain.reason)
+
+
+def test_a_cleared_box_refutes_with_the_raw_differences_value():
+    # tan(x) > x^8 holds at the core's midpoint and fails near 1.4: the
+    # boxes bound sin(x) - x^8 cos(x), and the witness is valued by the
+    # raw difference
+    e = parse_expression("tan(x) - x^8")
+    r = prove_positive(e, Interval(F(1, 1000), F(3, 2)))
+    assert r.status == "Refuted" and r.leaves > 0
+    assert [format_expr(m) for m in r.multipliers] == ["cos(x)"]
+    w, v = r.witness, r.witness_value
+    with mpmath.workdps(120):
+        mid = mpmath.mpf(w.mid.numerator) / w.mid.denominator
+        lo, hi = (mpmath.mpf(q.numerator) / q.denominator for q in (v.lo, v.hi))
+        assert lo <= _mp_value(e, mid) <= hi and v.hi < 0
+
+
+def test_a_cleared_certificate_replays_only_as_its_own_form(corpus_results):
+    spec, r = next((s, r) for s, r in corpus_results if s.name == "WILKER_HI")
+    node = spec.difference()
+    for bits in (256, 384):
+        assert reverify_certificate(node, r, precision=bits)
+    # the raw difference does not stand in for N, nor N for the raw one
+    assert not reverify_certificate(node, r.replace(bisected=node), 256)
+    other = _spec([s for s, _ in corpus_results], "WILKER_LO")
+    assert not reverify_certificate(other.difference(), r, 256)
 
 
 # --- near-zero certificates --------------------------------------------------

@@ -41,7 +41,8 @@ FIELDS = {
     Leaf: ("lo", "hi", "bound"),
     ProofResult: ("status", "witness", "witness_value", "certificate",
                   "leaves", "max_depth", "ms", "reason", "findings",
-                  "uncovered", "series_certificate", "theorem"),
+                  "uncovered", "series_certificate", "theorem", "bisected",
+                  "multipliers"),
     SequenceReport: ("seq_id", "mode", "n_min", "n_max", "all_pass",
                      "first_violation"),
     IdentityReport: ("identity_id", "n_min", "n_max", "holds",
