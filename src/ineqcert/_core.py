@@ -19,15 +19,11 @@ for cos); the corpus never needs argument reduction.
 One evaluator runs a parsed `lang.Expr` as a straight-line plan, each
 distinct subtree once, with one of four op tables: ranges, truncated
 Taylor vectors, and in `lang` exact rational intervals for `eval_endpoint`
-and (text, precedence) pairs for `format_expr`.  A quotient v/tan(u) is one
-step: the range table divides by tan's range, the Taylor table divides
-v cos u by sin u, since a pole of tan is a zero of the quotient, where
-tan's own coefficients grow without bound.  It fails where tan(u) does,
-when cos u's coefficient 0 holds 0.  `enclose` intersects the plain range
-with an order-12 Taylor form about the midpoint, whose midpoint vector
-stops at order 11.  The remainder coefficient of a box vector bounds the
-remainder on every sub-box too (the inclusion property of Taylor models),
-so `enclose` hands it down and takes
+and (text, precedence) pairs for `format_expr`.  `enclose` intersects the
+plain range with an order-12 Taylor form about the midpoint, whose
+midpoint vector stops at order 11.  The remainder coefficient of a box
+vector bounds the remainder on every sub-box too (the inclusion property
+of Taylor models), so `enclose` hands it down and takes
 a parent's: a box builds its own only when the midpoint terms decide the
 sign and the inherited one does not.  Near 0, a lower end <= 0 of the
 midpoint terms above a positive midpoint value is raised to their least
@@ -575,16 +571,6 @@ def _tcall(ctx, name, u):
     return s if name.startswith("sin") else c
 
 
-def _tcot(ctx, v, u):
-    """The operands (v cos u, sin u) of the Taylor quotient v/tan(u).  A
-    pole of tan is a zero of v/tan(u), where tan's own coefficients grow
-    without bound and sin's do not.  The step fails where tan(u) does, with
-    tan's own error: when cos u's coefficient 0 holds 0."""
-    _cos_off_pole(ctx, *u[0])
-    s, c = _tsincos(ctx, u, False)
-    return _tmul(ctx, v, c), s
-
-
 # ---------------------------------------------------------------------------
 # one straight-line plan per expression, run with one of four op tables
 #
@@ -597,22 +583,12 @@ def _tcot(ctx, v, u):
 # root node itself, so it is found by identity (never by Expr equality,
 # which ignores pos) and goes when the node goes.
 #
-# A quotient whose divisor is a tan call, v/tan(u), is one step
-# ("divtan", p, (q, at)): p is v's index, q u's and at the offset of the
-# `/`.  Its plan offset is the tan call's, which names tan's own errors (and
-# an endpoint's refusal, as for a call); a divisor that holds 0 names the
-# `/`, as for any quotient.  Only tan: the same rule for tanh, as
-# x*cosh(x)/sinh(x), cost the hyperbolic stanzas leaves.
-#
 # Op signatures: lit(ctx, value, x), pi(ctx, x), neg(a), add(a, b),
 # sub(a, b), mul(ctx, a, b), div(ctx, a, b), pow(ctx, a, int),
-# call(ctx, name, a), and divtan(ctx, v, u), which returns the two operands
-# of v/tan(u) that the table's div then divides: v and tan's range, or
-# (v cos u, sin u) as Taylor vectors (`_tcot`), or v and the text tan(u).
-# `lang` holds the other two tables: exact endpoint intervals, and the
-# printer's (text, precedence) pairs.  The range table's mul and call look
-# imul and fn_range up at call time, so a rebinding of either module
-# attribute (as the traced benchmark does) sees every call.
+# call(ctx, name, a).  `lang` holds the other two tables: exact endpoint
+# intervals, and the printer's (text, precedence) pairs.  The range table's
+# mul and call look imul and fn_range up at call time, so a rebinding of
+# either module attribute (as the traced benchmark does) sees every call.
 # ---------------------------------------------------------------------------
 
 _RANGE_OPS = {
@@ -622,20 +598,19 @@ _RANGE_OPS = {
     "mul": lambda ctx, a, b: imul(ctx, a, b),
     "div": idiv, "pow": ipow,
     "call": lambda ctx, name, a: fn_range(ctx, name, a[0], a[1]),
-    "divtan": lambda ctx, v, u: (v, fn_range(ctx, "tan", u[0], u[1])),
 }
 
 _TAYLOR_OPS = {
     "lit": lambda ctx, v, x: _tconst((ctx.lo_of(v), ctx.hi_of(v)), len(x) - 1),
     "pi": lambda ctx, x: _tconst(ctx.pi, len(x) - 1),
     "neg": _tneg, "add": _tadd, "sub": _tsub,
-    "mul": _tmul, "div": _tdiv, "pow": _tpow, "call": _tcall, "divtan": _tcot,
+    "mul": _tmul, "div": _tdiv, "pow": _tpow, "call": _tcall,
 }
 
 
 _STEP_IDS = {}  # the one process-wide table: ids by (kind, operand ids or values)
 _STEP_IDS_LOCK = threading.Lock()
-_MEMO_KINDS = frozenset(("call", "mul", "div", "pow", "divtan"))  # the costly steps
+_MEMO_KINDS = frozenset(("call", "mul", "div", "pow"))    # the costly steps
 
 
 def _plan(node):
@@ -648,7 +623,7 @@ def _plan(node):
     steps, positions, ids, index = [], [], [], {}
 
     def visit(n):
-        kind, pos = n.kind, n.pos
+        kind = n.kind
         if kind == "lit":
             step = key = (kind, n.value, None)
         elif kind == "x" or kind == "pi":
@@ -662,10 +637,6 @@ def _plan(node):
         elif kind == "neg":
             p = visit(n.a)
             step, key = (kind, p, None), (kind, ids[p], None)
-        elif kind == "div" and n.b.kind == "call" and n.b.fn == "tan":
-            p, q = visit(n.a), visit(n.b.arg)
-            kind, pos = "divtan", n.b.pos
-            step, key = (kind, p, (q, n.pos)), (kind, ids[p], ids[q])
         else:
             p, q = visit(n.a), visit(n.b)
             step, key = (kind, p, q), (kind, ids[p], ids[q])
@@ -674,7 +645,7 @@ def _plan(node):
         if i is None:
             i = index[gid] = len(steps)
             steps.append(step)
-            positions.append(pos)
+            positions.append(n.pos)
             ids.append(gid)
         return i
 
@@ -688,9 +659,8 @@ def _plan(node):
 def _run(ctx, node, x, ops, shifts=None, memo=None):
     """Value of the expression node at x under the op table: each step of
     its plan once, in order.  With `shifts` (one entry per step), each `/`
-    step i (a `divtan` too, after its op has formed the two operands) first
-    drops shifts[i] leading coefficients of both operands; an entry of None
-    is filled in from the operands, as `_removable` does.
+    step i first drops shifts[i] leading coefficients of both operands; an
+    entry of None is filled in from the operands, as `_removable` does.
     With `memo` (a `Ctx.memo`), each costly step is looked up there by its
     global id, the box and order of x (`_tvar`'s) and whether shifts apply
     before it is run, and stored while the memo holds under MEMO_CAP."""
@@ -718,23 +688,14 @@ def _run(ctx, node, x, ops, shifts=None, memo=None):
                 push(ops["neg"](vals[p]))
             elif kind == "mul":
                 push(ops["mul"](ctx, vals[p], vals[q]))
-            elif kind == "div" or kind == "divtan":
-                if kind == "div":
-                    u, v = vals[p], vals[q]
-                else:
-                    q, at = q
-                    u, v = ops["divtan"](ctx, vals[p], vals[q])
+            elif kind == "div":
+                u, v = vals[p], vals[q]
                 if shifts is not None:
                     s = shifts[len(vals)]
                     if s is None:
                         s = shifts[len(vals)] = _shared_zeros(u, v)
                     u, v = u[s:], v[s:]
-                try:
-                    push(ops["div"](ctx, u, v))
-                except PoleError as exc:
-                    if kind == "divtan":    # the divisor holds 0: the `/` names it
-                        exc.position = at
-                    raise
+                push(ops["div"](ctx, u, v))
             else:
                 push(ops[kind](vals[p], vals[q]))
             if key is not None and len(memo) < MEMO_CAP:

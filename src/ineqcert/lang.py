@@ -328,7 +328,6 @@ _FORMAT_OPS = {
     "div": lambda ctx, a, b: (_paren(a, 2) + "/" + _paren(b, 3), 2),
     "pow": lambda ctx, a, n: (_paren(a, 5) + (f"^{n}" if n >= 0 else f"^({n})"), 4),
     "call": lambda ctx, name, a: (f"{name}({a[0]})", 5),
-    "divtan": lambda ctx, v, u: (v, (f"tan({u[0]})", 5)),
 }
 
 
@@ -375,7 +374,7 @@ def tan_multipliers(e: Expr) -> tuple:
         numer = [n.arg for n in _numerator_tans(t)]
         nodes = list(_subtrees(t))
         tans = [n for n in nodes if n.kind == "call" and n.fn == "tan"]
-        divisors = [n.b.arg for n in nodes if n.kind == "div" and n.b in tans]
+        divisors = [n.b.arg for n in nodes if _by_tan(n)]
         held = [n.arg for n in tans]
         for n in tans:
             first.setdefault(n.arg, n.pos)
@@ -414,16 +413,34 @@ def _signed_terms(e: Expr, sign: int, out: list):
         out.append((sign, e))
 
 
+def _by_tan(n: Expr) -> bool:
+    return n.kind == "div" and n.b.kind == "call" and n.b.fn == "tan"
+
+
+def tan_divisors(e: Expr) -> tuple:
+    """The distinct u of e's quotients v/tan(u), which `clear_tan` rewrites."""
+    return tuple(dict.fromkeys(n.b.arg for n in _subtrees(e) if _by_tan(n)))
+
+
+def _cot(e: Expr) -> Expr:
+    """e with each v/tan(u) written v*cos(u)/sin(u) at tan's offset; e if none."""
+    new = {f: _cot(c) for f in e._fields if isinstance(c := getattr(e, f), Expr)}
+    if _by_tan(e):
+        u, at = new["b"].arg, e.b.pos
+        return Div(Mul(new["a"], Call("cos", u, at), e.pos), Call("sin", u, at), e.pos)
+    return e if all(c is getattr(e, f) for f, c in new.items()) else e.replace(**new)
+
+
 def clear_tan(e: Expr, multipliers: tuple) -> Expr:
     """N = m*e for the product m of the given multipliers cos(u) of
     `tan_multipliers(e)`, as an exact rewrite: in each additive term whose
     numerator factor is tan(u), that factor becomes sin(u), and every other
     term is multiplied by cos(u), once for the sum of the terms that lack
-    the same multipliers.  So N has no pole where those tan(u) have one.
-    One node per e and multipliers, kept on e (so stanzas of one statement
-    share it and its plan); e itself for none."""
-    if not multipliers:
-        return e
+    the same multipliers; then each v/tan(u) becomes v*cos(u)/sin(u), whose
+    Taylor coefficients stay bounded at tan's pole, where N is finite: keep
+    the u of `tan_divisors(e)` off cos's zeros.  One node per e and
+    multipliers, kept on e (so stanzas of one statement share it and its
+    plan); e itself when it has nothing to rewrite."""
     kept = getattr(e, "_cleared", None)
     if kept is None:
         kept = {}
@@ -431,7 +448,8 @@ def clear_tan(e: Expr, multipliers: tuple) -> Expr:
     n = kept.get(multipliers)
     if n is None:
         terms, groups = [], {}      # the multipliers a term lacks -> its terms
-        _signed_terms(e, 1, terms)
+        if multipliers:             # with none, only _cot rewrites e
+            _signed_terms(e, 1, terms)
         for sign, t in terms:
             lacks = []
             for m in multipliers:
@@ -449,7 +467,7 @@ def clear_tan(e: Expr, multipliers: tuple) -> Expr:
             for m in lacks:
                 g = Mul(g, m, m.pos)
             n = g if n is None else Add(n, g, g.pos)
-        kept[multipliers] = n
+        n = kept[multipliers] = _cot(e if n is None else n)
     return n
 
 
@@ -481,8 +499,7 @@ def _bounded(op):
     return run
 
 
-# exact Fraction intervals for _core's plan runner; endpoints hold no x or
-# calls, so no divtan step either
+# exact Fraction intervals for _core's plan runner; endpoints hold no x or calls
 _ENDPOINT_OPS = {kind: _bounded(op) for kind, op in {
     "lit": lambda ctx, v, x: Interval.point(v),
     "pi": lambda ctx, x: _PI,
@@ -495,11 +512,10 @@ _ENDPOINT_OPS = {kind: _bounded(op) for kind, op in {
 
 def eval_endpoint(e: Expr) -> Interval:
     """Tight enclosure of a constant endpoint expression (exact when pi-free).
-    An `x` or a call in e's plan (a `divtan` step holds a tan call) is a
-    ParseError at the least offset of one, that of the leftmost such node;
-    a non-Expr is one with no offset.  The value is kept on e, as its plan
-    is, with the `_digit_limit()` it was checked under; a valuation that
-    fails keeps nothing."""
+    An `x` or a call in e's plan is a ParseError at the least offset of one,
+    that of the leftmost such node; a non-Expr is one with no offset.  The
+    value is kept on e, as its plan is, with the `_digit_limit()` it was
+    checked under; a valuation that fails keeps nothing."""
     limit = _digit_limit()
     kept = getattr(e, "_endpoint", None)
     if kept is not None and kept[0] == limit:
@@ -507,8 +523,7 @@ def eval_endpoint(e: Expr) -> Interval:
     bad = [None]
     if isinstance(e, Expr):
         steps, positions, _ = _core._plan(e)
-        bad = [p for s, p in zip(steps, positions)
-               if s[0] in ("x", "call", "divtan")]
+        bad = [p for s, p in zip(steps, positions) if s[0] in ("x", "call")]
     if bad:
         raise ParseError("domain endpoints allow only rationals, pi and arithmetic",
                          min(bad))

@@ -5,8 +5,9 @@
   evaluation and order-12 midpoint Taylor forms, so differences that
   vanish to high order at an endpoint still certify with modest leaf
   counts.  Each box hands its remainder coefficient down to its halves.
-  Where tan(u)'s pole lies near the core, the boxes bound the difference
-  times cos(u), certified > 0 there, which has no pole.
+  The boxes bound `lang.clear_tan`'s form: v/tan(u) as v*cos(u)/sin(u),
+  each box kept off cos(u)'s zeros, and where tan(u)'s pole lies near the
+  core, the difference times cos(u), certified > 0 there.
 * `verify_inequality`: runs a corpus stanza on its compact core.  A stanza
   is registered as its theorem only when its domain and difference equal
   those of the same-named stanza in the shipped corpus.  Then one series
@@ -50,7 +51,7 @@ from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, _digit_limit, clear_tan, default_corpus_path,
                    eval_endpoint, eval_expr, format_expr, parse_corpus,
-                   parse_expression, tan_multipliers)
+                   parse_expression, tan_divisors, tan_multipliers)
 from .series import (coeff_row, exact_sum, get_series, sign_function,
                      tail_bound, theorem_coeff, theorem_pair, TailBound,
                      THEOREMS, TRIG_X_MAX)
@@ -176,10 +177,14 @@ class ScanReport(Record):
 # generic adaptive bisection
 # ---------------------------------------------------------------------------
 
-def _enclose(ctx, expr: Expr, a: Fraction, b: Fraction, rem=None):
-    """(Interval, rem for sub-boxes) of expr over [a, b] from `_core.enclose`."""
+def _enclose(ctx, expr: Expr, a: Fraction, b: Fraction, rem=None, poles=()):
+    """(Interval, rem for sub-boxes) of expr over [a, b] from `_core.enclose`,
+    refused first, as tan(u) is, where cos holds 0 over a u in poles."""
+    x = (ctx.lo_of(a), ctx.hi_of(b))
+    for u in poles:
+        _core._cos_off_pole(ctx, *_core.eval_plain(ctx, u, x))
     # looked up at call time, so a rebinding of _core.enclose sees it
-    (lo, hi), rem = _core.enclose(ctx, expr, ctx.lo_of(a), ctx.hi_of(b), rem)
+    (lo, hi), rem = _core.enclose(ctx, expr, *x, rem)
     return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one)), rem
 
 
@@ -239,13 +244,14 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
     multiplier cos(u) of `lang.tan_multipliers(expr)` that `eval_plain`
     certifies > 0 on the core and not on the core widened by half its
     width at each end: a pole of tan(u) lies that near, and N has none
-    there.  N has expr's sign on the core, and is expr itself for none.
+    there.  N writes each v/tan(u) as v*cos(u)/sin(u), refusing a box where
+    cos holds 0 over u as tan(u) does.  N has expr's sign on the core.
     Bisection: Proved when every box certifies N positive; Refuted at the
     first box certified negative, even past inconclusive ones, with that
     box as the witness, valued by expr at its midpoint if that point
-    refutes, else by expr's enclosure over the box (a box where expr has
-    none is taken as inconclusive).  A box at the depth or width limit
-    that does neither is recorded, and the run stops after
+    refutes, else by N's enclosure, or with a multiplier by expr's (a box
+    where expr has none is taken as inconclusive).  A box at the depth or
+    width limit that does neither is recorded, and the run stops after
     MAX_INCONCLUSIVE of them.  Then the ends and midpoint of each recorded
     box are tried on expr, in order: Refuted at the first that refutes, so
     a dip narrower than min_width is found wherever bisection pins it;
@@ -290,8 +296,8 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
     r = (core[1] - core[0]) // 2
     multipliers = tuple(m for m in tan_multipliers(expr) if _positive(ctx, m, core)
                         and not _positive(ctx, m, (core[0] - r, core[1] + r)))
+    form, poles = clear_tan(expr, multipliers), tan_divisors(expr)
     if multipliers:
-        form = clear_tan(expr, multipliers)
         names = [format_expr(m) for m in multipliers]
         findings.append(f"bisected {'*'.join(names)}*difference: {', '.join(names)} "
                         f"> 0 on the core, with tan's pole near it")
@@ -302,7 +308,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
         at_limit = d >= opts.max_depth or (b - a) <= opts.min_width
         enc = err = None
         try:
-            enc, rem = _enclose(ctx, form, a, b, None if at_limit else rem)
+            enc, rem = _enclose(ctx, form, a, b, None if at_limit else rem, poles)
         except (DomainError, PoleError) as exc:
             err = str(exc)
             # every box holding an end that raises as a point raises too
@@ -322,7 +328,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
             if enc.hi < 0:
                 hit = _grid_refute(ev, [(a + b) / 2])
                 try:
-                    value = hit[1] if hit else enc if form is expr else ev(Interval(a, b))
+                    value = hit[1] if hit else ev(Interval(a, b)) if multipliers else enc
                 except (DomainError, PoleError) as exc:
                     err = str(exc)
                 else:
@@ -360,17 +366,20 @@ def prove_positive(expr: Expr, domain: Interval, opts: ProveOptions = None) -> P
 
 
 def reverify_certificate(expr: Expr, result: ProofResult, precision: int) -> bool:
-    """Re-evaluate every Proved leaf at another precision: the expression
-    the leaves bound, expr's cleared form for the result's multipliers,
-    must stay positive on each, and so must each multiplier."""
+    """Re-evaluate every leaf of a Proved result at another precision: the
+    expression the leaves bound, expr's cleared form for the result's
+    multipliers, must stay positive on each, off tan's poles as bisection
+    keeps it, and so must each multiplier."""
     ctx = get_ctx(precision)
-    form = clear_tan(expr, result.multipliers)
-    if result.bisected is not None and result.bisected is not form:
+    form, poles = clear_tan(expr, result.multipliers), tan_divisors(expr)
+    try:
+        return result.status == "Proved" and result.bisected in (None, form) and all(
+            _enclose(ctx, form, leaf.lo, leaf.hi, None, poles)[0].lo > 0
+            and all(_positive(ctx, m, (ctx.lo_of(leaf.lo), ctx.hi_of(leaf.hi)))
+                    for m in result.multipliers)
+            for leaf in result.certificate)
+    except (DomainError, PoleError):
         return False
-    return all(_enclose(ctx, form, leaf.lo, leaf.hi)[0].lo > 0
-               and all(_positive(ctx, m, (ctx.lo_of(leaf.lo), ctx.hi_of(leaf.hi)))
-                       for m in result.multipliers)
-               for leaf in result.certificate)
 
 
 # ---------------------------------------------------------------------------

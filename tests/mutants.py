@@ -14,19 +14,14 @@ short, so its 4^n reads 4^n/2.  `step-drops-carry` deletes the line of
 `prove._steps` that moves a_(n+1) into a_n, so every step is taken from
 the sequence's first value.  `probe-refutes-straddle` lets a point refute
 a claim in `prove._grid_refute` when its enclosure merely reaches below 0.
-The next twelve break a rule of `_core`, not a rounding: the cross
+The next ten break a rule of `_core`, not a rounding: the cross
 products of `_sq` counted once, not twice; in `enclose`, the inherited
 remainder times r, as if taken at order k + 1, an even-order term taken at
 r^j alone, not over [0, r^j], the coefficient over [0, b] taken at
 TAYLOR_ORDER without its removable quotients' lost orders, and that
 coefficient taken for a box left of 0 as well; in `_xpow`, an even
 power of a pair straddling 0 raised from 0 to the lesser end's power, and
-an even power of a nonpositive pair left in the order of its ends; and in
-`_tcot`, the Taylor operands of v/tan(u), the guard on cos u dropped, so
-a box that holds tan's pole is divided (`tcot-drops-cos-guard`, which
-`test_eval_error_position_is_the_failing_node` kills), and sin and cos
-swapped (`tcot-swaps-sin-cos`, which
-`test_taylor_quotient_by_tan_holds_the_mpmath_coefficients` kills); and
+an even power of a nonpositive pair left in the order of its ends; and
 in `_run`, each part of the Taylor memo's key but the step id dropped in
 turn: the box, so boxes share vectors
 (`test_enclose_on_a_warmed_ctx_equals_a_fresh_one`), the order, so two
@@ -43,15 +38,21 @@ kills), a stanza registered by its name alone
 kills), and a zero series bound taken as settling the sign in
 `near_zero_certificate` (`series-bound-admits-zero`, which
 `test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference`
-kills).  The last two break the clearing of tan's pole: in
+kills).  The last four break the clearing of tan's pole: in
 `lang.clear_tan`, the terms with no tan(u) left without their factor
 cos(u) (`clear-drops-cos-factor`, which
 `test_the_cleared_form_is_cos_times_the_difference` kills), and in
 `prove._bisect_positive`, a multiplier taken without its certificate
 cos(u) > 0 on the core (`clear-skips-cos-certificate`, which
-`test_a_core_that_holds_tans_pole_is_not_cleared` kills).  For each,
-the repository is copied to a temporary directory, the one edit is made
-there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
+`test_a_core_that_holds_tans_pole_is_not_cleared` kills); in
+`prove._enclose`, the per-box guard on cos(u) for each rewritten
+v/tan(u) dropped, so a box that holds tan's pole is bounded through the
+finite v*cos(u)/sin(u) (`cot-drops-pole-guard`, which
+`test_a_quotient_by_tan_across_its_pole_is_never_proved` kills), and in
+`lang._cot`, sin and cos swapped in that rewrite (`cot-swaps-sin-cos`,
+which `test_the_cleared_form_is_cos_times_the_difference` kills).  For
+each, the repository is copied to a temporary directory, the one edit is
+made there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
 suite green survives: the edit it makes has no test.
 
 `test_canonical_report_is_pinned`, `test_exact_reports_are_pinned`,
@@ -227,12 +228,6 @@ MUTANTS = [
     ("xpow-nonpos-even-order", CORE,
      "return hi ** e, lo ** e",
      "return lo ** e, hi ** e"),
-    ("tcot-drops-cos-guard", CORE,
-     "    _cos_off_pole(ctx, *u[0])\n",
-     ""),
-    ("tcot-swaps-sin-cos", CORE,
-     "return _tmul(ctx, v, c), s",
-     "return _tmul(ctx, v, s), c"),
     ("memo-key-drops-box", CORE,
      "else (x[0], len(x), shifts is not None)",
      "else (None, len(x), shifts is not None)"),
@@ -257,6 +252,12 @@ MUTANTS = [
     ("clear-skips-cos-certificate", PROVE,
      "if _positive(ctx, m, core)",
      "if True"),
+    ("cot-drops-pole-guard", PROVE,
+     "    for u in poles:\n        _core._cos_off_pole(ctx, *_core.eval_plain(ctx, u, x))\n",
+     ""),
+    ("cot-swaps-sin-cos", "src/ineqcert/lang.py",
+     'Call("cos", u, at), e.pos), Call("sin", u, at)',
+     'Call("sin", u, at), e.pos), Call("cos", u, at)'),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

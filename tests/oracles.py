@@ -613,26 +613,9 @@ def poly_exact(ctx, tm, r):
 #
 # Every node evaluated where it stands, a repeated subtree once per copy.
 # `_core`'s straight-line plan must return exactly these values under each op
-# table and name the same error offset.  A quotient v/tan(u) is divided as
-# the plan's divtan step divides it: its table's divtan op forms the two
-# operands, and any error there names the tan call.  `enclose_full_order` is
+# table and name the same error offset.  `enclose_full_order` is
 # `_core.enclose` over this walk, its midpoint vector built to the full
 # order TAYLOR_ORDER.
-
-def _by_tan(node):
-    """Whether node is a quotient v/tan(u)."""
-    return node.kind == "div" and node.b.kind == "call" and node.b.fn == "tan"
-
-
-def _tan_operands(ctx, ops, node, v, u):
-    """The table's two operands of the quotient node = v/tan(u), given the
-    values of v and u; an error names the tan call."""
-    try:
-        return ops["divtan"](ctx, v, u)
-    except (DomainError, PoleError) as exc:
-        exc.position = node.b.pos
-        raise
-
 
 def walk(ctx, node, x, ops):
     """Value of the expression node at x under the op table."""
@@ -644,10 +627,6 @@ def walk(ctx, node, x, ops):
     if kind == "pi":
         return ops["pi"](ctx, x)
     try:
-        if _by_tan(node):
-            v = walk(ctx, node.a, x, ops)
-            u = walk(ctx, node.b.arg, x, ops)
-            return ops["div"](ctx, *_tan_operands(ctx, ops, node, v, u))
         if kind == "call":
             return ops["call"](ctx, node.fn, walk(ctx, node.arg, x, ops))
         if kind == "pow":
@@ -739,8 +718,7 @@ def bernstein_least(ctx, tm, r):
 def walk_removable(ctx, node, xbox, xzero):
     """(value over the box, value at the point 0) of node under `_core`'s
     Taylor table, each `/` first shifting both operands, in both values,
-    past the leading coefficients they both have exactly (0, 0) at 0: for
-    v/tan(u), the operands (v cos u, sin u)."""
+    past the leading coefficients they both have exactly (0, 0) at 0."""
     ops = _core._TAYLOR_OPS
     kind = node.kind
     if kind == "x":
@@ -757,13 +735,7 @@ def walk_removable(ctx, node, xbox, xzero):
         ub, uz = walk_removable(ctx, node.a, xbox, xzero)
         return ops["neg"](ub), ops["neg"](uz)
     ub, uz = walk_removable(ctx, node.a, xbox, xzero)
-    if _by_tan(node):
-        # v/tan(u): shifted past the zeros of (v cos u, sin u)
-        wb, wz = walk_removable(ctx, node.b.arg, xbox, xzero)
-        (ub, vb), (uz, vz) = (_tan_operands(ctx, ops, node, ub, wb),
-                              _tan_operands(ctx, ops, node, uz, wz))
-    else:
-        vb, vz = walk_removable(ctx, node.b, xbox, xzero)
+    vb, vz = walk_removable(ctx, node.b, xbox, xzero)
     if kind == "div":
         s = 0
         while s + 1 < min(len(uz), len(vz)) and uz[s] == (0, 0) == vz[s]:

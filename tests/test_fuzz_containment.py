@@ -16,8 +16,8 @@ corpus, so it guards the arithmetic on inputs that no corpus was tuned on.
 
 A second test feeds the Taylor kernels random interval vectors directly and
 checks each against the exact series of point choices of its inputs.  A
-third checks the box, point and [0, b] vectors of v/tan(u), which the
-Taylor table divides as (v cos u)/sin u, against mpmath's coefficients of
+third checks the box, point and [0, b] vectors of (v)*cos(u)/sin(u), the
+text `lang.clear_tan` writes for v/tan(u), against mpmath's coefficients of
 v over the tan series.
 """
 
@@ -357,15 +357,16 @@ def test_taylor_kernels_hold_every_realisation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# v/tan(u): one plan step, divided as (v cos u)/sin u
+# v/tan(u) as the boxes bound it: the text (v)*cos(u)/sin(u), which
+# `lang.clear_tan` writes for it, against v/tan(u)'s own coefficients
 # ---------------------------------------------------------------------------
 
 TAN_DRAWS = 56
 
-# (text, v, u), v and u polynomials in x, lowest power first
-_BY_TAN = [("x/tan(x)", [0, 1], [0, 1]),
-           ("(x/2)/tan(x/2)", [0, Fraction(1, 2)], [0, Fraction(1, 2)]),
-           ("(x^2+1)/tan(2*x/3)", [1, 0, 1], [0, Fraction(2, 3)])]
+# (v's text, u's text, v, u), v and u polynomials in x, lowest power first
+_BY_TAN = [("x", "x", [0, 1], [0, 1]),
+           ("x/2", "x/2", [0, Fraction(1, 2)], [0, Fraction(1, 2)]),
+           ("x^2+1", "2*x/3", [1, 0, 1], [0, Fraction(2, 3)])]
 
 
 def _poly_text(p):
@@ -394,9 +395,10 @@ def _by_tan_series(v, u, xi, k):
 
 def test_taylor_quotient_by_tan_holds_the_mpmath_coefficients():
     # box, point and [0, b] vectors (the last with _removable's shifts) of
-    # v/tan(u) on [1/64, 3/2], for the three shipped shapes and random
-    # polynomial v with u = q x: each coefficient must hold mpmath's at the
-    # box's ends and inner points, at the point, and over [0, b] at 0 too
+    # (v)*cos(u)/sin(u) on [1/64, 3/2], for the three shapes of the corpus
+    # and random polynomial v with u = q x: each coefficient must hold
+    # mpmath's of v/tan(u) at the box's ends and inner points, at the point,
+    # and over [0, b] at 0 too
     rng = random.Random(SEED)
     ctx = _core.Ctx(PREC)
     one, k = ctx.one, _core.TAYLOR_ORDER
@@ -412,14 +414,15 @@ def test_taylor_quotient_by_tan_holds_the_mpmath_coefficients():
     with mpmath.workdps(80):
         for draw in range(TAN_DRAWS):
             if draw < 2 * len(_BY_TAN):
-                text, v, u = _BY_TAN[draw % len(_BY_TAN)]
+                vt, ut, v, u = _BY_TAN[draw % len(_BY_TAN)]
             else:
                 v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
                 v[rng.randint(0, 2)] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 if rng.random() < 0.5:
                     v[0] = Fraction(0)       # v(0) = 0: a removable quotient
                 u = [0, Fraction(rng.randint(1, 8), 8)]
-                text = f"({_poly_text(v)})/tan(({u[1]})*x)"
+                vt, ut = _poly_text(v), f"({u[1]})*x"
+            text = f"({vt})*cos({ut})/sin({ut})"
             node = parse_expression(text)
             a = Fraction(rng.randint(1, 95), 64)
             b = min(a + Fraction(1, 2 ** rng.randint(2, 8)), Fraction(3, 2))

@@ -204,8 +204,8 @@ def _subtrees(e):
 
 
 def test_round_trip_all_corpus_expressions(corpus_specs):
-    # the hold-out corpus too; each v/tan(u) is one divtan step, which the
-    # printer writes as v/tan(u)
+    # the hold-out corpus too; each v/tan(u) is a plain quotient of a call,
+    # and no plan step has a kind outside the ten plain ones
     holdout = Path(__file__).parent / "data" / "holdout.ineq"
     specs = [*corpus_specs, *parse_corpus(holdout.read_text(encoding="utf-8"))]
     for spec in specs:
@@ -214,7 +214,10 @@ def test_round_trip_all_corpus_expressions(corpus_specs):
     by_tan = {e for spec in specs for e in _subtrees(spec.difference())
               if isinstance(e, Div) and isinstance(e.b, Call) and e.b.fn == "tan"}
     assert {format_expr(e) for e in by_tan} == {"x/tan(x)", "x/2/tan(x/2)"}
-    assert all(_core._plan(e)[0][-1][0] == "divtan" for e in by_tan)
+    plain = {"x", "lit", "pi", "neg", "add", "sub", "mul", "div", "pow", "call"}
+    assert all(_core._plan(e)[0][-1][0] == "div" for e in by_tan)
+    assert {step[0] for spec in specs for e in (spec.lhs, spec.rhs, spec.difference())
+            for step in _core._plan(e)[0]} <= plain
 
 
 def test_eval_expr_examples():
@@ -244,9 +247,9 @@ def test_eval_error_position_is_the_failing_node():
         with pytest.raises(EvalError) as exc:
             eval_expr(parse_expression(text), x)
         assert exc.value.position == pos, text
-    # v/tan(u) is one plan step, run as (v cos u)/sin u in the Taylor table:
-    # on both paths a box holding pi/2 fails at tan's offset with the
-    # message tan(u) fails with alone, and a divisor holding 0 at the `/`
+    # v/tan(u) is a plain quotient of a call: on both paths a box holding
+    # pi/2 fails at tan's offset with the message tan(u) fails with alone,
+    # and a divisor holding 0 at the `/`
     ctx, near = get_ctx(192), Interval(F(3, 2), F(8, 5))
     for text, x, pos, alone in [("x/tan(x)", near, 2, "tan(x)"),
                                 ("1 + x/tan(x)", near, 6, "tan(x)"),

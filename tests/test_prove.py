@@ -266,10 +266,10 @@ def test_a_negative_box_is_valued_by_its_own_enclosure_where_its_midpoint_stradd
     boxes = {}
     enclose = prove._enclose
 
-    def straddling_points(ctx, expr, a, b, rem=None):
+    def straddling_points(ctx, expr, a, b, *rem_and_poles):
         if a == b:
             return Interval(-1, 1), None
-        enc, rem = enclose(ctx, expr, a, b, rem)
+        enc, rem = enclose(ctx, expr, a, b, *rem_and_poles)
         boxes[a, b] = enc
         return enc, rem
 
@@ -727,8 +727,8 @@ def _mp_value(e, x):
 
 def test_the_sharp_end_of_thm31_hi_proves_under_mpmath(corpus_specs):
     # with no right margin THM31_HI's core ends at the dyadic just below
-    # pi/2, where its difference is 0.  Divided as (x cos x)/sin x, x/tan(x)
-    # does not grow near pi/2, and the raw difference proves there: each
+    # pi/2, where its difference is 0.  Bisected as (x cos x)/sin x, x/tan(x)
+    # does not grow near pi/2, and the difference proves there: each
     # leaf's bound lies under mpmath's value at 150 digits at the leaf's
     # ends and midpoint, and each such value is > 0
     spec = next(s for s in corpus_specs if s.name == "THM31_HI")
@@ -749,8 +749,8 @@ def test_the_sharp_end_of_thm31_hi_proves_under_mpmath(corpus_specs):
 
 def test_a_quotient_by_tan_across_its_pole_is_never_proved():
     # x/tan(x) > -1 holds on (1, 2) but at pi/2, where tan is undefined.
-    # The Taylor table divides x cos x by sin x, which is finite there:
-    # only its guard on cos keeps the pole out of every proof
+    # The boxes bound x cos x / sin x, which is finite there: only the
+    # per-box guard on cos keeps the pole out of every proof
     spec, = parse_corpus("inequality T {\n  domain   = (1, 2)\n  lhs      = x/tan(x)\n"
                          "  relation = >\n  rhs      = -1\n}\n")
     r = verify_inequality(spec)
@@ -759,34 +759,45 @@ def test_a_quotient_by_tan_across_its_pole_is_never_proved():
     assert r.status != "Proved"
 
 
-# --- tan's pole cleared: N = cos(u)*difference -------------------------------
+# --- tan's pole cleared: N = cos(u)*difference, v/tan(u) as v*cos(u)/sin(u) --
 
 _HOLDOUT = Path(__file__).parent / "data" / "holdout.ineq"
 _CLEARED = {"HUY_TRIG", "CHAIN_1_3_A", "WILKER", "WILKER_HI", "WILKER_LO",
             "CHAIN_1_7_A", "CHAIN_1_8_A", "BECKER_STARK_LO", "BECKER_STARK_HI"}
+# the stanzas whose tan is only a divisor: rewritten, with no multiplier
+_DIVISOR_ONLY = {"CHAIN_1_3_B", "CHAIN_1_7_B", "CHAIN_1_7_C", "CHAIN_1_8_B",
+                 "CHAIN_1_8_C", "CHAIN_1_8_D", "WU_SRIVASTAVA"}
 
 
 def test_the_cleared_form_is_cos_times_the_difference(corpus_results):
-    # the shipped stanzas as the corpus run left them, and the hold-out's
+    # the shipped stanzas as the corpus run left them, and the hold-out's:
+    # every bisected form that is not the difference is the product of its
+    # multipliers and the difference
     holdout = parse_corpus(_HOLDOUT.read_text(encoding="utf-8"))
     runs = list(corpus_results) + [(s, verify_inequality(s)) for s in holdout]
-    cleared = {spec.name: r for spec, r in runs if r.multipliers}
-    assert set(cleared) == _CLEARED
+    cleared = {spec.name for spec, r in runs if r.multipliers}
+    assert cleared == _CLEARED
+    rewritten = {spec.name for spec, r in runs
+                 if r.bisected not in (None, spec.difference())}
+    assert rewritten == _CLEARED | _DIVISOR_ONLY
     rng = random.Random(44)
     with mpmath.workdps(60):
         for spec, r in runs:
-            if spec.name not in cleared:
-                assert r.bisected in (None, spec.difference()), spec.name
+            if spec.name not in rewritten:
                 continue
-            assert [format_expr(m) for m in r.multipliers] == ["cos(x)"]
             assert r.bisected is clear_tan(spec.difference(), r.multipliers)
-            assert r.findings[0] == ("bisected cos(x)*difference: cos(x) > 0 on "
-                                     "the core, with tan's pole near it")
+            assert "/tan(" not in format_expr(r.bisected), spec.name
+            if spec.name in cleared:
+                assert [format_expr(m) for m in r.multipliers] == ["cos(x)"]
+                assert r.findings[0] == ("bisected cos(x)*difference: cos(x) > 0 on "
+                                         "the core, with tan's pole near it")
             for _ in range(20):
                 x = mpmath.mpf(rng.random()) * mpmath.pi / 2
-                want = mpmath.cos(x) * _mp_value(spec.difference(), x)
+                want = _mp_value(spec.difference(), x)
+                for m in r.multipliers:
+                    want *= _mp_value(m, x)
                 assert _mp_value(r.bisected, x) == pytest.approx(want, rel=1e-40,
-                                                                 abs=1e-50)
+                                                                 abs=1e-50), spec.name
 
 
 @pytest.mark.parametrize("text", [
@@ -794,8 +805,16 @@ def test_the_cleared_form_is_cos_times_the_difference(corpus_results):
     "tan(x)*tan(x) + 1", "x/tan(x) - 1", "1/(2*tan(x)) + tan(x)",
     "x*(tan(x) + 1) - 1"])
 def test_a_tan_used_otherwise_is_not_cleared(text):
+    # no multiplier; only a quotient by a tan call is rewritten, exactly
     e = parse_expression(text)
-    assert tan_multipliers(e) == () and clear_tan(e, ()) is e
+    assert tan_multipliers(e) == ()
+    n = clear_tan(e, ())
+    assert clear_tan(e, ()) is n and (n is e) == ("/tan(" not in text)
+    assert "/tan(" not in format_expr(n)
+    with mpmath.workdps(50):
+        for k in range(1, 10):
+            x = mpmath.mpf(k) / 7
+            assert _mp_value(n, x) == pytest.approx(_mp_value(e, x), rel=1e-40)
 
 
 def test_each_tan_argument_is_cleared_in_turn():
@@ -834,6 +853,13 @@ def test_a_core_end_2_to_the_minus_192_below_pi_2_takes_the_raw_difference(
     opts = ProveOptions(max_depth=12)
     r = prove_positive(node, Interval(F(1, 1000), hi), opts)
     assert r.multipliers == () and r.bisected is node and r.findings == []
+    # CHAIN_1_3_B divides by tan(x) and takes no multiplier: its boxes bound
+    # x cos x / sin x, and it ends Unknown at that end, at depth 41
+    quotient = _spec(corpus_specs, "CHAIN_1_3_B").difference()
+    q = prove_positive(quotient, Interval(F(1, 1000), hi))
+    assert q.multipliers == () and q.findings == []
+    assert q.bisected is clear_tan(quotient, ()) and q.bisected is not quotient
+    assert (q.status, q.leaves, q.max_depth) == ("Unknown", 43, 41)
     monkeypatch.setattr(prove, "tan_multipliers", lambda e: ())
     plain = prove_positive(node, Interval(F(1, 1000), hi), opts)
     assert (r.status, r.leaves, r.max_depth, r.reason) == (
@@ -853,6 +879,20 @@ def test_a_cleared_box_refutes_with_the_raw_differences_value():
         mid = mpmath.mpf(w.mid.numerator) / w.mid.denominator
         lo, hi = (mpmath.mpf(q.numerator) / q.denominator for q in (v.lo, v.hi))
         assert lo <= _mp_value(e, mid) <= hi and v.hi < 0
+
+
+@pytest.mark.parametrize("text,lo,hi,status,leaves", [
+    ("x - 1", 0, 2, "Refuted", 0),
+    ("sin(x)^2 + cos(x)^2 - 1", F(1, 4), F(1, 2), "Unknown", 0),
+    ("tan(x) - x^8", F(1, 1000), F(3, 2), "Refuted", 21)])
+def test_only_a_proved_result_replays(text, lo, hi, status, leaves):
+    # a result that is not Proved holds no proof to replay, though each of
+    # the leaves it lists, none or some, replays positive
+    e = parse_expression(text)
+    r = prove_positive(e, Interval(lo, hi))
+    assert (r.status, len(r.certificate)) == (status, leaves)
+    assert not reverify_certificate(e, r, 256)
+    assert reverify_certificate(e, r.replace(status="Proved"), 256)
 
 
 def test_a_cleared_certificate_replays_only_as_its_own_form(corpus_results):
