@@ -6,9 +6,12 @@ from operator import attrgetter
 class Record:
     """A subclass lists its fields as annotations, its base's after its own,
     each with an optional class-level default (a list or dict one is copied
-    for each instance).  They drive `__init__` (positional or keyword), `repr`,
-    `replace`, a refusing `__setattr__`, and `==` and `hash` over the class
-    and each field not in `_uncompared`."""
+    for each instance).  They drive `__init__`, `repr`, `replace`, a refusing
+    `__setattr__`, and `==` and `hash` over the class and each field not in
+    `_uncompared`.  `__init__` sets one positional value per field as given;
+    any other call is bound by `_bind`: the positional values, then each
+    later field's keyword or default, and TypeError for a missing, repeated,
+    unknown or extra argument."""
 
     _fields, _defaults, _uncompared = (), {}, ()
 
@@ -28,15 +31,22 @@ class Record:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _bind(cls, args, kwargs) -> tuple:
+    def _bind(cls, args, kwargs) -> list:
         """The field values in order, from a call's arguments and the defaults."""
-        given = {**dict(zip(cls._fields, args)), **kwargs}
-        values = {n: v.copy() if type(v) in (list, dict) else v
-                  for n, v in cls._defaults.items() if n not in given} | given
-        if len(given) != len(args) + len(kwargs) or values.keys() != set(cls._fields):
+        values, used = list(args), 0
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs[name])
+                used += 1
+            elif name in cls._defaults:
+                v = cls._defaults[name]
+                values.append(v.copy() if type(v) in (list, dict) else v)
+        # a missing field leaves values short; a keyword left unused is
+        # unknown or repeats a positional field
+        if len(values) != len(cls._fields) or used != len(kwargs):
             raise TypeError(f"{cls.__name__}() takes {cls._fields}, "
                             f"got {args} {kwargs}")
-        return tuple(values[n] for n in cls._fields)
+        return values
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

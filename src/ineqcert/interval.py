@@ -50,6 +50,16 @@ class Interval(Record):
         f = _frac(v)
         return cls(f, f)
 
+    @classmethod
+    def scaled(cls, lo: int, hi: int, scale: int) -> "Interval":
+        """[lo/scale, hi/scale] from `_core`'s integers, scale > 0, checked as ints."""
+        if lo > hi:
+            raise ValueError(f"invalid interval: lo={lo}/{scale} > hi={hi}/{scale}")
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "lo", Fraction(lo, scale))
+        object.__setattr__(iv, "hi", Fraction(hi, scale))
+        return iv
+
     # --- queries ---------------------------------------------------------
     @property
     def width(self) -> Fraction:
@@ -57,7 +67,7 @@ class Interval(Record):
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return self.lo if self.lo == self.hi else (self.lo + self.hi) / 2
 
     def contains(self, v) -> bool:
         f = _frac(v)
@@ -150,8 +160,7 @@ def pi_enclose(width_target) -> Interval:
         while Fraction(4, 1 << prec) > wt:
             prec += 32
         prec += 8
-        lo, hi = _core._pi_bracket(prec)
-        cand = Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
+        cand = Interval.scaled(*_core._pi_bracket(prec), 1 << prec)
         if _pi_best is not None:
             cand = Interval(max(cand.lo, _pi_best.lo), min(cand.hi, _pi_best.hi))
         _pi_best = cand
@@ -194,5 +203,4 @@ def elem_enclose(fn: str, x: Interval, width_target) -> Interval:
     ctx = get_ctx(max(64, _bits_for_width(wt)))
     a = ctx.lo_of(x.lo)
     b = ctx.hi_of(x.hi)
-    lo, hi = _core.fn_range(ctx, fn, a, b)
-    return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
+    return Interval.scaled(*_core.fn_range(ctx, fn, a, b), ctx.one)

@@ -477,15 +477,14 @@ def eval_expr(e: Expr, x: Interval, precision: int = 192) -> Interval:
     a = ctx.lo_of(x.lo)
     b = ctx.hi_of(x.hi)
     try:
-        lo, hi = _core.eval_plain(ctx, e, (a, b))
+        return Interval.scaled(*_core.eval_plain(ctx, e, (a, b)), ctx.one)
     except (DomainError, PoleError) as exc:
         raise EvalError(str(exc), getattr(exc, "position", None)) from exc
-    return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one))
 
 
 # pi to a fixed 152 bits (width under 1e-36), so an endpoint's value never
 # depends on how far earlier `pi_enclose` calls have tightened its bracket
-_PI = Interval(*(Fraction(v, 1 << 152) for v in _core._pi_bracket(152)))
+_PI = Interval.scaled(*_core._pi_bracket(152), 1 << 152)
 
 
 def _bounded(op):

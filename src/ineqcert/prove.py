@@ -184,8 +184,8 @@ def _enclose(ctx, expr: Expr, a: Fraction, b: Fraction, rem=None, poles=()):
     for u in poles:
         _core._cos_off_pole(ctx, *_core.eval_plain(ctx, u, x))
     # looked up at call time, so a rebinding of _core.enclose sees it
-    (lo, hi), rem = _core.enclose(ctx, expr, *x, rem)
-    return Interval(Fraction(lo, ctx.one), Fraction(hi, ctx.one)), rem
+    enc, rem = _core.enclose(ctx, expr, *x, rem)
+    return Interval.scaled(*enc, ctx.one), rem
 
 
 # boxes left inconclusive before bisection gives up; bounds the work on an
@@ -210,18 +210,18 @@ def _past_limit(ev, a: Fraction, b: Fraction) -> Optional[str]:
 
 
 def _grid_refute(ev, points) -> Optional[tuple]:
-    """(x, ev at x) for the first of points, in order, whose point
-    enclosure lies below 0 (the one rule by which a point refutes a
+    """(x's point interval, ev on it) for the first x of points, in order,
+    whose point enclosure lies below 0 (the one rule by which a point refutes a
     claim), skipping a point where ev raises DomainError or PoleError;
     None if none does.  The name is older than this rule: it once named a
     fixed grid, and the benchmark's traced spans look it up."""
     for x in points:
         try:
-            v = ev(Interval.point(x))
+            v = ev(p := Interval.point(x))
         except (DomainError, PoleError):
             continue
         if v.hi < 0:
-            return x, v
+            return p, v
     return None
 
 
@@ -275,28 +275,26 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
 
     stack, leaves, boxes = [(lo, hi, 0, None)], [], []
     maxd, first_reason = 0, None
-    form, multipliers = expr, ()
+    form, multipliers, poles = expr, (), ()
 
-    def result(status, **kw):
-        if status != "Unknown":
-            kw["certificate"] = sorted(leaves, key=lambda l: l.lo)
-        return ProofResult(status, leaves=len(leaves), max_depth=maxd, bisected=form,
-                           multipliers=multipliers, findings=findings, **kw)
-
-    def refuted(hit):
-        x, v = hit
-        return result("Refuted", witness=Interval.point(x), witness_value=v)
+    def result(status, witness=None, value=None, reason=None):
+        cert = [] if status == "Unknown" else sorted(leaves, key=lambda l: l.lo)
+        # every field positional, in ProofResult's order, so nothing is bound
+        return ProofResult(status, witness, value, cert, len(leaves), maxd, 0.0,
+                           reason, findings, [], None, None, form, multipliers)
 
     # a false claim is most clearly negative inside its core, where one
     # point refutes it before any box is formed
     findings = []
     hit = _grid_refute(ev, [(lo + hi) / 2])
     if hit:
-        return refuted(hit)
+        return result("Refuted", *hit)
     r = (core[1] - core[0]) // 2
-    multipliers = tuple(m for m in tan_multipliers(expr) if _positive(ctx, m, core)
-                        and not _positive(ctx, m, (core[0] - r, core[1] + r)))
-    form, poles = clear_tan(expr, multipliers), tan_divisors(expr)
+    # the probe built expr's plan: with no tan step, expr is its own form
+    if ("call", "tan") in (step[:2] for step in _core._plan(expr)[0]):
+        multipliers = tuple(m for m in tan_multipliers(expr) if _positive(ctx, m, core)
+                            and not _positive(ctx, m, (core[0] - r, core[1] + r)))
+        form, poles = clear_tan(expr, multipliers), tan_divisors(expr)
     if multipliers:
         names = [format_expr(m) for m in multipliers]
         findings.append(f"bisected {'*'.join(names)}*difference: {', '.join(names)} "
@@ -332,7 +330,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
                 except (DomainError, PoleError) as exc:
                     err = str(exc)
                 else:
-                    return result("Refuted", witness=Interval(a, b), witness_value=value)
+                    return result("Refuted", Interval(a, b), value)
         if at_limit:
             why = err or f"enclosure [{enc.lo}, {enc.hi}] straddles 0"
             bits = opts.precision
@@ -352,7 +350,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
         stack.append((a, m, d + 1, rem))
     if boxes:
         hit = _grid_refute(ev, [x for a, b in boxes for x in (a, (a + b) / 2, b)])
-        return refuted(hit) if hit else result("Unknown", reason=first_reason)
+        return result("Refuted", *hit) if hit else result("Unknown", reason=first_reason)
     return result("Proved")
 
 
@@ -554,6 +552,12 @@ def near_zero_certificate(thm_id: str, epsilon, side: str = "lower") -> ProofRes
 # verify_inequality
 # ---------------------------------------------------------------------------
 
+def _dyadic(q, bits: int, up: bool = False) -> Fraction:
+    """q rounded down (or up) to a multiple of 2**-bits: one floor (or ceil)."""
+    n = q.numerator << bits
+    return Fraction(-(-n // q.denominator) if up else n // q.denominator, 1 << bits)
+
+
 def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofResult:
     """Check a corpus stanza on its compact core.
 
@@ -581,17 +585,17 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
 
     lo_iv = eval_endpoint(spec.lo_expr)
     lo_core = lo_iv.hi if spec.lo_closed else lo_iv.hi + opts.eps_lo
-    lo_core = Interval.point(lo_core).round_out(bits).hi
+    lo_core = _dyadic(lo_core, bits, up=True)
     # a closed end that is no dyadic at `bits` lies just beyond the core
     uncovered = ([f"[lo, {lo_core}) uncovered (closed end lo lies beyond "
                   f"the core)"] if spec.lo_closed and lo_core > lo_iv.lo else [])
     if spec.unbounded:
-        hi_core = Interval.point(Fraction(opts.x_max)).round_out(bits).lo
+        hi_core = _dyadic(Fraction(opts.x_max), bits)
         uncovered.append(f"({hi_core}, inf) unverified (x_max cutoff)")
     else:
         hi_iv = eval_endpoint(spec.hi_expr)
         hi_core = hi_iv.lo if spec.hi_closed else hi_iv.lo - opts.eps_hi
-        hi_core = Interval.point(hi_core).round_out(bits).lo
+        hi_core = _dyadic(hi_core, bits)
         if hi_core < hi_iv.hi:
             uncovered.append(
                 f"({hi_core}, hi] uncovered (closed end hi lies beyond the core)"
@@ -604,7 +608,7 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
     elif claim is not None and not THEOREMS[claim.thm].derivative_series:
         # the rule at the core's right end, rounded up to 64 bits to keep
         # the exact powers small, holds on the whole core
-        x_hi = Interval.point(hi_core).round_out(64).hi
+        x_hi = _dyadic(hi_core, 64, up=True)
         nz = near_zero_certificate(claim.thm, x_hi, side)
         cert = nz.series_certificate
         form = f"series form {claim.series_id}" + (f" (N={cert['N']})" if cert else "")
@@ -617,9 +621,8 @@ def verify_inequality(spec: InequalitySpec, opts: ProveOptions = None) -> ProofR
                    f"positive ({pre.leaves} leaves)")
             if pre.status == "Proved":
                 # form >= bound * x^e0 on (0, x_hi]: >= bound * lo_core^e0 here
-                leaf_bound = Interval.point(cert["bound"] * lo_core ** cert["e0"])
-                res = ProofResult("Proved", leaves=1, certificate=[
-                    Leaf(lo_core, hi_core, leaf_bound.round_out(bits).lo)])
+                lb = _dyadic(cert["bound"] * lo_core ** cert["e0"], bits)
+                res = ProofResult("Proved", leaves=1, certificate=[Leaf(lo_core, hi_core, lb)])
                 res.findings.append(
                     f"{form} proved {claim.mode}-claim on core; {why}")
     if res is None:

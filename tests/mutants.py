@@ -38,7 +38,7 @@ kills), a stanza registered by its name alone
 kills), and a zero series bound taken as settling the sign in
 `near_zero_certificate` (`series-bound-admits-zero`, which
 `test_an_inconclusive_series_form_leaves_the_core_to_the_raw_difference`
-kills).  The last four break the clearing of tan's pole: in
+kills).  The next four break the clearing of tan's pole: in
 `lang.clear_tan`, the terms with no tan(u) left without their factor
 cos(u) (`clear-drops-cos-factor`, which
 `test_the_cleared_form_is_cos_times_the_difference` kills), and in
@@ -50,10 +50,15 @@ v/tan(u) dropped, so a box that holds tan's pole is bounded through the
 finite v*cos(u)/sin(u) (`cot-drops-pole-guard`, which
 `test_a_quotient_by_tan_across_its_pole_is_never_proved` kills), and in
 `lang._cot`, sin and cos swapped in that rewrite (`cot-swaps-sin-cos`,
-which `test_the_cleared_form_is_cos_times_the_difference` kills).  For
-each, the repository is copied to a temporary directory, the one edit is
-made there, and `pytest -x -q` runs on the copy.  A mutant that leaves the
-suite green survives: the edit it makes has no test.
+which `test_the_cleared_form_is_cos_times_the_difference` kills).  The
+last one floors a core's lower end in `prove.verify_inequality`, so the
+core starts outside its margin or before its closed end
+(`core-end-rounds-inward`, which
+`test_core_ends_are_the_round_out_of_each_end` kills).  That is 55
+mutants in all.  For each, the repository is copied to a temporary
+directory, the one edit is made there, and `pytest -x -q` runs on the
+copy.  A mutant that leaves the suite green survives: the edit it makes
+has no test.
 
 `test_canonical_report_is_pinned`, `test_exact_reports_are_pinned`,
 `test_refute_report_is_pinned` and `test_holdout_report_is_pinned` are
@@ -258,6 +263,9 @@ MUTANTS = [
     ("cot-swaps-sin-cos", "src/ineqcert/lang.py",
      'Call("cos", u, at), e.pos), Call("sin", u, at)',
      'Call("sin", u, at), e.pos), Call("cos", u, at)'),
+    ("core-end-rounds-inward", PROVE,
+     "lo_core = _dyadic(lo_core, bits, up=True)",
+     "lo_core = _dyadic(lo_core, bits)"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -126,3 +126,34 @@ def test_refute_workload_is_refuted_with_confirmed_witnesses(tmp_path):
     assert cli.run_command(["prove", "--corpus", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert workloads.check_prove(report, plan, mpmath) == []
+
+
+@pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
+def test_a_midpoint_refutation_binds_no_record(tmp_path, monkeypatch):
+    # the refute workload's verdicts end at the core's midpoint; each forms
+    # its ProofResult positionally, so `Record._bind`, which a keyword or a
+    # default field goes through, is never called, and the fields are those
+    # a keyword-built result of the same verdict holds
+    _, _, path = _refute_input(tmp_path)
+    lang = importlib.import_module("ineqcert.lang")
+    prove = importlib.import_module("ineqcert.prove")
+    record = importlib.import_module("ineqcert._record")
+    interval = importlib.import_module("ineqcert.interval")
+    spec = lang.parse_corpus(path.read_text())[0]
+    lo, hi = lang.eval_endpoint(spec.lo_expr), lang.eval_endpoint(spec.hi_expr)
+    assert lo.lo == lo.hi and (lo.lo * 64).denominator == (hi.hi * 64).denominator == 1
+    opts, binds = prove.ProveOptions(), []
+    bind = record.Record._bind.__func__
+    monkeypatch.setattr(record.Record, "_bind", classmethod(
+        lambda cls, args, kwargs: binds.append(cls) or bind(cls, args, kwargs)))
+    res = prove.verify_inequality(spec, opts)
+    assert binds == []
+    monkeypatch.undo()
+    mid = (lo.lo + hi.lo) / 2
+    value = prove._enclose(interval.get_ctx(192), spec.difference(), mid, mid)[0]
+    want = prove.ProofResult("Refuted", witness=interval.Interval.point(mid),
+                             witness_value=value, ms=res.ms, findings=res.findings,
+                             bisected=spec.difference())
+    fields = prove.ProofResult._fields
+    assert len(fields) == 14 and len(res.findings) == 1 and value.hi < 0
+    assert {n: getattr(res, n) for n in fields} == {n: getattr(want, n) for n in fields}

@@ -168,6 +168,52 @@ def test_core_end_past_an_argument_limit_ends_the_stanza_at_once(monkeypatch, na
     assert r.leaves == 0 and r.max_depth == 0
 
 
+_CORE_ENDS_CORPUS = """
+inequality OPEN_ENDS {
+  domain   = (1/3, pi/2)
+  lhs      = x
+  relation = >
+  rhs      = 0
+}
+
+inequality CLOSED_ENDS {
+  domain   = [1/3, pi/2]
+  lhs      = x
+  relation = >
+  rhs      = 0
+}
+
+inequality CUT_AT_X_MAX {
+  domain   = [1/3, inf)
+  lhs      = x
+  relation = >
+  rhs      = 0
+}
+"""
+
+
+@pytest.mark.parametrize("bits", [64, 192, 256])
+def test_core_ends_are_the_round_out_of_each_end(monkeypatch, bits):
+    # each core end is one floor or ceil of its numerator; it must be the
+    # dyadic that Interval.round_out gives, the lower end rounded up into
+    # the core and the upper one down, for an end that is no dyadic (1/3,
+    # pi/2 less eps_hi 1e-3, either end closed) and for the x_max cutoff
+    cores = []
+    monkeypatch.setattr(prove, "_bisect_positive", lambda expr, lo, hi, opts: cores.append(
+        (lo, hi)) or prove.ProofResult("Unknown", reason="stopped by the test"))
+    opts = ProveOptions(eps_hi=F(1, 1000), precision=bits)
+    specs = parse_corpus(_CORE_ENDS_CORPUS)
+    for spec in specs:
+        verify_inequality(spec, opts)
+    third, half_pi = F(1, 3), eval_endpoint(parse_expression("pi/2"))
+    up = lambda q: Interval.point(q).round_out(bits).hi      # noqa: E731
+    down = lambda q: Interval.point(q).round_out(bits).lo    # noqa: E731
+    assert cores == [(up(third + opts.eps_lo), down(half_pi.lo - opts.eps_hi)),
+                     (up(third), down(half_pi.lo)),
+                     (up(third), down(opts.x_max))]
+    assert cores[1][0] > third and cores[0][1] < half_pi.lo - opts.eps_hi
+
+
 def test_an_end_past_an_argument_limit_inside_the_core_ends_it_after_a_split(monkeypatch):
     # sin's argument 20x(1-x) passes 4 only near x = 1/2: neither end of
     # [0, 1] raises as a point, so that box is split, and the first half

@@ -184,14 +184,33 @@ def test_mutable_defaults_are_fresh_per_instance():
     assert d.positivity == {} and IdentityReport("ID", 1, 2, True).positivity == {}
     given = []
     assert ProofResult("Proved", certificate=given).certificate is given
+    # positional and keyword fields mixed: each field in its place, the
+    # defaults after the last positional one fresh on each instance
+    w, v = Interval.point(1), Interval(-2, -1)
+    e, f = (ProofResult("Refuted", w, v, [], leaves=3, reason="r") for _ in range(2))
+    assert (e.witness, e.witness_value, e.leaves, e.max_depth, e.reason) == (w, v, 3, 0, "r")
+    e.findings.append("x")
+    e.uncovered.append("y")
+    assert f.findings == f.uncovered == [] and e.certificate is not f.certificate
+    g, h = (IdentityReport("ID", 1, n_max=2, holds=True) for _ in range(2))
+    g.positivity["p"] = None
+    assert h.positivity == {} and (h.n_min, h.n_max, h.holds) == (1, 2, True)
 
 
 @pytest.mark.parametrize("make", [
     lambda: Lit(), lambda: Lit(1, 2, 3), lambda: Lit(1, value=1),
     lambda: Lit(1, posx=0), lambda: Interval(1), lambda: Leaf(1, 2),
     lambda: ProofResult(), lambda: ProofResult("P", status="P"),
+    lambda: ProofResult("P", None, None, [], leaves=1, witness=None),
+    lambda: ProofResult("P", None, leaves=1, bogus=2),
+    lambda: ProofResult(leaves=1, reason="r"),
+    lambda: ProofResult(*("P", None, None, [], 0, 0, 0.0, None, [], [], None,
+                          None, None, (), None)),
+    lambda: IdentityReport("ID", 1, 2, holds=True, n_max=2),
 ], ids=["missing", "too-many", "repeated", "unknown", "interval", "leaf",
-        "result-missing", "result-repeated"])
+        "result-missing", "result-repeated", "result-mixed-repeated",
+        "result-mixed-unknown", "result-keywords-missing", "result-15-positional",
+        "report-repeated"])
 def test_bad_arguments_raise_type_error(make):
     with pytest.raises(TypeError):
         make()
