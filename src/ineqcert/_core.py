@@ -19,8 +19,10 @@ for cos); the corpus never needs argument reduction.
 One evaluator runs a parsed `lang.Expr` as a straight-line plan, each
 distinct subtree once, with one of four op tables: ranges, truncated
 Taylor vectors, and in `lang` exact rational intervals for `eval_endpoint`
-and (text, precedence) pairs for `format_expr`.  `enclose` intersects the
-plain range with an order-12 Taylor form about the midpoint, whose
+and (text, precedence) pairs for `format_expr`.  On a box of (0, 1) that
+the plain range does not decide, `enclose` tries the order-12 Taylor form
+about 0 first (`_zero_form`); unless its lower end is > 0, it intersects
+the plain range with an order-12 Taylor form about the midpoint, whose
 midpoint vector stops at order 11.  The remainder coefficient of a box
 vector bounds the remainder on every sub-box too (the inclusion property
 of Taylor models), so `enclose` hands it down and takes
@@ -768,21 +770,57 @@ def _removable(ctx, node):
     return found
 
 
-def _coeff_from_zero(ctx, node, b):
-    """The order-TAYLOR_ORDER box coefficient of node over [0, b], each
-    removable quotient taken as (u/x)/(v/x); None when node has no
-    removable quotient or the vector cannot be evaluated."""
-    found = _removable(ctx, node)
-    if found is None:
-        return None
-    shifts, depth = found
+def _from_zero(ctx, node, b):
+    """The order-TAYLOR_ORDER vector of node over [0, b] (at the point 0
+    when b = 0), each removable quotient taken as (u/x)/(v/x), so run at
+    the order raised by the orders the shifts lose; None when the vector
+    cannot be evaluated."""
+    shifts, depth = _removable(ctx, node) or (None, 0)
     k = TAYLOR_ORDER + depth
     try:
         # looked up at call time, so the traced benchmark counts it
         return eval_taylor(ctx, node, _tvar(ctx, 0, b, k), k, shifts,
-                           memo=ctx.memo)[TAYLOR_ORDER]
+                           memo=ctx.memo)
     except (DomainError, PoleError):
         return None
+
+
+def _coeff_from_zero(ctx, node, b):
+    """The order-TAYLOR_ORDER box coefficient of node over [0, b]
+    (`_from_zero`); None when node has no removable quotient or the vector
+    cannot be evaluated."""
+    vec = _removable(ctx, node) and _from_zero(ctx, node, b)
+    return vec[TAYLOR_ORDER] if vec else None
+
+
+def _zero_form(ctx, node, a, b):
+    """A lower end > 0 of node over [a, b]/2**prec, 0 < a < b, from the
+    Taylor form about 0, or None.
+
+    On [0, b], f(x) = sum_{j<K} f_j x^j + c0 x^K (K = TAYLOR_ORDER), f_j
+    from the vector at the point 0 and c0, which holds f^(K)(xi)/K! for
+    every xi in [0, b], from the one over [0, b] (`_from_zero`).  With v
+    the first order whose f_j excludes 0, g = f/x^v on [a, b] is at least
+    the sum of -|f_j| a^(j-v) for j < v and of f_j's lower end times a^e or
+    b^e, e = j - v, for j >= v.  When f_v > 0, f >= g_lo a^v: the sum times
+    a^v, exact at the scale 2**((K + 1) prec), rounded down once."""
+    jet = _from_zero(ctx, node, 0)
+    if jet is None:
+        return None
+    k, prec = TAYLOR_ORDER, ctx.prec
+    v = next((j for j in range(k) if jet[j][0] > 0 or jet[j][1] < 0), k)
+    box = None if v == k or jet[v][0] < 0 else _from_zero(ctx, node, b)
+    if box is None:
+        return None
+    av, lo = a ** v, 0
+    for j, c in enumerate(jet[:k] + [box[k]]):
+        if j < v:
+            t = -max(-c[0], c[1]) * a ** j
+        else:
+            t = c[0] * (b if c[0] < 0 else a) ** (j - v) * av
+        lo += t << (k - j) * prec
+    lo >>= k * prec
+    return lo if lo > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +869,10 @@ def enclose(ctx, node, a, b, rem=None):
     The enclosure is the plain range, intersected with the order-TAYLOR_ORDER
     Taylor form about the midpoint when the plain range does not decide the
     sign.  The form is P + c * [-r, r]^k, where P bounds the midpoint terms
-    below order k and c bounds the order-k coefficient over the box.
+    below order k and c bounds the order-k coefficient over the box.  On
+    0 < a < b < 1 the form about 0 (`_zero_form`) comes between the two:
+    a lower end > 0 from it replaces the plain range's, and rem is handed
+    on with no midpoint vector built; else all goes on as below.
 
     Every term is exact at one scale, from powers of r formed once per
     box, and each form is the exact sum P + c * [-r, r]^k rounded outward
@@ -856,6 +897,10 @@ def enclose(ctx, node, a, b, rem=None):
     enc = eval_plain(ctx, node, (a, b))
     if enc[0] > 0 or enc[1] < 0 or a == b:
         return enc, rem
+    if 0 < a and b < ctx.one:
+        lo = _zero_form(ctx, node, a, b)
+        if lo is not None:
+            return iisect(enc, (lo, enc[1])), rem
     k = TAYLOR_ORDER
     m = (a + b) // 2
     r = max(b - m, m - a)

@@ -51,11 +51,16 @@ finite v*cos(u)/sin(u) (`cot-drops-pole-guard`, which
 `test_a_quotient_by_tan_across_its_pole_is_never_proved` kills), and in
 `lang._cot`, sin and cos swapped in that rewrite (`cot-swaps-sin-cos`,
 which `test_the_cleared_form_is_cos_times_the_difference` kills).  The
-last one floors a core's lower end in `prove.verify_inequality`, so the
+next one floors a core's lower end in `prove.verify_inequality`, so the
 core starts outside its margin or before its closed end
 (`core-end-rounds-inward`, which
-`test_core_ends_are_the_round_out_of_each_end` kills).  That is 55
-mutants in all.  For each, the repository is copied to a temporary
+`test_core_ends_are_the_round_out_of_each_end` kills).  The last two
+break the Taylor form about 0 of `_core._zero_form`: the terms
+-|f_j| a^(j-v) of the orders below v dropped
+(`zero-form-drops-low-orders`), and a negative coefficient's term taken
+at a^e in place of b^e (`zero-form-power-at-wrong-end`);
+`test_the_form_about_0_equals_its_fraction_oracle` kills each.  That is
+57 mutants in all.  For each, the repository is copied to a temporary
 directory, the one edit is made there, and `pytest -x -q` runs on the
 copy.  A mutant that leaves the suite green survives: the edit it makes
 has no test.
@@ -266,6 +271,12 @@ MUTANTS = [
     ("core-end-rounds-inward", PROVE,
      "lo_core = _dyadic(lo_core, bits, up=True)",
      "lo_core = _dyadic(lo_core, bits)"),
+    ("zero-form-drops-low-orders", CORE,
+     "t = -max(-c[0], c[1]) * a ** j",
+     "t = 0"),
+    ("zero-form-power-at-wrong-end", CORE,
+     "t = c[0] * (b if c[0] < 0 else a) ** (j - v) * av",
+     "t = c[0] * a ** (j - v) * av"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -15,9 +15,9 @@ recurrence replaced), over `_core`'s point ranges alone: as in `_core`,
 each coefficient is its exact sum of exact products rounded outward once,
 and `enclose_full_order`'s polynomial part is the Fraction sum of its
 terms, rounded once; the recursive tree walk `_core` replaced with a
-straight-line plan, over `_core`'s own op tables; `enclose`'s two rules
-near 0, a Fraction Bernstein bound and the [0, b] coefficient through that
-walk; and the point series' term loop through `_core`'s rounding helpers,
+straight-line plan, over `_core`'s own op tables; `enclose`'s three rules
+near 0, a Fraction Bernstein bound, and the [0, b] coefficient and the
+Taylor form about 0 through that walk; and the point series' term loop through `_core`'s rounding helpers,
 which `_core` writes out in place.  The former series coefficient formulas,
 each dividing |B_2n| by (2n)! itself, sit over `exact.bernoulli` too, and
 the integer kernels, numerators, denominators and identity parts with each
@@ -25,13 +25,17 @@ power of 2, 4 and 16 written as a power, which `series`, `exact` and
 `prove` form as shifts, sit over `exact.tangent` and `prove`'s polynomials
 in n.  The series form of a theorem
 claim is an enclosure by the public `series.eval_series`, a route apart
-from `prove`'s one series bound.
+from `prove`'s one series bound.  `mp_value` evaluates a parsed
+expression node by node in mpmath, at mpmath's precision.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import ceil, comb, factorial, floor
+
+import mpmath
 
 from ineqcert import _core, prove
 from ineqcert._core import fn_range
@@ -609,13 +613,35 @@ def poly_exact(ctx, tm, r):
     return lo, hi
 
 
+# --- a parsed expression in mpmath ------------------------------------------
+
+def mp_value(e, x):
+    """The expression e at the mpmath number x, at mpmath's precision."""
+    kind = e.kind
+    if kind == "x":
+        return x
+    if kind == "lit":
+        return mpmath.mpf(e.value.numerator) / e.value.denominator
+    if kind == "pi":
+        return +mpmath.pi
+    if kind == "call":
+        return getattr(mpmath, e.fn)(mp_value(e.arg, x))
+    if kind == "pow":
+        return mp_value(e.base, x) ** e.exponent
+    if kind == "neg":
+        return -mp_value(e.a, x)
+    ops = {"add": operator.add, "sub": operator.sub,
+           "mul": operator.mul, "div": operator.truediv}
+    return ops[kind](mp_value(e.a, x), mp_value(e.b, x))
+
+
 # --- the recursive tree walk -------------------------------------------------
 #
 # Every node evaluated where it stands, a repeated subtree once per copy.
 # `_core`'s straight-line plan must return exactly these values under each op
 # table and name the same error offset.  `enclose_full_order` is
 # `_core.enclose` over this walk, its midpoint vector built to the full
-# order TAYLOR_ORDER.
+# order TAYLOR_ORDER, and the Taylor form about 0 in Fractions.
 
 def walk(ctx, node, x, ops):
     """Value of the expression node at x under the op table."""
@@ -648,6 +674,9 @@ def enclose_full_order(ctx, node, a, b):
     enc = walk(ctx, node, (a, b), _core._RANGE_OPS)
     if enc[0] > 0 or enc[1] < 0 or a == b:
         return enc
+    lo = zero_form_fraction(ctx, node, a, b) if 0 < a and b < ctx.one else None
+    if lo is not None:
+        return _core.iisect(enc, (lo, enc[1]))
     k = _core.TAYLOR_ORDER
     m = (a + b) // 2
     try:
@@ -677,14 +706,15 @@ def enclose_full_order(ctx, node, a, b):
     return out
 
 
-# --- the two rules of enclose near 0 ----------------------------------------
+# --- the three rules of enclose near 0 --------------------------------------
 #
 # The least Bernstein coefficient in Fractions, each weight from the monomial
 # expansion of (2s - 1)^j and the classical conversion of monomial to
-# Bernstein coefficients; and the [0, b] coefficient with removable quotients
-# shifted, found and applied in one recursive walk.  `_core._bernstein_lo`,
-# at the scale of its powers, and `_core._coeff_from_zero` must return
-# exactly these.
+# Bernstein coefficients; the [0, b] coefficient with removable quotients
+# shifted, found and applied in one recursive walk; and the Taylor form
+# about 0 over those walks, summed in Fractions.  `_core._bernstein_lo`, at
+# the scale of its powers, `_core._coeff_from_zero` and `_core._zero_form`
+# must return exactly these.
 
 @lru_cache(maxsize=None)
 def _bernstein_weight(n, i, j):
@@ -746,21 +776,54 @@ def walk_removable(ctx, node, xbox, xzero):
     return ops[kind](ub, vb), ops[kind](uz, vz)
 
 
-def vector_from_zero_walk(ctx, node, b):
-    """The order-TAYLOR_ORDER vector of node over [0, b] with its removable
-    quotients shifted, or None if it has none or cannot be evaluated; the
-    walk runs at the order raised by the orders the shifts lose."""
+def walk_from_zero(ctx, node, b):
+    """(depth, order-TAYLOR_ORDER vector over [0, b], the one at the point 0)
+    of node with its removable quotients shifted, or None if it cannot be
+    evaluated; the walk runs at the order raised by the depth, the orders
+    the shifts lose."""
     k = _core.TAYLOR_ORDER
     zero = _core._tvar(ctx, 0, 0, k)
     try:
         depth = k + 1 - len(walk_removable(ctx, node, zero, zero)[1])
-        if depth == 0:
-            return None
-        box, _ = walk_removable(ctx, node, _core._tvar(ctx, 0, b, k + depth),
-                                _core._tvar(ctx, 0, 0, k + depth))
+        return (depth, *walk_removable(ctx, node, _core._tvar(ctx, 0, b, k + depth),
+                                       _core._tvar(ctx, 0, 0, k + depth)))
     except (DomainError, PoleError):
         return None
-    return box
+
+
+def vector_from_zero_walk(ctx, node, b):
+    """`walk_from_zero`'s vector over [0, b], or None if node has no
+    removable quotient or it cannot be evaluated."""
+    found = walk_from_zero(ctx, node, b)
+    return found[1] if found and found[0] else None
+
+
+def zero_form_fraction(ctx, node, a, b):
+    """The lower end over [a, b] of the Taylor form about 0, in Fractions:
+    f_j at the point 0 for j < K and the order-K coefficient over [0, b]
+    (`walk_from_zero`), v the first order whose f_j excludes 0, and
+    g = f / x^v at least the sum of -max |f_j| / a^(v - j) over j < v and
+    of min f_j lo x^(j - v) at x = a and x = b over j >= v.  Then
+    g a^v rounded down once, or None when f_v < 0, no f_j excludes 0, or
+    that end is not > 0."""
+    found = walk_from_zero(ctx, node, b)
+    if found is None:
+        return None
+    _, box, jet = found
+    k, one = _core.TAYLOR_ORDER, ctx.one
+    terms = [tuple(Fraction(e, one) for e in c) for c in jet[:k] + [box[k]]]
+    v = next((j for j, (lo, hi) in enumerate(terms[:k]) if lo > 0 or hi < 0), None)
+    if v is None or terms[v][1] < 0:
+        return None
+    xa, xb = Fraction(a, one), Fraction(b, one)
+    g = Fraction(0)
+    for j, (lo, hi) in enumerate(terms):
+        if j < v:
+            g -= max(abs(lo), abs(hi)) / xa ** (v - j)
+        else:
+            g += min(lo * xa ** (j - v), lo * xb ** (j - v))
+    low = floor(g * xa ** v * one)
+    return low if low > 0 else None
 
 
 # --- point series through the rounding helpers ---------------------------------

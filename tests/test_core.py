@@ -4,6 +4,7 @@ and against the dense reference loops in `oracles`."""
 import random
 from fractions import Fraction
 from math import factorial, floor
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,13 +12,14 @@ import pytest
 from ineqcert import _core, lang
 from ineqcert.cli import run_command
 from ineqcert.interval import Interval, get_ctx
-from ineqcert.lang import INF, eval_endpoint, parse_expression
+from ineqcert.lang import INF, eval_endpoint, parse_corpus, parse_expression
 from ineqcert.prove import ProveOptions, prove_positive, verify_inequality
 from oracles import (bernstein_least, bernstein_lo_fraction,
                      enclose_full_order, idiv_eight, imul_dense,
                      point_series_helpers, poly_exact, tdiv_dense,
                      term_exact, tmul_dense, tsincos_dense, tsqr_dense,
-                     ttan_dense, ttan_quotient, vector_from_zero_walk, walk)
+                     ttan_dense, ttan_quotient, vector_from_zero_walk, walk,
+                     zero_form_fraction)
 
 _SIGNS = ("nonneg", "nonpos", "straddle", "thin", "zero")
 
@@ -451,13 +453,14 @@ def test_failed_taylor_vector_hands_down_no_rem(monkeypatch, corpus_specs):
 
 
 def test_inherited_remainder_decides_without_a_box_vector(monkeypatch, corpus_specs):
-    # CHAIN_1_8_A on [1/2, 5/8], inside [1/2, 3/4]: the remainder coefficient
-    # of the larger box already decides the sign, so no order-k vector is built
+    # CHAIN_1_8_A on [1, 9/8], inside [1, 5/4]: the remainder coefficient
+    # of the larger box already decides the sign, so no order-k vector is
+    # built (b >= 1, so the form about 0 is not tried)
     ctx = get_ctx(192)
     k = _core.TAYLOR_ORDER
     node = next(s for s in corpus_specs if s.name == "CHAIN_1_8_A").difference()
-    a, b = ctx.lo_of(Fraction(1, 2)), ctx.lo_of(Fraction(5, 8))
-    _, rem = _core.enclose(ctx, node, a, ctx.lo_of(Fraction(3, 4)))
+    a, b = ctx.lo_of(Fraction(1)), ctx.lo_of(Fraction(9, 8))
+    _, rem = _core.enclose(ctx, node, a, ctx.lo_of(Fraction(5, 4)))
     full, own = _core.enclose(ctx, node, a, b)
     orders = _record_orders(monkeypatch)
     enc, handed = _core.enclose(ctx, node, a, b, rem)
@@ -466,8 +469,8 @@ def test_inherited_remainder_decides_without_a_box_vector(monkeypatch, corpus_sp
 
 
 def test_inherited_remainder_cuts_box_vectors_on_ns_quartic(monkeypatch, corpus_specs):
-    # NS_QUARTIC's core: the same 12 leaves as with a box vector on
-    # every undecided box (22 order-12 vectors then), and 11 order-12
+    # NS_QUARTIC's core: the same 7 leaves as with a box vector on
+    # every undecided box (11 order-12 vectors then), and 5 order-12
     # vectors once each box inherits its parent's remainder coefficient
     node = next(s for s in corpus_specs if s.name == "NS_QUARTIC").difference()
     opts = ProveOptions()
@@ -475,8 +478,8 @@ def test_inherited_remainder_cuts_box_vectors_on_ns_quartic(monkeypatch, corpus_
     hi = Interval.point(opts.x_max).round_out(opts.precision).lo
     orders = _record_orders(monkeypatch)
     res = prove_positive(node, Interval(lo, hi), opts)
-    assert res.status == "Proved" and res.leaves == 12
-    assert orders.count(_core.TAYLOR_ORDER) <= 11
+    assert res.status == "Proved" and res.leaves == 7
+    assert orders.count(_core.TAYLOR_ORDER) <= 5
 
 
 def _poly_lo(ctx, tm, h):
@@ -606,20 +609,22 @@ def test_shorter_operand_is_truncated_never_read_as_zeros():
 
 
 def test_removable_quotient_coefficient_decides_near_zero(monkeypatch, corpus_specs):
-    # CHAIN_1_3_A on [1/1000, 1/500], where the difference is about 1e-12:
+    # CHAIN_1_3_A on [1/4, 1/2], where the form about 0 does not decide:
     # dividing by the box of x makes its own order-12 coefficient about
-    # +-4.5e36, so its form is undecided while P decides; the coefficient
-    # over [0, 1/500] decides, and the intersection is handed down
+    # +-9e8, so its form is undecided while P decides; the coefficient
+    # over [0, 1/2], about +-127, decides, and the intersection is handed
+    # down.  The form about 0 runs first, on the vectors at 0 and over
+    # [0, 1/2] at order k + 1, and the second is looked up again for c
     ctx = get_ctx(192)
     k = _core.TAYLOR_ORDER
     node = next(s for s in corpus_specs if s.name == "CHAIN_1_3_A").difference()
-    a, b = ctx.lo_of(Fraction(1, 1000)), ctx.lo_of(Fraction(1, 500))
+    a, b = ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2))
     own = _core.eval_taylor(ctx, node, _core._tvar(ctx, a, b), k)[k]
-    assert own[0] < -(10 ** 36) * ctx.one and own[1] > 10 ** 36 * ctx.one
+    assert own[0] < -(10 ** 8) * ctx.one and own[1] > 10 ** 8 * ctx.one
     c0 = _core._coeff_from_zero(ctx, node, b)
     orders = _record_orders(monkeypatch)
     enc, c = _core.enclose(ctx, node, a, b)
-    assert enc[0] > 0 and orders == [k - 1, k, k + 1]
+    assert enc[0] > 0 and orders == [k + 1, k + 1, k - 1, k, k + 1]
     assert c == _core.iisect(own, c0) == c0
     for p in (a, b, (a + b) // 2):
         pt = _core.eval_plain(ctx, node, (p, p))
@@ -635,6 +640,89 @@ def test_removable_quotient_coefficient_decides_near_zero(monkeypatch, corpus_sp
     monkeypatch.setattr(_core, "eval_taylor", failing)
     enc, c = _core.enclose(ctx, node, a, b)
     assert enc[0] <= 0 <= enc[1] and c == own
+
+
+# ---------------------------------------------------------------------------
+# the Taylor form about 0
+# ---------------------------------------------------------------------------
+
+_HOLDOUT = Path(__file__).parent / "data" / "holdout.ineq"
+
+
+def test_the_form_about_0_equals_its_fraction_oracle(corpus_specs):
+    # on seeded boxes [a, b] of (0, 1), a from 2^-20 up, for every shipped
+    # and hold-out difference and one whose orders below v hold 0 without
+    # being exactly 0 (1/3 - 1/3 rounds out to one ulp each way), the
+    # form's bound is the Fraction oracle's, and so is each enclosure
+    ctx = get_ctx(192)
+    rng = random.Random(2012)
+    cases = [(s.name, s.difference())
+             for s in (*corpus_specs, *parse_corpus(_HOLDOUT.read_text()))]
+    cases.append(("INEXACT", parse_expression("sin(x)/x - 1 + x^2/6 + 1/3 - 1/3")))
+    assert _core._from_zero(ctx, cases[-1][1], 0)[0] == (-1, 1)
+    proved = 0
+    for name, node in cases:
+        for _ in range(6):
+            x = Fraction(rng.randint(16, 31), 16 << rng.randint(1, 20))
+            a, b = ctx.lo_of(x), ctx.hi_of(min(x * (1 + Fraction(1, 1 << rng.randint(0, 4))),
+                                               Fraction(63, 64)))
+            lo = _core._zero_form(ctx, node, a, b)
+            assert lo == zero_form_fraction(ctx, node, a, b), (name, x)
+            assert _core.enclose(ctx, node, a, b)[0] == \
+                enclose_full_order(ctx, node, a, b), (name, x)
+            proved += lo is not None
+    assert proved >= 5 * len(cases)
+
+
+def test_ns_quartics_first_leaf_is_one_form_about_0(monkeypatch, corpus_specs):
+    # NS_QUARTIC's first leaf, [1/1000, 0.626], is proved from the vectors
+    # at 0 and over [0, b] alone (order k + 1 for its removable quotients):
+    # no order-11 midpoint vector and no box vector of its own is built,
+    # and the leaf's bound is the form's
+    k = _core.TAYLOR_ORDER
+    node = next(s for s in corpus_specs if s.name == "NS_QUARTIC").difference()
+    opts = ProveOptions()
+    lo = Interval.point(opts.eps_lo).round_out(opts.precision).hi
+    hi = Interval.point(opts.x_max).round_out(opts.precision).lo
+    leaf = prove_positive(node, Interval(lo, hi), opts).certificate[0]
+    assert leaf.lo == lo and leaf.hi < Fraction(2, 3)
+    ctx = get_ctx(192)
+    ctx.scope(object())
+    a, b = ctx.lo_of(leaf.lo), ctx.hi_of(leaf.hi)
+    orders = _record_orders(monkeypatch)
+    enc, _ = _core.enclose(ctx, node, a, b)
+    assert orders == [k + 1, k + 1]
+    assert enc[0] == _core._zero_form(ctx, node, a, b) == zero_form_fraction(ctx, node, a, b)
+    assert Fraction(enc[0], ctx.one) == leaf.bound > 0
+    ctx.scope(object())
+
+
+def test_a_stanza_closed_at_0_keeps_its_leaves(monkeypatch):
+    # 2 sinh x + tanh x + 10^-9 > 3x on [0, 1]: a box with a = 0, or with
+    # b = 1, never takes the form about 0, and the one box that tries it,
+    # [1/4, 1/2], is not decided by it (the x^7 term at b is 2^7 times the
+    # one at a), so the three leaves and their bounds are those of a run
+    # with the form off
+    spec, = parse_corpus("inequality C {\n  domain   = [0, 1]\n"
+                         "  lhs      = 2*sinh(x) + tanh(x) + 1/10^9\n"
+                         "  relation = >\n  rhs      = 3*x\n}\n")
+    ctx = get_ctx(192)
+    calls = []
+    zero_form = _core._zero_form
+
+    def recording(ctx, node, a, b):
+        calls.append((a, b))
+        return zero_form(ctx, node, a, b)
+
+    monkeypatch.setattr(_core, "_zero_form", recording)
+    on = verify_inequality(spec)
+    monkeypatch.setattr(_core, "_zero_form", lambda *args: None)
+    off = verify_inequality(spec)
+    assert on.status == off.status == "Proved" and on.leaves == 3
+    assert [(l.lo, l.hi) for l in on.certificate] == [
+        (0, Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), 1)]
+    assert on.certificate == off.certificate
+    assert calls == [(ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2)))]
 
 
 @pytest.mark.parametrize("src,f,lo,hi", [
@@ -786,13 +874,15 @@ def test_a_full_memo_stores_nothing_and_changes_no_report(monkeypatch, tmp_path,
 def test_a_bisection_past_the_cap_keeps_its_verdict(monkeypatch):
     # one bisection that evaluates more distinct points than the cap: its
     # tables stop at the cap, and the verdict and leaves are the uncapped
-    # ones (past the cap a lookup misses and the value is computed again)
+    # ones (past the cap a lookup misses and the value is computed again).
+    # The form about 0 proves the left half, [1/1000, 1501/2000], in one
+    # leaf, so the bisection evaluates 8 distinct points where it took 14
     ctx = get_ctx(192)
     node = parse_expression("2*sin(x) + tan(x) - 3*x")          # HUY_TRIG
     box = Interval(Fraction(1, 1000), Fraction(3, 2))
     ctx.scope(object())
     want = prove_positive(node, box)
-    cap, points = 8, set()
+    cap, points = 4, set()
     series = _core._point_series
 
     def recording(ctx, m, tag):
@@ -977,8 +1067,9 @@ def test_each_form_rounds_the_exact_sum_outward_by_under_one_ulp(corpus_specs):
     checked = 0
     for spec in corpus_specs:
         node = spec.difference()
-        for _ in range(2):
-            x = Fraction(rng.randrange(1, 96), 64)
+        for _ in range(3):
+            # b > 1: the form about 0 would bound a box of (0, 1) alone
+            x = Fraction(rng.randrange(64, 96), 64)
             a, b = ctx.lo_of(x), ctx.lo_of(x + Fraction(1, 64 << rng.randrange(4)))
             enc = _core.eval_plain(ctx, node, (a, b))
             m = (a + b) // 2

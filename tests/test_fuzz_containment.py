@@ -18,19 +18,22 @@ A second test feeds the Taylor kernels random interval vectors directly and
 checks each against the exact series of point choices of its inputs.  A
 third checks the box, point and [0, b] vectors of (v)*cos(u)/sin(u), the
 text `lang.clear_tan` writes for v/tan(u), against mpmath's coefficients of
-v over the tan series.
+v over the tan series.  A fourth checks the Taylor form about 0, and
+`enclose`, on boxes of (0, 1) reaching down to 2^-20, for every shipped and
+hold-out difference against mpmath's values.
 """
 
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import mpmath
 
 from ineqcert import _core
 from ineqcert.errors import DomainError, PoleError
-from ineqcert.lang import parse_expression
-from oracles import ser_div, ser_mul
+from ineqcert.lang import parse_corpus, parse_expression
+from oracles import mp_value, ser_div, ser_mul
 
 SEED = 19
 CHECKS = 3000
@@ -443,3 +446,40 @@ def test_taylor_quotient_by_tan_holds_the_mpmath_coefficients():
                       [Fraction(0), *_points(rng, Fraction(0), Fraction(hi, one))[1:]])
     assert not misses, misses[:3]
     assert checks > 6000
+
+
+# --- the Taylor form about 0 on the corpora's differences --------------------
+
+_HOLDOUT = Path(__file__).parent / "data" / "holdout.ineq"
+ZERO_FORM_BOXES = 8
+
+
+def test_the_form_about_0_holds_the_mpmath_values(corpus_specs):
+    # seeded boxes [a, b] of (0, 1), a from 2^-20 up and b - a from a/16
+    # to a, for every shipped and hold-out difference: each bound of the
+    # form about 0 lies below mpmath's value at the box's ends and 7 inner
+    # points, and each enclosure of enclose holds it.  Near 2^-20 the
+    # differences are about x^v, v up to 8, so mpmath runs at 150 digits
+    rng = random.Random(SEED)
+    ctx = _core.Ctx(PREC)
+    specs = [*corpus_specs, *parse_corpus(_HOLDOUT.read_text())]
+    bounds, checks, misses = 0, 0, []
+    with mpmath.workdps(150):
+        for spec in specs:
+            node = spec.difference()
+            for _ in range(ZERO_FORM_BOXES):
+                a = Fraction(rng.randint(16, 31), 16 << rng.randint(1, 20))
+                b = min(a * (1 + Fraction(1, 1 << rng.randint(0, 4))), Fraction(63, 64))
+                lo = _core._zero_form(ctx, node, ctx.lo_of(a), ctx.hi_of(b))
+                enc, _ = _core.enclose(ctx, node, ctx.lo_of(a), ctx.hi_of(b))
+                ends = [_mp(Fraction(e, ctx.one)) for e in enc]
+                for t in range(9):
+                    v = mp_value(node, _mp(a + (b - a) * Fraction(t, 8)))
+                    checks += 1
+                    if lo is not None and _mp(Fraction(lo, ctx.one)) > v + TOL:
+                        misses.append(("form", spec.name, a, b, t))
+                    if not ends[0] - TOL <= v <= ends[1] + TOL:
+                        misses.append(("enclose", spec.name, a, b, t))
+                bounds += lo is not None
+    assert not misses, misses[:3]
+    assert checks == 9 * ZERO_FORM_BOXES * len(specs) and bounds >= 5 * len(specs)
