@@ -33,14 +33,14 @@ Bernstein coefficient, and on a box in [0, 1) an undecided coefficient is
 intersected with one over [0, b] in which every removable quotient u/v (u
 and v exactly 0 at 0) is taken as (u/x)/(v/x), not divided by a box of x.
 
-Each step of a plan has a global structural id.  For one bisection root,
-`Ctx` keeps up to MEMO_CAP point series and as many Taylor vectors of the
-costly steps `enclose` runs, by id, box and order: stanzas that bisect one
-core share those of their common sides.  The Taylor ops
-skip every term with an exact (0, 0) factor and square by half convolution
-(`_sq`), the middle square held at 0 or above; sin/cos and sinh/cosh
-vectors come from their coupled recurrence, tan and tanh from the ODE
-t' = u' (1 +- t^2).
+Each step of a plan has a global structural id.  For its whole lifetime,
+one per precision in a process, `Ctx` keeps point series and the Taylor
+vectors of the costly steps `enclose` runs, by id, box and order, each
+table emptied when it is full: stanzas share those of their common sides
+in any order.  The Taylor ops skip every term with an exact (0, 0) factor
+and square by half convolution (`_sq`), the middle square held at 0 or
+above; sin/cos and sinh/cosh vectors come from their coupled recurrence,
+tan and tanh from the ODE t' = u' (1 +- t^2).
 """
 
 import threading
@@ -103,17 +103,17 @@ def _pi_bracket(prec):
     return lo >> 16, _ceil_shift(hi, 16)
 
 
-# Entries each table of `Ctx` stores for one bisection root; past it, lookups
-# go on and nothing new is stored.  The shipped corpus peaks at 1,046.
+# Entries a table of `Ctx` holds at most: a full table is emptied before its
+# next store.  A default `prove` ends with 124 point series and 1,161 vectors.
 MEMO_CAP = 1 << 14
 
 
 class Ctx:
-    """Evaluation context: precision, pi bracket, and two tables that live
-    for one bisection root (`scope`), each storing while it holds fewer than
+    """Evaluation context: precision, pi bracket, and two pure caches that
+    live as long as the context, each emptied before a store once it holds
     MEMO_CAP entries: point series (`cache`) and Taylor vectors (`memo`)."""
 
-    __slots__ = ("prec", "one", "pi", "cache", "memo", "root")
+    __slots__ = ("prec", "one", "pi", "cache", "memo")
 
     def __init__(self, prec=192):
         if prec < 16:
@@ -123,12 +123,6 @@ class Ctx:
         self.pi = _pi_bracket(prec)
         self.cache = {}
         self.memo = {}
-        self.root = None
-
-    def scope(self, root):
-        """A bisection of root starts: keep the tables only if root's."""
-        if root != self.root:
-            self.root, self.cache, self.memo = root, {}, {}
 
     # conversions ----------------------------------------------------------
     def lo_of(self, f):
@@ -317,8 +311,9 @@ def _point_series(ctx, m, tag):
     if neg:
         s = (-s[1], -s[0])
     out = (s, c)
-    if len(ctx.cache) < MEMO_CAP:
-        ctx.cache[key] = out
+    if len(ctx.cache) >= MEMO_CAP:
+        ctx.cache.clear()
+    ctx.cache[key] = out
     return out
 
 
@@ -665,7 +660,7 @@ def _run(ctx, node, x, ops, shifts=None, memo=None):
     entry of None is filled in from the operands, as `_removable` does.
     With `memo` (a `Ctx.memo`), each costly step is looked up there by its
     global id, the box and order of x (`_tvar`'s) and whether shifts apply
-    before it is run, and stored while the memo holds under MEMO_CAP."""
+    before it is run, and stored, the memo emptied first if it is full."""
     steps, positions, ids = _plan(node)
     base = None if memo is None else (x[0], len(x), shifts is not None)
     vals = []
@@ -700,7 +695,9 @@ def _run(ctx, node, x, ops, shifts=None, memo=None):
                 push(ops["div"](ctx, u, v))
             else:
                 push(ops[kind](vals[p], vals[q]))
-            if key is not None and len(memo) < MEMO_CAP:
+            if key is not None:
+                if len(memo) >= MEMO_CAP:
+                    memo.clear()
                 memo[key] = vals[-1]
     except (DomainError, PoleError) as exc:
         # the first step that fails names the offset; 0 is a valid one
@@ -749,10 +746,10 @@ def _shared_zeros(u, v):
 
 
 def _removable(ctx, node):
-    """(shifts, depth) for node's removable quotients, or None if it has
-    none or its plan cannot run at 0.  shifts holds, for each `/` step,
-    how many leading coefficients both operands have exactly (0, 0) at the
-    point 0, with the rule applied to the steps before it; depth is the
+    """(shifts, depth) for node's removable quotients, (None, 0) if it has
+    none, or None if its plan cannot run at 0.  shifts holds, for each `/`
+    step, how many leading coefficients both operands have exactly (0, 0)
+    at the point 0, with the rule applied to the steps before it; depth is the
     most orders one path to the root loses.  Exact zeros come only from
     exact operations on exact zeros, so the shifts do not depend on the
     precision: the finding is kept on the root node, beside its plan."""
@@ -764,8 +761,8 @@ def _removable(ctx, node):
     try:
         out = _run(ctx, node, _tvar(ctx, 0, 0), _TAYLOR_OPS, shifts)
     except (DomainError, PoleError):
-        out = ()
-    found = (tuple(shifts), TAYLOR_ORDER + 1 - len(out)) if out and any(shifts) else None
+        out = None
+    found = out and (tuple(shifts) if any(shifts) else None, TAYLOR_ORDER + 1 - len(out))
     object.__setattr__(node, "_removable", found)     # the nodes are frozen
     return found
 
@@ -774,8 +771,11 @@ def _from_zero(ctx, node, b):
     """The order-TAYLOR_ORDER vector of node over [0, b] (at the point 0
     when b = 0), each removable quotient taken as (u/x)/(v/x), so run at
     the order raised by the orders the shifts lose; None when the vector
-    cannot be evaluated."""
-    shifts, depth = _removable(ctx, node) or (None, 0)
+    cannot be evaluated, at once when the plan cannot run at the point 0,
+    which [0, b] holds."""
+    if (found := _removable(ctx, node)) is None:
+        return None
+    shifts, depth = found
     k = TAYLOR_ORDER + depth
     try:
         # looked up at call time, so the traced benchmark counts it
@@ -783,14 +783,6 @@ def _from_zero(ctx, node, b):
                            memo=ctx.memo)
     except (DomainError, PoleError):
         return None
-
-
-def _coeff_from_zero(ctx, node, b):
-    """The order-TAYLOR_ORDER box coefficient of node over [0, b]
-    (`_from_zero`); None when node has no removable quotient or the vector
-    cannot be evaluated."""
-    vec = _removable(ctx, node) and _from_zero(ctx, node, b)
-    return vec[TAYLOR_ORDER] if vec else None
 
 
 def _zero_form(ctx, node, a, b):
@@ -889,7 +881,7 @@ def enclose(ctx, node, a, b, rem=None):
     the box vector gives c.  When that form leaves the sign undecided while
     P decides it, and 0 <= a < b < 1, c becomes c intersected with the
     coefficient over [0, b] with each removable quotient taken as
-    (u/x)/(v/x) (`_coeff_from_zero`): near 0, dividing by a box of x
+    (u/x)/(v/x) (`_from_zero`): near 0, dividing by a box of x
     inflates c like a^-k.  That c is handed on; without `rem` the
     enclosure is always the full form.  No rem is handed on when a Taylor
     vector could not be evaluated.
@@ -946,8 +938,8 @@ def enclose(ctx, node, a, b, rem=None):
     # box's own.  The gate is on b, so every sub-box of an admitted box is
     # admitted: a box that inherits a [0, b] coefficient builds its own.
     if out[0] <= 0 <= out[1] and not straddles and 0 <= a and b < ctx.one:
-        c0 = _coeff_from_zero(ctx, node, b)
-        if c0 is not None:
-            c = iisect(c, c0)
+        vec = _from_zero(ctx, node, b)
+        if vec is not None:
+            c = iisect(c, vec[k])
             out = form(c)
     return out, c

@@ -208,14 +208,10 @@ def _cmd_prove(args) -> int:
             raise _UsageError(f"no stanza named {args.name!r}")
     stanza_opts = [_stanza_opts(s, args) for s in corpus]  # and every tag
 
-    # stanzas run in this thread (--jobs is ignored) grouped by core, in order
-    # of first appearance, to share the Taylor vectors of its boxes (Ctx.memo)
-    groups = {}
-    for s, s_opts in zip(corpus, stanza_opts):
-        key = (s.lo_expr, s.lo_closed, s.hi_expr, s.hi_closed, s_opts)
-        groups.setdefault(key, []).append((s, s_opts))
+    # stanzas run in this thread (--jobs is ignored), in corpus order; those
+    # that share a side share its Taylor vectors in any order (Ctx.memo)
     results = []
-    for s, s_opts in (pair for group in groups.values() for pair in group):
+    for s, s_opts in zip(corpus, stanza_opts):
         try:
             results.append((s, verify_inequality(s, s_opts)))
         except Exception as exc:

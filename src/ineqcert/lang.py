@@ -417,37 +417,36 @@ def _by_tan(n: Expr) -> bool:
     return n.kind == "div" and n.b.kind == "call" and n.b.fn == "tan"
 
 
-def tan_divisors(e: Expr) -> tuple:
-    """The distinct u of e's quotients v/tan(u), which `clear_tan` rewrites."""
-    return tuple(dict.fromkeys(n.b.arg for n in _subtrees(e) if _by_tan(n)))
-
-
-def _cot(e: Expr) -> Expr:
-    """e with each v/tan(u) written v*cos(u)/sin(u) at tan's offset; e if none."""
-    new = {f: _cot(c) for f in e._fields if isinstance(c := getattr(e, f), Expr)}
+def _cot(e: Expr, poles: list) -> Expr:
+    """e with each v/tan(u) written v*cos(u)/sin(u) at tan's offset, e if
+    none; each such u, as e states it, is appended to poles in pre-order."""
+    if _by_tan(e):
+        poles.append(e.b.arg)
+    new = {f: _cot(c, poles) for f in e._fields if isinstance(c := getattr(e, f), Expr)}
     if _by_tan(e):
         u, at = new["b"].arg, e.b.pos
         return Div(Mul(new["a"], Call("cos", u, at), e.pos), Call("sin", u, at), e.pos)
     return e if all(c is getattr(e, f) for f, c in new.items()) else e.replace(**new)
 
 
-def clear_tan(e: Expr, multipliers: tuple) -> Expr:
-    """N = m*e for the product m of the given multipliers cos(u) of
-    `tan_multipliers(e)`, as an exact rewrite: in each additive term whose
+def clear_tan(e: Expr, multipliers: tuple) -> tuple:
+    """(N, poles): N = m*e for the product m of the given multipliers cos(u)
+    of `tan_multipliers(e)`, as an exact rewrite: in each additive term whose
     numerator factor is tan(u), that factor becomes sin(u), and every other
     term is multiplied by cos(u), once for the sum of the terms that lack
     the same multipliers; then each v/tan(u) becomes v*cos(u)/sin(u), whose
     Taylor coefficients stay bounded at tan's pole, where N is finite: keep
-    the u of `tan_divisors(e)` off cos's zeros.  One node per e and
-    multipliers, kept on e (so stanzas of one statement share it and its
-    plan); e itself when it has nothing to rewrite."""
+    the poles, the distinct u of those quotients in e's pre-order, off cos's
+    zeros.  One pair per e and multipliers, kept on e (so stanzas of one
+    statement share N and its plan); N is e itself when it has nothing to
+    rewrite."""
     kept = getattr(e, "_cleared", None)
     if kept is None:
         kept = {}
         object.__setattr__(e, "_cleared", kept)         # the nodes are frozen
-    n = kept.get(multipliers)
-    if n is None:
-        terms, groups = [], {}      # the multipliers a term lacks -> its terms
+    found = kept.get(multipliers)
+    if found is None:
+        n, terms, groups, poles = None, [], {}, []  # groups: lacks -> terms
         if multipliers:             # with none, only _cot rewrites e
             _signed_terms(e, 1, terms)
         for sign, t in terms:
@@ -458,17 +457,18 @@ def clear_tan(e: Expr, multipliers: tuple) -> Expr:
                     t = _swap_numerator(t, tan, Call("sin", m.arg, m.pos))
                 else:
                     lacks.append(m)
-            groups.setdefault(tuple(lacks), []).append((sign, t))
+            groups.setdefault(tuple(lacks), []).append((sign, _cot(t, poles)))
         for lacks, group in groups.items():
             g = None
             for sign, t in group:
                 g = (t if sign > 0 else Neg(t, t.pos)) if g is None else (
                     Add if sign > 0 else Sub)(g, t, t.pos)
-            for m in lacks:
-                g = Mul(g, m, m.pos)
+            for m in lacks:         # each u here is a term's too: no new pole
+                g = Mul(g, _cot(m, poles), m.pos)
             n = g if n is None else Add(n, g, g.pos)
-        n = kept[multipliers] = _cot(e if n is None else n)
-    return n
+        found = kept[multipliers] = (_cot(e, poles) if n is None else n,
+                                     tuple(dict.fromkeys(poles)))
+    return found
 
 
 def eval_expr(e: Expr, x: Interval, precision: int = 192) -> Interval:

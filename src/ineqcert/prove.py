@@ -51,7 +51,7 @@ from .exact import bernoulli  # noqa: F401 (patched by perfbench)
 from .interval import Interval, get_ctx
 from .lang import (Expr, InequalitySpec, _digit_limit, clear_tan, default_corpus_path,
                    eval_endpoint, eval_expr, format_expr, parse_corpus,
-                   parse_expression, tan_divisors, tan_multipliers)
+                   parse_expression, tan_multipliers)
 from .series import (coeff_row, exact_sum, get_series, sign_function,
                      tail_bound, theorem_coeff, theorem_pair, TailBound,
                      THEOREMS, TRIG_X_MAX)
@@ -268,7 +268,6 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
     multipliers; the caller times the run (`ProofResult.ms`)."""
     ctx = get_ctx(opts.precision)
     core = (ctx.lo_of(lo), ctx.hi_of(hi))
-    ctx.scope(core)
 
     def ev(x: Interval) -> Interval:  # a point's enclosure, or a box's
         return _enclose(ctx, expr, x.lo, x.hi)[0]
@@ -294,7 +293,7 @@ def _bisect_positive(expr: Expr, lo: Fraction, hi: Fraction,
     if ("call", "tan") in (step[:2] for step in _core._plan(expr)[0]):
         multipliers = tuple(m for m in tan_multipliers(expr) if _positive(ctx, m, core)
                             and not _positive(ctx, m, (core[0] - r, core[1] + r)))
-        form, poles = clear_tan(expr, multipliers), tan_divisors(expr)
+        form, poles = clear_tan(expr, multipliers)
     if multipliers:
         names = [format_expr(m) for m in multipliers]
         findings.append(f"bisected {'*'.join(names)}*difference: {', '.join(names)} "
@@ -369,7 +368,7 @@ def reverify_certificate(expr: Expr, result: ProofResult, precision: int) -> boo
     multipliers, must stay positive on each, off tan's poles as bisection
     keeps it, and so must each multiplier."""
     ctx = get_ctx(precision)
-    form, poles = clear_tan(expr, result.multipliers), tan_divisors(expr)
+    form, poles = clear_tan(expr, result.multipliers)
     try:
         return result.status == "Proved" and result.bisected in (None, form) and all(
             _enclose(ctx, form, leaf.lo, leaf.hi, None, poles)[0].lo > 0

@@ -54,13 +54,16 @@ which `test_the_cleared_form_is_cos_times_the_difference` kills).  The
 next one floors a core's lower end in `prove.verify_inequality`, so the
 core starts outside its margin or before its closed end
 (`core-end-rounds-inward`, which
-`test_core_ends_are_the_round_out_of_each_end` kills).  The last two
+`test_core_ends_are_the_round_out_of_each_end` kills).  The next two
 break the Taylor form about 0 of `_core._zero_form`: the terms
 -|f_j| a^(j-v) of the orders below v dropped
 (`zero-form-drops-low-orders`), and a negative coefficient's term taken
 at a^e in place of b^e (`zero-form-power-at-wrong-end`);
-`test_the_form_about_0_equals_its_fraction_oracle` kills each.  That is
-57 mutants in all.  For each, the repository is copied to a temporary
+`test_the_form_about_0_equals_its_fraction_oracle` kills each.  The last
+one drops the emptying of a full `Ctx.memo` in `_core._run`, so the table
+grows past MEMO_CAP (`table-never-empties`, which
+`test_a_full_table_is_emptied_and_changes_no_report` kills).  That is
+58 mutants in all.  For each, the repository is copied to a temporary
 directory, the one edit is made there, and `pytest -x -q` runs on the
 copy.  A mutant that leaves the suite green survives: the edit it makes
 has no test.
@@ -257,7 +260,7 @@ MUTANTS = [
      "if bound <= 0:",
      "if bound < 0:"),
     ("clear-drops-cos-factor", "src/ineqcert/lang.py",
-     "g = Mul(g, m, m.pos)",
+     "g = Mul(g, _cot(m, poles), m.pos)",
      "g = g"),
     ("clear-skips-cos-certificate", PROVE,
      "if _positive(ctx, m, core)",
@@ -277,6 +280,9 @@ MUTANTS = [
     ("zero-form-power-at-wrong-end", CORE,
      "t = c[0] * (b if c[0] < 0 else a) ** (j - v) * av",
      "t = c[0] * a ** (j - v) * av"),
+    ("table-never-empties", CORE,
+     "                if len(memo) >= MEMO_CAP:\n                    memo.clear()\n",
+     ""),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

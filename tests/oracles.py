@@ -713,7 +713,7 @@ def enclose_full_order(ctx, node, a, b):
 # Bernstein coefficients; the [0, b] coefficient with removable quotients
 # shifted, found and applied in one recursive walk; and the Taylor form
 # about 0 over those walks, summed in Fractions.  `_core._bernstein_lo`, at
-# the scale of its powers, `_core._coeff_from_zero` and `_core._zero_form`
+# the scale of its powers, `_core._from_zero` and `_core._zero_form`
 # must return exactly these.
 
 @lru_cache(maxsize=None)
@@ -792,10 +792,10 @@ def walk_from_zero(ctx, node, b):
 
 
 def vector_from_zero_walk(ctx, node, b):
-    """`walk_from_zero`'s vector over [0, b], or None if node has no
-    removable quotient or it cannot be evaluated."""
+    """`walk_from_zero`'s vector over [0, b], or None if it cannot be
+    evaluated."""
     found = walk_from_zero(ctx, node, b)
-    return found[1] if found and found[0] else None
+    return found[1] if found else None
 
 
 def zero_form_fraction(ctx, node, a, b):

@@ -612,10 +612,10 @@ inequality COSH_ABOVE_ONE {
 """
 
 
-def test_internal_error_names_the_stanza_run_out_of_file_order(monkeypatch, capsys,
-                                                              tmp_path):
-    # stanzas run grouped by domain: WILKER, third in the file, runs second,
-    # right after HUY_TRIG on (0, pi/2), and the exit-4 line names it
+def test_internal_error_names_the_stanza_that_raised(monkeypatch, capsys, tmp_path):
+    # stanzas run in file order, whatever their domains: the exit-4 line
+    # names the one that raised, the last or one before it, and no stanza
+    # after it runs
     p = tmp_path / "three.ineq"
     p.write_text(_FIXTURE_TWO + """
 inequality WILKER {
@@ -625,20 +625,22 @@ inequality WILKER {
   rhs      = 2
 }
 """)
-    ran = []
+    for bad, want in (("WILKER", ["HUY_TRIG", "COSH_ABOVE_ONE", "WILKER"]),
+                      ("COSH_ABOVE_ONE", ["HUY_TRIG", "COSH_ABOVE_ONE"])):
+        ran = []
 
-    def broken(spec, opts=None):
-        ran.append(spec.name)
-        if spec.name == "WILKER":
-            raise AssertionError("enclosures do not meet")
-        return ProofResult("Proved")
+        def broken(spec, opts=None):
+            ran.append(spec.name)
+            if spec.name == bad:
+                raise AssertionError("enclosures do not meet")
+            return ProofResult("Proved")
 
-    monkeypatch.setattr("ineqcert.cli.verify_inequality", broken)
-    assert run_command(["prove", "--corpus", str(p)]) == 4
-    assert ran == ["HUY_TRIG", "WILKER"]
-    err = capsys.readouterr().err
-    assert err == ("ineqcert: internal error in stanza WILKER: "
-                   "AssertionError: enclosures do not meet\n")
+        monkeypatch.setattr("ineqcert.cli.verify_inequality", broken)
+        assert run_command(["prove", "--corpus", str(p)]) == 4
+        assert ran == want
+        err = capsys.readouterr().err
+        assert err == (f"ineqcert: internal error in stanza {bad}: "
+                       "AssertionError: enclosures do not meet\n")
 
 
 def test_empty_intersection_is_a_stanza_unknown(monkeypatch, tmp_path):
@@ -1076,8 +1078,8 @@ def test_full_corpus_exits_zero(corpus_report):
 
 
 def test_shuffled_corpus_gives_the_same_report(tmp_path, corpus_report):
-    # stanzas run grouped by core, in an order that follows the file's, and
-    # share _core's Taylor memo: neither may show in the report, which is
+    # stanzas run in the file's order and share _core's tables, which live
+    # for the whole process: neither may show in the report, which is
     # byte-identical to the shipped corpus's
     code, raw, _ = corpus_report
     text = Path(default_corpus_path()).read_text(encoding="utf-8")

@@ -546,8 +546,8 @@ def test_vector_from_zero_holds_point_vectors(corpus_specs):
     cases.append(("SIN5", parse_expression("sin(x)^5/x^5"), False, 5))
     for name, node, unbounded, want in cases:
         found = _core._removable(ctx, node)
-        assert (found is None) == (name in ("HUY_TRIG", "HUY_HYP")), name
-        if found is None:
+        assert (found == (None, 0)) == (name in ("HUY_TRIG", "HUY_HYP")), name
+        if found == (None, 0):
             continue
         shifts, depth = found
         assert depth == want and _core._removable(ctx, node) is found
@@ -557,7 +557,7 @@ def test_vector_from_zero_holds_point_vectors(corpus_specs):
             vec = _core.eval_taylor(ctx, node, _core._tvar(ctx, 0, b, k + depth),
                                     k + depth, shifts)
             assert len(vec) == k + 1 and vec == vector_from_zero_walk(ctx, node, b)
-            assert _core._coeff_from_zero(ctx, node, b) == vec[k]
+            assert _core._from_zero(ctx, node, b) == vec
             points = [_core.eval_taylor(ctx, node, _core._tvar(ctx, 0, 0, k + depth),
                                         k + depth, shifts)]
             for xi in (b, rng.randint(1, b - 1), rng.randint(1, b // 64)):
@@ -621,7 +621,7 @@ def test_removable_quotient_coefficient_decides_near_zero(monkeypatch, corpus_sp
     a, b = ctx.lo_of(Fraction(1, 4)), ctx.lo_of(Fraction(1, 2))
     own = _core.eval_taylor(ctx, node, _core._tvar(ctx, a, b), k)[k]
     assert own[0] < -(10 ** 8) * ctx.one and own[1] > 10 ** 8 * ctx.one
-    c0 = _core._coeff_from_zero(ctx, node, b)
+    c0 = _core._from_zero(ctx, node, b)[k]
     orders = _record_orders(monkeypatch)
     enc, c = _core.enclose(ctx, node, a, b)
     assert enc[0] > 0 and orders == [k + 1, k + 1, k - 1, k, k + 1]
@@ -687,14 +687,13 @@ def test_ns_quartics_first_leaf_is_one_form_about_0(monkeypatch, corpus_specs):
     leaf = prove_positive(node, Interval(lo, hi), opts).certificate[0]
     assert leaf.lo == lo and leaf.hi < Fraction(2, 3)
     ctx = get_ctx(192)
-    ctx.scope(object())
+    _empty_tables(ctx)
     a, b = ctx.lo_of(leaf.lo), ctx.hi_of(leaf.hi)
     orders = _record_orders(monkeypatch)
     enc, _ = _core.enclose(ctx, node, a, b)
     assert orders == [k + 1, k + 1]
     assert enc[0] == _core._zero_form(ctx, node, a, b) == zero_form_fraction(ctx, node, a, b)
     assert Fraction(enc[0], ctx.one) == leaf.bound > 0
-    ctx.scope(object())
 
 
 def test_a_stanza_closed_at_0_keeps_its_leaves(monkeypatch):
@@ -761,7 +760,7 @@ def test_a_reversed_box_is_refused():
     node = parse_expression("((x - sinh(x))/(x^3)) - (-171/1024)")
     assert _core._removable(ctx, node) is not None
     with pytest.raises(ValueError, match="reversed"):
-        _core._coeff_from_zero(ctx, node, b)
+        _core._from_zero(ctx, node, b)
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +801,12 @@ def test_enclose_on_a_warmed_ctx_equals_a_fresh_one(monkeypatch, corpus_specs):
     assert warm.memo and products["warm"] < products["fresh"]
 
 
+def _empty_tables(ctx):
+    """Start ctx from empty tables, as a fresh process does."""
+    ctx.memo.clear()
+    ctx.cache.clear()
+
+
 def _counting_taylor_products(monkeypatch):
     """Rebind the Taylor ops that multiply; returns the list of their calls."""
     made = []
@@ -819,7 +824,7 @@ def test_chain_twin_run_after_its_twin_makes_no_taylor_products(monkeypatch,
     # it, on the same core, it takes every vector from the memo and its
     # shifts from the difference node they share
     ctx = get_ctx(192)
-    ctx.scope(object())             # a root no bisection has: an empty memo
+    _empty_tables(ctx)
     made = _counting_taylor_products(monkeypatch)
     specs = {s.name: s for s in corpus_specs}
     first = verify_inequality(specs["CHAIN_1_3_B"])
@@ -830,74 +835,99 @@ def test_chain_twin_run_after_its_twin_makes_no_taylor_products(monkeypatch,
     assert made == []
 
 
-def test_bisection_on_a_new_root_empties_the_memo():
-    # and the point series: both tables live for one root
+def test_a_bisection_on_a_new_core_keeps_the_tables(monkeypatch):
+    # both tables live as long as their context: a bisection of another
+    # core keeps the first core's entries, adds its own, and is served
+    # point series the first one formed (a point series key holds no core)
     ctx = get_ctx(192)
+    _empty_tables(ctx)
     box = Interval(Fraction(1, 100), Fraction(4))
     assert prove_positive(parse_expression("x - sin(x)"), box).status == "Proved"
-    memo, cache = ctx.memo, ctx.cache
-    assert memo and cache and ctx.root == (ctx.lo_of(box.lo), ctx.hi_of(box.hi))
-    # another expression on the same root keeps them and adds its own entries
-    prove_positive(parse_expression("x^3 - sin(x)^3"), box)
-    assert ctx.memo is memo and ctx.cache is cache
-    # a new root starts from empty tables
-    prove_positive(parse_expression("x - sin(x)"), Interval(Fraction(1, 100), 2))
-    assert ctx.memo is not memo and ctx.memo
-    assert ctx.cache is not cache and ctx.cache
-    assert ctx.root == (ctx.lo_of(Fraction(1, 100)), ctx.hi_of(Fraction(2)))
+    memo, cache = dict(ctx.memo), dict(ctx.cache)
+    assert memo and cache
+    hits = []
+    series = _core._point_series
+
+    def recording(ctx, m, tag):
+        hits.append((tag, m) in cache)
+        return series(ctx, m, tag)
+
+    monkeypatch.setattr(_core, "_point_series", recording)
+    r = prove_positive(parse_expression("x - sin(x)"), Interval(Fraction(1, 100), 2))
+    assert r.status == "Proved" and any(hits)
+    assert memo.items() <= ctx.memo.items() and cache.items() <= ctx.cache.items()
+    assert len(ctx.memo) > len(memo) and len(ctx.cache) > len(cache)
 
 
-def test_a_full_memo_stores_nothing_and_changes_no_report(monkeypatch, tmp_path,
-                                                          corpus_report):
-    # past MEMO_CAP entries for one root, neither Ctx.memo nor Ctx.cache
-    # stores a new one and lookups go on: the corpus report is the same
-    # bytes, and no root holds more than the cap in either table (the
-    # shipped corpus peaks at 1,046 vectors and 109 point series)
-    cap, peak = 64, {"memo": 0, "cache": 0}
+def test_a_full_table_is_emptied_and_changes_no_report(monkeypatch, tmp_path,
+                                                       corpus_report):
+    # once Ctx.memo or Ctx.cache holds MEMO_CAP entries, it is emptied
+    # before its next store: neither ever holds more than the cap, both
+    # are emptied on a default prove (which ends with 124 point series and
+    # 1,161 vectors at the shipped cap), a point formed after an emptying
+    # is kept, and the corpus report is the same bytes
+    cap = 64
     monkeypatch.setattr(_core, "MEMO_CAP", cap)
-    scope = _core.Ctx.scope
+    ctx = get_ctx(192)
+    _empty_tables(ctx)
+    sizes = {"memo": [], "cache": []}
+    run, series = _core._run, _core._point_series
 
-    def recording(ctx, root):
-        for table in peak:
-            peak[table] = max(peak[table], len(getattr(ctx, table)))
-        return scope(ctx, root)
+    def record():
+        for table, seen in sizes.items():
+            seen.append(len(getattr(ctx, table)))
 
-    monkeypatch.setattr(_core.Ctx, "scope", recording)
-    get_ctx(192).scope(object())            # a root no bisection has
+    def running(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        finally:
+            record()
+
+    def pointing(ctx, m, tag):
+        out = series(ctx, m, tag)
+        record()
+        assert m == 0 or ctx.cache[(tag, m)] is out
+        return out
+
+    monkeypatch.setattr(_core, "_run", running)
+    monkeypatch.setattr(_core, "_point_series", pointing)
     out = tmp_path / "capped.json"
     assert run_command(["prove", "--out", str(out)]) == 0
-    get_ctx(192).scope(object())
     assert out.read_bytes() == corpus_report[1]
-    assert peak == {"memo": cap, "cache": cap}
+    for table, seen in sizes.items():
+        assert max(seen) <= cap, table
+        assert any(b < a for a, b in zip(seen, seen[1:])), table
+    _empty_tables(ctx)
 
 
 def test_a_bisection_past_the_cap_keeps_its_verdict(monkeypatch):
     # one bisection that evaluates more distinct points than the cap: its
-    # tables stop at the cap, and the verdict and leaves are the uncapped
-    # ones (past the cap a lookup misses and the value is computed again).
+    # tables are emptied as they fill, and the verdict and leaves are the
+    # uncapped ones (a point stored before an emptying is formed again).
     # The form about 0 proves the left half, [1/1000, 1501/2000], in one
     # leaf, so the bisection evaluates 8 distinct points where it took 14
     ctx = get_ctx(192)
     node = parse_expression("2*sin(x) + tan(x) - 3*x")          # HUY_TRIG
     box = Interval(Fraction(1, 1000), Fraction(3, 2))
-    ctx.scope(object())
+    _empty_tables(ctx)
     want = prove_positive(node, box)
-    cap, points = 4, set()
+    cap, points = 4, []
     series = _core._point_series
 
     def recording(ctx, m, tag):
-        points.add((tag, m))
+        points.append((tag, m))
         return series(ctx, m, tag)
 
     monkeypatch.setattr(_core, "MEMO_CAP", cap)
     monkeypatch.setattr(_core, "_point_series", recording)
-    ctx.scope(object())
+    _empty_tables(ctx)
     got = prove_positive(node, box)
     assert want.status == "Proved"
     assert (got.status, got.leaves) == (want.status, want.leaves)
-    assert len(points) > cap
-    assert len(ctx.cache) == cap and len(ctx.memo) == cap
-    ctx.scope(object())
+    assert len(set(points)) > cap and points[-1][1] != 0
+    assert points[-1] in ctx.cache
+    assert 0 < len(ctx.cache) <= cap and 0 < len(ctx.memo) <= cap
+    _empty_tables(ctx)
 
 
 def test_removable_keeps_its_finding_on_the_node(monkeypatch):
@@ -911,6 +941,29 @@ def test_removable_keeps_its_finding_on_the_node(monkeypatch):
     made.clear()
     assert _core._removable(_core.Ctx(64), node) == found and made == []
     assert not hasattr(_core, "_REMOVABLE")
+
+
+def test_a_plan_that_cannot_run_at_0_runs_there_once(monkeypatch):
+    # 1/x raises at the point 0, so the jet about 0 cannot be formed: the
+    # node keeps that finding from its one failing run, and the form about
+    # 0 runs nothing more there on any box.  The verdict and leaves stand
+    node = parse_expression("x^2/sin(x)^3 - 1/x - x/4")
+    failed = {}
+    run = _core._run
+
+    def running(ctx, node, x, *args, **kwargs):
+        try:
+            return run(ctx, node, x, *args, **kwargs)
+        except (_core.DomainError, _core.PoleError):
+            if x[0] == (0, 0):
+                failed[id(node)] = failed.get(id(node), 0) + 1
+            raise
+
+    monkeypatch.setattr(_core, "_run", running)
+    r = prove_positive(node, Interval(Fraction(1, 1000), Fraction(1, 2)))
+    assert (r.status, r.leaves) == ("Proved", 51)
+    assert _core._removable(get_ctx(192), node) is None
+    assert failed and max(failed.values()) == 1
 
 
 def test_a_memoised_run_takes_only_tvar_vectors():
@@ -954,12 +1007,12 @@ def test_a_memo_vector_is_served_only_at_its_order():
                                            "(x - sin(x))/(x^3) - 1/7")]
     assert [_core._removable(ctx, n)[1] for n in nodes] == [2, 3]
     for node in nodes:
-        want = _core._coeff_from_zero(_core.Ctx(192), node, b)
-        assert want is not None and _core._coeff_from_zero(ctx, node, b) == want
+        want = _core._from_zero(_core.Ctx(192), node, b)
+        assert want is not None and _core._from_zero(ctx, node, b) == want
 
 
 def test_a_memo_vector_is_served_only_to_its_shifts():
-    # after the shifted run of _coeff_from_zero, a plain memoised run at
+    # after the shifted run of _from_zero, a plain memoised run at
     # the same box and order still divides by the box of x^3, which holds
     # 0, as it does on a fresh context
     ctx = _core.Ctx(192)
@@ -967,7 +1020,7 @@ def test_a_memo_vector_is_served_only_to_its_shifts():
     node = parse_expression("(x - sin(x))/(x^3) - 1/7")
     _, depth = _core._removable(ctx, node)
     k = _core.TAYLOR_ORDER + depth
-    assert _core._coeff_from_zero(ctx, node, b) is not None
+    assert _core._from_zero(ctx, node, b) is not None
     for memo in ({}, ctx.memo):
         with pytest.raises(_core.PoleError):
             _core.eval_taylor(ctx, node, _core._tvar(ctx, 0, b, k), k, memo=memo)

@@ -810,7 +810,7 @@ def test_the_cleared_form_is_cos_times_the_difference(corpus_results):
         for spec, r in runs:
             if spec.name not in rewritten:
                 continue
-            assert r.bisected is clear_tan(spec.difference(), r.multipliers)
+            assert r.bisected is clear_tan(spec.difference(), r.multipliers)[0]
             assert "/tan(" not in format_expr(r.bisected), spec.name
             if spec.name in cleared:
                 assert [format_expr(m) for m in r.multipliers] == ["cos(x)"]
@@ -830,11 +830,14 @@ def test_the_cleared_form_is_cos_times_the_difference(corpus_results):
     "tan(x)*tan(x) + 1", "x/tan(x) - 1", "1/(2*tan(x)) + tan(x)",
     "x*(tan(x) + 1) - 1"])
 def test_a_tan_used_otherwise_is_not_cleared(text):
-    # no multiplier; only a quotient by a tan call is rewritten, exactly
+    # no multiplier; only a quotient by a tan call is rewritten, exactly,
+    # and its divisor's argument is the one pole
     e = parse_expression(text)
     assert tan_multipliers(e) == ()
-    n = clear_tan(e, ())
-    assert clear_tan(e, ()) is n and (n is e) == ("/tan(" not in text)
+    found = clear_tan(e, ())
+    n, poles = found
+    assert clear_tan(e, ()) is found and (n is e) == ("/tan(" not in text)
+    assert poles == ((parse_expression("x"),) if "/tan(" in text else ())
     assert "/tan(" not in format_expr(n)
     with mpmath.workdps(50):
         for k in range(1, 10):
@@ -847,12 +850,31 @@ def test_each_tan_argument_is_cleared_in_turn():
     e = parse_expression("2*sin(x)/x + tan(x)/x - sin(x)/x - 2*tan(x/2)/(x/2)")
     ms = tan_multipliers(e)
     assert [format_expr(m) for m in ms] == ["cos(x)", "cos(x/2)"]
-    n = clear_tan(e, ms)
-    assert clear_tan(e, ms) is n and "tan" not in format_expr(n)
+    found = clear_tan(e, ms)
+    n, poles = found
+    assert clear_tan(e, ms) is found and "tan" not in format_expr(n) and poles == ()
     with mpmath.workdps(50):
         for k in range(1, 10):
             x = mpmath.mpf(k) / 7
             want = mpmath.cos(x) * mpmath.cos(x / 2) * mp_value(e, x)
+            assert mp_value(n, x) == pytest.approx(want, rel=1e-40)
+
+
+def test_the_poles_keep_the_differences_order():
+    # the rewrite gathers the terms that lack cos(x), the first and the
+    # third, before the second; the poles keep the difference's pre-order,
+    # each distinct u once, an outer quotient's before its dividend's
+    e = parse_expression("x/tan(x/3) + tan(x)/tan(x/5) + x/tan(x/7) + "
+                         "(x/tan(x/9))/tan(x/11)")
+    ms = tan_multipliers(e)
+    assert [format_expr(m) for m in ms] == ["cos(x)"]
+    n, poles = clear_tan(e, ms)
+    assert [format_expr(u) for u in poles] == ["x/3", "x/5", "x/7", "x/11", "x/9"]
+    assert format_expr(n).index("x/7") < format_expr(n).index("x/5")
+    with mpmath.workdps(50):
+        for k in range(1, 10):
+            x = mpmath.mpf(k) / 7
+            want = mpmath.cos(x) * mp_value(e, x)
             assert mp_value(n, x) == pytest.approx(want, rel=1e-40)
 
 
@@ -883,7 +905,7 @@ def test_a_core_end_2_to_the_minus_192_below_pi_2_takes_the_raw_difference(
     quotient = _spec(corpus_specs, "CHAIN_1_3_B").difference()
     q = prove_positive(quotient, Interval(F(1, 1000), hi))
     assert q.multipliers == () and q.findings == []
-    assert q.bisected is clear_tan(quotient, ()) and q.bisected is not quotient
+    assert q.bisected is clear_tan(quotient, ())[0] and q.bisected is not quotient
     assert (q.status, q.leaves, q.max_depth) == ("Unknown", 42, 41)
     monkeypatch.setattr(prove, "tan_multipliers", lambda e: ())
     plain = prove_positive(node, Interval(F(1, 1000), hi), opts)
